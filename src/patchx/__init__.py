@@ -1,8 +1,9 @@
 """PatchX: hybrid patch-based time-series classification with patch-level explanations.
 
-Pipeline: (1) transform samples into length-preserved patches, (2) train a 1-D
-CNN on the patches with inherited labels, (3) distill per-sample class-presence
-vectors from the patch predictions, (4) classify samples with a shallow model.
+Pipeline: (1) cut samples into length-preserved patches, (2) train a 1-D
+CNN on the patches with inherited labels, (3) distill a class-presence matrix,
+one row per sample, from the patch predictions, (4) classify samples with a
+shallow model.
 """
 
 from .bundle import PatchXBundle, load_bundle, save_bundle
@@ -19,25 +20,24 @@ from .data import (
     split_holdout,
     znormalize,
 )
-from .metadata import ClassPresenceVector, extract, extract_all
+from .metadata import PresenceMatrix, extract_all
 from .neuralnet import NetworkSpec, PatchNet, TrainSpec, build_network, gradient_check, train
-from .patching import PatchConfig, PatchInstance, build_patch_dataset, enumerate_patches, transform
+from .patching import PatchConfig, build_patch_arrays, enumerate_patches
 from .pipeline import run_pipeline, train_blackbox
-from .shallow import ForestSpec, ShallowSpec, SvmSpec, TrivialSpec, evaluate, fit, predict
+from .shallow import ForestSpec, ShallowSpec, SvmSpec, TrivialSpec, evaluate, fit, predict_all
 
 __version__ = "0.1.0"
 
 __all__ = [
     "AnomalyGenSpec",
-    "ClassPresenceVector",
     "Dataset",
     "ForestSpec",
     "NetworkSpec",
     "NormStats",
     "PatchConfig",
-    "PatchInstance",
     "PatchNet",
     "PatchXBundle",
+    "PresenceMatrix",
     "ShallowSpec",
     "SvmSpec",
     "TimeSeriesSample",
@@ -45,10 +45,9 @@ __all__ = [
     "TrivialSpec",
     "anomaly_label",
     "build_network",
-    "build_patch_dataset",
+    "build_patch_arrays",
     "enumerate_patches",
     "evaluate",
-    "extract",
     "extract_all",
     "fit",
     "generate_anomaly",
@@ -56,13 +55,12 @@ __all__ = [
     "load_bundle",
     "load_dataset",
     "normalization_stats",
-    "predict",
+    "predict_all",
     "run_pipeline",
     "save_bundle",
     "save_dataset",
     "split_holdout",
     "train",
     "train_blackbox",
-    "transform",
     "znormalize",
 ]

@@ -1,4 +1,9 @@
-"""Persisted pipeline artifact: network + patch configs + normalization + shallow model.
+"""Persisted pipeline artifact and the single inference path.
+
+Inference on any dataset, including a one-sample one built for an
+explanation, runs the same four steps: patch arrays, network softmax, the
+class-presence matrix (metadata.extract_all), and the shallow model's
+predict_all.
 
 File layout (all little-endian):
 
@@ -9,7 +14,8 @@ File layout (all little-endian):
     ...         raw array payload, float64/int64 buffers in manifest order
 
 Round-trips are bitwise faithful: every numeric parameter travels through the
-binary payload, never through JSON.
+binary payload, never through JSON. A file that is cut short or whose lengths
+disagree with its manifest is rejected with a BundleError naming the cause.
 """
 
 from __future__ import annotations
@@ -22,13 +28,14 @@ from pathlib import Path
 import numpy as np
 
 from .data import Dataset, NormStats, TimeSeriesSample, znormalize
-from .metadata import ClassPresenceVector, extract, extract_all
-from .neuralnet import EVAL_BATCH, NetworkSpec, PatchNet, build_network
-from .patching import PatchConfig, build_patch_arrays, enumerate_patches, transform
+from .metadata import PresenceMatrix, extract_all
+from .neuralnet import DimensionError, NetworkSpec, PatchNet, build_network, forward_all
+from .patching import PatchConfig, build_patch_arrays
 from .shallow import ForestModel, SvmModel, TreeArrays, TrivialModel, predict_all
 
 MAGIC = b"PCHX1"
 FORMAT_VERSION = 1
+_PREFIX = 15  # magic, version and header length
 
 
 class BundleError(ValueError):
@@ -50,16 +57,6 @@ class PatchXBundle:
 
     # -- inference ---------------------------------------------------------
 
-    def normalize_dataset(self, dataset: Dataset) -> Dataset:
-        if self.norm_stats is None:
-            return dataset
-        return znormalize(dataset, self.norm_stats)
-
-    def normalize_values(self, values: np.ndarray) -> np.ndarray:
-        if self.norm_stats is None:
-            return values
-        return (values - self.norm_stats.mean[:, None]) / self.norm_stats.std[:, None]
-
     def patch_predictions(
         self, dataset: Dataset
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -68,59 +65,51 @@ class PatchXBundle:
         Returns (softmaxes, sample_ids, config_indices, labels) in the
         canonical samples -> configs -> patch order.
         """
-        normalized = self.normalize_dataset(dataset)
-        x, labels, sample_ids, config_indices = build_patch_arrays(normalized, self.patch_configs)
-        probs = np.empty((len(x), self.class_count))
-        for lo in range(0, len(x), EVAL_BATCH):
-            probs[lo : lo + EVAL_BATCH] = self.network.forward_batch(x[lo : lo + EVAL_BATCH])
-        return probs, sample_ids, config_indices, labels
-
-    def vectors(self, dataset: Dataset) -> list[ClassPresenceVector]:
-        probs, sample_ids, config_indices, labels = self.patch_predictions(dataset)
-        vectors = extract_all(
-            probs, sample_ids, config_indices, labels,
-            class_count=self.class_count, n_configs=len(self.patch_configs),
-        )
-        if len(vectors) != len(dataset.samples):
-            raise ValueError(
-                f"got {len(vectors)} vectors for {len(dataset.samples)} samples; "
-                "a sample produced no patches"
+        spec = self.network.spec
+        channels = spec.input_channels - (1 if self.patch_configs[0].attach else 0)
+        if not dataset.samples:
+            raise ValueError("dataset is empty")
+        if (dataset.channels, dataset.length) != (channels, spec.input_length):
+            raise DimensionError(
+                f"dataset samples have (channels, length) {(dataset.channels, dataset.length)}, "
+                f"the bundle expects {(channels, spec.input_length)}"
             )
-        return vectors
+        normalized = znormalize(dataset, self.norm_stats) if self.norm_stats else dataset
+        x, labels, sample_ids, config_indices = build_patch_arrays(normalized, self.patch_configs)
+        return forward_all(self.network, x), sample_ids, config_indices, labels
 
-    def predict_dataset(self, dataset: Dataset) -> tuple[np.ndarray, list[ClassPresenceVector]]:
-        vectors = self.vectors(dataset)
-        return predict_all(self.shallow_model, vectors), vectors
+    def presence(self, predictions: tuple) -> PresenceMatrix:
+        """The class-presence matrix of patch_predictions output."""
+        return extract_all(
+            *predictions, class_count=self.class_count, n_configs=len(self.patch_configs)
+        )
+
+    def vectors(self, dataset: Dataset) -> PresenceMatrix:
+        matrix = self.presence(self.patch_predictions(dataset))
+        if len(matrix) != len(dataset.samples):
+            raise ValueError(
+                f"got {len(matrix)} presence rows for {len(dataset.samples)} samples; "
+                "adjacent samples share an id"
+            )
+        return matrix
+
+    def predict_dataset(self, dataset: Dataset) -> tuple[np.ndarray, PresenceMatrix]:
+        matrix = self.vectors(dataset)
+        return predict_all(self.shallow_model, matrix), matrix
 
     def sample_patch_predictions(
         self, sample: TimeSeriesSample
-    ) -> list[tuple[int, int, int, int, np.ndarray]]:
-        """Per-patch (config_index, patch_index, start, end, softmax) for one sample.
+    ) -> tuple[np.ndarray, int, PresenceMatrix]:
+        """One sample through the dataset path: the softmax of each of its
+        patches (rows in patch_spans order), its predicted label, and its
+        one-row presence matrix."""
+        predictions = self.patch_predictions(Dataset([sample], self.class_count, split="sample"))
+        matrix = self.presence(predictions)
+        return predictions[0], int(predict_all(self.shallow_model, matrix)[0]), matrix
 
-        start/end are the source-coordinate span from patch enumeration, which
-        is what overlays need even for notemp-shifted instances.
-        """
-        values = self.normalize_values(sample.values)
-        normalized = TimeSeriesSample(id=sample.id, values=values, label=sample.label)
-        instances = []
-        spans = []
-        for ci, config in enumerate(self.patch_configs):
-            for p, start, end in enumerate_patches(sample.length, config):
-                instances.append(transform(normalized, p, config, config_index=ci).values)
-                spans.append((ci, p, start, end))
-        probs = self.network.forward_batch(np.stack(instances))
-        return [(ci, p, s, e, probs[i]) for i, (ci, p, s, e) in enumerate(spans)]
-
-    def predict_sample(self, sample: TimeSeriesSample) -> tuple[int, ClassPresenceVector]:
-        preds = self.sample_patch_predictions(sample)
-        vector = extract(
-            sample_id=sample.id,
-            predictions=[(ci, probs) for ci, _, _, _, probs in preds],
-            class_count=self.class_count,
-            n_configs=len(self.patch_configs),
-            label=sample.label,
-        )
-        return self.shallow_model.predict(vector), vector
+    def predict_sample(self, sample: TimeSeriesSample) -> tuple[int, PresenceMatrix]:
+        _, label, matrix = self.sample_patch_predictions(sample)
+        return label, matrix
 
 
 # -- serialization -----------------------------------------------------------
@@ -267,17 +256,32 @@ def load_bundle(path: str | Path) -> PatchXBundle:
     raw = Path(path).read_bytes()
     if raw[:5] != MAGIC:
         raise BundleError(f"{path}: not a PatchX bundle (bad magic {raw[:5]!r})")
+    if len(raw) < _PREFIX:
+        raise BundleError(f"{path}: truncated before the header length ({len(raw)} bytes)")
     (version,) = struct.unpack("<H", raw[5:7])
     if version != FORMAT_VERSION:
         raise BundleError(f"{path}: unsupported bundle format version {version}")
-    (header_len,) = struct.unpack("<Q", raw[7:15])
-    header = json.loads(raw[15 : 15 + header_len].decode("utf-8"))
-    offset = 15 + header_len
+    (header_len,) = struct.unpack("<Q", raw[7:_PREFIX])
+    if header_len > len(raw) - _PREFIX:
+        raise BundleError(
+            f"{path}: header length {header_len} exceeds the {len(raw) - _PREFIX} bytes "
+            "after the prefix; the file is truncated or the length is corrupt"
+        )
+    try:
+        header = json.loads(raw[_PREFIX : _PREFIX + header_len].decode("utf-8"))
+    except ValueError as err:  # UnicodeDecodeError and JSONDecodeError
+        raise BundleError(f"{path}: corrupt header ({err})") from None
+    offset = _PREFIX + header_len
     arrays: dict[str, np.ndarray] = {}
     for entry in header["arrays"]:
         dtype = _DTYPES[entry["dtype"]]
         count = int(np.prod(entry["shape"])) if entry["shape"] else 1
         nbytes = count * dtype.itemsize
+        if offset + nbytes > len(raw):
+            raise BundleError(
+                f"{path}: payload truncated: array {entry['name']!r} needs bytes "
+                f"{offset}-{offset + nbytes}, the file has {len(raw)}"
+            )
         arr = np.frombuffer(raw[offset : offset + nbytes], dtype=dtype).reshape(entry["shape"])
         arrays[entry["name"]] = arr.copy()
         offset += nbytes

@@ -39,7 +39,7 @@ from .explain import (
 from .metadata import save_vectors
 from .neuralnet import NetworkSpec, TrainSpec, gradcheck_case, gradient_check
 from .patching import ConfigError, PatchConfig
-from .pipeline import run_pipeline, refit_shallow, train_blackbox
+from .pipeline import default_network_spec, refit_shallow, run_pipeline, train_blackbox
 from .shallow import ForestSpec, ShallowSpec, SvmSpec, TrivialSpec
 
 DEFAULTS = {
@@ -312,13 +312,8 @@ def cmd_run(args: argparse.Namespace) -> int:
         stage = "data"
         train, val, test = load_run_datasets(config)
         stage = "pipeline"
-        channels = train.channels + (1 if patch_configs[0].attach else 0)
-        net_spec = NetworkSpec(
-            input_channels=channels,
-            input_length=train.length,
-            class_count=train.class_count,
-            conv_blocks=conv_blocks,
-            seed=config.getint("data", "seed"),
+        net_spec = default_network_spec(
+            train, patch_configs, seed=config.getint("data", "seed"), conv_blocks=conv_blocks
         )
         result = run_pipeline(
             train, val, test, patch_configs,
@@ -377,13 +372,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
         cells.append((token.strip(), flags))
 
     report: dict = {"cells": [], "blackbox": None}
-    blackbox_spec = NetworkSpec(
-        input_channels=train.channels,
-        input_length=train.length,
-        class_count=train.class_count,
-        conv_blocks=conv_blocks,
-        seed=seed,
-    )
+    blackbox_spec = default_network_spec(train, [], seed=seed, conv_blocks=conv_blocks)
     bb = train_blackbox(train, val, test, net_spec=blackbox_spec, train_spec=train_spec)
     report["blackbox"] = {"metrics": bb.metrics, "timing": bb.timing}
 
@@ -391,14 +380,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
         cell_name = token + ("@" + ",".join(k for k in ("attach", "notemp") if flags[k]) if any(flags.values()) else "")
         try:
             patch_configs = parse_patch_tokens(token, flags["attach"], flags["notemp"])
-            channels = train.channels + (1 if flags["attach"] else 0)
-            net_spec = NetworkSpec(
-                input_channels=channels,
-                input_length=train.length,
-                class_count=train.class_count,
-                conv_blocks=conv_blocks,
-                seed=seed,
-            )
+            net_spec = default_network_spec(train, patch_configs, seed=seed, conv_blocks=conv_blocks)
             base = run_pipeline(
                 train, val, test, patch_configs,
                 net_spec=net_spec, train_spec=train_spec,

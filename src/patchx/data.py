@@ -261,7 +261,8 @@ def save_dataset(dataset: Dataset, path: str | Path, delimiter: str = ",") -> No
 def load_dataset(path: str | Path, delimiter: str = ",", split: str = "train") -> Dataset:
     """Parse a delimited-text dataset file; row order gives the sample ids.
 
-    Raises ParseError naming the 1-based data row on any malformed content.
+    Raises ParseError naming the 1-based data row on any malformed content,
+    and for a file without samples.
     """
     path = Path(path)
     with path.open("r", encoding="utf-8") as f:
@@ -302,6 +303,8 @@ def load_dataset(path: str | Path, delimiter: str = ",", split: str = "train") -
         samples.append(
             TimeSeriesSample(id=row_no - 1, values=values.reshape(channels, length), label=label)
         )
+    if not samples:
+        raise ParseError(f"{path} has a header but no samples")
     dataset = Dataset(samples=samples, class_count=class_count, split=split)
     dataset.validate()
     return dataset

@@ -15,7 +15,7 @@ import numpy as np
 
 from .bundle import PatchXBundle
 from .data import DEFAULT_SIGMA_MULTIPLIER, Dataset, TimeSeriesSample, anomaly_label
-from .metadata import extract
+from .patching import patch_spans
 
 CATEGORY_SPECIFIC = "class-specific"
 CATEGORY_SHARED = "shared"
@@ -78,12 +78,11 @@ def explain_sample(
     The records carry everything the overlay figures need: source spans,
     per-patch classes, and a confidence gradient.
     """
-    patch_preds = bundle.sample_patch_predictions(sample)
-    class_count = bundle.class_count
+    probs, prediction, _ = bundle.sample_patch_predictions(sample)
     records = []
-    for ci, p, start, end, probs in patch_preds:
-        winner = int(np.argmax(probs))
-        confidence = float(probs[winner])
+    for (ci, p, start, end), row in zip(patch_spans(sample.length, bundle.patch_configs), probs):
+        winner = int(np.argmax(row))
+        confidence = float(row[winner])
         records.append(
             ExplanationRecord(
                 sample_id=sample.id,
@@ -92,18 +91,11 @@ def explain_sample(
                 span=(start, end),
                 predicted_class=winner,
                 confidence=confidence,
-                softmax=probs,
-                category=categorize_confidence(confidence, class_count),
+                softmax=row,
+                category=categorize_confidence(confidence, bundle.class_count),
             )
         )
-    vector = extract(
-        sample_id=sample.id,
-        predictions=[(r.config_index, r.softmax) for r in records],
-        class_count=class_count,
-        n_configs=len(bundle.patch_configs),
-        label=sample.label,
-    )
-    return records, int(bundle.shallow_model.predict(vector))
+    return records, prediction
 
 
 def save_records(records: list[ExplanationRecord], path: str | Path) -> None:
@@ -165,8 +157,6 @@ def confidence_histogram(
 
     The softmax maximum is never below 1/C, so the bins cover [1/C, 1].
     """
-    if not dataset.samples:
-        raise ValueError("dataset is empty")
     probs, _, _, _ = bundle.patch_predictions(dataset)
     confidences = probs.max(axis=1)
     winners = probs.argmax(axis=1)
@@ -301,20 +291,19 @@ class MislabelEntry:
 
 def mislabel_report(bundle: PatchXBundle, dataset: Dataset) -> list[MislabelEntry]:
     """Patch records for every misclassified sample, closest-to-boundary first."""
-    preds, vectors = bundle.predict_dataset(dataset)
+    preds, matrix = bundle.predict_dataset(dataset)
+    scores = np.sort(bundle.shallow_model.decision_scores(matrix), axis=1)
+    margins = scores[:, -1] - scores[:, -2]
     entries = []
-    for sample, vector, pred in zip(dataset.samples, vectors, preds):
-        if int(pred) == sample.label:
-            continue
-        scores = np.sort(bundle.shallow_model.decision_scores(vector))
-        margin = float(scores[-1] - scores[-2]) if len(scores) > 1 else float(scores[-1])
-        records, sample_pred = explain_sample(bundle, sample)
+    for i in np.flatnonzero(preds != matrix.labels):
+        sample = dataset.samples[i]
+        records, _ = explain_sample(bundle, sample)
         entries.append(
             MislabelEntry(
                 sample_id=sample.id,
                 true_label=sample.label,
-                predicted_label=int(sample_pred),
-                margin=margin,
+                predicted_label=int(preds[i]),
+                margin=float(margins[i]),
                 records=records,
             )
         )

@@ -1,10 +1,14 @@
-"""Distilling per-patch predictions into per-sample class-presence vectors.
+"""Distilling per-patch predictions into per-sample class-presence features.
 
 For every sample and every patch config, the winning (maximum) softmax value
-of each patch is added to the entry of the winning class. The result is a
-time-independent feature vector with one block of class_count entries per
-config; argmax ties go to the lowest class index. Alongside the confidence
-sums the per-class win counts are kept, which is what occurrence voting needs.
+of each patch is added to the entry of the winning class; argmax ties go to
+the lowest class index. The result is a time-independent feature vector with
+one block of class_count entries per config. Alongside the confidence sums the
+per-class win counts are kept, which is what occurrence voting needs.
+
+All samples of a dataset live in one PresenceMatrix, built from the batched
+patch softmaxes in a single np.add.at pass; every inference path (datasets,
+single samples, explanations) goes through extract_all.
 """
 
 from __future__ import annotations
@@ -16,62 +20,27 @@ import numpy as np
 
 
 @dataclass
-class ClassPresenceVector:
-    sample_id: int
-    blocks: np.ndarray  # (n_configs, class_count) summed winning confidences
-    counts: np.ndarray  # (n_configs, class_count) number of argmax wins
-    patch_counts: np.ndarray  # (n_configs,) patches per config for this sample
-    label: int
+class PresenceMatrix:
+    """Class-presence features of n samples."""
 
-    @property
-    def n_configs(self) -> int:
-        return self.blocks.shape[0]
+    sample_ids: np.ndarray  # (n,) int64
+    labels: np.ndarray  # (n,) int64
+    blocks: np.ndarray  # (n, n_configs, class_count) summed winning confidences
+    counts: np.ndarray  # (n, n_configs, class_count) number of argmax wins
+    patch_counts: np.ndarray  # (n, n_configs) patches per config and sample
 
-    @property
-    def class_count(self) -> int:
-        return self.blocks.shape[1]
+    def __len__(self) -> int:
+        return len(self.sample_ids)
 
     def features(self, collapse: bool = False, normalize: bool = False) -> np.ndarray:
+        """(n, d) feature rows: the blocks flattened, optionally divided by the
+        patch count of their config and/or summed over configs."""
         blocks = self.blocks
         if normalize:
-            blocks = blocks / np.maximum(self.patch_counts[:, None], 1)
+            blocks = blocks / np.maximum(self.patch_counts[:, :, None], 1)
         if collapse:
-            blocks = blocks.sum(axis=0, keepdims=True)
-        return blocks.reshape(-1)
-
-
-def extract(
-    sample_id: int,
-    predictions: list[tuple[int, np.ndarray]],
-    class_count: int,
-    n_configs: int,
-    label: int = -1,
-) -> ClassPresenceVector:
-    """Build the class-presence vector from (config_index, softmax) pairs.
-
-    Every softmax vector contributes its maximum value to exactly one entry:
-    the (config, argmax class) one.
-    """
-    if not predictions:
-        raise ValueError(f"sample {sample_id}: empty prediction list")
-    blocks = np.zeros((n_configs, class_count))
-    counts = np.zeros((n_configs, class_count), dtype=np.int64)
-    patch_counts = np.zeros(n_configs, dtype=np.int64)
-    for config_index, probs in predictions:
-        probs = np.asarray(probs)
-        if probs.shape != (class_count,):
-            raise ValueError(
-                f"sample {sample_id}: softmax length {probs.shape} != ({class_count},)"
-            )
-        if not (0 <= config_index < n_configs):
-            raise ValueError(f"sample {sample_id}: config index {config_index} out of range")
-        winner = int(np.argmax(probs))  # ties go to the lowest class index
-        blocks[config_index, winner] += float(probs[winner])
-        counts[config_index, winner] += 1
-        patch_counts[config_index] += 1
-    return ClassPresenceVector(
-        sample_id=sample_id, blocks=blocks, counts=counts, patch_counts=patch_counts, label=label
-    )
+            blocks = blocks.sum(axis=1, keepdims=True)
+        return blocks.reshape(len(blocks), -1)
 
 
 def extract_all(
@@ -81,52 +50,52 @@ def extract_all(
     labels: np.ndarray,
     class_count: int,
     n_configs: int,
-) -> list[ClassPresenceVector]:
-    """Group batched patch predictions by sample id and extract one vector each.
+) -> PresenceMatrix:
+    """Group batched patch predictions by sample id into one presence matrix.
 
     Rows must be ordered so that all patches of one sample are contiguous (the
-    order build_patch_dataset produces). Patch order within a sample does not
-    affect the result beyond float accumulation order.
+    order build_patch_arrays produces). Every softmax row contributes its
+    maximum to exactly one (sample, config, argmax class) entry; entries are
+    accumulated in row order, so patch order within a sample affects the
+    result only through float accumulation order.
     """
+    softmaxes = np.asarray(softmaxes)
     if len(softmaxes) == 0:
-        raise ValueError("no patch predictions to extract from")
-    vectors: list[ClassPresenceVector] = []
-    boundaries = np.flatnonzero(np.diff(sample_ids)) + 1
-    start = 0
-    for stop in list(boundaries) + [len(sample_ids)]:
-        preds = [
-            (int(config_indices[i]), softmaxes[i]) for i in range(start, stop)
-        ]
-        vectors.append(
-            extract(
-                sample_id=int(sample_ids[start]),
-                predictions=preds,
-                class_count=class_count,
-                n_configs=n_configs,
-                label=int(labels[start]),
-            )
-        )
-        start = stop
-    return vectors
+        raise ValueError("empty prediction list: no patch predictions to extract from")
+    if softmaxes.ndim != 2 or softmaxes.shape[1] != class_count:
+        raise ValueError(f"softmax length {softmaxes.shape[1:]} != ({class_count},)")
+    config_indices = np.asarray(config_indices, dtype=np.int64)
+    bad = (config_indices < 0) | (config_indices >= n_configs)
+    if bad.any():
+        raise ValueError(f"config index {config_indices[bad][0]} out of range [0, {n_configs})")
+    sample_ids = np.asarray(sample_ids, dtype=np.int64)
+    first = np.diff(sample_ids, prepend=sample_ids[0] - 1) != 0  # first row of each sample
+    starts = np.flatnonzero(first)
+    row_sample = np.cumsum(first) - 1
+    winners = np.argmax(softmaxes, axis=1)  # ties go to the lowest class index
+    n = len(starts)
+    blocks = np.zeros((n, n_configs, class_count))
+    counts = np.zeros((n, n_configs, class_count), dtype=np.int64)
+    patch_counts = np.zeros((n, n_configs), dtype=np.int64)
+    np.add.at(blocks, (row_sample, config_indices, winners),
+              softmaxes[np.arange(len(winners)), winners])
+    np.add.at(counts, (row_sample, config_indices, winners), 1)
+    np.add.at(patch_counts, (row_sample, config_indices), 1)
+    return PresenceMatrix(
+        sample_ids=sample_ids[starts],
+        labels=np.asarray(labels, dtype=np.int64)[starts],
+        blocks=blocks,
+        counts=counts,
+        patch_counts=patch_counts,
+    )
 
 
-def feature_matrix(
-    vectors: list[ClassPresenceVector], collapse: bool = False, normalize: bool = False
-) -> np.ndarray:
-    return np.stack([v.features(collapse=collapse, normalize=normalize) for v in vectors])
-
-
-def labels_array(vectors: list[ClassPresenceVector]) -> np.ndarray:
-    return np.array([v.label for v in vectors], dtype=np.int64)
-
-
-def save_vectors(vectors: list[ClassPresenceVector], path: str | Path,
-                 collapse: bool = False, normalize: bool = False) -> None:
-    """Delimited-text export: sample_id, label, then the feature values."""
-    path = Path(path)
-    with path.open("w", encoding="utf-8") as f:
-        for v in vectors:
-            fields = [str(v.sample_id), str(v.label)]
-            fields.extend(repr(float(x)) for x in v.features(collapse=collapse, normalize=normalize))
+def save_vectors(matrix: PresenceMatrix, path: str | Path) -> None:
+    """Delimited-text export, one sample per line: sample_id, label, then the
+    raw (uncollapsed, unnormalized) features."""
+    with Path(path).open("w", encoding="utf-8") as f:
+        for sample_id, label, row in zip(matrix.sample_ids, matrix.labels, matrix.features()):
+            fields = [str(sample_id), str(label)]
+            fields.extend(repr(float(x)) for x in row)
             f.write(",".join(fields))
             f.write("\n")

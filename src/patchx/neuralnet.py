@@ -9,11 +9,9 @@ analytic gradients can be checked against central finite differences.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
-
-from .patching import PatchInstance
 
 LOG_CLAMP = 1e-12
 EVAL_BATCH = 1024
@@ -225,23 +223,18 @@ def softmax(logits: np.ndarray) -> np.ndarray:
 # -- spec operations -------------------------------------------------------
 
 
-def as_patch_arrays(
-    patches: "list[PatchInstance] | tuple[np.ndarray, np.ndarray]",
-) -> tuple[np.ndarray, np.ndarray]:
-    """Accept either a list of PatchInstance or a prepared (values, labels) pair."""
-    if isinstance(patches, tuple):
-        return patches
-    if not patches:
-        raise ValueError("patch list is empty")
-    x = np.stack([p.values for p in patches])
-    y = np.array([p.label for p in patches], dtype=np.int64)
-    return x, y
-
-
-def forward(net: PatchNet, patch: "PatchInstance | np.ndarray") -> np.ndarray:
-    """Softmax prediction for a single patch, shape (class_count,)."""
-    values = patch.values if isinstance(patch, PatchInstance) else patch
+def forward(net: PatchNet, values: np.ndarray) -> np.ndarray:
+    """Softmax prediction for a single patch array, shape (class_count,)."""
     return net.forward_batch(values[None])[0]
+
+
+def forward_all(net: PatchNet, x: np.ndarray) -> np.ndarray:
+    """Softmax of every row of x, shape (len(x), class_count); the one
+    evaluation forward path, run in EVAL_BATCH slices."""
+    probs = np.empty((len(x), net.spec.class_count))
+    for lo in range(0, len(x), EVAL_BATCH):
+        probs[lo : lo + EVAL_BATCH] = net.forward_batch(x[lo : lo + EVAL_BATCH])
+    return probs
 
 
 def patch_cross_entropy(prediction: np.ndarray, label: int) -> float:
@@ -257,26 +250,22 @@ def batch_cross_entropy(probs: np.ndarray, labels: np.ndarray) -> float:
     return float(-np.log(picked).mean())
 
 
-def dataset_loss(net: PatchNet, patches) -> float:
-    """Mean patch cross-entropy over all instances (uniform weighting).
+def dataset_loss(net: PatchNet, patches: tuple[np.ndarray, np.ndarray]) -> float:
+    """Mean patch cross-entropy over a (values, labels) pair (uniform weighting).
 
     The per-patch losses are reduced with math.fsum, so the result does not
-    depend on the ordering of the patch list.
+    depend on the ordering of the patches.
     """
-    x, y = as_patch_arrays(patches)
+    x, y = patches
     if len(y) == 0:
         raise ValueError("dataset_loss requires at least one patch")
-    losses: list[float] = []
-    for lo in range(0, len(y), EVAL_BATCH):
-        probs = net.forward_batch(x[lo : lo + EVAL_BATCH])
-        picked = np.maximum(probs[np.arange(len(probs)), y[lo : lo + EVAL_BATCH]], LOG_CLAMP)
-        losses.extend((-np.log(picked)).tolist())
-    return math.fsum(losses) / len(losses)
+    picked = np.maximum(forward_all(net, x)[np.arange(len(y)), y], LOG_CLAMP)
+    return math.fsum((-np.log(picked)).tolist()) / len(y)
 
 
-def backward(net: PatchNet, batch) -> dict[str, np.ndarray]:
+def backward(net: PatchNet, batch: tuple[np.ndarray, np.ndarray]) -> dict[str, np.ndarray]:
     """Gradient of the mean batch cross-entropy w.r.t. every parameter."""
-    x, y = as_patch_arrays(batch)
+    x, y = batch
     if len(y) == 0:
         raise ValueError("backward requires a non-empty batch")
     logits, caches = net._forward_cached(x)
@@ -288,15 +277,12 @@ def backward(net: PatchNet, batch) -> dict[str, np.ndarray]:
 
 
 def predictions(net: PatchNet, x: np.ndarray) -> np.ndarray:
-    """Argmax class per row, evaluated in batches."""
-    out = np.empty(len(x), dtype=np.int64)
-    for lo in range(0, len(x), EVAL_BATCH):
-        out[lo : lo + EVAL_BATCH] = np.argmax(net.forward_batch(x[lo : lo + EVAL_BATCH]), axis=1)
-    return out
+    """Argmax class per row."""
+    return np.argmax(forward_all(net, x), axis=1)
 
 
-def accuracy(net: PatchNet, patches) -> float:
-    x, y = as_patch_arrays(patches)
+def accuracy(net: PatchNet, patches: tuple[np.ndarray, np.ndarray]) -> float:
+    x, y = patches
     return float((predictions(net, x) == y).mean())
 
 
@@ -362,8 +348,8 @@ def train(net: PatchNet, train_patches, val_patches, spec: TrainSpec) -> TrainLo
     per-epoch shuffle drawn from one seeded generator.
     """
     spec.validate()
-    x_train, y_train = as_patch_arrays(train_patches)
-    x_val, y_val = as_patch_arrays(val_patches)
+    x_train, y_train = train_patches
+    x_val, y_val = val_patches
     if len(y_val) == 0:
         raise ValueError("validation patches must be non-empty")
     rng = np.random.default_rng(spec.seed)
@@ -493,15 +479,7 @@ def gradcheck_case(
     """Deterministic (net, inputs, labels) fixture whose ReLU pre-activations
     all sit at least `margin` away from the kink, so central differences are
     valid everywhere in the finite-difference sweep."""
-    net = PatchNet(
-        NetworkSpec(
-            input_channels=spec.input_channels,
-            input_length=spec.input_length,
-            class_count=spec.class_count,
-            conv_blocks=spec.conv_blocks,
-            seed=seed * 1009 + 7,
-        )
-    )
+    net = PatchNet(replace(spec, seed=seed * 1009 + 7))
     rng = np.random.default_rng(seed * 1009 + 8)
     x = rng.normal(size=(batch_size, spec.input_channels, spec.input_length))
     y = rng.integers(0, spec.class_count, batch_size)
@@ -521,7 +499,7 @@ def gradient_check(
     Meaningful only when the batch keeps ReLU pre-activations away from zero;
     see gradcheck_case / relu_preactivation_margin.
     """
-    x, y = as_patch_arrays(batch)
+    x, y = batch
     analytic = backward(net, (x, y))
 
     def loss() -> float:

@@ -10,6 +10,10 @@ A patch config is a (stride, length) pair plus three transformation flags:
 
 Patch p of a sample starts at p*stride; every p with p*stride < sample length
 is enumerated and the final window is truncated at the sample boundary.
+
+build_patch_arrays is the one patch builder the pipeline runs. transform,
+PatchInstance and build_patch_dataset cut one patch object at a time; they
+are the reference its tests check it against.
 """
 
 from __future__ import annotations
@@ -81,6 +85,16 @@ def enumerate_patches(sample_length: int, config: PatchConfig) -> list[tuple[int
     return out
 
 
+def patch_spans(sample_length: int, configs: list[PatchConfig]) -> list[tuple[int, int, int, int]]:
+    """(config_index, p, start, end) of every patch of a sample, in the order
+    samples -> configs -> patch index that build_patch_arrays uses."""
+    return [
+        (ci, p, start, end)
+        for ci, config in enumerate(configs)
+        for p, start, end in enumerate_patches(sample_length, config)
+    ]
+
+
 def transform(
     sample: TimeSeriesSample,
     p: int,
@@ -145,7 +159,8 @@ def build_patch_dataset(dataset: Dataset, configs: list[PatchConfig]) -> list[Pa
 def build_patch_arrays(
     dataset: Dataset, configs: list[PatchConfig]
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Vectorized equivalent of build_patch_dataset for training.
+    """Every patch of every sample as one array; build_patch_dataset is its
+    one-object-per-patch reference.
 
     Returns (values, labels, sample_ids, config_indices) where values has shape
     (n_samples * patches_per_sample, channels, length) in exactly the order
@@ -157,7 +172,7 @@ def build_patch_arrays(
         return np.zeros((0, 0, 0)), empty, empty.copy(), empty.copy()
     length = dataset.length
     _check_configs(configs, length)
-    spans = [(ci, p, s, e) for ci, c in enumerate(configs) for p, s, e in enumerate_patches(length, c)]
+    spans = patch_spans(length, configs)
     per_sample = len(spans)
     raw = dataset.values_array()  # (n, c, l)
     n = raw.shape[0]

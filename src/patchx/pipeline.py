@@ -8,23 +8,31 @@ timings (kept apart so metrics files stay bit-identical across reruns).
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from . import neuralnet
 from .bundle import PatchXBundle
 from .data import Dataset, normalization_stats, znormalize
-from .metadata import ClassPresenceVector
+from .metadata import PresenceMatrix
 from .neuralnet import NetworkSpec, TrainLog, TrainSpec, build_network
 from .patching import PatchConfig, build_patch_arrays
 from .shallow import ShallowSpec, evaluate, fit
 
 
-def default_network_spec(dataset: Dataset, configs: list[PatchConfig], seed: int = 0) -> NetworkSpec:
+def default_network_spec(
+    dataset: Dataset,
+    configs: list[PatchConfig],
+    seed: int = 0,
+    conv_blocks: tuple = NetworkSpec.conv_blocks,
+) -> NetworkSpec:
+    """A network sized for the dataset's patches, with the attach channel when
+    the configs add one; with no configs it takes whole samples."""
     channels = dataset.channels + (1 if configs and configs[0].attach else 0)
     return NetworkSpec(
         input_channels=channels,
         input_length=dataset.length,
         class_count=dataset.class_count,
+        conv_blocks=conv_blocks,
         seed=seed,
     )
 
@@ -35,8 +43,38 @@ class PipelineResult:
     train_log: TrainLog
     metrics: dict
     timing: dict
-    train_vectors: list[ClassPresenceVector]
-    test_vectors: list[ClassPresenceVector] | None
+    train_vectors: PresenceMatrix
+    test_vectors: PresenceMatrix | None
+
+
+def _fit_shallow(
+    bundle: PatchXBundle,
+    shallow_spec: ShallowSpec,
+    train_vectors: PresenceMatrix,
+    test: Dataset | None,
+    test_vectors: PresenceMatrix | None,
+    metrics: dict,
+    timing: dict,
+) -> PresenceMatrix | None:
+    """Fit the bundle's shallow model, then score it on the train vectors and on
+    the test split (its cached vectors, or else one inference pass); records
+    into metrics and timing, and returns the test vectors."""
+    t0 = time.perf_counter()
+    bundle.shallow_model = fit(
+        shallow_spec, train_vectors, collapse=bundle.collapse, normalize=bundle.normalize_features
+    )
+    timing["shallow_fit_seconds"] = time.perf_counter() - t0
+    metrics["shallow_kind"] = shallow_spec.kind
+    metrics["train_accuracy"] = evaluate(bundle.shallow_model, train_vectors).accuracy
+    if test is not None and test_vectors is None:
+        t0 = time.perf_counter()
+        _, test_vectors = bundle.predict_dataset(test)
+        timing["inference_seconds"] = time.perf_counter() - t0
+    if test_vectors is not None:
+        result = evaluate(bundle.shallow_model, test_vectors)
+        metrics["test_accuracy"] = result.accuracy
+        metrics["test_confusion"] = result.confusion.tolist()
+    return test_vectors
 
 
 def run_pipeline(
@@ -64,12 +102,12 @@ def run_pipeline(
 
     x_train, y_train, _, _ = build_patch_arrays(norm_train, configs)
     x_val, y_val, _, _ = build_patch_arrays(norm_val, configs)
-    t_patching = time.perf_counter() - t0
+    timing = {"patching_seconds": time.perf_counter() - t0}
 
     network = build_network(net_spec)
     t0 = time.perf_counter()
     log = neuralnet.train(network, (x_train, y_train), (x_val, y_val), train_spec)
-    t_network = time.perf_counter() - t0
+    timing["network_train_seconds"] = time.perf_counter() - t0
 
     bundle = PatchXBundle(
         network=network,
@@ -81,13 +119,8 @@ def run_pipeline(
     )
     t0 = time.perf_counter()
     train_vectors = bundle.vectors(train)
-    bundle.shallow_model = fit(
-        shallow_spec, train_vectors, collapse=collapse, normalize=normalize_features
-    )
-    t_shallow = time.perf_counter() - t0
-
+    timing["train_vectors_seconds"] = time.perf_counter() - t0
     metrics: dict = {
-        "shallow_kind": shallow_spec.kind,
         "patch_configs": [[c.stride, c.length] for c in configs],
         "flags": {
             "zero": configs[0].zero,
@@ -98,23 +131,12 @@ def run_pipeline(
         "best_epoch": log.best_epoch,
         "val_patch_accuracy": log.best_val_accuracy,
         "train_loss_curve": log.train_loss,
-        "train_accuracy": evaluate(bundle.shallow_model, train_vectors).accuracy,
     }
-    timing = {
-        "patching_seconds": t_patching,
-        "network_train_seconds": t_network,
-        "shallow_train_seconds": t_shallow,
-        "train_seconds": t_patching + t_network + t_shallow,
-    }
-
-    test_vectors = None
-    if test is not None:
-        t0 = time.perf_counter()
-        preds, test_vectors = bundle.predict_dataset(test)
-        timing["inference_seconds"] = time.perf_counter() - t0
-        result = evaluate(bundle.shallow_model, test_vectors)
-        metrics["test_accuracy"] = result.accuracy
-        metrics["test_confusion"] = result.confusion.tolist()
+    test_vectors = _fit_shallow(bundle, shallow_spec, train_vectors, test, None, metrics, timing)
+    timing["train_seconds"] = sum(
+        timing[k] for k in ("patching_seconds", "network_train_seconds",
+                            "train_vectors_seconds", "shallow_fit_seconds")
+    )
     return PipelineResult(
         bundle=bundle,
         train_log=log,
@@ -129,43 +151,13 @@ def refit_shallow(
     result: PipelineResult, shallow_spec: ShallowSpec, test: Dataset | None = None
 ) -> PipelineResult:
     """Swap the sample-level classifier on top of an already trained network."""
-    bundle = result.bundle
-    t0 = time.perf_counter()
-    model = fit(
-        shallow_spec, result.train_vectors,
-        collapse=bundle.collapse, normalize=bundle.normalize_features,
-    )
-    t_shallow = time.perf_counter() - t0
-    new_bundle = PatchXBundle(
-        network=bundle.network,
-        patch_configs=bundle.patch_configs,
-        norm_stats=bundle.norm_stats,
-        shallow_model=model,
-        collapse=bundle.collapse,
-        normalize_features=bundle.normalize_features,
-    )
+    bundle = replace(result.bundle, shallow_model=None)
     metrics = dict(result.metrics)
-    metrics["shallow_kind"] = shallow_spec.kind
-    metrics["train_accuracy"] = evaluate(model, result.train_vectors).accuracy
     timing = dict(result.timing)
-    timing["shallow_train_seconds"] = t_shallow
-    test_vectors = result.test_vectors
-    if test is not None and test_vectors is None:
-        t0 = time.perf_counter()
-        test_vectors = new_bundle.vectors(test)
-        timing["inference_seconds"] = time.perf_counter() - t0
-    if test_vectors is not None:
-        eval_result = evaluate(model, test_vectors)
-        metrics["test_accuracy"] = eval_result.accuracy
-        metrics["test_confusion"] = eval_result.confusion.tolist()
-    return PipelineResult(
-        bundle=new_bundle,
-        train_log=result.train_log,
-        metrics=metrics,
-        timing=timing,
-        train_vectors=result.train_vectors,
-        test_vectors=test_vectors,
+    test_vectors = _fit_shallow(
+        bundle, shallow_spec, result.train_vectors, test, result.test_vectors, metrics, timing
     )
+    return replace(result, bundle=bundle, metrics=metrics, timing=timing, test_vectors=test_vectors)
 
 
 @dataclass
@@ -187,12 +179,7 @@ def train_blackbox(
     """Baseline: the identical network applied to whole samples, no patching."""
     train_spec = train_spec or TrainSpec()
     if net_spec is None:
-        net_spec = NetworkSpec(
-            input_channels=train.channels,
-            input_length=train.length,
-            class_count=train.class_count,
-            seed=train_spec.seed,
-        )
+        net_spec = default_network_spec(train, [], seed=train_spec.seed)
     stats = normalization_stats(train) if normalize else None
     norm = lambda ds: znormalize(ds, stats) if stats else ds
     pack = lambda ds: (norm(ds).values_array(), ds.labels_array())

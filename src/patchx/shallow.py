@@ -1,4 +1,4 @@
-"""Sample-level classifiers over class-presence vectors.
+"""Sample-level classifiers over the class-presence matrix.
 
 Three interchangeable kinds:
 
@@ -14,7 +14,9 @@ Three interchangeable kinds:
             weight, so a few confident patches can outvote many uncertain
             ones).
 
-Ties are always broken toward the lowest class index.
+Every model has one scoring method, decision_scores(matrix) -> (n, C), and a
+row's scores do not depend on the other rows of its batch. predict_all is the
+single argmax over them; ties always go to the lowest class index.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .metadata import ClassPresenceVector, feature_matrix, labels_array
+from .metadata import PresenceMatrix
 
 TRIVIAL_MODES = ("occurrence", "confidence-sum", "logodds")
 _LOGIT_CLAMP = 1e-12
@@ -135,22 +137,20 @@ class SvmModel:
 
     kind = "svm"
 
-    def _prepare(self, vector: ClassPresenceVector) -> np.ndarray:
-        x = vector.features(collapse=self.collapse, normalize=self.normalize)
-        if x.shape[0] != self.weights.shape[1]:
-            raise ValueError(
-                f"feature dimension {x.shape[0]} does not match fitted dimension "
-                f"{self.weights.shape[1]}"
-            )
+    def decision_scores(self, matrix: PresenceMatrix) -> np.ndarray:
+        x = _features(matrix, self.collapse, self.normalize, self.weights.shape[1])
         if self.feature_mean is not None:
             x = (x - self.feature_mean) / self.feature_std
-        return x
+        # an elementwise product and a row sum, not a BLAS product, so that a
+        # row scores bit for bit the same in any batch
+        return (x[:, None, :] * self.weights[None]).sum(axis=-1) + self.biases
 
-    def decision_scores(self, vector: ClassPresenceVector) -> np.ndarray:
-        return self._prepare(vector) @ self.weights.T + self.biases
 
-    def predict(self, vector: ClassPresenceVector) -> int:
-        return int(np.argmax(self.decision_scores(vector)))
+def _features(matrix: PresenceMatrix, collapse: bool, normalize: bool, dim: int) -> np.ndarray:
+    x = matrix.features(collapse=collapse, normalize=normalize)
+    if x.shape[1] != dim:
+        raise ValueError(f"feature dimension {x.shape[1]} does not match fitted dimension {dim}")
+    return x
 
 
 # -- random forest ------------------------------------------------------------
@@ -288,26 +288,13 @@ class ForestModel:
 
     kind = "forest"
 
-    def _prepare(self, vector: ClassPresenceVector) -> np.ndarray:
-        x = vector.features(collapse=self.collapse, normalize=self.normalize)
-        if x.shape[0] != self.feature_dim:
-            raise ValueError(
-                f"feature dimension {x.shape[0]} does not match fitted dimension {self.feature_dim}"
-            )
-        return x
-
-    def votes(self, features_2d: np.ndarray) -> np.ndarray:
-        out = np.zeros((len(features_2d), self.class_count))
+    def decision_scores(self, matrix: PresenceMatrix) -> np.ndarray:
+        """Share of the trees voting for each class."""
+        x = _features(matrix, self.collapse, self.normalize, self.feature_dim)
+        votes = np.zeros((len(x), self.class_count))
         for tree in self.trees:
-            preds = tree.predict(features_2d)
-            out[np.arange(len(preds)), preds] += 1.0
-        return out
-
-    def decision_scores(self, vector: ClassPresenceVector) -> np.ndarray:
-        return self.votes(self._prepare(vector)[None])[0] / len(self.trees)
-
-    def predict(self, vector: ClassPresenceVector) -> int:
-        return int(np.argmax(self.decision_scores(vector)))
+            votes[np.arange(len(x)), tree.predict(x)] += 1.0
+        return votes / len(self.trees)
 
 
 # -- trivial voting ------------------------------------------------------------
@@ -321,30 +308,24 @@ class TrivialModel:
 
     kind = "trivial"
 
-    def _check(self, vector: ClassPresenceVector) -> None:
-        if vector.blocks.shape != (self.n_configs, self.class_count):
+    def decision_scores(self, matrix: PresenceMatrix) -> np.ndarray:
+        if matrix.blocks.shape[1:] != (self.n_configs, self.class_count):
             raise ValueError(
-                f"vector blocks {vector.blocks.shape} do not match "
+                f"presence blocks {matrix.blocks.shape[1:]} do not match "
                 f"({self.n_configs}, {self.class_count})"
             )
-
-    def decision_scores(self, vector: ClassPresenceVector) -> np.ndarray:
-        self._check(vector)
-        counts = vector.counts.sum(axis=0).astype(np.float64)
-        sums = vector.blocks.sum(axis=0)
+        counts = matrix.counts.sum(axis=1).astype(np.float64)
+        sums = matrix.blocks.sum(axis=1)
         if self.mode == "occurrence":
             # confidence sums only break ties between equal win counts
-            span = sums.max() + 1.0
+            span = sums.max(axis=1, keepdims=True) + 1.0
             return counts + sums / span
         if self.mode == "confidence-sum":
-            return sums.copy()
+            return sums
         mean_conf = np.divide(sums, counts, out=np.zeros_like(sums), where=counts > 0)
         mean_conf = np.clip(mean_conf, _LOGIT_CLAMP, 1.0 - _LOGIT_CLAMP)
         logit = np.log(mean_conf) - np.log1p(-mean_conf)
         return np.where(counts > 0, counts * logit, 0.0)
-
-    def predict(self, vector: ClassPresenceVector) -> int:
-        return int(np.argmax(self.decision_scores(vector)))
 
 
 ShallowModel = SvmModel | ForestModel | TrivialModel
@@ -355,22 +336,21 @@ ShallowModel = SvmModel | ForestModel | TrivialModel
 
 def fit(
     spec: ShallowSpec,
-    train_vectors: list[ClassPresenceVector],
+    train_vectors: PresenceMatrix,
     collapse: bool = False,
     normalize: bool = False,
 ) -> ShallowModel:
-    """Train the configured classifier on class-presence vectors."""
+    """Train the configured classifier on a class-presence matrix."""
     spec.validate()
-    if not train_vectors:
+    if not len(train_vectors):
         raise ValueError("no training vectors")
-    class_count = train_vectors[0].class_count
-    n_configs = train_vectors[0].n_configs
-    labels = labels_array(train_vectors)
+    _, n_configs, class_count = train_vectors.blocks.shape
+    labels = train_vectors.labels
     if spec.kind != "trivial" and len(np.unique(labels)) < 2:
         raise ValueError("training vectors contain a single class; need at least 2")
     if spec.kind == "trivial":
         return TrivialModel(mode=spec.trivial.mode, class_count=class_count, n_configs=n_configs)
-    features = feature_matrix(train_vectors, collapse=collapse, normalize=normalize)
+    features = train_vectors.features(collapse=collapse, normalize=normalize)
     if spec.kind == "svm":
         mean = std = None
         if spec.svm.standardize:
@@ -405,16 +385,9 @@ def fit(
     )
 
 
-def predict(model: ShallowModel, vector: ClassPresenceVector) -> int:
-    """Class index in [0, class_count); ties go to the lowest index."""
-    return model.predict(vector)
-
-
-def predict_all(model: ShallowModel, vectors: list[ClassPresenceVector]) -> np.ndarray:
-    if isinstance(model, ForestModel):
-        features = np.stack([model._prepare(v) for v in vectors])
-        return np.argmax(model.votes(features), axis=1)
-    return np.array([model.predict(v) for v in vectors], dtype=np.int64)
+def predict_all(model: ShallowModel, matrix: PresenceMatrix) -> np.ndarray:
+    """Class index in [0, class_count) per row; ties go to the lowest index."""
+    return np.argmax(model.decision_scores(matrix), axis=1)
 
 
 @dataclass
@@ -423,12 +396,12 @@ class EvalResult:
     confusion: np.ndarray  # (class_count, class_count), rows = true class
 
 
-def evaluate(model: ShallowModel, vectors: list[ClassPresenceVector]) -> EvalResult:
+def evaluate(model: ShallowModel, matrix: PresenceMatrix) -> EvalResult:
     """Accuracy plus confusion matrix (row = true class, column = prediction)."""
-    if not vectors:
+    if not len(matrix):
         raise ValueError("no vectors to evaluate")
-    preds = predict_all(model, vectors)
-    truth = labels_array(vectors)
+    preds = predict_all(model, matrix)
+    truth = matrix.labels
     confusion = np.zeros((model.class_count, model.class_count), dtype=np.int64)
     np.add.at(confusion, (truth, preds), 1)
     return EvalResult(accuracy=float((preds == truth).mean()), confusion=confusion)

@@ -13,7 +13,7 @@ import pytest
 from patchx.cli import main as cli_main
 from patchx.data import AnomalyGenSpec, Dataset, TimeSeriesSample, generate_anomaly
 from patchx.explain import boundary_probe, explain_sample
-from patchx.metadata import extract
+from patchx.metadata import extract_all
 from patchx.neuralnet import (
     NetworkSpec,
     TrainSpec,
@@ -177,15 +177,18 @@ def test_criterion_4_metadata_oracle():
                 p[top[0]] = p[top[1]] = tied
                 p /= p.sum()
             preds.append((int(rng.integers(0, n_configs)), p))
-        vector = extract(0, preds, class_count=class_count, n_configs=n_configs)
+        vector = extract_all(
+            np.array([p for _, p in preds]), np.zeros(n_patches), [k for k, _ in preds],
+            np.zeros(n_patches), class_count=class_count, n_configs=n_configs,
+        )
         expected = np.zeros((n_configs, class_count))
         counts = np.zeros((n_configs, class_count), dtype=np.int64)
         for k, p in preds:
             winner = min(np.flatnonzero(p == p.max()))
             expected[k, winner] += p[winner]
             counts[k, winner] += 1
-        worst = max(worst, float(np.abs(vector.blocks - expected).max()))
-        np.testing.assert_array_equal(vector.counts, counts)
+        worst = max(worst, float(np.abs(vector.blocks[0] - expected).max()))
+        np.testing.assert_array_equal(vector.counts[0], counts)
     report(4, "metadata oracle", worst <= 1e-9,
            f"max deviation {worst:.2e} from per-patch re-summation over 1000 sets incl. ties")
     assert worst <= 1e-9

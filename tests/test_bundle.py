@@ -1,30 +1,27 @@
 import numpy as np
 import pytest
 
+import struct
+
 from patchx.bundle import BundleError, MAGIC, PatchXBundle, load_bundle, save_bundle
 from patchx.data import NormStats
-from patchx.metadata import ClassPresenceVector
+from patchx.metadata import PresenceMatrix
 from patchx.neuralnet import NetworkSpec, build_network
 from patchx.patching import PatchConfig
-from patchx.shallow import ForestSpec, ShallowSpec, TrivialSpec, fit
+from patchx.shallow import ForestSpec, ShallowSpec, TrivialSpec, fit, predict_all
 
 
 def make_vectors(seed=0, n=30):
     rng = np.random.default_rng(seed)
-    out = []
-    for i in range(n):
-        label = i % 2
-        blocks = np.abs(rng.normal(size=(2, 2))) + np.eye(2)[label] * 2
-        out.append(
-            ClassPresenceVector(
-                sample_id=i,
-                blocks=blocks,
-                counts=np.ceil(blocks).astype(np.int64),
-                patch_counts=np.array([10, 5], dtype=np.int64),
-                label=label,
-            )
-        )
-    return out
+    labels = np.arange(n) % 2
+    blocks = np.abs(rng.normal(size=(n, 2, 2))) + np.eye(2)[labels][:, None, :] * 2
+    return PresenceMatrix(
+        sample_ids=np.arange(n),
+        labels=labels,
+        blocks=blocks,
+        counts=np.ceil(blocks).astype(np.int64),
+        patch_counts=np.tile(np.array([10, 5], dtype=np.int64), (n, 1)),
+    )
 
 
 def make_bundle(shallow_kind="svm", stats=True):
@@ -87,11 +84,13 @@ def test_round_trip_predictions_identical(tmp_path):
     path = tmp_path / "model.pchx"
     save_bundle(bundle, path)
     loaded = load_bundle(path)
-    for v in make_vectors(seed=8, n=10):
-        assert bundle.shallow_model.predict(v) == loaded.shallow_model.predict(v)
-        np.testing.assert_array_equal(
-            bundle.shallow_model.decision_scores(v), loaded.shallow_model.decision_scores(v)
-        )
+    matrix = make_vectors(seed=8, n=10)
+    np.testing.assert_array_equal(
+        predict_all(bundle.shallow_model, matrix), predict_all(loaded.shallow_model, matrix)
+    )
+    np.testing.assert_array_equal(
+        bundle.shallow_model.decision_scores(matrix), loaded.shallow_model.decision_scores(matrix)
+    )
 
 
 def test_magic_is_pchx1(tmp_path):
@@ -125,6 +124,41 @@ def test_trailing_garbage_rejected(tmp_path):
     save_bundle(bundle, path)
     path.write_bytes(path.read_bytes() + b"extra")
     with pytest.raises(BundleError, match="trailing"):
+        load_bundle(path)
+
+
+def _truncate_payload(raw):
+    return raw[:-9]
+
+
+def _truncate_header(raw):
+    (header_len,) = struct.unpack("<Q", raw[7:15])
+    return raw[: 15 + header_len // 2]
+
+
+def _bogus_header_length(raw):
+    (header_len,) = struct.unpack("<Q", raw[7:15])
+    return raw[:7] + struct.pack("<Q", header_len + 40) + raw[15:]
+
+
+def _short_header_length(raw):
+    (header_len,) = struct.unpack("<Q", raw[7:15])
+    return raw[:7] + struct.pack("<Q", header_len - 3) + raw[15:]
+
+
+@pytest.mark.parametrize("corrupt, cause", [
+    (_truncate_payload, "payload truncated"),
+    (_truncate_header, "header length .* exceeds"),
+    (_bogus_header_length, "corrupt header"),
+    (_short_header_length, "corrupt header"),
+    (lambda raw: raw[:10], "truncated before the header length"),
+], ids=["truncated-payload", "truncated-header", "bogus-header-length", "short-header-length",
+        "truncated-prefix"])
+def test_corrupt_bundle_raises_bundle_error(tmp_path, corrupt, cause):
+    path = tmp_path / "model.pchx"
+    save_bundle(make_bundle(), path)
+    path.write_bytes(corrupt(path.read_bytes()))
+    with pytest.raises(BundleError, match=cause):
         load_bundle(path)
 
 

@@ -65,6 +65,11 @@ class TestLoadDataset:
         with pytest.raises(ParseError, match="row 1"):
             load_dataset(path)
 
+    def test_header_only_rejected(self, tmp_path):
+        path = write_lines(tmp_path, ["3,50,2"])
+        with pytest.raises(ParseError, match="header but no samples"):
+            load_dataset(path)
+
     def test_class_count_comes_from_header_not_labels(self, tmp_path):
         # a split may lack some classes entirely; C stays fixed by the header
         path = write_lines(tmp_path, ["1,2,3", "1.0,2.0,0", "3.0,4.0,0"])

@@ -13,11 +13,11 @@ from patchx.explain import (
     save_records,
     save_report,
 )
-from patchx.metadata import extract
-from patchx.neuralnet import NetworkSpec, TrainSpec
+from patchx.metadata import extract_all
+from patchx.neuralnet import DimensionError, NetworkSpec, TrainSpec
 from patchx.patching import PatchConfig, enumerate_patches
 from patchx.pipeline import run_pipeline
-from patchx.shallow import predict as shallow_predict
+from patchx.shallow import predict_all
 
 
 class TestCategorize:
@@ -46,14 +46,16 @@ class TestExplainSample:
     def test_prediction_matches_shallow_on_extracted_vector(self, small_bundle, anomaly_splits):
         sample = anomaly_splits[2].samples[3]
         records, prediction = explain_sample(small_bundle, sample)
-        vector = extract(
-            sample.id,
-            [(r.config_index, r.softmax) for r in records],
+        n = len(records)
+        matrix = extract_all(
+            np.array([r.softmax for r in records]),
+            np.full(n, sample.id),
+            np.array([r.config_index for r in records]),
+            np.full(n, sample.label),
             class_count=small_bundle.class_count,
             n_configs=len(small_bundle.patch_configs),
-            label=sample.label,
         )
-        assert prediction == shallow_predict(small_bundle.shallow_model, vector)
+        assert prediction == predict_all(small_bundle.shallow_model, matrix)[0]
 
     def test_matches_dataset_pipeline_prediction(self, small_bundle, anomaly_splits):
         test = anomaly_splits[2]
@@ -75,6 +77,39 @@ class TestExplainSample:
         lines = path.read_text().strip().splitlines()
         assert len(lines) == len(records) + 1  # header
         assert lines[0].startswith("sample_id,config_index")
+
+
+    def test_predict_sample_matches_explain(self, small_bundle, anomaly_splits):
+        sample = anomaly_splits[2].samples[5]
+        label, matrix = small_bundle.predict_sample(sample)
+        _, prediction = explain_sample(small_bundle, sample)
+        assert label == prediction
+        assert matrix.sample_ids.tolist() == [sample.id]
+        assert matrix.patch_counts.tolist() == [[10, 5]]
+
+
+class TestInputChecks:
+    def test_length_mismatch_is_a_dimension_error(self, small_bundle, anomaly_splits):
+        test = anomaly_splits[2]
+        short = Dataset(
+            samples=[TimeSeriesSample(id=s.id, values=s.values[:, :40], label=s.label)
+                     for s in test.samples[:60]],
+            class_count=2, split="test",
+        )
+        with pytest.raises(DimensionError, match=r"\(3, 40\).*expects \(3, 50\)"):
+            small_bundle.predict_dataset(short)
+        with pytest.raises(DimensionError, match="expects"):
+            explain_sample(small_bundle, short.samples[0])
+
+    def test_channel_mismatch_is_a_dimension_error(self, small_bundle, anomaly_splits):
+        sample = anomaly_splits[2].samples[0]
+        extra = TimeSeriesSample(id=0, values=np.vstack([sample.values, sample.values[:1]]), label=0)
+        with pytest.raises(DimensionError, match=r"\(4, 50\).*expects \(3, 50\)"):
+            small_bundle.predict_sample(extra)
+
+    def test_empty_dataset_rejected(self, small_bundle):
+        with pytest.raises(ValueError, match="empty"):
+            small_bundle.predict_dataset(Dataset(samples=[], class_count=2, split="test"))
 
 
 class TestHistogram:

@@ -1,35 +1,47 @@
 import numpy as np
 import pytest
 
-from patchx.metadata import (
-    ClassPresenceVector,
-    extract,
-    extract_all,
-    feature_matrix,
-    save_vectors,
-)
+from patchx.metadata import PresenceMatrix, extract_all, save_vectors
 
 
 def softmaxes(*rows):
     return [np.array(r, dtype=float) for r in rows]
 
 
+def extract(sample_id, predictions, class_count, n_configs, label=-1):
+    """One sample's (config_index, softmax) pairs through extract_all; returns
+    its presence blocks, counts and patch counts."""
+    n = len(predictions)
+    probs = np.array([p for _, p in predictions]) if n else np.zeros((0, class_count))
+    matrix = extract_all(
+        probs,
+        np.full(n, sample_id),
+        np.array([ci for ci, _ in predictions], dtype=np.int64),
+        np.full(n, label),
+        class_count,
+        n_configs,
+    )
+    assert len(matrix) == 1
+    assert matrix.sample_ids.tolist() == [sample_id] and matrix.labels.tolist() == [label]
+    return matrix.blocks[0], matrix.counts[0], matrix.patch_counts[0]
+
+
 class TestExtract:
     def test_single_patch(self):
-        v = extract(0, [(0, np.array([0.7, 0.3]))], class_count=2, n_configs=1)
-        np.testing.assert_allclose(v.blocks, [[0.7, 0.0]])
-        assert v.counts.tolist() == [[1, 0]]
+        blocks, counts, _ = extract(0, [(0, np.array([0.7, 0.3]))], class_count=2, n_configs=1)
+        np.testing.assert_allclose(blocks, [[0.7, 0.0]])
+        assert counts.tolist() == [[1, 0]]
 
     def test_three_patches(self):
         preds = [(0, p) for p in softmaxes([0.9, 0.1], [0.6, 0.4], [0.2, 0.8])]
-        v = extract(5, preds, class_count=2, n_configs=1)
-        np.testing.assert_allclose(v.blocks, [[1.5, 0.8]])
-        assert v.counts.tolist() == [[2, 1]]
-        assert v.patch_counts.tolist() == [3]
+        blocks, counts, patch_counts = extract(5, preds, class_count=2, n_configs=1)
+        np.testing.assert_allclose(blocks, [[1.5, 0.8]])
+        assert counts.tolist() == [[2, 1]]
+        assert patch_counts.tolist() == [3]
 
     def test_tie_goes_to_lowest_class(self):
-        v = extract(0, [(0, np.array([0.5, 0.5]))], class_count=2, n_configs=1)
-        np.testing.assert_allclose(v.blocks, [[0.5, 0.0]])
+        blocks, _, _ = extract(0, [(0, np.array([0.5, 0.5]))], class_count=2, n_configs=1)
+        np.testing.assert_allclose(blocks, [[0.5, 0.0]])
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError, match="empty"):
@@ -41,8 +53,8 @@ class TestExtract:
 
     def test_block_locality(self):
         preds = [(0, np.array([0.9, 0.1])), (1, np.array([0.2, 0.8]))]
-        v = extract(0, preds, class_count=2, n_configs=2)
-        np.testing.assert_allclose(v.blocks, [[0.9, 0.0], [0.0, 0.8]])
+        blocks, _, _ = extract(0, preds, class_count=2, n_configs=2)
+        np.testing.assert_allclose(blocks, [[0.9, 0.0], [0.0, 0.8]])
 
     def test_permutation_invariance(self):
         rng = np.random.default_rng(2)
@@ -50,25 +62,25 @@ class TestExtract:
         for _ in range(30):
             p = rng.dirichlet(np.ones(3))
             preds.append((int(rng.integers(0, 2)), p))
-        a = extract(0, preds, class_count=3, n_configs=2)
+        a_blocks, a_counts, _ = extract(0, preds, class_count=3, n_configs=2)
         order = rng.permutation(len(preds))
-        b = extract(0, [preds[i] for i in order], class_count=3, n_configs=2)
-        np.testing.assert_allclose(a.blocks, b.blocks, atol=1e-12)
-        np.testing.assert_array_equal(a.counts, b.counts)
+        b_blocks, b_counts, _ = extract(0, [preds[i] for i in order], class_count=3, n_configs=2)
+        np.testing.assert_allclose(a_blocks, b_blocks, atol=1e-12)
+        np.testing.assert_array_equal(a_counts, b_counts)
 
     def test_mass_conservation(self):
         rng = np.random.default_rng(7)
         preds = [(int(rng.integers(0, 3)), rng.dirichlet(np.ones(4))) for _ in range(50)]
-        v = extract(0, preds, class_count=4, n_configs=3)
+        blocks, _, _ = extract(0, preds, class_count=4, n_configs=3)
         total_max = sum(float(np.max(p)) for _, p in preds)
-        assert v.blocks.sum() == pytest.approx(total_max, abs=1e-9)
+        assert blocks.sum() == pytest.approx(total_max, abs=1e-9)
 
     def test_entries_bounded_by_patch_count(self):
         rng = np.random.default_rng(9)
         preds = [(0, rng.dirichlet(np.ones(2))) for _ in range(20)]
-        v = extract(0, preds, class_count=2, n_configs=1)
-        assert np.all(v.blocks <= v.patch_counts[:, None])
-        assert np.all(v.blocks >= 0)
+        blocks, _, patch_counts = extract(0, preds, class_count=2, n_configs=1)
+        assert np.all(blocks <= patch_counts[:, None])
+        assert np.all(blocks >= 0)
 
     def test_matches_independent_resummation(self):
         rng = np.random.default_rng(11)
@@ -79,12 +91,12 @@ class TestExtract:
                 (int(rng.integers(0, n_configs)), rng.dirichlet(np.ones(class_count)))
                 for _ in range(int(rng.integers(1, 40)))
             ]
-            v = extract(0, preds, class_count=class_count, n_configs=n_configs)
+            blocks, _, _ = extract(0, preds, class_count=class_count, n_configs=n_configs)
             expected = np.zeros((n_configs, class_count))
             for k, p in preds:
                 c = min(np.flatnonzero(p == p.max()))  # lowest-index tie break
                 expected[k, c] += p[c]
-            np.testing.assert_allclose(v.blocks, expected, atol=1e-9)
+            np.testing.assert_allclose(blocks, expected, atol=1e-9)
 
 
 class TestExtractAll:
@@ -93,10 +105,22 @@ class TestExtractAll:
         sample_ids = np.array([0, 0, 0, 1, 1, 1])
         config_indices = np.array([0, 0, 1, 0, 0, 1])
         labels = np.array([0, 0, 0, 1, 1, 1])
-        vectors = extract_all(probs, sample_ids, config_indices, labels, 2, 2)
-        assert len(vectors) == 2
-        assert feature_matrix(vectors).shape == (2, 4)
-        assert vectors[0].label == 0 and vectors[1].label == 1
+        matrix = extract_all(probs, sample_ids, config_indices, labels, 2, 2)
+        assert len(matrix) == 2
+        assert matrix.features().shape == (2, 4)
+        assert matrix.labels.tolist() == [0, 1]
+
+    @staticmethod
+    def loop_reference(probs, ids, cis, class_count, n_configs):
+        """Sample by sample, patch by patch accumulation in row order."""
+        out = {}
+        for p, sid, ci in zip(probs, ids, cis):
+            blocks, counts = out.setdefault(
+                sid, (np.zeros((n_configs, class_count)), np.zeros((n_configs, class_count), int)))
+            winner = int(np.argmax(p))
+            blocks[ci, winner] += float(p[winner])
+            counts[ci, winner] += 1
+        return out
 
     def test_matches_per_sample_extract(self):
         rng = np.random.default_rng(3)
@@ -107,52 +131,57 @@ class TestExtractAll:
                 ids.append(sid)
                 cis.append(int(rng.integers(0, 2)))
                 labels.append(sid % 2)
-        vectors = extract_all(np.array(probs), np.array(ids), np.array(cis), np.array(labels), 2, 2)
-        for sid, v in enumerate(vectors):
-            preds = [(cis[i], probs[i]) for i in range(len(ids)) if ids[i] == sid]
-            expected = extract(sid, preds, class_count=2, n_configs=2, label=sid % 2)
-            np.testing.assert_allclose(v.blocks, expected.blocks, atol=1e-12)
-            np.testing.assert_array_equal(v.counts, expected.counts)
+        matrix = extract_all(np.array(probs), np.array(ids), np.array(cis), np.array(labels), 2, 2)
+        assert matrix.sample_ids.tolist() == list(range(5))
+        reference = self.loop_reference(probs, ids, cis, 2, 2)
+        for sid in range(5):
+            blocks, counts = reference[sid]
+            np.testing.assert_array_equal(matrix.blocks[sid], blocks)  # bit for bit
+            np.testing.assert_array_equal(matrix.counts[sid], counts)
+            own = cis[sid * 7 : sid * 7 + 7]
+            assert matrix.patch_counts[sid].tolist() == [own.count(0), own.count(1)]
+            assert matrix.labels[sid] == sid % 2
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             extract_all(np.zeros((0, 2)), np.zeros(0), np.zeros(0), np.zeros(0), 2, 1)
 
+    def test_config_index_out_of_range(self):
+        with pytest.raises(ValueError, match="config index 2 out of range"):
+            extract_all(np.full((2, 2), 0.5), np.zeros(2), np.array([0, 2]), np.zeros(2), 2, 2)
+
 
 class TestFeatureVariants:
     def make_vector(self):
-        return ClassPresenceVector(
-            sample_id=0,
-            blocks=np.array([[2.0, 1.0], [0.5, 1.5]]),
-            counts=np.array([[3, 1], [1, 2]]),
-            patch_counts=np.array([4, 3]),
-            label=1,
+        return PresenceMatrix(
+            sample_ids=np.array([0]),
+            labels=np.array([1]),
+            blocks=np.array([[[2.0, 1.0], [0.5, 1.5]]]),
+            counts=np.array([[[3, 1], [1, 2]]]),
+            patch_counts=np.array([[4, 3]]),
         )
 
     def test_collapse_sums_blocks(self):
         v = self.make_vector()
-        np.testing.assert_allclose(v.features(collapse=True), [2.5, 2.5])
+        np.testing.assert_allclose(v.features(collapse=True), [[2.5, 2.5]])
 
     def test_normalize_divides_by_patch_count(self):
         v = self.make_vector()
-        np.testing.assert_allclose(v.features(normalize=True), [0.5, 0.25, 0.5 / 3, 0.5])
+        np.testing.assert_allclose(v.features(normalize=True), [[0.5, 0.25, 0.5 / 3, 0.5]])
 
     def test_raw_flattening(self):
         v = self.make_vector()
-        np.testing.assert_allclose(v.features(), [2.0, 1.0, 0.5, 1.5])
+        np.testing.assert_allclose(v.features(), [[2.0, 1.0, 0.5, 1.5]])
 
 
 def test_save_vectors_round_trips_text(tmp_path):
-    vectors = [
-        ClassPresenceVector(
-            sample_id=i,
-            blocks=np.array([[1.25, 0.5]]),
-            counts=np.array([[2, 1]]),
-            patch_counts=np.array([3]),
-            label=i % 2,
-        )
-        for i in range(3)
-    ]
+    vectors = PresenceMatrix(
+        sample_ids=np.arange(3),
+        labels=np.arange(3) % 2,
+        blocks=np.tile([[[1.25, 0.5]]], (3, 1, 1)),
+        counts=np.tile([[[2, 1]]], (3, 1, 1)),
+        patch_counts=np.full((3, 1), 3),
+    )
     path = tmp_path / "vectors.csv"
     save_vectors(vectors, path)
     lines = path.read_text().strip().splitlines()

@@ -128,8 +128,8 @@ class TestDatasetLoss:
 
     def test_empty_rejected(self):
         net = build_network(TINY)
-        with pytest.raises(ValueError):
-            dataset_loss(net, [])
+        with pytest.raises(ValueError, match="at least one patch"):
+            dataset_loss(net, (np.zeros((0, 2, 12)), np.zeros(0, dtype=np.int64)))
 
 
 class TestBackward:
@@ -272,7 +272,7 @@ class TestMaskedRegionInsensitivity:
         patch_perturbed = transform(perturbed, 1, config)
         np.testing.assert_array_equal(patch.values, patch_perturbed.values)
         np.testing.assert_array_equal(
-            forward(net, patch), forward(net, patch_perturbed)
+            forward(net, patch.values), forward(net, patch_perturbed.values)
         )
 
 

@@ -8,6 +8,7 @@ from patchx.patching import (
     build_patch_arrays,
     build_patch_dataset,
     enumerate_patches,
+    patch_spans,
     transform,
 )
 
@@ -197,13 +198,17 @@ class TestInvariants:
                 assert np.all(out.values[0][mask == 0] == 0.0)
 
     def test_vectorized_arrays_match_object_path(self):
+        # build_patch_arrays is the runtime builder; transform is its reference
         ds = make_dataset(n=6, channels=2, length=23, seed=3)
-        configs = [PatchConfig(4, 9), PatchConfig(8, 16)]
-        patches = build_patch_dataset(ds, configs)
-        values, labels, sample_ids, config_indices = build_patch_arrays(ds, configs)
-        assert len(patches) == len(values)
-        for i, patch in enumerate(patches):
-            np.testing.assert_array_equal(values[i], patch.values)
-            assert labels[i] == patch.label
-            assert sample_ids[i] == patch.sample_id
-            assert config_indices[i] == patch.config_index
+        for flags in self.FLAG_SETS:
+            configs = [PatchConfig(4, 9, **flags), PatchConfig(8, 16, **flags)]
+            patches = build_patch_dataset(ds, configs)
+            values, labels, sample_ids, config_indices = build_patch_arrays(ds, configs)
+            assert len(patches) == len(values)
+            spans = patch_spans(ds.length, configs) * len(ds)
+            for i, patch in enumerate(patches):
+                np.testing.assert_array_equal(values[i], patch.values)
+                assert labels[i] == patch.label
+                assert sample_ids[i] == patch.sample_id
+                assert config_indices[i] == patch.config_index
+                assert spans[i][:2] == (patch.config_index, patch.patch_index)

@@ -1,14 +1,16 @@
 import numpy as np
 import pytest
 
-from patchx.metadata import ClassPresenceVector, extract
+from dataclasses import fields, replace
+
+from patchx.metadata import PresenceMatrix, extract_all
 from patchx.shallow import (
     ForestSpec,
     ShallowSpec,
+    SvmSpec,
     TrivialSpec,
     evaluate,
     fit,
-    predict,
     predict_all,
     sgd_hinge,
     SvmModel,
@@ -16,16 +18,39 @@ from patchx.shallow import (
 
 
 def vector(blocks, counts=None, label=0, sample_id=0):
+    """A one-row presence matrix."""
     blocks = np.atleast_2d(np.asarray(blocks, dtype=float))
     if counts is None:
         counts = np.ceil(blocks).astype(np.int64)
-    return ClassPresenceVector(
-        sample_id=sample_id,
-        blocks=blocks,
-        counts=np.atleast_2d(np.asarray(counts, dtype=np.int64)),
-        patch_counts=np.maximum(blocks.sum(axis=1), 1).astype(np.int64),
-        label=label,
+    return PresenceMatrix(
+        sample_ids=np.array([sample_id]),
+        labels=np.array([label]),
+        blocks=blocks[None],
+        counts=np.atleast_2d(np.asarray(counts, dtype=np.int64))[None],
+        patch_counts=np.maximum(blocks.sum(axis=1), 1).astype(np.int64)[None],
     )
+
+
+def stack(matrices):
+    return PresenceMatrix(*(np.concatenate([getattr(m, f.name) for m in matrices])
+                            for f in fields(PresenceMatrix)))
+
+
+def row(matrix, i):
+    return PresenceMatrix(*(getattr(matrix, f.name)[i : i + 1] for f in fields(PresenceMatrix)))
+
+
+def extract(preds, class_count, n_configs):
+    """One sample's (config_index, softmax) pairs as a one-row presence matrix."""
+    n = len(preds)
+    return extract_all(np.array([p for _, p in preds]), np.zeros(n), [ci for ci, _ in preds],
+                       np.zeros(n), class_count, n_configs)
+
+
+def predict(model, matrix):
+    """The label of a one-row matrix."""
+    (label,) = predict_all(model, matrix)
+    return int(label)
 
 
 def separable_vectors(n_per_class=20, seed=0):
@@ -36,7 +61,7 @@ def separable_vectors(n_per_class=20, seed=0):
                           label=0, sample_id=i))
         out.append(vector([[rng.normal(0, 0.05) ** 2, 2.0 + rng.normal(0, 0.1)]],
                           label=1, sample_id=n_per_class + i))
-    return out
+    return stack(out)
 
 
 class TestFit:
@@ -58,7 +83,7 @@ class TestFit:
         assert model.class_count == 2
 
     def test_single_class_rejected(self):
-        vectors = [vector([[1.0, 0.0]], label=0, sample_id=i) for i in range(5)]
+        vectors = stack([vector([[1.0, 0.0]], label=0, sample_id=i) for i in range(5)])
         with pytest.raises(ValueError, match="single class"):
             fit(ShallowSpec(kind="svm"), vectors)
 
@@ -73,9 +98,9 @@ class TestPredict:
     def test_occurrence_majority_with_recount_oracle(self):
         # blocks equal the per-class win counts (every winning confidence is 1.0)
         preds = [(0, np.array([1.0, 0.0]))] * 3 + [(0, np.array([0.0, 1.0]))]
-        v = extract(0, preds, class_count=2, n_configs=1)
-        model = fit(ShallowSpec(kind="trivial", trivial=TrivialSpec(mode="occurrence")), [
-            vector([[1.0, 0.0]], label=0), vector([[0.0, 1.0]], label=1)])
+        v = extract(preds, class_count=2, n_configs=1)
+        model = fit(ShallowSpec(kind="trivial", trivial=TrivialSpec(mode="occurrence")), stack([
+            vector([[1.0, 0.0]], label=0), vector([[0.0, 1.0]], label=1)]))
         assert predict(model, v) == 0
         # independent recount of argmax wins
         wins = np.zeros(2)
@@ -84,29 +109,29 @@ class TestPredict:
         assert int(np.argmax(wins)) == 0
 
     def test_confidence_sum(self):
-        model = fit(ShallowSpec(kind="trivial", trivial=TrivialSpec(mode="confidence-sum")), [
-            vector([[1.0, 0.0]], label=0), vector([[0.0, 1.0]], label=1)])
+        model = fit(ShallowSpec(kind="trivial", trivial=TrivialSpec(mode="confidence-sum")), stack([
+            vector([[1.0, 0.0]], label=0), vector([[0.0, 1.0]], label=1)]))
         assert predict(model, vector([[1.5, 0.8]])) == 0
         assert predict(model, vector([[0.3, 0.9]])) == 1
 
     def test_logodds_confident_minority_outvotes_uncertain_majority(self):
         # 11 noise-grade class-0 wins vs 4 high-confidence class-1 wins
         preds = [(0, np.array([0.58, 0.42]))] * 11 + [(0, np.array([0.02, 0.98]))] * 4
-        v = extract(0, preds, class_count=2, n_configs=1)
-        model = fit(ShallowSpec(kind="trivial"), [
-            vector([[1.0, 0.0]], label=0), vector([[0.0, 1.0]], label=1)])
+        v = extract(preds, class_count=2, n_configs=1)
+        model = fit(ShallowSpec(kind="trivial"), stack([
+            vector([[1.0, 0.0]], label=0), vector([[0.0, 1.0]], label=1)]))
         assert model.mode == "logodds"
         assert predict(model, v) == 1
         # occurrence voting on the same vector prefers the majority class
-        occ = fit(ShallowSpec(kind="trivial", trivial=TrivialSpec(mode="occurrence")), [
-            vector([[1.0, 0.0]], label=0), vector([[0.0, 1.0]], label=1)])
+        occ = fit(ShallowSpec(kind="trivial", trivial=TrivialSpec(mode="occurrence")), stack([
+            vector([[1.0, 0.0]], label=0), vector([[0.0, 1.0]], label=1)]))
         assert predict(occ, v) == 0
 
     def test_logodds_uniform_ties_to_lowest(self):
         preds = [(0, np.array([0.5, 0.5]))] * 4
-        v = extract(0, preds, class_count=2, n_configs=1)
-        model = fit(ShallowSpec(kind="trivial"), [
-            vector([[1.0, 0.0]], label=0), vector([[0.0, 1.0]], label=1)])
+        v = extract(preds, class_count=2, n_configs=1)
+        model = fit(ShallowSpec(kind="trivial"), stack([
+            vector([[1.0, 0.0]], label=0), vector([[0.0, 1.0]], label=1)]))
         assert predict(model, v) == 0
 
     def test_svm_boundary_tie_breaks_to_lowest(self):
@@ -120,19 +145,19 @@ class TestPredict:
             normalize=False,
         )
         on_boundary = vector([[1.0, 1.0]])  # identical scores for both machines
-        assert model.predict(on_boundary) == 0
+        assert predict(model, on_boundary) == 0
 
     def test_dimension_mismatch_rejected(self):
         vectors = separable_vectors()
         model = fit(ShallowSpec(kind="svm"), vectors)
         wrong = vector([[1.0, 0.0, 0.0]])
         with pytest.raises(ValueError, match="dimension"):
-            model.predict(wrong)
+            predict(model, wrong)
 
     def test_trivial_shape_mismatch_rejected(self):
         model = fit(ShallowSpec(kind="trivial"), separable_vectors(n_per_class=2))
         with pytest.raises(ValueError):
-            model.predict(vector([[1.0, 0.0, 0.5]]))
+            predict(model, vector([[1.0, 0.0, 0.5]]))
 
 
 class TestEvaluate:
@@ -145,10 +170,10 @@ class TestEvaluate:
 
     def test_random_labels_near_chance(self):
         rng = np.random.default_rng(12)
-        vectors = [
+        vectors = stack([
             vector([list(rng.dirichlet(np.ones(2)))], label=int(rng.integers(0, 2)), sample_id=i)
             for i in range(1000)
-        ]
+        ])
         model = fit(ShallowSpec(kind="trivial", trivial=TrivialSpec(mode="confidence-sum")), vectors)
         acc = evaluate(model, vectors).accuracy
         assert 0.44 <= acc <= 0.56
@@ -168,16 +193,17 @@ class TestEvaluate:
 class TestInvariants:
     def test_ovr_agrees_with_single_binary_machine(self):
         vectors = separable_vectors(seed=4)
-        features = np.stack([v.features() for v in vectors])
-        labels = np.array([v.label for v in vectors])
+        features = vectors.features()
+        labels = vectors.labels
         model = fit(ShallowSpec(kind="svm"), vectors)
         signs = np.where(labels == 1, 1.0, -1.0)[:, None]
         w, b = sgd_hinge(features, signs, 1.0, 200, 0.1, 0)
         test_vectors = separable_vectors(seed=99)
-        for v in test_vectors:
-            score = float(v.features() @ w[0] + b[0])
+        preds = predict_all(model, test_vectors)
+        for x, pred in zip(test_vectors.features(), preds):
+            score = float(x @ w[0] + b[0])
             binary_pred = 1 if score > 0 else 0
-            assert model.predict(v) == binary_pred
+            assert pred == binary_pred
 
     def test_forest_deterministic_bitwise(self):
         vectors = separable_vectors(seed=6)
@@ -197,20 +223,15 @@ class TestInvariants:
             label = i % 2
             base = np.array([[1.0 + label + rng.normal(0, 0.2), 2.0 - label + rng.normal(0, 0.2)]])
             vectors.append(vector(base, label=label, sample_id=i))
+        vectors = stack(vectors)
         scale = 37.5
-        scaled = [
-            ClassPresenceVector(v.sample_id, v.blocks * scale, v.counts, v.patch_counts, v.label)
-            for v in vectors
-        ]
+        scaled = replace(vectors, blocks=vectors.blocks * scale)
         spec = ShallowSpec(kind="forest", forest=ForestSpec(trees=15, seed=5))
         model = fit(spec, vectors)
         model_scaled = fit(spec, scaled)
-        test = [vector([[1.3 + rng.normal(0, 0.3), 1.7 + rng.normal(0, 0.3)]], sample_id=i)
-                for i in range(40)]
-        test_scaled = [
-            ClassPresenceVector(v.sample_id, v.blocks * scale, v.counts, v.patch_counts, v.label)
-            for v in test
-        ]
+        test = stack([vector([[1.3 + rng.normal(0, 0.3), 1.7 + rng.normal(0, 0.3)]], sample_id=i)
+                      for i in range(40)])
+        test_scaled = replace(test, blocks=test.blocks * scale)
         np.testing.assert_array_equal(predict_all(model, test), predict_all(model_scaled, test_scaled))
 
     def test_svm_deterministic(self):
@@ -228,5 +249,26 @@ class TestInvariants:
             blocks = np.full((1, 3), 0.2) + rng.normal(0, 0.03, (1, 3))
             blocks[0, label] += 2.0
             vectors.append(vector(blocks, label=label, sample_id=i))
+        vectors = stack(vectors)
         model = fit(ShallowSpec(kind="svm"), vectors)
         assert evaluate(model, vectors).accuracy == 1.0
+
+    @pytest.mark.parametrize("spec", [
+        ShallowSpec(kind="svm"),
+        ShallowSpec(kind="svm", svm=SvmSpec(standardize=True)),
+        ShallowSpec(kind="forest", forest=ForestSpec(trees=9, seed=2)),
+        ShallowSpec(kind="trivial", trivial=TrivialSpec(mode="occurrence")),
+        ShallowSpec(kind="trivial", trivial=TrivialSpec(mode="confidence-sum")),
+        ShallowSpec(kind="trivial", trivial=TrivialSpec(mode="logodds")),
+    ], ids=["svm", "svm-standardized", "forest", "occurrence", "confidence-sum", "logodds"])
+    def test_decision_scores_batch_independent(self, spec):
+        rng = np.random.default_rng(17)
+        blocks = rng.dirichlet(np.ones(3), size=(150, 2)) * rng.integers(1, 9, size=(150, 2, 1))
+        matrix = PresenceMatrix(
+            sample_ids=np.arange(150), labels=np.arange(150) % 3, blocks=blocks,
+            counts=rng.integers(0, 6, size=(150, 2, 3)), patch_counts=np.full((150, 2), 8),
+        )
+        model = fit(spec, matrix)
+        batch = model.decision_scores(matrix)
+        for i in range(len(matrix)):
+            np.testing.assert_array_equal(model.decision_scores(row(matrix, i))[0], batch[i])
