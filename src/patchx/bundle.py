@@ -69,6 +69,9 @@ class PatchXBundle:
         channels = spec.input_channels - (1 if self.patch_configs[0].attach else 0)
         if not dataset.samples:
             raise ValueError("dataset is empty")
+        ids = [s.id for s in dataset.samples]
+        if any(a == b for a, b in zip(ids, ids[1:])):
+            raise ValueError("adjacent samples share an id; each needs its own presence row")
         if (dataset.channels, dataset.length) != (channels, spec.input_length):
             raise DimensionError(
                 f"dataset samples have (channels, length) {(dataset.channels, dataset.length)}, "
@@ -85,13 +88,7 @@ class PatchXBundle:
         )
 
     def vectors(self, dataset: Dataset) -> PresenceMatrix:
-        matrix = self.presence(self.patch_predictions(dataset))
-        if len(matrix) != len(dataset.samples):
-            raise ValueError(
-                f"got {len(matrix)} presence rows for {len(dataset.samples)} samples; "
-                "adjacent samples share an id"
-            )
-        return matrix
+        return self.presence(self.patch_predictions(dataset))
 
     def predict_dataset(self, dataset: Dataset) -> tuple[np.ndarray, PresenceMatrix]:
         matrix = self.vectors(dataset)
@@ -271,9 +268,18 @@ def load_bundle(path: str | Path) -> PatchXBundle:
         header = json.loads(raw[_PREFIX : _PREFIX + header_len].decode("utf-8"))
     except ValueError as err:  # UnicodeDecodeError and JSONDecodeError
         raise BundleError(f"{path}: corrupt header ({err})") from None
-    offset = _PREFIX + header_len
+    try:
+        return _decode(raw, header, _PREFIX + header_len, path)
+    except KeyError as err:
+        raise BundleError(f"{path}: the header or its arrays lack the key {err.args[0]!r}") from None
+
+
+def _decode(raw: bytes, header: dict, offset: int, path: str | Path) -> PatchXBundle:
+    """The bundle described by a parsed header, its arrays read from offset on."""
     arrays: dict[str, np.ndarray] = {}
     for entry in header["arrays"]:
+        if entry["dtype"] not in _DTYPES:
+            raise BundleError(f"{path}: array {entry['name']!r} has unknown dtype {entry['dtype']!r}")
         dtype = _DTYPES[entry["dtype"]]
         count = int(np.prod(entry["shape"])) if entry["shape"] else 1
         nbytes = count * dtype.itemsize

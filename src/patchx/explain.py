@@ -16,6 +16,7 @@ import numpy as np
 from .bundle import PatchXBundle
 from .data import DEFAULT_SIGMA_MULTIPLIER, Dataset, TimeSeriesSample, anomaly_label
 from .patching import patch_spans
+from .shallow import predict_all
 
 CATEGORY_SPECIFIC = "class-specific"
 CATEGORY_SHARED = "shared"
@@ -79,13 +80,20 @@ def explain_sample(
     per-patch classes, and a confidence gradient.
     """
     probs, prediction, _ = bundle.sample_patch_predictions(sample)
+    return _patch_records(bundle, sample.id, sample.length, probs), prediction
+
+
+def _patch_records(
+    bundle: PatchXBundle, sample_id: int, length: int, probs: np.ndarray
+) -> list[ExplanationRecord]:
+    """The records of one sample from its softmax rows, in patch_spans order."""
     records = []
-    for (ci, p, start, end), row in zip(patch_spans(sample.length, bundle.patch_configs), probs):
+    for (ci, p, start, end), row in zip(patch_spans(length, bundle.patch_configs), probs):
         winner = int(np.argmax(row))
         confidence = float(row[winner])
         records.append(
             ExplanationRecord(
-                sample_id=sample.id,
+                sample_id=sample_id,
                 config_index=ci,
                 patch_index=p,
                 span=(start, end),
@@ -95,7 +103,7 @@ def explain_sample(
                 category=categorize_confidence(confidence, bundle.class_count),
             )
         )
-    return records, prediction
+    return records
 
 
 def save_records(records: list[ExplanationRecord], path: str | Path) -> None:
@@ -290,21 +298,26 @@ class MislabelEntry:
 
 
 def mislabel_report(bundle: PatchXBundle, dataset: Dataset) -> list[MislabelEntry]:
-    """Patch records for every misclassified sample, closest-to-boundary first."""
-    preds, matrix = bundle.predict_dataset(dataset)
+    """Patch records for every misclassified sample, closest-to-boundary first.
+
+    One network pass serves the sample labels and every sample's records.
+    """
+    predictions = bundle.patch_predictions(dataset)
+    matrix = bundle.presence(predictions)
+    preds = predict_all(bundle.shallow_model, matrix)
     scores = np.sort(bundle.shallow_model.decision_scores(matrix), axis=1)
     margins = scores[:, -1] - scores[:, -2]
+    per_sample = np.split(predictions[0], len(dataset.samples))
     entries = []
     for i in np.flatnonzero(preds != matrix.labels):
         sample = dataset.samples[i]
-        records, _ = explain_sample(bundle, sample)
         entries.append(
             MislabelEntry(
                 sample_id=sample.id,
                 true_label=sample.label,
                 predicted_label=int(preds[i]),
                 margin=float(margins[i]),
-                records=records,
+                records=_patch_records(bundle, sample.id, sample.length, per_sample[i]),
             )
         )
     entries.sort(key=lambda e: (e.margin, e.sample_id))

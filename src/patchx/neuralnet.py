@@ -2,8 +2,10 @@
 
 Architecture: a stack of same-padded Conv1d+ReLU blocks, global average
 pooling over time, and a dense layer producing class logits; softmax on top.
-All math is float64 numpy, so serial runs are bit-reproducible and the
-analytic gradients can be checked against central finite differences.
+Activations keep the logical shape (batch, channels, length) over channels-last
+memory; a convolution is one shifted GEMM per kernel tap. All math is float64
+numpy, so serial runs are bit-reproducible and the analytic gradients can be
+checked against central finite differences.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ import numpy as np
 
 LOG_CLAMP = 1e-12
 EVAL_BATCH = 1024
+ROW_BLOCK = 1024  # frame rows per shifted GEMM in Conv1d
 
 
 class DimensionError(ValueError):
@@ -68,7 +71,13 @@ class TrainSpec:
 
 
 class Conv1d:
-    """Same-padded 1-D convolution; forward is one im2col GEMM."""
+    """Same-padded 1-D convolution as one shifted GEMM per kernel tap (kn2row).
+
+    Arrays keep the logical shape (batch, channels, length) over channels-last
+    memory. The zero-padded input is one flat (batch * (length + kernel - 1),
+    in_channels) matrix; tap j multiplies its rows [j, j + rows - kernel + 1),
+    and a result row that straddles two samples lands in padding and is dropped.
+    """
 
     def __init__(self, in_channels: int, out_channels: int, kernel: int, rng: np.random.Generator):
         bound = 1.0 / math.sqrt(in_channels * kernel)
@@ -79,32 +88,46 @@ class Conv1d:
         self.pad_right = kernel - 1 - self.pad_left
 
     def forward(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """x: (batch, in_channels, length) -> (out, cols); cols is kept for backprop."""
-        batch, _, length = x.shape
-        xp = np.pad(x, ((0, 0), (0, 0), (self.pad_left, self.pad_right)))
-        windows = np.lib.stride_tricks.sliding_window_view(xp, self.kernel, axis=2)
-        cols = np.ascontiguousarray(windows.transpose(0, 2, 1, 3)).reshape(
-            batch * length, -1
-        )  # (batch*length, in_channels*kernel)
-        out2d = cols @ self.w.reshape(self.w.shape[0], -1).T + self.b
-        out = out2d.reshape(batch, length, -1).transpose(0, 2, 1)
-        return out, cols
+        """x: (batch, in_channels, length) -> (out, flat); out is a transposed
+        view of channels-last memory, flat the padded input kept for backprop."""
+        batch, in_channels, length = x.shape
+        framed = length + self.kernel - 1
+        xp = np.zeros((batch, framed, in_channels))
+        xp[:, self.pad_left : self.pad_left + length] = x.transpose(0, 2, 1)
+        flat = xp.reshape(-1, in_channels)
+        taps = self.w.transpose(2, 1, 0).copy()  # (kernel, in, out)
+        acc = np.empty((len(flat), len(self.b)))
+        for lo, hi in _row_blocks(len(flat) - self.kernel + 1):
+            block = acc[lo:hi]
+            np.matmul(flat[lo:hi], taps[0], out=block)
+            for j in range(1, self.kernel):
+                block += flat[lo + j : hi + j] @ taps[j]
+            block += self.b
+        return acc.reshape(batch, framed, -1)[:, :length].transpose(0, 2, 1), flat
 
     def backward(
-        self, dout: np.ndarray, cols: np.ndarray, in_shape: tuple[int, int, int]
+        self, dout: np.ndarray, flat: np.ndarray, in_shape: tuple[int, int, int]
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         batch, in_channels, length = in_shape
-        g2d = dout.transpose(0, 2, 1).reshape(batch * length, -1)
-        dw = (g2d.T @ cols).reshape(self.w.shape)
-        db = g2d.sum(axis=0)
-        dcols = (g2d @ self.w.reshape(self.w.shape[0], -1)).reshape(
-            batch, length, in_channels, self.kernel
-        )
-        dxp = np.zeros((batch, in_channels, length + self.kernel - 1))
-        for j in range(self.kernel):
-            dxp[:, :, j : j + length] += dcols[:, :, :, j].transpose(0, 2, 1)
-        dx = dxp[:, :, self.pad_left : self.pad_left + length]
-        return dx, dw, db
+        framed = length + self.kernel - 1
+        g = np.zeros((batch, framed, len(self.b)))  # frame rows past `length` hold no output
+        g[:, :length] = dout.transpose(0, 2, 1)
+        g = g.reshape(-1, len(self.b))[: len(flat) - self.kernel + 1]
+        taps = self.w.transpose(2, 0, 1).copy()  # (kernel, out, in)
+        dw = np.stack([g.T @ flat[j : j + len(g)] for j in range(self.kernel)], axis=2)
+        dxp = np.zeros_like(flat)
+        for lo, hi in _row_blocks(len(g)):
+            for j in range(self.kernel):
+                dxp[lo + j : hi + j] += g[lo:hi] @ taps[j]
+        dx = dxp.reshape(batch, framed, in_channels)[:, self.pad_left : self.pad_left + length]
+        db = np.ones(len(g)) @ g  # a GEMV; g.sum(axis=0) loops over narrow rows
+        return dx.transpose(0, 2, 1), dw, db
+
+
+def _row_blocks(rows: int) -> list[tuple[int, int]]:
+    """[lo, hi) ranges of at most ROW_BLOCK rows, so that the shifted GEMMs of
+    one block accumulate in cache."""
+    return [(lo, min(lo + ROW_BLOCK, rows)) for lo in range(0, rows, ROW_BLOCK)]
 
 
 class Dense:
@@ -174,22 +197,19 @@ class PatchNet:
         caches = []
         h = x
         for conv, activation in zip(self.convs, self.activations):
-            pre, cols = conv.forward(h)
-            post = np.maximum(pre, 0.0) if activation == "relu" else pre
-            caches.append((h.shape, cols, pre))
-            h = post
+            out, flat = conv.forward(h)
+            if activation == "relu":  # in place: post > 0 is the same mask as pre > 0
+                np.maximum(out, 0.0, out=out)
+            caches.append((h.shape, flat, out))
+            h = out
         pooled = h.mean(axis=2)
         logits = self.dense.forward(pooled)
         caches.append((h.shape, pooled))
         return logits, caches
 
-    def logits_batch(self, x: np.ndarray) -> np.ndarray:
-        logits, _ = self._forward_cached(x)
-        return logits
-
     def forward_batch(self, x: np.ndarray) -> np.ndarray:
         """Softmax class probabilities, shape (batch, class_count)."""
-        return softmax(self.logits_batch(x))
+        return softmax(self._forward_cached(x)[0])
 
     def backward_from_logits(self, dlogits: np.ndarray, caches: list) -> dict[str, np.ndarray]:
         grads: dict[str, np.ndarray] = {}
@@ -197,14 +217,13 @@ class PatchNet:
         dpooled, dw, db = self.dense.backward(dlogits, pooled)
         grads["dense.w"] = dw
         grads["dense.b"] = db
-        dh = np.broadcast_to(
-            dpooled[:, :, None] / conv_out_shape[2], conv_out_shape
-        ).copy() if self.convs else None
+        length = conv_out_shape[2]  # dh is built channels-last, like the activations
+        dh = np.repeat(dpooled[:, None, :] / length, length, axis=1).transpose(0, 2, 1)
         for i in range(len(self.convs) - 1, -1, -1):
-            in_shape, cols, pre = caches[i]
+            in_shape, flat, post = caches[i]
             if self.activations[i] == "relu":
-                dh = dh * (pre > 0)
-            dh, dw, db = self.convs[i].backward(dh, cols, in_shape)
+                dh = dh * (post > 0)
+            dh, dw, db = self.convs[i].backward(dh, flat, in_shape)
             grads[f"conv{i}.w"] = dw
             grads[f"conv{i}.b"] = db
         return grads
@@ -370,13 +389,15 @@ def train(net: PatchNet, train_patches, val_patches, spec: TrainSpec) -> TrainLo
             logits, caches = net._forward_cached(xb)
             probs = softmax(logits)
             batch_losses.append(batch_cross_entropy(probs, yb))
+            if not math.isfinite(batch_losses[-1]):  # before its gradient reaches the parameters
+                raise TrainingError(
+                    f"training loss diverged at epoch {epoch}, batch {lo // spec.batch_size}"
+                )
             dlogits = probs
             dlogits[np.arange(len(yb)), yb] -= 1.0
             dlogits /= len(yb)
             optimizer.step(net.backward_from_logits(dlogits, caches))
         epoch_loss = math.fsum(batch_losses) / len(batch_losses)
-        if not math.isfinite(epoch_loss):
-            raise TrainingError(f"training loss diverged at epoch {epoch}")
         val_acc = accuracy(net, (x_val, y_val))
         log.train_loss.append(epoch_loss)
         log.val_accuracy.append(val_acc)
@@ -422,25 +443,6 @@ class GradientCheckReport:
         return "\n".join(lines)
 
 
-def relu_preactivation_margin(net: PatchNet, x: np.ndarray) -> float:
-    """Smallest |pre-activation| feeding a ReLU anywhere in the batch.
-
-    Finite differences are only meaningful at differentiable points; a margin
-    well above the finite-difference step keeps the +-h sweep on one side of
-    every ReLU kink. Returns inf for purely linear networks.
-    """
-    margin = np.inf
-    h = x
-    for conv, activation in zip(net.convs, net.activations):
-        pre, _ = conv.forward(h)
-        if activation == "relu":
-            margin = min(margin, float(np.abs(pre).min()))
-            h = np.maximum(pre, 0.0)
-        else:
-            h = pre
-    return margin
-
-
 def nudge_biases_off_kinks(net: PatchNet, x: np.ndarray, margin: float = 0.02) -> None:
     """Shift conv biases so every ReLU pre-activation of this batch is at least
     `margin` away from zero.
@@ -464,10 +466,9 @@ def nudge_biases_off_kinks(net: PatchNet, x: np.ndarray, margin: float = 0.02) -
                         break
                 else:
                     raise RuntimeError("could not move pre-activations off the ReLU kink")
-            pre, _ = conv.forward(h)
-            h = np.maximum(pre, 0.0)
-        else:
-            h, _ = conv.forward(h)
+        h, _ = conv.forward(h)
+        if activation == "relu":
+            h = np.maximum(h, 0.0)
 
 
 def gradcheck_case(
@@ -497,7 +498,7 @@ def gradient_check(
 
     The step for each scalar parameter is step_scale * max(1, |value|).
     Meaningful only when the batch keeps ReLU pre-activations away from zero;
-    see gradcheck_case / relu_preactivation_margin.
+    see gradcheck_case.
     """
     x, y = batch
     analytic = backward(net, (x, y))

@@ -1,7 +1,8 @@
+import json
+import struct
+
 import numpy as np
 import pytest
-
-import struct
 
 from patchx.bundle import BundleError, MAGIC, PatchXBundle, load_bundle, save_bundle
 from patchx.data import NormStats
@@ -146,14 +147,32 @@ def _short_header_length(raw):
     return raw[:7] + struct.pack("<Q", header_len - 3) + raw[15:]
 
 
+def _edit_header(edit):
+    """A corruption that rewrites the parsed JSON header and its length."""
+    def corrupt(raw):
+        (header_len,) = struct.unpack("<Q", raw[7:15])
+        header = json.loads(raw[15 : 15 + header_len])
+        edit(header)
+        text = json.dumps(header).encode("utf-8")
+        return raw[:7] + struct.pack("<Q", len(text)) + text + raw[15 + header_len :]
+    return corrupt
+
+
+def _f4_dtype(header):
+    header["arrays"][0]["dtype"] = "<f4"
+
+
 @pytest.mark.parametrize("corrupt, cause", [
     (_truncate_payload, "payload truncated"),
     (_truncate_header, "header length .* exceeds"),
     (_bogus_header_length, "corrupt header"),
     (_short_header_length, "corrupt header"),
     (lambda raw: raw[:10], "truncated before the header length"),
+    (_edit_header(lambda h: h.pop("network")), "lack the key 'network'"),
+    (_edit_header(lambda h: h.pop("arrays")), "lack the key 'arrays'"),
+    (_edit_header(_f4_dtype), "unknown dtype '<f4'"),
 ], ids=["truncated-payload", "truncated-header", "bogus-header-length", "short-header-length",
-        "truncated-prefix"])
+        "truncated-prefix", "no-network-key", "no-arrays-key", "f4-dtype"])
 def test_corrupt_bundle_raises_bundle_error(tmp_path, corrupt, cause):
     path = tmp_path / "model.pchx"
     save_bundle(make_bundle(), path)

@@ -111,6 +111,13 @@ class TestInputChecks:
         with pytest.raises(ValueError, match="empty"):
             small_bundle.predict_dataset(Dataset(samples=[], class_count=2, split="test"))
 
+    def test_adjacent_shared_id_rejected(self, small_bundle, anomaly_splits):
+        # the presence matrix would merge the two samples into one row
+        a, b = anomaly_splits[2].samples[:2]
+        twin = TimeSeriesSample(id=a.id, values=b.values, label=b.label)
+        with pytest.raises(ValueError, match="share an id"):
+            small_bundle.predict_dataset(Dataset(samples=[a, twin], class_count=2, split="test"))
+
 
 class TestHistogram:
     def test_counts_sum_to_patch_total(self, small_bundle, anomaly_splits):
@@ -226,11 +233,17 @@ class TestMislabelReport:
     def test_entries_match_explain_sample(self, small_pipeline, anomaly_splits):
         test = anomaly_splits[2]
         entries = mislabel_report(small_pipeline.bundle, test)
-        for entry in entries[:3]:
+        assert entries
+        for entry in entries:
             sample = next(s for s in test.samples if s.id == entry.sample_id)
             records, prediction = explain_sample(small_pipeline.bundle, sample)
             assert entry.predicted_label == prediction != entry.true_label
-            assert len(entry.records) == len(records)
+            assert [(r.sample_id, r.config_index, r.patch_index, r.span, r.predicted_class)
+                    for r in entry.records] == [
+                (r.sample_id, r.config_index, r.patch_index, r.span, r.predicted_class)
+                for r in records]
+            np.testing.assert_allclose([r.softmax for r in entry.records],
+                                       [r.softmax for r in records], rtol=0, atol=1e-12)
 
     def test_sorted_by_margin(self, small_pipeline, anomaly_splits):
         entries = mislabel_report(small_pipeline.bundle, anomaly_splits[2])

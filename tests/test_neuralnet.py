@@ -5,6 +5,8 @@ import pytest
 
 from patchx.data import TimeSeriesSample
 from patchx.neuralnet import (
+    ROW_BLOCK,
+    Conv1d,
     DimensionError,
     NetworkSpec,
     TrainingError,
@@ -69,6 +71,84 @@ class TestForward:
         probs = forward(net, x[0])
         assert probs.shape == (3,)
         np.testing.assert_array_equal(probs, net.forward_batch(x)[0])
+
+
+def im2col_forward(conv, x):
+    """The im2col convolution the shifted-GEMM layer replaced: one GEMM over
+    every (channel, tap) window of the padded channels-first input."""
+    batch, _, length = x.shape
+    left = (conv.kernel - 1) // 2  # an even kernel pads one more step on the right
+    xp = np.pad(x, ((0, 0), (0, 0), (left, conv.kernel - 1 - left)))
+    windows = np.lib.stride_tricks.sliding_window_view(xp, conv.kernel, axis=2)
+    cols = np.ascontiguousarray(windows.transpose(0, 2, 1, 3)).reshape(batch * length, -1)
+    out2d = cols @ conv.w.reshape(conv.w.shape[0], -1).T + conv.b
+    return out2d.reshape(batch, length, -1).transpose(0, 2, 1), cols
+
+
+def im2col_backward(conv, dout, cols, in_shape):
+    """Backward of im2col_forward, scattering each tap's input gradient."""
+    batch, in_channels, length = in_shape
+    g2d = dout.transpose(0, 2, 1).reshape(batch * length, -1)
+    dw = (g2d.T @ cols).reshape(conv.w.shape)
+    db = g2d.sum(axis=0)
+    dcols = (g2d @ conv.w.reshape(conv.w.shape[0], -1)).reshape(
+        batch, length, in_channels, conv.kernel
+    )
+    dxp = np.zeros((batch, in_channels, length + conv.kernel - 1))
+    for j in range(conv.kernel):
+        dxp[:, :, j : j + length] += dcols[:, :, :, j].transpose(0, 2, 1)
+    left = (conv.kernel - 1) // 2
+    return dxp[:, :, left : left + length], dw, db
+
+
+class TestShiftedGemmConv:
+    """Conv1d against the im2col oracle, to 1e-10 absolute."""
+
+    # (kernel, length): kernels 1-5 (even ones pad asymmetrically), then
+    # kernels as long as the input
+    SHAPES = [(1, 20), (2, 20), (3, 20), (4, 20), (5, 20), (1, 1), (4, 4), (5, 5)]
+
+    @staticmethod
+    def inputs(rng, batch, in_channels, length, channels_last):
+        if channels_last:
+            return rng.normal(size=(batch, length, in_channels)).transpose(0, 2, 1)
+        return rng.normal(size=(batch, in_channels, length))
+
+    def check(self, kernel, length, in_channels, batch, channels_last, seed):
+        rng = np.random.default_rng(seed)
+        conv = Conv1d(in_channels, 6, kernel, rng)
+        conv.b[...] = rng.normal(size=6)
+        x = self.inputs(rng, batch, in_channels, length, channels_last)
+        dout = self.inputs(rng, batch, 6, length, channels_last)
+        out, flat = conv.forward(x)
+        ref_out, cols = im2col_forward(conv, x)
+        assert out.shape == ref_out.shape == (batch, 6, length)
+        np.testing.assert_allclose(out, ref_out, rtol=0, atol=1e-10)
+        got = conv.backward(dout, flat, x.shape)
+        want = im2col_backward(conv, dout, cols, x.shape)
+        for name, a, b in zip(("dx", "dw", "db"), got, want):
+            assert a.shape == b.shape, name
+            np.testing.assert_allclose(a, b, rtol=0, atol=1e-10, err_msg=name)
+
+    @pytest.mark.parametrize("channels_last", [False, True], ids=["channels-first", "channels-last"])
+    @pytest.mark.parametrize("kernel,length", SHAPES)
+    def test_matches_im2col(self, kernel, length, channels_last):
+        for in_channels in (1, 4, 16):
+            for batch in (1, 15, 64):
+                self.check(kernel, length, in_channels, batch, channels_last,
+                           seed=kernel * 1000 + length * 10 + in_channels + batch)
+
+    def test_many_row_blocks(self):
+        # 1024 patches of 52 frame rows: row blocks end inside samples, and
+        # the last block is partial
+        assert ROW_BLOCK % 52 and (1024 * 52 - 4) % ROW_BLOCK
+        self.check(5, 48, 16, 1024, True, seed=3)
+
+    def test_output_is_channels_last_view(self):
+        conv = Conv1d(3, 4, 3, np.random.default_rng(0))
+        out, _ = conv.forward(np.zeros((2, 3, 7)))
+        assert out.shape == (2, 4, 7)
+        assert out.strides[1] == out.itemsize  # channels are adjacent in memory
 
 
 class TestCrossEntropy:
@@ -216,10 +296,11 @@ class TestTrain:
         x, y = self.separable_toy()
         spec = NetworkSpec(1, 16, 2, conv_blocks=((4, 3, "relu"),), seed=0)
         net = build_network(spec)
-        with np.errstate(all="ignore"), pytest.raises(TrainingError, match="epoch"):
+        with np.errstate(all="ignore"), pytest.raises(TrainingError, match="epoch") as err:
             train(net, (x, y), (x, y),
                   TrainSpec(epochs=10, batch_size=16, learning_rate=1e12,
                             optimizer="sgd-momentum", early_stopping_patience=9, seed=0))
+        assert err.match(r"batch [0-4]$")  # 80 patches make batches 0-4 of 16
 
     def test_early_stopping_stops(self):
         x, y = self.separable_toy()

@@ -5,17 +5,25 @@ benchmark run."""
 import sys
 from pathlib import Path
 
+import numpy as np
+
+from patchx import neuralnet
+
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
-def test_tracer_installs_and_removes_every_hook():
+def load_tracer():
     sys.path.insert(0, str(PERFBENCH))
     try:
         import spans
         from workloads import CONV_LABELS
     finally:
         sys.path.remove(str(PERFBENCH))
-    tracer = spans.Tracer(CONV_LABELS)
+    return spans, spans.Tracer(CONV_LABELS), CONV_LABELS
+
+
+def test_tracer_installs_and_removes_every_hook():
+    _, tracer, _ = load_tracer()
     installed = []
     try:
         with tracer.group():
@@ -27,3 +35,25 @@ def test_tracer_installs_and_removes_every_hook():
     assert installed
     for owner, attr, original in installed:
         assert getattr(owner, attr) is original, f"{owner.__name__}.{attr} is still wrapped"
+
+
+def test_conv_spans_count_flop_of_logical_shapes():
+    """The tracer reads (batch, channels, length) shapes off Conv1d's arguments
+    to count flop; an array of another layout would miscount neuralnet.gflop."""
+    spans, tracer, labels = load_tracer()
+    (small, first), (large, second) = sorted(labels.items())
+    batch, channels, length = 5, 4, 12  # length differs from every channel count
+    blocks = ((small, 3, "relu"), (large, 2, "relu"))
+    net = neuralnet.build_network(neuralnet.NetworkSpec(channels, length, 2, blocks, seed=0))
+    rng = np.random.default_rng(0)
+    x, y = rng.normal(size=(batch, channels, length)), np.array([0, 1, 0, 1, 1])
+    with tracer.group():
+        neuralnet.backward(net, (x, y))
+    flop = {s[spans.NAME]: s[spans.META]["flop"] for s in tracer.groups[-1]
+            if s[spans.NAME].startswith("neuralnet.conv")}
+    per_pass = {first: batch * length * small * channels * 3,
+                second: batch * length * large * small * 2}
+    assert flop == {
+        **{f"neuralnet.{label}.eval_fwd": 2 * n for label, n in per_pass.items()},
+        **{f"neuralnet.{label}.bwd": 4 * n for label, n in per_pass.items()},
+    }
