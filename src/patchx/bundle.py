@@ -14,13 +14,15 @@ File layout (all little-endian):
     ...         raw array payload, float64/int64 buffers in manifest order
 
 Round-trips are bitwise faithful: every numeric parameter travels through the
-binary payload, never through JSON. A file that is cut short or whose lengths
-disagree with its manifest is rejected with a BundleError naming the cause.
+binary payload, never through JSON. A file that is cut short, whose lengths
+disagree with its manifest, or whose header lacks a key or has a value of the
+wrong type or shape is rejected with a BundleError naming the cause.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -76,6 +78,10 @@ class PatchXBundle:
             raise DimensionError(
                 f"dataset samples have (channels, length) {(dataset.channels, dataset.length)}, "
                 f"the bundle expects {(channels, spec.input_length)}"
+            )
+        if dataset.class_count != self.class_count:
+            raise DimensionError(
+                f"dataset has {dataset.class_count} classes, the bundle {self.class_count}"
             )
         normalized = znormalize(dataset, self.norm_stats) if self.norm_stats else dataset
         x, labels, sample_ids, config_indices = build_patch_arrays(normalized, self.patch_configs)
@@ -272,6 +278,10 @@ def load_bundle(path: str | Path) -> PatchXBundle:
         return _decode(raw, header, _PREFIX + header_len, path)
     except KeyError as err:
         raise BundleError(f"{path}: the header or its arrays lack the key {err.args[0]!r}") from None
+    except BundleError:
+        raise
+    except (TypeError, ValueError) as err:  # wrong JSON types; spec, config and shape checks
+        raise BundleError(f"{path}: malformed header: {err}") from None
 
 
 def _decode(raw: bytes, header: dict, offset: int, path: str | Path) -> PatchXBundle:
@@ -280,15 +290,17 @@ def _decode(raw: bytes, header: dict, offset: int, path: str | Path) -> PatchXBu
     for entry in header["arrays"]:
         if entry["dtype"] not in _DTYPES:
             raise BundleError(f"{path}: array {entry['name']!r} has unknown dtype {entry['dtype']!r}")
+        shape = entry["shape"]
+        if not isinstance(shape, list) or not all(type(d) is int and d >= 0 for d in shape):
+            raise BundleError(f"{path}: array {entry['name']!r} has the bad shape {shape!r}")
         dtype = _DTYPES[entry["dtype"]]
-        count = int(np.prod(entry["shape"])) if entry["shape"] else 1
-        nbytes = count * dtype.itemsize
+        nbytes = math.prod(shape) * dtype.itemsize
         if offset + nbytes > len(raw):
             raise BundleError(
                 f"{path}: payload truncated: array {entry['name']!r} needs bytes "
                 f"{offset}-{offset + nbytes}, the file has {len(raw)}"
             )
-        arr = np.frombuffer(raw[offset : offset + nbytes], dtype=dtype).reshape(entry["shape"])
+        arr = np.frombuffer(raw[offset : offset + nbytes], dtype=dtype).reshape(shape)
         arrays[entry["name"]] = arr.copy()
         offset += nbytes
     if offset != len(raw):
@@ -305,6 +317,8 @@ def _decode(raw: bytes, header: dict, offset: int, path: str | Path) -> PatchXBu
     network = build_network(spec)
     network.set_state({name: arrays[f"net/{name}"] for name, _ in network.parameters()})
     configs = [PatchConfig(**c) for c in header["patch_configs"]]
+    for config in configs:
+        config.validate(spec.input_length)
     stats = None
     if header["normalized"]:
         stats = NormStats(mean=arrays["norm_mean"], std=arrays["norm_std"])

@@ -17,79 +17,27 @@ import os
 import sys
 import time
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .bundle import load_bundle, save_bundle
+from .bundle import BundleError, load_bundle, save_bundle
 from .data import (
-    AnomalyGenSpec,
-    Dataset,
-    generate_anomaly,
-    load_dataset,
+    DEFAULT_SIGMA_MULTIPLIER, AnomalyGenSpec, Dataset, ParseError, generate_anomaly, load_dataset,
     save_dataset,
 )
 from .explain import (
-    boundary_probe,
-    confidence_histogram,
-    explain_sample,
-    mislabel_report,
-    save_records,
-    save_report,
+    boundary_probe, confidence_histogram, explain_sample, mislabel_report, save_records, save_report,
 )
 from .metadata import save_vectors
-from .neuralnet import NetworkSpec, TrainSpec, gradcheck_case, gradient_check
+from .neuralnet import (
+    OPTIMIZERS, DimensionError, NetworkSpec, TrainSpec, gradcheck_case, gradient_check,
+)
 from .patching import ConfigError, PatchConfig
 from .pipeline import default_network_spec, refit_shallow, run_pipeline, train_blackbox
-from .shallow import ForestSpec, ShallowSpec, SvmSpec, TrivialSpec
-
-DEFAULTS = {
-    "data": {
-        "source": "generate",
-        "dir": "",
-        "train_count": "1000",
-        "val_count": "300",
-        "test_count": "400",
-        "length": "50",
-        "channels": "3",
-        "noise_sigma": "1.0",
-        "peak_min": "5.0",
-        "peak_max": "10.0",
-        "sigma_multiplier": "4.0",
-        "normalize": "true",
-        "seed": "0",
-    },
-    "patching": {
-        "configs": "5:10,10:20",
-        "zero": "true",
-        "attach": "true",
-        "notemp": "false",
-    },
-    "network": {
-        "filters": "32,64,64",
-        "kernel": "3",
-    },
-    "train": {
-        "epochs": "50",
-        "batch_size": "64",
-        "learning_rate": "0.001",
-        "optimizer": "adam",
-        "patience": "5",
-    },
-    "shallow": {
-        "kind": "svm",
-        "c_reg": "1.0",
-        "svm_epochs": "200",
-        "svm_learning_rate": "0.1",
-        "standardize": "false",
-        "trees": "100",
-        "max_depth": "0",
-        "min_leaf": "1",
-        "feature_subsample": "sqrt",
-        "trivial_mode": "logodds",
-        "collapse": "false",
-        "normalize_features": "false",
-    },
-}
+from .shallow import (
+    FEATURE_SUBSAMPLES, KINDS, TRIVIAL_MODES, ForestSpec, ShallowSpec, SvmSpec, TrivialSpec,
+)
 
 
 def _bool(text: str) -> bool:
@@ -100,64 +48,120 @@ def _bool(text: str) -> bool:
     raise ValueError(f"not a boolean: {text!r}")
 
 
+def _ints(text: str) -> list[int]:
+    return [int(v) for v in text.split(",") if v.strip()]
+
+
+class Option(NamedTuple):
+    """One config key: its INI section and name, its flag, its INI default,
+    and its type (int, float, str, _bool or _ints) or tuple of choices."""
+
+    section: str
+    key: str
+    flag: str
+    default: str
+    kind: Callable | tuple[str, ...]
+    help: str | None = None
+
+
+# The INI defaults, the flags shared by generate/run/bench and the override
+# loop are all built from this table; rows keep the resolved_config.ini order.
+OPTIONS = (
+    Option("data", "source", "--source", "generate", ("generate", "files")),
+    Option("data", "dir", "--data-dir", "", str),
+    Option("data", "train_count", "--train-count", "1000", int),
+    Option("data", "val_count", "--val-count", "300", int),
+    Option("data", "test_count", "--test-count", "400", int),
+    Option("data", "length", "--length", "50", int),
+    Option("data", "channels", "--channels", "3", int),
+    Option("data", "noise_sigma", "--noise-sigma", "1.0", float),
+    Option("data", "peak_min", "--peak-min", "5.0", float),
+    Option("data", "peak_max", "--peak-max", "10.0", float),
+    Option("data", "sigma_multiplier", "--sigma-multiplier", str(DEFAULT_SIGMA_MULTIPLIER), float),
+    Option("data", "normalize", "--normalize", "true", _bool),
+    Option("data", "seed", "--seed", "0", int, "run seed (overrides config and PATCHX_SEED)"),
+    Option("patching", "configs", "--patches", "5:10,10:20", str,
+           "patch configs as stride:length tokens, e.g. 5:10,10:20"),
+    Option("patching", "zero", "--zero", "true", _bool,
+           "zeroing outside the patch is mandatory; 'false' is rejected"),
+    Option("patching", "attach", "--attach", "true", _bool),
+    Option("patching", "notemp", "--notemp", "false", _bool),
+    Option("network", "filters", "--filters", "32,64,64", _ints, "conv filters, e.g. 32,64,64"),
+    Option("network", "kernel", "--kernel", "3", int),
+    Option("train", "epochs", "--epochs", "50", int),
+    Option("train", "batch_size", "--batch-size", "64", int),
+    Option("train", "learning_rate", "--learning-rate", "0.001", float),
+    Option("train", "optimizer", "--optimizer", "adam", OPTIMIZERS),
+    Option("train", "patience", "--patience", "5", int),
+    Option("shallow", "kind", "--shallow", "svm", KINDS),
+    Option("shallow", "c_reg", "--c-reg", "1.0", float),
+    Option("shallow", "svm_epochs", "--svm-epochs", "200", int),
+    Option("shallow", "svm_learning_rate", "--svm-learning-rate", "0.1", float),
+    Option("shallow", "standardize", "--standardize", "false", _bool),
+    Option("shallow", "trees", "--trees", "100", int),
+    Option("shallow", "max_depth", "--max-depth", "0", int),
+    Option("shallow", "min_leaf", "--min-leaf", "1", int),
+    Option("shallow", "feature_subsample", "--feature-subsample", "sqrt", FEATURE_SUBSAMPLES),
+    Option("shallow", "trivial_mode", "--trivial-mode", "logodds", TRIVIAL_MODES),
+    Option("shallow", "collapse", "--collapse", "false", _bool),
+    Option("shallow", "normalize_features", "--normalize-features", "false", _bool),
+)
+_BY_KEY = {(o.section, o.key): o for o in OPTIONS}
+_EXPECTED = {int: "an integer", float: "a number", _bool: "a boolean",
+             _ints: "a comma-separated list of integers"}
+
+
+def _checked(option: Option, text: str, origin: str) -> str:
+    """text, if it parses as the option's type or is one of its choices."""
+    kind = option.kind
+    if isinstance(kind, tuple):
+        valid = text in kind
+    else:
+        try:
+            kind(text)
+            valid = True
+        except ValueError:
+            valid = False
+    if not valid:
+        expected = f"one of {', '.join(kind)}" if isinstance(kind, tuple) else _EXPECTED[kind]
+        raise ConfigError(f"{origin}: [{option.section}] {option.key} = {text!r} is not {expected}")
+    return text
+
+
 def load_config(path: str | None) -> configparser.ConfigParser:
-    parser = configparser.ConfigParser()
-    parser.read_dict(DEFAULTS)
-    if path:
-        if not Path(path).exists():
-            raise FileNotFoundError(f"config file {path} does not exist")
-        parser.read(path)
-    return parser
+    """The OPTIONS defaults overlaid with an INI file whose every section, key
+    and value is checked against the table."""
+    config = configparser.ConfigParser()
+    for o in OPTIONS:
+        config.read_dict({o.section: {o.key: o.default}})
+    if not path:
+        return config
+    if not Path(path).exists():
+        raise ConfigError(f"config file {path} does not exist")
+    try:
+        config.read(path, encoding="utf-8")
+        for section in config.sections():
+            if section not in {o.section for o in OPTIONS}:
+                raise ConfigError(f"{path}: unknown config section [{section}]")
+            for key in config.options(section):
+                if (section, key) not in _BY_KEY:
+                    raise ConfigError(f"{path}: unknown config key [{section}] {key}")
+                _checked(_BY_KEY[section, key], config.get(section, key), path)
+    except (configparser.Error, UnicodeDecodeError) as err:
+        raise ConfigError(f"{path}: {err}") from None
+    return config
 
 
 def apply_overrides(config: configparser.ConfigParser, args: argparse.Namespace) -> None:
-    """Flags and PATCHX_SEED override config values; flags win over the env var."""
-    mapping = {
-        "train_count": ("data", "train_count"),
-        "val_count": ("data", "val_count"),
-        "test_count": ("data", "test_count"),
-        "length": ("data", "length"),
-        "channels": ("data", "channels"),
-        "noise_sigma": ("data", "noise_sigma"),
-        "peak_min": ("data", "peak_min"),
-        "peak_max": ("data", "peak_max"),
-        "sigma_multiplier": ("data", "sigma_multiplier"),
-        "data_dir": ("data", "dir"),
-        "source": ("data", "source"),
-        "normalize": ("data", "normalize"),
-        "patches": ("patching", "configs"),
-        "zero": ("patching", "zero"),
-        "attach": ("patching", "attach"),
-        "notemp": ("patching", "notemp"),
-        "filters": ("network", "filters"),
-        "kernel": ("network", "kernel"),
-        "epochs": ("train", "epochs"),
-        "batch_size": ("train", "batch_size"),
-        "learning_rate": ("train", "learning_rate"),
-        "optimizer": ("train", "optimizer"),
-        "patience": ("train", "patience"),
-        "shallow": ("shallow", "kind"),
-        "c_reg": ("shallow", "c_reg"),
-        "svm_epochs": ("shallow", "svm_epochs"),
-        "svm_learning_rate": ("shallow", "svm_learning_rate"),
-        "standardize": ("shallow", "standardize"),
-        "trivial_mode": ("shallow", "trivial_mode"),
-        "trees": ("shallow", "trees"),
-        "max_depth": ("shallow", "max_depth"),
-        "min_leaf": ("shallow", "min_leaf"),
-        "feature_subsample": ("shallow", "feature_subsample"),
-        "collapse": ("shallow", "collapse"),
-        "normalize_features": ("shallow", "normalize_features"),
-    }
+    """Flags and PATCHX_SEED override config values; flags win over the env var.
+    Each value is checked against its OPTIONS row."""
     env_seed = os.environ.get("PATCHX_SEED")
     if env_seed is not None:
-        config.set("data", "seed", env_seed)
-    for attr, (section, key) in mapping.items():
-        value = getattr(args, attr, None)
+        config.set("data", "seed", _checked(_BY_KEY["data", "seed"], env_seed, "PATCHX_SEED"))
+    for o in OPTIONS:
+        value = getattr(args, o.flag[2:].replace("-", "_"), None)
         if value is not None:
-            config.set(section, key, str(value))
-    if getattr(args, "seed", None) is not None:
-        config.set("data", "seed", str(args.seed))
+            config.set(o.section, o.key, _checked(o, str(value), o.flag))
 
 
 def parse_patch_tokens(
@@ -182,71 +186,43 @@ def parse_patch_tokens(
     return configs
 
 
+def _values(config: configparser.ConfigParser) -> dict:
+    """Every config value parsed by its OPTIONS row, keyed by its key."""
+    return {o.key: config.get(o.section, o.key) if isinstance(o.kind, tuple)
+            else o.kind(config.get(o.section, o.key)) for o in OPTIONS}
+
+
 def build_specs(config: configparser.ConfigParser):
-    seed = config.getint("data", "seed")
-    zero = _bool(config.get("patching", "zero"))
-    attach = _bool(config.get("patching", "attach"))
-    notemp = _bool(config.get("patching", "notemp"))
-    patch_configs = parse_patch_tokens(config.get("patching", "configs"), attach, notemp, zero=zero)
-    filters = [int(v) for v in config.get("network", "filters").split(",") if v.strip()]
-    kernel = config.getint("network", "kernel")
-    conv_blocks = tuple((f, kernel, "relu") for f in filters)
+    v = _values(config)
+    patch_configs = parse_patch_tokens(v["configs"], v["attach"], v["notemp"], zero=v["zero"])
+    conv_blocks = tuple((f, v["kernel"], "relu") for f in v["filters"])
     train_spec = TrainSpec(
-        epochs=config.getint("train", "epochs"),
-        batch_size=config.getint("train", "batch_size"),
-        learning_rate=config.getfloat("train", "learning_rate"),
-        optimizer=config.get("train", "optimizer"),
-        early_stopping_patience=config.getint("train", "patience"),
-        seed=seed,
+        epochs=v["epochs"], batch_size=v["batch_size"], learning_rate=v["learning_rate"],
+        optimizer=v["optimizer"], early_stopping_patience=v["patience"], seed=v["seed"],
     )
-    max_depth = config.getint("shallow", "max_depth")
     shallow_spec = ShallowSpec(
-        kind=config.get("shallow", "kind"),
-        svm=SvmSpec(
-            c_reg=config.getfloat("shallow", "c_reg"),
-            epochs=config.getint("shallow", "svm_epochs"),
-            learning_rate=config.getfloat("shallow", "svm_learning_rate"),
-            seed=seed,
-            standardize=_bool(config.get("shallow", "standardize")),
-        ),
-        forest=ForestSpec(
-            trees=config.getint("shallow", "trees"),
-            max_depth=None if max_depth <= 0 else max_depth,
-            min_leaf=config.getint("shallow", "min_leaf"),
-            feature_subsample=config.get("shallow", "feature_subsample"),
-            seed=seed,
-        ),
-        trivial=TrivialSpec(mode=config.get("shallow", "trivial_mode")),
+        kind=v["kind"],
+        svm=SvmSpec(c_reg=v["c_reg"], epochs=v["svm_epochs"], learning_rate=v["svm_learning_rate"],
+                    seed=v["seed"], standardize=v["standardize"]),
+        forest=ForestSpec(trees=v["trees"], max_depth=v["max_depth"] if v["max_depth"] > 0 else None,
+                          min_leaf=v["min_leaf"], feature_subsample=v["feature_subsample"],
+                          seed=v["seed"]),
+        trivial=TrivialSpec(mode=v["trivial_mode"]),
     )
     return patch_configs, conv_blocks, train_spec, shallow_spec
 
 
 def load_run_datasets(config: configparser.ConfigParser) -> tuple[Dataset, Dataset, Dataset]:
-    source = config.get("data", "source")
-    if source == "generate":
-        spec = AnomalyGenSpec(
-            train_count=config.getint("data", "train_count"),
-            val_count=config.getint("data", "val_count"),
-            test_count=config.getint("data", "test_count"),
-            length=config.getint("data", "length"),
-            channels=config.getint("data", "channels"),
-            noise_sigma=config.getfloat("data", "noise_sigma"),
-            peak_amplitude_range=(
-                config.getfloat("data", "peak_min"),
-                config.getfloat("data", "peak_max"),
-            ),
-            sigma_multiplier=config.getfloat("data", "sigma_multiplier"),
-            seed=config.getint("data", "seed"),
-        )
-        return generate_anomaly(spec)
-    if source == "files":
-        directory = Path(config.get("data", "dir"))
-        return (
-            load_dataset(directory / "train.csv", split="train"),
-            load_dataset(directory / "val.csv", split="val"),
-            load_dataset(directory / "test.csv", split="test"),
-        )
-    raise ValueError(f"unknown data source {source!r}; use 'generate' or 'files'")
+    v = _values(config)
+    if v["source"] == "files":
+        directory = Path(v["dir"])
+        return tuple(load_dataset(directory / f"{s}.csv", split=s) for s in ("train", "val", "test"))
+    return generate_anomaly(AnomalyGenSpec(
+        train_count=v["train_count"], val_count=v["val_count"], test_count=v["test_count"],
+        length=v["length"], channels=v["channels"], noise_sigma=v["noise_sigma"],
+        peak_amplitude_range=(v["peak_min"], v["peak_max"]),
+        sigma_multiplier=v["sigma_multiplier"], seed=v["seed"],
+    ))
 
 
 def make_run_dir(out: str, name: str | None) -> Path:
@@ -305,22 +281,19 @@ def cmd_generate(args: argparse.Namespace) -> int:
 def cmd_run(args: argparse.Namespace) -> int:
     config = load_config(args.config)
     apply_overrides(config, args)
-    run_dir = make_run_dir(args.out, args.run_name)
     stage = "configure"
     try:
         patch_configs, conv_blocks, train_spec, shallow_spec = build_specs(config)
+        run_dir = make_run_dir(args.out, args.run_name)
         stage = "data"
         train, val, test = load_run_datasets(config)
         stage = "pipeline"
-        net_spec = default_network_spec(
-            train, patch_configs, seed=config.getint("data", "seed"), conv_blocks=conv_blocks
-        )
+        v = _values(config)
+        net_spec = default_network_spec(train, patch_configs, seed=v["seed"], conv_blocks=conv_blocks)
         result = run_pipeline(
             train, val, test, patch_configs,
             net_spec=net_spec, train_spec=train_spec, shallow_spec=shallow_spec,
-            normalize=_bool(config.get("data", "normalize")),
-            collapse=_bool(config.get("shallow", "collapse")),
-            normalize_features=_bool(config.get("shallow", "normalize_features")),
+            normalize=v["normalize"], collapse=v["collapse"], normalize_features=v["normalize_features"],
         )
         stage = "persist"
         write_resolved_config(config, run_dir / "resolved_config.ini")
@@ -350,18 +323,17 @@ def cmd_run(args: argparse.Namespace) -> int:
 def cmd_bench(args: argparse.Namespace) -> int:
     config = load_config(args.config)
     apply_overrides(config, args)
-    run_dir = make_run_dir(args.out, args.run_name)
     _, conv_blocks, train_spec, shallow_spec = build_specs(config)
+    run_dir = make_run_dir(args.out, args.run_name)
     train, val, test = load_run_datasets(config)
-    seed = config.getint("data", "seed")
+    v = _values(config)
 
     cells = []
     for token in args.grid.split("|"):
         token = token.strip()
         if not token:
             continue
-        flags = {"attach": _bool(config.get("patching", "attach")),
-                 "notemp": _bool(config.get("patching", "notemp"))}
+        flags = {"attach": v["attach"], "notemp": v["notemp"]}
         if "@" in token:
             token, flag_part = token.split("@", 1)
             names = {f.strip() for f in flag_part.split(",") if f.strip()}
@@ -372,7 +344,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
         cells.append((token.strip(), flags))
 
     report: dict = {"cells": [], "blackbox": None}
-    blackbox_spec = default_network_spec(train, [], seed=seed, conv_blocks=conv_blocks)
+    blackbox_spec = default_network_spec(train, [], seed=v["seed"], conv_blocks=conv_blocks)
     bb = train_blackbox(train, val, test, net_spec=blackbox_spec, train_spec=train_spec)
     report["blackbox"] = {"metrics": bb.metrics, "timing": bb.timing}
 
@@ -380,14 +352,14 @@ def cmd_bench(args: argparse.Namespace) -> int:
         cell_name = token + ("@" + ",".join(k for k in ("attach", "notemp") if flags[k]) if any(flags.values()) else "")
         try:
             patch_configs = parse_patch_tokens(token, flags["attach"], flags["notemp"])
-            net_spec = default_network_spec(train, patch_configs, seed=seed, conv_blocks=conv_blocks)
+            net_spec = default_network_spec(train, patch_configs, seed=v["seed"], conv_blocks=conv_blocks)
             base = run_pipeline(
                 train, val, test, patch_configs,
                 net_spec=net_spec, train_spec=train_spec,
                 shallow_spec=ShallowSpec(kind="svm", svm=shallow_spec.svm),
             )
             variants = {"cnn+svm": {"metrics": base.metrics, "timing": base.timing}}
-            for kind in ("forest", "trivial"):
+            for kind in KINDS[1:]:  # refits beside the svm base
                 sub = ShallowSpec(kind=kind, svm=shallow_spec.svm,
                                   forest=shallow_spec.forest, trivial=shallow_spec.trivial)
                 refit = refit_shallow(base, sub, test)
@@ -430,13 +402,9 @@ def cmd_bench(args: argparse.Namespace) -> int:
     return 0
 
 
-def _load_single_dataset(path: str) -> Dataset:
-    return load_dataset(path, split="test")
-
-
 def cmd_explain(args: argparse.Namespace) -> int:
     bundle = load_bundle(args.bundle)
-    dataset = _load_single_dataset(args.data)
+    dataset = load_dataset(args.data, split="test")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     if args.mislabels:
@@ -477,7 +445,7 @@ def cmd_explain(args: argparse.Namespace) -> int:
 
 def cmd_probe(args: argparse.Namespace) -> int:
     bundle = load_bundle(args.bundle)
-    dataset = _load_single_dataset(args.data)
+    dataset = load_dataset(args.data, split="test")
     sample = next((s for s in dataset.samples if s.id == args.sample_id), None)
     if sample is None:
         print(f"sample {args.sample_id} not found", file=sys.stderr)
@@ -505,7 +473,7 @@ def cmd_probe(args: argparse.Namespace) -> int:
 
 def cmd_histogram(args: argparse.Namespace) -> int:
     bundle = load_bundle(args.bundle)
-    dataset = _load_single_dataset(args.data)
+    dataset = load_dataset(args.data, split="test")
     report = confidence_histogram(bundle, dataset, bin_width=args.bin_width, per_class=args.per_class)
     save_report(report.to_dict(), args.out)
     print(f"{report.total} patch confidences binned -> {args.out}")
@@ -533,44 +501,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--config", help="INI config file")
-        p.add_argument("--seed", type=int, help="run seed (overrides config and PATCHX_SEED)")
-        p.add_argument("--train-count", dest="train_count", type=int)
-        p.add_argument("--val-count", dest="val_count", type=int)
-        p.add_argument("--test-count", dest="test_count", type=int)
-        p.add_argument("--length", type=int)
-        p.add_argument("--channels", type=int)
-        p.add_argument("--noise-sigma", dest="noise_sigma", type=float)
-        p.add_argument("--peak-min", dest="peak_min", type=float)
-        p.add_argument("--peak-max", dest="peak_max", type=float)
-        p.add_argument("--sigma-multiplier", dest="sigma_multiplier", type=float)
-        p.add_argument("--source", choices=("generate", "files"))
-        p.add_argument("--data-dir", dest="data_dir")
-        p.add_argument("--normalize", choices=("true", "false"))
-        p.add_argument("--patches", help="patch configs as stride:length tokens, e.g. 5:10,10:20")
-        p.add_argument("--zero", choices=("true", "false"),
-                       help="zeroing outside the patch is mandatory; 'false' is rejected")
-        p.add_argument("--attach", choices=("true", "false"))
-        p.add_argument("--notemp", choices=("true", "false"))
-        p.add_argument("--filters", help="conv filters, e.g. 32,64,64")
-        p.add_argument("--kernel", type=int)
-        p.add_argument("--epochs", type=int)
-        p.add_argument("--batch-size", dest="batch_size", type=int)
-        p.add_argument("--learning-rate", dest="learning_rate", type=float)
-        p.add_argument("--optimizer", choices=("adam", "sgd-momentum"))
-        p.add_argument("--patience", type=int)
-        p.add_argument("--shallow", choices=("svm", "forest", "trivial"))
-        p.add_argument("--c-reg", dest="c_reg", type=float)
-        p.add_argument("--svm-epochs", dest="svm_epochs", type=int)
-        p.add_argument("--svm-learning-rate", dest="svm_learning_rate", type=float)
-        p.add_argument("--standardize", choices=("true", "false"))
-        p.add_argument("--trivial-mode", dest="trivial_mode",
-                       choices=("occurrence", "confidence-sum", "logodds"))
-        p.add_argument("--trees", type=int)
-        p.add_argument("--max-depth", dest="max_depth", type=int)
-        p.add_argument("--min-leaf", dest="min_leaf", type=int)
-        p.add_argument("--feature-subsample", dest="feature_subsample", choices=("sqrt", "all"))
-        p.add_argument("--collapse", choices=("true", "false"))
-        p.add_argument("--normalize-features", dest="normalize_features", choices=("true", "false"))
+        for o in OPTIONS:
+            if isinstance(o.kind, tuple) or o.kind is _bool:
+                p.add_argument(o.flag, choices=("true", "false") if o.kind is _bool else o.kind, help=o.help)
+            else:
+                p.add_argument(o.flag, type=o.kind if o.kind in (int, float) else None, help=o.help)
 
     p_gen = sub.add_parser("generate", help="write synthetic anomaly datasets as delimited text")
     add_common(p_gen)
@@ -607,7 +542,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_probe.add_argument("--sample-id", dest="sample_id", type=int, required=True)
     p_probe.add_argument("--position", help="channel,step of the point to scale")
     p_probe.add_argument("--factors", default="0.25,0.5,0.75,1.0,1.25,1.5,1.75,2.0")
-    p_probe.add_argument("--sigma-multiplier", dest="sigma_multiplier", type=float, default=4.0)
+    p_probe.add_argument("--sigma-multiplier", dest="sigma_multiplier", type=float,
+                         default=DEFAULT_SIGMA_MULTIPLIER)
     p_probe.add_argument("--out", required=True)
     p_probe.set_defaults(func=cmd_probe)
 
@@ -628,9 +564,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    return args.func(args)
+    args = build_parser().parse_args(argv)
+    try:
+        return args.func(args)
+    except (BundleError, ConfigError, DimensionError, ParseError) as err:
+        print(f"patchx {args.command}: {err}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

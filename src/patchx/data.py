@@ -265,8 +265,11 @@ def load_dataset(path: str | Path, delimiter: str = ",", split: str = "train") -
     and for a file without samples.
     """
     path = Path(path)
-    with path.open("r", encoding="utf-8") as f:
-        lines = [line.rstrip("\n") for line in f]
+    try:
+        with path.open("r", encoding="utf-8") as f:
+            lines = [line.rstrip("\n") for line in f]
+    except UnicodeDecodeError as err:
+        raise ParseError(f"{path} is not UTF-8 text ({err.reason})") from None
     lines = [line for line in lines if line.strip()]
     if not lines:
         raise ParseError(f"{path} is empty")
@@ -277,6 +280,8 @@ def load_dataset(path: str | Path, delimiter: str = ",", split: str = "train") -
         channels, length, class_count = (int(v) for v in header)
     except ValueError:
         raise ParseError(f"non-integer header field in {lines[0]!r}") from None
+    if channels < 1 or length < 1 or class_count < 2:
+        raise ParseError(f"header {lines[0]!r} needs channels >= 1, length >= 1, class_count >= 2")
     expected = channels * length + 1
     samples = []
     for row_no, line in enumerate(lines[1:], start=1):

@@ -18,6 +18,7 @@ import numpy as np
 LOG_CLAMP = 1e-12
 EVAL_BATCH = 1024
 ROW_BLOCK = 1024  # frame rows per shifted GEMM in Conv1d
+OPTIMIZERS = ("adam", "sgd-momentum")
 
 
 class DimensionError(ValueError):
@@ -57,15 +58,15 @@ class TrainSpec:
     epochs: int = 50
     batch_size: int = 64
     learning_rate: float = 1e-3
-    optimizer: str = "adam"  # adam | sgd-momentum
+    optimizer: str = "adam"  # one of OPTIMIZERS
     early_stopping_patience: int = 5
     seed: int = 0
 
     def validate(self) -> None:
         if self.epochs < 1 or self.batch_size < 1 or self.learning_rate <= 0:
             raise ValueError("epochs, batch_size and learning_rate must be positive")
-        if self.optimizer not in ("adam", "sgd-momentum"):
-            raise ValueError(f"unknown optimizer {self.optimizer!r}")
+        if self.optimizer not in OPTIMIZERS:
+            raise ValueError(f"unknown optimizer {self.optimizer!r}; choose from {OPTIMIZERS}")
         if not (0 <= self.early_stopping_patience < self.epochs):
             raise ValueError("early_stopping_patience must be in [0, epochs)")
 

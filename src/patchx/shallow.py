@@ -28,6 +28,8 @@ import numpy as np
 
 from .metadata import PresenceMatrix
 
+KINDS = ("svm", "forest", "trivial")
+FEATURE_SUBSAMPLES = ("sqrt", "all")
 TRIVIAL_MODES = ("occurrence", "confidence-sum", "logodds")
 _LOGIT_CLAMP = 1e-12
 
@@ -50,7 +52,7 @@ class ForestSpec:
     trees: int = 100
     max_depth: int | None = None
     min_leaf: int = 1
-    feature_subsample: str = "sqrt"  # sqrt | all
+    feature_subsample: str = "sqrt"  # one of FEATURE_SUBSAMPLES
     seed: int = 0
 
     def validate(self) -> None:
@@ -58,7 +60,7 @@ class ForestSpec:
             raise ValueError("forest parameters must be positive")
         if self.max_depth is not None and self.max_depth < 1:
             raise ValueError("max_depth must be >= 1 or None")
-        if self.feature_subsample not in ("sqrt", "all"):
+        if self.feature_subsample not in FEATURE_SUBSAMPLES:
             raise ValueError(f"unknown feature_subsample {self.feature_subsample!r}")
 
 
@@ -73,14 +75,14 @@ class TrivialSpec:
 
 @dataclass
 class ShallowSpec:
-    kind: str = "svm"  # svm | forest | trivial
+    kind: str = "svm"  # one of KINDS
     svm: SvmSpec = field(default_factory=SvmSpec)
     forest: ForestSpec = field(default_factory=ForestSpec)
     trivial: TrivialSpec = field(default_factory=TrivialSpec)
 
     def validate(self) -> None:
-        if self.kind not in ("svm", "forest", "trivial"):
-            raise ValueError(f"unknown shallow kind {self.kind!r}")
+        if self.kind not in KINDS:
+            raise ValueError(f"unknown shallow kind {self.kind!r}; choose from {KINDS}")
         self.svm.validate()
         self.forest.validate()
         self.trivial.validate()

@@ -1,13 +1,15 @@
 import json
+import random
 import struct
 
 import numpy as np
 import pytest
 
 from patchx.bundle import BundleError, MAGIC, PatchXBundle, load_bundle, save_bundle
-from patchx.data import NormStats
+from patchx.data import Dataset, NormStats, TimeSeriesSample
+from patchx.explain import mislabel_report
 from patchx.metadata import PresenceMatrix
-from patchx.neuralnet import NetworkSpec, build_network
+from patchx.neuralnet import DimensionError, NetworkSpec, build_network
 from patchx.patching import PatchConfig
 from patchx.shallow import ForestSpec, ShallowSpec, TrivialSpec, fit, predict_all
 
@@ -147,19 +149,30 @@ def _short_header_length(raw):
     return raw[:7] + struct.pack("<Q", header_len - 3) + raw[15:]
 
 
+def _with_header(raw, header):
+    """raw with its JSON header replaced by header, and the length to match."""
+    (header_len,) = struct.unpack("<Q", raw[7:15])
+    text = json.dumps(header).encode("utf-8")
+    return raw[:7] + struct.pack("<Q", len(text)) + text + raw[15 + header_len :]
+
+
 def _edit_header(edit):
-    """A corruption that rewrites the parsed JSON header and its length."""
+    """A corruption that rewrites the parsed JSON header in place."""
     def corrupt(raw):
         (header_len,) = struct.unpack("<Q", raw[7:15])
         header = json.loads(raw[15 : 15 + header_len])
         edit(header)
-        text = json.dumps(header).encode("utf-8")
-        return raw[:7] + struct.pack("<Q", len(text)) + text + raw[15 + header_len :]
+        return _with_header(raw, header)
     return corrupt
 
 
 def _f4_dtype(header):
     header["arrays"][0]["dtype"] = "<f4"
+
+
+def _array(name, **entry):
+    """An edit that updates the manifest entry of one array."""
+    return _edit_header(lambda h: next(a for a in h["arrays"] if a["name"] == name).update(entry))
 
 
 @pytest.mark.parametrize("corrupt, cause", [
@@ -171,8 +184,21 @@ def _f4_dtype(header):
     (_edit_header(lambda h: h.pop("network")), "lack the key 'network'"),
     (_edit_header(lambda h: h.pop("arrays")), "lack the key 'arrays'"),
     (_edit_header(_f4_dtype), "unknown dtype '<f4'"),
+    (lambda raw: _with_header(raw, []), "malformed header"),
+    (lambda raw: _with_header(raw, {"arrays": 5}), "malformed header"),
+    (_array("net/conv0.w", shape="ab"), "bad shape 'ab'"),
+    (_array("net/conv0.w", shape=[-4, 4, 3]), r"bad shape \[-4, 4, 3\]"),
+    (_edit_header(lambda h: h["patch_configs"][0].update(size=3)), "malformed header"),
+    (_edit_header(lambda h: h["network"].update(conv_blocks=5)), "malformed header"),
+    (_edit_header(lambda h: h["network"].update(class_count="2")), "malformed header"),
+    (_edit_header(lambda h: h.update(shallow=None)), "malformed header"),
+    (_edit_header(lambda h: h["network"].update(input_channels=5)), "parameter conv0.w: shape"),
+    (_edit_header(lambda h: h["network"].update(input_length=12)), "exceeds sample length 12"),
 ], ids=["truncated-payload", "truncated-header", "bogus-header-length", "short-header-length",
-        "truncated-prefix", "no-network-key", "no-arrays-key", "f4-dtype"])
+        "truncated-prefix", "no-network-key", "no-arrays-key", "f4-dtype", "list-header",
+        "int-arrays", "text-shape", "negative-shape", "unknown-patch-key", "int-conv-blocks",
+        "text-class-count", "null-shallow", "spec-disagrees-with-parameters",
+        "patch-longer-than-input"])
 def test_corrupt_bundle_raises_bundle_error(tmp_path, corrupt, cause):
     path = tmp_path / "model.pchx"
     save_bundle(make_bundle(), path)
@@ -187,3 +213,33 @@ def test_bundle_without_normalization(tmp_path):
     save_bundle(bundle, path)
     loaded = load_bundle(path)
     assert loaded.norm_stats is None
+
+
+def test_bundle_byte_mutations_load_or_raise_bundle_error(tmp_path):
+    """Seeded single-byte mutations: half anywhere in the file, half in the
+    prefix and JSON header, where a change can alter the structure."""
+    path = tmp_path / "model.pchx"
+    save_bundle(make_bundle(), path)
+    raw = path.read_bytes()
+    (header_len,) = struct.unpack("<Q", raw[7:15])
+    rng = random.Random(5)
+    for trial in range(600):
+        mutant = bytearray(raw)
+        position = rng.randrange(len(raw) if trial % 2 else 15 + header_len)
+        mutant[position] = rng.randrange(256)
+        path.write_bytes(bytes(mutant))
+        try:
+            load_bundle(path)
+        except BundleError:
+            pass
+        except Exception as err:
+            pytest.fail(f"byte {position} set to {mutant[position]}: {type(err).__name__}: {err}")
+
+
+def test_dataset_class_count_must_match_bundle():
+    bundle = make_bundle()
+    dataset = Dataset([TimeSeriesSample(id=0, values=np.zeros((3, 50)), label=2)], class_count=3)
+    with pytest.raises(DimensionError, match="3 classes, the bundle 2"):
+        bundle.patch_predictions(dataset)
+    with pytest.raises(DimensionError, match="3 classes, the bundle 2"):
+        mislabel_report(bundle, dataset)

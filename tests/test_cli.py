@@ -1,8 +1,14 @@
+import configparser
 import json
+import re
+from pathlib import Path
 
 import pytest
 
-from patchx.cli import main, parse_patch_tokens
+from patchx.cli import (
+    OPTIONS, apply_overrides, build_parser, build_specs, load_config, main, parse_patch_tokens,
+    write_resolved_config,
+)
 from patchx.data import load_dataset
 from patchx.patching import ConfigError, PatchConfig
 
@@ -109,6 +115,7 @@ class TestRun:
                        "--patches", "0:10", *FAST)
         assert code == 1
         assert "stage" in capsys.readouterr().err
+        assert not (tmp_path / "bad").exists()  # patch configs are checked before the run dir
 
     def test_zero_false_rejected(self, tmp_path, capsys):
         code = run_cli("run", "--out", str(tmp_path), "--run-name", "nozero",
@@ -123,6 +130,84 @@ class TestRun:
         assert "collapse = true" in resolved
         assert "c_reg = 2.5" in resolved
         assert "min_leaf = 2" in resolved
+
+
+class TestConfigChecks:
+    """A config value enters through the INI file, a flag or PATCHX_SEED, and
+    each is checked against its OPTIONS row before any run directory exists."""
+
+    @pytest.mark.parametrize("text, message", [
+        ("[train]\nepoch = 1\n", r"unknown config key \[train\] epoch"),
+        ("[netwrk]\nfilters = 4\n", r"unknown config section \[netwrk\]"),
+        ("[train]\noptimizer = adamw\n", "optimizer = 'adamw' is not one of adam, sgd-momentum"),
+        ("[shallow]\ncollapse = maybe\n", "collapse = 'maybe' is not a boolean"),
+        ("[data]\nnoise_sigma = loud\n", "noise_sigma = 'loud' is not a number"),
+        ("[network]\nfilters = 4,x\n", "filters = '4,x' is not a comma-separated list of integers"),
+    ], ids=["typo", "section", "choice", "boolean", "float", "int-list"])
+    def test_bad_file_rejected_before_run_dir(self, tmp_path, capsys, text, message):
+        config = tmp_path / "bad.ini"
+        config.write_text(text)
+        code = run_cli("run", "--config", str(config), "--out", str(tmp_path / "out"), *FAST)
+        assert code != 0
+        assert re.search(message, capsys.readouterr().err)
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["generate", "run", "bench"])
+    def test_bad_int_rejected_by_every_command(self, tmp_path, capsys, command):
+        config = tmp_path / "bad.ini"
+        config.write_text("[data]\ntrain_count = abc\n")
+        code = run_cli(command, "--config", str(config), "--out", str(tmp_path / "out"))
+        assert code != 0
+        assert "[data] train_count = 'abc' is not an integer" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_bad_env_seed_rejected(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("PATCHX_SEED", "abc")
+        code = run_cli("run", "--out", str(tmp_path / "out"), *FAST[:-2])
+        assert code != 0
+        assert "PATCHX_SEED: [data] seed = 'abc' is not an integer" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("option", OPTIONS, ids=lambda o: o.key)
+    def test_every_key_set_by_flag_and_by_file_alike(self, tmp_path, monkeypatch, option):
+        monkeypatch.delenv("PATCHX_SEED", raising=False)
+        value = other_value(option)
+        ini = tmp_path / "set.ini"
+        ini.write_text(f"[{option.section}]\n{option.key} = {value}\n")
+        resolved = []
+        for extra in ([option.flag, value], ["--config", str(ini)]):
+            args = build_parser().parse_args(["run", "--out", str(tmp_path), *extra])
+            config = load_config(args.config)
+            apply_overrides(config, args)
+            path = tmp_path / f"resolved{len(resolved)}.ini"
+            write_resolved_config(config, path)
+            resolved.append(path.read_text())
+            written = configparser.ConfigParser()
+            written.read_string(resolved[-1])
+            assert written.get(option.section, option.key) == value
+        assert resolved[0] == resolved[1]
+
+
+def other_value(option):
+    """A valid value of the option other than its default."""
+    if isinstance(option.kind, tuple):
+        return next(c for c in option.kind if c != option.default)
+    for text in ("2.5", "7", "false", "true"):
+        try:
+            option.kind(text)
+        except ValueError:
+            continue
+        if text != option.default:
+            return text
+
+
+def test_readme_example_config(tmp_path):
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    example = tmp_path / "readme.ini"
+    example.write_text(readme.split("```ini\n", 1)[1].split("```", 1)[0])
+    config = load_config(str(example))
+    build_specs(config)
+    assert config.get("data", "source") == "generate"
 
 
 class TestBench:

@@ -1,3 +1,5 @@
+import random
+
 import numpy as np
 import pytest
 
@@ -69,6 +71,37 @@ class TestLoadDataset:
         path = write_lines(tmp_path, ["3,50,2"])
         with pytest.raises(ParseError, match="header but no samples"):
             load_dataset(path)
+
+    def test_non_utf8_byte_raises_parse_error(self, tmp_path):
+        path = tmp_path / "data.csv"
+        path.write_bytes(b"1,2,2\n1.0,2\xff0,0\n")
+        with pytest.raises(ParseError, match="not UTF-8"):
+            load_dataset(path)
+
+    def test_header_class_count_below_two_raises_parse_error(self, tmp_path):
+        path = write_lines(tmp_path, ["3,2,1", "1.0,2.0,3.0,4.0,5.0,6.0,0"])
+        with pytest.raises(ParseError, match="class_count >= 2"):
+            load_dataset(path)
+
+    def test_byte_mutations_load_or_raise_parse_error(self, tmp_path):
+        """Seeded single-byte mutations of a small saved dataset."""
+        rng = np.random.default_rng(0)
+        samples = [TimeSeriesSample(i, rng.normal(size=(2, 4)), i % 2) for i in range(6)]
+        path = tmp_path / "data.csv"
+        save_dataset(Dataset(samples, class_count=2), path)
+        raw = path.read_bytes()
+        mutations = random.Random(5)
+        for _ in range(400):
+            mutant = bytearray(raw)
+            position = mutations.randrange(len(raw))
+            mutant[position] = mutations.randrange(256)
+            path.write_bytes(bytes(mutant))
+            try:
+                load_dataset(path)
+            except ParseError:
+                pass
+            except Exception as err:
+                pytest.fail(f"byte {position} set to {mutant[position]}: {type(err).__name__}: {err}")
 
     def test_class_count_comes_from_header_not_labels(self, tmp_path):
         # a split may lack some classes entirely; C stays fixed by the header
