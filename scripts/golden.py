@@ -1,0 +1,77 @@
+"""The golden runs of a refactor: seeded runs whose outputs must stay byte-identical.
+
+    python3 scripts/golden.py OUT_DIR
+
+Runs in-process, from the checkout's own src/:
+
+* `patchx generate --seed 7` at 1000/300/400 into OUT_DIR/data;
+* `patchx run --source files --epochs 2 --patience 0 --filters 16,32 --seed 7
+  --standardize true` with `--shallow svm`, `forest` and `trivial`;
+* on the svm run, `patchx explain` for sample ids 0-4, `explain --mislabels`
+  and `histogram --per-class`.
+
+Prints one `<sha256 prefix>  <path>` line per output file, paths relative to
+OUT_DIR. `resolved_config.ini` holds the data directory, so compare two
+checkouts with the same OUT_DIR. Timings and manifests are not listed: they
+carry wall-clock values.
+"""
+
+from __future__ import annotations
+
+import os
+
+# One BLAS thread, pinned before numpy is imported: the serial determinism contract.
+for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+os.environ.pop("PATCHX_SEED", None)
+
+import contextlib  # noqa: E402
+import hashlib  # noqa: E402
+import io  # noqa: E402
+import sys  # noqa: E402
+from pathlib import Path  # noqa: E402
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+from patchx.cli import main as patchx  # noqa: E402
+
+RUN_FILES = ("metrics.json", "vectors_train.csv", "vectors_test.csv", "bundle.pchx",
+             "resolved_config.ini")
+SHALLOW = ("svm", "forest", "trivial")
+
+
+def call(*argv: str) -> None:
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = patchx(list(argv))
+    if code != 0:
+        raise SystemExit(f"patchx {' '.join(argv)} exited with {code}")
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 1:
+        print(__doc__.strip().splitlines()[2], file=sys.stderr)
+        return 2
+    out = Path(argv[0])
+    data, runs = out / "data", out / "runs"
+    call("generate", "--out", str(data), "--train-count", "1000", "--val-count", "300",
+         "--test-count", "400", "--seed", "7")
+    for kind in SHALLOW:
+        call("run", "--source", "files", "--data-dir", str(data), "--out", str(runs),
+             "--run-name", kind, "--epochs", "2", "--patience", "0", "--filters", "16,32",
+             "--seed", "7", "--standardize", "true", "--shallow", kind)
+    bundle, test = str(runs / "svm" / "bundle.pchx"), str(data / "test.csv")
+    ids = [arg for i in range(5) for arg in ("--sample-id", str(i))]
+    call("explain", "--bundle", bundle, "--data", test, *ids, "--out", str(out / "explain"))
+    call("explain", "--bundle", bundle, "--data", test, "--mislabels", "--out", str(out / "mislabels"))
+    call("histogram", "--bundle", bundle, "--data", test, "--per-class", "--out", str(out / "histogram.json"))
+
+    paths = [runs / kind / name for kind in SHALLOW for name in RUN_FILES]
+    paths += sorted((out / "explain").iterdir()) + [out / "mislabels" / "mislabel_report.json",
+                                                     out / "histogram.json"]
+    for path in paths:
+        print(f"{hashlib.sha256(path.read_bytes()).hexdigest()[:12]}  {path.relative_to(out)}")
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main(sys.argv[1:]))

@@ -17,7 +17,6 @@ from .data import (
     load_dataset,
     normalization_stats,
     save_dataset,
-    split_holdout,
     znormalize,
 )
 from .metadata import PresenceMatrix, extract_all
@@ -59,7 +58,6 @@ __all__ = [
     "run_pipeline",
     "save_bundle",
     "save_dataset",
-    "split_holdout",
     "train",
     "train_blackbox",
     "znormalize",

@@ -1,9 +1,10 @@
 """Persisted pipeline artifact and the single inference path.
 
 Inference on any dataset, including a one-sample one built for an
-explanation, runs the same four steps: patch arrays, network softmax, the
-class-presence matrix (metadata.extract_all), and the shallow model's
-predict_all.
+explanation, runs the same four steps: patch arrays, network softmax of shape
+(samples, slots, classes), the class-presence matrix (metadata.extract_all),
+and the shallow model's predict_all. Every sample has the patch_spans layout,
+so a patch is addressed by its (sample row, slot) position.
 
 File layout (all little-endian):
 
@@ -32,7 +33,7 @@ import numpy as np
 from .data import Dataset, NormStats, TimeSeriesSample, znormalize
 from .metadata import PresenceMatrix, extract_all
 from .neuralnet import DimensionError, NetworkSpec, PatchNet, build_network, forward_all
-from .patching import PatchConfig, build_patch_arrays
+from .patching import PatchConfig, build_patch_arrays, patch_spans
 from .shallow import ForestModel, SvmModel, TreeArrays, TrivialModel, predict_all
 
 MAGIC = b"PCHX1"
@@ -59,21 +60,13 @@ class PatchXBundle:
 
     # -- inference ---------------------------------------------------------
 
-    def patch_predictions(
-        self, dataset: Dataset
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Softmax for every patch of every sample.
-
-        Returns (softmaxes, sample_ids, config_indices, labels) in the
-        canonical samples -> configs -> patch order.
-        """
+    def patch_predictions(self, dataset: Dataset) -> np.ndarray:
+        """Softmax of every patch, shape (n_samples, P, class_count): row i,
+        slot k is patch patch_spans(length, patch_configs)[k] of sample i."""
         spec = self.network.spec
         channels = spec.input_channels - (1 if self.patch_configs[0].attach else 0)
         if not dataset.samples:
             raise ValueError("dataset is empty")
-        ids = [s.id for s in dataset.samples]
-        if any(a == b for a, b in zip(ids, ids[1:])):
-            raise ValueError("adjacent samples share an id; each needs its own presence row")
         if (dataset.channels, dataset.length) != (channels, spec.input_length):
             raise DimensionError(
                 f"dataset samples have (channels, length) {(dataset.channels, dataset.length)}, "
@@ -84,17 +77,19 @@ class PatchXBundle:
                 f"dataset has {dataset.class_count} classes, the bundle {self.class_count}"
             )
         normalized = znormalize(dataset, self.norm_stats) if self.norm_stats else dataset
-        x, labels, sample_ids, config_indices = build_patch_arrays(normalized, self.patch_configs)
-        return forward_all(self.network, x), sample_ids, config_indices, labels
+        x = build_patch_arrays(normalized, self.patch_configs)[0]
+        return forward_all(self.network, x).reshape(len(dataset), -1, self.class_count)
 
-    def presence(self, predictions: tuple) -> PresenceMatrix:
-        """The class-presence matrix of patch_predictions output."""
+    def presence(self, dataset: Dataset, softmaxes: np.ndarray) -> PresenceMatrix:
+        """The class-presence matrix of the dataset's patch_predictions."""
+        spans = patch_spans(dataset.length, self.patch_configs)
         return extract_all(
-            *predictions, class_count=self.class_count, n_configs=len(self.patch_configs)
+            softmaxes, [ci for ci, _, _, _ in spans], dataset.ids(), dataset.labels_array(),
+            class_count=self.class_count, n_configs=len(self.patch_configs),
         )
 
     def vectors(self, dataset: Dataset) -> PresenceMatrix:
-        return self.presence(self.patch_predictions(dataset))
+        return self.presence(dataset, self.patch_predictions(dataset))
 
     def predict_dataset(self, dataset: Dataset) -> tuple[np.ndarray, PresenceMatrix]:
         matrix = self.vectors(dataset)
@@ -106,9 +101,10 @@ class PatchXBundle:
         """One sample through the dataset path: the softmax of each of its
         patches (rows in patch_spans order), its predicted label, and its
         one-row presence matrix."""
-        predictions = self.patch_predictions(Dataset([sample], self.class_count, split="sample"))
-        matrix = self.presence(predictions)
-        return predictions[0], int(predict_all(self.shallow_model, matrix)[0]), matrix
+        dataset = Dataset([sample], self.class_count, split="sample")
+        softmaxes = self.patch_predictions(dataset)
+        matrix = self.presence(dataset, softmaxes)
+        return softmaxes[0], int(predict_all(self.shallow_model, matrix)[0]), matrix
 
     def predict_sample(self, sample: TimeSeriesSample) -> tuple[int, PresenceMatrix]:
         _, label, matrix = self.sample_patch_predictions(sample)

@@ -130,8 +130,9 @@ def _checked(option: Option, text: str, origin: str) -> str:
 
 def load_config(path: str | None) -> configparser.ConfigParser:
     """The OPTIONS defaults overlaid with an INI file whose every section, key
-    and value is checked against the table."""
-    config = configparser.ConfigParser()
+    and value is checked against the table. Values are literal: '%' is no
+    interpolation syntax."""
+    config = configparser.ConfigParser(interpolation=None)
     for o in OPTIONS:
         config.read_dict({o.section: {o.key: o.default}})
     if not path:
@@ -284,9 +285,10 @@ def cmd_run(args: argparse.Namespace) -> int:
     stage = "configure"
     try:
         patch_configs, conv_blocks, train_spec, shallow_spec = build_specs(config)
-        run_dir = make_run_dir(args.out, args.run_name)
         stage = "data"
         train, val, test = load_run_datasets(config)
+        stage = "run directory"
+        run_dir = make_run_dir(args.out, args.run_name)
         stage = "pipeline"
         v = _values(config)
         net_spec = default_network_spec(train, patch_configs, seed=v["seed"], conv_blocks=conv_blocks)
@@ -324,8 +326,8 @@ def cmd_bench(args: argparse.Namespace) -> int:
     config = load_config(args.config)
     apply_overrides(config, args)
     _, conv_blocks, train_spec, shallow_spec = build_specs(config)
-    run_dir = make_run_dir(args.out, args.run_name)
     train, val, test = load_run_datasets(config)
+    run_dir = make_run_dir(args.out, args.run_name)
     v = _values(config)
 
     cells = []
@@ -567,8 +569,8 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (BundleError, ConfigError, DimensionError, ParseError) as err:
-        print(f"patchx {args.command}: {err}", file=sys.stderr)
+    except (BundleError, ConfigError, DimensionError, ParseError, OSError) as err:
+        print(f"patchx {args.command}: {err}", file=sys.stderr)  # an OSError names its path
         return 2
 
 

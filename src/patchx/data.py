@@ -1,4 +1,4 @@
-"""Loading, generation, normalization, and splitting of labeled time-series datasets.
+"""Loading, generation, and normalization of labeled time-series datasets.
 
 A dataset is an ordered list of fixed-shape multichannel samples with integer
 class labels. The synthetic point-anomaly generator reproduces the shape of the
@@ -200,48 +200,6 @@ def znormalize(dataset: Dataset, stats: NormStats | None = None) -> Dataset:
         replace(s, values=(s.values - mean) / std) for s in dataset.samples
     ]
     return Dataset(samples=samples, class_count=dataset.class_count, split=dataset.split)
-
-
-def split_holdout(
-    dataset: Dataset,
-    fractions: tuple[float, float] = (0.5, 0.2),
-    seed: int = 0,
-) -> tuple[Dataset, Dataset, Dataset]:
-    """Stratified train/val/test split preserving the original sample ids."""
-    f_train, f_val = fractions
-    if f_train <= 0 or f_val <= 0 or f_train + f_val >= 1:
-        raise ValueError(f"fractions must be positive and sum below 1, got {fractions}")
-    rng = np.random.default_rng(seed)
-    by_class: dict[int, list[int]] = {}
-    for idx, s in enumerate(dataset.samples):
-        by_class.setdefault(s.label, []).append(idx)
-    picks: dict[str, list[int]] = {"train": [], "val": [], "test": []}
-    for label in sorted(by_class):
-        indices = np.array(by_class[label])
-        if len(indices) < 3:
-            raise ValueError(
-                f"class {label} has {len(indices)} sample(s); need at least 3 to stratify"
-            )
-        rng.shuffle(indices)
-        n = len(indices)
-        n_train = max(1, round(n * f_train))
-        n_val = max(1, round(n * f_val))
-        if n_train + n_val >= n:  # keep at least one test sample per class
-            n_train = max(1, n - n_val - 1)
-        picks["train"].extend(indices[:n_train])
-        picks["val"].extend(indices[n_train : n_train + n_val])
-        picks["test"].extend(indices[n_train + n_val :])
-    out = []
-    for split_name in ("train", "val", "test"):
-        chosen = sorted(picks[split_name])
-        out.append(
-            Dataset(
-                samples=[dataset.samples[i] for i in chosen],
-                class_count=dataset.class_count,
-                split=split_name,
-            )
-        )
-    return out[0], out[1], out[2]
 
 
 def save_dataset(dataset: Dataset, path: str | Path, delimiter: str = ",") -> None:

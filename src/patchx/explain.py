@@ -165,9 +165,9 @@ def confidence_histogram(
 
     The softmax maximum is never below 1/C, so the bins cover [1/C, 1].
     """
-    probs, _, _, _ = bundle.patch_predictions(dataset)
-    confidences = probs.max(axis=1)
-    winners = probs.argmax(axis=1)
+    probs = bundle.patch_predictions(dataset)
+    confidences = probs.max(axis=2)
+    winners = probs.argmax(axis=2)
     edges = _confidence_bin_edges(bundle.class_count, bin_width)
     counts, _ = np.histogram(confidences, bins=edges)
     breakdown = None
@@ -302,12 +302,11 @@ def mislabel_report(bundle: PatchXBundle, dataset: Dataset) -> list[MislabelEntr
 
     One network pass serves the sample labels and every sample's records.
     """
-    predictions = bundle.patch_predictions(dataset)
-    matrix = bundle.presence(predictions)
+    softmaxes = bundle.patch_predictions(dataset)
+    matrix = bundle.presence(dataset, softmaxes)
     preds = predict_all(bundle.shallow_model, matrix)
     scores = np.sort(bundle.shallow_model.decision_scores(matrix), axis=1)
     margins = scores[:, -1] - scores[:, -2]
-    per_sample = np.split(predictions[0], len(dataset.samples))
     entries = []
     for i in np.flatnonzero(preds != matrix.labels):
         sample = dataset.samples[i]
@@ -317,7 +316,7 @@ def mislabel_report(bundle: PatchXBundle, dataset: Dataset) -> list[MislabelEntr
                 true_label=sample.label,
                 predicted_label=int(preds[i]),
                 margin=float(margins[i]),
-                records=_patch_records(bundle, sample.id, sample.length, per_sample[i]),
+                records=_patch_records(bundle, sample.id, sample.length, softmaxes[i]),
             )
         )
     entries.sort(key=lambda e: (e.margin, e.sample_id))

@@ -6,8 +6,9 @@ the lowest class index. The result is a time-independent feature vector with
 one block of class_count entries per config. Alongside the confidence sums the
 per-class win counts are kept, which is what occurrence voting needs.
 
-All samples of a dataset live in one PresenceMatrix, built from the batched
-patch softmaxes in a single np.add.at pass; every inference path (datasets,
+All samples of a dataset live in one PresenceMatrix, built in one np.add.at
+pass from the (samples, slots, classes) patch softmaxes, where slot k of every
+sample is row k of patching.patch_spans; every inference path (datasets,
 single samples, explanations) goes through extract_all.
 """
 
@@ -45,48 +46,42 @@ class PresenceMatrix:
 
 def extract_all(
     softmaxes: np.ndarray,
+    slot_configs: np.ndarray,
     sample_ids: np.ndarray,
-    config_indices: np.ndarray,
     labels: np.ndarray,
     class_count: int,
     n_configs: int,
 ) -> PresenceMatrix:
-    """Group batched patch predictions by sample id into one presence matrix.
+    """One presence row per sample row of (n, P, class_count) patch softmaxes.
 
-    Rows must be ordered so that all patches of one sample are contiguous (the
-    order build_patch_arrays produces). Every softmax row contributes its
-    maximum to exactly one (sample, config, argmax class) entry; entries are
-    accumulated in row order, so patch order within a sample affects the
-    result only through float accumulation order.
+    slot_configs (P,) is the config index of each slot, the same for every
+    sample; sample_ids and labels (n,) are copied to the rows. Every softmax
+    contributes its maximum to exactly one (sample, config, argmax class)
+    entry, accumulated sample by sample in slot order.
     """
     softmaxes = np.asarray(softmaxes)
-    if len(softmaxes) == 0:
+    if softmaxes.size == 0:
         raise ValueError("empty prediction list: no patch predictions to extract from")
-    if softmaxes.ndim != 2 or softmaxes.shape[1] != class_count:
-        raise ValueError(f"softmax length {softmaxes.shape[1:]} != ({class_count},)")
-    config_indices = np.asarray(config_indices, dtype=np.int64)
-    bad = (config_indices < 0) | (config_indices >= n_configs)
+    slot_configs = np.asarray(slot_configs, dtype=np.int64)
+    if softmaxes.ndim != 3 or softmaxes.shape[1:] != (len(slot_configs), class_count):
+        raise ValueError(f"softmax shape {softmaxes.shape} is not "
+                         f"(samples, {len(slot_configs)} slots, {class_count} classes)")
+    bad = (slot_configs < 0) | (slot_configs >= n_configs)
     if bad.any():
-        raise ValueError(f"config index {config_indices[bad][0]} out of range [0, {n_configs})")
-    sample_ids = np.asarray(sample_ids, dtype=np.int64)
-    first = np.diff(sample_ids, prepend=sample_ids[0] - 1) != 0  # first row of each sample
-    starts = np.flatnonzero(first)
-    row_sample = np.cumsum(first) - 1
-    winners = np.argmax(softmaxes, axis=1)  # ties go to the lowest class index
-    n = len(starts)
+        raise ValueError(f"config index {slot_configs[bad][0]} out of range [0, {n_configs})")
+    n = len(softmaxes)
+    winners = np.argmax(softmaxes, axis=2)  # (n, P); ties go to the lowest class index
+    at = (np.arange(n)[:, None], slot_configs, winners)
     blocks = np.zeros((n, n_configs, class_count))
     counts = np.zeros((n, n_configs, class_count), dtype=np.int64)
-    patch_counts = np.zeros((n, n_configs), dtype=np.int64)
-    np.add.at(blocks, (row_sample, config_indices, winners),
-              softmaxes[np.arange(len(winners)), winners])
-    np.add.at(counts, (row_sample, config_indices, winners), 1)
-    np.add.at(patch_counts, (row_sample, config_indices), 1)
+    np.add.at(blocks, at, np.take_along_axis(softmaxes, winners[..., None], axis=2)[..., 0])
+    np.add.at(counts, at, 1)
     return PresenceMatrix(
-        sample_ids=sample_ids[starts],
-        labels=np.asarray(labels, dtype=np.int64)[starts],
+        sample_ids=np.asarray(sample_ids, dtype=np.int64),
+        labels=np.asarray(labels, dtype=np.int64),
         blocks=blocks,
         counts=counts,
-        patch_counts=patch_counts,
+        patch_counts=np.tile(np.bincount(slot_configs, minlength=n_configs), (n, 1)),
     )
 
 

@@ -243,11 +243,6 @@ def softmax(logits: np.ndarray) -> np.ndarray:
 # -- spec operations -------------------------------------------------------
 
 
-def forward(net: PatchNet, values: np.ndarray) -> np.ndarray:
-    """Softmax prediction for a single patch array, shape (class_count,)."""
-    return net.forward_batch(values[None])[0]
-
-
 def forward_all(net: PatchNet, x: np.ndarray) -> np.ndarray:
     """Softmax of every row of x, shape (len(x), class_count); the one
     evaluation forward path, run in EVAL_BATCH slices."""
@@ -255,14 +250,6 @@ def forward_all(net: PatchNet, x: np.ndarray) -> np.ndarray:
     for lo in range(0, len(x), EVAL_BATCH):
         probs[lo : lo + EVAL_BATCH] = net.forward_batch(x[lo : lo + EVAL_BATCH])
     return probs
-
-
-def patch_cross_entropy(prediction: np.ndarray, label: int) -> float:
-    """-log of the predicted probability of the label, clamped at 1e-12."""
-    prediction = np.asarray(prediction)
-    if not (0 <= label < prediction.shape[-1]):
-        raise IndexError(f"label {label} outside [0, {prediction.shape[-1]})")
-    return float(-np.log(max(float(prediction[label]), LOG_CLAMP)))
 
 
 def batch_cross_entropy(probs: np.ndarray, labels: np.ndarray) -> float:

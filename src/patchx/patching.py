@@ -11,9 +11,9 @@ A patch config is a (stride, length) pair plus three transformation flags:
 Patch p of a sample starts at p*stride; every p with p*stride < sample length
 is enumerated and the final window is truncated at the sample boundary.
 
-build_patch_arrays is the one patch builder the pipeline runs. transform,
-PatchInstance and build_patch_dataset cut one patch object at a time; they
-are the reference its tests check it against.
+All samples of a dataset share one patch layout, the patch_spans table: slot
+k of every sample is the patch (config_index, p, start, end) = spans[k], and
+a patch row is addressed by its position, (sample row, slot).
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset, TimeSeriesSample
+from .data import Dataset
 
 
 class ConfigError(ValueError):
@@ -55,23 +55,6 @@ class PatchConfig:
             )
 
 
-@dataclass
-class PatchInstance:
-    """One transformed patch, same time dimension as its source sample.
-
-    valid_range is the half-open [start, end) interval of time-steps that carry
-    window content in this instance's own coordinates (so it starts at 0 when
-    notemp shifted). The label is inherited from the source sample.
-    """
-
-    sample_id: int
-    config_index: int
-    patch_index: int
-    values: np.ndarray  # (channels [+1 if attach], length)
-    valid_range: tuple[int, int]
-    label: int
-
-
 def enumerate_patches(sample_length: int, config: PatchConfig) -> list[tuple[int, int, int]]:
     """All (p, start, end) with p*stride < sample_length, in p order; end is
     truncated at the sample boundary."""
@@ -86,47 +69,13 @@ def enumerate_patches(sample_length: int, config: PatchConfig) -> list[tuple[int
 
 
 def patch_spans(sample_length: int, configs: list[PatchConfig]) -> list[tuple[int, int, int, int]]:
-    """(config_index, p, start, end) of every patch of a sample, in the order
-    samples -> configs -> patch index that build_patch_arrays uses."""
+    """(config_index, p, start, end) of every patch slot of a sample, configs
+    first, then patch index: the layout every sample shares."""
     return [
         (ci, p, start, end)
         for ci, config in enumerate(configs)
         for p, start, end in enumerate_patches(sample_length, config)
     ]
-
-
-def transform(
-    sample: TimeSeriesSample,
-    p: int,
-    config: PatchConfig,
-    config_index: int = 0,
-) -> PatchInstance:
-    """Cut patch p out of the sample, keeping the full sample length."""
-    length = sample.length
-    config.validate(length)
-    start = p * config.stride
-    if p < 0 or start >= length:
-        raise IndexError(f"patch index {p} invalid for sample length {length}")
-    end = min(start + config.length, length)
-    width = end - start
-    channels = sample.channels + (1 if config.attach else 0)
-    values = np.zeros((channels, length), dtype=np.float64)
-    if config.notemp:
-        values[: sample.channels, :width] = sample.values[:, start:end]
-        valid = (0, width)
-    else:
-        values[: sample.channels, start:end] = sample.values[:, start:end]
-        valid = (start, end)
-    if config.attach:
-        values[-1, valid[0] : valid[1]] = 1.0
-    return PatchInstance(
-        sample_id=sample.id,
-        config_index=config_index,
-        patch_index=p,
-        values=values,
-        valid_range=valid,
-        label=sample.label,
-    )
 
 
 def _check_configs(configs: list[PatchConfig], sample_length: int | None = None) -> None:
@@ -141,35 +90,16 @@ def _check_configs(configs: list[PatchConfig], sample_length: int | None = None)
         )
 
 
-def build_patch_dataset(dataset: Dataset, configs: list[PatchConfig]) -> list[PatchInstance]:
-    """Transform every sample under every config; order is samples, then
-    configs, then patch index."""
-    if not dataset.samples:
-        _check_configs(configs)
-        return []
-    _check_configs(configs, dataset.length)
-    instances = []
-    for sample in dataset.samples:
-        for ci, config in enumerate(configs):
-            for p, _, _ in enumerate_patches(sample.length, config):
-                instances.append(transform(sample, p, config, config_index=ci))
-    return instances
+def build_patch_arrays(dataset: Dataset, configs: list[PatchConfig]) -> tuple[np.ndarray, np.ndarray]:
+    """Every patch of every sample as one array.
 
-
-def build_patch_arrays(
-    dataset: Dataset, configs: list[PatchConfig]
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Every patch of every sample as one array; build_patch_dataset is its
-    one-object-per-patch reference.
-
-    Returns (values, labels, sample_ids, config_indices) where values has shape
-    (n_samples * patches_per_sample, channels, length) in exactly the order
-    build_patch_dataset would produce.
+    Returns (values, labels): values has shape (n_samples * P, channels,
+    length), where P = len(patch_spans(length, configs)) and row i * P + k is
+    slot k of sample row i; labels holds each patch's inherited label.
     """
     if not dataset.samples:
         _check_configs(configs)
-        empty = np.zeros((0,), dtype=np.int64)
-        return np.zeros((0, 0, 0)), empty, empty.copy(), empty.copy()
+        return np.zeros((0, 0, 0)), np.zeros((0,), dtype=np.int64)
     length = dataset.length
     _check_configs(configs, length)
     spans = patch_spans(length, configs)
@@ -189,6 +119,4 @@ def build_patch_arrays(
         if attach:
             values[:, slot, -1, lo:hi] = 1.0
     labels = np.repeat(dataset.labels_array(), per_sample)
-    sample_ids = np.repeat(np.array(dataset.ids(), dtype=np.int64), per_sample)
-    config_indices = np.tile(np.array([ci for ci, _, _, _ in spans], dtype=np.int64), n)
-    return values.reshape(n * per_sample, channels, length), labels, sample_ids, config_indices
+    return values.reshape(n * per_sample, channels, length), labels

@@ -100,8 +100,8 @@ def run_pipeline(
     norm_train = znormalize(train, stats) if stats else train
     norm_val = znormalize(val, stats) if stats else val
 
-    x_train, y_train, _, _ = build_patch_arrays(norm_train, configs)
-    x_val, y_val, _, _ = build_patch_arrays(norm_val, configs)
+    x_train, y_train = build_patch_arrays(norm_train, configs)
+    x_val, y_val = build_patch_arrays(norm_val, configs)
     timing = {"patching_seconds": time.perf_counter() - t0}
 
     network = build_network(net_spec)

@@ -1,0 +1,117 @@
+"""Reference implementations that the runtime's array paths are tested against.
+
+The per-patch object path: transform cuts one patch object at a time, and
+build_patch_dataset enumerates them in the order samples -> configs -> patch
+index. build_patch_arrays, the one patch builder the pipeline runs, must equal
+it bit for bit. forward and patch_cross_entropy evaluate the network on a
+single patch.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+import numpy as np
+
+from patchx.data import Dataset, TimeSeriesSample
+from patchx.neuralnet import LOG_CLAMP, PatchNet
+from patchx.patching import PatchConfig, _check_configs, enumerate_patches
+
+
+@dataclass
+class PatchInstance:
+    """One transformed patch, same time dimension as its source sample.
+
+    valid_range is the half-open [start, end) interval of time-steps that carry
+    window content in this instance's own coordinates (so it starts at 0 when
+    notemp shifted). The label is inherited from the source sample.
+    """
+
+    sample_id: int
+    config_index: int
+    patch_index: int
+    values: np.ndarray  # (channels [+1 if attach], length)
+    valid_range: tuple[int, int]
+    label: int
+
+
+def transform(
+    sample: TimeSeriesSample,
+    p: int,
+    config: PatchConfig,
+    config_index: int = 0,
+) -> PatchInstance:
+    """Cut patch p out of the sample, keeping the full sample length."""
+    length = sample.length
+    config.validate(length)
+    start = p * config.stride
+    if p < 0 or start >= length:
+        raise IndexError(f"patch index {p} invalid for sample length {length}")
+    end = min(start + config.length, length)
+    width = end - start
+    channels = sample.channels + (1 if config.attach else 0)
+    values = np.zeros((channels, length), dtype=np.float64)
+    if config.notemp:
+        values[: sample.channels, :width] = sample.values[:, start:end]
+        valid = (0, width)
+    else:
+        values[: sample.channels, start:end] = sample.values[:, start:end]
+        valid = (start, end)
+    if config.attach:
+        values[-1, valid[0] : valid[1]] = 1.0
+    return PatchInstance(
+        sample_id=sample.id,
+        config_index=config_index,
+        patch_index=p,
+        values=values,
+        valid_range=valid,
+        label=sample.label,
+    )
+
+
+def build_patch_dataset(dataset: Dataset, configs: list[PatchConfig]) -> list[PatchInstance]:
+    """Transform every sample under every config; order is samples, then
+    configs, then patch index."""
+    if not dataset.samples:
+        _check_configs(configs)
+        return []
+    _check_configs(configs, dataset.length)
+    instances = []
+    for sample in dataset.samples:
+        for ci, config in enumerate(configs):
+            for p, _, _ in enumerate_patches(sample.length, config):
+                instances.append(transform(sample, p, config, config_index=ci))
+    return instances
+
+
+def forward(net: PatchNet, values: np.ndarray) -> np.ndarray:
+    """Softmax prediction for a single patch array, shape (class_count,)."""
+    return net.forward_batch(values[None])[0]
+
+
+def patch_cross_entropy(prediction: np.ndarray, label: int) -> float:
+    """-log of the predicted probability of the label, clamped at 1e-12."""
+    prediction = np.asarray(prediction)
+    if not (0 <= label < prediction.shape[-1]):
+        raise IndexError(f"label {label} outside [0, {prediction.shape[-1]})")
+    return float(-np.log(max(float(prediction[label]), LOG_CLAMP)))
+
+
+def extract_loop(
+    softmaxes: np.ndarray, slot_configs, class_count: int, n_configs: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Presence blocks, win counts and patch counts of (n, P, class_count)
+    softmaxes, one patch at a time: samples in row order, slots in order,
+    argmax ties to the lowest class."""
+    n = len(softmaxes)
+    blocks = np.zeros((n, n_configs, class_count))
+    counts = np.zeros((n, n_configs, class_count), dtype=np.int64)
+    patch_counts = np.zeros((n, n_configs), dtype=np.int64)
+    for i in range(n):
+        for k, ci in enumerate(slot_configs):
+            row = softmaxes[i, k]
+            winner = min(np.flatnonzero(row == row.max()))
+            blocks[i, ci, winner] += row[winner]
+            counts[i, ci, winner] += 1
+            patch_counts[i, ci] += 1
+    return blocks, counts, patch_counts

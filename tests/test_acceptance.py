@@ -20,9 +20,11 @@ from patchx.neuralnet import (
     gradcheck_case,
     gradient_check,
 )
-from patchx.patching import ConfigError, PatchConfig, enumerate_patches, transform
+from patchx.patching import ConfigError, PatchConfig, enumerate_patches
 from patchx.pipeline import refit_shallow, run_pipeline
 from patchx.shallow import ShallowSpec, SvmSpec
+
+from oracles import transform
 
 
 def report(criterion: int, name: str, passed: bool, detail: str) -> None:
@@ -177,9 +179,9 @@ def test_criterion_4_metadata_oracle():
                 p[top[0]] = p[top[1]] = tied
                 p /= p.sum()
             preds.append((int(rng.integers(0, n_configs)), p))
-        vector = extract_all(
-            np.array([p for _, p in preds]), np.zeros(n_patches), [k for k, _ in preds],
-            np.zeros(n_patches), class_count=class_count, n_configs=n_configs,
+        vector = extract_all(  # one sample whose slots carry these configs
+            np.array([[p for _, p in preds]]), [k for k, _ in preds], [0], [0],
+            class_count=class_count, n_configs=n_configs,
         )
         expected = np.zeros((n_configs, class_count))
         counts = np.zeros((n_configs, class_count), dtype=np.int64)
@@ -213,21 +215,18 @@ def test_criterion_5_patch_level_accuracy(anomaly_e2e):
     # generator's patch truth (peak inside the span of an anomalous sample)
     bundle = anomaly_e2e["svm"].bundle
     test = anomaly_e2e["test"]
-    probs, sample_ids, config_indices, _ = bundle.patch_predictions(test)
-    preds = np.argmax(probs, axis=1)
+    probs = bundle.patch_predictions(test)  # (samples, slots, classes)
+    preds = np.argmax(probs, axis=2)
     spans = [
         (ci, start, end)
         for ci, config in enumerate(bundle.patch_configs)
         for _, start, end in enumerate_patches(test.length, config)
     ]
-    by_id = {s.id: s for s in test.samples}
-    truth = np.zeros(len(preds), dtype=np.int64)
-    per_sample = len(spans)
-    for i in range(len(preds)):
-        sample = by_id[int(sample_ids[i])]
-        _, start, end = spans[i % per_sample]
+    truth = np.zeros(preds.shape, dtype=np.int64)
+    for i, sample in enumerate(test.samples):
         if sample.meta is not None and sample.label == 1:
-            truth[i] = int(start <= sample.meta["peak_step"] < end)
+            for k, (_, start, end) in enumerate(spans):
+                truth[i, k] = int(start <= sample.meta["peak_step"] < end)
     acc = float((preds == truth).mean())
     report(5, "patch-level accuracy vs generator truth", acc >= 0.95, f"{acc:.4f} >= 0.95")
     assert acc >= 0.95
@@ -423,8 +422,8 @@ def test_criterion_11_scaling_trend():
         spec = AnomalyGenSpec(train_count=n, val_count=200, test_count=10, seed=13)
         train, val, _ = generate_anomaly(spec)
         stats = normalization_stats(train)
-        x_train, y_train, _, _ = build_patch_arrays(znormalize(train, stats), CONFIGS)
-        x_val, y_val, _, _ = build_patch_arrays(znormalize(val, stats), CONFIGS)
+        x_train, y_train = build_patch_arrays(znormalize(train, stats), CONFIGS)
+        x_val, y_val = build_patch_arrays(znormalize(val, stats), CONFIGS)
         net = build_network(NetworkSpec(4, 50, 2, conv_blocks=((8, 3, "relu"), (16, 3, "relu")), seed=1))
         t0 = time.perf_counter()
         train_network(net, (x_train, y_train), (x_val, y_val),

@@ -168,6 +168,25 @@ class TestConfigChecks:
         assert "PATCHX_SEED: [data] seed = 'abc' is not an integer" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    def test_percent_in_file_is_a_literal(self, tmp_path, capsys):
+        config = tmp_path / "pct.ini"
+        config.write_text("[data]\nseed = 1%\n")
+        code = run_cli("run", "--config", str(config), "--out", str(tmp_path / "out"), *FAST[:-2])
+        assert code == 2
+        assert "[data] seed = '1%' is not an integer" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_percent_in_flag_is_a_literal(self, tmp_path):
+        data_dir = tmp_path / "data%1"
+        run_cli("generate", "--out", str(data_dir), *FAST)
+        code = run_cli("run", "--out", str(tmp_path), "--run-name", "pct", "--source", "files",
+                       "--data-dir", str(data_dir), "--epochs", "1", "--patience", "0",
+                       "--filters", "4", "--seed", "3")
+        assert code == 0
+        resolved = configparser.ConfigParser(interpolation=None)
+        resolved.read(tmp_path / "pct" / "resolved_config.ini")
+        assert resolved.get("data", "dir") == str(data_dir)
+
     @pytest.mark.parametrize("option", OPTIONS, ids=lambda o: o.key)
     def test_every_key_set_by_flag_and_by_file_alike(self, tmp_path, monkeypatch, option):
         monkeypatch.delenv("PATCHX_SEED", raising=False)
@@ -208,6 +227,40 @@ def test_readme_example_config(tmp_path):
     config = load_config(str(example))
     build_specs(config)
     assert config.get("data", "source") == "generate"
+
+
+class TestMissingFiles:
+    """A missing dataset or bundle stops a command with one line naming the
+    path, and leaves no run directory behind."""
+
+    def test_run_leaves_no_run_dir(self, tmp_path, capsys):
+        code = run_cli("run", "--out", str(tmp_path), "--run-name", "c", "--source", "files",
+                       "--data-dir", str(tmp_path / "nowhere"))
+        assert code == 1
+        assert "stage 'data'" in capsys.readouterr().err
+        assert not (tmp_path / "c").exists()
+
+    def test_bench_leaves_no_run_dir(self, tmp_path, capsys):
+        code = run_cli("bench", "--out", str(tmp_path), "--run-name", "c", "--source", "files",
+                       "--data-dir", str(tmp_path / "nowhere"))
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and str(tmp_path / "nowhere" / "train.csv") in err
+        assert not (tmp_path / "c").exists()
+
+    @pytest.mark.parametrize("missing", ["bundle", "data"])
+    def test_explain_names_the_missing_path(self, tmp_path, capsys, missing):
+        data_dir = tmp_path / "data"
+        run_cli("generate", "--out", str(data_dir), *FAST)
+        run_cli("run", "--out", str(tmp_path), "--run-name", "r", *FAST)
+        paths = {"bundle": tmp_path / "r" / "bundle.pchx", "data": data_dir / "test.csv"}
+        paths[missing] = tmp_path / f"no-{missing}"
+        code = run_cli("explain", "--bundle", str(paths["bundle"]), "--data", str(paths["data"]),
+                       "--sample-id", "0", "--out", str(tmp_path / "expl"))
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("patchx explain: ") and err.count("\n") == 1
+        assert str(paths[missing]) in err
 
 
 class TestBench:

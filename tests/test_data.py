@@ -13,7 +13,6 @@ from patchx.data import (
     load_dataset,
     normalization_stats,
     save_dataset,
-    split_holdout,
     znormalize,
 )
 
@@ -211,53 +210,6 @@ class TestZnormalize:
         twice = znormalize(once)
         a, b = once.values_array(), twice.values_array()
         assert np.max(np.abs(a - b) / np.maximum(np.abs(a), 1e-3)) < 1e-6
-
-
-class TestSplitHoldout:
-    def make_dataset(self, n=100, classes=2, seed=0):
-        rng = np.random.default_rng(seed)
-        samples = [
-            TimeSeriesSample(id=i, values=rng.normal(size=(1, 4)), label=i % classes)
-            for i in range(n)
-        ]
-        return Dataset(samples=samples, class_count=classes)
-
-    def test_sizes(self):
-        train, val, test = split_holdout(self.make_dataset(100), (0.5, 0.2), seed=1)
-        assert (len(train), len(val), len(test)) == (50, 20, 30)
-
-    def test_deterministic(self):
-        ds = self.make_dataset(60)
-        a = split_holdout(ds, seed=9)
-        b = split_holdout(ds, seed=9)
-        for x, y in zip(a, b):
-            assert x.ids() == y.ids()
-
-    def test_partition_of_ids(self):
-        ds = self.make_dataset(83, classes=3, seed=4)
-        train, val, test = split_holdout(ds, (0.6, 0.2), seed=2)
-        ids = [set(s.ids()) for s in (train, val, test)]
-        assert ids[0] | ids[1] | ids[2] == set(ds.ids())
-        assert not (ids[0] & ids[1]) and not (ids[0] & ids[2]) and not (ids[1] & ids[2])
-
-    def test_stratified(self):
-        ds = self.make_dataset(100, classes=2)
-        train, _, _ = split_holdout(ds, (0.5, 0.2), seed=3)
-        labels = train.labels_array()
-        assert abs(labels.mean() - 0.5) < 0.08
-
-    def test_tiny_class_rejected(self):
-        samples = [
-            TimeSeriesSample(id=i, values=np.zeros((1, 3)), label=0) for i in range(10)
-        ]
-        samples.append(TimeSeriesSample(id=10, values=np.zeros((1, 3)), label=1))
-        ds = Dataset(samples=samples, class_count=2)
-        with pytest.raises(ValueError, match="class 1 has 1"):
-            split_holdout(ds)
-
-    def test_bad_fractions(self):
-        with pytest.raises(ValueError, match="fractions"):
-            split_holdout(self.make_dataset(), (0.8, 0.3))
 
 
 class TestDatasetValidation:

@@ -46,12 +46,11 @@ class TestExplainSample:
     def test_prediction_matches_shallow_on_extracted_vector(self, small_bundle, anomaly_splits):
         sample = anomaly_splits[2].samples[3]
         records, prediction = explain_sample(small_bundle, sample)
-        n = len(records)
         matrix = extract_all(
-            np.array([r.softmax for r in records]),
-            np.full(n, sample.id),
-            np.array([r.config_index for r in records]),
-            np.full(n, sample.label),
+            np.array([[r.softmax for r in records]]),
+            [r.config_index for r in records],
+            [sample.id],
+            [sample.label],
             class_count=small_bundle.class_count,
             n_configs=len(small_bundle.patch_configs),
         )
@@ -87,6 +86,22 @@ class TestExplainSample:
         assert matrix.sample_ids.tolist() == [sample.id]
         assert matrix.patch_counts.tolist() == [[10, 5]]
 
+    def test_adjacent_shared_id_gets_two_rows(self, small_bundle, anomaly_splits):
+        # rows are addressed by position, so a repeated id never merges two samples
+        a, b = anomaly_splits[2].samples[:2]
+        twin = TimeSeriesSample(id=a.id, values=b.values, label=b.label)
+        dataset = Dataset(samples=[a, twin], class_count=2, split="test")
+        preds, matrix = small_bundle.predict_dataset(dataset)
+        assert matrix.sample_ids.tolist() == [a.id, a.id]
+        assert matrix.labels.tolist() == [a.label, b.label]
+        assert not np.array_equal(matrix.blocks[0], matrix.blocks[1])
+        for row, sample in enumerate((a, twin)):
+            label, own = small_bundle.predict_sample(sample)
+            assert preds[row] == label
+            np.testing.assert_allclose(matrix.blocks[row], own.blocks[0], rtol=0, atol=1e-12)
+            np.testing.assert_array_equal(matrix.counts[row], own.counts[0])
+            np.testing.assert_array_equal(matrix.patch_counts[row], own.patch_counts[0])
+
 
 class TestInputChecks:
     def test_length_mismatch_is_a_dimension_error(self, small_bundle, anomaly_splits):
@@ -110,13 +125,6 @@ class TestInputChecks:
     def test_empty_dataset_rejected(self, small_bundle):
         with pytest.raises(ValueError, match="empty"):
             small_bundle.predict_dataset(Dataset(samples=[], class_count=2, split="test"))
-
-    def test_adjacent_shared_id_rejected(self, small_bundle, anomaly_splits):
-        # the presence matrix would merge the two samples into one row
-        a, b = anomaly_splits[2].samples[:2]
-        twin = TimeSeriesSample(id=a.id, values=b.values, label=b.label)
-        with pytest.raises(ValueError, match="share an id"):
-            small_bundle.predict_dataset(Dataset(samples=[a, twin], class_count=2, split="test"))
 
 
 class TestHistogram:

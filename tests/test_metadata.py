@@ -2,6 +2,9 @@ import numpy as np
 import pytest
 
 from patchx.metadata import PresenceMatrix, extract_all, save_vectors
+from patchx.patching import PatchConfig, patch_spans
+
+from oracles import extract_loop
 
 
 def softmaxes(*rows):
@@ -9,15 +12,15 @@ def softmaxes(*rows):
 
 
 def extract(sample_id, predictions, class_count, n_configs, label=-1):
-    """One sample's (config_index, softmax) pairs through extract_all; returns
-    its presence blocks, counts and patch counts."""
+    """One sample whose slots hold these (config_index, softmax) pairs through
+    extract_all; returns its presence blocks, counts and patch counts."""
     n = len(predictions)
     probs = np.array([p for _, p in predictions]) if n else np.zeros((0, class_count))
     matrix = extract_all(
-        probs,
-        np.full(n, sample_id),
+        probs[None],
         np.array([ci for ci, _ in predictions], dtype=np.int64),
-        np.full(n, label),
+        [sample_id],
+        [label],
         class_count,
         n_configs,
     )
@@ -48,7 +51,7 @@ class TestExtract:
             extract(3, [], class_count=2, n_configs=1)
 
     def test_wrong_softmax_length(self):
-        with pytest.raises(ValueError, match="softmax length"):
+        with pytest.raises(ValueError, match="softmax shape"):
             extract(0, [(0, np.array([0.5, 0.3, 0.2]))], class_count=2, n_configs=1)
 
     def test_block_locality(self):
@@ -101,54 +104,58 @@ class TestExtract:
 
 class TestExtractAll:
     def test_two_configs_two_classes_gives_four_features(self):
-        probs = np.array([[0.6, 0.4]] * 6)
-        sample_ids = np.array([0, 0, 0, 1, 1, 1])
-        config_indices = np.array([0, 0, 1, 0, 0, 1])
-        labels = np.array([0, 0, 0, 1, 1, 1])
-        matrix = extract_all(probs, sample_ids, config_indices, labels, 2, 2)
+        probs = np.array([[[0.6, 0.4]] * 3] * 2)  # 2 samples, 3 slots
+        matrix = extract_all(probs, [0, 0, 1], [0, 1], [0, 1], 2, 2)
         assert len(matrix) == 2
         assert matrix.features().shape == (2, 4)
         assert matrix.labels.tolist() == [0, 1]
 
-    @staticmethod
-    def loop_reference(probs, ids, cis, class_count, n_configs):
-        """Sample by sample, patch by patch accumulation in row order."""
-        out = {}
-        for p, sid, ci in zip(probs, ids, cis):
-            blocks, counts = out.setdefault(
-                sid, (np.zeros((n_configs, class_count)), np.zeros((n_configs, class_count), int)))
-            winner = int(np.argmax(p))
-            blocks[ci, winner] += float(p[winner])
-            counts[ci, winner] += 1
-        return out
-
     def test_matches_per_sample_extract(self):
         rng = np.random.default_rng(3)
-        probs, ids, cis, labels = [], [], [], []
-        for sid in range(5):
-            for _ in range(7):
-                probs.append(rng.dirichlet(np.ones(2)))
-                ids.append(sid)
-                cis.append(int(rng.integers(0, 2)))
-                labels.append(sid % 2)
-        matrix = extract_all(np.array(probs), np.array(ids), np.array(cis), np.array(labels), 2, 2)
+        probs = rng.dirichlet(np.ones(2), size=(5, 7))
+        slot_configs = rng.integers(0, 2, 7)
+        matrix = extract_all(probs, slot_configs, np.arange(5), np.arange(5) % 2, 2, 2)
         assert matrix.sample_ids.tolist() == list(range(5))
-        reference = self.loop_reference(probs, ids, cis, 2, 2)
-        for sid in range(5):
-            blocks, counts = reference[sid]
-            np.testing.assert_array_equal(matrix.blocks[sid], blocks)  # bit for bit
-            np.testing.assert_array_equal(matrix.counts[sid], counts)
-            own = cis[sid * 7 : sid * 7 + 7]
-            assert matrix.patch_counts[sid].tolist() == [own.count(0), own.count(1)]
-            assert matrix.labels[sid] == sid % 2
+        blocks, counts, _ = extract_loop(probs, slot_configs, 2, 2)
+        np.testing.assert_array_equal(matrix.blocks, blocks)  # bit for bit
+        np.testing.assert_array_equal(matrix.counts, counts)
+        own = slot_configs.tolist()
+        assert matrix.patch_counts.tolist() == [[own.count(0), own.count(1)]] * 5
+        assert matrix.labels.tolist() == [0, 1, 0, 1, 0]
+
+    @pytest.mark.parametrize("length, tokens", [
+        (50, [(5, 10), (10, 20)]), (23, [(4, 9), (8, 16), (23, 23)]), (7, [(3, 3)]),
+        (40, [(1, 5), (13, 17)]),
+    ])
+    def test_matches_loop_oracle_over_spans_tables(self, length, tokens):
+        configs = [PatchConfig(stride, size) for stride, size in tokens]
+        slot_configs = [ci for ci, _, _, _ in patch_spans(length, configs)]
+        rng = np.random.default_rng(length)
+        for class_count in (2, 3, 5):
+            probs = rng.dirichlet(np.ones(class_count), size=(9, len(slot_configs)))
+            probs[rng.random(probs.shape[:2]) < 0.2] = 1.0 / class_count  # full ties
+            top2 = rng.random(probs.shape[:2]) < 0.2  # ties between two classes
+            probs[top2, :2] = probs[top2, :2].max(axis=1, keepdims=True)
+            ids = rng.permutation(9)
+            matrix = extract_all(probs, slot_configs, ids, ids % class_count,
+                                 class_count, len(configs))
+            blocks, counts, patch_counts = extract_loop(probs, slot_configs, class_count, len(configs))
+            assert matrix.blocks.tobytes() == blocks.tobytes()  # bit for bit
+            np.testing.assert_array_equal(matrix.counts, counts)
+            np.testing.assert_array_equal(matrix.patch_counts, patch_counts)
+            assert matrix.sample_ids.tolist() == ids.tolist()
 
     def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            extract_all(np.zeros((0, 2)), np.zeros(0), np.zeros(0), np.zeros(0), 2, 1)
+        with pytest.raises(ValueError, match="empty"):
+            extract_all(np.zeros((0, 3, 2)), [0, 0, 0], [], [], 2, 1)
+
+    def test_slot_count_mismatch_rejected(self):
+        with pytest.raises(ValueError, match="3 slots"):
+            extract_all(np.full((1, 2, 2), 0.5), [0, 0, 0], [0], [0], 2, 1)
 
     def test_config_index_out_of_range(self):
         with pytest.raises(ValueError, match="config index 2 out of range"):
-            extract_all(np.full((2, 2), 0.5), np.zeros(2), np.array([0, 2]), np.zeros(2), 2, 2)
+            extract_all(np.full((1, 2, 2), 0.5), [0, 2], [0], [0], 2, 2)
 
 
 class TestFeatureVariants:

@@ -6,11 +6,11 @@ from patchx.patching import (
     ConfigError,
     PatchConfig,
     build_patch_arrays,
-    build_patch_dataset,
     enumerate_patches,
     patch_spans,
-    transform,
 )
+
+from oracles import build_patch_dataset, transform
 
 
 def brute_force_spans(sample_length, stride, length):
@@ -198,17 +198,18 @@ class TestInvariants:
                 assert np.all(out.values[0][mask == 0] == 0.0)
 
     def test_vectorized_arrays_match_object_path(self):
-        # build_patch_arrays is the runtime builder; transform is its reference
+        # build_patch_arrays is the runtime builder; transform is its reference.
+        # Row i * P + k is slot k of sample row i, with P = len(patch_spans).
         ds = make_dataset(n=6, channels=2, length=23, seed=3)
         for flags in self.FLAG_SETS:
             configs = [PatchConfig(4, 9, **flags), PatchConfig(8, 16, **flags)]
             patches = build_patch_dataset(ds, configs)
-            values, labels, sample_ids, config_indices = build_patch_arrays(ds, configs)
+            values, labels = build_patch_arrays(ds, configs)
             assert len(patches) == len(values)
-            spans = patch_spans(ds.length, configs) * len(ds)
+            spans = patch_spans(ds.length, configs)
             for i, patch in enumerate(patches):
+                row, slot = divmod(i, len(spans))
                 np.testing.assert_array_equal(values[i], patch.values)
                 assert labels[i] == patch.label
-                assert sample_ids[i] == patch.sample_id
-                assert config_indices[i] == patch.config_index
-                assert spans[i][:2] == (patch.config_index, patch.patch_index)
+                assert ds.samples[row].id == patch.sample_id
+                assert spans[slot][:2] == (patch.config_index, patch.patch_index)

@@ -41,10 +41,10 @@ def row(matrix, i):
 
 
 def extract(preds, class_count, n_configs):
-    """One sample's (config_index, softmax) pairs as a one-row presence matrix."""
-    n = len(preds)
-    return extract_all(np.array([p for _, p in preds]), np.zeros(n), [ci for ci, _ in preds],
-                       np.zeros(n), class_count, n_configs)
+    """One sample's (config_index, softmax) pairs as a one-row presence matrix:
+    its slots carry those configs."""
+    return extract_all(np.array([[p for _, p in preds]]), [ci for ci, _ in preds], [0], [0],
+                       class_count, n_configs)
 
 
 def predict(model, matrix):
