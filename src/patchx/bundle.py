@@ -14,10 +14,15 @@ File layout (all little-endian):
     ...         UTF-8 JSON header (specs, shallow metadata, array manifest)
     ...         raw array payload, float64/int64 buffers in manifest order
 
+Header records are the dataclasses' fields: specs and configs via asdict, the
+norm stats and shallow model via one field walk (_state) that puts each array
+in the payload as <prefix><field>. Each restored object checks its own state in
+its constructor, as a fitted one does; _check_parts then checks that they agree.
+
 Round-trips are bitwise faithful: every numeric parameter travels through the
 binary payload, never through JSON. A file that is cut short, whose lengths
 disagree with its manifest, or whose header lacks a key or has a value of the
-wrong type or shape is rejected with a BundleError naming the cause.
+wrong type, shape or state is rejected with a BundleError naming the cause.
 """
 
 from __future__ import annotations
@@ -25,7 +30,7 @@ from __future__ import annotations
 import json
 import math
 import struct
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -115,128 +120,67 @@ class PatchXBundle:
 
 
 _DTYPES = {"<f8": np.dtype("<f8"), "<i8": np.dtype("<i8")}
+_SHALLOW_KINDS = {model.kind: model for model in (SvmModel, ForestModel, TrivialModel)}
+
+
+def _state(obj, prefix: str) -> tuple[dict, dict[str, np.ndarray]]:
+    """The header meta and payload arrays of a dataclass, one per field: an
+    array field is the payload array prefix + name, a scalar a meta key, and
+    None is left out. A forest's trees travel as prefix + "offsets" plus the
+    node arrays of all trees, concatenated."""
+    meta, arrays = {}, {}
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        if isinstance(value, list):
+            arrays[prefix + "offsets"] = np.cumsum([0] + [len(t.feature) for t in value]).astype(np.int64)
+            for node in fields(value[0]):
+                arrays[prefix + node.name] = np.concatenate([getattr(t, node.name) for t in value])
+        elif isinstance(value, np.ndarray):
+            arrays[prefix + f.name] = value
+        elif value is not None:
+            meta[f.name] = value
+    return meta, arrays
 
 
 def _shallow_state(model) -> tuple[dict, dict[str, np.ndarray]]:
-    if isinstance(model, SvmModel):
-        meta = {
-            "kind": "svm",
-            "class_count": model.class_count,
-            "standardized": model.feature_mean is not None,
-            "collapse": model.collapse,
-            "normalize": model.normalize,
-        }
-        arrays = {"svm_weights": model.weights, "svm_biases": model.biases}
-        if model.feature_mean is not None:
-            arrays["svm_feature_mean"] = model.feature_mean
-            arrays["svm_feature_std"] = model.feature_std
-        return meta, arrays
-    if isinstance(model, ForestModel):
-        offsets = np.cumsum([0] + [len(t.feature) for t in model.trees]).astype(np.int64)
-        arrays = {
-            "forest_offsets": offsets,
-            "forest_feature": np.concatenate([t.feature for t in model.trees]),
-            "forest_threshold": np.concatenate([t.threshold for t in model.trees]),
-            "forest_left": np.concatenate([t.left for t in model.trees]),
-            "forest_right": np.concatenate([t.right for t in model.trees]),
-            "forest_leaf": np.concatenate([t.leaf_class for t in model.trees]),
-        }
-        meta = {
-            "kind": "forest",
-            "class_count": model.class_count,
-            "feature_dim": model.feature_dim,
-            "collapse": model.collapse,
-            "normalize": model.normalize,
-        }
-        return meta, arrays
-    if isinstance(model, TrivialModel):
-        meta = {
-            "kind": "trivial",
-            "mode": model.mode,
-            "class_count": model.class_count,
-            "n_configs": model.n_configs,
-        }
-        return meta, {}
-    raise BundleError(f"cannot serialize shallow model of type {type(model).__name__}")
+    meta, arrays = _state(model, f"{model.kind}_")
+    if model.kind == "svm":
+        meta["standardized"] = model.feature_mean is not None
+    return {"kind": model.kind, **meta}, arrays
 
 
-def _shallow_from_state(meta: dict, arrays: dict[str, np.ndarray]):
-    kind = meta["kind"]
-    if kind == "svm":
-        return SvmModel(
-            weights=arrays["svm_weights"],
-            biases=arrays["svm_biases"],
-            class_count=meta["class_count"],
-            feature_mean=arrays.get("svm_feature_mean"),
-            feature_std=arrays.get("svm_feature_std"),
-            collapse=meta["collapse"],
-            normalize=meta["normalize"],
-        )
-    if kind == "forest":
-        offsets = arrays["forest_offsets"]
-        trees = []
-        for i in range(len(offsets) - 1):
-            lo, hi = offsets[i], offsets[i + 1]
-            trees.append(
-                TreeArrays(
-                    feature=arrays["forest_feature"][lo:hi],
-                    threshold=arrays["forest_threshold"][lo:hi],
-                    left=arrays["forest_left"][lo:hi],
-                    right=arrays["forest_right"][lo:hi],
-                    leaf_class=arrays["forest_leaf"][lo:hi],
-                )
-            )
-        return ForestModel(
-            trees=trees,
-            class_count=meta["class_count"],
-            feature_dim=meta["feature_dim"],
-            collapse=meta["collapse"],
-            normalize=meta["normalize"],
-        )
-    if kind == "trivial":
-        return TrivialModel(
-            mode=meta["mode"], class_count=meta["class_count"], n_configs=meta["n_configs"]
-        )
-    raise BundleError(f"unknown shallow kind {kind!r} in bundle")
+def _restore(cls, prefix: str, meta: dict, arrays: dict[str, np.ndarray]):
+    """cls built from its header meta and its prefix + field payload arrays."""
+    state = {name[len(prefix):]: a for name, a in arrays.items() if name.startswith(prefix)}
+    if "offsets" in state:
+        offsets = state.pop("offsets")
+        if not (offsets.ndim == 1 and len(offsets) > 1 and offsets[0] == 0 and np.all(np.diff(offsets) > 0)
+                and {len(a) for a in state.values()} == {offsets[-1]}):
+            raise ValueError(f"{prefix}offsets do not rise strictly from 0 to the node count")
+        state = {"trees": [TreeArrays(**{k: a[lo:hi] for k, a in state.items()})
+                           for lo, hi in zip(offsets[:-1], offsets[1:])]}
+    return cls(**meta, **state)
 
 
 def save_bundle(bundle: PatchXBundle, path: str | Path) -> None:
-    arrays: dict[str, np.ndarray] = {}
-    for name, p in bundle.network.parameters():
-        arrays[f"net/{name}"] = p
+    arrays = {f"net/{name}": p for name, p in bundle.network.parameters()}
     if bundle.norm_stats is not None:
-        arrays["norm_mean"] = bundle.norm_stats.mean
-        arrays["norm_std"] = bundle.norm_stats.std
+        arrays.update(_state(bundle.norm_stats, "norm_")[1])
     shallow_meta, shallow_arrays = _shallow_state(bundle.shallow_model)
     arrays.update(shallow_arrays)
 
-    manifest = []
-    payload = bytearray()
+    manifest, payload = [], bytearray()
     for name in sorted(arrays):
-        arr = np.ascontiguousarray(arrays[name])
-        if arr.dtype == np.float64:
-            dtype = "<f8"
-        elif arr.dtype == np.int64:
-            dtype = "<i8"
-        else:
+        arr = np.asarray(arrays[name])
+        dtype = arr.dtype.newbyteorder("<").str
+        if dtype not in _DTYPES:
             raise BundleError(f"array {name} has unsupported dtype {arr.dtype}")
         manifest.append({"name": name, "dtype": dtype, "shape": list(arr.shape)})
-        payload.extend(arr.astype(_DTYPES[dtype], copy=False).tobytes())
+        payload.extend(arr.astype(dtype, copy=False).tobytes())
 
-    spec = bundle.network.spec
     header = {
-        "network": {
-            "input_channels": spec.input_channels,
-            "input_length": spec.input_length,
-            "class_count": spec.class_count,
-            "conv_blocks": [list(b) for b in spec.conv_blocks],
-            "seed": spec.seed,
-        },
-        "patch_configs": [
-            {"stride": c.stride, "length": c.length, "zero": c.zero,
-             "attach": c.attach, "notemp": c.notemp}
-            for c in bundle.patch_configs
-        ],
+        "network": asdict(bundle.network.spec),
+        "patch_configs": [asdict(c) for c in bundle.patch_configs],
         "normalized": bundle.norm_stats is not None,
         "metadata_options": {"collapse": bundle.collapse, "normalize": bundle.normalize_features},
         "shallow": shallow_meta,
@@ -296,35 +240,40 @@ def _decode(raw: bytes, header: dict, offset: int, path: str | Path) -> PatchXBu
                 f"{path}: payload truncated: array {entry['name']!r} needs bytes "
                 f"{offset}-{offset + nbytes}, the file has {len(raw)}"
             )
-        arr = np.frombuffer(raw[offset : offset + nbytes], dtype=dtype).reshape(shape)
-        arrays[entry["name"]] = arr.copy()
+        arrays[entry["name"]] = np.frombuffer(raw[offset : offset + nbytes], dtype=dtype).reshape(shape).copy()
         offset += nbytes
     if offset != len(raw):
         raise BundleError(f"{path}: {len(raw) - offset} trailing bytes after array payload")
 
-    net_meta = header["network"]
-    spec = NetworkSpec(
-        input_channels=net_meta["input_channels"],
-        input_length=net_meta["input_length"],
-        class_count=net_meta["class_count"],
-        conv_blocks=tuple(tuple(b) for b in net_meta["conv_blocks"]),
-        seed=net_meta["seed"],
-    )
+    net = header["network"]
+    spec = NetworkSpec(**{**net, "conv_blocks": tuple(map(tuple, net["conv_blocks"]))})
     network = build_network(spec)
     network.set_state({name: arrays[f"net/{name}"] for name, _ in network.parameters()})
     configs = [PatchConfig(**c) for c in header["patch_configs"]]
     for config in configs:
         config.validate(spec.input_length)
-    stats = None
-    if header["normalized"]:
-        stats = NormStats(mean=arrays["norm_mean"], std=arrays["norm_std"])
-    shallow = _shallow_from_state(header["shallow"], arrays)
+    stats = _restore(NormStats, "norm_", {}, arrays) if header["normalized"] else None
+    meta = dict(header["shallow"])
+    kind = meta.pop("kind")
+    if kind not in _SHALLOW_KINDS:
+        raise ValueError(f"unknown shallow kind {kind!r}")
+    shallow = _restore(_SHALLOW_KINDS[kind], f"{kind}_", meta, arrays)
+    _check_parts(spec, configs, stats, shallow)
     options = header["metadata_options"]
-    return PatchXBundle(
-        network=network,
-        patch_configs=configs,
-        norm_stats=stats,
-        shallow_model=shallow,
-        collapse=options["collapse"],
-        normalize_features=options["normalize"],
-    )
+    return PatchXBundle(network, configs, stats, shallow, options["collapse"], options["normalize"])
+
+
+def _check_parts(spec: NetworkSpec, configs: list[PatchConfig], stats: NormStats | None, shallow) -> None:
+    """The restored parts agree: norm stats per input channel, and a shallow
+    model that scores the bundle's presence layout to the network's classes."""
+    if not configs:
+        raise ValueError("the bundle has no patch configs")
+    channels = spec.input_channels - (1 if configs[0].attach else 0)
+    if stats is not None and stats.mean.shape != (channels,):
+        raise ValueError(f"norm stats are {stats.mean.shape}, the network takes {channels} data channels")
+    if shallow.class_count != spec.class_count:
+        raise ValueError(f"the shallow model has {shallow.class_count} classes, the network {spec.class_count}")
+    k, c = len(configs), spec.class_count
+    empty = PresenceMatrix(np.zeros(1, np.int64), np.zeros(1, np.int64), np.zeros((1, k, c)),
+                           np.zeros((1, k, c), np.int64), np.ones((1, k), np.int64))
+    shallow.decision_scores(empty)  # a ValueError on any other feature layout

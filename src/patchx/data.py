@@ -179,6 +179,12 @@ class NormStats:
     mean: np.ndarray  # (channels,)
     std: np.ndarray  # (channels,), clamped below at 1e-8
 
+    def __post_init__(self) -> None:
+        if not (np.ndim(self.mean) == 1 and np.shape(self.std) == np.shape(self.mean)
+                and np.all((self.std > 0) & (self.std < np.inf))):
+            raise ValueError(f"norm stats mean {np.shape(self.mean)} and std {np.shape(self.std)} "
+                             "are not (channels,) with a finite positive std")
+
 
 def normalization_stats(dataset: Dataset) -> NormStats:
     if not dataset.samples:

@@ -16,13 +16,14 @@ Three interchangeable kinds:
 
 Every model has one scoring method, decision_scores(matrix) -> (n, C), and a
 row's scores do not depend on the other rows of its batch. predict_all is the
-single argmax over them; ties always go to the lowest class index.
+single argmax over them; ties always go to the lowest class index. Each model
+checks its own fields when it is constructed, whether by fit or by a bundle.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
@@ -32,6 +33,15 @@ KINDS = ("svm", "forest", "trivial")
 FEATURE_SUBSAMPLES = ("sqrt", "all")
 TRIVIAL_MODES = ("occurrence", "confidence-sum", "logodds")
 _LOGIT_CLAMP = 1e-12
+
+
+def _require(ok, message: str) -> None:
+    if not ok:
+        raise ValueError(message)
+
+
+def _check_mode(mode: str) -> None:
+    _require(mode in TRIVIAL_MODES, f"unknown trivial mode {mode!r}; choose from {TRIVIAL_MODES}")
 
 
 @dataclass
@@ -69,8 +79,7 @@ class TrivialSpec:
     mode: str = "logodds"
 
     def validate(self) -> None:
-        if self.mode not in TRIVIAL_MODES:
-            raise ValueError(f"unknown trivial mode {self.mode!r}; choose from {TRIVIAL_MODES}")
+        _check_mode(self.mode)
 
 
 @dataclass
@@ -132,12 +141,24 @@ class SvmModel:
     weights: np.ndarray  # (class_count, dim)
     biases: np.ndarray  # (class_count,)
     class_count: int
-    feature_mean: np.ndarray | None
-    feature_std: np.ndarray | None
     collapse: bool
     normalize: bool
+    feature_mean: np.ndarray | None = None  # (dim,) with feature_std, or neither
+    feature_std: np.ndarray | None = None
+    standardized: InitVar[bool | None] = None  # a bundle's record of the pair above
 
     kind = "svm"
+
+    def __post_init__(self, standardized: bool | None) -> None:
+        c, shape = self.class_count, np.shape(self.weights)
+        mean, std = self.feature_mean, self.feature_std
+        _require(len(shape) == 2 and shape[0] == c and np.shape(self.biases) == (c,),
+                 f"svm weights {shape} and biases {np.shape(self.biases)} are not ({c}, dim) and ({c},)")
+        _require((mean is None) == (std is None) and standardized in (None, mean is not None),
+                 f"svm standardized={standardized!r} disagrees with its feature statistics")
+        _require(mean is None or np.shape(mean) == np.shape(std) == shape[1:]
+                 and np.all((std > 0) & (std < np.inf)),
+                 f"svm feature_mean and feature_std are not {shape[1:]} with a finite positive std")
 
     def decision_scores(self, matrix: PresenceMatrix) -> np.ndarray:
         x = _features(matrix, self.collapse, self.normalize, self.weights.shape[1])
@@ -166,14 +187,24 @@ class TreeArrays:
     threshold: np.ndarray  # float64
     left: np.ndarray  # int64
     right: np.ndarray  # int64
-    leaf_class: np.ndarray  # int64, -1 on internal nodes
+    leaf: np.ndarray  # int64 class of a leaf, -1 on internal nodes
+
+    def __post_init__(self) -> None:
+        """Node i's children, numbered in preorder, lie in (i, size): every walk ends."""
+        n, indices = len(self.feature), (self.feature, self.left, self.right, self.leaf)
+        _require(n > 0 and all(np.shape(a) == (n,) for a in (*indices, self.threshold))
+                 and all(a.dtype.kind == "i" for a in indices),
+                 "tree node arrays must be non-empty, 1-D, of equal length, with integer indices")
+        i, internal = np.arange(n), self.feature >= 0
+        children = (i < self.left) & (self.left < n) & (i < self.right) & (self.right < n)
+        _require(np.all(children[internal]), "a tree node's children must come after it in the tree")
 
     def predict(self, features: np.ndarray) -> np.ndarray:
         node = np.zeros(len(features), dtype=np.int64)
         while True:
             internal = self.feature[node] >= 0
             if not internal.any():
-                return self.leaf_class[node]
+                return self.leaf[node]
             rows = np.flatnonzero(internal)
             current = node[rows]
             go_left = features[rows, self.feature[current]] <= self.threshold[current]
@@ -231,53 +262,37 @@ def _grow_tree(
     spec: ForestSpec,
     rng: np.random.Generator,
 ) -> TreeArrays:
-    feature_nodes: list[int] = []
-    threshold_nodes: list[float] = []
-    left_nodes: list[int] = []
-    right_nodes: list[int] = []
-    leaf_nodes: list[int] = []
+    nodes: list[dict] = []  # the TreeArrays fields of each node, in preorder
     dim = features.shape[1]
     n_candidates = dim if spec.feature_subsample == "all" else max(1, int(math.isqrt(dim)))
 
-    def new_node() -> int:
-        feature_nodes.append(-1)
-        threshold_nodes.append(0.0)
-        left_nodes.append(-1)
-        right_nodes.append(-1)
-        leaf_nodes.append(-1)
-        return len(feature_nodes) - 1
-
     def build(idx: np.ndarray, depth: int) -> int:
-        node = new_node()
+        node = len(nodes)
+        nodes.append(dict(feature=-1, threshold=0.0, left=-1, right=-1, leaf=-1))
         y = labels[idx]
-        if (
+        split = None
+        if not (
             len(idx) < 2 * spec.min_leaf
             or (spec.max_depth is not None and depth >= spec.max_depth)
             or len(np.unique(y)) == 1
         ):
-            leaf_nodes[node] = _majority(y, class_count)
-            return node
-        candidates = np.sort(rng.choice(dim, size=n_candidates, replace=False))
-        split = _best_split(features[idx], y, candidates, class_count, spec.min_leaf)
+            candidates = np.sort(rng.choice(dim, size=n_candidates, replace=False))
+            split = _best_split(features[idx], y, candidates, class_count, spec.min_leaf)
         if split is None:
-            leaf_nodes[node] = _majority(y, class_count)
+            nodes[node]["leaf"] = _majority(y, class_count)
             return node
         f, threshold = split
         go_left = features[idx, f] <= threshold
-        feature_nodes[node] = f
-        threshold_nodes[node] = threshold
-        left_nodes[node] = build(idx[go_left], depth + 1)
-        right_nodes[node] = build(idx[~go_left], depth + 1)
+        nodes[node].update(feature=f, threshold=threshold)
+        nodes[node]["left"] = build(idx[go_left], depth + 1)
+        nodes[node]["right"] = build(idx[~go_left], depth + 1)
         return node
 
     build(np.arange(len(labels)), 0)
-    return TreeArrays(
-        feature=np.array(feature_nodes, dtype=np.int64),
-        threshold=np.array(threshold_nodes, dtype=np.float64),
-        left=np.array(left_nodes, dtype=np.int64),
-        right=np.array(right_nodes, dtype=np.int64),
-        leaf_class=np.array(leaf_nodes, dtype=np.int64),
-    )
+    return TreeArrays(**{
+        name: np.array([n[name] for n in nodes], dtype=np.float64 if name == "threshold" else np.int64)
+        for name in nodes[0]
+    })
 
 
 @dataclass
@@ -289,6 +304,15 @@ class ForestModel:
     normalize: bool
 
     kind = "forest"
+
+    def __post_init__(self) -> None:
+        _require(len(self.trees) > 0, "a forest needs at least one tree")
+        for tree in self.trees:
+            leaves = tree.leaf[tree.feature < 0]
+            _require(np.all(tree.feature < self.feature_dim),
+                     f"a tree splits on a feature outside [0, {self.feature_dim})")
+            _require(np.all((leaves >= 0) & (leaves < self.class_count)),
+                     f"a tree leaf class is outside [0, {self.class_count})")
 
     def decision_scores(self, matrix: PresenceMatrix) -> np.ndarray:
         """Share of the trees voting for each class."""
@@ -310,12 +334,12 @@ class TrivialModel:
 
     kind = "trivial"
 
+    def __post_init__(self) -> None:
+        _check_mode(self.mode)
+
     def decision_scores(self, matrix: PresenceMatrix) -> np.ndarray:
-        if matrix.blocks.shape[1:] != (self.n_configs, self.class_count):
-            raise ValueError(
-                f"presence blocks {matrix.blocks.shape[1:]} do not match "
-                f"({self.n_configs}, {self.class_count})"
-            )
+        _require(matrix.blocks.shape[1:] == (self.n_configs, self.class_count),
+                 f"presence blocks {matrix.blocks.shape[1:]} do not match ({self.n_configs}, {self.class_count})")
         counts = matrix.counts.sum(axis=1).astype(np.float64)
         sums = matrix.blocks.sum(axis=1)
         if self.mode == "occurrence":
@@ -363,28 +387,14 @@ def fit(
         w, b = sgd_hinge(
             features, signs, spec.svm.c_reg, spec.svm.epochs, spec.svm.learning_rate, spec.svm.seed
         )
-        return SvmModel(
-            weights=w,
-            biases=b,
-            class_count=class_count,
-            feature_mean=mean,
-            feature_std=std,
-            collapse=collapse,
-            normalize=normalize,
-        )
+        return SvmModel(w, b, class_count, collapse, normalize, feature_mean=mean, feature_std=std)
     seeds = np.random.SeedSequence(spec.forest.seed).spawn(spec.forest.trees)
     trees = []
     for seed in seeds:
         rng = np.random.default_rng(seed)
         bootstrap = rng.integers(0, len(labels), len(labels))
         trees.append(_grow_tree(features[bootstrap], labels[bootstrap], class_count, spec.forest, rng))
-    return ForestModel(
-        trees=trees,
-        class_count=class_count,
-        feature_dim=features.shape[1],
-        collapse=collapse,
-        normalize=normalize,
-    )
+    return ForestModel(trees, class_count, features.shape[1], collapse, normalize)
 
 
 def predict_all(model: ShallowModel, matrix: PresenceMatrix) -> np.ndarray:

@@ -1,6 +1,8 @@
 import json
+import math
 import random
 import struct
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -11,7 +13,7 @@ from patchx.explain import mislabel_report
 from patchx.metadata import PresenceMatrix
 from patchx.neuralnet import DimensionError, NetworkSpec, build_network
 from patchx.patching import PatchConfig
-from patchx.shallow import ForestSpec, ShallowSpec, TrivialSpec, fit, predict_all
+from patchx.shallow import ForestSpec, ShallowSpec, TreeArrays, TrivialSpec, fit, predict_all
 
 
 def make_vectors(seed=0, n=30):
@@ -67,12 +69,10 @@ def test_round_trip_bitwise(tmp_path, kind):
         np.testing.assert_array_equal(loaded.shallow_model.weights, bundle.shallow_model.weights)
         np.testing.assert_array_equal(loaded.shallow_model.biases, bundle.shallow_model.biases)
     elif kind == "forest":
+        assert len(loaded.shallow_model.trees) == len(bundle.shallow_model.trees)
         for ta, tb in zip(bundle.shallow_model.trees, loaded.shallow_model.trees):
-            np.testing.assert_array_equal(ta.threshold, tb.threshold)
-            np.testing.assert_array_equal(ta.feature, tb.feature)
-            np.testing.assert_array_equal(ta.left, tb.left)
-            np.testing.assert_array_equal(ta.right, tb.right)
-            np.testing.assert_array_equal(ta.leaf_class, tb.leaf_class)
+            for node in fields(TreeArrays):
+                np.testing.assert_array_equal(getattr(ta, node.name), getattr(tb, node.name))
     else:
         assert loaded.shallow_model.mode == "occurrence"
 
@@ -207,33 +207,122 @@ def test_corrupt_bundle_raises_bundle_error(tmp_path, corrupt, cause):
         load_bundle(path)
 
 
+def _edit_arrays(edit):
+    """A corruption that rewrites the payload arrays, a dict of name to array,
+    and the manifest to match."""
+    def corrupt(raw):
+        (header_len,) = struct.unpack("<Q", raw[7:15])
+        header = json.loads(raw[15 : 15 + header_len])
+        arrays, offset = {}, 15 + header_len
+        for entry in header["arrays"]:
+            nbytes = math.prod(entry["shape"]) * 8
+            arrays[entry["name"]] = np.frombuffer(
+                raw[offset : offset + nbytes], dtype=entry["dtype"]).reshape(entry["shape"]).copy()
+            offset += nbytes
+        edit(arrays)
+        names = sorted(arrays)
+        header["arrays"] = [{"name": n, "dtype": arrays[n].dtype.str, "shape": list(arrays[n].shape)}
+                            for n in names]
+        return _with_header(raw[: 15 + header_len], header) + b"".join(arrays[n].tobytes() for n in names)
+    return corrupt
+
+
+def _set(name, index, value):
+    """An edit that sets one element of one payload array."""
+    return _edit_arrays(lambda arrays: arrays[name].__setitem__(index, value))
+
+
+def _shallow(**meta):
+    return _edit_header(lambda h: h["shallow"].update(meta))
+
+
+@pytest.mark.parametrize("kind, corrupt, cause", [
+    ("forest", _set("forest_left", 0, 0), "children must come after it"),
+    ("forest", _set("forest_right", 0, 10**6), "children must come after it"),
+    ("forest", _set("forest_feature", 0, 99), r"feature outside \[0, 4\)"),
+    ("forest", _set("forest_leaf", -1, 2), r"leaf class is outside \[0, 2\)"),
+    ("forest", _set("forest_offsets", 1, 0), "offsets do not rise strictly"),
+    ("forest", _edit_arrays(lambda a: a["forest_offsets"].__setitem__(-1, a["forest_offsets"][-1] - 1)),
+     "offsets do not rise strictly from 0 to the node count"),
+    ("forest", _shallow(feature_dim=6), "feature dimension 4 does not match fitted dimension 6"),
+    ("svm", _edit_arrays(lambda a: a.update(svm_weights=np.ones((1, 2)), svm_biases=np.zeros(4))),
+     r"svm weights \(1, 2\) and biases \(4,\)"),
+    ("svm", _shallow(standardized=True), "disagrees with its feature statistics"),
+    ("svm", _edit_arrays(lambda a: a.update(norm_mean=np.zeros(4), norm_std=np.ones(4))),
+     r"norm stats are \(4,\), the network takes 3"),
+    ("svm", _set("norm_std", 1, 0.0), "finite positive std"),
+    ("svm", _set("norm_std", 2, np.nan), "finite positive std"),
+    ("trivial", _shallow(mode="bogus"), "unknown trivial mode 'bogus'"),
+    ("trivial", _shallow(class_count=5), "5 classes, the network 2"),
+    ("trivial", _shallow(n_configs=3), r"presence blocks \(2, 2\) do not match \(3, 2\)"),
+    ("trivial", _shallow(kind="vote"), "unknown shallow kind 'vote'"),
+], ids=["forest-root-to-root", "forest-child-past-end", "forest-feature-99", "forest-leaf-class-2",
+        "forest-empty-tree", "forest-node-dropped", "forest-feature-dim", "svm-weight-shapes",
+        "svm-standardized-without-stats", "norm-stats-shape", "norm-std-zero", "norm-std-nan",
+        "trivial-bogus-mode", "trivial-class-count", "trivial-n-configs", "unknown-kind"])
+def test_corrupt_state_raises_bundle_error(tmp_path, kind, corrupt, cause):
+    """State that parses but that no fit can produce fails at load, not at predict."""
+    path = tmp_path / "model.pchx"
+    save_bundle(make_bundle(kind), path)
+    path.write_bytes(corrupt(path.read_bytes()))
+    with pytest.raises(BundleError, match="malformed header: .*" + cause):
+        load_bundle(path)
+
+
 def test_bundle_without_normalization(tmp_path):
-    bundle = make_bundle(stats=False)
+    for kind in ("svm", "forest", "trivial"):
+        path = tmp_path / f"{kind}.pchx"
+        save_bundle(make_bundle(kind, stats=False), path)
+        loaded = load_bundle(path)
+        assert loaded.norm_stats is None
+        save_bundle(loaded, tmp_path / "again.pchx")
+        assert (tmp_path / "again.pchx").read_bytes() == path.read_bytes()
+
+
+def test_specs_round_trip_with_every_option(tmp_path):
+    """A linear block, no attach channel and notemp come back equal, and the
+    header records each spec and config as its dataclass fields."""
+    spec = NetworkSpec(3, 50, 2, conv_blocks=((4, 3, "linear"), (6, 5, "relu")), seed=9)
+    configs = [PatchConfig(5, 10, attach=False, notemp=True), PatchConfig(10, 20, attach=False)]
+    bundle = make_bundle()
+    bundle.network, bundle.patch_configs = build_network(spec), configs
     path = tmp_path / "model.pchx"
     save_bundle(bundle, path)
     loaded = load_bundle(path)
-    assert loaded.norm_stats is None
+    assert loaded.network.spec == spec
+    assert loaded.patch_configs == configs
+    (header_len,) = struct.unpack("<Q", path.read_bytes()[7:15])
+    header = json.loads(path.read_bytes()[15 : 15 + header_len])
+    assert header["network"] == {"input_channels": 3, "input_length": 50, "class_count": 2,
+                                 "conv_blocks": [[4, 3, "linear"], [6, 5, "relu"]], "seed": 9}
+    assert header["patch_configs"][0] == {"stride": 5, "length": 10, "zero": True,
+                                          "attach": False, "notemp": True}
 
 
 def test_bundle_byte_mutations_load_or_raise_bundle_error(tmp_path):
-    """Seeded single-byte mutations: half anywhere in the file, half in the
-    prefix and JSON header, where a change can alter the structure."""
+    """Seeded single-byte mutations of each shallow kind's bundle: half
+    anywhere in the file, half in the prefix and JSON header, where a change
+    can alter the structure. A mutant that loads scores every row to a class."""
     path = tmp_path / "model.pchx"
-    save_bundle(make_bundle(), path)
-    raw = path.read_bytes()
-    (header_len,) = struct.unpack("<Q", raw[7:15])
-    rng = random.Random(5)
-    for trial in range(600):
-        mutant = bytearray(raw)
-        position = rng.randrange(len(raw) if trial % 2 else 15 + header_len)
-        mutant[position] = rng.randrange(256)
-        path.write_bytes(bytes(mutant))
-        try:
-            load_bundle(path)
-        except BundleError:
-            pass
-        except Exception as err:
-            pytest.fail(f"byte {position} set to {mutant[position]}: {type(err).__name__}: {err}")
+    matrix = make_vectors()
+    for kind in ("svm", "forest", "trivial"):
+        save_bundle(make_bundle(kind), path)
+        raw = path.read_bytes()
+        (header_len,) = struct.unpack("<Q", raw[7:15])
+        rng = random.Random(5)
+        for trial in range(600):
+            mutant = bytearray(raw)
+            position = rng.randrange(len(raw) if trial % 2 else 15 + header_len)
+            mutant[position] = rng.randrange(256)
+            path.write_bytes(bytes(mutant))
+            where = f"{kind}: byte {position} set to {mutant[position]}"
+            try:
+                labels = predict_all(load_bundle(path).shallow_model, matrix)
+            except BundleError:
+                continue
+            except Exception as err:
+                pytest.fail(f"{where}: {type(err).__name__}: {err}")
+            assert labels.shape == (len(matrix),) and np.all((labels >= 0) & (labels < 2)), where
 
 
 def test_dataset_class_count_must_match_bundle():

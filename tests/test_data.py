@@ -6,6 +6,7 @@ import pytest
 from patchx.data import (
     AnomalyGenSpec,
     Dataset,
+    NormStats,
     ParseError,
     TimeSeriesSample,
     anomaly_label,
@@ -210,6 +211,17 @@ class TestZnormalize:
         twice = znormalize(once)
         a, b = once.values_array(), twice.values_array()
         assert np.max(np.abs(a - b) / np.maximum(np.abs(a), 1e-3)) < 1e-6
+
+
+    @pytest.mark.parametrize("mean, std", [
+        (np.zeros(3), np.ones(2)),
+        (np.zeros((1, 3)), np.ones((1, 3))),
+        (np.zeros(3), np.array([1.0, 0.0, 1.0])),
+        (np.zeros(3), np.array([1.0, np.nan, 1.0])),
+    ], ids=["shape-mismatch", "not-1d", "zero-std", "nan-std"])
+    def test_norm_stats_check_their_state(self, mean, std):
+        with pytest.raises(ValueError, match="finite positive std"):
+            NormStats(mean=mean, std=std)
 
 
 class TestDatasetValidation:

@@ -13,7 +13,10 @@ from patchx.shallow import (
     fit,
     predict_all,
     sgd_hinge,
+    ForestModel,
     SvmModel,
+    TreeArrays,
+    TrivialModel,
 )
 
 
@@ -211,9 +214,8 @@ class TestInvariants:
         a = fit(spec, vectors)
         b = fit(spec, vectors)
         for tree_a, tree_b in zip(a.trees, b.trees):
-            np.testing.assert_array_equal(tree_a.feature, tree_b.feature)
-            np.testing.assert_array_equal(tree_a.threshold, tree_b.threshold)
-            np.testing.assert_array_equal(tree_a.leaf_class, tree_b.leaf_class)
+            for node in fields(TreeArrays):
+                np.testing.assert_array_equal(getattr(tree_a, node.name), getattr(tree_b, node.name))
         np.testing.assert_array_equal(predict_all(a, vectors), predict_all(b, vectors))
 
     def test_forest_scale_invariance(self):
@@ -272,3 +274,40 @@ class TestInvariants:
         batch = model.decision_scores(matrix)
         for i in range(len(matrix)):
             np.testing.assert_array_equal(model.decision_scores(row(matrix, i))[0], batch[i])
+
+
+def stump(**nodes):
+    """A root split on feature 0 over two leaves, with node arrays replaced."""
+    arrays = dict(feature=np.array([0, -1, -1]), threshold=np.array([0.5, 0.0, 0.0]),
+                  left=np.array([1, -1, -1]), right=np.array([2, -1, -1]), leaf=np.array([-1, 0, 1]))
+    return TreeArrays(**{**arrays, **nodes})
+
+
+class TestStateChecks:
+    """Each model checks its own fields on construction, for fit and bundle alike."""
+
+    @pytest.mark.parametrize("build, cause", [
+        (lambda: SvmModel(np.ones((1, 2)), np.zeros(4), 2, False, False), r"weights \(1, 2\)"),
+        (lambda: SvmModel(np.ones((2, 2)), np.zeros(2), 2, False, False, feature_mean=np.zeros(2)),
+         "disagrees"),
+        (lambda: SvmModel(np.ones((2, 2)), np.zeros(2), 2, False, False, standardized=True),
+         "disagrees"),
+        (lambda: SvmModel(np.ones((2, 2)), np.zeros(2), 2, False, False,
+                          feature_mean=np.zeros(2), feature_std=np.array([1.0, np.inf])),
+         "finite positive std"),
+        (lambda: stump(left=np.array([0, -1, -1])), "children must come after it"),
+        (lambda: stump(right=np.array([3, -1, -1])), "children must come after it"),
+        (lambda: stump(feature=np.array([0.0, -1.0, -1.0])), "integer indices"),
+        (lambda: stump(leaf=np.array([-1, 0])), "equal length"),
+        (lambda: ForestModel([stump(feature=np.array([3, -1, -1]))], 2, 2, False, False),
+         r"feature outside \[0, 2\)"),
+        (lambda: ForestModel([stump(leaf=np.array([-1, 0, 2]))], 2, 2, False, False),
+         r"leaf class is outside \[0, 2\)"),
+        (lambda: ForestModel([], 2, 2, False, False), "at least one tree"),
+        (lambda: TrivialModel("bogus", 2, 1), "unknown trivial mode"),
+    ], ids=["svm-shapes", "svm-mean-without-std", "svm-standardized-without-stats", "svm-inf-std",
+            "tree-child-is-parent", "tree-child-past-end", "tree-float-feature", "tree-ragged",
+            "forest-feature-dim", "forest-leaf-class", "forest-no-trees", "trivial-mode"])
+    def test_bad_state_raises(self, build, cause):
+        with pytest.raises(ValueError, match=cause):
+            build()
