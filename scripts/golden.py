@@ -6,7 +6,8 @@ Runs in-process, from the checkout's own src/:
 
 * `patchx generate --seed 7` at 1000/300/400 into OUT_DIR/data;
 * `patchx run --source files --epochs 2 --patience 0 --filters 16,32 --seed 7
-  --standardize true` with `--shallow svm`, `forest` and `trivial`;
+  --standardize true` with `--shallow svm`, `forest` and `trivial`, and as
+  `svm-collapse` with `--shallow svm --collapse true --normalize-features true`;
 * on the svm run, `patchx explain` for sample ids 0-4, `explain --mislabels`
   and `histogram --per-class`.
 
@@ -37,7 +38,12 @@ from patchx.cli import main as patchx  # noqa: E402
 
 RUN_FILES = ("metrics.json", "vectors_train.csv", "vectors_test.csv", "bundle.pchx",
              "resolved_config.ini")
-SHALLOW = ("svm", "forest", "trivial")
+RUNS = {
+    "svm": ("--shallow", "svm"),
+    "forest": ("--shallow", "forest"),
+    "trivial": ("--shallow", "trivial"),
+    "svm-collapse": ("--shallow", "svm", "--collapse", "true", "--normalize-features", "true"),
+}
 
 
 def call(*argv: str) -> None:
@@ -55,17 +61,17 @@ def main(argv: list[str]) -> int:
     data, runs = out / "data", out / "runs"
     call("generate", "--out", str(data), "--train-count", "1000", "--val-count", "300",
          "--test-count", "400", "--seed", "7")
-    for kind in SHALLOW:
+    for name, shallow in RUNS.items():
         call("run", "--source", "files", "--data-dir", str(data), "--out", str(runs),
-             "--run-name", kind, "--epochs", "2", "--patience", "0", "--filters", "16,32",
-             "--seed", "7", "--standardize", "true", "--shallow", kind)
+             "--run-name", name, "--epochs", "2", "--patience", "0", "--filters", "16,32",
+             "--seed", "7", "--standardize", "true", *shallow)
     bundle, test = str(runs / "svm" / "bundle.pchx"), str(data / "test.csv")
     ids = [arg for i in range(5) for arg in ("--sample-id", str(i))]
     call("explain", "--bundle", bundle, "--data", test, *ids, "--out", str(out / "explain"))
     call("explain", "--bundle", bundle, "--data", test, "--mislabels", "--out", str(out / "mislabels"))
     call("histogram", "--bundle", bundle, "--data", test, "--per-class", "--out", str(out / "histogram.json"))
 
-    paths = [runs / kind / name for kind in SHALLOW for name in RUN_FILES]
+    paths = [runs / run / name for run in RUNS for name in RUN_FILES]
     paths += sorted((out / "explain").iterdir()) + [out / "mislabels" / "mislabel_report.json",
                                                      out / "histogram.json"]
     for path in paths:

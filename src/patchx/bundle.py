@@ -18,6 +18,9 @@ Header records are the dataclasses' fields: specs and configs via asdict, the
 norm stats and shallow model via one field walk (_state) that puts each array
 in the payload as <prefix><field>. Each restored object checks its own state in
 its constructor, as a fitted one does; _check_parts then checks that they agree.
+The shallow record alone holds the presence-feature layout (collapse,
+normalize). The reader ignores header keys it does not read, so a file that
+also carries an older second copy of that layout loads the same.
 
 Round-trips are bitwise faithful: every numeric parameter travels through the
 binary payload, never through JSON. A file that is cut short, whose lengths
@@ -56,8 +59,6 @@ class PatchXBundle:
     patch_configs: list[PatchConfig]
     norm_stats: NormStats | None
     shallow_model: object
-    collapse: bool = False
-    normalize_features: bool = False
 
     @property
     def class_count(self) -> int:
@@ -182,7 +183,6 @@ def save_bundle(bundle: PatchXBundle, path: str | Path) -> None:
         "network": asdict(bundle.network.spec),
         "patch_configs": [asdict(c) for c in bundle.patch_configs],
         "normalized": bundle.norm_stats is not None,
-        "metadata_options": {"collapse": bundle.collapse, "normalize": bundle.normalize_features},
         "shallow": shallow_meta,
         "arrays": manifest,
     }
@@ -250,8 +250,6 @@ def _decode(raw: bytes, header: dict, offset: int, path: str | Path) -> PatchXBu
     network = build_network(spec)
     network.set_state({name: arrays[f"net/{name}"] for name, _ in network.parameters()})
     configs = [PatchConfig(**c) for c in header["patch_configs"]]
-    for config in configs:
-        config.validate(spec.input_length)
     stats = _restore(NormStats, "norm_", {}, arrays) if header["normalized"] else None
     meta = dict(header["shallow"])
     kind = meta.pop("kind")
@@ -259,15 +257,16 @@ def _decode(raw: bytes, header: dict, offset: int, path: str | Path) -> PatchXBu
         raise ValueError(f"unknown shallow kind {kind!r}")
     shallow = _restore(_SHALLOW_KINDS[kind], f"{kind}_", meta, arrays)
     _check_parts(spec, configs, stats, shallow)
-    options = header["metadata_options"]
-    return PatchXBundle(network, configs, stats, shallow, options["collapse"], options["normalize"])
+    return PatchXBundle(network, configs, stats, shallow)
 
 
 def _check_parts(spec: NetworkSpec, configs: list[PatchConfig], stats: NormStats | None, shallow) -> None:
-    """The restored parts agree: norm stats per input channel, and a shallow
-    model that scores the bundle's presence layout to the network's classes."""
+    """The restored parts agree: patches that fit the network's input, norm
+    stats per input channel, and a shallow model that scores the bundle's
+    presence layout to the network's classes."""
     if not configs:
         raise ValueError("the bundle has no patch configs")
+    patch_spans(spec.input_length, configs)  # a ConfigError if a patch is longer than the input
     channels = spec.input_channels - (1 if configs[0].attach else 0)
     if stats is not None and stats.mean.shape != (channels,):
         raise ValueError(f"norm stats are {stats.mean.shape}, the network takes {channels} data channels")

@@ -12,10 +12,12 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import contextlib
 import json
 import os
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -168,8 +170,8 @@ def apply_overrides(config: configparser.ConfigParser, args: argparse.Namespace)
 def parse_patch_tokens(
     tokens: str, attach: bool, notemp: bool, zero: bool = True
 ) -> list[PatchConfig]:
-    """Parse 'stride:length' tokens, e.g. '5:10,10:20'; configs are validated
-    immediately (zero=false is rejected here)."""
+    """Parse 'stride:length' tokens, e.g. '5:10,10:20'; each config checks
+    itself when it is built (zero=false is rejected here)."""
     configs = []
     for token in tokens.split(","):
         token = token.strip()
@@ -179,9 +181,7 @@ def parse_patch_tokens(
             stride, length = (int(v) for v in token.split(":"))
         except ValueError:
             raise ConfigError(f"bad patch token {token!r}; expected 'stride:length'") from None
-        config = PatchConfig(stride=stride, length=length, zero=zero, attach=attach, notemp=notemp)
-        config.validate()
-        configs.append(config)
+        configs.append(PatchConfig(stride=stride, length=length, zero=zero, attach=attach, notemp=notemp))
     if not configs:
         raise ConfigError("no patch configs given")
     return configs
@@ -193,23 +193,36 @@ def _values(config: configparser.ConfigParser) -> dict:
             else o.kind(config.get(o.section, o.key)) for o in OPTIONS}
 
 
+@contextlib.contextmanager
+def _spec_checks():
+    """Re-raises the ValueError of a spec's own checks as a ConfigError."""
+    try:
+        yield
+    except ValueError as err:
+        raise ConfigError(str(err)) from None
+
+
 def build_specs(config: configparser.ConfigParser):
+    """The patch configs, conv blocks, train and shallow specs of a config; a
+    value that a spec rejects raises ConfigError."""
     v = _values(config)
-    patch_configs = parse_patch_tokens(v["configs"], v["attach"], v["notemp"], zero=v["zero"])
+    with _spec_checks():
+        patch_configs = parse_patch_tokens(v["configs"], v["attach"], v["notemp"], zero=v["zero"])
+        train_spec = TrainSpec(
+            epochs=v["epochs"], batch_size=v["batch_size"], learning_rate=v["learning_rate"],
+            optimizer=v["optimizer"], early_stopping_patience=v["patience"], seed=v["seed"],
+        )
+        shallow_spec = ShallowSpec(
+            kind=v["kind"],
+            svm=SvmSpec(c_reg=v["c_reg"], epochs=v["svm_epochs"], learning_rate=v["svm_learning_rate"],
+                        seed=v["seed"], standardize=v["standardize"]),
+            forest=ForestSpec(trees=v["trees"], max_depth=v["max_depth"] if v["max_depth"] > 0 else None,
+                              min_leaf=v["min_leaf"], feature_subsample=v["feature_subsample"],
+                              seed=v["seed"]),
+            trivial=TrivialSpec(mode=v["trivial_mode"]),
+            collapse=v["collapse"], normalize=v["normalize_features"],
+        )
     conv_blocks = tuple((f, v["kernel"], "relu") for f in v["filters"])
-    train_spec = TrainSpec(
-        epochs=v["epochs"], batch_size=v["batch_size"], learning_rate=v["learning_rate"],
-        optimizer=v["optimizer"], early_stopping_patience=v["patience"], seed=v["seed"],
-    )
-    shallow_spec = ShallowSpec(
-        kind=v["kind"],
-        svm=SvmSpec(c_reg=v["c_reg"], epochs=v["svm_epochs"], learning_rate=v["svm_learning_rate"],
-                    seed=v["seed"], standardize=v["standardize"]),
-        forest=ForestSpec(trees=v["trees"], max_depth=v["max_depth"] if v["max_depth"] > 0 else None,
-                          min_leaf=v["min_leaf"], feature_subsample=v["feature_subsample"],
-                          seed=v["seed"]),
-        trivial=TrivialSpec(mode=v["trivial_mode"]),
-    )
     return patch_configs, conv_blocks, train_spec, shallow_spec
 
 
@@ -218,12 +231,14 @@ def load_run_datasets(config: configparser.ConfigParser) -> tuple[Dataset, Datas
     if v["source"] == "files":
         directory = Path(v["dir"])
         return tuple(load_dataset(directory / f"{s}.csv", split=s) for s in ("train", "val", "test"))
-    return generate_anomaly(AnomalyGenSpec(
-        train_count=v["train_count"], val_count=v["val_count"], test_count=v["test_count"],
-        length=v["length"], channels=v["channels"], noise_sigma=v["noise_sigma"],
-        peak_amplitude_range=(v["peak_min"], v["peak_max"]),
-        sigma_multiplier=v["sigma_multiplier"], seed=v["seed"],
-    ))
+    with _spec_checks():
+        spec = AnomalyGenSpec(
+            train_count=v["train_count"], val_count=v["val_count"], test_count=v["test_count"],
+            length=v["length"], channels=v["channels"], noise_sigma=v["noise_sigma"],
+            peak_amplitude_range=(v["peak_min"], v["peak_max"]),
+            sigma_multiplier=v["sigma_multiplier"], seed=v["seed"],
+        )
+    return generate_anomaly(spec)
 
 
 def make_run_dir(out: str, name: str | None) -> Path:
@@ -285,17 +300,17 @@ def cmd_run(args: argparse.Namespace) -> int:
     stage = "configure"
     try:
         patch_configs, conv_blocks, train_spec, shallow_spec = build_specs(config)
+        v = _values(config)
         stage = "data"
         train, val, test = load_run_datasets(config)
+        stage = "configure"
+        net_spec = default_network_spec(train, patch_configs, seed=v["seed"], conv_blocks=conv_blocks)
         stage = "run directory"
         run_dir = make_run_dir(args.out, args.run_name)
         stage = "pipeline"
-        v = _values(config)
-        net_spec = default_network_spec(train, patch_configs, seed=v["seed"], conv_blocks=conv_blocks)
         result = run_pipeline(
             train, val, test, patch_configs,
-            net_spec=net_spec, train_spec=train_spec, shallow_spec=shallow_spec,
-            normalize=v["normalize"], collapse=v["collapse"], normalize_features=v["normalize_features"],
+            net_spec=net_spec, train_spec=train_spec, shallow_spec=shallow_spec, normalize=v["normalize"],
         )
         stage = "persist"
         write_resolved_config(config, run_dir / "resolved_config.ini")
@@ -327,8 +342,9 @@ def cmd_bench(args: argparse.Namespace) -> int:
     apply_overrides(config, args)
     _, conv_blocks, train_spec, shallow_spec = build_specs(config)
     train, val, test = load_run_datasets(config)
-    run_dir = make_run_dir(args.out, args.run_name)
     v = _values(config)
+    with _spec_checks():
+        blackbox_spec = default_network_spec(train, [], seed=v["seed"], conv_blocks=conv_blocks)
 
     cells = []
     for token in args.grid.split("|"):
@@ -345,8 +361,8 @@ def cmd_bench(args: argparse.Namespace) -> int:
             flags = {"attach": "attach" in names, "notemp": "notemp" in names}
         cells.append((token.strip(), flags))
 
+    run_dir = make_run_dir(args.out, args.run_name)
     report: dict = {"cells": [], "blackbox": None}
-    blackbox_spec = default_network_spec(train, [], seed=v["seed"], conv_blocks=conv_blocks)
     bb = train_blackbox(train, val, test, net_spec=blackbox_spec, train_spec=train_spec)
     report["blackbox"] = {"metrics": bb.metrics, "timing": bb.timing}
 
@@ -358,13 +374,11 @@ def cmd_bench(args: argparse.Namespace) -> int:
             base = run_pipeline(
                 train, val, test, patch_configs,
                 net_spec=net_spec, train_spec=train_spec,
-                shallow_spec=ShallowSpec(kind="svm", svm=shallow_spec.svm),
+                shallow_spec=replace(shallow_spec, kind="svm"),
             )
             variants = {"cnn+svm": {"metrics": base.metrics, "timing": base.timing}}
             for kind in KINDS[1:]:  # refits beside the svm base
-                sub = ShallowSpec(kind=kind, svm=shallow_spec.svm,
-                                  forest=shallow_spec.forest, trivial=shallow_spec.trivial)
-                refit = refit_shallow(base, sub, test)
+                refit = refit_shallow(base, replace(shallow_spec, kind=kind), test)
                 variants[f"cnn+{kind if kind != 'forest' else 'rf'}"] = {
                     "metrics": refit.metrics, "timing": refit.timing,
                 }

@@ -98,7 +98,7 @@ class Dataset:
             seen_ids.add(s.id)
 
 
-@dataclass
+@dataclass(frozen=True)
 class AnomalyGenSpec:
     """Parameters of the synthetic point-anomaly generator.
 
@@ -117,20 +117,20 @@ class AnomalyGenSpec:
     sigma_multiplier: float = DEFAULT_SIGMA_MULTIPLIER
     seed: int = 0
 
-    def validate(self) -> None:
-        if min(self.train_count, self.val_count, self.test_count) <= 0:
+    def __post_init__(self) -> None:
+        if not (min(self.train_count, self.val_count, self.test_count) > 0):
             raise ValueError("split counts must be positive")
-        if self.length < 5:
+        if not (self.length >= 5):
             raise ValueError(f"length must be >= 5, got {self.length}")
-        if self.channels < 1:
+        if not (self.channels >= 1):
             raise ValueError("channels must be >= 1")
-        if self.noise_sigma <= 0:
+        if not (self.noise_sigma > 0):
             raise ValueError(f"noise_sigma must be > 0, got {self.noise_sigma}")
         lo, hi = self.peak_amplitude_range
         if not (0 < lo <= hi):
             raise ValueError(f"bad peak_amplitude_range {self.peak_amplitude_range}")
-        if self.sigma_multiplier <= 0:
-            raise ValueError("sigma_multiplier must be > 0")
+        if not (self.sigma_multiplier > 0):
+            raise ValueError(f"sigma_multiplier must be > 0, got {self.sigma_multiplier}")
 
 
 def anomaly_label(values: np.ndarray, sigma_multiplier: float = DEFAULT_SIGMA_MULTIPLIER) -> int:
@@ -146,7 +146,6 @@ def generate_anomaly(spec: AnomalyGenSpec) -> tuple[Dataset, Dataset, Dataset]:
 
     Peaked samples carry meta = {peak_channel, peak_step, peak_value}.
     """
-    spec.validate()
     rng = np.random.default_rng(spec.seed)
     splits = []
     for split_name, count in (

@@ -29,7 +29,7 @@ class TrainingError(RuntimeError):
     pass
 
 
-@dataclass
+@dataclass(frozen=True)
 class NetworkSpec:
     input_channels: int
     input_length: int
@@ -37,23 +37,21 @@ class NetworkSpec:
     conv_blocks: tuple[tuple[int, int, str], ...] = ((32, 3, "relu"), (64, 3, "relu"), (64, 3, "relu"))
     seed: int = 0
 
-    def validate(self) -> None:
-        if self.input_channels < 1 or self.input_length < 1:
+    def __post_init__(self) -> None:
+        if not (self.input_channels >= 1 and self.input_length >= 1):
             raise ValueError("input dimensions must be positive")
-        if self.class_count < 2:
+        if not (self.class_count >= 2):
             raise ValueError(f"class_count must be >= 2, got {self.class_count}")
         for filters, kernel, activation in self.conv_blocks:
-            if filters < 1:
+            if not (filters >= 1):
                 raise ValueError(f"filter count must be >= 1, got {filters}")
             if not (1 <= kernel <= self.input_length):
-                raise ValueError(
-                    f"kernel size {kernel} outside [1, {self.input_length}]"
-                )
+                raise ValueError(f"kernel size {kernel} outside [1, {self.input_length}]")
             if activation not in ("relu", "linear"):
                 raise ValueError(f"unknown activation {activation!r}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrainSpec:
     epochs: int = 50
     batch_size: int = 64
@@ -62,8 +60,8 @@ class TrainSpec:
     early_stopping_patience: int = 5
     seed: int = 0
 
-    def validate(self) -> None:
-        if self.epochs < 1 or self.batch_size < 1 or self.learning_rate <= 0:
+    def __post_init__(self) -> None:
+        if not (self.epochs >= 1 and self.batch_size >= 1 and self.learning_rate > 0):
             raise ValueError("epochs, batch_size and learning_rate must be positive")
         if self.optimizer not in OPTIMIZERS:
             raise ValueError(f"unknown optimizer {self.optimizer!r}; choose from {OPTIMIZERS}")
@@ -148,7 +146,6 @@ class PatchNet:
     """The patch classification network; build with build_network()."""
 
     def __init__(self, spec: NetworkSpec):
-        spec.validate()
         self.spec = spec
         rng = np.random.default_rng(spec.seed)
         self.convs: list[Conv1d] = []
@@ -257,19 +254,6 @@ def batch_cross_entropy(probs: np.ndarray, labels: np.ndarray) -> float:
     return float(-np.log(picked).mean())
 
 
-def dataset_loss(net: PatchNet, patches: tuple[np.ndarray, np.ndarray]) -> float:
-    """Mean patch cross-entropy over a (values, labels) pair (uniform weighting).
-
-    The per-patch losses are reduced with math.fsum, so the result does not
-    depend on the ordering of the patches.
-    """
-    x, y = patches
-    if len(y) == 0:
-        raise ValueError("dataset_loss requires at least one patch")
-    picked = np.maximum(forward_all(net, x)[np.arange(len(y)), y], LOG_CLAMP)
-    return math.fsum((-np.log(picked)).tolist()) / len(y)
-
-
 def backward(net: PatchNet, batch: tuple[np.ndarray, np.ndarray]) -> dict[str, np.ndarray]:
     """Gradient of the mean batch cross-entropy w.r.t. every parameter."""
     x, y = batch
@@ -354,7 +338,6 @@ def train(net: PatchNet, train_patches, val_patches, spec: TrainSpec) -> TrainLo
     Serial and deterministic for a fixed spec.seed: the only randomness is the
     per-epoch shuffle drawn from one seeded generator.
     """
-    spec.validate()
     x_train, y_train = train_patches
     x_val, y_val = val_patches
     if len(y_val) == 0:

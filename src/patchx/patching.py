@@ -37,28 +37,23 @@ class PatchConfig:
     attach: bool = True
     notemp: bool = False
 
-    def validate(self, sample_length: int | None = None) -> None:
-        if self.stride < 1:
+    def __post_init__(self) -> None:
+        if not (self.stride >= 1):
             raise ConfigError(f"stride must be >= 1, got {self.stride}")
-        if self.length < 1:
+        if not (self.length >= 1):
             raise ConfigError(f"patch length must be >= 1, got {self.length}")
         if not self.zero:
             raise ConfigError(
                 "zero=False is rejected: zeroing the data outside the patch is "
                 "mandatory to force a patch-level classification"
             )
-        if self.notemp and not self.zero:
-            raise ConfigError("notemp requires zero")
-        if sample_length is not None and self.length > sample_length:
-            raise ConfigError(
-                f"patch length {self.length} exceeds sample length {sample_length}"
-            )
 
 
 def enumerate_patches(sample_length: int, config: PatchConfig) -> list[tuple[int, int, int]]:
     """All (p, start, end) with p*stride < sample_length, in p order; end is
     truncated at the sample boundary."""
-    config.validate(sample_length)
+    if config.length > sample_length:
+        raise ConfigError(f"patch length {config.length} exceeds sample length {sample_length}")
     out = []
     p = 0
     while p * config.stride < sample_length:
@@ -78,11 +73,9 @@ def patch_spans(sample_length: int, configs: list[PatchConfig]) -> list[tuple[in
     ]
 
 
-def _check_configs(configs: list[PatchConfig], sample_length: int | None = None) -> None:
+def _check_configs(configs: list[PatchConfig]) -> None:
     if not configs:
         raise ConfigError("at least one patch config is required")
-    for config in configs:
-        config.validate(sample_length)
     attach_flags = {c.attach for c in configs}
     if len(attach_flags) > 1:
         raise ConfigError(
@@ -97,11 +90,10 @@ def build_patch_arrays(dataset: Dataset, configs: list[PatchConfig]) -> tuple[np
     length), where P = len(patch_spans(length, configs)) and row i * P + k is
     slot k of sample row i; labels holds each patch's inherited label.
     """
+    _check_configs(configs)
     if not dataset.samples:
-        _check_configs(configs)
         return np.zeros((0, 0, 0)), np.zeros((0,), dtype=np.int64)
     length = dataset.length
-    _check_configs(configs, length)
     spans = patch_spans(length, configs)
     per_sample = len(spans)
     raw = dataset.values_array()  # (n, c, l)

@@ -60,9 +60,7 @@ def _fit_shallow(
     the test split (its cached vectors, or else one inference pass); records
     into metrics and timing, and returns the test vectors."""
     t0 = time.perf_counter()
-    bundle.shallow_model = fit(
-        shallow_spec, train_vectors, collapse=bundle.collapse, normalize=bundle.normalize_features
-    )
+    bundle.shallow_model = fit(shallow_spec, train_vectors)
     timing["shallow_fit_seconds"] = time.perf_counter() - t0
     metrics["shallow_kind"] = shallow_spec.kind
     metrics["train_accuracy"] = evaluate(bundle.shallow_model, train_vectors).accuracy
@@ -86,8 +84,6 @@ def run_pipeline(
     train_spec: TrainSpec | None = None,
     shallow_spec: ShallowSpec | None = None,
     normalize: bool = True,
-    collapse: bool = False,
-    normalize_features: bool = False,
 ) -> PipelineResult:
     """Train the full hybrid pipeline; deterministic for fixed specs and seeds."""
     train_spec = train_spec or TrainSpec()
@@ -109,14 +105,7 @@ def run_pipeline(
     log = neuralnet.train(network, (x_train, y_train), (x_val, y_val), train_spec)
     timing["network_train_seconds"] = time.perf_counter() - t0
 
-    bundle = PatchXBundle(
-        network=network,
-        patch_configs=list(configs),
-        norm_stats=stats,
-        shallow_model=None,
-        collapse=collapse,
-        normalize_features=normalize_features,
-    )
+    bundle = PatchXBundle(network=network, patch_configs=list(configs), norm_stats=stats, shallow_model=None)
     t0 = time.perf_counter()
     train_vectors = bundle.vectors(train)
     timing["train_vectors_seconds"] = time.perf_counter() - t0

@@ -44,7 +44,7 @@ def _check_mode(mode: str) -> None:
     _require(mode in TRIVIAL_MODES, f"unknown trivial mode {mode!r}; choose from {TRIVIAL_MODES}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class SvmSpec:
     c_reg: float = 1.0
     epochs: int = 200
@@ -52,12 +52,12 @@ class SvmSpec:
     seed: int = 0
     standardize: bool = False
 
-    def validate(self) -> None:
-        if self.c_reg <= 0 or self.epochs < 1 or self.learning_rate <= 0:
-            raise ValueError("svm parameters must be positive")
+    def __post_init__(self) -> None:
+        _require(self.c_reg > 0 and self.epochs >= 1 and self.learning_rate > 0,
+                 "svm c_reg, epochs and learning_rate must be positive")
 
 
-@dataclass
+@dataclass(frozen=True)
 class ForestSpec:
     trees: int = 100
     max_depth: int | None = None
@@ -65,36 +65,36 @@ class ForestSpec:
     feature_subsample: str = "sqrt"  # one of FEATURE_SUBSAMPLES
     seed: int = 0
 
-    def validate(self) -> None:
-        if self.trees < 1 or self.min_leaf < 1:
-            raise ValueError("forest parameters must be positive")
-        if self.max_depth is not None and self.max_depth < 1:
-            raise ValueError("max_depth must be >= 1 or None")
-        if self.feature_subsample not in FEATURE_SUBSAMPLES:
-            raise ValueError(f"unknown feature_subsample {self.feature_subsample!r}")
+    def __post_init__(self) -> None:
+        _require(self.trees >= 1 and self.min_leaf >= 1, "forest trees and min_leaf must be positive")
+        _require(self.max_depth is None or self.max_depth >= 1, "max_depth must be >= 1 or None")
+        _require(self.feature_subsample in FEATURE_SUBSAMPLES,
+                 f"unknown feature_subsample {self.feature_subsample!r}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrivialSpec:
     mode: str = "logodds"
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         _check_mode(self.mode)
 
 
-@dataclass
+@dataclass(frozen=True)
 class ShallowSpec:
+    """The classifier, and the layout of the presence features it is fitted on:
+    each block divided by its config's patch count (normalize), then the blocks
+    summed over configs (collapse). The fitted svm or forest records the layout."""
+
     kind: str = "svm"  # one of KINDS
     svm: SvmSpec = field(default_factory=SvmSpec)
     forest: ForestSpec = field(default_factory=ForestSpec)
     trivial: TrivialSpec = field(default_factory=TrivialSpec)
+    collapse: bool = False
+    normalize: bool = False
 
-    def validate(self) -> None:
-        if self.kind not in KINDS:
-            raise ValueError(f"unknown shallow kind {self.kind!r}; choose from {KINDS}")
-        self.svm.validate()
-        self.forest.validate()
-        self.trivial.validate()
+    def __post_init__(self) -> None:
+        _require(self.kind in KINDS, f"unknown shallow kind {self.kind!r}; choose from {KINDS}")
 
 
 # -- linear SVM --------------------------------------------------------------
@@ -360,14 +360,8 @@ ShallowModel = SvmModel | ForestModel | TrivialModel
 # -- spec operations -----------------------------------------------------------
 
 
-def fit(
-    spec: ShallowSpec,
-    train_vectors: PresenceMatrix,
-    collapse: bool = False,
-    normalize: bool = False,
-) -> ShallowModel:
+def fit(spec: ShallowSpec, train_vectors: PresenceMatrix) -> ShallowModel:
     """Train the configured classifier on a class-presence matrix."""
-    spec.validate()
     if not len(train_vectors):
         raise ValueError("no training vectors")
     _, n_configs, class_count = train_vectors.blocks.shape
@@ -376,7 +370,7 @@ def fit(
         raise ValueError("training vectors contain a single class; need at least 2")
     if spec.kind == "trivial":
         return TrivialModel(mode=spec.trivial.mode, class_count=class_count, n_configs=n_configs)
-    features = train_vectors.features(collapse=collapse, normalize=normalize)
+    features = train_vectors.features(collapse=spec.collapse, normalize=spec.normalize)
     if spec.kind == "svm":
         mean = std = None
         if spec.svm.standardize:
@@ -387,14 +381,14 @@ def fit(
         w, b = sgd_hinge(
             features, signs, spec.svm.c_reg, spec.svm.epochs, spec.svm.learning_rate, spec.svm.seed
         )
-        return SvmModel(w, b, class_count, collapse, normalize, feature_mean=mean, feature_std=std)
+        return SvmModel(w, b, class_count, spec.collapse, spec.normalize, feature_mean=mean, feature_std=std)
     seeds = np.random.SeedSequence(spec.forest.seed).spawn(spec.forest.trees)
     trees = []
     for seed in seeds:
         rng = np.random.default_rng(seed)
         bootstrap = rng.integers(0, len(labels), len(labels))
         trees.append(_grow_tree(features[bootstrap], labels[bootstrap], class_count, spec.forest, rng))
-    return ForestModel(trees, class_count, features.shape[1], collapse, normalize)
+    return ForestModel(trees, class_count, features.shape[1], spec.collapse, spec.normalize)
 
 
 def predict_all(model: ShallowModel, matrix: PresenceMatrix) -> np.ndarray:

@@ -15,7 +15,7 @@ import numpy as np
 
 from patchx.data import Dataset, TimeSeriesSample
 from patchx.neuralnet import LOG_CLAMP, PatchNet
-from patchx.patching import PatchConfig, _check_configs, enumerate_patches
+from patchx.patching import ConfigError, PatchConfig, _check_configs, enumerate_patches
 
 
 @dataclass
@@ -43,7 +43,8 @@ def transform(
 ) -> PatchInstance:
     """Cut patch p out of the sample, keeping the full sample length."""
     length = sample.length
-    config.validate(length)
+    if config.length > length:
+        raise ConfigError(f"patch length {config.length} exceeds sample length {length}")
     start = p * config.stride
     if p < 0 or start >= length:
         raise IndexError(f"patch index {p} invalid for sample length {length}")
@@ -72,10 +73,7 @@ def transform(
 def build_patch_dataset(dataset: Dataset, configs: list[PatchConfig]) -> list[PatchInstance]:
     """Transform every sample under every config; order is samples, then
     configs, then patch index."""
-    if not dataset.samples:
-        _check_configs(configs)
-        return []
-    _check_configs(configs, dataset.length)
+    _check_configs(configs)
     instances = []
     for sample in dataset.samples:
         for ci, config in enumerate(configs):

@@ -324,7 +324,7 @@ def test_criterion_7_flag_ablation():
 
     # the struck-out zero=False row is rejected at validation time
     with pytest.raises(ConfigError):
-        PatchConfig(5, 10, zero=False, attach=True).validate()
+        PatchConfig(5, 10, zero=False, attach=True)
 
     detail = ", ".join(f"{k} {v:.4f}" for k, v in accs.items())
     report(7, "transformation-flag ablation", ok,

@@ -48,8 +48,6 @@ def make_bundle(shallow_kind="svm", stats=True):
         patch_configs=[PatchConfig(5, 10), PatchConfig(10, 20)],
         norm_stats=norm,
         shallow_model=model,
-        collapse=False,
-        normalize_features=False,
     )
 
 
@@ -94,6 +92,28 @@ def test_round_trip_predictions_identical(tmp_path):
     np.testing.assert_array_equal(
         bundle.shallow_model.decision_scores(matrix), loaded.shallow_model.decision_scores(matrix)
     )
+
+
+@pytest.mark.parametrize("options", [{"collapse": False, "normalize": False},
+                                     {"collapse": True, "normalize": False}],
+                         ids=["agrees", "disagrees"])
+def test_older_layout_copy_is_ignored(tmp_path, options):
+    """A header that also carries an older writer's copy of the feature layout,
+    even one that disagrees with the shallow record, loads and predicts as the
+    shallow record says."""
+    path, older = tmp_path / "model.pchx", tmp_path / "older.pchx"
+    save_bundle(make_bundle("svm"), path)
+    older.write_bytes(_edit_header(lambda h: h.update(metadata_options=options))(path.read_bytes()))
+    bundle, loaded = load_bundle(path), load_bundle(older)
+    assert loaded.shallow_model.collapse is False
+    rng = np.random.default_rng(6)
+    dataset = Dataset([TimeSeriesSample(id=i, values=rng.normal(size=(3, 50)), label=i % 2)
+                       for i in range(12)], class_count=2)
+    labels, matrix = bundle.predict_dataset(dataset)
+    loaded_labels, loaded_matrix = loaded.predict_dataset(dataset)
+    np.testing.assert_array_equal(loaded_labels, labels)
+    np.testing.assert_array_equal(loaded.shallow_model.decision_scores(loaded_matrix),
+                                  bundle.shallow_model.decision_scores(matrix))
 
 
 def test_magic_is_pchx1(tmp_path):

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from patchx import pipeline
 from patchx.cli import (
     OPTIONS, apply_overrides, build_parser, build_specs, load_config, main, parse_patch_tokens,
     write_resolved_config,
@@ -161,6 +162,27 @@ class TestConfigChecks:
         assert "[data] train_count = 'abc' is not an integer" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("argv, message", [
+        (["run", "--epochs", "0"], "must be positive"),
+        (["run", "--patience", "3", "--epochs", "1"], r"early_stopping_patience must be in \[0, epochs\)"),
+        (["run", "--kernel", "99"], r"kernel size 99 outside \[1, 50\]"),
+        (["run", "--learning-rate", "nan"], "must be positive"),
+        (["run", "--c-reg", "nan"], "must be positive"),
+        (["run", "--sigma-multiplier", "nan"], "sigma_multiplier must be > 0"),
+        (["bench", "--kernel", "0"], r"kernel size 0 outside \[1, 50\]"),
+        (["bench", "--trees", "0"], "trees and min_leaf must be positive"),
+    ], ids=["run-epochs-0", "run-patience-past-epochs", "run-kernel-99", "run-nan-learning-rate",
+            "run-nan-c-reg", "run-nan-sigma-multiplier", "bench-kernel-0", "bench-trees-0"])
+    def test_bad_spec_value_stops_before_any_output(self, tmp_path, capsys, argv, message):
+        """A value that parses but that its spec rejects stops the command with
+        one line, before any training and before any run directory."""
+        command, *flags = argv
+        code = run_cli(command, "--out", str(tmp_path / "out"), *FAST, *flags)
+        assert code != 0
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and re.search(message, err)
+        assert not (tmp_path / "out").exists()
+
     def test_bad_env_seed_rejected(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("PATCHX_SEED", "abc")
         code = run_cli("run", "--out", str(tmp_path / "out"), *FAST[:-2])
@@ -278,6 +300,16 @@ class TestBench:
         assert report["blackbox"]["metrics"]["test_accuracy"] >= 0.0
         table = (tmp_path / "bench" / "bench_table.txt").read_text()
         assert "cnn+svm" in table and "blackbox" in table
+
+    def test_every_variant_fits_the_configured_layout(self, tmp_path, monkeypatch):
+        specs = []
+        fit = pipeline.fit
+        monkeypatch.setattr(pipeline, "fit", lambda spec, *a, **k: specs.append(spec) or fit(spec, *a, **k))
+        code = run_cli("bench", "--out", str(tmp_path), "--run-name", "bench", "--grid", "5:10",
+                       "--collapse", "true", "--normalize-features", "true", *FAST)
+        assert code == 0
+        assert sorted(s.kind for s in specs) == ["forest", "svm", "trivial"]
+        assert all(s.collapse and s.normalize for s in specs)
 
     def test_failed_cell_recorded_and_run_continues(self, tmp_path):
         code = run_cli("bench", "--out", str(tmp_path), "--run-name", "bench",

@@ -178,6 +178,11 @@ class TestGenerateAnomaly:
         with pytest.raises(ValueError, match="counts"):
             generate_anomaly(AnomalyGenSpec(train_count=0))
 
+    @pytest.mark.parametrize("name", ["noise_sigma", "sigma_multiplier"])
+    def test_nan_spec_rejected(self, name):
+        with pytest.raises(ValueError, match=f"{name} must be > 0"):
+            AnomalyGenSpec(**{name: float("nan")})
+
 
 class TestZnormalize:
     def make(self, values):

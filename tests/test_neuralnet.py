@@ -14,7 +14,6 @@ from patchx.neuralnet import (
     accuracy,
     backward,
     build_network,
-    dataset_loss,
     gradcheck_case,
     gradient_check,
     train,
@@ -166,52 +165,6 @@ class TestCrossEntropy:
             patch_cross_entropy(np.array([0.5, 0.5]), 2)
 
 
-class TestDatasetLoss:
-    def test_zero_for_perfect(self):
-        # zero head plus a huge bias concentrates all mass on class 0
-        net = build_network(TINY)
-        net.dense.w[...] = 0.0
-        net.dense.b[...] = 0.0
-        net.dense.b[0] = 60.0
-        x, _ = random_batch(TINY, n=8)
-        y = np.zeros(8, dtype=np.int64)
-        assert dataset_loss(net, (x, y)) <= 1e-11
-
-    def test_mean_of_two(self):
-        net = build_network(TINY)
-        net.dense.w[...] = 0.0
-        net.dense.b[...] = np.array([60.0, 0.0, 0.0])
-        x, _ = random_batch(TINY, n=2)
-        # one perfect (label 0, loss ~0), one at -log(~0) clamped? use labels 0 and 0
-        y = np.array([0, 0])
-        assert dataset_loss(net, (x, y)) <= 1e-11
-        # uniform head: each patch costs ln 3, mean unchanged
-        net.dense.b[...] = 0.0
-        assert dataset_loss(net, (x, y)) == pytest.approx(math.log(3))
-
-    def test_matches_per_patch_resummation(self):
-        net = build_network(TINY)
-        x, y = random_batch(TINY, n=37, seed=5)
-        expected = sum(
-            patch_cross_entropy(net.forward_batch(x[i : i + 1])[0], int(y[i]))
-            for i in range(len(y))
-        ) / len(y)
-        assert dataset_loss(net, (x, y)) == pytest.approx(expected, rel=1e-12)
-
-    def test_permutation_invariant(self):
-        net = build_network(TINY)
-        x, y = random_batch(TINY, n=50, seed=6)
-        base = dataset_loss(net, (x, y))
-        perm = np.random.default_rng(1).permutation(50)
-        shuffled = dataset_loss(net, (x[perm], y[perm]))
-        assert abs(base - shuffled) <= 1e-9 * abs(base)
-
-    def test_empty_rejected(self):
-        net = build_network(TINY)
-        with pytest.raises(ValueError, match="at least one patch"):
-            dataset_loss(net, (np.zeros((0, 2, 12)), np.zeros(0, dtype=np.int64)))
-
-
 class TestBackward:
     def test_finite_differences_per_layer_and_composite(self):
         cases = {
@@ -332,11 +285,15 @@ class TestTrain:
 class TestTrainSpecValidation:
     def test_patience_must_be_below_epochs(self):
         with pytest.raises(ValueError):
-            TrainSpec(epochs=5, early_stopping_patience=5).validate()
+            TrainSpec(epochs=5, early_stopping_patience=5)
 
     def test_unknown_optimizer(self):
         with pytest.raises(ValueError):
-            TrainSpec(optimizer="lbfgs").validate()
+            TrainSpec(optimizer="lbfgs")
+
+    def test_nan_learning_rate(self):
+        with pytest.raises(ValueError, match="must be positive"):
+            TrainSpec(learning_rate=float("nan"))
 
 
 class TestMaskedRegionInsensitivity:
@@ -360,8 +317,8 @@ class TestMaskedRegionInsensitivity:
 class TestNetworkSpecValidation:
     def test_kernel_larger_than_input(self):
         with pytest.raises(ValueError, match="kernel"):
-            NetworkSpec(1, 4, 2, conv_blocks=((4, 5, "relu"),)).validate()
+            NetworkSpec(1, 4, 2, conv_blocks=((4, 5, "relu"),))
 
     def test_unknown_activation(self):
         with pytest.raises(ValueError, match="activation"):
-            NetworkSpec(1, 8, 2, conv_blocks=((4, 3, "gelu"),)).validate()
+            NetworkSpec(1, 8, 2, conv_blocks=((4, 3, "gelu"),))

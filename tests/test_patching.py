@@ -64,11 +64,11 @@ class TestEnumerate:
 class TestConfigValidation:
     def test_zero_false_rejected(self):
         with pytest.raises(ConfigError, match="mandatory"):
-            PatchConfig(5, 10, zero=False).validate()
+            PatchConfig(5, 10, zero=False)
 
     def test_notemp_without_zero_rejected(self):
         with pytest.raises(ConfigError):
-            PatchConfig(5, 10, zero=False, notemp=True).validate()
+            PatchConfig(5, 10, zero=False, notemp=True)
 
     def test_patch_longer_than_sample(self):
         with pytest.raises(ConfigError, match="exceeds"):
@@ -76,9 +76,9 @@ class TestConfigValidation:
 
     def test_nonpositive_params(self):
         with pytest.raises(ConfigError):
-            PatchConfig(0, 10).validate()
+            PatchConfig(0, 10)
         with pytest.raises(ConfigError):
-            PatchConfig(5, 0).validate()
+            PatchConfig(5, 0)
 
 
 class TestTransform:

@@ -92,9 +92,14 @@ class TestFit:
 
     def test_spec_validation(self):
         with pytest.raises(ValueError):
-            ShallowSpec(kind="boosting").validate()
+            ShallowSpec(kind="boosting")
         with pytest.raises(ValueError):
-            ShallowSpec(trivial=TrivialSpec(mode="median")).validate()
+            ShallowSpec(trivial=TrivialSpec(mode="median"))
+
+    @pytest.mark.parametrize("name", ["c_reg", "learning_rate"])
+    def test_nan_svm_parameter_rejected(self, name):
+        with pytest.raises(ValueError, match="must be positive"):
+            SvmSpec(**{name: float("nan")})
 
 
 class TestPredict:
