@@ -12,7 +12,8 @@ Runs in-process, from the checkout's own src/:
   and `histogram --per-class`.
 
 Prints one `<sha256 prefix>  <path>` line per output file, paths relative to
-OUT_DIR. `resolved_config.ini` holds the data directory, so compare two
+OUT_DIR, and then each run's `test_accuracy` and `val_patch_accuracy`, so that
+a change to the training arithmetic shows its drift beside the hashes. `resolved_config.ini` holds the data directory, so compare two
 checkouts with the same OUT_DIR. Timings and manifests are not listed: they
 carry wall-clock values.
 """
@@ -29,6 +30,7 @@ os.environ.pop("PATCHX_SEED", None)
 import contextlib  # noqa: E402
 import hashlib  # noqa: E402
 import io  # noqa: E402
+import json  # noqa: E402
 import sys  # noqa: E402
 from pathlib import Path  # noqa: E402
 
@@ -76,6 +78,10 @@ def main(argv: list[str]) -> int:
                                                      out / "histogram.json"]
     for path in paths:
         print(f"{hashlib.sha256(path.read_bytes()).hexdigest()[:12]}  {path.relative_to(out)}")
+    for run in RUNS:
+        metrics = json.loads((runs / run / "metrics.json").read_text(encoding="utf-8"))
+        print(f"{run}: test_accuracy {metrics['test_accuracy']!r}, "
+              f"val_patch_accuracy {metrics['val_patch_accuracy']!r}")
     return 0
 
 

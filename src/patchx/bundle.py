@@ -41,7 +41,7 @@ import numpy as np
 from .data import Dataset, NormStats, TimeSeriesSample, znormalize
 from .metadata import PresenceMatrix, extract_all
 from .neuralnet import DimensionError, NetworkSpec, PatchNet, build_network, forward_all
-from .patching import PatchConfig, build_patch_arrays, patch_spans
+from .patching import PatchConfig, _check_configs, build_patch_arrays, patch_spans
 from .shallow import ForestModel, SvmModel, TreeArrays, TrivialModel, predict_all
 
 MAGIC = b"PCHX1"
@@ -264,8 +264,7 @@ def _check_parts(spec: NetworkSpec, configs: list[PatchConfig], stats: NormStats
     """The restored parts agree: patches that fit the network's input, norm
     stats per input channel, and a shallow model that scores the bundle's
     presence layout to the network's classes."""
-    if not configs:
-        raise ValueError("the bundle has no patch configs")
+    _check_configs(configs)  # a ConfigError if there are none or they disagree on attach
     patch_spans(spec.input_length, configs)  # a ConfigError if a patch is longer than the input
     channels = spec.input_channels - (1 if configs[0].attach else 0)
     if stats is not None and stats.mean.shape != (channels,):

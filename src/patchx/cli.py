@@ -216,7 +216,7 @@ def build_specs(config: configparser.ConfigParser):
             kind=v["kind"],
             svm=SvmSpec(c_reg=v["c_reg"], epochs=v["svm_epochs"], learning_rate=v["svm_learning_rate"],
                         seed=v["seed"], standardize=v["standardize"]),
-            forest=ForestSpec(trees=v["trees"], max_depth=v["max_depth"] if v["max_depth"] > 0 else None,
+            forest=ForestSpec(trees=v["trees"], max_depth=v["max_depth"] or None,
                               min_leaf=v["min_leaf"], feature_subsample=v["feature_subsample"],
                               seed=v["seed"]),
             trivial=TrivialSpec(mode=v["trivial_mode"]),
@@ -363,7 +363,8 @@ def cmd_bench(args: argparse.Namespace) -> int:
 
     run_dir = make_run_dir(args.out, args.run_name)
     report: dict = {"cells": [], "blackbox": None}
-    bb = train_blackbox(train, val, test, net_spec=blackbox_spec, train_spec=train_spec)
+    bb = train_blackbox(train, val, test, net_spec=blackbox_spec, train_spec=train_spec,
+                        normalize=v["normalize"])
     report["blackbox"] = {"metrics": bb.metrics, "timing": bb.timing}
 
     for token, flags in cells:
@@ -374,7 +375,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
             base = run_pipeline(
                 train, val, test, patch_configs,
                 net_spec=net_spec, train_spec=train_spec,
-                shallow_spec=replace(shallow_spec, kind="svm"),
+                shallow_spec=replace(shallow_spec, kind="svm"), normalize=v["normalize"],
             )
             variants = {"cnn+svm": {"metrics": base.metrics, "timing": base.timing}}
             for kind in KINDS[1:]:  # refits beside the svm base

@@ -3,9 +3,12 @@
 Architecture: a stack of same-padded Conv1d+ReLU blocks, global average
 pooling over time, and a dense layer producing class logits; softmax on top.
 Activations keep the logical shape (batch, channels, length) over channels-last
-memory; a convolution is one shifted GEMM per kernel tap. All math is float64
-numpy, so serial runs are bit-reproducible and the analytic gradients can be
-checked against central finite differences.
+memory; a convolution is one shifted GEMM per kernel tap. The conv stack runs
+only on each row's crop, its nonzero steps plus the receptive-field halo;
+outside the crop every activation is that of the all-zero input (the empty
+frame), which one batch-1 pass computes. All math is float64 numpy, so serial
+runs are bit-reproducible and the analytic gradients can be checked against
+central finite differences.
 """
 
 from __future__ import annotations
@@ -86,13 +89,19 @@ class Conv1d:
         self.pad_left = (kernel - 1) // 2
         self.pad_right = kernel - 1 - self.pad_left
 
-    def forward(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def forward(self, x: np.ndarray, *, edges: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
         """x: (batch, in_channels, length) -> (out, flat); out is a transposed
-        view of channels-last memory, flat the padded input kept for backprop."""
+        view of channels-last memory, flat the padded input kept for backprop.
+
+        The frame's pad rows are zeros, or, when x is a crop of a longer input,
+        edges: (batch, pad_left + pad_right, in_channels) values that the input
+        holds around the crop (rows edge_rows(length) of the frame)."""
         batch, in_channels, length = x.shape
         framed = length + self.kernel - 1
         xp = np.zeros((batch, framed, in_channels))
         xp[:, self.pad_left : self.pad_left + length] = x.transpose(0, 2, 1)
+        if edges is not None:
+            xp[:, self.edge_rows(length)] = edges
         flat = xp.reshape(-1, in_channels)
         taps = self.w.transpose(2, 1, 0).copy()  # (kernel, in, out)
         acc = np.empty((len(flat), len(self.b)))
@@ -105,22 +114,30 @@ class Conv1d:
         return acc.reshape(batch, framed, -1)[:, :length].transpose(0, 2, 1), flat
 
     def backward(
-        self, dout: np.ndarray, flat: np.ndarray, in_shape: tuple[int, int, int]
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        self, dout: np.ndarray, flat: np.ndarray, in_shape: tuple[int, int, int], *, input_grad: bool = True
+    ) -> tuple[np.ndarray | None, np.ndarray, np.ndarray]:
+        """(dframe, dw, db): dframe is the gradient of the whole padded input
+        frame, (batch, in_channels, length + kernel - 1) over channels-last
+        memory, or None when input_grad is false."""
         batch, in_channels, length = in_shape
         framed = length + self.kernel - 1
         g = np.zeros((batch, framed, len(self.b)))  # frame rows past `length` hold no output
         g[:, :length] = dout.transpose(0, 2, 1)
         g = g.reshape(-1, len(self.b))[: len(flat) - self.kernel + 1]
-        taps = self.w.transpose(2, 0, 1).copy()  # (kernel, out, in)
         dw = np.stack([g.T @ flat[j : j + len(g)] for j in range(self.kernel)], axis=2)
+        db = np.ones(len(g)) @ g  # a GEMV; g.sum(axis=0) loops over narrow rows
+        if not input_grad:
+            return None, dw, db
+        taps = self.w.transpose(2, 0, 1).copy()  # (kernel, out, in)
         dxp = np.zeros_like(flat)
         for lo, hi in _row_blocks(len(g)):
             for j in range(self.kernel):
                 dxp[lo + j : hi + j] += g[lo:hi] @ taps[j]
-        dx = dxp.reshape(batch, framed, in_channels)[:, self.pad_left : self.pad_left + length]
-        db = np.ones(len(g)) @ g  # a GEMV; g.sum(axis=0) loops over narrow rows
-        return dx.transpose(0, 2, 1), dw, db
+        return dxp.reshape(batch, framed, in_channels).transpose(0, 2, 1), dw, db
+
+    def edge_rows(self, length: int) -> np.ndarray:
+        """The pad rows of the frame of a length-long input, left then right."""
+        return np.r_[: self.pad_left, self.pad_left + length : length + self.kernel - 1]
 
 
 def _row_blocks(rows: int) -> list[tuple[int, int]]:
@@ -190,19 +207,59 @@ class PatchNet:
                 f"{self.spec.input_length}), got {x.shape}"
             )
 
-    def _forward_cached(self, x: np.ndarray) -> tuple[np.ndarray, list]:
-        self._check_input(x)
+    def _crop(self, x: np.ndarray) -> tuple[np.ndarray, int]:
+        """(offsets, width): each row's crop [offset, offset + width).
+
+        A row's crop spans its first to last nonzero time step, widened by the
+        receptive-field halo of the conv stack; outside it every activation is
+        that of the empty frame. Crops are padded to the batch's widest, and
+        each offset is clamped so that the crop stays inside the frame."""
+        batch, _, length = x.shape
+        nonzero = (x != 0.0).any(axis=1)  # (batch, length)
+        first = np.argmax(nonzero, axis=1)
+        end = length - np.argmax(nonzero[:, ::-1], axis=1)
+        lo = np.maximum(first - sum(conv.pad_right for conv in self.convs), 0)
+        hi = np.minimum(end + sum(conv.pad_left for conv in self.convs), length)
+        width = max(1, int(np.max(hi - lo, initial=0, where=nonzero.any(axis=1))))
+        return np.minimum(lo, length - width), width
+
+    def _convolve(self, h: np.ndarray, offsets: np.ndarray | None = None,
+                  empty: list | None = None) -> tuple[list, np.ndarray]:
+        """The conv blocks on h; returns (caches, last activation). With the
+        empty frame's caches, h is a crop at offsets, and the pad rows of each
+        layer's frame read the empty frame's activations at their positions."""
         caches = []
-        h = x
-        for conv, activation in zip(self.convs, self.activations):
-            out, flat = conv.forward(h)
+        for i, (conv, activation) in enumerate(zip(self.convs, self.activations)):
+            edges = None  # layer 0's empty frame is zero
+            if empty is not None and i > 0:
+                edges = empty[i][1][offsets[:, None] + conv.edge_rows(h.shape[2])]
+            out, flat = conv.forward(h, edges=edges)
             if activation == "relu":  # in place: post > 0 is the same mask as pre > 0
                 np.maximum(out, 0.0, out=out)
             caches.append((h.shape, flat, out))
             h = out
-        pooled = h.mean(axis=2)
+        return caches, h
+
+    def _forward_cached(self, x: np.ndarray) -> tuple[np.ndarray, list]:
+        """Logits and the caches for backward. The conv stack runs on each
+        row's crop; when the crop is shorter than the frame, one forward of the
+        all-zero input gives the activations outside it (the empty frame)."""
+        self._check_input(x)
+        batch, _, length = x.shape
+        offsets, width = self._crop(x)
+        empty = outside = None
+        if width < length:
+            empty, background = self._convolve(np.zeros((1, *x.shape[1:])))
+            x = np.lib.stride_tricks.sliding_window_view(x, width, axis=2)[np.arange(batch), :, offsets]
+            steps = np.arange(length)
+            outside = ((steps < offsets[:, None]) | (steps >= offsets[:, None] + width)).astype(float)
+        caches, h = self._convolve(x, offsets, empty)
+        pooled = h.sum(axis=2)
+        if empty is not None:  # the empty frame's activations outside each crop
+            pooled += outside @ background[0].T
+        pooled /= length
         logits = self.dense.forward(pooled)
-        caches.append((h.shape, pooled))
+        caches.append((h.shape, pooled, offsets, outside, empty))
         return logits, caches
 
     def forward_batch(self, x: np.ndarray) -> np.ndarray:
@@ -210,20 +267,41 @@ class PatchNet:
         return softmax(self._forward_cached(x)[0])
 
     def backward_from_logits(self, dlogits: np.ndarray, caches: list) -> dict[str, np.ndarray]:
+        """Parameter gradients. What the crops read from the empty frame (the
+        pooling remainder and every layer's pad rows) goes back through one
+        backward of the empty frame."""
         grads: dict[str, np.ndarray] = {}
-        conv_out_shape, pooled = caches[-1]
+        (batch, channels, width), pooled, offsets, outside, empty = caches[-1]
         dpooled, dw, db = self.dense.backward(dlogits, pooled)
         grads["dense.w"] = dw
         grads["dense.b"] = db
-        length = conv_out_shape[2]  # dh is built channels-last, like the activations
-        dh = np.repeat(dpooled[:, None, :] / length, length, axis=1).transpose(0, 2, 1)
+        length = self.spec.input_length
+        dpooled /= length
+        dh = np.broadcast_to(dpooled[:, None, :], (batch, width, channels)).transpose(0, 2, 1)
+        if empty is not None:
+            d0 = (outside.T @ dpooled).T[None]  # (1, channels, length) over channels-last memory
         for i in range(len(self.convs) - 1, -1, -1):
+            conv = self.convs[i]
             in_shape, flat, post = caches[i]
             if self.activations[i] == "relu":
                 dh = dh * (post > 0)
-            dh, dw, db = self.convs[i].backward(dh, flat, in_shape)
+            dframe, dw, db = conv.backward(dh, flat, in_shape, input_grad=i > 0)
+            if empty is not None:
+                shape0, flat0, post0 = empty[i]
+                if self.activations[i] == "relu":
+                    d0 = d0 * (post0 > 0)
+                dframe0, dw0, db0 = conv.backward(d0, flat0, shape0, input_grad=i > 0)
+                dw += dw0
+                db += db0
             grads[f"conv{i}.w"] = dw
             grads[f"conv{i}.b"] = db
+            if i == 0:  # nothing reads the input gradient
+                break
+            dh = dframe[:, :, conv.pad_left : conv.pad_left + width]
+            if empty is not None:  # the crop's pad rows were read from the empty frame
+                rows = conv.edge_rows(width)
+                np.add.at(dframe0[0].T, offsets[:, None] + rows, dframe[:, :, rows].transpose(0, 2, 1))
+                d0 = dframe0[:, :, conv.pad_left : conv.pad_left + length]
         return grads
 
 

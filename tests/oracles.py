@@ -5,6 +5,10 @@ build_patch_dataset enumerates them in the order samples -> configs -> patch
 index. build_patch_arrays, the one patch builder the pipeline runs, must equal
 it bit for bit. forward and patch_cross_entropy evaluate the network on a
 single patch.
+
+The full-frame network: full_frame_forward and full_frame_backward run every
+convolution over the whole length of each patch, zero background included.
+The cropped network of PatchNet must equal them up to rounding.
 """
 
 from __future__ import annotations
@@ -14,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from patchx.data import Dataset, TimeSeriesSample
-from patchx.neuralnet import LOG_CLAMP, PatchNet
+from patchx.neuralnet import LOG_CLAMP, PatchNet, softmax
 from patchx.patching import ConfigError, PatchConfig, _check_configs, enumerate_patches
 
 
@@ -113,3 +117,48 @@ def extract_loop(
             counts[i, ci, winner] += 1
             patch_counts[i, ci] += 1
     return blocks, counts, patch_counts
+
+
+def full_frame_forward(net: PatchNet, x: np.ndarray) -> tuple[np.ndarray, list]:
+    """Logits and caches of the conv stack run over every time step of x."""
+    caches = []
+    h = x
+    for conv, activation in zip(net.convs, net.activations):
+        out, flat = conv.forward(h)
+        if activation == "relu":
+            out = np.maximum(out, 0.0)
+        caches.append((h.shape, flat, out))
+        h = out
+    pooled = h.mean(axis=2)
+    caches.append((h.shape, pooled))
+    return net.dense.forward(pooled), caches
+
+
+def full_frame_backward(net: PatchNet, dlogits: np.ndarray, caches: list) -> dict[str, np.ndarray]:
+    """Parameter gradients of full_frame_forward."""
+    grads: dict[str, np.ndarray] = {}
+    conv_out_shape, pooled = caches[-1]
+    dpooled, grads["dense.w"], grads["dense.b"] = net.dense.backward(dlogits, pooled)
+    length = conv_out_shape[2]
+    dh = np.repeat(dpooled[:, :, None] / length, length, axis=2)
+    for i in range(len(net.convs) - 1, -1, -1):
+        conv = net.convs[i]
+        in_shape, flat, post = caches[i]
+        if net.activations[i] == "relu":
+            dh = dh * (post > 0)
+        dframe, grads[f"conv{i}.w"], grads[f"conv{i}.b"] = conv.backward(dh, flat, in_shape)
+        dh = dframe[:, :, conv.pad_left : conv.pad_left + length]
+    return grads
+
+
+def full_frame_softmax(net: PatchNet, x: np.ndarray) -> np.ndarray:
+    return softmax(full_frame_forward(net, x)[0])
+
+
+def full_frame_gradients(net: PatchNet, x: np.ndarray, y: np.ndarray) -> dict[str, np.ndarray]:
+    """Gradient of the mean batch cross-entropy, as neuralnet.backward."""
+    logits, caches = full_frame_forward(net, x)
+    dlogits = softmax(logits)
+    dlogits[np.arange(len(y)), y] -= 1.0
+    dlogits /= len(y)
+    return full_frame_backward(net, dlogits, caches)

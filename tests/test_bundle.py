@@ -214,11 +214,12 @@ def _array(name, **entry):
     (_edit_header(lambda h: h.update(shallow=None)), "malformed header"),
     (_edit_header(lambda h: h["network"].update(input_channels=5)), "parameter conv0.w: shape"),
     (_edit_header(lambda h: h["network"].update(input_length=12)), "exceeds sample length 12"),
+    (_edit_header(lambda h: h["patch_configs"][1].update(attach=False)), "agree on the attach flag"),
 ], ids=["truncated-payload", "truncated-header", "bogus-header-length", "short-header-length",
         "truncated-prefix", "no-network-key", "no-arrays-key", "f4-dtype", "list-header",
         "int-arrays", "text-shape", "negative-shape", "unknown-patch-key", "int-conv-blocks",
         "text-class-count", "null-shallow", "spec-disagrees-with-parameters",
-        "patch-longer-than-input"])
+        "patch-longer-than-input", "configs-disagree-on-attach"])
 def test_corrupt_bundle_raises_bundle_error(tmp_path, corrupt, cause):
     path = tmp_path / "model.pchx"
     save_bundle(make_bundle(), path)

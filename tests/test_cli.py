@@ -171,14 +171,17 @@ class TestConfigChecks:
         (["run", "--sigma-multiplier", "nan"], "sigma_multiplier must be > 0"),
         (["bench", "--kernel", "0"], r"kernel size 0 outside \[1, 50\]"),
         (["bench", "--trees", "0"], "trees and min_leaf must be positive"),
+        (["run", "--max-depth", "-3"], "max_depth must be >= 1"),
+        (["bench", "--max-depth", "-3"], "max_depth must be >= 1"),
     ], ids=["run-epochs-0", "run-patience-past-epochs", "run-kernel-99", "run-nan-learning-rate",
-            "run-nan-c-reg", "run-nan-sigma-multiplier", "bench-kernel-0", "bench-trees-0"])
+            "run-nan-c-reg", "run-nan-sigma-multiplier", "bench-kernel-0", "bench-trees-0",
+            "run-negative-max-depth", "bench-negative-max-depth"])
     def test_bad_spec_value_stops_before_any_output(self, tmp_path, capsys, argv, message):
         """A value that parses but that its spec rejects stops the command with
         one line, before any training and before any run directory."""
         command, *flags = argv
         code = run_cli(command, "--out", str(tmp_path / "out"), *FAST, *flags)
-        assert code != 0
+        assert code == (1 if command == "run" else 2)  # run reports the stage it stopped in
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and re.search(message, err)
         assert not (tmp_path / "out").exists()
@@ -310,6 +313,17 @@ class TestBench:
         assert code == 0
         assert sorted(s.kind for s in specs) == ["forest", "svm", "trivial"]
         assert all(s.collapse and s.normalize for s in specs)
+
+    @pytest.mark.parametrize("normalize, calls", [("true", 2), ("false", 0)])
+    def test_normalize_option_reaches_every_training(self, tmp_path, monkeypatch, normalize, calls):
+        """The blackbox and each cell z-normalize only when [data] normalize says so."""
+        seen = []
+        stats = pipeline.normalization_stats
+        monkeypatch.setattr(pipeline, "normalization_stats", lambda ds: seen.append(ds) or stats(ds))
+        code = run_cli("bench", "--out", str(tmp_path), "--run-name", "bench", "--grid", "5:10",
+                       "--normalize", normalize, *FAST)
+        assert code == 0
+        assert len(seen) == calls
 
     def test_failed_cell_recorded_and_run_continues(self, tmp_path):
         code = run_cli("bench", "--out", str(tmp_path), "--run-name", "bench",

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from patchx.data import TimeSeriesSample
+from patchx.data import Dataset, TimeSeriesSample
 from patchx.neuralnet import (
     ROW_BLOCK,
     Conv1d,
@@ -16,11 +16,12 @@ from patchx.neuralnet import (
     build_network,
     gradcheck_case,
     gradient_check,
+    nudge_biases_off_kinks,
     train,
 )
-from patchx.patching import PatchConfig
+from patchx.patching import PatchConfig, build_patch_arrays
 
-from oracles import forward, patch_cross_entropy, transform
+from oracles import forward, full_frame_gradients, full_frame_softmax, patch_cross_entropy, transform
 
 TINY = NetworkSpec(
     input_channels=2, input_length=12, class_count=3,
@@ -85,7 +86,8 @@ def im2col_forward(conv, x):
 
 
 def im2col_backward(conv, dout, cols, in_shape):
-    """Backward of im2col_forward, scattering each tap's input gradient."""
+    """Backward of im2col_forward, scattering each tap's input gradient; the
+    input gradient is that of the whole padded frame."""
     batch, in_channels, length = in_shape
     g2d = dout.transpose(0, 2, 1).reshape(batch * length, -1)
     dw = (g2d.T @ cols).reshape(conv.w.shape)
@@ -96,8 +98,7 @@ def im2col_backward(conv, dout, cols, in_shape):
     dxp = np.zeros((batch, in_channels, length + conv.kernel - 1))
     for j in range(conv.kernel):
         dxp[:, :, j : j + length] += dcols[:, :, :, j].transpose(0, 2, 1)
-    left = (conv.kernel - 1) // 2
-    return dxp[:, :, left : left + length], dw, db
+    return dxp, dw, db
 
 
 class TestShiftedGemmConv:
@@ -125,9 +126,13 @@ class TestShiftedGemmConv:
         np.testing.assert_allclose(out, ref_out, rtol=0, atol=1e-10)
         got = conv.backward(dout, flat, x.shape)
         want = im2col_backward(conv, dout, cols, x.shape)
-        for name, a, b in zip(("dx", "dw", "db"), got, want):
+        for name, a, b in zip(("dframe", "dw", "db"), got, want):
             assert a.shape == b.shape, name
             np.testing.assert_allclose(a, b, rtol=0, atol=1e-10, err_msg=name)
+        dframe, dw, db = conv.backward(dout, flat, x.shape, input_grad=False)
+        assert dframe is None
+        np.testing.assert_array_equal(dw, got[1])
+        np.testing.assert_array_equal(db, got[2])
 
     @pytest.mark.parametrize("channels_last", [False, True], ids=["channels-first", "channels-last"])
     @pytest.mark.parametrize("kernel,length", SHAPES)
@@ -142,6 +147,28 @@ class TestShiftedGemmConv:
         # the last block is partial
         assert ROW_BLOCK % 52 and (1024 * 52 - 4) % ROW_BLOCK
         self.check(5, 48, 16, 1024, True, seed=3)
+
+    @pytest.mark.parametrize("kernel", [1, 2, 3, 4, 5])
+    def test_edges_fill_the_pad_rows(self, kernel):
+        """A crop with edges is the valid part of the convolution of the crop
+        and its edges, and the frame gradient's pad rows are the edges'."""
+        rng = np.random.default_rng(kernel)
+        conv = Conv1d(3, 6, kernel, rng)
+        conv.b[...] = rng.normal(size=6)
+        frame = rng.normal(size=(5, 3, 9 + kernel - 1))
+        rows = conv.edge_rows(9)
+        inside = np.setdiff1d(np.arange(frame.shape[2]), rows)
+        out, flat = conv.forward(frame[:, :, inside], edges=frame[:, :, rows].transpose(0, 2, 1))
+        ref_out, cols = im2col_forward(conv, frame)
+        np.testing.assert_allclose(out, ref_out[:, :, inside], rtol=0, atol=1e-10)
+        dout = rng.normal(size=out.shape)
+        full_dout = np.zeros(ref_out.shape)
+        full_dout[:, :, inside] = dout
+        dframe, dw, db = conv.backward(dout, flat, (5, 3, 9))
+        ref_dframe, ref_dw, ref_db = im2col_backward(conv, full_dout, cols, frame.shape)
+        ref_dframe = ref_dframe[:, :, conv.pad_left : conv.pad_left + frame.shape[2]]
+        for name, a, b in (("dframe", dframe, ref_dframe), ("dw", dw, ref_dw), ("db", db, ref_db)):
+            np.testing.assert_allclose(a, b, rtol=0, atol=1e-10, err_msg=name)
 
     def test_output_is_channels_last_view(self):
         conv = Conv1d(3, 4, 3, np.random.default_rng(0))
@@ -208,6 +235,98 @@ class TestBackward:
         report = gradient_check(net, (x, y))
         assert not report.passed
         assert any(e.name == "dense.w" and e.max_rel_error > 1e-3 for e in report.entries)
+
+
+FLAGS = [(False, False), (True, False), (False, True), (True, True)]
+FLAG_IDS = ["plain", "attach", "notemp", "attach-notemp"]
+
+
+def patch_rows(attach, notemp, length=23, whole=False):
+    """build_patch_arrays rows of five samples, 2 data channels. The windows
+    of 4:6 and 7:9 start at step 0 and end at the last step, truncated there;
+    sample 1 is all zero, so its patches are empty without attach. whole adds
+    a window that covers the frame."""
+    rng = np.random.default_rng(int(attach) * 2 + int(notemp))
+    values = rng.normal(size=(5, 2, length))
+    values[1] = 0.0
+    samples = [TimeSeriesSample(id=i, values=values[i], label=i % 3) for i in range(5)]
+    tokens = [(4, 6), (7, 9)] + ([(length, length)] if whole else [])
+    configs = [PatchConfig(stride, size, attach=attach, notemp=notemp) for stride, size in tokens]
+    return build_patch_arrays(Dataset(samples=samples, class_count=3), configs)
+
+
+def crop_net(channels, length, kernel, activation, depth, seed):
+    """A network whose biases are drawn too, so the empty frame is not zero."""
+    blocks = ((5, kernel, activation), (4, kernel, activation))[:depth]
+    net = build_network(NetworkSpec(channels, length, 3, conv_blocks=blocks, seed=seed))
+    rng = np.random.default_rng(seed)
+    for conv in net.convs:
+        conv.b[...] = rng.normal(scale=0.5, size=conv.b.shape)
+    return net
+
+
+NETS = [(kernel, activation, depth) for kernel in (1, 2, 3, 5)
+        for activation in ("relu", "linear") for depth in (1, 2)]
+
+
+class TestCropOracle:
+    """The cropped network against the full-frame oracle, to 1e-10 absolute."""
+
+    def check(self, net, x, y):
+        np.testing.assert_allclose(net.forward_batch(x), full_frame_softmax(net, x), rtol=0, atol=1e-10)
+        got, want = backward(net, (x, y)), full_frame_gradients(net, x, y)
+        assert got.keys() == want.keys()
+        for name in want:
+            np.testing.assert_allclose(got[name], want[name], rtol=0, atol=1e-10, err_msg=name)
+
+    @pytest.mark.parametrize("attach, notemp", FLAGS, ids=FLAG_IDS)
+    @pytest.mark.parametrize("kernel, activation, depth", NETS)
+    def test_patches_match_full_frame(self, attach, notemp, kernel, activation, depth):
+        x, y = patch_rows(attach, notemp)
+        net = crop_net(x.shape[1], x.shape[2], kernel, activation, depth, seed=kernel * 10 + depth)
+        offsets, width = net._crop(x)
+        assert width < x.shape[2]
+        assert offsets.min() == 0  # windows at the first step
+        assert notemp or offsets.max() + width == x.shape[2]  # and, in place, at the last
+        self.check(net, x, y)
+
+    def test_empty_patches_alone(self):
+        x, y = patch_rows(False, False)
+        empty = x[~x.any(axis=(1, 2))]
+        assert len(empty) == 10  # the 6 + 4 patches of the all-zero sample
+        net = crop_net(x.shape[1], x.shape[2], 3, "relu", 2, seed=4)
+        assert net._crop(empty)[1] == 1
+        self.check(net, empty, y[: len(empty)])
+
+    @pytest.mark.parametrize("attach, notemp", FLAGS, ids=FLAG_IDS)
+    def test_full_width_crop_is_the_full_frame(self, attach, notemp):
+        """A batch holding a whole-frame window crops nothing and runs the
+        oracle's arithmetic exactly."""
+        x, y = patch_rows(attach, notemp, whole=True)
+        net = crop_net(x.shape[1], x.shape[2], 3, "relu", 2, seed=6)
+        assert net._crop(x)[1] == x.shape[2]
+        np.testing.assert_array_equal(net.forward_batch(x), full_frame_softmax(net, x))
+        got, want = backward(net, (x, y)), full_frame_gradients(net, x, y)
+        for name in want:
+            np.testing.assert_array_equal(got[name], want[name], err_msg=name)
+
+    def test_row_depends_on_its_batch_only_by_rounding(self):
+        x, _ = patch_rows(True, False, whole=True)
+        net = crop_net(x.shape[1], x.shape[2], 5, "relu", 2, seed=8)
+        batched = net.forward_batch(x)
+        alone = np.concatenate([net.forward_batch(row[None]) for row in x])
+        np.testing.assert_allclose(alone, batched, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("attach, notemp", FLAGS, ids=FLAG_IDS)
+    @pytest.mark.parametrize("kernel", [2, 3])
+    def test_gradient_check_through_the_crop(self, attach, notemp, kernel):
+        x, y = patch_rows(attach, notemp)
+        x, y = x[::4], y[::4]
+        net = crop_net(x.shape[1], x.shape[2], kernel, "relu", 2, seed=kernel)
+        nudge_biases_off_kinks(net, x)
+        assert net._crop(x)[1] < x.shape[2]
+        report = gradient_check(net, (x, y))
+        assert report.passed, report.summary()
 
 
 def make_constant_patches(n, value, label, channels=1, length=16):
