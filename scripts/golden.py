@@ -9,13 +9,17 @@ Runs in-process, from the checkout's own src/:
   --standardize true` with `--shallow svm`, `forest` and `trivial`, and as
   `svm-collapse` with `--shallow svm --collapse true --normalize-features true`;
 * on the svm run, `patchx explain` for sample ids 0-4, `explain --mislabels`
-  and `histogram --per-class`.
+  and `histogram --per-class`;
+* `patchx bench --grid 5:10` on the same data with the same training flags.
 
 Prints one `<sha256 prefix>  <path>` line per output file, paths relative to
 OUT_DIR, and then each run's `test_accuracy` and `val_patch_accuracy`, so that
-a change to the training arithmetic shows its drift beside the hashes. `resolved_config.ini` holds the data directory, so compare two
-checkouts with the same OUT_DIR. Timings and manifests are not listed: they
-carry wall-clock values.
+a change to the training arithmetic shows its drift beside the hashes. Last
+come the bench's `test_accuracy` values, of the blackbox and of each variant:
+values, not a hash, because `bench_report.json` holds timings.
+`resolved_config.ini` holds the data directory, so compare two checkouts with
+the same OUT_DIR. Timings and manifests are not listed: they carry wall-clock
+values.
 """
 
 from __future__ import annotations
@@ -63,10 +67,11 @@ def main(argv: list[str]) -> int:
     data, runs = out / "data", out / "runs"
     call("generate", "--out", str(data), "--train-count", "1000", "--val-count", "300",
          "--test-count", "400", "--seed", "7")
+    training = ("--source", "files", "--data-dir", str(data), "--epochs", "2", "--patience", "0",
+                "--filters", "16,32", "--seed", "7", "--standardize", "true")
     for name, shallow in RUNS.items():
-        call("run", "--source", "files", "--data-dir", str(data), "--out", str(runs),
-             "--run-name", name, "--epochs", "2", "--patience", "0", "--filters", "16,32",
-             "--seed", "7", "--standardize", "true", *shallow)
+        call("run", *training, "--out", str(runs), "--run-name", name, *shallow)
+    call("bench", *training, "--out", str(out), "--run-name", "bench", "--grid", "5:10")
     bundle, test = str(runs / "svm" / "bundle.pchx"), str(data / "test.csv")
     ids = [arg for i in range(5) for arg in ("--sample-id", str(i))]
     call("explain", "--bundle", bundle, "--data", test, *ids, "--out", str(out / "explain"))
@@ -82,6 +87,11 @@ def main(argv: list[str]) -> int:
         metrics = json.loads((runs / run / "metrics.json").read_text(encoding="utf-8"))
         print(f"{run}: test_accuracy {metrics['test_accuracy']!r}, "
               f"val_patch_accuracy {metrics['val_patch_accuracy']!r}")
+    report = json.loads((out / "bench" / "bench_report.json").read_text(encoding="utf-8"))
+    print(f"bench blackbox: test_accuracy {report['blackbox']['metrics']['test_accuracy']!r}")
+    for cell in report["cells"]:
+        for variant, entry in cell["variants"].items():
+            print(f"bench {cell['configs']} {variant}: test_accuracy {entry['metrics']['test_accuracy']!r}")
     return 0
 
 

@@ -22,7 +22,7 @@ from .data import (
 from .metadata import PresenceMatrix, extract_all
 from .neuralnet import NetworkSpec, PatchNet, TrainSpec, build_network, gradient_check, train
 from .patching import PatchConfig, build_patch_arrays, enumerate_patches
-from .pipeline import run_pipeline, train_blackbox
+from .pipeline import run_pipeline
 from .shallow import ForestSpec, ShallowSpec, SvmSpec, TrivialSpec, evaluate, fit, predict_all
 
 __version__ = "0.1.0"
@@ -59,6 +59,5 @@ __all__ = [
     "save_bundle",
     "save_dataset",
     "train",
-    "train_blackbox",
     "znormalize",
 ]

@@ -36,7 +36,7 @@ from .neuralnet import (
     OPTIMIZERS, DimensionError, NetworkSpec, TrainSpec, gradcheck_case, gradient_check,
 )
 from .patching import ConfigError, PatchConfig
-from .pipeline import default_network_spec, refit_shallow, run_pipeline, train_blackbox
+from .pipeline import default_network_spec, refit_shallow, run_pipeline
 from .shallow import (
     FEATURE_SUBSAMPLES, KINDS, TRIVIAL_MODES, ForestSpec, ShallowSpec, SvmSpec, TrivialSpec,
 )
@@ -297,15 +297,13 @@ def cmd_generate(args: argparse.Namespace) -> int:
 def cmd_run(args: argparse.Namespace) -> int:
     config = load_config(args.config)
     apply_overrides(config, args)
-    stage = "configure"
-    try:
-        patch_configs, conv_blocks, train_spec, shallow_spec = build_specs(config)
-        v = _values(config)
-        stage = "data"
-        train, val, test = load_run_datasets(config)
-        stage = "configure"
+    patch_configs, conv_blocks, train_spec, shallow_spec = build_specs(config)
+    train, val, test = load_run_datasets(config)
+    v = _values(config)
+    with _spec_checks():
         net_spec = default_network_spec(train, patch_configs, seed=v["seed"], conv_blocks=conv_blocks)
-        stage = "run directory"
+    stage = "run directory"
+    try:
         run_dir = make_run_dir(args.out, args.run_name)
         stage = "pipeline"
         result = run_pipeline(
@@ -343,8 +341,9 @@ def cmd_bench(args: argparse.Namespace) -> int:
     _, conv_blocks, train_spec, shallow_spec = build_specs(config)
     train, val, test = load_run_datasets(config)
     v = _values(config)
+    whole = [PatchConfig(stride=train.length, length=train.length, attach=False)]  # one window: the sample
     with _spec_checks():
-        blackbox_spec = default_network_spec(train, [], seed=v["seed"], conv_blocks=conv_blocks)
+        blackbox_spec = default_network_spec(train, whole, seed=v["seed"], conv_blocks=conv_blocks)
 
     cells = []
     for token in args.grid.split("|"):
@@ -362,10 +361,13 @@ def cmd_bench(args: argparse.Namespace) -> int:
         cells.append((token.strip(), flags))
 
     run_dir = make_run_dir(args.out, args.run_name)
-    report: dict = {"cells": [], "blackbox": None}
-    bb = train_blackbox(train, val, test, net_spec=blackbox_spec, train_spec=train_spec,
-                        normalize=v["normalize"])
-    report["blackbox"] = {"metrics": bb.metrics, "timing": bb.timing}
+    # with one patch per sample, confidence-sum voting is the network's argmax
+    bb = run_pipeline(
+        train, val, test, whole, net_spec=blackbox_spec, train_spec=train_spec,
+        shallow_spec=replace(shallow_spec, kind="trivial", trivial=TrivialSpec("confidence-sum")),
+        normalize=v["normalize"],
+    )
+    report: dict = {"cells": [], "blackbox": {"metrics": bb.metrics, "timing": bb.timing}}
 
     for token, flags in cells:
         cell_name = token + ("@" + ",".join(k for k in ("attach", "notemp") if flags[k]) if any(flags.values()) else "")

@@ -225,7 +225,9 @@ def load_dataset(path: str | Path, delimiter: str = ",", split: str = "train") -
     """Parse a delimited-text dataset file; row order gives the sample ids.
 
     Raises ParseError naming the 1-based data row on any malformed content,
-    and for a file without samples.
+    and for a file without samples. The row scan checks everything that
+    Dataset.validate does: the field count fixes each sample's shape, values
+    are finite, labels are in range, and ids are row numbers.
     """
     path = Path(path)
     try:
@@ -273,9 +275,7 @@ def load_dataset(path: str | Path, delimiter: str = ",", split: str = "train") -
         )
     if not samples:
         raise ParseError(f"{path} has a header but no samples")
-    dataset = Dataset(samples=samples, class_count=class_count, split=split)
-    dataset.validate()
-    return dataset
+    return Dataset(samples=samples, class_count=class_count, split=split)
 
 
 def _is_number(text: str) -> bool:

@@ -8,7 +8,8 @@ only on each row's crop, its nonzero steps plus the receptive-field halo;
 outside the crop every activation is that of the all-zero input (the empty
 frame), which one batch-1 pass computes. All math is float64 numpy, so serial
 runs are bit-reproducible and the analytic gradients can be checked against
-central finite differences.
+central finite differences. The parameters live in one flat vector that every
+layer's weights and biases view, so the optimizer steps one array.
 """
 
 from __future__ import annotations
@@ -173,23 +174,25 @@ class PatchNet:
             self.activations.append(activation)
             channels = filters
         self.dense = Dense(channels, spec.class_count, rng)
+        layers = [*self.convs, self.dense]
+        # the layers' initial draws, in parameters() order; then each w and b views its part
+        self.flat_params = np.concatenate([p.ravel() for layer in layers for p in (layer.w, layer.b)])
+        offset = 0
+        for layer in layers:
+            for attr in ("w", "b"):
+                p = getattr(layer, attr)
+                setattr(layer, attr, self.flat_params[offset : offset + p.size].reshape(p.shape))
+                offset += p.size
 
     # -- parameter access -------------------------------------------------
 
     def parameters(self) -> list[tuple[str, np.ndarray]]:
-        params = []
-        for i, conv in enumerate(self.convs):
-            params.append((f"conv{i}.w", conv.w))
-            params.append((f"conv{i}.b", conv.b))
-        params.append(("dense.w", self.dense.w))
-        params.append(("dense.b", self.dense.b))
-        return params
+        """(name, array) of every parameter; each array is a view of flat_params."""
+        layers = [(f"conv{i}", conv) for i, conv in enumerate(self.convs)] + [("dense", self.dense)]
+        return [(f"{name}.{attr}", getattr(layer, attr)) for name, layer in layers for attr in ("w", "b")]
 
     def parameter_count(self) -> int:
-        return sum(p.size for _, p in self.parameters())
-
-    def get_state(self) -> dict[str, np.ndarray]:
-        return {name: p.copy() for name, p in self.parameters()}
+        return self.flat_params.size
 
     def set_state(self, state: dict[str, np.ndarray]) -> None:
         for name, p in self.parameters():
@@ -332,17 +335,22 @@ def batch_cross_entropy(probs: np.ndarray, labels: np.ndarray) -> float:
     return float(-np.log(picked).mean())
 
 
+def _loss_and_gradients(net: PatchNet, x: np.ndarray, y: np.ndarray) -> tuple[float, dict[str, np.ndarray]]:
+    """The mean batch cross-entropy and its gradient w.r.t. every parameter."""
+    logits, caches = net._forward_cached(x)
+    dlogits = softmax(logits)
+    loss = batch_cross_entropy(dlogits, y)
+    dlogits[np.arange(len(y)), y] -= 1.0
+    dlogits /= len(y)
+    return loss, net.backward_from_logits(dlogits, caches)
+
+
 def backward(net: PatchNet, batch: tuple[np.ndarray, np.ndarray]) -> dict[str, np.ndarray]:
     """Gradient of the mean batch cross-entropy w.r.t. every parameter."""
     x, y = batch
     if len(y) == 0:
         raise ValueError("backward requires a non-empty batch")
-    logits, caches = net._forward_cached(x)
-    probs = softmax(logits)
-    dlogits = probs.copy()
-    dlogits[np.arange(len(y)), y] -= 1.0
-    dlogits /= len(y)
-    return net.backward_from_logits(dlogits, caches)
+    return _loss_and_gradients(net, x, y)[1]
 
 
 def predictions(net: PatchNet, x: np.ndarray) -> np.ndarray:
@@ -359,45 +367,42 @@ def accuracy(net: PatchNet, patches: tuple[np.ndarray, np.ndarray]) -> float:
 
 
 class Adam:
-    def __init__(self, params: list[tuple[str, np.ndarray]], lr: float,
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
-        self.params = params
+    """Adam over a flat parameter vector of `size` entries."""
+
+    def __init__(self, size: int, lr: float, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
         self.lr = lr
         self.beta1 = beta1
         self.beta2 = beta2
         self.eps = eps
         self.t = 0
-        self.m = {name: np.zeros_like(p) for name, p in params}
-        self.v = {name: np.zeros_like(p) for name, p in params}
+        self.m = np.zeros(size)
+        self.v = np.zeros(size)
 
-    def step(self, grads: dict[str, np.ndarray]) -> None:
+    def step(self, params: np.ndarray, grad: np.ndarray) -> None:
+        """Updates params in place from its gradient grad, both flat."""
         self.t += 1
-        for name, p in self.params:
-            g = grads[name]
-            m = self.m[name]
-            v = self.v[name]
-            m *= self.beta1
-            m += (1 - self.beta1) * g
-            v *= self.beta2
-            v += (1 - self.beta2) * g * g
-            m_hat = m / (1 - self.beta1 ** self.t)
-            v_hat = v / (1 - self.beta2 ** self.t)
-            p -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+        self.m *= self.beta1
+        self.m += (1 - self.beta1) * grad
+        self.v *= self.beta2
+        self.v += (1 - self.beta2) * grad * grad
+        m_hat = self.m / (1 - self.beta1 ** self.t)
+        v_hat = self.v / (1 - self.beta2 ** self.t)
+        params -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
 
 
 class SgdMomentum:
-    def __init__(self, params: list[tuple[str, np.ndarray]], lr: float, momentum: float = 0.9):
-        self.params = params
+    """SGD with momentum over a flat parameter vector of `size` entries."""
+
+    def __init__(self, size: int, lr: float, momentum: float = 0.9):
         self.lr = lr
         self.momentum = momentum
-        self.velocity = {name: np.zeros_like(p) for name, p in params}
+        self.velocity = np.zeros(size)
 
-    def step(self, grads: dict[str, np.ndarray]) -> None:
-        for name, p in self.params:
-            v = self.velocity[name]
-            v *= self.momentum
-            v -= self.lr * grads[name]
-            p += v
+    def step(self, params: np.ndarray, grad: np.ndarray) -> None:
+        """Updates params in place from its gradient grad, both flat."""
+        self.velocity *= self.momentum
+        self.velocity -= self.lr * grad
+        params += self.velocity
 
 
 @dataclass
@@ -421,31 +426,23 @@ def train(net: PatchNet, train_patches, val_patches, spec: TrainSpec) -> TrainLo
     if len(y_val) == 0:
         raise ValueError("validation patches must be non-empty")
     rng = np.random.default_rng(spec.seed)
-    params = net.parameters()
-    if spec.optimizer == "adam":
-        optimizer = Adam(params, spec.learning_rate)
-    else:
-        optimizer = SgdMomentum(params, spec.learning_rate)
+    names = [name for name, _ in net.parameters()]
+    optimizer = (Adam if spec.optimizer == "adam" else SgdMomentum)(net.flat_params.size, spec.learning_rate)
     log = TrainLog()
-    best_state = net.get_state()
+    best_params = net.flat_params.copy()
     n = len(y_train)
     for epoch in range(spec.epochs):
         order = rng.permutation(n)
         batch_losses: list[float] = []
         for lo in range(0, n, spec.batch_size):
             idx = order[lo : lo + spec.batch_size]
-            xb, yb = x_train[idx], y_train[idx]
-            logits, caches = net._forward_cached(xb)
-            probs = softmax(logits)
-            batch_losses.append(batch_cross_entropy(probs, yb))
-            if not math.isfinite(batch_losses[-1]):  # before its gradient reaches the parameters
+            loss, grads = _loss_and_gradients(net, x_train[idx], y_train[idx])
+            if not math.isfinite(loss):  # before its gradient reaches the parameters
                 raise TrainingError(
                     f"training loss diverged at epoch {epoch}, batch {lo // spec.batch_size}"
                 )
-            dlogits = probs
-            dlogits[np.arange(len(yb)), yb] -= 1.0
-            dlogits /= len(yb)
-            optimizer.step(net.backward_from_logits(dlogits, caches))
+            batch_losses.append(loss)
+            optimizer.step(net.flat_params, np.concatenate([grads[name].ravel() for name in names]))
         epoch_loss = math.fsum(batch_losses) / len(batch_losses)
         val_acc = accuracy(net, (x_val, y_val))
         log.train_loss.append(epoch_loss)
@@ -454,10 +451,10 @@ def train(net: PatchNet, train_patches, val_patches, spec: TrainSpec) -> TrainLo
         if val_acc > log.best_val_accuracy:
             log.best_val_accuracy = val_acc
             log.best_epoch = epoch
-            best_state = net.get_state()
+            best_params = net.flat_params.copy()
         elif spec.early_stopping_patience and epoch - log.best_epoch >= spec.early_stopping_patience:
             break
-    net.set_state(best_state)
+    net.flat_params[...] = best_params
     return log
 
 

@@ -26,8 +26,8 @@ def default_network_spec(
     conv_blocks: tuple = NetworkSpec.conv_blocks,
 ) -> NetworkSpec:
     """A network sized for the dataset's patches, with the attach channel when
-    the configs add one; with no configs it takes whole samples."""
-    channels = dataset.channels + (1 if configs and configs[0].attach else 0)
+    the configs add one."""
+    channels = dataset.channels + (1 if configs[0].attach else 0)
     return NetworkSpec(
         input_channels=channels,
         input_length=dataset.length,
@@ -147,41 +147,3 @@ def refit_shallow(
         bundle, shallow_spec, result.train_vectors, test, result.test_vectors, metrics, timing
     )
     return replace(result, bundle=bundle, metrics=metrics, timing=timing, test_vectors=test_vectors)
-
-
-@dataclass
-class BlackboxResult:
-    network: object
-    train_log: TrainLog
-    metrics: dict
-    timing: dict
-
-
-def train_blackbox(
-    train: Dataset,
-    val: Dataset,
-    test: Dataset | None,
-    net_spec: NetworkSpec | None = None,
-    train_spec: TrainSpec | None = None,
-    normalize: bool = True,
-) -> BlackboxResult:
-    """Baseline: the identical network applied to whole samples, no patching."""
-    train_spec = train_spec or TrainSpec()
-    if net_spec is None:
-        net_spec = default_network_spec(train, [], seed=train_spec.seed)
-    stats = normalization_stats(train) if normalize else None
-    norm = lambda ds: znormalize(ds, stats) if stats else ds
-    pack = lambda ds: (norm(ds).values_array(), ds.labels_array())
-
-    network = build_network(net_spec)
-    t0 = time.perf_counter()
-    log = neuralnet.train(network, pack(train), pack(val), train_spec)
-    t_train = time.perf_counter() - t0
-    metrics: dict = {"val_accuracy": log.best_val_accuracy}
-    timing = {"train_seconds": t_train}
-    if test is not None:
-        x_test, y_test = pack(test)
-        t0 = time.perf_counter()
-        metrics["test_accuracy"] = neuralnet.accuracy(network, (x_test, y_test))
-        timing["inference_seconds"] = time.perf_counter() - t0
-    return BlackboxResult(network=network, train_log=log, metrics=metrics, timing=timing)

@@ -9,6 +9,14 @@ single patch.
 The full-frame network: full_frame_forward and full_frame_backward run every
 convolution over the whole length of each patch, zero background included.
 The cropped network of PatchNet must equal them up to rounding.
+
+The per-name optimizers: NamedAdam and NamedSgdMomentum keep one moment array
+per named parameter and step each in turn. The flat optimizers that train
+steps one parameter vector with must equal them bit for bit.
+
+The whole-sample baseline as its own path: blackbox_train trains the network
+on the z-normalized samples themselves, with no patching. bench's one-window
+patch run must train the same parameters bit for bit.
 """
 
 from __future__ import annotations
@@ -17,8 +25,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from patchx.data import Dataset, TimeSeriesSample
-from patchx.neuralnet import LOG_CLAMP, PatchNet, softmax
+from patchx import neuralnet
+from patchx.data import Dataset, TimeSeriesSample, normalization_stats, znormalize
+from patchx.neuralnet import LOG_CLAMP, NetworkSpec, PatchNet, TrainSpec, softmax
 from patchx.patching import ConfigError, PatchConfig, _check_configs, enumerate_patches
 
 
@@ -162,3 +171,58 @@ def full_frame_gradients(net: PatchNet, x: np.ndarray, y: np.ndarray) -> dict[st
     dlogits[np.arange(len(y)), y] -= 1.0
     dlogits /= len(y)
     return full_frame_backward(net, dlogits, caches)
+
+
+class NamedAdam:
+    def __init__(self, params: list[tuple[str, np.ndarray]], lr: float,
+                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+        self.params = params
+        self.lr = lr
+        self.beta1 = beta1
+        self.beta2 = beta2
+        self.eps = eps
+        self.t = 0
+        self.m = {name: np.zeros_like(p) for name, p in params}
+        self.v = {name: np.zeros_like(p) for name, p in params}
+
+    def step(self, grads: dict[str, np.ndarray]) -> None:
+        self.t += 1
+        for name, p in self.params:
+            g = grads[name]
+            m = self.m[name]
+            v = self.v[name]
+            m *= self.beta1
+            m += (1 - self.beta1) * g
+            v *= self.beta2
+            v += (1 - self.beta2) * g * g
+            m_hat = m / (1 - self.beta1 ** self.t)
+            v_hat = v / (1 - self.beta2 ** self.t)
+            p -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+
+
+class NamedSgdMomentum:
+    def __init__(self, params: list[tuple[str, np.ndarray]], lr: float, momentum: float = 0.9):
+        self.params = params
+        self.lr = lr
+        self.momentum = momentum
+        self.velocity = {name: np.zeros_like(p) for name, p in params}
+
+    def step(self, grads: dict[str, np.ndarray]) -> None:
+        for name, p in self.params:
+            v = self.velocity[name]
+            v *= self.momentum
+            v -= self.lr * grads[name]
+            p += v
+
+
+def blackbox_train(
+    train: Dataset, val: Dataset, test: Dataset, net_spec: NetworkSpec, train_spec: TrainSpec,
+    normalize: bool = True,
+) -> tuple[PatchNet, float, float]:
+    """The network trained on whole samples: (network, best validation
+    accuracy, test accuracy)."""
+    stats = normalization_stats(train) if normalize else None
+    pack = lambda ds: ((znormalize(ds, stats) if stats else ds).values_array(), ds.labels_array())
+    network = neuralnet.build_network(net_spec)
+    log = neuralnet.train(network, pack(train), pack(val), train_spec)
+    return network, log.best_val_accuracy, neuralnet.accuracy(network, pack(test))

@@ -80,6 +80,16 @@ def test_round_trip_bitwise(tmp_path, kind):
     assert path.read_bytes() == path2.read_bytes()
 
 
+def test_loaded_parameters_view_the_flat_vector(tmp_path):
+    """load_bundle writes the parameters into the views of one flat vector."""
+    bundle = make_bundle("svm")
+    save_bundle(bundle, tmp_path / "model.pchx")
+    network = load_bundle(tmp_path / "model.pchx").network
+    for name, p in network.parameters():
+        assert np.shares_memory(p, network.flat_params), name
+    assert network.flat_params.tobytes() == bundle.network.flat_params.tobytes()
+
+
 def test_round_trip_predictions_identical(tmp_path):
     bundle = make_bundle("svm")
     path = tmp_path / "model.pchx"

@@ -5,13 +5,16 @@ from pathlib import Path
 
 import pytest
 
-from patchx import pipeline
+from patchx import cli, pipeline
 from patchx.cli import (
     OPTIONS, apply_overrides, build_parser, build_specs, load_config, main, parse_patch_tokens,
     write_resolved_config,
 )
 from patchx.data import load_dataset
+from patchx.neuralnet import NetworkSpec, TrainingError
 from patchx.patching import ConfigError, PatchConfig
+
+from oracles import blackbox_train
 
 FAST = [
     "--train-count", "40", "--val-count", "20", "--test-count", "20",
@@ -114,15 +117,26 @@ class TestRun:
     def test_bad_stage_reports_failure(self, tmp_path, capsys):
         code = run_cli("run", "--out", str(tmp_path), "--run-name", "bad",
                        "--patches", "0:10", *FAST)
-        assert code == 1
-        assert "stage" in capsys.readouterr().err
+        assert code == 2
+        assert "stride must be >= 1" in capsys.readouterr().err
         assert not (tmp_path / "bad").exists()  # patch configs are checked before the run dir
+
+    def test_failed_stage_is_reported(self, tmp_path, capsys, monkeypatch):
+        def diverge(*args, **kwargs):
+            raise TrainingError("training loss diverged at epoch 0, batch 0")
+
+        monkeypatch.setattr(cli, "run_pipeline", diverge)
+        code = run_cli("run", "--out", str(tmp_path), "--run-name", "bad", *FAST)
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "stage 'pipeline'" in err and "diverged" in err
 
     def test_zero_false_rejected(self, tmp_path, capsys):
         code = run_cli("run", "--out", str(tmp_path), "--run-name", "nozero",
                        "--zero", "false", *FAST)
-        assert code == 1
+        assert code == 2
         assert "mandatory" in capsys.readouterr().err
+        assert not (tmp_path / "nozero").exists()
 
     def test_shallow_flags_reach_resolved_config(self, tmp_path):
         run_cli("run", "--out", str(tmp_path), "--run-name", "flags",
@@ -181,7 +195,7 @@ class TestConfigChecks:
         one line, before any training and before any run directory."""
         command, *flags = argv
         code = run_cli(command, "--out", str(tmp_path / "out"), *FAST, *flags)
-        assert code == (1 if command == "run" else 2)  # run reports the stage it stopped in
+        assert code == 2
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and re.search(message, err)
         assert not (tmp_path / "out").exists()
@@ -261,8 +275,9 @@ class TestMissingFiles:
     def test_run_leaves_no_run_dir(self, tmp_path, capsys):
         code = run_cli("run", "--out", str(tmp_path), "--run-name", "c", "--source", "files",
                        "--data-dir", str(tmp_path / "nowhere"))
-        assert code == 1
-        assert "stage 'data'" in capsys.readouterr().err
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and str(tmp_path / "nowhere" / "train.csv") in err
         assert not (tmp_path / "c").exists()
 
     def test_bench_leaves_no_run_dir(self, tmp_path, capsys):
@@ -311,7 +326,9 @@ class TestBench:
         code = run_cli("bench", "--out", str(tmp_path), "--run-name", "bench", "--grid", "5:10",
                        "--collapse", "true", "--normalize-features", "true", *FAST)
         assert code == 0
-        assert sorted(s.kind for s in specs) == ["forest", "svm", "trivial"]
+        # the blackbox's confidence-sum vote first, then the cell's svm, forest and trivial fits
+        assert [s.kind for s in specs] == ["trivial", "svm", "forest", "trivial"]
+        assert specs[0].trivial.mode == "confidence-sum"
         assert all(s.collapse and s.normalize for s in specs)
 
     @pytest.mark.parametrize("normalize, calls", [("true", 2), ("false", 0)])
@@ -324,6 +341,31 @@ class TestBench:
                        "--normalize", normalize, *FAST)
         assert code == 0
         assert len(seen) == calls
+
+    @pytest.mark.parametrize("normalize", ["true", "false"])
+    def test_blackbox_is_the_whole_sample_network(self, tmp_path, monkeypatch, normalize):
+        """The one-window patch run trains the parameters that training on the
+        whole samples trains, bit for bit, and scores the same accuracies."""
+        runs = []
+        run = cli.run_pipeline
+        monkeypatch.setattr(cli, "run_pipeline", lambda *a, **k: runs.append(run(*a, **k)) or runs[-1])
+        argv = ["--grid", "5:10", "--normalize", normalize, *FAST]
+        assert run_cli("bench", "--out", str(tmp_path), "--run-name", "bench", *argv) == 0
+        blackbox = runs[0]
+        args = build_parser().parse_args(["bench", "--out", str(tmp_path), *argv])
+        config = load_config(None)
+        apply_overrides(config, args)
+        _, conv_blocks, train_spec, _ = build_specs(config)
+        train, val, test = cli.load_run_datasets(config)
+        spec = NetworkSpec(train.channels, train.length, train.class_count, conv_blocks, seed=3)
+        network, val_accuracy, test_accuracy = blackbox_train(
+            train, val, test, spec, train_spec, normalize=normalize == "true")
+        assert blackbox.bundle.network.spec == spec
+        assert blackbox.bundle.network.flat_params.tobytes() == network.flat_params.tobytes()
+        assert blackbox.metrics["val_patch_accuracy"] == val_accuracy
+        assert blackbox.metrics["test_accuracy"] == test_accuracy
+        report = json.loads((tmp_path / "bench" / "bench_report.json").read_text())
+        assert report["blackbox"]["metrics"]["test_accuracy"] == test_accuracy
 
     def test_failed_cell_recorded_and_run_continues(self, tmp_path):
         code = run_cli("bench", "--out", str(tmp_path), "--run-name", "bench",

@@ -97,11 +97,21 @@ class TestLoadDataset:
             mutant[position] = mutations.randrange(256)
             path.write_bytes(bytes(mutant))
             try:
-                load_dataset(path)
+                load_dataset(path).validate()  # what the row scan lets through is a valid dataset
             except ParseError:
                 pass
             except Exception as err:
                 pytest.fail(f"byte {position} set to {mutant[position]}: {type(err).__name__}: {err}")
+
+    def test_rows_are_scanned_once(self, tmp_path, monkeypatch):
+        """The row scan makes the checks; no validate walk follows it."""
+        path = write_lines(tmp_path, ["1,2,2", "1.0,2.0,0", "3.0,4.0,1"])
+
+        def walk(dataset):
+            raise AssertionError("load_dataset walked its rows a second time")
+
+        monkeypatch.setattr(Dataset, "validate", walk)
+        assert len(load_dataset(path)) == 2
 
     def test_class_count_comes_from_header_not_labels(self, tmp_path):
         # a split may lack some classes entirely; C stays fixed by the header

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -6,7 +7,9 @@ import pytest
 from patchx.data import Dataset, TimeSeriesSample
 from patchx.neuralnet import (
     ROW_BLOCK,
+    Adam,
     Conv1d,
+    Dense,
     DimensionError,
     NetworkSpec,
     TrainingError,
@@ -17,11 +20,15 @@ from patchx.neuralnet import (
     gradcheck_case,
     gradient_check,
     nudge_biases_off_kinks,
+    SgdMomentum,
     train,
 )
 from patchx.patching import PatchConfig, build_patch_arrays
 
-from oracles import forward, full_frame_gradients, full_frame_softmax, patch_cross_entropy, transform
+from oracles import (
+    NamedAdam, NamedSgdMomentum, forward, full_frame_gradients, full_frame_softmax, patch_cross_entropy,
+    transform,
+)
 
 TINY = NetworkSpec(
     input_channels=2, input_length=12, class_count=3,
@@ -399,6 +406,55 @@ class TestTrain:
                     TrainSpec(epochs=20, batch_size=16, learning_rate=0.01,
                               optimizer="sgd-momentum", early_stopping_patience=19, seed=1))
         assert log.best_val_accuracy == 1.0
+
+
+def assert_views_flat_params(net):
+    """Every layer's w and b is a view of net.flat_params, and together they
+    tile it in parameters() order."""
+    params = net.parameters()
+    assert [p for _, p in params] == [p for layer in (*net.convs, net.dense) for p in (layer.w, layer.b)]
+    for name, p in params:
+        assert np.shares_memory(p, net.flat_params), name
+    np.testing.assert_array_equal(np.concatenate([p.ravel() for _, p in params]), net.flat_params)
+    assert sum(p.size for _, p in params) == net.flat_params.size == net.parameter_count()
+
+
+class TestFlatParameters:
+    def test_build_draws_the_layers_initialisation(self):
+        net = build_network(TINY)
+        rng = np.random.default_rng(TINY.seed)
+        layers = [Conv1d(2, 4, 3, rng), Conv1d(4, 5, 3, rng), Dense(5, 3, rng)]
+        expected = np.concatenate([p.ravel() for layer in layers for p in (layer.w, layer.b)])
+        assert net.flat_params.tobytes() == expected.tobytes()
+        assert_views_flat_params(net)
+
+    @pytest.mark.parametrize("flat_cls, named_cls", [(Adam, NamedAdam), (SgdMomentum, NamedSgdMomentum)],
+                             ids=["adam", "sgd-momentum"])
+    def test_flat_step_matches_per_name_steps(self, flat_cls, named_cls):
+        net, reference = build_network(TINY), build_network(TINY)
+        flat = flat_cls(net.flat_params.size, 0.05)
+        named = named_cls([(name, p.copy()) for name, p in reference.parameters()], 0.05)
+        rng = np.random.default_rng(5)
+        for _ in range(20):
+            grads = {name: rng.normal(size=p.shape) for name, p in reference.parameters()}
+            named.step(grads)
+            flat.step(net.flat_params, np.concatenate([grads[name].ravel() for name, _ in net.parameters()]))
+        for (name, p), (_, q) in zip(net.parameters(), named.params):
+            assert p.tobytes() == q.tobytes(), name
+        assert_views_flat_params(net)
+
+    def test_best_epoch_restore_keeps_the_views(self):
+        """train restores the best epoch's parameters in place: the views still
+        hold, and the parameters are those of a run that stops at that epoch."""
+        x, y = TestTrain().separable_toy()
+        spec = NetworkSpec(1, 16, 2, conv_blocks=((4, 3, "relu"),), seed=0)
+        tspec = TrainSpec(epochs=6, batch_size=16, learning_rate=0.05, early_stopping_patience=0, seed=0)
+        net, stopped = build_network(spec), build_network(spec)
+        log = train(net, (x[::2], y[::2]), (x[1::2], y[1::2]), tspec)
+        assert log.best_epoch < log.epochs_run - 1  # the restore replaces later parameters
+        train(stopped, (x[::2], y[::2]), (x[1::2], y[1::2]), replace(tspec, epochs=log.best_epoch + 1))
+        assert net.flat_params.tobytes() == stopped.flat_params.tobytes()
+        assert_views_flat_params(net)
 
 
 class TestTrainSpecValidation:
