@@ -10,13 +10,15 @@ Runs in-process, from the checkout's own src/:
   `svm-collapse` with `--shallow svm --collapse true --normalize-features true`;
 * on the svm run, `patchx explain` for sample ids 0-4, `explain --mislabels`
   and `histogram --per-class`;
-* `patchx bench --grid 5:10` on the same data with the same training flags.
+* `patchx bench --grid 5:10` on the same data with the same training flags;
+* `patchx gradcheck --seed 0`.
 
 Prints one `<sha256 prefix>  <path>` line per output file, paths relative to
 OUT_DIR, and then each run's `test_accuracy` and `val_patch_accuracy`, so that
 a change to the training arithmetic shows its drift beside the hashes. Last
 come the bench's `test_accuracy` values, of the blackbox and of each variant:
-values, not a hash, because `bench_report.json` holds timings.
+values, not a hash, because `bench_report.json` holds timings. The gradient
+check's summary lines close the output.
 `resolved_config.ini` holds the data directory, so compare two checkouts with
 the same OUT_DIR. Timings and manifests are not listed: they carry wall-clock
 values.
@@ -52,11 +54,13 @@ RUNS = {
 }
 
 
-def call(*argv: str) -> None:
-    with contextlib.redirect_stdout(io.StringIO()):
+def call(*argv: str) -> str:
+    """Runs one patchx command and returns what it printed."""
+    with contextlib.redirect_stdout(io.StringIO()) as printed:
         code = patchx(list(argv))
     if code != 0:
         raise SystemExit(f"patchx {' '.join(argv)} exited with {code}")
+    return printed.getvalue()
 
 
 def main(argv: list[str]) -> int:
@@ -92,6 +96,7 @@ def main(argv: list[str]) -> int:
     for cell in report["cells"]:
         for variant, entry in cell["variants"].items():
             print(f"bench {cell['configs']} {variant}: test_accuracy {entry['metrics']['test_accuracy']!r}")
+    print(call("gradcheck", "--seed", "0"), end="")
     return 0
 
 

@@ -207,22 +207,22 @@ def znormalize(dataset: Dataset, stats: NormStats | None = None) -> Dataset:
     return Dataset(samples=samples, class_count=dataset.class_count, split=dataset.split)
 
 
-def save_dataset(dataset: Dataset, path: str | Path, delimiter: str = ",") -> None:
-    """Write the delimited-text layout: a `channels,length,class_count` header,
+def save_dataset(dataset: Dataset, path: str | Path) -> None:
+    """Write the comma-separated layout: a `channels,length,class_count` header,
     then one sample per row (channel-major values followed by the label)."""
     path = Path(path)
     with path.open("w", encoding="utf-8") as f:
-        f.write(delimiter.join(str(v) for v in (dataset.channels, dataset.length, dataset.class_count)))
+        f.write(",".join(str(v) for v in (dataset.channels, dataset.length, dataset.class_count)))
         f.write("\n")
         for s in dataset.samples:
             fields = [repr(float(v)) for v in s.values.reshape(-1)]
             fields.append(str(s.label))
-            f.write(delimiter.join(fields))
+            f.write(",".join(fields))
             f.write("\n")
 
 
-def load_dataset(path: str | Path, delimiter: str = ",", split: str = "train") -> Dataset:
-    """Parse a delimited-text dataset file; row order gives the sample ids.
+def load_dataset(path: str | Path, split: str = "train") -> Dataset:
+    """Parse a comma-separated dataset file; row order gives the sample ids.
 
     Raises ParseError naming the 1-based data row on any malformed content,
     and for a file without samples. The row scan checks everything that
@@ -238,9 +238,9 @@ def load_dataset(path: str | Path, delimiter: str = ",", split: str = "train") -
     lines = [line for line in lines if line.strip()]
     if not lines:
         raise ParseError(f"{path} is empty")
-    header = lines[0].split(delimiter)
+    header = lines[0].split(",")
     if len(header) != 3:
-        raise ParseError(f"header must be 'channels{delimiter}length{delimiter}class_count'")
+        raise ParseError("header must be 'channels,length,class_count'")
     try:
         channels, length, class_count = (int(v) for v in header)
     except ValueError:
@@ -250,7 +250,7 @@ def load_dataset(path: str | Path, delimiter: str = ",", split: str = "train") -
     expected = channels * length + 1
     samples = []
     for row_no, line in enumerate(lines[1:], start=1):
-        fields = line.split(delimiter)
+        fields = line.split(",")
         if len(fields) != expected:
             raise ParseError(
                 f"inconsistent length: expected {expected} fields "

@@ -22,21 +22,16 @@ CATEGORY_SPECIFIC = "class-specific"
 CATEGORY_SHARED = "shared"
 CATEGORY_UNRELATED = "unrelated"
 
-# confidence >= specific_threshold -> class-specific pattern;
-# confidence <= 1/C + unrelated_margin -> unrelated; shared in between
+# confidence >= SPECIFIC_THRESHOLD -> class-specific pattern;
+# confidence <= 1/C + UNRELATED_MARGIN -> unrelated; shared in between
 SPECIFIC_THRESHOLD = 0.9
 UNRELATED_MARGIN = 0.1
 
 
-def categorize_confidence(
-    confidence: float,
-    class_count: int,
-    specific_threshold: float = SPECIFIC_THRESHOLD,
-    unrelated_margin: float = UNRELATED_MARGIN,
-) -> str:
-    if confidence >= specific_threshold:
+def categorize_confidence(confidence: float, class_count: int) -> str:
+    if confidence >= SPECIFIC_THRESHOLD:
         return CATEGORY_SPECIFIC
-    if confidence <= 1.0 / class_count + unrelated_margin:
+    if confidence <= 1.0 / class_count + UNRELATED_MARGIN:
         return CATEGORY_UNRELATED
     return CATEGORY_SHARED
 
@@ -192,40 +187,17 @@ class BoundaryProbeResult:
     position: tuple[int, int]  # (channel, time-step) scaled by each factor
     steps: list[BoundaryProbeStep]
 
+    def _first_change(self, field: str) -> float | None:
+        """First factor at which the step's field departs from its initial value."""
+        first = getattr(self.steps[0], field)
+        return next((s.factor for s in self.steps if getattr(s, field) != first), None)
+
     def ground_truth_flip_factor(self) -> float | None:
         """First factor at which the label rule departs from its initial value."""
-        first = self.steps[0].ground_truth
-        for step in self.steps:
-            if step.ground_truth != first:
-                return step.factor
-        return None
+        return self._first_change("ground_truth")
 
     def prediction_flip_factor(self) -> float | None:
-        first = self.steps[0].sample_prediction
-        for step in self.steps:
-            if step.sample_prediction != first:
-                return step.factor
-        return None
-
-    def patch_confidence_monotone(self, target_class: int) -> dict[tuple[int, int], bool]:
-        """Whether each peak-covering patch's confidence in target_class is
-        non-decreasing over the factors. Reported, never asserted: nothing
-        guarantees a trained model responds monotonically."""
-        time_step = self.position[1]
-        out = {}
-        keys = [
-            (r.config_index, r.patch_index)
-            for r in self.steps[0].records
-            if r.span[0] <= time_step < r.span[1]
-        ]
-        for key in keys:
-            trajectory = []
-            for step in self.steps:
-                for r in step.records:
-                    if (r.config_index, r.patch_index) == key:
-                        trajectory.append(float(r.softmax[target_class]))
-            out[key] = bool(np.all(np.diff(trajectory) >= -1e-12))
-        return out
+        return self._first_change("sample_prediction")
 
     def to_dict(self) -> dict:
         return {

@@ -8,8 +8,10 @@ only on each row's crop, its nonzero steps plus the receptive-field halo;
 outside the crop every activation is that of the all-zero input (the empty
 frame), which one batch-1 pass computes. All math is float64 numpy, so serial
 runs are bit-reproducible and the analytic gradients can be checked against
-central finite differences. The parameters live in one flat vector that every
-layer's weights and biases view, so the optimizer steps one array.
+central finite differences. Parameters and gradients share one flat layout:
+every layer's weights and biases view the parameter vector, and backward writes
+each layer's gradients to the same place in one gradient vector, so the
+optimizer steps one array with another.
 """
 
 from __future__ import annotations
@@ -23,6 +25,11 @@ LOG_CLAMP = 1e-12
 EVAL_BATCH = 1024
 ROW_BLOCK = 1024  # frame rows per shifted GEMM in Conv1d
 OPTIMIZERS = ("adam", "sgd-momentum")
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+SGD_MOMENTUM = 0.9
+GRADCHECK_BATCH = 4
+GRADCHECK_STEP = 1e-3  # central-difference step per unit of max(1, |parameter|)
+KINK_MARGIN = 0.02  # least distance of a gradcheck ReLU pre-activation from zero
 
 
 class DimensionError(ValueError):
@@ -174,15 +181,13 @@ class PatchNet:
             self.activations.append(activation)
             channels = filters
         self.dense = Dense(channels, spec.class_count, rng)
-        layers = [*self.convs, self.dense]
         # the layers' initial draws, in parameters() order; then each w and b views its part
-        self.flat_params = np.concatenate([p.ravel() for layer in layers for p in (layer.w, layer.b)])
-        offset = 0
-        for layer in layers:
-            for attr in ("w", "b"):
-                p = getattr(layer, attr)
-                setattr(layer, attr, self.flat_params[offset : offset + p.size].reshape(p.shape))
-                offset += p.size
+        params = self.parameters()
+        self._shapes = [(name, p.shape) for name, p in params]
+        self.flat_params = np.concatenate([p.ravel() for _, p in params])
+        views = iter(self.views(self.flat_params).values())
+        for layer in (*self.convs, self.dense):
+            layer.w, layer.b = next(views), next(views)
 
     # -- parameter access -------------------------------------------------
 
@@ -190,6 +195,16 @@ class PatchNet:
         """(name, array) of every parameter; each array is a view of flat_params."""
         layers = [(f"conv{i}", conv) for i, conv in enumerate(self.convs)] + [("dense", self.dense)]
         return [(f"{name}.{attr}", getattr(layer, attr)) for name, layer in layers for attr in ("w", "b")]
+
+    def views(self, flat: np.ndarray) -> dict[str, np.ndarray]:
+        """Name -> shaped view of each parameter's part of flat, a vector laid
+        out like flat_params (parameters, gradients)."""
+        parts, offset = {}, 0
+        for name, shape in self._shapes:
+            size = math.prod(shape)
+            parts[name] = flat[offset : offset + size].reshape(shape)
+            offset += size
+        return parts
 
     def parameter_count(self) -> int:
         return self.flat_params.size
@@ -269,15 +284,14 @@ class PatchNet:
         """Softmax class probabilities, shape (batch, class_count)."""
         return softmax(self._forward_cached(x)[0])
 
-    def backward_from_logits(self, dlogits: np.ndarray, caches: list) -> dict[str, np.ndarray]:
-        """Parameter gradients. What the crops read from the empty frame (the
-        pooling remainder and every layer's pad rows) goes back through one
-        backward of the empty frame."""
-        grads: dict[str, np.ndarray] = {}
+    def backward_from_logits(self, dlogits: np.ndarray, caches: list) -> np.ndarray:
+        """The parameter gradients, one vector laid out like flat_params. What
+        the crops read from the empty frame (the pooling remainder and every
+        layer's pad rows) goes back through one backward of the empty frame."""
+        grad = np.empty_like(self.flat_params)
+        parts = self.views(grad)
         (batch, channels, width), pooled, offsets, outside, empty = caches[-1]
-        dpooled, dw, db = self.dense.backward(dlogits, pooled)
-        grads["dense.w"] = dw
-        grads["dense.b"] = db
+        dpooled, parts["dense.w"][...], parts["dense.b"][...] = self.dense.backward(dlogits, pooled)
         length = self.spec.input_length
         dpooled /= length
         dh = np.broadcast_to(dpooled[:, None, :], (batch, width, channels)).transpose(0, 2, 1)
@@ -296,8 +310,8 @@ class PatchNet:
                 dframe0, dw0, db0 = conv.backward(d0, flat0, shape0, input_grad=i > 0)
                 dw += dw0
                 db += db0
-            grads[f"conv{i}.w"] = dw
-            grads[f"conv{i}.b"] = db
+            parts[f"conv{i}.w"][...] = dw
+            parts[f"conv{i}.b"][...] = db
             if i == 0:  # nothing reads the input gradient
                 break
             dh = dframe[:, :, conv.pad_left : conv.pad_left + width]
@@ -305,7 +319,7 @@ class PatchNet:
                 rows = conv.edge_rows(width)
                 np.add.at(dframe0[0].T, offsets[:, None] + rows, dframe[:, :, rows].transpose(0, 2, 1))
                 d0 = dframe0[:, :, conv.pad_left : conv.pad_left + length]
-        return grads
+        return grad
 
 
 def build_network(spec: NetworkSpec) -> PatchNet:
@@ -335,8 +349,10 @@ def batch_cross_entropy(probs: np.ndarray, labels: np.ndarray) -> float:
     return float(-np.log(picked).mean())
 
 
-def _loss_and_gradients(net: PatchNet, x: np.ndarray, y: np.ndarray) -> tuple[float, dict[str, np.ndarray]]:
-    """The mean batch cross-entropy and its gradient w.r.t. every parameter."""
+def _loss_and_gradients(net: PatchNet, x: np.ndarray, y: np.ndarray) -> tuple[float, np.ndarray]:
+    """The mean batch cross-entropy and its gradient, laid out like flat_params."""
+    if len(y) == 0:
+        raise ValueError("backward requires a non-empty batch")
     logits, caches = net._forward_cached(x)
     dlogits = softmax(logits)
     loss = batch_cross_entropy(dlogits, y)
@@ -346,11 +362,10 @@ def _loss_and_gradients(net: PatchNet, x: np.ndarray, y: np.ndarray) -> tuple[fl
 
 
 def backward(net: PatchNet, batch: tuple[np.ndarray, np.ndarray]) -> dict[str, np.ndarray]:
-    """Gradient of the mean batch cross-entropy w.r.t. every parameter."""
+    """Gradient of the mean batch cross-entropy w.r.t. every parameter, by
+    name; the arrays view one gradient vector laid out like flat_params."""
     x, y = batch
-    if len(y) == 0:
-        raise ValueError("backward requires a non-empty batch")
-    return _loss_and_gradients(net, x, y)[1]
+    return net.views(_loss_and_gradients(net, x, y)[1])
 
 
 def predictions(net: PatchNet, x: np.ndarray) -> np.ndarray:
@@ -369,11 +384,8 @@ def accuracy(net: PatchNet, patches: tuple[np.ndarray, np.ndarray]) -> float:
 class Adam:
     """Adam over a flat parameter vector of `size` entries."""
 
-    def __init__(self, size: int, lr: float, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+    def __init__(self, size: int, lr: float):
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self.m = np.zeros(size)
         self.v = np.zeros(size)
@@ -381,26 +393,25 @@ class Adam:
     def step(self, params: np.ndarray, grad: np.ndarray) -> None:
         """Updates params in place from its gradient grad, both flat."""
         self.t += 1
-        self.m *= self.beta1
-        self.m += (1 - self.beta1) * grad
-        self.v *= self.beta2
-        self.v += (1 - self.beta2) * grad * grad
-        m_hat = self.m / (1 - self.beta1 ** self.t)
-        v_hat = self.v / (1 - self.beta2 ** self.t)
-        params -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+        self.m *= ADAM_BETA1
+        self.m += (1 - ADAM_BETA1) * grad
+        self.v *= ADAM_BETA2
+        self.v += (1 - ADAM_BETA2) * grad * grad
+        m_hat = self.m / (1 - ADAM_BETA1 ** self.t)
+        v_hat = self.v / (1 - ADAM_BETA2 ** self.t)
+        params -= self.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
 
 
 class SgdMomentum:
     """SGD with momentum over a flat parameter vector of `size` entries."""
 
-    def __init__(self, size: int, lr: float, momentum: float = 0.9):
+    def __init__(self, size: int, lr: float):
         self.lr = lr
-        self.momentum = momentum
         self.velocity = np.zeros(size)
 
     def step(self, params: np.ndarray, grad: np.ndarray) -> None:
         """Updates params in place from its gradient grad, both flat."""
-        self.velocity *= self.momentum
+        self.velocity *= SGD_MOMENTUM
         self.velocity -= self.lr * grad
         params += self.velocity
 
@@ -426,7 +437,6 @@ def train(net: PatchNet, train_patches, val_patches, spec: TrainSpec) -> TrainLo
     if len(y_val) == 0:
         raise ValueError("validation patches must be non-empty")
     rng = np.random.default_rng(spec.seed)
-    names = [name for name, _ in net.parameters()]
     optimizer = (Adam if spec.optimizer == "adam" else SgdMomentum)(net.flat_params.size, spec.learning_rate)
     log = TrainLog()
     best_params = net.flat_params.copy()
@@ -436,13 +446,13 @@ def train(net: PatchNet, train_patches, val_patches, spec: TrainSpec) -> TrainLo
         batch_losses: list[float] = []
         for lo in range(0, n, spec.batch_size):
             idx = order[lo : lo + spec.batch_size]
-            loss, grads = _loss_and_gradients(net, x_train[idx], y_train[idx])
+            loss, grad = _loss_and_gradients(net, x_train[idx], y_train[idx])
             if not math.isfinite(loss):  # before its gradient reaches the parameters
                 raise TrainingError(
                     f"training loss diverged at epoch {epoch}, batch {lo // spec.batch_size}"
                 )
             batch_losses.append(loss)
-            optimizer.step(net.flat_params, np.concatenate([grads[name].ravel() for name in names]))
+            optimizer.step(net.flat_params, grad)
         epoch_loss = math.fsum(batch_losses) / len(batch_losses)
         val_acc = accuracy(net, (x_val, y_val))
         log.train_loss.append(epoch_loss)
@@ -489,9 +499,9 @@ class GradientCheckReport:
         return "\n".join(lines)
 
 
-def nudge_biases_off_kinks(net: PatchNet, x: np.ndarray, margin: float = 0.02) -> None:
+def nudge_biases_off_kinks(net: PatchNet, x: np.ndarray) -> None:
     """Shift conv biases so every ReLU pre-activation of this batch is at least
-    `margin` away from zero.
+    KINK_MARGIN away from zero.
 
     Works front to back: a bias shift only influences later layers, so one pass
     suffices. The shifted net is still an ordinary random network; the point is
@@ -503,11 +513,11 @@ def nudge_biases_off_kinks(net: PatchNet, x: np.ndarray, margin: float = 0.02) -
             pre, _ = conv.forward(h)
             for f in range(pre.shape[1]):
                 vals = pre[:, f, :].ravel()
-                if np.abs(vals).min() >= margin:
+                if np.abs(vals).min() >= KINK_MARGIN:
                     continue
                 for k in range(1, 801):
-                    delta = margin * ((k + 1) // 2) * (1 if k % 2 else -1)
-                    if np.abs(vals + delta).min() >= margin:
+                    delta = KINK_MARGIN * ((k + 1) // 2) * (1 if k % 2 else -1)
+                    if np.abs(vals + delta).min() >= KINK_MARGIN:
                         conv.b[f] += delta
                         break
                 else:
@@ -517,65 +527,44 @@ def nudge_biases_off_kinks(net: PatchNet, x: np.ndarray, margin: float = 0.02) -
             h = np.maximum(h, 0.0)
 
 
-def gradcheck_case(
-    spec: NetworkSpec,
-    batch_size: int = 4,
-    seed: int = 0,
-    margin: float = 0.02,
-) -> tuple[PatchNet, np.ndarray, np.ndarray]:
-    """Deterministic (net, inputs, labels) fixture whose ReLU pre-activations
-    all sit at least `margin` away from the kink, so central differences are
-    valid everywhere in the finite-difference sweep."""
+def gradcheck_case(spec: NetworkSpec, seed: int = 0) -> tuple[PatchNet, np.ndarray, np.ndarray]:
+    """Deterministic (net, inputs, labels) fixture of GRADCHECK_BATCH rows whose
+    ReLU pre-activations all sit at least KINK_MARGIN away from the kink, so
+    central differences are valid everywhere in the finite-difference sweep."""
     net = PatchNet(replace(spec, seed=seed * 1009 + 7))
     rng = np.random.default_rng(seed * 1009 + 8)
-    x = rng.normal(size=(batch_size, spec.input_channels, spec.input_length))
-    y = rng.integers(0, spec.class_count, batch_size)
-    nudge_biases_off_kinks(net, x, margin)
+    x = rng.normal(size=(GRADCHECK_BATCH, spec.input_channels, spec.input_length))
+    y = rng.integers(0, spec.class_count, GRADCHECK_BATCH)
+    nudge_biases_off_kinks(net, x)
     return net, x, y
 
 
-def gradient_check(
-    net: PatchNet,
-    batch,
-    tolerance: float = 1e-3,
-    step_scale: float = 1e-3,
-) -> GradientCheckReport:
-    """Compare backward() against central finite differences of the batch loss.
+def gradient_check(net: PatchNet, batch, tolerance: float = 1e-3) -> GradientCheckReport:
+    """Compare the analytic gradient against central finite differences of the
+    batch loss; each parameter's entry is its worst relative error.
 
-    The step for each scalar parameter is step_scale * max(1, |value|).
+    The step for each scalar parameter is GRADCHECK_STEP * max(1, |value|).
     Meaningful only when the batch keeps ReLU pre-activations away from zero;
     see gradcheck_case.
     """
     x, y = batch
-    analytic = backward(net, (x, y))
-
-    def loss() -> float:
-        probs = net.forward_batch(x)
-        return batch_cross_entropy(probs, y)
-
+    analytic = _loss_and_gradients(net, x, y)[1]
+    flat = net.flat_params
+    numeric = np.empty_like(flat)
+    for i in range(flat.size):
+        original = flat[i]
+        h = GRADCHECK_STEP * max(1.0, abs(original))
+        flat[i] = original + h
+        plus = batch_cross_entropy(net.forward_batch(x), y)
+        flat[i] = original - h
+        minus = batch_cross_entropy(net.forward_batch(x), y)
+        flat[i] = original
+        numeric[i] = (plus - minus) / (2 * h)
+    rel = np.abs(analytic - numeric) / np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), 1e-8)
+    rels, analytics, numerics = (net.views(v) for v in (rel, analytic, numeric))
     entries = []
-    for name, p in net.parameters():
-        grad = analytic[name]
-        flat = p.reshape(-1)
-        worst = GradientCheckEntry(name, 0.0, 0, 0.0, 0.0)
-        for i in range(flat.size):
-            original = flat[i]
-            h = step_scale * max(1.0, abs(original))
-            flat[i] = original + h
-            plus = loss()
-            flat[i] = original - h
-            minus = loss()
-            flat[i] = original
-            numeric = (plus - minus) / (2 * h)
-            a = grad.reshape(-1)[i]
-            denom = max(abs(a), abs(numeric), 1e-8)
-            rel = abs(a - numeric) / denom
-            if rel > worst.max_rel_error:
-                worst = GradientCheckEntry(name, rel, i, float(a), float(numeric))
-        entries.append(worst)
-    report = GradientCheckReport(
-        passed=all(e.max_rel_error < tolerance for e in entries),
-        tolerance=tolerance,
-        entries=entries,
-    )
-    return report
+    for name, r in rels.items():
+        i = int(np.argmax(r))
+        entries.append(GradientCheckEntry(name, float(r.flat[i]), i, float(analytics[name].flat[i]),
+                                          float(numerics[name].flat[i])))
+    return GradientCheckReport(all(e.max_rel_error < tolerance for e in entries), tolerance, entries)

@@ -14,6 +14,11 @@ The per-name optimizers: NamedAdam and NamedSgdMomentum keep one moment array
 per named parameter and step each in turn. The flat optimizers that train
 steps one parameter vector with must equal them bit for bit.
 
+The per-name gradient check: named_gradient_check perturbs one named
+parameter at a time and keeps each one's worst entry as it goes. gradient_check,
+which perturbs the flat parameter vector and compares every entry in one array
+expression, must report the same entries bit for bit.
+
 The whole-sample baseline as its own path: blackbox_train trains the network
 on the z-normalized samples themselves, with no patching. bench's one-window
 patch run must train the same parameters bit for bit.
@@ -27,7 +32,10 @@ import numpy as np
 
 from patchx import neuralnet
 from patchx.data import Dataset, TimeSeriesSample, normalization_stats, znormalize
-from patchx.neuralnet import LOG_CLAMP, NetworkSpec, PatchNet, TrainSpec, softmax
+from patchx.neuralnet import (
+    LOG_CLAMP, GradientCheckEntry, GradientCheckReport, NetworkSpec, PatchNet, TrainSpec, batch_cross_entropy,
+    softmax,
+)
 from patchx.patching import ConfigError, PatchConfig, _check_configs, enumerate_patches
 
 
@@ -213,6 +221,43 @@ class NamedSgdMomentum:
             v *= self.momentum
             v -= self.lr * grads[name]
             p += v
+
+
+def named_gradient_check(net: PatchNet, batch, tolerance: float = 1e-3,
+                         step_scale: float = 1e-3) -> GradientCheckReport:
+    """neuralnet.gradient_check, one named parameter and one entry at a time."""
+    x, y = batch
+    analytic = neuralnet.backward(net, (x, y))
+
+    def loss() -> float:
+        probs = net.forward_batch(x)
+        return batch_cross_entropy(probs, y)
+
+    entries = []
+    for name, p in net.parameters():
+        grad = analytic[name]
+        flat = p.reshape(-1)
+        worst = GradientCheckEntry(name, 0.0, 0, 0.0, 0.0)
+        for i in range(flat.size):
+            original = flat[i]
+            h = step_scale * max(1.0, abs(original))
+            flat[i] = original + h
+            plus = loss()
+            flat[i] = original - h
+            minus = loss()
+            flat[i] = original
+            numeric = (plus - minus) / (2 * h)
+            a = grad.reshape(-1)[i]
+            denom = max(abs(a), abs(numeric), 1e-8)
+            rel = abs(a - numeric) / denom
+            if rel > worst.max_rel_error:
+                worst = GradientCheckEntry(name, rel, i, float(a), float(numeric))
+        entries.append(worst)
+    return GradientCheckReport(
+        passed=all(e.max_rel_error < tolerance for e in entries),
+        tolerance=tolerance,
+        entries=entries,
+    )
 
 
 def blackbox_train(

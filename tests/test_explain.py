@@ -5,6 +5,8 @@ import pytest
 
 from patchx.data import Dataset, TimeSeriesSample, anomaly_label
 from patchx.explain import (
+    BoundaryProbeResult,
+    BoundaryProbeStep,
     boundary_probe,
     categorize_confidence,
     confidence_histogram,
@@ -212,13 +214,13 @@ class TestBoundaryProbe:
         with pytest.raises(IndexError):
             boundary_probe(small_bundle, sample, (9, 5), [1.0])
 
-    def test_monotonicity_is_reported_not_asserted(self, small_bundle, anomaly_splits):
-        sample = self.probe_sample(anomaly_splits)
-        pos = (sample.meta["peak_channel"], sample.meta["peak_step"])
-        result = boundary_probe(small_bundle, sample, pos, [0.5, 1.0, 1.5])
-        report = result.patch_confidence_monotone(target_class=1)
-        assert report  # one entry per peak-covering patch
-        assert all(isinstance(v, bool) for v in report.values())
+    def test_flip_factors_are_each_fields_first_change(self):
+        steps = [BoundaryProbeStep(factor, truth, pred, []) for factor, truth, pred in
+                 [(0.5, 0, 1), (1.0, 0, 0), (1.5, 1, 1), (2.0, 0, 1)]]
+        result = BoundaryProbeResult(sample_id=0, position=(0, 0), steps=steps)
+        assert (result.ground_truth_flip_factor(), result.prediction_flip_factor()) == (1.5, 1.0)
+        still = BoundaryProbeResult(sample_id=0, position=(0, 0), steps=steps[:2])
+        assert (still.ground_truth_flip_factor(), still.prediction_flip_factor()) == (None, 1.0)
 
     def test_report_round_trips_json(self, small_bundle, anomaly_splits, tmp_path):
         sample = self.probe_sample(anomaly_splits)

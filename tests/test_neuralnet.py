@@ -21,13 +21,14 @@ from patchx.neuralnet import (
     gradient_check,
     nudge_biases_off_kinks,
     SgdMomentum,
+    softmax,
     train,
 )
 from patchx.patching import PatchConfig, build_patch_arrays
 
 from oracles import (
-    NamedAdam, NamedSgdMomentum, forward, full_frame_gradients, full_frame_softmax, patch_cross_entropy,
-    transform,
+    NamedAdam, NamedSgdMomentum, forward, full_frame_gradients, full_frame_softmax, named_gradient_check,
+    patch_cross_entropy, transform,
 )
 
 TINY = NetworkSpec(
@@ -234,14 +235,61 @@ class TestBackward:
         original = net.backward_from_logits
 
         def corrupted(dlogits, caches):
-            grads = original(dlogits, caches)
-            grads["dense.w"] = -grads["dense.w"]
-            return grads
+            grad = original(dlogits, caches)
+            net.views(grad)["dense.w"] *= -1
+            return grad
 
         net.backward_from_logits = corrupted
         report = gradient_check(net, (x, y))
         assert not report.passed
         assert any(e.name == "dense.w" and e.max_rel_error > 1e-3 for e in report.entries)
+
+
+GRADCHECK_CASES = {  # criterion 1's layouts and those of `patchx gradcheck`
+    "conv": NetworkSpec(2, 10, 2, conv_blocks=((3, 3, "relu"),), seed=0),
+    "dense": NetworkSpec(2, 8, 3, conv_blocks=(), seed=0),
+    "composite": NetworkSpec(2, 12, 3, conv_blocks=((4, 3, "relu"), (5, 3, "relu")), seed=0),
+    "cli-conv-only": NetworkSpec(2, 16, 3, conv_blocks=((4, 3, "relu"),), seed=0),
+    "cli-dense-softmax": NetworkSpec(3, 12, 3, conv_blocks=(), seed=0),
+    "cli-composite": NetworkSpec(2, 16, 3, conv_blocks=((4, 3, "relu"), (5, 3, "relu")), seed=0),
+}
+
+
+class TestGradientVector:
+    """backward_from_logits fills one vector laid out like flat_params, and
+    gradient_check reads it through the same layout."""
+
+    def test_backward_is_views_of_one_vector(self):
+        net = build_network(TINY)
+        x, y = random_batch(TINY, n=5, seed=3)
+        logits, caches = net._forward_cached(x)
+        grad = net.backward_from_logits(softmax(logits), caches)
+        assert grad.dtype == np.float64 and grad.shape == (net.flat_params.size,)
+        grads = backward(net, (x, y))
+        assert list(grads) == [name for name, _ in net.parameters()]
+        bases = [g.base for g in grads.values()]
+        assert all(b is bases[0] for b in bases) and bases[0].shape == grad.shape
+        for name, p in net.parameters():
+            assert grads[name].shape == p.shape
+            assert np.shares_memory(grads[name], bases[0]), name
+        np.testing.assert_array_equal(np.concatenate([grads[name].ravel() for name, _ in net.parameters()]),
+                                      bases[0])
+
+    @pytest.mark.parametrize("case", GRADCHECK_CASES)
+    def test_flat_check_matches_per_name_check(self, case):
+        seeds = [0] if case.startswith("cli-") else range(10)
+        for seed in seeds:
+            net, x, y = gradcheck_case(GRADCHECK_CASES[case], seed=seed)
+            before = net.flat_params.copy()
+            got = gradient_check(net, (x, y))
+            assert net.flat_params.tobytes() == before.tobytes()  # every perturbation is undone
+            expected = named_gradient_check(net, (x, y))
+            assert got.passed == expected.passed
+            assert len(got.entries) == len(expected.entries)
+            for g, e in zip(got.entries, expected.entries):
+                assert (g.name, g.max_rel_error, g.worst_index) == (e.name, e.max_rel_error, e.worst_index), seed
+                if e.max_rel_error > 0:
+                    assert (g.analytic, g.numeric) == (e.analytic, e.numeric), (seed, e.name)
 
 
 FLAGS = [(False, False), (True, False), (False, True), (True, True)]
