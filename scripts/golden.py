@@ -8,8 +8,9 @@ Runs in-process, from the checkout's own src/:
 * `patchx run --source files --epochs 2 --patience 0 --filters 16,32 --seed 7
   --standardize true` with `--shallow svm`, `forest` and `trivial`, and as
   `svm-collapse` with `--shallow svm --collapse true --normalize-features true`;
-* on the svm run, `patchx explain` for sample ids 0-4, `explain --mislabels`
-  and `histogram --per-class`;
+* on the svm run, `patchx explain` for sample ids 0-4, `explain --mislabels`,
+  `histogram --per-class`, and `probe` of test ids 0 and 1 at the default
+  position and factors;
 * `patchx bench --grid 5:10` on the same data with the same training flags;
 * `patchx gradcheck --seed 0`.
 
@@ -81,10 +82,13 @@ def main(argv: list[str]) -> int:
     call("explain", "--bundle", bundle, "--data", test, *ids, "--out", str(out / "explain"))
     call("explain", "--bundle", bundle, "--data", test, "--mislabels", "--out", str(out / "mislabels"))
     call("histogram", "--bundle", bundle, "--data", test, "--per-class", "--out", str(out / "histogram.json"))
+    probes = [out / f"probe_{i}.json" for i in (0, 1)]
+    for i, path in enumerate(probes):
+        call("probe", "--bundle", bundle, "--data", test, "--sample-id", str(i), "--out", str(path))
 
     paths = [runs / run / name for run in RUNS for name in RUN_FILES]
     paths += sorted((out / "explain").iterdir()) + [out / "mislabels" / "mislabel_report.json",
-                                                     out / "histogram.json"]
+                                                     out / "histogram.json", *probes]
     for path in paths:
         print(f"{hashlib.sha256(path.read_bytes()).hexdigest()[:12]}  {path.relative_to(out)}")
     for run in RUNS:

@@ -82,8 +82,10 @@ class PatchXBundle:
             raise DimensionError(
                 f"dataset has {dataset.class_count} classes, the bundle {self.class_count}"
             )
-        normalized = znormalize(dataset, self.norm_stats) if self.norm_stats else dataset
-        x = build_patch_arrays(normalized, self.patch_configs)[0]
+        values = dataset.values_array()
+        if self.norm_stats:
+            values = znormalize(values, self.norm_stats)
+        x = build_patch_arrays(values, dataset.labels_array(), self.patch_configs)[0]
         return forward_all(self.network, x).reshape(len(dataset), -1, self.class_count)
 
     def presence(self, dataset: Dataset, softmaxes: np.ndarray) -> PresenceMatrix:

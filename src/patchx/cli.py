@@ -25,8 +25,8 @@ import numpy as np
 
 from .bundle import BundleError, load_bundle, save_bundle
 from .data import (
-    DEFAULT_SIGMA_MULTIPLIER, AnomalyGenSpec, Dataset, ParseError, generate_anomaly, load_dataset,
-    save_dataset,
+    DEFAULT_SIGMA_MULTIPLIER, AnomalyGenSpec, Dataset, ParseError, SplitError, check_splits, generate_anomaly,
+    load_dataset, save_dataset,
 )
 from .explain import (
     boundary_probe, confidence_histogram, explain_sample, mislabel_report, save_records, save_report,
@@ -52,6 +52,24 @@ def _bool(text: str) -> bool:
 
 def _ints(text: str) -> list[int]:
     return [int(v) for v in text.split(",") if v.strip()]
+
+
+def _position(text: str) -> tuple[int, int]:
+    try:
+        channel, step = (int(v) for v in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{text!r} is not two integers 'channel,step'") from None
+    return channel, step
+
+
+def _factors(text: str) -> list[float]:
+    try:
+        factors = [float(v) for v in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a comma-separated list of numbers") from None
+    if not all(np.isfinite(factors)) or any(b <= a for a, b in zip(factors, factors[1:])):
+        raise argparse.ArgumentTypeError(f"{text!r} is not a strictly increasing list of finite numbers")
+    return factors
 
 
 class Option(NamedTuple):
@@ -227,10 +245,14 @@ def build_specs(config: configparser.ConfigParser):
 
 
 def load_run_datasets(config: configparser.ConfigParser) -> tuple[Dataset, Dataset, Dataset]:
+    """The train, val and test splits; read ones that are empty or differ from
+    train's shape raise SplitError (generated ones always agree)."""
     v = _values(config)
     if v["source"] == "files":
         directory = Path(v["dir"])
-        return tuple(load_dataset(directory / f"{s}.csv", split=s) for s in ("train", "val", "test"))
+        splits = tuple(load_dataset(directory / f"{s}.csv", split=s) for s in ("train", "val", "test"))
+        check_splits(dict(zip(("train", "val", "test"), splits)))
+        return splits
     with _spec_checks():
         spec = AnomalyGenSpec(
             train_count=v["train_count"], val_count=v["val_count"], test_count=v["test_count"],
@@ -435,7 +457,7 @@ def cmd_explain(args: argparse.Namespace) -> int:
         )
         print(f"{len(entries)} misclassified samples -> {out / 'mislabel_report.json'}")
         return 0
-    ids = {int(v) for v in args.sample_id}
+    ids = set(args.sample_id)
     chosen = [s for s in dataset.samples if s.id in ids]
     if not chosen:
         print(f"no samples with ids {sorted(ids)} in {args.data}", file=sys.stderr)
@@ -470,16 +492,18 @@ def cmd_probe(args: argparse.Namespace) -> int:
         print(f"sample {args.sample_id} not found", file=sys.stderr)
         return 1
     if args.position:
-        channel, step = (int(v) for v in args.position.split(","))
+        channel, step = args.position
+        if not (0 <= channel < sample.channels and 0 <= step < sample.length):
+            raise ConfigError(f"--position {channel},{step} is outside sample {sample.id} "
+                              f"of shape {sample.values.shape}")
     else:
         # default to the most extreme point by the label rule's z-score
         mean = sample.values.mean(axis=1, keepdims=True)
         std = np.maximum(sample.values.std(axis=1, keepdims=True), 1e-12)
         z = (sample.values - mean) / std
         channel, step = np.unravel_index(int(np.argmax(z)), z.shape)
-    factors = [float(v) for v in args.factors.split(",")]
     result = boundary_probe(
-        bundle, sample, (int(channel), int(step)), factors,
+        bundle, sample, (int(channel), int(step)), args.factors,
         sigma_multiplier=args.sigma_multiplier,
     )
     save_report(result.to_dict(), args.out)
@@ -550,7 +574,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_explain = sub.add_parser("explain", help="export per-patch explanation records")
     p_explain.add_argument("--bundle", required=True)
     p_explain.add_argument("--data", required=True)
-    p_explain.add_argument("--sample-id", dest="sample_id", action="append", default=[])
+    p_explain.add_argument("--sample-id", dest="sample_id", type=int, action="append", default=[])
     p_explain.add_argument("--mislabels", action="store_true")
     p_explain.add_argument("--out", required=True)
     p_explain.set_defaults(func=cmd_explain)
@@ -559,8 +583,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_probe.add_argument("--bundle", required=True)
     p_probe.add_argument("--data", required=True)
     p_probe.add_argument("--sample-id", dest="sample_id", type=int, required=True)
-    p_probe.add_argument("--position", help="channel,step of the point to scale")
-    p_probe.add_argument("--factors", default="0.25,0.5,0.75,1.0,1.25,1.5,1.75,2.0")
+    p_probe.add_argument("--position", type=_position, help="channel,step of the point to scale")
+    p_probe.add_argument("--factors", type=_factors, default="0.25,0.5,0.75,1.0,1.25,1.5,1.75,2.0")
     p_probe.add_argument("--sigma-multiplier", dest="sigma_multiplier", type=float,
                          default=DEFAULT_SIGMA_MULTIPLIER)
     p_probe.add_argument("--out", required=True)
@@ -586,7 +610,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (BundleError, ConfigError, DimensionError, ParseError, OSError) as err:
+    except (BundleError, ConfigError, DimensionError, ParseError, SplitError, OSError) as err:
         print(f"patchx {args.command}: {err}", file=sys.stderr)  # an OSError names its path
         return 2
 

@@ -9,7 +9,7 @@ be recomputed from the raw values.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -23,6 +23,10 @@ class ParseError(ValueError):
     def __init__(self, message: str, row: int | None = None):
         super().__init__(message if row is None else f"row {row}: {message}")
         self.row = row
+
+
+class SplitError(ValueError):
+    """Raised for a split that is empty or whose shape differs from train's."""
 
 
 @dataclass
@@ -194,17 +198,25 @@ def normalization_stats(dataset: Dataset) -> NormStats:
     return NormStats(mean=mean, std=std)
 
 
-def znormalize(dataset: Dataset, stats: NormStats | None = None) -> Dataset:
-    """Z-normalize per channel. With stats=None the dataset's own statistics are
-    used (correct only for the training split); val/test must pass train stats."""
-    if stats is None:
-        stats = normalization_stats(dataset)
-    mean = stats.mean[:, None]
-    std = stats.std[:, None]
-    samples = [
-        replace(s, values=(s.values - mean) / std) for s in dataset.samples
-    ]
-    return Dataset(samples=samples, class_count=dataset.class_count, split=dataset.split)
+def znormalize(values: np.ndarray, stats: NormStats) -> np.ndarray:
+    """(n, channels, length) values z-normalized per channel by stats, the
+    training split's statistics for every split."""
+    return (values - stats.mean[:, None]) / stats.std[:, None]
+
+
+def check_splits(splits: dict[str, Dataset | None]) -> None:
+    """Each split (None entries aside) is non-empty and has the first split's
+    channels, length and class count; raises SplitError naming the split."""
+    named = [(name, ds) for name, ds in splits.items() if ds is not None]
+    for name, ds in named:
+        if not ds.samples:
+            raise SplitError(f"split {name!r} is empty")
+    shape = lambda ds: (ds.channels, ds.length, ds.class_count)
+    first, reference = named[0]
+    for name, ds in named[1:]:
+        if shape(ds) != shape(reference):
+            raise SplitError(f"split {name!r} has (channels, length, classes) {shape(ds)}, "
+                             f"split {first!r} has {shape(reference)}")
 
 
 def save_dataset(dataset: Dataset, path: str | Path) -> None:

@@ -15,7 +15,7 @@ import numpy as np
 
 from .bundle import PatchXBundle
 from .data import DEFAULT_SIGMA_MULTIPLIER, Dataset, TimeSeriesSample, anomaly_label
-from .patching import patch_spans
+from .patching import ConfigError, patch_spans
 from .shallow import predict_all
 
 CATEGORY_SPECIFIC = "class-specific"
@@ -160,6 +160,8 @@ def confidence_histogram(
 
     The softmax maximum is never below 1/C, so the bins cover [1/C, 1].
     """
+    if not (0 < bin_width < np.inf):
+        raise ConfigError(f"bin width must be a finite number > 0, got {bin_width}")
     probs = bundle.patch_predictions(dataset)
     confidences = probs.max(axis=2)
     winners = probs.argmax(axis=2)
@@ -227,27 +229,28 @@ def boundary_probe(
     sigma_multiplier: float = DEFAULT_SIGMA_MULTIPLIER,
 ) -> BoundaryProbeResult:
     """Scale the value at `position` by each factor, recompute the label rule on
-    the raw values, and run the full pipeline on the perturbed sample."""
+    the raw values, and run the full pipeline on the perturbed samples: one
+    dataset of one row per factor, scored in one pass."""
     channel, step = position
     if not (0 <= channel < sample.channels) or not (0 <= step < sample.length):
         raise IndexError(f"position {position} outside sample of shape {sample.values.shape}")
-    if any(b <= a for a, b in zip(factors, factors[1:])):
-        raise ValueError("factors must be strictly increasing")
-    steps = []
-    for factor in factors:
-        values = sample.values.copy()
-        values[channel, step] *= factor
-        perturbed = TimeSeriesSample(id=sample.id, values=values, label=sample.label)
-        ground_truth = anomaly_label(values, sigma_multiplier)
-        records, prediction = explain_sample(bundle, perturbed)
-        steps.append(
-            BoundaryProbeStep(
-                factor=float(factor),
-                ground_truth=ground_truth,
-                sample_prediction=prediction,
-                records=records,
-            )
+    if not factors or any(b <= a for a, b in zip(factors, factors[1:])):
+        raise ValueError("factors must be a non-empty, strictly increasing list")
+    perturbed = np.repeat(sample.values[None], len(factors), axis=0)
+    perturbed[:, channel, step] *= factors
+    dataset = Dataset([TimeSeriesSample(sample.id, values, sample.label) for values in perturbed],
+                      bundle.class_count, split="probe")
+    softmaxes = bundle.patch_predictions(dataset)
+    predictions = predict_all(bundle.shallow_model, bundle.presence(dataset, softmaxes))
+    steps = [
+        BoundaryProbeStep(
+            factor=float(factor),
+            ground_truth=anomaly_label(values, sigma_multiplier),
+            sample_prediction=int(prediction),
+            records=_patch_records(bundle, sample.id, sample.length, probs),
         )
+        for factor, values, prediction, probs in zip(factors, perturbed, predictions, softmaxes)
+    ]
     return BoundaryProbeResult(sample_id=sample.id, position=position, steps=steps)
 
 
@@ -281,14 +284,14 @@ def mislabel_report(bundle: PatchXBundle, dataset: Dataset) -> list[MislabelEntr
     margins = scores[:, -1] - scores[:, -2]
     entries = []
     for i in np.flatnonzero(preds != matrix.labels):
-        sample = dataset.samples[i]
+        sample_id = int(matrix.sample_ids[i])
         entries.append(
             MislabelEntry(
-                sample_id=sample.id,
-                true_label=sample.label,
+                sample_id=sample_id,
+                true_label=int(matrix.labels[i]),
                 predicted_label=int(preds[i]),
                 margin=float(margins[i]),
-                records=_patch_records(bundle, sample.id, sample.length, softmaxes[i]),
+                records=_patch_records(bundle, sample_id, dataset.length, softmaxes[i]),
             )
         )
     entries.sort(key=lambda e: (e.margin, e.sample_id))

@@ -206,9 +206,6 @@ class PatchNet:
             offset += size
         return parts
 
-    def parameter_count(self) -> int:
-        return self.flat_params.size
-
     def set_state(self, state: dict[str, np.ndarray]) -> None:
         for name, p in self.parameters():
             src = state[name]

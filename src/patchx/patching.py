@@ -22,8 +22,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset
-
 
 class ConfigError(ValueError):
     pass
@@ -83,32 +81,24 @@ def _check_configs(configs: list[PatchConfig]) -> None:
         )
 
 
-def build_patch_arrays(dataset: Dataset, configs: list[PatchConfig]) -> tuple[np.ndarray, np.ndarray]:
-    """Every patch of every sample as one array.
+def build_patch_arrays(
+    values: np.ndarray, labels: np.ndarray, configs: list[PatchConfig]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Every patch of the stacked samples values (n, channels, length) as one array.
 
-    Returns (values, labels): values has shape (n_samples * P, channels,
-    length), where P = len(patch_spans(length, configs)) and row i * P + k is
-    slot k of sample row i; labels holds each patch's inherited label.
+    Returns (patches, patch_labels): patches has shape (n * P, channels
+    [+1 if attach], length), where P = len(patch_spans(length, configs)) and
+    row i * P + k is slot k of sample row i; patch_labels repeats each of the
+    (n,) labels P times.
     """
     _check_configs(configs)
-    if not dataset.samples:
-        return np.zeros((0, 0, 0)), np.zeros((0,), dtype=np.int64)
-    length = dataset.length
+    n, channels, length = values.shape
     spans = patch_spans(length, configs)
-    per_sample = len(spans)
-    raw = dataset.values_array()  # (n, c, l)
-    n = raw.shape[0]
     attach = configs[0].attach
-    channels = raw.shape[1] + (1 if attach else 0)
-    values = np.zeros((n, per_sample, channels, length), dtype=np.float64)
+    patches = np.zeros((n, len(spans), channels + int(attach), length))
     for slot, (ci, p, start, end) in enumerate(spans):
-        width = end - start
-        if configs[ci].notemp:
-            lo, hi = 0, width
-        else:
-            lo, hi = start, end
-        values[:, slot, : raw.shape[1], lo:hi] = raw[:, :, start:end]
+        lo, hi = (0, end - start) if configs[ci].notemp else (start, end)
+        patches[:, slot, :channels, lo:hi] = values[:, :, start:end]
         if attach:
-            values[:, slot, -1, lo:hi] = 1.0
-    labels = np.repeat(dataset.labels_array(), per_sample)
-    return values.reshape(n * per_sample, channels, length), labels
+            patches[:, slot, -1, lo:hi] = 1.0
+    return patches.reshape(n * len(spans), -1, length), np.repeat(labels, len(spans))

@@ -12,7 +12,7 @@ from dataclasses import dataclass, replace
 
 from . import neuralnet
 from .bundle import PatchXBundle
-from .data import Dataset, normalization_stats, znormalize
+from .data import Dataset, check_splits, normalization_stats, znormalize
 from .metadata import PresenceMatrix
 from .neuralnet import NetworkSpec, TrainLog, TrainSpec, build_network
 from .patching import PatchConfig, build_patch_arrays
@@ -86,6 +86,7 @@ def run_pipeline(
     normalize: bool = True,
 ) -> PipelineResult:
     """Train the full hybrid pipeline; deterministic for fixed specs and seeds."""
+    check_splits({"train": train, "val": val, "test": test})
     train_spec = train_spec or TrainSpec()
     shallow_spec = shallow_spec or ShallowSpec()
     if net_spec is None:
@@ -93,11 +94,13 @@ def run_pipeline(
 
     t0 = time.perf_counter()
     stats = normalization_stats(train) if normalize else None
-    norm_train = znormalize(train, stats) if stats else train
-    norm_val = znormalize(val, stats) if stats else val
-
-    x_train, y_train = build_patch_arrays(norm_train, configs)
-    x_val, y_val = build_patch_arrays(norm_val, configs)
+    patches = []
+    for ds in (train, val):
+        values = ds.values_array()
+        if stats:
+            values = znormalize(values, stats)
+        patches.append(build_patch_arrays(values, ds.labels_array(), configs))
+    (x_train, y_train), (x_val, y_val) = patches
     timing = {"patching_seconds": time.perf_counter() - t0}
 
     network = build_network(net_spec)

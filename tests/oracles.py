@@ -22,6 +22,10 @@ expression, must report the same entries bit for bit.
 The whole-sample baseline as its own path: blackbox_train trains the network
 on the z-normalized samples themselves, with no patching. bench's one-window
 patch run must train the same parameters bit for bit.
+
+The per-factor boundary probe: boundary_probe_loop runs one explain_sample
+per factor on its own perturbed copy of the sample. boundary_probe, which
+scores every factor in one dataset, must give the same steps.
 """
 
 from __future__ import annotations
@@ -31,7 +35,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from patchx import neuralnet
-from patchx.data import Dataset, TimeSeriesSample, normalization_stats, znormalize
+from patchx.bundle import PatchXBundle
+from patchx.data import (
+    DEFAULT_SIGMA_MULTIPLIER, Dataset, TimeSeriesSample, anomaly_label, normalization_stats, znormalize,
+)
+from patchx.explain import BoundaryProbeResult, BoundaryProbeStep, explain_sample
 from patchx.neuralnet import (
     LOG_CLAMP, GradientCheckEntry, GradientCheckReport, NetworkSpec, PatchNet, TrainSpec, batch_cross_entropy,
     softmax,
@@ -267,7 +275,23 @@ def blackbox_train(
     """The network trained on whole samples: (network, best validation
     accuracy, test accuracy)."""
     stats = normalization_stats(train) if normalize else None
-    pack = lambda ds: ((znormalize(ds, stats) if stats else ds).values_array(), ds.labels_array())
+    pack = lambda ds: (znormalize(ds.values_array(), stats) if stats else ds.values_array(), ds.labels_array())
     network = neuralnet.build_network(net_spec)
     log = neuralnet.train(network, pack(train), pack(val), train_spec)
     return network, log.best_val_accuracy, neuralnet.accuracy(network, pack(test))
+
+
+def boundary_probe_loop(
+    bundle: PatchXBundle, sample: TimeSeriesSample, position: tuple[int, int], factors: list[float],
+    sigma_multiplier: float = DEFAULT_SIGMA_MULTIPLIER,
+) -> BoundaryProbeResult:
+    """explain.boundary_probe, one perturbed sample and one explain_sample per factor."""
+    channel, step = position
+    steps = []
+    for factor in factors:
+        values = sample.values.copy()
+        values[channel, step] *= factor
+        perturbed = TimeSeriesSample(id=sample.id, values=values, label=sample.label)
+        records, prediction = explain_sample(bundle, perturbed)
+        steps.append(BoundaryProbeStep(float(factor), anomaly_label(values, sigma_multiplier), prediction, records))
+    return BoundaryProbeResult(sample_id=sample.id, position=position, steps=steps)

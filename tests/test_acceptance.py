@@ -73,7 +73,7 @@ def test_criterion_1_gradient_correctness():
     for name, spec in cases.items():
         for seed in range(10):
             net, x, y = gradcheck_case(spec, seed=seed)
-            assert net.parameter_count() <= 500
+            assert net.flat_params.size <= 500
             check = gradient_check(net, (x, y), tolerance=1e-3)
             worst = max(worst, check.worst().max_rel_error)
             ok &= check.passed
@@ -422,8 +422,8 @@ def test_criterion_11_scaling_trend():
         spec = AnomalyGenSpec(train_count=n, val_count=200, test_count=10, seed=13)
         train, val, _ = generate_anomaly(spec)
         stats = normalization_stats(train)
-        x_train, y_train = build_patch_arrays(znormalize(train, stats), CONFIGS)
-        x_val, y_val = build_patch_arrays(znormalize(val, stats), CONFIGS)
+        x_train, y_train = build_patch_arrays(znormalize(train.values_array(), stats), train.labels_array(), CONFIGS)
+        x_val, y_val = build_patch_arrays(znormalize(val.values_array(), stats), val.labels_array(), CONFIGS)
         net = build_network(NetworkSpec(4, 50, 2, conv_blocks=((8, 3, "relu"), (16, 3, "relu")), seed=1))
         t0 = time.perf_counter()
         train_network(net, (x_train, y_train), (x_val, y_val),

@@ -1,16 +1,23 @@
 import configparser
 import json
+import os
 import re
+import resource
+import subprocess
+import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+import patchx
 from patchx import cli, pipeline
+from patchx.bundle import save_bundle
 from patchx.cli import (
     OPTIONS, apply_overrides, build_parser, build_specs, load_config, main, parse_patch_tokens,
     write_resolved_config,
 )
-from patchx.data import load_dataset
+from patchx.data import Dataset, SplitError, TimeSeriesSample, load_dataset, save_dataset
 from patchx.neuralnet import NetworkSpec, TrainingError
 from patchx.patching import ConfigError, PatchConfig
 
@@ -24,6 +31,23 @@ FAST = [
 
 def run_cli(*argv):
     return main(list(argv))
+
+
+def exit_code(*argv):
+    """main's return value, or the code of the SystemExit that argparse raises."""
+    try:
+        return run_cli(*argv)
+    except SystemExit as stop:
+        return stop.code
+
+
+@pytest.fixture(scope="module")
+def saved_bundle(small_bundle, anomaly_splits, tmp_path_factory):
+    """The small pipeline's bundle and its 3x50 test split, as files."""
+    directory = tmp_path_factory.mktemp("saved")
+    save_bundle(small_bundle, directory / "bundle.pchx")
+    save_dataset(anomaly_splits[2], directory / "test.csv")
+    return str(directory / "bundle.pchx"), str(directory / "test.csv")
 
 
 class TestParseTokens:
@@ -303,6 +327,47 @@ class TestMissingFiles:
         assert str(paths[missing]) in err
 
 
+class TestSplitChecks:
+    """val and test must match train's channels, length and class count. A
+    split that does not, or that is empty, stops run and bench with one line
+    naming it, before any training and before any output directory."""
+
+    @pytest.mark.parametrize("command", ["run", "bench"])
+    @pytest.mark.parametrize("split, shape, message", [
+        ("val", (3, 40), r"split 'val' has \(channels, length, classes\) \(3, 40, 2\), "
+                         r"split 'train' has \(3, 50, 2\)"),
+        ("val", (2, 50), r"split 'val' has \(channels, length, classes\) \(2, 50, 2\), "
+                         r"split 'train' has \(3, 50, 2\)"),
+        ("test", (3, 40), r"split 'test' has \(channels, length, classes\) \(3, 40, 2\), "
+                          r"split 'train' has \(3, 50, 2\)"),
+        ("val", None, r"val\.csv has a header but no samples"),
+    ], ids=["val-short", "val-2-channels", "test-short", "val-empty"])
+    def test_split_that_differs_from_train_stops_before_any_output(
+            self, tmp_path, capsys, command, split, shape, message):
+        data_dir = tmp_path / "data"
+        assert run_cli("generate", "--out", str(data_dir), *FAST) == 0
+        path = data_dir / f"{split}.csv"
+        if shape is None:
+            path.write_text("3,50,2\n")
+        else:
+            rng = np.random.default_rng(0)
+            samples = [TimeSeriesSample(i, rng.normal(size=shape), i % 2) for i in range(20)]
+            save_dataset(Dataset(samples, class_count=2), path)
+        capsys.readouterr()
+        grid = ["--grid", "5:10"] if command == "bench" else []
+        code = run_cli(command, "--out", str(tmp_path / "out"), "--source", "files",
+                       "--data-dir", str(data_dir), *grid, *FAST[6:])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and re.search(message, err)
+        assert not (tmp_path / "out").exists()
+
+    def test_run_pipeline_names_an_empty_split(self, anomaly_splits):
+        train, _, test = anomaly_splits
+        with pytest.raises(SplitError, match="split 'val' is empty"):
+            pipeline.run_pipeline(train, Dataset([], class_count=2, split="val"), test, [PatchConfig(5, 10)])
+
+
 class TestBench:
     def test_tiny_grid_mirrors_table_layout(self, tmp_path):
         code = run_cli("bench", "--out", str(tmp_path), "--run-name", "bench",
@@ -438,6 +503,41 @@ class TestExplainCommands:
         assert code == 0
         payload = json.loads(hist_out.read_text())
         assert payload["total_patches"] == 20 * 15
+
+
+class TestExplainArguments:
+    @pytest.mark.parametrize("argv, flag", [
+        (["explain", "--sample-id", "x"], "--sample-id"),
+        (["probe", "--sample-id", "0", "--position", "0"], "--position"),
+        (["probe", "--sample-id", "0", "--position", "9,25"], "--position"),
+        (["probe", "--sample-id", "0", "--factors", "2,1"], "--factors"),
+        (["probe", "--sample-id", "0", "--factors", "a,b"], "--factors"),
+    ], ids=["explain-id-not-int", "probe-one-coordinate", "probe-channel-outside",
+            "probe-factors-decrease", "probe-factors-not-numbers"])
+    def test_bad_argument_exits_2_naming_the_flag(self, saved_bundle, tmp_path, capsys, argv, flag):
+        bundle, data = saved_bundle
+        command, *rest = argv
+        code = exit_code(command, "--bundle", bundle, "--data", data, *rest, "--out", str(tmp_path / "out"))
+        assert code == 2
+        assert flag in capsys.readouterr().err.splitlines()[-1]
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("width", ["0", "-0.05", "nan", "inf"])
+    def test_histogram_rejects_a_bin_width_that_is_not_positive(self, saved_bundle, tmp_path, width):
+        """In a subprocess under a 1 GiB address-space cap: a width <= 0 once
+        appended bin edges until memory ran out."""
+        bundle, data = saved_bundle
+        src = str(Path(patchx.__file__).resolve().parent.parent)
+        env = {**os.environ, "PYTHONPATH": src, "OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "1"}
+        cap = lambda: resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+        done = subprocess.run(
+            [sys.executable, "-m", "patchx", "histogram", "--bundle", bundle, "--data", data,
+             f"--bin-width={width}", "--out", str(tmp_path / "hist.json")],
+            env=env, preexec_fn=cap, capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 2
+        assert done.stderr.count("\n") == 1 and "bin width must be a finite number > 0" in done.stderr
+        assert not (tmp_path / "hist.json").exists()
 
 
 def test_gradcheck_command(capsys):

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from patchx.bundle import PatchXBundle
 from patchx.data import Dataset, TimeSeriesSample, anomaly_label
 from patchx.explain import (
     BoundaryProbeResult,
@@ -20,6 +21,8 @@ from patchx.neuralnet import DimensionError, NetworkSpec, TrainSpec
 from patchx.patching import PatchConfig, enumerate_patches
 from patchx.pipeline import run_pipeline
 from patchx.shallow import predict_all
+
+from oracles import boundary_probe_loop
 
 
 class TestCategorize:
@@ -201,6 +204,27 @@ class TestBoundaryProbe:
             flips.append(int(np.any(v > mean + 4.0 * std)))
         expected = next((factors[i] for i in range(len(flips)) if flips[i] != flips[0]), None)
         assert result.ground_truth_flip_factor() == expected
+
+    def test_one_pass_equals_the_per_factor_oracle(self, small_bundle, anomaly_splits, monkeypatch):
+        """Every factor is scored in one patch_predictions call, and the steps
+        are those of one explain_sample per factor."""
+        sample = self.probe_sample(anomaly_splits)
+        pos = (sample.meta["peak_channel"], sample.meta["peak_step"])
+        factors = list(np.linspace(0.2, 2.0, 10))
+        rows = []
+        patch_predictions = PatchXBundle.patch_predictions
+        monkeypatch.setattr(PatchXBundle, "patch_predictions",
+                            lambda bundle, ds: rows.append(len(ds)) or patch_predictions(bundle, ds))
+        result = boundary_probe(small_bundle, sample, pos, factors)
+        assert rows == [len(factors)]
+        monkeypatch.undo()
+        oracle = boundary_probe_loop(small_bundle, sample, pos, factors)
+        fields = lambda steps: [(s.factor, s.ground_truth, s.sample_prediction,
+                                 [(r.sample_id, r.config_index, r.patch_index, r.span, r.predicted_class,
+                                   r.category) for r in s.records]) for s in steps]
+        assert fields(result.steps) == fields(oracle.steps)
+        np.testing.assert_allclose([[r.softmax for r in s.records] for s in result.steps],
+                                   [[r.softmax for r in s.records] for s in oracle.steps], rtol=0, atol=1e-12)
 
     def test_factors_must_increase(self, small_bundle, anomaly_splits):
         sample = self.probe_sample(anomaly_splits)

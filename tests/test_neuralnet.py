@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from patchx.data import Dataset, TimeSeriesSample
+from patchx.data import TimeSeriesSample
 from patchx.neuralnet import (
     ROW_BLOCK,
     Adam,
@@ -304,10 +304,9 @@ def patch_rows(attach, notemp, length=23, whole=False):
     rng = np.random.default_rng(int(attach) * 2 + int(notemp))
     values = rng.normal(size=(5, 2, length))
     values[1] = 0.0
-    samples = [TimeSeriesSample(id=i, values=values[i], label=i % 3) for i in range(5)]
     tokens = [(4, 6), (7, 9)] + ([(length, length)] if whole else [])
     configs = [PatchConfig(stride, size, attach=attach, notemp=notemp) for stride, size in tokens]
-    return build_patch_arrays(Dataset(samples=samples, class_count=3), configs)
+    return build_patch_arrays(values, np.arange(5) % 3, configs)
 
 
 def crop_net(channels, length, kernel, activation, depth, seed):
@@ -464,7 +463,7 @@ def assert_views_flat_params(net):
     for name, p in params:
         assert np.shares_memory(p, net.flat_params), name
     np.testing.assert_array_equal(np.concatenate([p.ravel() for _, p in params]), net.flat_params)
-    assert sum(p.size for _, p in params) == net.flat_params.size == net.parameter_count()
+    assert sum(p.size for _, p in params) == net.flat_params.size
 
 
 class TestFlatParameters:

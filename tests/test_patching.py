@@ -204,7 +204,7 @@ class TestInvariants:
         for flags in self.FLAG_SETS:
             configs = [PatchConfig(4, 9, **flags), PatchConfig(8, 16, **flags)]
             patches = build_patch_dataset(ds, configs)
-            values, labels = build_patch_arrays(ds, configs)
+            values, labels = build_patch_arrays(ds.values_array(), ds.labels_array(), configs)
             assert len(patches) == len(values)
             spans = patch_spans(ds.length, configs)
             for i, patch in enumerate(patches):
