@@ -6,8 +6,10 @@ Runs in-process, from the checkout's own src/:
 
 * `patchx generate --seed 7` at 1000/300/400 into OUT_DIR/data;
 * `patchx run --source files --epochs 2 --patience 0 --filters 16,32 --seed 7
-  --standardize true` with `--shallow svm`, `forest` and `trivial`, and as
-  `svm-collapse` with `--shallow svm --collapse true --normalize-features true`;
+  --standardize true` with `--shallow svm`, `forest` and `trivial`, as
+  `svm-collapse` with `--shallow svm --collapse true --normalize-features true`,
+  and as `svm-notemp` with `--shallow svm --attach false --notemp true`: with
+  no mask channel, a patch's nonzero steps can span less than its crop;
 * on the svm run, `patchx explain` for sample ids 0-4, `explain --mislabels`,
   `histogram --per-class`, and `probe` of test ids 0 and 1 at the default
   position and factors;
@@ -52,6 +54,7 @@ RUNS = {
     "forest": ("--shallow", "forest"),
     "trivial": ("--shallow", "trivial"),
     "svm-collapse": ("--shallow", "svm", "--collapse", "true", "--normalize-features", "true"),
+    "svm-notemp": ("--shallow", "svm", "--attach", "false", "--notemp", "true"),
 }
 
 

@@ -85,8 +85,8 @@ class PatchXBundle:
         values = dataset.values_array()
         if self.norm_stats:
             values = znormalize(values, self.norm_stats)
-        x = build_patch_arrays(values, dataset.labels_array(), self.patch_configs)[0]
-        return forward_all(self.network, x).reshape(len(dataset), -1, self.class_count)
+        x, _, offsets = build_patch_arrays(values, dataset.labels_array(), self.patch_configs, self.network.halo)
+        return forward_all(self.network, x, offsets).reshape(len(dataset), -1, self.class_count)
 
     def presence(self, dataset: Dataset, softmaxes: np.ndarray) -> PresenceMatrix:
         """The class-presence matrix of the dataset's patch_predictions."""

@@ -35,7 +35,7 @@ from .metadata import save_vectors
 from .neuralnet import (
     OPTIMIZERS, DimensionError, NetworkSpec, TrainSpec, gradcheck_case, gradient_check,
 )
-from .patching import ConfigError, PatchConfig
+from .patching import ConfigError, PatchConfig, patch_spans
 from .pipeline import default_network_spec, refit_shallow, run_pipeline
 from .shallow import (
     FEATURE_SUBSAMPLES, KINDS, TRIVIAL_MODES, ForestSpec, ShallowSpec, SvmSpec, TrivialSpec,
@@ -323,6 +323,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     train, val, test = load_run_datasets(config)
     v = _values(config)
     with _spec_checks():
+        patch_spans(train.length, patch_configs)
         net_spec = default_network_spec(train, patch_configs, seed=v["seed"], conv_blocks=conv_blocks)
     stage = "run directory"
     try:
@@ -444,8 +445,15 @@ def cmd_bench(args: argparse.Namespace) -> int:
 
 
 def cmd_explain(args: argparse.Namespace) -> int:
+    if not (args.sample_id or args.mislabels):
+        raise ConfigError("explain needs --sample-id or --mislabels")
     bundle = load_bundle(args.bundle)
     dataset = load_dataset(args.data, split="test")
+    ids = set(args.sample_id)
+    chosen = [s for s in dataset.samples if s.id in ids]
+    missing = ids - {s.id for s in chosen}
+    if missing:
+        raise ConfigError(f"--sample-id {sorted(missing)}: no such sample in {args.data}")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     if args.mislabels:
@@ -457,11 +465,6 @@ def cmd_explain(args: argparse.Namespace) -> int:
         )
         print(f"{len(entries)} misclassified samples -> {out / 'mislabel_report.json'}")
         return 0
-    ids = set(args.sample_id)
-    chosen = [s for s in dataset.samples if s.id in ids]
-    if not chosen:
-        print(f"no samples with ids {sorted(ids)} in {args.data}", file=sys.stderr)
-        return 1
     for sample in chosen:
         records, prediction = explain_sample(bundle, sample)
         save_records(records, out / f"records_{sample.id}.csv")
@@ -489,8 +492,7 @@ def cmd_probe(args: argparse.Namespace) -> int:
     dataset = load_dataset(args.data, split="test")
     sample = next((s for s in dataset.samples if s.id == args.sample_id), None)
     if sample is None:
-        print(f"sample {args.sample_id} not found", file=sys.stderr)
-        return 1
+        raise ConfigError(f"--sample-id {args.sample_id}: no such sample in {args.data}")
     if args.position:
         channel, step = args.position
         if not (0 <= channel < sample.channels and 0 <= step < sample.length):

@@ -26,6 +26,7 @@ CATEGORY_UNRELATED = "unrelated"
 # confidence <= 1/C + UNRELATED_MARGIN -> unrelated; shared in between
 SPECIFIC_THRESHOLD = 0.9
 UNRELATED_MARGIN = 0.1
+MAX_HISTOGRAM_BINS = 10_000  # bins over [1/C, 1]; a finer width is rejected
 
 
 def categorize_confidence(confidence: float, class_count: int) -> str:
@@ -162,6 +163,9 @@ def confidence_histogram(
     """
     if not (0 < bin_width < np.inf):
         raise ConfigError(f"bin width must be a finite number > 0, got {bin_width}")
+    bins = (1.0 - 1.0 / bundle.class_count) / bin_width
+    if bins > MAX_HISTOGRAM_BINS:
+        raise ConfigError(f"bin width {bin_width} gives {bins:.3g} bins, more than {MAX_HISTOGRAM_BINS}")
     probs = bundle.patch_predictions(dataset)
     confidences = probs.max(axis=2)
     winners = probs.argmax(axis=2)

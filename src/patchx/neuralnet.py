@@ -3,9 +3,10 @@
 Architecture: a stack of same-padded Conv1d+ReLU blocks, global average
 pooling over time, and a dense layer producing class logits; softmax on top.
 Activations keep the logical shape (batch, channels, length) over channels-last
-memory; a convolution is one shifted GEMM per kernel tap. The conv stack runs
-only on each row's crop, its nonzero steps plus the receptive-field halo;
-outside the crop every activation is that of the all-zero input (the empty
+memory; a convolution is one shifted GEMM per kernel tap. A batch holds whole
+frames, or crops at offsets, which build_patch_arrays cuts from the patch
+layout: each window widened by the network's halo. Outside its crop a frame is
+zero, so every activation there is that of the all-zero input (the empty
 frame), which one batch-1 pass computes. All math is float64 numpy, so serial
 runs are bit-reproducible and the analytic gradients can be checked against
 central finite differences. Parameters and gradients share one flat layout:
@@ -213,30 +214,22 @@ class PatchNet:
                 raise DimensionError(f"parameter {name}: shape {src.shape} != {p.shape}")
             p[...] = src
 
+    @property
+    def halo(self) -> tuple[int, int]:
+        """(before, after): the steps around a window that its content reaches through the conv stack."""
+        return sum(conv.pad_right for conv in self.convs), sum(conv.pad_left for conv in self.convs)
+
     # -- forward / backward ------------------------------------------------
 
-    def _check_input(self, x: np.ndarray) -> None:
-        if x.ndim != 3 or x.shape[1] != self.spec.input_channels or x.shape[2] != self.spec.input_length:
-            raise DimensionError(
-                f"expected input (batch, {self.spec.input_channels}, "
-                f"{self.spec.input_length}), got {x.shape}"
-            )
-
-    def _crop(self, x: np.ndarray) -> tuple[np.ndarray, int]:
-        """(offsets, width): each row's crop [offset, offset + width).
-
-        A row's crop spans its first to last nonzero time step, widened by the
-        receptive-field halo of the conv stack; outside it every activation is
-        that of the empty frame. Crops are padded to the batch's widest, and
-        each offset is clamped so that the crop stays inside the frame."""
-        batch, _, length = x.shape
-        nonzero = (x != 0.0).any(axis=1)  # (batch, length)
-        first = np.argmax(nonzero, axis=1)
-        end = length - np.argmax(nonzero[:, ::-1], axis=1)
-        lo = np.maximum(first - sum(conv.pad_right for conv in self.convs), 0)
-        hi = np.minimum(end + sum(conv.pad_left for conv in self.convs), length)
-        width = max(1, int(np.max(hi - lo, initial=0, where=nonzero.any(axis=1))))
-        return np.minimum(lo, length - width), width
+    def _check_input(self, x: np.ndarray, offsets: np.ndarray | None) -> None:
+        """x holds whole frames, or narrower crops with one integer offset in [0, length - width] per row."""
+        channels, length = self.spec.input_channels, self.spec.input_length
+        if x.ndim != 3 or x.shape[1] != channels or not 1 <= x.shape[2] <= length:
+            raise DimensionError(f"expected input (batch, {channels}, width <= {length}), got {x.shape}")
+        room = length - x.shape[2]
+        if room and not (offsets is not None and offsets.shape == (len(x),) and offsets.dtype.kind in "iu"
+                         and 0 <= offsets.min(initial=0) <= offsets.max(initial=0) <= room):
+            raise DimensionError(f"crops of width {x.shape[2]} need one integer offset in [0, {room}] per row")
 
     def _convolve(self, h: np.ndarray, offsets: np.ndarray | None = None,
                   empty: list | None = None) -> tuple[list, np.ndarray]:
@@ -255,17 +248,15 @@ class PatchNet:
             h = out
         return caches, h
 
-    def _forward_cached(self, x: np.ndarray) -> tuple[np.ndarray, list]:
-        """Logits and the caches for backward. The conv stack runs on each
-        row's crop; when the crop is shorter than the frame, one forward of the
-        all-zero input gives the activations outside it (the empty frame)."""
-        self._check_input(x)
-        batch, _, length = x.shape
-        offsets, width = self._crop(x)
+    def _forward_cached(self, x: np.ndarray, offsets: np.ndarray | None) -> tuple[np.ndarray, list]:
+        """Logits and the caches for backward. x holds whole frames (offsets
+        None) or each row's crop at its offset; for crops, one forward of the
+        all-zero input gives the activations outside them (the empty frame)."""
+        self._check_input(x, offsets)
+        width, length = x.shape[2], self.spec.input_length
         empty = outside = None
         if width < length:
-            empty, background = self._convolve(np.zeros((1, *x.shape[1:])))
-            x = np.lib.stride_tricks.sliding_window_view(x, width, axis=2)[np.arange(batch), :, offsets]
+            empty, background = self._convolve(np.zeros((1, x.shape[1], length)))
             steps = np.arange(length)
             outside = ((steps < offsets[:, None]) | (steps >= offsets[:, None] + width)).astype(float)
         caches, h = self._convolve(x, offsets, empty)
@@ -277,9 +268,9 @@ class PatchNet:
         caches.append((h.shape, pooled, offsets, outside, empty))
         return logits, caches
 
-    def forward_batch(self, x: np.ndarray) -> np.ndarray:
-        """Softmax class probabilities, shape (batch, class_count)."""
-        return softmax(self._forward_cached(x)[0])
+    def forward_batch(self, x: np.ndarray, offsets: np.ndarray | None) -> np.ndarray:
+        """Softmax class probabilities, shape (batch, class_count), of x as _forward_cached reads it."""
+        return softmax(self._forward_cached(x, offsets)[0])
 
     def backward_from_logits(self, dlogits: np.ndarray, caches: list) -> np.ndarray:
         """The parameter gradients, one vector laid out like flat_params. What
@@ -332,13 +323,19 @@ def softmax(logits: np.ndarray) -> np.ndarray:
 # -- spec operations -------------------------------------------------------
 
 
-def forward_all(net: PatchNet, x: np.ndarray) -> np.ndarray:
-    """Softmax of every row of x, shape (len(x), class_count); the one
-    evaluation forward path, run in EVAL_BATCH slices."""
+def forward_all(net: PatchNet, x: np.ndarray, offsets: np.ndarray | None) -> np.ndarray:
+    """Softmax of every row of x (whole frames, or crops at offsets), shape
+    (len(x), class_count); the one evaluation forward path, in EVAL_BATCH slices."""
     probs = np.empty((len(x), net.spec.class_count))
     for lo in range(0, len(x), EVAL_BATCH):
-        probs[lo : lo + EVAL_BATCH] = net.forward_batch(x[lo : lo + EVAL_BATCH])
+        rows = slice(lo, lo + EVAL_BATCH)
+        probs[rows] = net.forward_batch(x[rows], None if offsets is None else offsets[rows])
     return probs
+
+
+def _unpack(patches) -> tuple:
+    """(x, y, offsets) of whole frames (x, y), offsets None, or of crops (x, y, offsets)."""
+    return (*patches, None)[:3]
 
 
 def batch_cross_entropy(probs: np.ndarray, labels: np.ndarray) -> float:
@@ -346,11 +343,13 @@ def batch_cross_entropy(probs: np.ndarray, labels: np.ndarray) -> float:
     return float(-np.log(picked).mean())
 
 
-def _loss_and_gradients(net: PatchNet, x: np.ndarray, y: np.ndarray) -> tuple[float, np.ndarray]:
-    """The mean batch cross-entropy and its gradient, laid out like flat_params."""
+def _loss_and_gradients(net: PatchNet, batch) -> tuple[float, np.ndarray]:
+    """The mean cross-entropy of batch (x, y) or (x, y, offsets) and its
+    gradient, laid out like flat_params."""
+    x, y, offsets = _unpack(batch)
     if len(y) == 0:
         raise ValueError("backward requires a non-empty batch")
-    logits, caches = net._forward_cached(x)
+    logits, caches = net._forward_cached(x, offsets)
     dlogits = softmax(logits)
     loss = batch_cross_entropy(dlogits, y)
     dlogits[np.arange(len(y)), y] -= 1.0
@@ -358,21 +357,17 @@ def _loss_and_gradients(net: PatchNet, x: np.ndarray, y: np.ndarray) -> tuple[fl
     return loss, net.backward_from_logits(dlogits, caches)
 
 
-def backward(net: PatchNet, batch: tuple[np.ndarray, np.ndarray]) -> dict[str, np.ndarray]:
+def backward(net: PatchNet, batch) -> dict[str, np.ndarray]:
     """Gradient of the mean batch cross-entropy w.r.t. every parameter, by
-    name; the arrays view one gradient vector laid out like flat_params."""
-    x, y = batch
-    return net.views(_loss_and_gradients(net, x, y)[1])
+    name, of batch (x, y) or (x, y, offsets); the arrays view one gradient
+    vector laid out like flat_params."""
+    return net.views(_loss_and_gradients(net, batch)[1])
 
 
-def predictions(net: PatchNet, x: np.ndarray) -> np.ndarray:
-    """Argmax class per row."""
-    return np.argmax(forward_all(net, x), axis=1)
-
-
-def accuracy(net: PatchNet, patches: tuple[np.ndarray, np.ndarray]) -> float:
-    x, y = patches
-    return float((predictions(net, x) == y).mean())
+def accuracy(net: PatchNet, patches) -> float:
+    """Share of the rows of (x, y) or (x, y, offsets) whose argmax class is their label."""
+    x, y, offsets = _unpack(patches)
+    return float((np.argmax(forward_all(net, x, offsets), axis=1) == y).mean())
 
 
 # -- optimizers ------------------------------------------------------------
@@ -424,26 +419,26 @@ class TrainLog:
 
 def train(net: PatchNet, train_patches, val_patches, spec: TrainSpec) -> TrainLog:
     """Mini-batch training of the mean patch cross-entropy; restores the
-    parameters of the epoch with best validation accuracy.
+    parameters of the epoch with best validation accuracy. train_patches and
+    val_patches are whole frames (x, y) or the crops (x, y, offsets) of
+    build_patch_arrays.
 
     Serial and deterministic for a fixed spec.seed: the only randomness is the
     per-epoch shuffle drawn from one seeded generator.
     """
-    x_train, y_train = train_patches
-    x_val, y_val = val_patches
-    if len(y_val) == 0:
+    if len(val_patches[1]) == 0:
         raise ValueError("validation patches must be non-empty")
     rng = np.random.default_rng(spec.seed)
     optimizer = (Adam if spec.optimizer == "adam" else SgdMomentum)(net.flat_params.size, spec.learning_rate)
     log = TrainLog()
     best_params = net.flat_params.copy()
-    n = len(y_train)
+    n = len(train_patches[1])
     for epoch in range(spec.epochs):
         order = rng.permutation(n)
         batch_losses: list[float] = []
         for lo in range(0, n, spec.batch_size):
             idx = order[lo : lo + spec.batch_size]
-            loss, grad = _loss_and_gradients(net, x_train[idx], y_train[idx])
+            loss, grad = _loss_and_gradients(net, [a[idx] for a in train_patches])
             if not math.isfinite(loss):  # before its gradient reaches the parameters
                 raise TrainingError(
                     f"training loss diverged at epoch {epoch}, batch {lo // spec.batch_size}"
@@ -451,7 +446,7 @@ def train(net: PatchNet, train_patches, val_patches, spec: TrainSpec) -> TrainLo
             batch_losses.append(loss)
             optimizer.step(net.flat_params, grad)
         epoch_loss = math.fsum(batch_losses) / len(batch_losses)
-        val_acc = accuracy(net, (x_val, y_val))
+        val_acc = accuracy(net, val_patches)
         log.train_loss.append(epoch_loss)
         log.val_accuracy.append(val_acc)
         log.epochs_run = epoch + 1
@@ -544,17 +539,17 @@ def gradient_check(net: PatchNet, batch, tolerance: float = 1e-3) -> GradientChe
     Meaningful only when the batch keeps ReLU pre-activations away from zero;
     see gradcheck_case.
     """
-    x, y = batch
-    analytic = _loss_and_gradients(net, x, y)[1]
+    x, y, offsets = _unpack(batch)
+    analytic = _loss_and_gradients(net, batch)[1]
     flat = net.flat_params
     numeric = np.empty_like(flat)
     for i in range(flat.size):
         original = flat[i]
         h = GRADCHECK_STEP * max(1.0, abs(original))
         flat[i] = original + h
-        plus = batch_cross_entropy(net.forward_batch(x), y)
+        plus = batch_cross_entropy(net.forward_batch(x, offsets), y)
         flat[i] = original - h
-        minus = batch_cross_entropy(net.forward_batch(x), y)
+        minus = batch_cross_entropy(net.forward_batch(x, offsets), y)
         flat[i] = original
         numeric[i] = (plus - minus) / (2 * h)
     rel = np.abs(analytic - numeric) / np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), 1e-8)

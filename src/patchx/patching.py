@@ -82,23 +82,28 @@ def _check_configs(configs: list[PatchConfig]) -> None:
 
 
 def build_patch_arrays(
-    values: np.ndarray, labels: np.ndarray, configs: list[PatchConfig]
-) -> tuple[np.ndarray, np.ndarray]:
-    """Every patch of the stacked samples values (n, channels, length) as one array.
+    values: np.ndarray, labels: np.ndarray, configs: list[PatchConfig], halo: tuple[int, int]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every patch of the stacked samples values (n, channels, length), cut to its crop.
 
-    Returns (patches, patch_labels): patches has shape (n * P, channels
-    [+1 if attach], length), where P = len(patch_spans(length, configs)) and
-    row i * P + k is slot k of sample row i; patch_labels repeats each of the
-    (n,) labels P times.
+    Returns (patches, patch_labels, offsets). Row i * P + k of patches, shape
+    (n * P, channels [+1 if attach], W) with P = len(patch_spans(length,
+    configs)), is slot k of sample row i: steps [offset, offset + W) of its
+    frame. That crop is the slot's window (at step 0 under notemp) widened by
+    halo = (before, after) steps, clamped to the frame and padded to the
+    widest crop, W. patch_labels repeats each of the (n,) labels P times.
     """
     _check_configs(configs)
     n, channels, length = values.shape
     spans = patch_spans(length, configs)
+    windows = np.array([(0, end - start) if configs[ci].notemp else (start, end) for ci, _, start, end in spans])
+    lo = np.maximum(windows[:, 0] - halo[0], 0)
+    width = int(np.max(np.minimum(windows[:, 1] + halo[1], length) - lo))
+    offsets = np.minimum(lo, length - width)
     attach = configs[0].attach
-    patches = np.zeros((n, len(spans), channels + int(attach), length))
-    for slot, (ci, p, start, end) in enumerate(spans):
-        lo, hi = (0, end - start) if configs[ci].notemp else (start, end)
-        patches[:, slot, :channels, lo:hi] = values[:, :, start:end]
+    patches = np.zeros((n, len(spans), channels + int(attach), width))
+    for slot, ((_, _, start, end), (a, b)) in enumerate(zip(spans, windows - offsets[:, None])):
+        patches[:, slot, :channels, a:b] = values[:, :, start:end]
         if attach:
-            patches[:, slot, -1, lo:hi] = 1.0
-    return patches.reshape(n * len(spans), -1, length), np.repeat(labels, len(spans))
+            patches[:, slot, -1, a:b] = 1.0
+    return patches.reshape(n * len(spans), -1, width), np.repeat(labels, len(spans)), np.tile(offsets, n)

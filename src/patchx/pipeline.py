@@ -92,6 +92,7 @@ def run_pipeline(
     if net_spec is None:
         net_spec = default_network_spec(train, configs, seed=train_spec.seed)
 
+    network = build_network(net_spec)
     t0 = time.perf_counter()
     stats = normalization_stats(train) if normalize else None
     patches = []
@@ -99,13 +100,11 @@ def run_pipeline(
         values = ds.values_array()
         if stats:
             values = znormalize(values, stats)
-        patches.append(build_patch_arrays(values, ds.labels_array(), configs))
-    (x_train, y_train), (x_val, y_val) = patches
+        patches.append(build_patch_arrays(values, ds.labels_array(), configs, network.halo))
     timing = {"patching_seconds": time.perf_counter() - t0}
 
-    network = build_network(net_spec)
     t0 = time.perf_counter()
-    log = neuralnet.train(network, (x_train, y_train), (x_val, y_val), train_spec)
+    log = neuralnet.train(network, *patches, train_spec)
     timing["network_train_seconds"] = time.perf_counter() - t0
 
     bundle = PatchXBundle(network=network, patch_configs=list(configs), norm_stats=stats, shallow_model=None)

@@ -2,9 +2,16 @@
 
 The per-patch object path: transform cuts one patch object at a time, and
 build_patch_dataset enumerates them in the order samples -> configs -> patch
-index. build_patch_arrays, the one patch builder the pipeline runs, must equal
-it bit for bit. forward and patch_cross_entropy evaluate the network on a
-single patch.
+index. full_frame_patch_arrays writes the same patches into one full-length
+array. build_patch_arrays, the one patch builder the pipeline runs, cuts each
+patch already cropped; re-expanded at its offset by expand_crops, every crop
+must equal them bit for bit. forward and patch_cross_entropy evaluate the
+network on a single whole patch.
+
+The content crop: content_crop finds each row's crop by scanning full frames
+for their nonzero steps, as the network did before the layout gave the crop.
+With attach on it must give the layout's crops, and without attach it must
+lie inside them.
 
 The full-frame network: full_frame_forward and full_frame_backward run every
 convolution over the whole length of each patch, zero background included.
@@ -44,7 +51,7 @@ from patchx.neuralnet import (
     LOG_CLAMP, GradientCheckEntry, GradientCheckReport, NetworkSpec, PatchNet, TrainSpec, batch_cross_entropy,
     softmax,
 )
-from patchx.patching import ConfigError, PatchConfig, _check_configs, enumerate_patches
+from patchx.patching import ConfigError, PatchConfig, _check_configs, enumerate_patches, patch_spans
 
 
 @dataclass
@@ -111,9 +118,52 @@ def build_patch_dataset(dataset: Dataset, configs: list[PatchConfig]) -> list[Pa
     return instances
 
 
+def full_frame_patch_arrays(
+    values: np.ndarray, labels: np.ndarray, configs: list[PatchConfig]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Every patch of the stacked samples values (n, channels, length) as one
+    full-length array (n * P, channels [+1 if attach], length), rows in
+    build_patch_arrays order, and the patch labels."""
+    _check_configs(configs)
+    n, channels, length = values.shape
+    spans = patch_spans(length, configs)
+    attach = configs[0].attach
+    patches = np.zeros((n, len(spans), channels + int(attach), length))
+    for slot, (ci, p, start, end) in enumerate(spans):
+        lo, hi = (0, end - start) if configs[ci].notemp else (start, end)
+        patches[:, slot, :channels, lo:hi] = values[:, :, start:end]
+        if attach:
+            patches[:, slot, -1, lo:hi] = 1.0
+    return patches.reshape(n * len(spans), -1, length), np.repeat(labels, len(spans))
+
+
+def expand_crops(crops: np.ndarray, offsets: np.ndarray, length: int) -> np.ndarray:
+    """The full frames (batch, channels, length) that hold each crop at its
+    offset and zeros elsewhere."""
+    frames = np.zeros((*crops.shape[:2], length))
+    for row, offset in enumerate(offsets):
+        frames[row, :, offset : offset + crops.shape[2]] = crops[row]
+    return frames
+
+
+def content_crop(x: np.ndarray, halo: tuple[int, int]) -> tuple[np.ndarray, int]:
+    """(offsets, width) of the crops of full frames x: each row spans its
+    first to last nonzero step, widened by halo = (before, after) and clamped
+    to the frame; crops are padded to the widest row's, and each offset is
+    clamped so that its crop stays inside the frame."""
+    batch, _, length = x.shape
+    nonzero = (x != 0.0).any(axis=1)  # (batch, length)
+    first = np.argmax(nonzero, axis=1)
+    end = length - np.argmax(nonzero[:, ::-1], axis=1)
+    lo = np.maximum(first - halo[0], 0)
+    hi = np.minimum(end + halo[1], length)
+    width = max(1, int(np.max(hi - lo, initial=0, where=nonzero.any(axis=1))))
+    return np.minimum(lo, length - width), width
+
+
 def forward(net: PatchNet, values: np.ndarray) -> np.ndarray:
-    """Softmax prediction for a single patch array, shape (class_count,)."""
-    return net.forward_batch(values[None])[0]
+    """Softmax prediction for a single whole patch array, shape (class_count,)."""
+    return net.forward_batch(values[None], None)[0]
 
 
 def patch_cross_entropy(prediction: np.ndarray, label: int) -> float:
@@ -238,7 +288,7 @@ def named_gradient_check(net: PatchNet, batch, tolerance: float = 1e-3,
     analytic = neuralnet.backward(net, (x, y))
 
     def loss() -> float:
-        probs = net.forward_batch(x)
+        probs = net.forward_batch(x, None)
         return batch_cross_entropy(probs, y)
 
     entries = []

@@ -422,11 +422,12 @@ def test_criterion_11_scaling_trend():
         spec = AnomalyGenSpec(train_count=n, val_count=200, test_count=10, seed=13)
         train, val, _ = generate_anomaly(spec)
         stats = normalization_stats(train)
-        x_train, y_train = build_patch_arrays(znormalize(train.values_array(), stats), train.labels_array(), CONFIGS)
-        x_val, y_val = build_patch_arrays(znormalize(val.values_array(), stats), val.labels_array(), CONFIGS)
         net = build_network(NetworkSpec(4, 50, 2, conv_blocks=((8, 3, "relu"), (16, 3, "relu")), seed=1))
+        train_patches, val_patches = [
+            build_patch_arrays(znormalize(ds.values_array(), stats), ds.labels_array(), CONFIGS, net.halo)
+            for ds in (train, val)]
         t0 = time.perf_counter()
-        train_network(net, (x_train, y_train), (x_val, y_val),
+        train_network(net, train_patches, val_patches,
                       TrainSpec(epochs=2, batch_size=64, learning_rate=1e-3,
                                 early_stopping_patience=1, seed=1))
         times.append(time.perf_counter() - t0)

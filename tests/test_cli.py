@@ -145,6 +145,22 @@ class TestRun:
         assert "stride must be >= 1" in capsys.readouterr().err
         assert not (tmp_path / "bad").exists()  # patch configs are checked before the run dir
 
+    @pytest.mark.parametrize("files, argv, message", [
+        (True, ["--patches", "60:60"], "patch length 60 exceeds sample length 50"),
+        (False, ["--length", "8"], "patch length 10 exceeds sample length 8"),
+    ], ids=["patch-60-on-50-step-files", "default-patches-on-8-steps"])
+    def test_patch_longer_than_the_samples_stops_before_the_run_dir(self, tmp_path, capsys, files, argv, message):
+        source = []
+        if files:
+            assert run_cli("generate", "--out", str(tmp_path / "data"), *FAST) == 0
+            source = ["--source", "files", "--data-dir", str(tmp_path / "data")]
+        capsys.readouterr()
+        code = run_cli("run", "--out", str(tmp_path / "out"), "--run-name", "long", *FAST, *source, *argv)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and message in err
+        assert not (tmp_path / "out").exists()
+
     def test_failed_stage_is_reported(self, tmp_path, capsys, monkeypatch):
         def diverge(*args, **kwargs):
             raise TrainingError("training loss diverged at epoch 0, batch 0")
@@ -473,7 +489,7 @@ class TestExplainCommands:
         code = run_cli("explain", "--bundle", str(bundle / "bundle.pchx"),
                        "--data", str(data_dir / "test.csv"),
                        "--sample-id", "999", "--out", str(tmp_path / "x"))
-        assert code == 1
+        assert code == 2
 
     def test_mislabel_export(self, run_dir, tmp_path):
         bundle, data_dir = run_dir
@@ -512,8 +528,12 @@ class TestExplainArguments:
         (["probe", "--sample-id", "0", "--position", "9,25"], "--position"),
         (["probe", "--sample-id", "0", "--factors", "2,1"], "--factors"),
         (["probe", "--sample-id", "0", "--factors", "a,b"], "--factors"),
+        (["explain", "--sample-id", "999"], "--sample-id"),
+        (["explain"], "--sample-id"),
+        (["probe", "--sample-id", "999"], "--sample-id"),
     ], ids=["explain-id-not-int", "probe-one-coordinate", "probe-channel-outside",
-            "probe-factors-decrease", "probe-factors-not-numbers"])
+            "probe-factors-decrease", "probe-factors-not-numbers", "explain-unknown-id",
+            "explain-no-id", "probe-unknown-id"])
     def test_bad_argument_exits_2_naming_the_flag(self, saved_bundle, tmp_path, capsys, argv, flag):
         bundle, data = saved_bundle
         command, *rest = argv
@@ -522,10 +542,17 @@ class TestExplainArguments:
         assert flag in capsys.readouterr().err.splitlines()[-1]
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("width", ["0", "-0.05", "nan", "inf"])
-    def test_histogram_rejects_a_bin_width_that_is_not_positive(self, saved_bundle, tmp_path, width):
-        """In a subprocess under a 1 GiB address-space cap: a width <= 0 once
-        appended bin edges until memory ran out."""
+    @pytest.mark.parametrize("width, message", [
+        ("0", "bin width must be a finite number > 0"),
+        ("-0.05", "bin width must be a finite number > 0"),
+        ("nan", "bin width must be a finite number > 0"),
+        ("inf", "bin width must be a finite number > 0"),
+        ("1e-9", "gives 5e+08 bins, more than 10000"),
+    ], ids=["0", "-0.05", "nan", "inf", "1e-9"])
+    def test_histogram_rejects_a_bin_width_that_is_not_positive(self, saved_bundle, tmp_path, width, message):
+        """In a subprocess under a 1 GiB address-space cap: a width <= 0, or
+        one so small that its bins do not fit, once appended bin edges until
+        memory ran out."""
         bundle, data = saved_bundle
         src = str(Path(patchx.__file__).resolve().parent.parent)
         env = {**os.environ, "PYTHONPATH": src, "OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "1"}
@@ -536,7 +563,7 @@ class TestExplainArguments:
             env=env, preexec_fn=cap, capture_output=True, text=True, timeout=120,
         )
         assert done.returncode == 2
-        assert done.stderr.count("\n") == 1 and "bin width must be a finite number > 0" in done.stderr
+        assert done.stderr.count("\n") == 1 and message in done.stderr
         assert not (tmp_path / "hist.json").exists()
 
 

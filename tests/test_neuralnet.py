@@ -27,8 +27,8 @@ from patchx.neuralnet import (
 from patchx.patching import PatchConfig, build_patch_arrays
 
 from oracles import (
-    NamedAdam, NamedSgdMomentum, forward, full_frame_gradients, full_frame_softmax, named_gradient_check,
-    patch_cross_entropy, transform,
+    NamedAdam, NamedSgdMomentum, content_crop, expand_crops, forward, full_frame_gradients,
+    full_frame_patch_arrays, full_frame_softmax, named_gradient_check, patch_cross_entropy, transform,
 )
 
 TINY = NetworkSpec(
@@ -48,7 +48,7 @@ class TestForward:
     def test_softmax_sums_to_one(self):
         net = build_network(TINY)
         x, _ = random_batch(TINY, n=20)
-        probs = net.forward_batch(x)
+        probs = net.forward_batch(x, None)
         assert np.all(probs > 0) and np.all(probs < 1)
         np.testing.assert_allclose(probs.sum(axis=1), 1.0, atol=1e-6)
 
@@ -57,28 +57,38 @@ class TestForward:
         net.dense.w[...] = 0.0
         net.dense.b[...] = 0.0
         x, _ = random_batch(TINY, n=4)
-        np.testing.assert_allclose(net.forward_batch(x), 1.0 / 3.0)
+        np.testing.assert_allclose(net.forward_batch(x, None), 1.0 / 3.0)
 
     def test_identical_patches_identical_outputs(self):
         net = build_network(TINY)
         x, _ = random_batch(TINY, n=1)
-        a = net.forward_batch(x.copy())
-        b = net.forward_batch(x.copy())
+        a = net.forward_batch(x.copy(), None)
+        b = net.forward_batch(x.copy(), None)
         np.testing.assert_array_equal(a, b)
 
     def test_shape_mismatch_rejected(self):
         net = build_network(TINY)
         with pytest.raises(DimensionError):
-            net.forward_batch(np.zeros((2, 3, 12)))
+            net.forward_batch(np.zeros((2, 3, 12)), None)
         with pytest.raises(DimensionError):
-            net.forward_batch(np.zeros((2, 2, 13)))
+            net.forward_batch(np.zeros((2, 2, 13)), None)
+
+    @pytest.mark.parametrize("offsets", [
+        None, np.array([0, 1, 2]), np.array([0.0, 1.0]), np.array([-1, 0]), np.array([0, 3]),
+    ], ids=["missing", "one-per-row-not", "not-integer", "below-0", "past-length-minus-width"])
+    def test_crop_needs_one_offset_per_row_inside_the_frame(self, offsets):
+        net = build_network(TINY)
+        x = np.zeros((2, 2, 10))  # crops of width 10 in 12-step frames: offsets in [0, 2]
+        with pytest.raises(DimensionError, match=r"one integer offset in \[0, 2\] per row"):
+            net.forward_batch(x, offsets)
+        net.forward_batch(x, np.array([0, 2]))
 
     def test_single_patch_forward(self):
         net = build_network(TINY)
         x, _ = random_batch(TINY, n=1)
         probs = forward(net, x[0])
         assert probs.shape == (3,)
-        np.testing.assert_array_equal(probs, net.forward_batch(x)[0])
+        np.testing.assert_array_equal(probs, net.forward_batch(x, None)[0])
 
 
 def im2col_forward(conv, x):
@@ -262,7 +272,7 @@ class TestGradientVector:
     def test_backward_is_views_of_one_vector(self):
         net = build_network(TINY)
         x, y = random_batch(TINY, n=5, seed=3)
-        logits, caches = net._forward_cached(x)
+        logits, caches = net._forward_cached(x, None)
         grad = net.backward_from_logits(softmax(logits), caches)
         assert grad.dtype == np.float64 and grad.shape == (net.flat_params.size,)
         grads = backward(net, (x, y))
@@ -296,8 +306,9 @@ FLAGS = [(False, False), (True, False), (False, True), (True, True)]
 FLAG_IDS = ["plain", "attach", "notemp", "attach-notemp"]
 
 
-def patch_rows(attach, notemp, length=23, whole=False):
-    """build_patch_arrays rows of five samples, 2 data channels. The windows
+def patch_rows(attach, notemp, halo, length=23, whole=False):
+    """build_patch_arrays crops (x, y, offsets) of five samples, 2 data
+    channels, and the oracle's full frames of the same patches. The windows
     of 4:6 and 7:9 start at step 0 and end at the last step, truncated there;
     sample 1 is all zero, so its patches are empty without attach. whole adds
     a window that covers the frame."""
@@ -306,7 +317,11 @@ def patch_rows(attach, notemp, length=23, whole=False):
     values[1] = 0.0
     tokens = [(4, 6), (7, 9)] + ([(length, length)] if whole else [])
     configs = [PatchConfig(stride, size, attach=attach, notemp=notemp) for stride, size in tokens]
-    return build_patch_arrays(values, np.arange(5) % 3, configs)
+    labels = np.arange(5) % 3
+    x, y, offsets = build_patch_arrays(values, labels, configs, halo)
+    frames = full_frame_patch_arrays(values, labels, configs)[0]
+    np.testing.assert_array_equal(expand_crops(x, offsets, length), frames)
+    return x, y, offsets, frames
 
 
 def crop_net(channels, length, kernel, activation, depth, seed):
@@ -324,11 +339,12 @@ NETS = [(kernel, activation, depth) for kernel in (1, 2, 3, 5)
 
 
 class TestCropOracle:
-    """The cropped network against the full-frame oracle, to 1e-10 absolute."""
+    """The network on layout crops against the full-frame oracle, to 1e-10 absolute."""
 
-    def check(self, net, x, y):
-        np.testing.assert_allclose(net.forward_batch(x), full_frame_softmax(net, x), rtol=0, atol=1e-10)
-        got, want = backward(net, (x, y)), full_frame_gradients(net, x, y)
+    def check(self, net, x, y, offsets, frames):
+        np.testing.assert_allclose(net.forward_batch(x, offsets), full_frame_softmax(net, frames),
+                                   rtol=0, atol=1e-10)
+        got, want = backward(net, (x, y, offsets)), full_frame_gradients(net, frames, y)
         assert got.keys() == want.keys()
         for name in want:
             np.testing.assert_allclose(got[name], want[name], rtol=0, atol=1e-10, err_msg=name)
@@ -336,50 +352,50 @@ class TestCropOracle:
     @pytest.mark.parametrize("attach, notemp", FLAGS, ids=FLAG_IDS)
     @pytest.mark.parametrize("kernel, activation, depth", NETS)
     def test_patches_match_full_frame(self, attach, notemp, kernel, activation, depth):
-        x, y = patch_rows(attach, notemp)
-        net = crop_net(x.shape[1], x.shape[2], kernel, activation, depth, seed=kernel * 10 + depth)
-        offsets, width = net._crop(x)
-        assert width < x.shape[2]
+        net = crop_net(2 + attach, 23, kernel, activation, depth, seed=kernel * 10 + depth)
+        x, y, offsets, frames = patch_rows(attach, notemp, net.halo)
+        width = x.shape[2]
+        assert width < frames.shape[2]
         assert offsets.min() == 0  # windows at the first step
-        assert notemp or offsets.max() + width == x.shape[2]  # and, in place, at the last
-        self.check(net, x, y)
+        assert notemp or offsets.max() + width == frames.shape[2]  # and, in place, at the last
+        self.check(net, x, y, offsets, frames)
 
     def test_empty_patches_alone(self):
-        x, y = patch_rows(False, False)
-        empty = x[~x.any(axis=(1, 2))]
-        assert len(empty) == 10  # the 6 + 4 patches of the all-zero sample
-        net = crop_net(x.shape[1], x.shape[2], 3, "relu", 2, seed=4)
-        assert net._crop(empty)[1] == 1
-        self.check(net, empty, y[: len(empty)])
+        net = crop_net(2, 23, 3, "relu", 2, seed=4)
+        x, y, offsets, frames = patch_rows(False, False, net.halo)
+        empty = ~frames.any(axis=(1, 2))
+        assert empty.sum() == 10  # the 6 + 4 patches of the all-zero sample
+        assert content_crop(frames[empty], net.halo)[1] == 1  # no content, yet each keeps its layout crop
+        self.check(net, x[empty], y[empty], offsets[empty], frames[empty])
 
     @pytest.mark.parametrize("attach, notemp", FLAGS, ids=FLAG_IDS)
     def test_full_width_crop_is_the_full_frame(self, attach, notemp):
-        """A batch holding a whole-frame window crops nothing and runs the
+        """A layout holding a whole-frame window crops nothing and runs the
         oracle's arithmetic exactly."""
-        x, y = patch_rows(attach, notemp, whole=True)
-        net = crop_net(x.shape[1], x.shape[2], 3, "relu", 2, seed=6)
-        assert net._crop(x)[1] == x.shape[2]
-        np.testing.assert_array_equal(net.forward_batch(x), full_frame_softmax(net, x))
-        got, want = backward(net, (x, y)), full_frame_gradients(net, x, y)
+        net = crop_net(2 + attach, 23, 3, "relu", 2, seed=6)
+        x, y, offsets, frames = patch_rows(attach, notemp, net.halo, whole=True)
+        assert x.shape == frames.shape and not offsets.any()
+        np.testing.assert_array_equal(net.forward_batch(x, offsets), full_frame_softmax(net, frames))
+        got, want = backward(net, (x, y, offsets)), full_frame_gradients(net, frames, y)
         for name in want:
             np.testing.assert_array_equal(got[name], want[name], err_msg=name)
 
     def test_row_depends_on_its_batch_only_by_rounding(self):
-        x, _ = patch_rows(True, False, whole=True)
-        net = crop_net(x.shape[1], x.shape[2], 5, "relu", 2, seed=8)
-        batched = net.forward_batch(x)
-        alone = np.concatenate([net.forward_batch(row[None]) for row in x])
+        net = crop_net(3, 23, 5, "relu", 2, seed=8)
+        x, _, offsets, _ = patch_rows(True, False, net.halo)
+        batched = net.forward_batch(x, offsets)
+        alone = np.concatenate([net.forward_batch(x[r : r + 1], offsets[r : r + 1]) for r in range(len(x))])
         np.testing.assert_allclose(alone, batched, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("attach, notemp", FLAGS, ids=FLAG_IDS)
     @pytest.mark.parametrize("kernel", [2, 3])
     def test_gradient_check_through_the_crop(self, attach, notemp, kernel):
-        x, y = patch_rows(attach, notemp)
-        x, y = x[::4], y[::4]
-        net = crop_net(x.shape[1], x.shape[2], kernel, "relu", 2, seed=kernel)
-        nudge_biases_off_kinks(net, x)
-        assert net._crop(x)[1] < x.shape[2]
-        report = gradient_check(net, (x, y))
+        net = crop_net(2 + attach, 23, kernel, "relu", 2, seed=kernel)
+        x, y, offsets, frames = patch_rows(attach, notemp, net.halo)
+        rows = slice(None, None, 4)
+        nudge_biases_off_kinks(net, frames[rows])
+        assert x.shape[2] < frames.shape[2]
+        report = gradient_check(net, (x[rows], y[rows], offsets[rows]))
         assert report.passed, report.summary()
 
 

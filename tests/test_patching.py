@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from patchx.data import Dataset, TimeSeriesSample
+from patchx.neuralnet import NetworkSpec, build_network
 from patchx.patching import (
     ConfigError,
     PatchConfig,
@@ -10,7 +11,7 @@ from patchx.patching import (
     patch_spans,
 )
 
-from oracles import build_patch_dataset, transform
+from oracles import build_patch_dataset, content_crop, expand_crops, full_frame_patch_arrays, transform
 
 
 def brute_force_spans(sample_length, stride, length):
@@ -199,12 +200,14 @@ class TestInvariants:
 
     def test_vectorized_arrays_match_object_path(self):
         # build_patch_arrays is the runtime builder; transform is its reference.
-        # Row i * P + k is slot k of sample row i, with P = len(patch_spans).
+        # Row i * P + k is slot k of sample row i, with P = len(patch_spans);
+        # re-expanded at its offset, each crop is the transformed patch.
         ds = make_dataset(n=6, channels=2, length=23, seed=3)
         for flags in self.FLAG_SETS:
             configs = [PatchConfig(4, 9, **flags), PatchConfig(8, 16, **flags)]
             patches = build_patch_dataset(ds, configs)
-            values, labels = build_patch_arrays(ds.values_array(), ds.labels_array(), configs)
+            crops, labels, offsets = build_patch_arrays(ds.values_array(), ds.labels_array(), configs, (1, 2))
+            values = expand_crops(crops, offsets, ds.length)
             assert len(patches) == len(values)
             spans = patch_spans(ds.length, configs)
             for i, patch in enumerate(patches):
@@ -213,3 +216,35 @@ class TestInvariants:
                 assert labels[i] == patch.label
                 assert ds.samples[row].id == patch.sample_id
                 assert spans[slot][:2] == (patch.config_index, patch.patch_index)
+
+
+class TestLayoutCrop:
+    """Each slot's crop comes from the layout: re-expanded, the crops are the
+    full frames bit for bit, and they hold every step the content scan finds."""
+
+    @pytest.mark.parametrize("attach, notemp", [(False, False), (True, False), (False, True), (True, True)],
+                             ids=["plain", "attach", "notemp", "attach-notemp"])
+    @pytest.mark.parametrize("kernel", [1, 2, 3, 5])
+    @pytest.mark.parametrize("whole", [False, True], ids=["windows", "whole-frame-window"])
+    def test_layout_crops_hold_the_content_crops(self, attach, notemp, kernel, whole):
+        length = 23
+        rng = np.random.default_rng(kernel)
+        values = rng.normal(size=(4, 2, length))
+        values[1] = 0.0  # an all-zero sample
+        tokens = [(4, 6), (7, 9)] + ([(length, length)] if whole else [])  # last windows truncated
+        configs = [PatchConfig(stride, size, attach=attach, notemp=notemp) for stride, size in tokens]
+        blocks = ((3, kernel, "relu"), (3, kernel, "relu"))
+        halo = build_network(NetworkSpec(2 + attach, length, 2, blocks)).halo
+        crops, labels, offsets = build_patch_arrays(values, np.arange(4) % 2, configs, halo)
+        frames, frame_labels = full_frame_patch_arrays(values, np.arange(4) % 2, configs)
+        width = crops.shape[2]
+        assert (width == length) == whole and offsets.min() >= 0 and offsets.max() <= length - width
+        np.testing.assert_array_equal(expand_crops(crops, offsets, length), frames)
+        np.testing.assert_array_equal(labels, frame_labels)
+        if attach:
+            found, found_width = content_crop(frames, halo)
+            assert found_width == width
+            np.testing.assert_array_equal(found, offsets)
+        for row in np.flatnonzero(frames.any(axis=(1, 2))):
+            found, found_width = content_crop(frames[row : row + 1], halo)
+            assert offsets[row] <= found[0] and found[0] + found_width <= offsets[row] + width

@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 
 from patchx import neuralnet
+from patchx.patching import patch_spans
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -57,3 +58,20 @@ def test_conv_spans_count_flop_of_logical_shapes():
         **{f"neuralnet.{label}.eval_fwd": 2 * n for label, n in per_pass.items()},
         **{f"neuralnet.{label}.bwd": 4 * n for label, n in per_pass.items()},
     }
+
+
+def test_patching_spans_read_the_cropped_tensor(small_bundle, anomaly_splits):
+    """patching.patches and patching.tensor_mb read the tensor that
+    build_patch_arrays returns first: n * P crops of the layout's width W."""
+    spans, tracer, _ = load_tracer()
+    test, net = anomaly_splits[2], small_bundle.network
+    with tracer.group():
+        small_bundle.patch_predictions(test)
+    (meta,) = [s[spans.META] for s in tracer.groups[-1] if s[spans.NAME] == "patching.build_patch_arrays"]
+    windows = [(start, end) for _, _, start, end in patch_spans(test.length, small_bundle.patch_configs)]
+    before, after = sum(conv.pad_right for conv in net.convs), sum(conv.pad_left for conv in net.convs)
+    width = max(min(end + after, test.length) - max(start - before, 0) for start, end in windows)
+    assert width < test.length
+    rows = len(test) * len(windows)
+    assert meta["rows"] == rows
+    assert meta["bytes"] == rows * net.spec.input_channels * width * 8
