@@ -33,7 +33,7 @@ from .explain import (
 )
 from .metadata import save_vectors
 from .neuralnet import (
-    OPTIMIZERS, DimensionError, NetworkSpec, TrainSpec, gradcheck_case, gradient_check,
+    OPTIMIZERS, DimensionError, NetworkSpec, TrainingError, TrainSpec, gradcheck_case, gradient_check,
 )
 from .patching import ConfigError, PatchConfig, patch_spans
 from .pipeline import default_network_spec, refit_shallow, run_pipeline
@@ -60,6 +60,17 @@ def _position(text: str) -> tuple[int, int]:
     except ValueError:
         raise argparse.ArgumentTypeError(f"{text!r} is not two integers 'channel,step'") from None
     return channel, step
+
+
+def _positive(text: str) -> float:
+    """A finite number > 0."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a number") from None
+    if not 0 < value < np.inf:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a finite number > 0")
+    return value
 
 
 def _factors(text: str) -> list[float]:
@@ -249,6 +260,8 @@ def load_run_datasets(config: configparser.ConfigParser) -> tuple[Dataset, Datas
     train's shape raise SplitError (generated ones always agree)."""
     v = _values(config)
     if v["source"] == "files":
+        if not v["dir"]:
+            raise ConfigError("--source files needs --data-dir (or [data] dir)")
         directory = Path(v["dir"])
         splits = tuple(load_dataset(directory / f"{s}.csv", split=s) for s in ("train", "val", "test"))
         check_splits(dict(zip(("train", "val", "test"), splits)))
@@ -325,14 +338,14 @@ def cmd_run(args: argparse.Namespace) -> int:
     with _spec_checks():
         patch_spans(train.length, patch_configs)
         net_spec = default_network_spec(train, patch_configs, seed=v["seed"], conv_blocks=conv_blocks)
-    stage = "run directory"
+    stage = "pipeline"
     try:
-        run_dir = make_run_dir(args.out, args.run_name)
-        stage = "pipeline"
         result = run_pipeline(
             train, val, test, patch_configs,
             net_spec=net_spec, train_spec=train_spec, shallow_spec=shallow_spec, normalize=v["normalize"],
         )
+        stage = "run directory"
+        run_dir = make_run_dir(args.out, args.run_name)
         stage = "persist"
         write_resolved_config(config, run_dir / "resolved_config.ini")
         save_bundle(result.bundle, run_dir / "bundle.pchx")
@@ -383,7 +396,6 @@ def cmd_bench(args: argparse.Namespace) -> int:
             flags = {"attach": "attach" in names, "notemp": "notemp" in names}
         cells.append((token.strip(), flags))
 
-    run_dir = make_run_dir(args.out, args.run_name)
     # with one patch per sample, confidence-sum voting is the network's argmax
     bb = run_pipeline(
         train, val, test, whole, net_spec=blackbox_spec, train_spec=train_spec,
@@ -413,6 +425,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
             report["cells"].append({"configs": cell_name, "error": str(err)})
             print(f"cell {cell_name!r} failed: {err}", file=sys.stderr)
 
+    run_dir = make_run_dir(args.out, args.run_name)
     write_resolved_config(config, run_dir / "resolved_config.ini")
     write_json(report, run_dir / "bench_report.json")
     lines = ["variant              " + "".join(f"{c['configs']:>24}" for c in report["cells"])]
@@ -445,8 +458,6 @@ def cmd_bench(args: argparse.Namespace) -> int:
 
 
 def cmd_explain(args: argparse.Namespace) -> int:
-    if not (args.sample_id or args.mislabels):
-        raise ConfigError("explain needs --sample-id or --mislabels")
     bundle = load_bundle(args.bundle)
     dataset = load_dataset(args.data, split="test")
     ids = set(args.sample_id)
@@ -533,8 +544,8 @@ def cmd_gradcheck(args: argparse.Namespace) -> int:
     }
     failed = False
     for name, spec in cases.items():
-        net, x, y = gradcheck_case(spec, seed=args.seed)
-        report = gradient_check(net, (x, y), tolerance=args.tolerance)
+        net, batch = gradcheck_case(spec, seed=args.seed)
+        report = gradient_check(net, batch, tolerance=args.tolerance)
         print(f"[{name}] {report.summary()}")
         failed |= not report.passed
     return 1 if failed else 0
@@ -576,8 +587,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_explain = sub.add_parser("explain", help="export per-patch explanation records")
     p_explain.add_argument("--bundle", required=True)
     p_explain.add_argument("--data", required=True)
-    p_explain.add_argument("--sample-id", dest="sample_id", type=int, action="append", default=[])
-    p_explain.add_argument("--mislabels", action="store_true")
+    which = p_explain.add_mutually_exclusive_group(required=True)
+    which.add_argument("--sample-id", dest="sample_id", type=int, action="append", default=[])
+    which.add_argument("--mislabels", action="store_true")
     p_explain.add_argument("--out", required=True)
     p_explain.set_defaults(func=cmd_explain)
 
@@ -587,7 +599,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_probe.add_argument("--sample-id", dest="sample_id", type=int, required=True)
     p_probe.add_argument("--position", type=_position, help="channel,step of the point to scale")
     p_probe.add_argument("--factors", type=_factors, default="0.25,0.5,0.75,1.0,1.25,1.5,1.75,2.0")
-    p_probe.add_argument("--sigma-multiplier", dest="sigma_multiplier", type=float,
+    p_probe.add_argument("--sigma-multiplier", dest="sigma_multiplier", type=_positive,
                          default=DEFAULT_SIGMA_MULTIPLIER)
     p_probe.add_argument("--out", required=True)
     p_probe.set_defaults(func=cmd_probe)
@@ -602,7 +614,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_grad = sub.add_parser("gradcheck", help="verify analytic gradients against finite differences")
     p_grad.add_argument("--seed", type=int, default=0)
-    p_grad.add_argument("--tolerance", type=float, default=1e-3)
+    p_grad.add_argument("--tolerance", type=_positive, default=1e-3)
     p_grad.set_defaults(func=cmd_gradcheck)
 
     return parser
@@ -615,6 +627,9 @@ def main(argv: list[str] | None = None) -> int:
     except (BundleError, ConfigError, DimensionError, ParseError, SplitError, OSError) as err:
         print(f"patchx {args.command}: {err}", file=sys.stderr)  # an OSError names its path
         return 2
+    except TrainingError as err:
+        print(f"patchx {args.command}: {err}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

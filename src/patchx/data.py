@@ -128,13 +128,13 @@ class AnomalyGenSpec:
             raise ValueError(f"length must be >= 5, got {self.length}")
         if not (self.channels >= 1):
             raise ValueError("channels must be >= 1")
-        if not (self.noise_sigma > 0):
-            raise ValueError(f"noise_sigma must be > 0, got {self.noise_sigma}")
+        if not (0 < self.noise_sigma < np.inf):
+            raise ValueError(f"noise_sigma must be > 0 and finite, got {self.noise_sigma}")
         lo, hi = self.peak_amplitude_range
-        if not (0 < lo <= hi):
-            raise ValueError(f"bad peak_amplitude_range {self.peak_amplitude_range}")
-        if not (self.sigma_multiplier > 0):
-            raise ValueError(f"sigma_multiplier must be > 0, got {self.sigma_multiplier}")
+        if not (0 < lo <= hi < np.inf):
+            raise ValueError(f"bad peak_amplitude_range {self.peak_amplitude_range}: need 0 < min <= max, finite")
+        if not (0 < self.sigma_multiplier < np.inf):
+            raise ValueError(f"sigma_multiplier must be > 0 and finite, got {self.sigma_multiplier}")
 
 
 def anomaly_label(values: np.ndarray, sigma_multiplier: float = DEFAULT_SIGMA_MULTIPLIER) -> int:

@@ -3,11 +3,12 @@
 Architecture: a stack of same-padded Conv1d+ReLU blocks, global average
 pooling over time, and a dense layer producing class logits; softmax on top.
 Activations keep the logical shape (batch, channels, length) over channels-last
-memory; a convolution is one shifted GEMM per kernel tap. A batch holds whole
-frames, or crops at offsets, which build_patch_arrays cuts from the patch
-layout: each window widened by the network's halo. Outside its crop a frame is
-zero, so every activation there is that of the all-zero input (the empty
-frame), which one batch-1 pass computes. All math is float64 numpy, so serial
+memory; a convolution is one shifted GEMM per kernel tap. A batch is (x, y,
+offsets): each row of x is a crop at its offset, which build_patch_arrays cuts
+from the patch layout (each window widened by the network's halo); whole
+frames are crops of width W = L at offset 0. Outside its crop a frame is zero,
+so every activation there is that of the all-zero input (the empty frame),
+which one batch-1 pass computes. All math is float64 numpy, so serial
 runs are bit-reproducible and the analytic gradients can be checked against
 central finite differences. Parameters and gradients share one flat layout:
 every layer's weights and biases view the parameter vector, and backward writes
@@ -221,14 +222,14 @@ class PatchNet:
 
     # -- forward / backward ------------------------------------------------
 
-    def _check_input(self, x: np.ndarray, offsets: np.ndarray | None) -> None:
-        """x holds whole frames, or narrower crops with one integer offset in [0, length - width] per row."""
+    def _check_input(self, x: np.ndarray, offsets: np.ndarray) -> None:
+        """x holds crops of one width, with one integer offset in [0, length - width] per row."""
         channels, length = self.spec.input_channels, self.spec.input_length
         if x.ndim != 3 or x.shape[1] != channels or not 1 <= x.shape[2] <= length:
             raise DimensionError(f"expected input (batch, {channels}, width <= {length}), got {x.shape}")
         room = length - x.shape[2]
-        if room and not (offsets is not None and offsets.shape == (len(x),) and offsets.dtype.kind in "iu"
-                         and 0 <= offsets.min(initial=0) <= offsets.max(initial=0) <= room):
+        if not (isinstance(offsets, np.ndarray) and offsets.shape == (len(x),) and offsets.dtype.kind in "iu"
+                and 0 <= offsets.min(initial=0) <= offsets.max(initial=0) <= room):
             raise DimensionError(f"crops of width {x.shape[2]} need one integer offset in [0, {room}] per row")
 
     def _convolve(self, h: np.ndarray, offsets: np.ndarray | None = None,
@@ -248,10 +249,10 @@ class PatchNet:
             h = out
         return caches, h
 
-    def _forward_cached(self, x: np.ndarray, offsets: np.ndarray | None) -> tuple[np.ndarray, list]:
-        """Logits and the caches for backward. x holds whole frames (offsets
-        None) or each row's crop at its offset; for crops, one forward of the
-        all-zero input gives the activations outside them (the empty frame)."""
+    def _forward_cached(self, x: np.ndarray, offsets: np.ndarray) -> tuple[np.ndarray, list]:
+        """Logits and the caches for backward of each row's crop at its offset;
+        for crops narrower than the frame, one forward of the all-zero input
+        gives the activations outside them (the empty frame)."""
         self._check_input(x, offsets)
         width, length = x.shape[2], self.spec.input_length
         empty = outside = None
@@ -267,10 +268,6 @@ class PatchNet:
         logits = self.dense.forward(pooled)
         caches.append((h.shape, pooled, offsets, outside, empty))
         return logits, caches
-
-    def forward_batch(self, x: np.ndarray, offsets: np.ndarray | None) -> np.ndarray:
-        """Softmax class probabilities, shape (batch, class_count), of x as _forward_cached reads it."""
-        return softmax(self._forward_cached(x, offsets)[0])
 
     def backward_from_logits(self, dlogits: np.ndarray, caches: list) -> np.ndarray:
         """The parameter gradients, one vector laid out like flat_params. What
@@ -323,19 +320,14 @@ def softmax(logits: np.ndarray) -> np.ndarray:
 # -- spec operations -------------------------------------------------------
 
 
-def forward_all(net: PatchNet, x: np.ndarray, offsets: np.ndarray | None) -> np.ndarray:
-    """Softmax of every row of x (whole frames, or crops at offsets), shape
-    (len(x), class_count); the one evaluation forward path, in EVAL_BATCH slices."""
+def forward_all(net: PatchNet, x: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """Softmax of every row of x, each a crop at its offset, shape
+    (len(x), class_count); the one forward path, in EVAL_BATCH slices."""
     probs = np.empty((len(x), net.spec.class_count))
     for lo in range(0, len(x), EVAL_BATCH):
         rows = slice(lo, lo + EVAL_BATCH)
-        probs[rows] = net.forward_batch(x[rows], None if offsets is None else offsets[rows])
+        probs[rows] = softmax(net._forward_cached(x[rows], offsets[rows])[0])
     return probs
-
-
-def _unpack(patches) -> tuple:
-    """(x, y, offsets) of whole frames (x, y), offsets None, or of crops (x, y, offsets)."""
-    return (*patches, None)[:3]
 
 
 def batch_cross_entropy(probs: np.ndarray, labels: np.ndarray) -> float:
@@ -344,9 +336,9 @@ def batch_cross_entropy(probs: np.ndarray, labels: np.ndarray) -> float:
 
 
 def _loss_and_gradients(net: PatchNet, batch) -> tuple[float, np.ndarray]:
-    """The mean cross-entropy of batch (x, y) or (x, y, offsets) and its
-    gradient, laid out like flat_params."""
-    x, y, offsets = _unpack(batch)
+    """The mean cross-entropy of batch (x, y, offsets) and its gradient, laid
+    out like flat_params."""
+    x, y, offsets = batch
     if len(y) == 0:
         raise ValueError("backward requires a non-empty batch")
     logits, caches = net._forward_cached(x, offsets)
@@ -357,16 +349,9 @@ def _loss_and_gradients(net: PatchNet, batch) -> tuple[float, np.ndarray]:
     return loss, net.backward_from_logits(dlogits, caches)
 
 
-def backward(net: PatchNet, batch) -> dict[str, np.ndarray]:
-    """Gradient of the mean batch cross-entropy w.r.t. every parameter, by
-    name, of batch (x, y) or (x, y, offsets); the arrays view one gradient
-    vector laid out like flat_params."""
-    return net.views(_loss_and_gradients(net, batch)[1])
-
-
 def accuracy(net: PatchNet, patches) -> float:
-    """Share of the rows of (x, y) or (x, y, offsets) whose argmax class is their label."""
-    x, y, offsets = _unpack(patches)
+    """Share of the rows of (x, y, offsets) whose argmax class is their label."""
+    x, y, offsets = patches
     return float((np.argmax(forward_all(net, x, offsets), axis=1) == y).mean())
 
 
@@ -420,8 +405,7 @@ class TrainLog:
 def train(net: PatchNet, train_patches, val_patches, spec: TrainSpec) -> TrainLog:
     """Mini-batch training of the mean patch cross-entropy; restores the
     parameters of the epoch with best validation accuracy. train_patches and
-    val_patches are whole frames (x, y) or the crops (x, y, offsets) of
-    build_patch_arrays.
+    val_patches are (x, y, offsets), as build_patch_arrays returns them.
 
     Serial and deterministic for a fixed spec.seed: the only randomness is the
     per-epoch shuffle drawn from one seeded generator.
@@ -519,16 +503,16 @@ def nudge_biases_off_kinks(net: PatchNet, x: np.ndarray) -> None:
             h = np.maximum(h, 0.0)
 
 
-def gradcheck_case(spec: NetworkSpec, seed: int = 0) -> tuple[PatchNet, np.ndarray, np.ndarray]:
-    """Deterministic (net, inputs, labels) fixture of GRADCHECK_BATCH rows whose
-    ReLU pre-activations all sit at least KINK_MARGIN away from the kink, so
-    central differences are valid everywhere in the finite-difference sweep."""
+def gradcheck_case(spec: NetworkSpec, seed: int = 0) -> tuple[PatchNet, tuple[np.ndarray, ...]]:
+    """Deterministic (net, (x, y, offsets)) fixture of GRADCHECK_BATCH whole
+    frames whose ReLU pre-activations all sit KINK_MARGIN or more from the
+    kink, so central differences are valid in the whole finite-difference sweep."""
     net = PatchNet(replace(spec, seed=seed * 1009 + 7))
     rng = np.random.default_rng(seed * 1009 + 8)
     x = rng.normal(size=(GRADCHECK_BATCH, spec.input_channels, spec.input_length))
     y = rng.integers(0, spec.class_count, GRADCHECK_BATCH)
     nudge_biases_off_kinks(net, x)
-    return net, x, y
+    return net, (x, y, np.zeros(GRADCHECK_BATCH, dtype=np.int64))
 
 
 def gradient_check(net: PatchNet, batch, tolerance: float = 1e-3) -> GradientCheckReport:
@@ -539,7 +523,7 @@ def gradient_check(net: PatchNet, batch, tolerance: float = 1e-3) -> GradientChe
     Meaningful only when the batch keeps ReLU pre-activations away from zero;
     see gradcheck_case.
     """
-    x, y, offsets = _unpack(batch)
+    x, y, offsets = batch
     analytic = _loss_and_gradients(net, batch)[1]
     flat = net.flat_params
     numeric = np.empty_like(flat)
@@ -547,9 +531,9 @@ def gradient_check(net: PatchNet, batch, tolerance: float = 1e-3) -> GradientChe
         original = flat[i]
         h = GRADCHECK_STEP * max(1.0, abs(original))
         flat[i] = original + h
-        plus = batch_cross_entropy(net.forward_batch(x, offsets), y)
+        plus = batch_cross_entropy(forward_all(net, x, offsets), y)
         flat[i] = original - h
-        minus = batch_cross_entropy(net.forward_batch(x, offsets), y)
+        minus = batch_cross_entropy(forward_all(net, x, offsets), y)
         flat[i] = original
         numeric[i] = (plus - minus) / (2 * h)
     rel = np.abs(analytic - numeric) / np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), 1e-8)

@@ -6,7 +6,9 @@ index. full_frame_patch_arrays writes the same patches into one full-length
 array. build_patch_arrays, the one patch builder the pipeline runs, cuts each
 patch already cropped; re-expanded at its offset by expand_crops, every crop
 must equal them bit for bit. forward and patch_cross_entropy evaluate the
-network on a single whole patch.
+network on a single whole patch. backward gives the network's gradient by
+parameter name, and zero_offsets the offsets of whole frames (crops of width
+L at 0).
 
 The content crop: content_crop finds each row's crop by scanning full frames
 for their nonzero steps, as the network did before the layout gave the crop.
@@ -161,9 +163,21 @@ def content_crop(x: np.ndarray, halo: tuple[int, int]) -> tuple[np.ndarray, int]
     return np.minimum(lo, length - width), width
 
 
+def zero_offsets(x: np.ndarray) -> np.ndarray:
+    """The offsets of whole frames x: every row is a crop of width L at 0."""
+    return np.zeros(len(x), dtype=np.int64)
+
+
 def forward(net: PatchNet, values: np.ndarray) -> np.ndarray:
     """Softmax prediction for a single whole patch array, shape (class_count,)."""
-    return net.forward_batch(values[None], None)[0]
+    return neuralnet.forward_all(net, values[None], zero_offsets(values[None]))[0]
+
+
+def backward(net: PatchNet, batch) -> dict[str, np.ndarray]:
+    """Gradient of the mean cross-entropy of batch (x, y, offsets) w.r.t. every
+    parameter, by name; the arrays view one gradient vector laid out like
+    flat_params."""
+    return net.views(neuralnet._loss_and_gradients(net, batch)[1])
 
 
 def patch_cross_entropy(prediction: np.ndarray, label: int) -> float:
@@ -231,7 +245,7 @@ def full_frame_softmax(net: PatchNet, x: np.ndarray) -> np.ndarray:
 
 
 def full_frame_gradients(net: PatchNet, x: np.ndarray, y: np.ndarray) -> dict[str, np.ndarray]:
-    """Gradient of the mean batch cross-entropy, as neuralnet.backward."""
+    """Gradient of the mean batch cross-entropy, as backward."""
     logits, caches = full_frame_forward(net, x)
     dlogits = softmax(logits)
     dlogits[np.arange(len(y)), y] -= 1.0
@@ -284,11 +298,11 @@ class NamedSgdMomentum:
 def named_gradient_check(net: PatchNet, batch, tolerance: float = 1e-3,
                          step_scale: float = 1e-3) -> GradientCheckReport:
     """neuralnet.gradient_check, one named parameter and one entry at a time."""
-    x, y = batch
-    analytic = neuralnet.backward(net, (x, y))
+    x, y, offsets = batch
+    analytic = backward(net, batch)
 
     def loss() -> float:
-        probs = net.forward_batch(x, None)
+        probs = neuralnet.forward_all(net, x, offsets)
         return batch_cross_entropy(probs, y)
 
     entries = []
@@ -325,7 +339,8 @@ def blackbox_train(
     """The network trained on whole samples: (network, best validation
     accuracy, test accuracy)."""
     stats = normalization_stats(train) if normalize else None
-    pack = lambda ds: (znormalize(ds.values_array(), stats) if stats else ds.values_array(), ds.labels_array())
+    pack = lambda ds: (znormalize(ds.values_array(), stats) if stats else ds.values_array(), ds.labels_array(),
+                       np.zeros(len(ds), dtype=np.int64))
     network = neuralnet.build_network(net_spec)
     log = neuralnet.train(network, pack(train), pack(val), train_spec)
     return network, log.best_val_accuracy, neuralnet.accuracy(network, pack(test))

@@ -72,9 +72,9 @@ def test_criterion_1_gradient_correctness():
     ok = True
     for name, spec in cases.items():
         for seed in range(10):
-            net, x, y = gradcheck_case(spec, seed=seed)
+            net, batch = gradcheck_case(spec, seed=seed)
             assert net.flat_params.size <= 500
-            check = gradient_check(net, (x, y), tolerance=1e-3)
+            check = gradient_check(net, batch, tolerance=1e-3)
             worst = max(worst, check.worst().max_rel_error)
             ok &= check.passed
     elapsed = time.perf_counter() - t0

@@ -171,6 +171,17 @@ class TestRun:
         err = capsys.readouterr().err
         assert "stage 'pipeline'" in err and "diverged" in err
 
+    @pytest.mark.parametrize("command", ["run", "bench"])
+    def test_diverging_training_leaves_no_directory(self, tmp_path, capsys, command):
+        """A learning rate of 1e300 drives the loss past float range in the first epoch."""
+        with np.errstate(all="ignore"):
+            code = run_cli(command, "--out", str(tmp_path / "out"), "--run-name", "d", *FAST,
+                           "--learning-rate", "1e300")
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "training loss diverged at epoch" in err.splitlines()[-1] and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
     def test_zero_false_rejected(self, tmp_path, capsys):
         code = run_cli("run", "--out", str(tmp_path), "--run-name", "nozero",
                        "--zero", "false", *FAST)
@@ -223,12 +234,16 @@ class TestConfigChecks:
         (["run", "--learning-rate", "nan"], "must be positive"),
         (["run", "--c-reg", "nan"], "must be positive"),
         (["run", "--sigma-multiplier", "nan"], "sigma_multiplier must be > 0"),
+        (["run", "--noise-sigma", "inf"], "noise_sigma must be > 0 and finite"),
+        (["run", "--peak-max", "inf"], r"bad peak_amplitude_range \(5.0, inf\)"),
+        (["run", "--sigma-multiplier", "inf"], "sigma_multiplier must be > 0 and finite"),
         (["bench", "--kernel", "0"], r"kernel size 0 outside \[1, 50\]"),
         (["bench", "--trees", "0"], "trees and min_leaf must be positive"),
         (["run", "--max-depth", "-3"], "max_depth must be >= 1"),
         (["bench", "--max-depth", "-3"], "max_depth must be >= 1"),
     ], ids=["run-epochs-0", "run-patience-past-epochs", "run-kernel-99", "run-nan-learning-rate",
-            "run-nan-c-reg", "run-nan-sigma-multiplier", "bench-kernel-0", "bench-trees-0",
+            "run-nan-c-reg", "run-nan-sigma-multiplier", "run-inf-noise-sigma", "run-inf-peak-max",
+            "run-inf-sigma-multiplier", "bench-kernel-0", "bench-trees-0",
             "run-negative-max-depth", "bench-negative-max-depth"])
     def test_bad_spec_value_stops_before_any_output(self, tmp_path, capsys, argv, message):
         """A value that parses but that its spec rejects stops the command with
@@ -327,6 +342,18 @@ class TestMissingFiles:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and str(tmp_path / "nowhere" / "train.csv") in err
         assert not (tmp_path / "c").exists()
+
+    @pytest.mark.parametrize("command", ["run", "bench"])
+    def test_files_source_needs_a_data_dir(self, tmp_path, capsys, monkeypatch, command):
+        """Without a data directory the splits were read from the working directory."""
+        assert run_cli("generate", "--out", str(tmp_path), *FAST) == 0
+        monkeypatch.chdir(tmp_path)
+        capsys.readouterr()
+        code = run_cli(command, "--out", str(tmp_path / "out"), "--run-name", "c", *FAST, "--source", "files")
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "--data-dir" in err
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("missing", ["bundle", "data"])
     def test_explain_names_the_missing_path(self, tmp_path, capsys, missing):
@@ -531,9 +558,15 @@ class TestExplainArguments:
         (["explain", "--sample-id", "999"], "--sample-id"),
         (["explain"], "--sample-id"),
         (["probe", "--sample-id", "999"], "--sample-id"),
+        (["explain", "--sample-id", "0", "--mislabels"], "--mislabels"),
+        (["probe", "--sample-id", "0", "--sigma-multiplier", "0"], "--sigma-multiplier"),
+        (["probe", "--sample-id", "0", "--sigma-multiplier", "-1"], "--sigma-multiplier"),
+        (["probe", "--sample-id", "0", "--sigma-multiplier", "nan"], "--sigma-multiplier"),
+        (["probe", "--sample-id", "0", "--sigma-multiplier", "inf"], "--sigma-multiplier"),
     ], ids=["explain-id-not-int", "probe-one-coordinate", "probe-channel-outside",
             "probe-factors-decrease", "probe-factors-not-numbers", "explain-unknown-id",
-            "explain-no-id", "probe-unknown-id"])
+            "explain-no-id", "probe-unknown-id", "explain-id-and-mislabels", "probe-sigma-multiplier-0",
+            "probe-sigma-multiplier-negative", "probe-sigma-multiplier-nan", "probe-sigma-multiplier-inf"])
     def test_bad_argument_exits_2_naming_the_flag(self, saved_bundle, tmp_path, capsys, argv, flag):
         bundle, data = saved_bundle
         command, *rest = argv
@@ -571,3 +604,10 @@ def test_gradcheck_command(capsys):
     assert run_cli("gradcheck", "--seed", "2") == 0
     out = capsys.readouterr().out
     assert "conv-only" in out and "composite" in out and "pass" in out
+
+
+@pytest.mark.parametrize("tolerance", ["nan", "0", "-1"])
+def test_gradcheck_rejects_a_tolerance_that_is_not_positive(capsys, tolerance):
+    """Such a tolerance failed every gradient, as if the gradients were wrong."""
+    assert exit_code("gradcheck", "--tolerance", tolerance) == 2
+    assert "--tolerance" in capsys.readouterr().err.splitlines()[-1]

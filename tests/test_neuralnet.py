@@ -15,8 +15,8 @@ from patchx.neuralnet import (
     TrainingError,
     TrainSpec,
     accuracy,
-    backward,
     build_network,
+    forward_all,
     gradcheck_case,
     gradient_check,
     nudge_biases_off_kinks,
@@ -27,8 +27,9 @@ from patchx.neuralnet import (
 from patchx.patching import PatchConfig, build_patch_arrays
 
 from oracles import (
-    NamedAdam, NamedSgdMomentum, content_crop, expand_crops, forward, full_frame_gradients,
+    NamedAdam, NamedSgdMomentum, backward, content_crop, expand_crops, forward, full_frame_gradients,
     full_frame_patch_arrays, full_frame_softmax, named_gradient_check, patch_cross_entropy, transform,
+    zero_offsets,
 )
 
 TINY = NetworkSpec(
@@ -48,7 +49,7 @@ class TestForward:
     def test_softmax_sums_to_one(self):
         net = build_network(TINY)
         x, _ = random_batch(TINY, n=20)
-        probs = net.forward_batch(x, None)
+        probs = forward_all(net, x, zero_offsets(x))
         assert np.all(probs > 0) and np.all(probs < 1)
         np.testing.assert_allclose(probs.sum(axis=1), 1.0, atol=1e-6)
 
@@ -57,21 +58,21 @@ class TestForward:
         net.dense.w[...] = 0.0
         net.dense.b[...] = 0.0
         x, _ = random_batch(TINY, n=4)
-        np.testing.assert_allclose(net.forward_batch(x, None), 1.0 / 3.0)
+        np.testing.assert_allclose(forward_all(net, x, zero_offsets(x)), 1.0 / 3.0)
 
     def test_identical_patches_identical_outputs(self):
         net = build_network(TINY)
         x, _ = random_batch(TINY, n=1)
-        a = net.forward_batch(x.copy(), None)
-        b = net.forward_batch(x.copy(), None)
+        a = forward_all(net, x.copy(), zero_offsets(x))
+        b = forward_all(net, x.copy(), zero_offsets(x))
         np.testing.assert_array_equal(a, b)
 
     def test_shape_mismatch_rejected(self):
         net = build_network(TINY)
         with pytest.raises(DimensionError):
-            net.forward_batch(np.zeros((2, 3, 12)), None)
+            forward_all(net, np.zeros((2, 3, 12)), np.zeros(2, dtype=np.int64))
         with pytest.raises(DimensionError):
-            net.forward_batch(np.zeros((2, 2, 13)), None)
+            forward_all(net, np.zeros((2, 2, 13)), np.zeros(2, dtype=np.int64))
 
     @pytest.mark.parametrize("offsets", [
         None, np.array([0, 1, 2]), np.array([0.0, 1.0]), np.array([-1, 0]), np.array([0, 3]),
@@ -80,15 +81,15 @@ class TestForward:
         net = build_network(TINY)
         x = np.zeros((2, 2, 10))  # crops of width 10 in 12-step frames: offsets in [0, 2]
         with pytest.raises(DimensionError, match=r"one integer offset in \[0, 2\] per row"):
-            net.forward_batch(x, offsets)
-        net.forward_batch(x, np.array([0, 2]))
+            net._forward_cached(x, offsets)
+        forward_all(net, x, np.array([0, 2]))
 
     def test_single_patch_forward(self):
         net = build_network(TINY)
         x, _ = random_batch(TINY, n=1)
         probs = forward(net, x[0])
         assert probs.shape == (3,)
-        np.testing.assert_array_equal(probs, net.forward_batch(x, None)[0])
+        np.testing.assert_array_equal(probs, forward_all(net, x, zero_offsets(x))[0])
 
 
 def im2col_forward(conv, x):
@@ -218,15 +219,16 @@ class TestBackward:
             "composite": TINY,
         }
         for name, spec in cases.items():
-            net, x, y = gradcheck_case(spec, seed=11)
-            report = gradient_check(net, (x, y))
+            net, batch = gradcheck_case(spec, seed=11)
+            report = gradient_check(net, batch)
             assert report.passed, f"{name}: {report.summary()}"
 
     def test_duplicated_batch_same_gradient(self):
         net = build_network(TINY)
         x, y = random_batch(TINY, n=5, seed=2)
-        single = backward(net, (x, y))
-        doubled = backward(net, (np.concatenate([x, x]), np.concatenate([y, y])))
+        batch = (x, y, zero_offsets(x))
+        single = backward(net, batch)
+        doubled = backward(net, [np.concatenate([a, a]) for a in batch])
         for name in single:
             np.testing.assert_allclose(single[name], doubled[name], atol=1e-12)
 
@@ -236,12 +238,12 @@ class TestBackward:
         net.dense.b[...] = 0.0
         net.dense.b[1] = 80.0  # saturated one-hot on class 1
         x, _ = random_batch(TINY, n=6)
-        grads = backward(net, (x, np.full(6, 1)))
+        grads = backward(net, (x, np.full(6, 1), zero_offsets(x)))
         norm = math.sqrt(sum(float((g ** 2).sum()) for g in grads.values()))
         assert norm < 1e-6
 
     def test_corrupted_gradient_detected(self):
-        net, x, y = gradcheck_case(TINY, seed=4)
+        net, batch = gradcheck_case(TINY, seed=4)
         original = net.backward_from_logits
 
         def corrupted(dlogits, caches):
@@ -250,7 +252,7 @@ class TestBackward:
             return grad
 
         net.backward_from_logits = corrupted
-        report = gradient_check(net, (x, y))
+        report = gradient_check(net, batch)
         assert not report.passed
         assert any(e.name == "dense.w" and e.max_rel_error > 1e-3 for e in report.entries)
 
@@ -272,10 +274,10 @@ class TestGradientVector:
     def test_backward_is_views_of_one_vector(self):
         net = build_network(TINY)
         x, y = random_batch(TINY, n=5, seed=3)
-        logits, caches = net._forward_cached(x, None)
+        logits, caches = net._forward_cached(x, zero_offsets(x))
         grad = net.backward_from_logits(softmax(logits), caches)
         assert grad.dtype == np.float64 and grad.shape == (net.flat_params.size,)
-        grads = backward(net, (x, y))
+        grads = backward(net, (x, y, zero_offsets(x)))
         assert list(grads) == [name for name, _ in net.parameters()]
         bases = [g.base for g in grads.values()]
         assert all(b is bases[0] for b in bases) and bases[0].shape == grad.shape
@@ -289,11 +291,11 @@ class TestGradientVector:
     def test_flat_check_matches_per_name_check(self, case):
         seeds = [0] if case.startswith("cli-") else range(10)
         for seed in seeds:
-            net, x, y = gradcheck_case(GRADCHECK_CASES[case], seed=seed)
+            net, batch = gradcheck_case(GRADCHECK_CASES[case], seed=seed)
             before = net.flat_params.copy()
-            got = gradient_check(net, (x, y))
+            got = gradient_check(net, batch)
             assert net.flat_params.tobytes() == before.tobytes()  # every perturbation is undone
-            expected = named_gradient_check(net, (x, y))
+            expected = named_gradient_check(net, batch)
             assert got.passed == expected.passed
             assert len(got.entries) == len(expected.entries)
             for g, e in zip(got.entries, expected.entries):
@@ -342,7 +344,7 @@ class TestCropOracle:
     """The network on layout crops against the full-frame oracle, to 1e-10 absolute."""
 
     def check(self, net, x, y, offsets, frames):
-        np.testing.assert_allclose(net.forward_batch(x, offsets), full_frame_softmax(net, frames),
+        np.testing.assert_allclose(forward_all(net, x, offsets), full_frame_softmax(net, frames),
                                    rtol=0, atol=1e-10)
         got, want = backward(net, (x, y, offsets)), full_frame_gradients(net, frames, y)
         assert got.keys() == want.keys()
@@ -375,7 +377,7 @@ class TestCropOracle:
         net = crop_net(2 + attach, 23, 3, "relu", 2, seed=6)
         x, y, offsets, frames = patch_rows(attach, notemp, net.halo, whole=True)
         assert x.shape == frames.shape and not offsets.any()
-        np.testing.assert_array_equal(net.forward_batch(x, offsets), full_frame_softmax(net, frames))
+        np.testing.assert_array_equal(forward_all(net, x, offsets), full_frame_softmax(net, frames))
         got, want = backward(net, (x, y, offsets)), full_frame_gradients(net, frames, y)
         for name in want:
             np.testing.assert_array_equal(got[name], want[name], err_msg=name)
@@ -383,8 +385,8 @@ class TestCropOracle:
     def test_row_depends_on_its_batch_only_by_rounding(self):
         net = crop_net(3, 23, 5, "relu", 2, seed=8)
         x, _, offsets, _ = patch_rows(True, False, net.halo)
-        batched = net.forward_batch(x, offsets)
-        alone = np.concatenate([net.forward_batch(x[r : r + 1], offsets[r : r + 1]) for r in range(len(x))])
+        batched = forward_all(net, x, offsets)
+        alone = np.concatenate([forward_all(net, x[r : r + 1], offsets[r : r + 1]) for r in range(len(x))])
         np.testing.assert_allclose(alone, batched, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("attach, notemp", FLAGS, ids=FLAG_IDS)
@@ -407,48 +409,48 @@ def make_constant_patches(n, value, label, channels=1, length=16):
 
 class TestTrain:
     def separable_toy(self):
+        """(x, y, offsets) of 80 whole frames, two constant classes."""
         x0, y0 = make_constant_patches(40, 1.0, 0)
         x1, y1 = make_constant_patches(40, -1.0, 1)
         x = np.concatenate([x0, x1])
-        y = np.concatenate([y0, y1])
-        return x, y
+        return x, np.concatenate([y0, y1]), zero_offsets(x)
 
     def test_separable_toy_reaches_perfect_validation(self):
-        x, y = self.separable_toy()
+        toy = self.separable_toy()
         spec = NetworkSpec(1, 16, 2, conv_blocks=((4, 3, "relu"),), seed=0)
         net = build_network(spec)
-        log = train(net, (x, y), (x, y), TrainSpec(epochs=20, batch_size=16,
+        log = train(net, toy, toy, TrainSpec(epochs=20, batch_size=16,
                                                    learning_rate=0.01, early_stopping_patience=19, seed=0))
         assert log.best_val_accuracy == 1.0
-        assert accuracy(net, (x, y)) == 1.0
+        assert accuracy(net, toy) == 1.0
 
     def test_deterministic_serial_runs(self):
-        x, y = self.separable_toy()
+        toy = self.separable_toy()
         spec = NetworkSpec(1, 16, 2, conv_blocks=((4, 3, "relu"),), seed=3)
         tspec = TrainSpec(epochs=4, batch_size=16, learning_rate=0.01,
                           early_stopping_patience=3, seed=3)
         net_a = build_network(spec)
-        train(net_a, (x, y), (x, y), tspec)
+        train(net_a, toy, toy, tspec)
         net_b = build_network(spec)
-        train(net_b, (x, y), (x, y), tspec)
+        train(net_b, toy, toy, tspec)
         for (name_a, p_a), (_, p_b) in zip(net_a.parameters(), net_b.parameters()):
             np.testing.assert_array_equal(p_a, p_b, err_msg=name_a)
 
     def test_divergence_raises_with_epoch(self):
-        x, y = self.separable_toy()
+        toy = self.separable_toy()
         spec = NetworkSpec(1, 16, 2, conv_blocks=((4, 3, "relu"),), seed=0)
         net = build_network(spec)
         with np.errstate(all="ignore"), pytest.raises(TrainingError, match="epoch") as err:
-            train(net, (x, y), (x, y),
+            train(net, toy, toy,
                   TrainSpec(epochs=10, batch_size=16, learning_rate=1e12,
                             optimizer="sgd-momentum", early_stopping_patience=9, seed=0))
         assert err.match(r"batch [0-4]$")  # 80 patches make batches 0-4 of 16
 
     def test_early_stopping_stops(self):
-        x, y = self.separable_toy()
+        toy = self.separable_toy()
         spec = NetworkSpec(1, 16, 2, conv_blocks=((4, 3, "relu"),), seed=0)
         net = build_network(spec)
-        log = train(net, (x, y), (x, y),
+        log = train(net, toy, toy,
                     TrainSpec(epochs=30, batch_size=16, learning_rate=0.01,
                               early_stopping_patience=2, seed=0))
         # validation accuracy saturates at 1.0 quickly, so patience must fire
@@ -456,16 +458,16 @@ class TestTrain:
         assert log.epochs_run >= log.best_epoch + 2
 
     def test_empty_validation_rejected(self):
-        x, y = self.separable_toy()
+        toy = self.separable_toy()
         net = build_network(NetworkSpec(1, 16, 2, conv_blocks=(), seed=0))
         with pytest.raises(ValueError):
-            train(net, (x, y), (np.zeros((0, 1, 16)), np.zeros(0, dtype=np.int64)),
+            train(net, toy, (np.zeros((0, 1, 16)), np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)),
                   TrainSpec(epochs=2, early_stopping_patience=1))
 
     def test_sgd_momentum_also_learns(self):
-        x, y = self.separable_toy()
+        toy = self.separable_toy()
         net = build_network(NetworkSpec(1, 16, 2, conv_blocks=((4, 3, "relu"),), seed=1))
-        log = train(net, (x, y), (x, y),
+        log = train(net, toy, toy,
                     TrainSpec(epochs=20, batch_size=16, learning_rate=0.01,
                               optimizer="sgd-momentum", early_stopping_patience=19, seed=1))
         assert log.best_val_accuracy == 1.0
@@ -509,13 +511,14 @@ class TestFlatParameters:
     def test_best_epoch_restore_keeps_the_views(self):
         """train restores the best epoch's parameters in place: the views still
         hold, and the parameters are those of a run that stops at that epoch."""
-        x, y = TestTrain().separable_toy()
+        toy = TestTrain().separable_toy()
         spec = NetworkSpec(1, 16, 2, conv_blocks=((4, 3, "relu"),), seed=0)
         tspec = TrainSpec(epochs=6, batch_size=16, learning_rate=0.05, early_stopping_patience=0, seed=0)
         net, stopped = build_network(spec), build_network(spec)
-        log = train(net, (x[::2], y[::2]), (x[1::2], y[1::2]), tspec)
+        evens, odds = [a[::2] for a in toy], [a[1::2] for a in toy]
+        log = train(net, evens, odds, tspec)
         assert log.best_epoch < log.epochs_run - 1  # the restore replaces later parameters
-        train(stopped, (x[::2], y[::2]), (x[1::2], y[1::2]), replace(tspec, epochs=log.best_epoch + 1))
+        train(stopped, evens, odds, replace(tspec, epochs=log.best_epoch + 1))
         assert net.flat_params.tobytes() == stopped.flat_params.tobytes()
         assert_views_flat_params(net)
 
