@@ -198,54 +198,58 @@ def save_bundle(bundle: PatchXBundle, path: str | Path) -> None:
 
 
 def load_bundle(path: str | Path) -> PatchXBundle:
-    raw = Path(path).read_bytes()
+    return decode_bundle(Path(path).read_bytes(), path)
+
+
+def decode_bundle(raw: bytes, origin: str | Path) -> PatchXBundle:
+    """The bundle in raw, the bytes of a bundle file; every BundleError names origin."""
     if raw[:5] != MAGIC:
-        raise BundleError(f"{path}: not a PatchX bundle (bad magic {raw[:5]!r})")
+        raise BundleError(f"{origin}: not a PatchX bundle (bad magic {raw[:5]!r})")
     if len(raw) < _PREFIX:
-        raise BundleError(f"{path}: truncated before the header length ({len(raw)} bytes)")
+        raise BundleError(f"{origin}: truncated before the header length ({len(raw)} bytes)")
     (version,) = struct.unpack("<H", raw[5:7])
     if version != FORMAT_VERSION:
-        raise BundleError(f"{path}: unsupported bundle format version {version}")
+        raise BundleError(f"{origin}: unsupported bundle format version {version}")
     (header_len,) = struct.unpack("<Q", raw[7:_PREFIX])
     if header_len > len(raw) - _PREFIX:
         raise BundleError(
-            f"{path}: header length {header_len} exceeds the {len(raw) - _PREFIX} bytes "
+            f"{origin}: header length {header_len} exceeds the {len(raw) - _PREFIX} bytes "
             "after the prefix; the file is truncated or the length is corrupt"
         )
     try:
         header = json.loads(raw[_PREFIX : _PREFIX + header_len].decode("utf-8"))
     except ValueError as err:  # UnicodeDecodeError and JSONDecodeError
-        raise BundleError(f"{path}: corrupt header ({err})") from None
+        raise BundleError(f"{origin}: corrupt header ({err})") from None
     try:
-        return _decode(raw, header, _PREFIX + header_len, path)
+        return _decode(raw, header, _PREFIX + header_len, origin)
     except KeyError as err:
-        raise BundleError(f"{path}: the header or its arrays lack the key {err.args[0]!r}") from None
+        raise BundleError(f"{origin}: the header or its arrays lack the key {err.args[0]!r}") from None
     except BundleError:
         raise
     except (TypeError, ValueError) as err:  # wrong JSON types; spec, config and shape checks
-        raise BundleError(f"{path}: malformed header: {err}") from None
+        raise BundleError(f"{origin}: malformed header: {err}") from None
 
 
-def _decode(raw: bytes, header: dict, offset: int, path: str | Path) -> PatchXBundle:
+def _decode(raw: bytes, header: dict, offset: int, origin: str | Path) -> PatchXBundle:
     """The bundle described by a parsed header, its arrays read from offset on."""
     arrays: dict[str, np.ndarray] = {}
     for entry in header["arrays"]:
         if entry["dtype"] not in _DTYPES:
-            raise BundleError(f"{path}: array {entry['name']!r} has unknown dtype {entry['dtype']!r}")
+            raise BundleError(f"{origin}: array {entry['name']!r} has unknown dtype {entry['dtype']!r}")
         shape = entry["shape"]
         if not isinstance(shape, list) or not all(type(d) is int and d >= 0 for d in shape):
-            raise BundleError(f"{path}: array {entry['name']!r} has the bad shape {shape!r}")
+            raise BundleError(f"{origin}: array {entry['name']!r} has the bad shape {shape!r}")
         dtype = _DTYPES[entry["dtype"]]
         nbytes = math.prod(shape) * dtype.itemsize
         if offset + nbytes > len(raw):
             raise BundleError(
-                f"{path}: payload truncated: array {entry['name']!r} needs bytes "
+                f"{origin}: payload truncated: array {entry['name']!r} needs bytes "
                 f"{offset}-{offset + nbytes}, the file has {len(raw)}"
             )
         arrays[entry["name"]] = np.frombuffer(raw[offset : offset + nbytes], dtype=dtype).reshape(shape).copy()
         offset += nbytes
     if offset != len(raw):
-        raise BundleError(f"{path}: {len(raw) - offset} trailing bytes after array payload")
+        raise BundleError(f"{origin}: {len(raw) - offset} trailing bytes after array payload")
 
     net = header["network"]
     spec = NetworkSpec(**{**net, "conv_blocks": tuple(map(tuple, net["conv_blocks"]))})

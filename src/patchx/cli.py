@@ -29,7 +29,7 @@ from .data import (
     load_dataset, save_dataset,
 )
 from .explain import (
-    boundary_probe, confidence_histogram, explain_sample, mislabel_report, save_records, save_report,
+    boundary_probe, confidence_histogram, explain_sample, mislabel_report, save_records,
 )
 from .metadata import save_vectors
 from .neuralnet import (
@@ -293,8 +293,8 @@ def make_run_dir(out: str, name: str | None) -> Path:
     return run_dir
 
 
-def write_json(payload: dict, path: Path) -> None:
-    with path.open("w", encoding="utf-8") as f:
+def write_json(payload: dict, path: str | Path) -> None:
+    with Path(path).open("w", encoding="utf-8") as f:
         json.dump(payload, f, sort_keys=True, indent=2)
         f.write("\n")
 
@@ -468,29 +468,25 @@ def cmd_explain(args: argparse.Namespace) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     if args.mislabels:
-        entries = mislabel_report(bundle, dataset)
-        save_report(
-            {"report": "mislabels", "count": len(entries),
-             "entries": [e.to_dict() for e in entries]},
-            out / "mislabel_report.json",
-        )
-        print(f"{len(entries)} misclassified samples -> {out / 'mislabel_report.json'}")
+        report = mislabel_report(bundle, dataset)
+        write_json(report.to_dict(), out / "mislabel_report.json")
+        print(f"{len(report)} misclassified samples -> {out / 'mislabel_report.json'}")
         return 0
     for sample in chosen:
         records, prediction = explain_sample(bundle, sample)
         save_records(records, out / f"records_{sample.id}.csv")
-        save_report(
+        rows = list(records.rows(0))
+        write_json(
             {
                 "report": "sample-explanation",
                 "sample_id": sample.id,
                 "true_label": sample.label,
                 "prediction": prediction,
                 "overlay": [
-                    {"start": r.span[0], "end": r.span[1], "class": r.predicted_class,
-                     "alpha": r.overlay_alpha()}
-                    for r in records
+                    {"start": r["start"], "end": r["end"], "class": r["predicted_class"], "alpha": alpha}
+                    for r, alpha in zip(rows, records.overlay_alpha[0].tolist())
                 ],
-                "records": [r.to_dict() for r in records],
+                "records": rows,
             },
             out / f"explanation_{sample.id}.json",
         )
@@ -519,7 +515,7 @@ def cmd_probe(args: argparse.Namespace) -> int:
         bundle, sample, (int(channel), int(step)), args.factors,
         sigma_multiplier=args.sigma_multiplier,
     )
-    save_report(result.to_dict(), args.out)
+    write_json(result.to_dict(), args.out)
     print(
         f"probed sample {sample.id} at channel {channel}, step {step}; "
         f"ground-truth flip factor: {result.ground_truth_flip_factor()}"
@@ -531,7 +527,7 @@ def cmd_histogram(args: argparse.Namespace) -> int:
     bundle = load_bundle(args.bundle)
     dataset = load_dataset(args.data, split="test")
     report = confidence_histogram(bundle, dataset, bin_width=args.bin_width, per_class=args.per_class)
-    save_report(report.to_dict(), args.out)
+    write_json(report.to_dict(), args.out)
     print(f"{report.total} patch confidences binned -> {args.out}")
     return 0
 

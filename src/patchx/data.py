@@ -9,6 +9,7 @@ be recomputed from the raw values.
 
 from __future__ import annotations
 
+import io
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -234,22 +235,27 @@ def save_dataset(dataset: Dataset, path: str | Path) -> None:
 
 
 def load_dataset(path: str | Path, split: str = "train") -> Dataset:
-    """Parse a comma-separated dataset file; row order gives the sample ids.
+    """Parse a comma-separated dataset file; row order gives the sample ids."""
+    path = Path(path)
+    return decode_dataset(path.read_bytes(), path, split)
+
+
+def decode_dataset(raw: bytes, origin: str | Path, split: str = "train") -> Dataset:
+    """Parse the bytes of a comma-separated dataset file, read as UTF-8 text
+    with universal newlines; errors that concern the whole file name origin.
 
     Raises ParseError naming the 1-based data row on any malformed content,
     and for a file without samples. The row scan checks everything that
     Dataset.validate does: the field count fixes each sample's shape, values
     are finite, labels are in range, and ids are row numbers.
     """
-    path = Path(path)
     try:
-        with path.open("r", encoding="utf-8") as f:
-            lines = [line.rstrip("\n") for line in f]
+        lines = [line.rstrip("\n") for line in io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8")]
     except UnicodeDecodeError as err:
-        raise ParseError(f"{path} is not UTF-8 text ({err.reason})") from None
+        raise ParseError(f"{origin} is not UTF-8 text ({err.reason})") from None
     lines = [line for line in lines if line.strip()]
     if not lines:
-        raise ParseError(f"{path} is empty")
+        raise ParseError(f"{origin} is empty")
     header = lines[0].split(",")
     if len(header) != 3:
         raise ParseError("header must be 'channels,length,class_count'")
@@ -286,7 +292,7 @@ def load_dataset(path: str | Path, split: str = "train") -> Dataset:
             TimeSeriesSample(id=row_no - 1, values=values.reshape(channels, length), label=label)
         )
     if not samples:
-        raise ParseError(f"{path} has a header but no samples")
+        raise ParseError(f"{origin} has a header but no samples")
     return Dataset(samples=samples, class_count=class_count, split=split)
 
 

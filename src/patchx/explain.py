@@ -1,15 +1,15 @@
-"""Explanation artifacts: per-patch records, overlays, confidence histograms,
-class-boundary probes, and mislabel inspection reports.
+"""Explanation artifacts: per-patch record tables, overlays, confidence
+histograms, class-boundary probes, and mislabel inspection reports.
 
-All artifacts are plain records/report objects that serialize to delimited
-text or JSON; rendering is left to external tooling.
+Every artifact is a set of arrays that serializes to delimited text or JSON;
+rendering is left to external tooling.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 
@@ -27,95 +27,75 @@ CATEGORY_UNRELATED = "unrelated"
 SPECIFIC_THRESHOLD = 0.9
 UNRELATED_MARGIN = 0.1
 MAX_HISTOGRAM_BINS = 10_000  # bins over [1/C, 1]; a finer width is rejected
-
-
-def categorize_confidence(confidence: float, class_count: int) -> str:
-    if confidence >= SPECIFIC_THRESHOLD:
-        return CATEGORY_SPECIFIC
-    if confidence <= 1.0 / class_count + UNRELATED_MARGIN:
-        return CATEGORY_UNRELATED
-    return CATEGORY_SHARED
+RECORD_FIELDS = ("sample_id", "config_index", "patch_index", "start", "end", "predicted_class", "confidence",
+                 "category", "softmax")
 
 
 @dataclass
-class ExplanationRecord:
-    sample_id: int
-    config_index: int
-    patch_index: int
-    span: tuple[int, int]  # [start, end) in source time-steps
-    predicted_class: int
-    confidence: float  # max softmax value
-    softmax: np.ndarray
-    category: str
+class PatchRecords:
+    """The per-patch records of n samples as one table: record (i, k) is patch
+    slot k of sample i, slots in patch_spans order."""
 
-    def overlay_alpha(self) -> float:
+    sample_ids: np.ndarray  # (n,)
+    spans: np.ndarray  # (P, 4): config_index, patch_index, [start, end) in source time-steps
+    softmax: np.ndarray  # (n, P, C)
+
+    def __len__(self) -> int:
+        return self.softmax.shape[0] * self.softmax.shape[1]
+
+    @property
+    def predicted_class(self) -> np.ndarray:
+        return self.softmax.argmax(axis=2)
+
+    @property
+    def confidence(self) -> np.ndarray:
+        """The max softmax value of each record, (n, P)."""
+        return self.softmax.max(axis=2)
+
+    @property
+    def category(self) -> np.ndarray:
+        """Each record's tier by the two confidence thresholds."""
+        confidence = self.confidence
+        unrelated = confidence <= 1.0 / self.softmax.shape[2] + UNRELATED_MARGIN
+        return np.where(confidence >= SPECIFIC_THRESHOLD, CATEGORY_SPECIFIC,
+                        np.where(unrelated, CATEGORY_UNRELATED, CATEGORY_SHARED))
+
+    @property
+    def overlay_alpha(self) -> np.ndarray:
         """Confidence rescaled to [0, 1] for use as an overlay opacity."""
-        class_count = len(self.softmax)
-        return (self.confidence - 1.0 / class_count) / (1.0 - 1.0 / class_count)
+        chance = 1.0 / self.softmax.shape[2]
+        return (self.confidence - chance) / (1.0 - chance)
 
-    def to_dict(self) -> dict:
-        return {
-            "sample_id": self.sample_id,
-            "config_index": self.config_index,
-            "patch_index": self.patch_index,
-            "start": self.span[0],
-            "end": self.span[1],
-            "predicted_class": self.predicted_class,
-            "confidence": self.confidence,
-            "category": self.category,
-            "softmax": [float(v) for v in self.softmax],
-        }
+    def rows(self, i: int) -> Iterator[dict]:
+        """The record dicts of sample i, in patch_spans order."""
+        one = PatchRecords(self.sample_ids[i : i + 1], self.spans, self.softmax[i : i + 1])
+        columns = (one.predicted_class[0], one.confidence[0], one.category[0], one.softmax[0])
+        for span, *values in zip(self.spans.tolist(), *(column.tolist() for column in columns)):
+            yield dict(zip(RECORD_FIELDS, (int(self.sample_ids[i]), *span, *values)))
 
 
-def explain_sample(
-    bundle: PatchXBundle, sample: TimeSeriesSample
-) -> tuple[list[ExplanationRecord], int]:
-    """One record per (config, patch) plus the sample-level prediction.
+def _records(bundle: PatchXBundle, sample_ids, length: int, softmax: np.ndarray) -> PatchRecords:
+    return PatchRecords(np.asarray(sample_ids), np.array(patch_spans(length, bundle.patch_configs)), softmax)
+
+
+def explain_sample(bundle: PatchXBundle, sample: TimeSeriesSample) -> tuple[PatchRecords, int]:
+    """The sample's one-row record table plus its sample-level prediction.
 
     The records carry everything the overlay figures need: source spans,
     per-patch classes, and a confidence gradient.
     """
     probs, prediction, _ = bundle.sample_patch_predictions(sample)
-    return _patch_records(bundle, sample.id, sample.length, probs), prediction
+    return _records(bundle, [sample.id], sample.length, probs[None]), prediction
 
 
-def _patch_records(
-    bundle: PatchXBundle, sample_id: int, length: int, probs: np.ndarray
-) -> list[ExplanationRecord]:
-    """The records of one sample from its softmax rows, in patch_spans order."""
-    records = []
-    for (ci, p, start, end), row in zip(patch_spans(length, bundle.patch_configs), probs):
-        winner = int(np.argmax(row))
-        confidence = float(row[winner])
-        records.append(
-            ExplanationRecord(
-                sample_id=sample_id,
-                config_index=ci,
-                patch_index=p,
-                span=(start, end),
-                predicted_class=winner,
-                confidence=confidence,
-                softmax=row,
-                category=categorize_confidence(confidence, bundle.class_count),
-            )
-        )
-    return records
-
-
-def save_records(records: list[ExplanationRecord], path: str | Path) -> None:
-    """One record per line: sample_id,config_index,patch_index,start,end,
-    predicted_class,confidence,category,softmax values."""
+def save_records(records: PatchRecords, path: str | Path) -> None:
+    """One record per line: the RECORD_FIELDS, the softmax values last."""
     with Path(path).open("w", encoding="utf-8") as f:
-        f.write("sample_id,config_index,patch_index,start,end,predicted_class,confidence,category,softmax...\n")
-        for r in records:
-            fields = [
-                str(r.sample_id), str(r.config_index), str(r.patch_index),
-                str(r.span[0]), str(r.span[1]), str(r.predicted_class),
-                repr(r.confidence), r.category,
-            ]
-            fields.extend(repr(float(v)) for v in r.softmax)
-            f.write(",".join(fields))
-            f.write("\n")
+        f.write(",".join(RECORD_FIELDS) + "...\n")
+        for i in range(len(records.sample_ids)):
+            for r in records.rows(i):
+                *ints, confidence, category, softmax = r.values()
+                f.write(",".join([*map(str, ints), repr(confidence), category, *map(repr, softmax)]) + "\n")
 
 
 @dataclass
@@ -180,30 +160,25 @@ def confidence_histogram(
 
 
 @dataclass
-class BoundaryProbeStep:
-    factor: float
-    ground_truth: int
-    sample_prediction: int
-    records: list[ExplanationRecord]
-
-
-@dataclass
 class BoundaryProbeResult:
     sample_id: int
     position: tuple[int, int]  # (channel, time-step) scaled by each factor
-    steps: list[BoundaryProbeStep]
+    factors: np.ndarray  # (k,) strictly increasing
+    ground_truth: np.ndarray  # (k,) the label rule on each perturbed sample
+    predictions: np.ndarray  # (k,) the pipeline's label of each perturbed sample
+    records: PatchRecords  # one row per factor
 
-    def _first_change(self, field: str) -> float | None:
-        """First factor at which the step's field departs from its initial value."""
-        first = getattr(self.steps[0], field)
-        return next((s.factor for s in self.steps if getattr(s, field) != first), None)
+    def _first_change(self, values: np.ndarray) -> float | None:
+        """First factor at which values depart from their initial value."""
+        changed = np.flatnonzero(values != values[0])
+        return float(self.factors[changed[0]]) if changed.size else None
 
     def ground_truth_flip_factor(self) -> float | None:
         """First factor at which the label rule departs from its initial value."""
-        return self._first_change("ground_truth")
+        return self._first_change(self.ground_truth)
 
     def prediction_flip_factor(self) -> float | None:
-        return self._first_change("sample_prediction")
+        return self._first_change(self.predictions)
 
     def to_dict(self) -> dict:
         return {
@@ -214,13 +189,10 @@ class BoundaryProbeResult:
             "ground_truth_flip_factor": self.ground_truth_flip_factor(),
             "prediction_flip_factor": self.prediction_flip_factor(),
             "steps": [
-                {
-                    "factor": s.factor,
-                    "ground_truth": s.ground_truth,
-                    "sample_prediction": s.sample_prediction,
-                    "records": [r.to_dict() for r in s.records],
-                }
-                for s in self.steps
+                {"factor": factor, "ground_truth": truth, "sample_prediction": prediction,
+                 "records": list(self.records.rows(i))}
+                for i, (factor, truth, prediction) in enumerate(
+                    zip(self.factors.tolist(), self.ground_truth.tolist(), self.predictions.tolist()))
             ],
         }
 
@@ -238,46 +210,49 @@ def boundary_probe(
     channel, step = position
     if not (0 <= channel < sample.channels) or not (0 <= step < sample.length):
         raise IndexError(f"position {position} outside sample of shape {sample.values.shape}")
-    if not factors or any(b <= a for a, b in zip(factors, factors[1:])):
-        raise ValueError("factors must be a non-empty, strictly increasing list")
+    factors = np.asarray(factors, dtype=np.float64)
+    if not (factors.size and np.isfinite(factors).all() and (np.diff(factors) > 0).all()):
+        raise ValueError("factors must be a non-empty, strictly increasing list of finite numbers")
     perturbed = np.repeat(sample.values[None], len(factors), axis=0)
     perturbed[:, channel, step] *= factors
     dataset = Dataset([TimeSeriesSample(sample.id, values, sample.label) for values in perturbed],
                       bundle.class_count, split="probe")
     softmaxes = bundle.patch_predictions(dataset)
-    predictions = predict_all(bundle.shallow_model, bundle.presence(dataset, softmaxes))
-    steps = [
-        BoundaryProbeStep(
-            factor=float(factor),
-            ground_truth=anomaly_label(values, sigma_multiplier),
-            sample_prediction=int(prediction),
-            records=_patch_records(bundle, sample.id, sample.length, probs),
-        )
-        for factor, values, prediction, probs in zip(factors, perturbed, predictions, softmaxes)
-    ]
-    return BoundaryProbeResult(sample_id=sample.id, position=position, steps=steps)
+    return BoundaryProbeResult(
+        sample_id=sample.id,
+        position=position,
+        factors=factors,
+        ground_truth=np.array([anomaly_label(values, sigma_multiplier) for values in perturbed]),
+        predictions=predict_all(bundle.shallow_model, bundle.presence(dataset, softmaxes)),
+        records=_records(bundle, np.full(len(factors), sample.id), sample.length, softmaxes),
+    )
 
 
 @dataclass
-class MislabelEntry:
-    sample_id: int
-    true_label: int
-    predicted_label: int
-    margin: float  # top decision score minus runner-up; small = near the boundary
-    records: list[ExplanationRecord]
+class MislabelReport:
+    """The misclassified samples, closest to the decision boundary first."""
+
+    true_labels: np.ndarray  # (m,)
+    predicted_labels: np.ndarray  # (m,)
+    margins: np.ndarray  # (m,) top decision score minus runner-up; small = near the boundary
+    records: PatchRecords  # one row per misclassified sample
+
+    def __len__(self) -> int:
+        return len(self.margins)
 
     def to_dict(self) -> dict:
-        return {
-            "sample_id": self.sample_id,
-            "true_label": self.true_label,
-            "predicted_label": self.predicted_label,
-            "margin": self.margin,
-            "records": [r.to_dict() for r in self.records],
-        }
+        columns = zip(self.records.sample_ids.tolist(), self.true_labels.tolist(),
+                      self.predicted_labels.tolist(), self.margins.tolist())
+        entries = [
+            {"sample_id": sample_id, "true_label": truth, "predicted_label": predicted, "margin": margin,
+             "records": list(self.records.rows(i))}
+            for i, (sample_id, truth, predicted, margin) in enumerate(columns)
+        ]
+        return {"report": "mislabels", "count": len(self), "entries": entries}
 
 
-def mislabel_report(bundle: PatchXBundle, dataset: Dataset) -> list[MislabelEntry]:
-    """Patch records for every misclassified sample, closest-to-boundary first.
+def mislabel_report(bundle: PatchXBundle, dataset: Dataset) -> MislabelReport:
+    """Patch records for every misclassified sample, ordered by (margin, sample id).
 
     One network pass serves the sample labels and every sample's records.
     """
@@ -286,23 +261,7 @@ def mislabel_report(bundle: PatchXBundle, dataset: Dataset) -> list[MislabelEntr
     preds = predict_all(bundle.shallow_model, matrix)
     scores = np.sort(bundle.shallow_model.decision_scores(matrix), axis=1)
     margins = scores[:, -1] - scores[:, -2]
-    entries = []
-    for i in np.flatnonzero(preds != matrix.labels):
-        sample_id = int(matrix.sample_ids[i])
-        entries.append(
-            MislabelEntry(
-                sample_id=sample_id,
-                true_label=int(matrix.labels[i]),
-                predicted_label=int(preds[i]),
-                margin=float(margins[i]),
-                records=_patch_records(bundle, sample_id, dataset.length, softmaxes[i]),
-            )
-        )
-    entries.sort(key=lambda e: (e.margin, e.sample_id))
-    return entries
-
-
-def save_report(report_dict: dict, path: str | Path) -> None:
-    with Path(path).open("w", encoding="utf-8") as f:
-        json.dump(report_dict, f, sort_keys=True, indent=2)
-        f.write("\n")
+    wrong = np.flatnonzero(preds != matrix.labels)
+    wrong = wrong[np.lexsort((matrix.sample_ids[wrong], margins[wrong]))]
+    return MislabelReport(matrix.labels[wrong], preds[wrong], margins[wrong],
+                          _records(bundle, matrix.sample_ids[wrong], dataset.length, softmaxes[wrong]))

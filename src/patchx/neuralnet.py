@@ -402,6 +402,8 @@ class TrainLog:
     epochs_run: int = 0
 
 
+# A diverging step overflows before its loss is checked; the finite-loss check alone reports it.
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def train(net: PatchNet, train_patches, val_patches, spec: TrainSpec) -> TrainLog:
     """Mini-batch training of the mean patch cross-entropy; restores the
     parameters of the epoch with best validation accuracy. train_patches and

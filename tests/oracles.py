@@ -33,8 +33,9 @@ on the z-normalized samples themselves, with no patching. bench's one-window
 patch run must train the same parameters bit for bit.
 
 The per-factor boundary probe: boundary_probe_loop runs one explain_sample
-per factor on its own perturbed copy of the sample. boundary_probe, which
-scores every factor in one dataset, must give the same steps.
+per factor on its own perturbed copy of the sample and stacks their one-row
+record tables. boundary_probe, which scores every factor in one dataset, must
+give the same factors, labels and records.
 """
 
 from __future__ import annotations
@@ -48,7 +49,7 @@ from patchx.bundle import PatchXBundle
 from patchx.data import (
     DEFAULT_SIGMA_MULTIPLIER, Dataset, TimeSeriesSample, anomaly_label, normalization_stats, znormalize,
 )
-from patchx.explain import BoundaryProbeResult, BoundaryProbeStep, explain_sample
+from patchx.explain import BoundaryProbeResult, PatchRecords, explain_sample
 from patchx.neuralnet import (
     LOG_CLAMP, GradientCheckEntry, GradientCheckReport, NetworkSpec, PatchNet, TrainSpec, batch_cross_entropy,
     softmax,
@@ -352,11 +353,16 @@ def boundary_probe_loop(
 ) -> BoundaryProbeResult:
     """explain.boundary_probe, one perturbed sample and one explain_sample per factor."""
     channel, step = position
-    steps = []
+    tables, truths, predictions = [], [], []
     for factor in factors:
         values = sample.values.copy()
         values[channel, step] *= factor
         perturbed = TimeSeriesSample(id=sample.id, values=values, label=sample.label)
         records, prediction = explain_sample(bundle, perturbed)
-        steps.append(BoundaryProbeStep(float(factor), anomaly_label(values, sigma_multiplier), prediction, records))
-    return BoundaryProbeResult(sample_id=sample.id, position=position, steps=steps)
+        tables.append(records)
+        truths.append(anomaly_label(values, sigma_multiplier))
+        predictions.append(prediction)
+    records = PatchRecords(np.concatenate([t.sample_ids for t in tables]), tables[0].spans,
+                           np.concatenate([t.softmax for t in tables]))
+    return BoundaryProbeResult(sample.id, position, np.array(factors, dtype=np.float64), np.array(truths),
+                               np.array(predictions), records)

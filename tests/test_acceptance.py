@@ -345,13 +345,12 @@ def test_criterion_8_explanation_coherence(anomaly_e2e):
     for sample in peaked:
         records, _ = explain_sample(bundle, sample)
         peak = sample.meta["peak_step"]
-        for r in records:
-            if r.span[0] <= peak < r.span[1]:
-                covering[0] += 1
-                covering[1] += r.predicted_class == 1
-            else:
-                excluding[0] += 1
-                excluding[1] += r.predicted_class == 0
+        covers = (records.spans[:, 2] <= peak) & (peak < records.spans[:, 3])
+        anomalous = records.predicted_class[0] == 1
+        covering[0] += int(covers.sum())
+        covering[1] += int((covers & anomalous).sum())
+        excluding[0] += int((~covers).sum())
+        excluding[1] += int((~covers & ~anomalous).sum())
     frac_cov = covering[1] / covering[0]
     frac_exc = excluding[1] / excluding[0]
     ok = frac_cov >= 0.90 and frac_exc >= 0.90

@@ -7,7 +7,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from patchx.bundle import BundleError, MAGIC, PatchXBundle, load_bundle, save_bundle
+from patchx.bundle import BundleError, MAGIC, PatchXBundle, decode_bundle, load_bundle, save_bundle
 from patchx.data import Dataset, NormStats, TimeSeriesSample
 from patchx.explain import mislabel_report
 from patchx.metadata import PresenceMatrix
@@ -333,7 +333,7 @@ def test_specs_round_trip_with_every_option(tmp_path):
 def test_bundle_byte_mutations_load_or_raise_bundle_error(tmp_path):
     """Seeded single-byte mutations of each shallow kind's bundle: half
     anywhere in the file, half in the prefix and JSON header, where a change
-    can alter the structure. A mutant that loads scores every row to a class."""
+    can alter the structure. A mutant that decodes scores every row to a class."""
     path = tmp_path / "model.pchx"
     matrix = make_vectors()
     for kind in ("svm", "forest", "trivial"):
@@ -345,10 +345,9 @@ def test_bundle_byte_mutations_load_or_raise_bundle_error(tmp_path):
             mutant = bytearray(raw)
             position = rng.randrange(len(raw) if trial % 2 else 15 + header_len)
             mutant[position] = rng.randrange(256)
-            path.write_bytes(bytes(mutant))
             where = f"{kind}: byte {position} set to {mutant[position]}"
             try:
-                labels = predict_all(load_bundle(path).shallow_model, matrix)
+                labels = predict_all(decode_bundle(bytes(mutant), path).shallow_model, matrix)
             except BundleError:
                 continue
             except Exception as err:

@@ -5,6 +5,7 @@ import re
 import resource
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -172,14 +173,17 @@ class TestRun:
         assert "stage 'pipeline'" in err and "diverged" in err
 
     @pytest.mark.parametrize("command", ["run", "bench"])
-    def test_diverging_training_leaves_no_directory(self, tmp_path, capsys, command):
-        """A learning rate of 1e300 drives the loss past float range in the first epoch."""
-        with np.errstate(all="ignore"):
+    def test_diverging_training_leaves_no_directory(self, tmp_path, capfd, command):
+        """A learning rate of 1e300 drives the loss past float range in the first
+        epoch. The command writes one stderr line, and no numpy warning precedes it."""
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
             code = run_cli(command, "--out", str(tmp_path / "out"), "--run-name", "d", *FAST,
                            "--learning-rate", "1e300")
         assert code == 1
-        err = capsys.readouterr().err
-        assert "training loss diverged at epoch" in err.splitlines()[-1] and "Traceback" not in err
+        err = capfd.readouterr().err
+        assert len(err.splitlines()) == 1 and "training loss diverged at epoch" in err
+        assert [str(w.message) for w in caught] == []
         assert not (tmp_path / "out").exists()
 
     def test_zero_false_rejected(self, tmp_path, capsys):

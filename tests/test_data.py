@@ -10,6 +10,7 @@ from patchx.data import (
     ParseError,
     TimeSeriesSample,
     anomaly_label,
+    decode_dataset,
     generate_anomaly,
     load_dataset,
     normalization_stats,
@@ -95,13 +96,18 @@ class TestLoadDataset:
             mutant = bytearray(raw)
             position = mutations.randrange(len(raw))
             mutant[position] = mutations.randrange(256)
-            path.write_bytes(bytes(mutant))
             try:
-                load_dataset(path).validate()  # what the row scan lets through is a valid dataset
+                decode_dataset(bytes(mutant), path).validate()  # what the row scan lets through is a valid dataset
             except ParseError:
                 pass
             except Exception as err:
                 pytest.fail(f"byte {position} set to {mutant[position]}: {type(err).__name__}: {err}")
+
+    def test_decoder_keeps_universal_newlines_and_names_its_origin(self):
+        raw = b"1,2,2\r1.0,2.0,0\r\n3.0,4.0,1\n"
+        assert decode_dataset(raw, "memory").labels_array().tolist() == [0, 1]
+        with pytest.raises(ParseError, match="memory is not UTF-8"):
+            decode_dataset(b"1,2,2\n\xff", "memory")
 
     def test_rows_are_scanned_once(self, tmp_path, monkeypatch):
         """The row scan makes the checks; no validate walk follows it."""

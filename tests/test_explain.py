@@ -4,17 +4,16 @@ import numpy as np
 import pytest
 
 from patchx.bundle import PatchXBundle
+from patchx.cli import write_json
 from patchx.data import Dataset, TimeSeriesSample, anomaly_label
 from patchx.explain import (
     BoundaryProbeResult,
-    BoundaryProbeStep,
+    PatchRecords,
     boundary_probe,
-    categorize_confidence,
     confidence_histogram,
     explain_sample,
     mislabel_report,
     save_records,
-    save_report,
 )
 from patchx.metadata import extract_all
 from patchx.neuralnet import DimensionError, NetworkSpec, TrainSpec
@@ -25,16 +24,20 @@ from patchx.shallow import predict_all
 from oracles import boundary_probe_loop
 
 
+def one_sample_table(softmax_rows):
+    """A one-sample record table whose records have the given softmax rows."""
+    return PatchRecords(np.array([0]), np.zeros((len(softmax_rows), 4), dtype=np.int64),
+                        np.array([softmax_rows], dtype=np.float64))
+
+
 class TestCategorize:
     def test_tiers(self):
-        assert categorize_confidence(0.95, 2) == "class-specific"
-        assert categorize_confidence(0.9, 2) == "class-specific"
-        assert categorize_confidence(0.55, 2) == "unrelated"
-        assert categorize_confidence(0.75, 2) == "shared"
+        records = one_sample_table([[0.95, 0.05], [0.1, 0.9], [0.55, 0.45], [0.25, 0.75]])
+        assert records.category.tolist() == [["class-specific", "class-specific", "unrelated", "shared"]]
 
     def test_unrelated_band_tracks_class_count(self):
-        assert categorize_confidence(0.3, 5) == "unrelated"
-        assert categorize_confidence(0.45, 5) == "shared"
+        records = one_sample_table([[0.3, 0.2, 0.2, 0.15, 0.15], [0.45, 0.2, 0.15, 0.1, 0.1]])
+        assert records.category.tolist() == [["unrelated", "shared"]]
 
 
 class TestExplainSample:
@@ -45,16 +48,16 @@ class TestExplainSample:
         for ci, config in enumerate(small_bundle.patch_configs):
             for p, start, end in enumerate_patches(sample.length, config):
                 expected.append((ci, p, start, end))
-        got = [(r.config_index, r.patch_index, r.span[0], r.span[1]) for r in records]
-        assert got == expected
+        assert [tuple(span) for span in records.spans.tolist()] == expected
+        assert records.sample_ids.tolist() == [sample.id] and len(records) == len(expected)
 
     def test_prediction_matches_shallow_on_extracted_vector(self, small_bundle, anomaly_splits):
         sample = anomaly_splits[2].samples[3]
         records, prediction = explain_sample(small_bundle, sample)
         matrix = extract_all(
-            np.array([[r.softmax for r in records]]),
-            [r.config_index for r in records],
-            [sample.id],
+            records.softmax,
+            records.spans[:, 0],
+            records.sample_ids,
             [sample.label],
             class_count=small_bundle.class_count,
             n_configs=len(small_bundle.patch_configs),
@@ -70,9 +73,19 @@ class TestExplainSample:
 
     def test_confidence_is_max_softmax(self, small_bundle, anomaly_splits):
         records, _ = explain_sample(small_bundle, anomaly_splits[2].samples[1])
-        for r in records:
-            assert r.confidence == pytest.approx(float(np.max(r.softmax)))
-            assert 0.0 <= r.overlay_alpha() <= 1.0
+        np.testing.assert_array_equal(records.confidence, records.softmax.max(axis=2))
+        assert np.all((0.0 <= records.overlay_alpha) & (records.overlay_alpha <= 1.0))
+
+    def test_rows_are_the_table_columns(self, small_bundle, anomaly_splits):
+        records, _ = explain_sample(small_bundle, anomaly_splits[2].samples[2])
+        rows = list(records.rows(0))
+        assert len(rows) == len(records)
+        for k, r in enumerate(rows):
+            assert r["sample_id"] == anomaly_splits[2].samples[2].id
+            assert [r["config_index"], r["patch_index"], r["start"], r["end"]] == records.spans[k].tolist()
+            assert (r["predicted_class"], r["confidence"], r["category"]) == (
+                records.predicted_class[0, k], records.confidence[0, k], records.category[0, k])
+            assert r["softmax"] == records.softmax[0, k].tolist()
 
     def test_records_export(self, small_bundle, anomaly_splits, tmp_path):
         records, _ = explain_sample(small_bundle, anomaly_splits[2].samples[0])
@@ -169,7 +182,7 @@ class TestHistogram:
     def test_report_serializes(self, small_bundle, anomaly_splits, tmp_path):
         report = confidence_histogram(small_bundle, anomaly_splits[2], per_class=True)
         path = tmp_path / "hist.json"
-        save_report(report.to_dict(), path)
+        write_json(report.to_dict(), path)
         loaded = json.loads(path.read_text())
         assert loaded["total_patches"] == report.total
 
@@ -184,11 +197,9 @@ class TestBoundaryProbe:
         pos = (sample.meta["peak_channel"], sample.meta["peak_step"])
         result = boundary_probe(small_bundle, sample, pos, [1.0])
         records, prediction = explain_sample(small_bundle, sample)
-        step = result.steps[0]
-        assert step.sample_prediction == prediction
-        assert step.ground_truth == anomaly_label(sample.values)
-        for r_probe, r_plain in zip(step.records, records):
-            np.testing.assert_array_equal(r_probe.softmax, r_plain.softmax)
+        assert result.predictions.tolist() == [prediction]
+        assert result.ground_truth.tolist() == [anomaly_label(sample.values)]
+        np.testing.assert_array_equal(result.records.softmax, records.softmax)
 
     def test_flip_factor_matches_label_rule(self, small_bundle, anomaly_splits):
         sample = self.probe_sample(anomaly_splits)
@@ -219,17 +230,23 @@ class TestBoundaryProbe:
         assert rows == [len(factors)]
         monkeypatch.undo()
         oracle = boundary_probe_loop(small_bundle, sample, pos, factors)
-        fields = lambda steps: [(s.factor, s.ground_truth, s.sample_prediction,
-                                 [(r.sample_id, r.config_index, r.patch_index, r.span, r.predicted_class,
-                                   r.category) for r in s.records]) for s in steps]
-        assert fields(result.steps) == fields(oracle.steps)
-        np.testing.assert_allclose([[r.softmax for r in s.records] for s in result.steps],
-                                   [[r.softmax for r in s.records] for s in oracle.steps], rtol=0, atol=1e-12)
+        fields = lambda probe: (probe.factors.tolist(), probe.ground_truth.tolist(), probe.predictions.tolist(),
+                                probe.records.sample_ids.tolist(), probe.records.spans.tolist(),
+                                probe.records.predicted_class.tolist(), probe.records.category.tolist())
+        assert fields(result) == fields(oracle)
+        np.testing.assert_allclose(result.records.softmax, oracle.records.softmax, rtol=0, atol=1e-12)
 
     def test_factors_must_increase(self, small_bundle, anomaly_splits):
         sample = self.probe_sample(anomaly_splits)
         with pytest.raises(ValueError, match="increasing"):
             boundary_probe(small_bundle, sample, (0, 5), [1.0, 0.5])
+
+    @pytest.mark.parametrize("factors", [[np.nan, 1.0], [-np.inf, 1.0], [1.0, np.inf]],
+                             ids=["nan", "-inf", "inf"])
+    def test_factors_must_be_finite(self, small_bundle, anomaly_splits, factors):
+        sample = self.probe_sample(anomaly_splits)
+        with pytest.raises(ValueError, match="finite"):
+            boundary_probe(small_bundle, sample, (0, 5), factors)
 
     def test_position_out_of_range(self, small_bundle, anomaly_splits):
         sample = self.probe_sample(anomaly_splits)
@@ -239,11 +256,16 @@ class TestBoundaryProbe:
             boundary_probe(small_bundle, sample, (9, 5), [1.0])
 
     def test_flip_factors_are_each_fields_first_change(self):
-        steps = [BoundaryProbeStep(factor, truth, pred, []) for factor, truth, pred in
-                 [(0.5, 0, 1), (1.0, 0, 0), (1.5, 1, 1), (2.0, 0, 1)]]
-        result = BoundaryProbeResult(sample_id=0, position=(0, 0), steps=steps)
+        def probe(steps):
+            factors, truth, pred = (np.array(column) for column in zip(*steps))
+            records = PatchRecords(np.zeros(len(steps), dtype=np.int64), np.zeros((0, 4), dtype=np.int64),
+                                   np.zeros((len(steps), 0, 2)))
+            return BoundaryProbeResult(0, (0, 0), factors, truth, pred, records)
+
+        steps = [(0.5, 0, 1), (1.0, 0, 0), (1.5, 1, 1), (2.0, 0, 1)]
+        result = probe(steps)
         assert (result.ground_truth_flip_factor(), result.prediction_flip_factor()) == (1.5, 1.0)
-        still = BoundaryProbeResult(sample_id=0, position=(0, 0), steps=steps[:2])
+        still = probe(steps[:2])
         assert (still.ground_truth_flip_factor(), still.prediction_flip_factor()) == (None, 1.0)
 
     def test_report_round_trips_json(self, small_bundle, anomaly_splits, tmp_path):
@@ -251,7 +273,7 @@ class TestBoundaryProbe:
         pos = (sample.meta["peak_channel"], sample.meta["peak_step"])
         result = boundary_probe(small_bundle, sample, pos, [0.5, 1.0])
         path = tmp_path / "probe.json"
-        save_report(result.to_dict(), path)
+        write_json(result.to_dict(), path)
         loaded = json.loads(path.read_text())
         assert loaded["sample_id"] == sample.id
         assert len(loaded["steps"]) == 2
@@ -260,29 +282,27 @@ class TestBoundaryProbe:
 class TestMislabelReport:
     def test_count_consistent_with_accuracy(self, small_pipeline, anomaly_splits):
         test = anomaly_splits[2]
-        entries = mislabel_report(small_pipeline.bundle, test)
+        report = mislabel_report(small_pipeline.bundle, test)
         accuracy = small_pipeline.metrics["test_accuracy"]
-        assert len(entries) == round(len(test) * (1.0 - accuracy))
+        assert len(report) == round(len(test) * (1.0 - accuracy))
 
     def test_entries_match_explain_sample(self, small_pipeline, anomaly_splits):
         test = anomaly_splits[2]
-        entries = mislabel_report(small_pipeline.bundle, test)
-        assert entries
-        for entry in entries:
-            sample = next(s for s in test.samples if s.id == entry.sample_id)
+        report = mislabel_report(small_pipeline.bundle, test)
+        assert len(report)
+        for i, sample_id in enumerate(report.records.sample_ids.tolist()):
+            sample = next(s for s in test.samples if s.id == sample_id)
             records, prediction = explain_sample(small_pipeline.bundle, sample)
-            assert entry.predicted_label == prediction != entry.true_label
-            assert [(r.sample_id, r.config_index, r.patch_index, r.span, r.predicted_class)
-                    for r in entry.records] == [
-                (r.sample_id, r.config_index, r.patch_index, r.span, r.predicted_class)
-                for r in records]
-            np.testing.assert_allclose([r.softmax for r in entry.records],
-                                       [r.softmax for r in records], rtol=0, atol=1e-12)
+            assert report.predicted_labels[i] == prediction != report.true_labels[i]
+            assert records.sample_ids.tolist() == [sample_id]
+            assert report.records.spans.tolist() == records.spans.tolist()
+            assert report.records.predicted_class[i].tolist() == records.predicted_class[0].tolist()
+            np.testing.assert_allclose(report.records.softmax[i], records.softmax[0], rtol=0, atol=1e-12)
 
     def test_sorted_by_margin(self, small_pipeline, anomaly_splits):
-        entries = mislabel_report(small_pipeline.bundle, anomaly_splits[2])
-        margins = [e.margin for e in entries]
-        assert margins == sorted(margins)
+        report = mislabel_report(small_pipeline.bundle, anomaly_splits[2])
+        keys = list(zip(report.margins.tolist(), report.records.sample_ids.tolist()))
+        assert keys == sorted(keys)
 
     def test_perfect_pipeline_empty_report(self):
         # trivially separable task: constant-level classes
@@ -303,4 +323,4 @@ class TestMislabelReport:
                                  early_stopping_patience=9, seed=1),
         )
         assert result.metrics["test_accuracy"] == 1.0
-        assert mislabel_report(result.bundle, test) == []
+        assert len(mislabel_report(result.bundle, test)) == 0
