@@ -68,7 +68,11 @@ class PatchXBundle:
 
     def patch_predictions(self, dataset: Dataset) -> np.ndarray:
         """Softmax of every patch, shape (n_samples, P, class_count): row i,
-        slot k is patch patch_spans(length, patch_configs)[k] of sample i."""
+        slot k is patch patch_spans(length, patch_configs)[k] of sample i.
+
+        Each config's patches are cut and forwarded as one group, at the
+        widest crop of that config alone, and the groups share one pass of
+        the empty frame."""
         spec = self.network.spec
         channels = spec.input_channels - (1 if self.patch_configs[0].attach else 0)
         if not dataset.samples:
@@ -85,8 +89,13 @@ class PatchXBundle:
         values = dataset.values_array()
         if self.norm_stats:
             values = znormalize(values, self.norm_stats)
-        x, _, offsets = build_patch_arrays(values, dataset.labels_array(), self.patch_configs, self.network.halo)
-        return forward_all(self.network, x, offsets).reshape(len(dataset), -1, self.class_count)
+        labels, net, frame, blocks = dataset.labels_array(), self.network, None, []
+        for config in self.patch_configs:  # a contiguous slot range each, cropped at its own width
+            x, _, offsets = build_patch_arrays(values, labels, [config], net.halo)
+            if frame is None and x.shape[2] < spec.input_length:
+                frame = net.empty_frame()
+            blocks.append(forward_all(net, x, offsets, frame).reshape(len(dataset), -1, self.class_count))
+        return np.concatenate(blocks, axis=1)
 
     def presence(self, dataset: Dataset, softmaxes: np.ndarray) -> PresenceMatrix:
         """The class-presence matrix of the dataset's patch_predictions."""

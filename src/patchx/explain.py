@@ -254,13 +254,15 @@ class MislabelReport:
 def mislabel_report(bundle: PatchXBundle, dataset: Dataset) -> MislabelReport:
     """Patch records for every misclassified sample, ordered by (margin, sample id).
 
-    One network pass serves the sample labels and every sample's records.
+    One network pass serves the sample labels and every sample's records, and
+    one scoring of the shallow model serves the labels and the margins.
     """
     softmaxes = bundle.patch_predictions(dataset)
     matrix = bundle.presence(dataset, softmaxes)
-    preds = predict_all(bundle.shallow_model, matrix)
-    scores = np.sort(bundle.shallow_model.decision_scores(matrix), axis=1)
-    margins = scores[:, -1] - scores[:, -2]
+    scores = bundle.shallow_model.decision_scores(matrix)
+    preds = np.argmax(scores, axis=1)  # predict_all's labels: ties go to the lowest index
+    ranked = np.sort(scores, axis=1)
+    margins = ranked[:, -1] - ranked[:, -2]
     wrong = np.flatnonzero(preds != matrix.labels)
     wrong = wrong[np.lexsort((matrix.sample_ids[wrong], margins[wrong]))]
     return MislabelReport(matrix.labels[wrong], preds[wrong], margins[wrong],

@@ -6,11 +6,15 @@ Activations keep the logical shape (batch, channels, length) over channels-last
 memory; a convolution is one shifted GEMM per kernel tap. A batch is (x, y,
 offsets): each row of x is a crop at its offset, which build_patch_arrays cuts
 from the patch layout (each window widened by the network's halo); whole
-frames are crops of width W = L at offset 0. Outside its crop a frame is zero,
-so every activation there is that of the all-zero input (the empty frame),
-which one batch-1 pass computes. All math is float64 numpy, so serial
-runs are bit-reproducible and the analytic gradients can be checked against
-central finite differences. Parameters and gradients share one flat layout:
+frames are crops of width W = L at offset 0. Training batches mix patch
+configs and so take the layout's widest crop; evaluation forwards each config
+at its own. Outside its crop a frame is zero, so every activation there is
+that of the all-zero input (the empty frame), which one batch-1 pass computes:
+once per training step, and once per evaluation, shared by forward_all's
+slices and by the callers that pass it in. A ReLU is taken inside the
+convolution's row-block loop, while the block is in cache. All math is
+float64 numpy, so serial runs are bit-reproducible and the analytic gradients
+can be checked against central finite differences. Parameters and gradients share one flat layout:
 every layer's weights and biases view the parameter vector, and backward writes
 each layer's gradients to the same place in one gradient vector, so the
 optimizer steps one array with another.
@@ -99,13 +103,16 @@ class Conv1d:
         self.pad_left = (kernel - 1) // 2
         self.pad_right = kernel - 1 - self.pad_left
 
-    def forward(self, x: np.ndarray, *, edges: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    def forward(
+        self, x: np.ndarray, *, edges: np.ndarray | None = None, relu: bool = False
+    ) -> tuple[np.ndarray, np.ndarray]:
         """x: (batch, in_channels, length) -> (out, flat); out is a transposed
         view of channels-last memory, flat the padded input kept for backprop.
 
         The frame's pad rows are zeros, or, when x is a crop of a longer input,
         edges: (batch, pad_left + pad_right, in_channels) values that the input
-        holds around the crop (rows edge_rows(length) of the frame)."""
+        holds around the crop (rows edge_rows(length) of the frame). With relu,
+        out is max(pre-activation, 0), taken per row block while it is in cache."""
         batch, in_channels, length = x.shape
         framed = length + self.kernel - 1
         xp = np.zeros((batch, framed, in_channels))
@@ -121,6 +128,8 @@ class Conv1d:
             for j in range(1, self.kernel):
                 block += flat[lo + j : hi + j] @ taps[j]
             block += self.b
+            if relu:
+                np.maximum(block, 0.0, out=block)
         return acc.reshape(batch, framed, -1)[:, :length].transpose(0, 2, 1), flat
 
     def backward(
@@ -147,7 +156,8 @@ class Conv1d:
 
     def edge_rows(self, length: int) -> np.ndarray:
         """The pad rows of the frame of a length-long input, left then right."""
-        return np.r_[: self.pad_left, self.pad_left + length : length + self.kernel - 1]
+        right = self.pad_left + length
+        return np.concatenate((np.arange(self.pad_left), np.arange(right, right + self.pad_right)))
 
 
 def _row_blocks(rows: int) -> list[tuple[int, int]]:
@@ -242,31 +252,38 @@ class PatchNet:
             edges = None  # layer 0's empty frame is zero
             if empty is not None and i > 0:
                 edges = empty[i][1][offsets[:, None] + conv.edge_rows(h.shape[2])]
-            out, flat = conv.forward(h, edges=edges)
-            if activation == "relu":  # in place: post > 0 is the same mask as pre > 0
-                np.maximum(out, 0.0, out=out)
+            out, flat = conv.forward(h, edges=edges, relu=activation == "relu")  # post > 0 iff pre > 0
             caches.append((h.shape, flat, out))
             h = out
         return caches, h
 
-    def _forward_cached(self, x: np.ndarray, offsets: np.ndarray) -> tuple[np.ndarray, list]:
-        """Logits and the caches for backward of each row's crop at its offset;
-        for crops narrower than the frame, one forward of the all-zero input
-        gives the activations outside them (the empty frame)."""
+    def empty_frame(self) -> tuple[list, np.ndarray]:
+        """(caches, last activation) of one forward of the all-zero input: the
+        activations that a crop narrower than the frame has outside itself."""
+        return self._convolve(np.zeros((1, self.spec.input_channels, self.spec.input_length)))
+
+    def _forward_cached(self, x: np.ndarray, offsets: np.ndarray, frame: tuple | None = None
+                        ) -> tuple[np.ndarray, list]:
+        """Logits and the caches for backward of each row's crop at its offset.
+        Crops narrower than the frame read the empty frame outside them: frame
+        is empty_frame() of the current parameters, computed here when not
+        given. The last cache holds the frame used, None for whole frames."""
         self._check_input(x, offsets)
         width, length = x.shape[2], self.spec.input_length
-        empty = outside = None
+        outside = None
         if width < length:
-            empty, background = self._convolve(np.zeros((1, x.shape[1], length)))
+            frame = frame or self.empty_frame()
             steps = np.arange(length)
             outside = ((steps < offsets[:, None]) | (steps >= offsets[:, None] + width)).astype(float)
-        caches, h = self._convolve(x, offsets, empty)
+        else:
+            frame = None
+        caches, h = self._convolve(x, offsets, frame and frame[0])
         pooled = h.sum(axis=2)
-        if empty is not None:  # the empty frame's activations outside each crop
-            pooled += outside @ background[0].T
+        if frame:  # the empty frame's activations outside each crop
+            pooled += outside @ frame[1][0].T
         pooled /= length
         logits = self.dense.forward(pooled)
-        caches.append((h.shape, pooled, offsets, outside, empty))
+        caches.append((h.shape, pooled, offsets, outside, frame))
         return logits, caches
 
     def backward_from_logits(self, dlogits: np.ndarray, caches: list) -> np.ndarray:
@@ -275,7 +292,8 @@ class PatchNet:
         layer's pad rows) goes back through one backward of the empty frame."""
         grad = np.empty_like(self.flat_params)
         parts = self.views(grad)
-        (batch, channels, width), pooled, offsets, outside, empty = caches[-1]
+        (batch, channels, width), pooled, offsets, outside, frame = caches[-1]
+        empty = frame[0] if frame else None
         dpooled, parts["dense.w"][...], parts["dense.b"][...] = self.dense.backward(dlogits, pooled)
         length = self.spec.input_length
         dpooled /= length
@@ -320,13 +338,18 @@ def softmax(logits: np.ndarray) -> np.ndarray:
 # -- spec operations -------------------------------------------------------
 
 
-def forward_all(net: PatchNet, x: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+def forward_all(net: PatchNet, x: np.ndarray, offsets: np.ndarray, frame: tuple | None = None) -> np.ndarray:
     """Softmax of every row of x, each a crop at its offset, shape
-    (len(x), class_count); the one forward path, in EVAL_BATCH slices."""
+    (len(x), class_count); the one forward path, in EVAL_BATCH slices. The
+    slices share one empty frame: frame (net.empty_frame()) when the caller
+    has it, else the first slice's."""
     probs = np.empty((len(x), net.spec.class_count))
     for lo in range(0, len(x), EVAL_BATCH):
         rows = slice(lo, lo + EVAL_BATCH)
-        probs[rows] = softmax(net._forward_cached(x[rows], offsets[rows])[0])
+        logits, caches = net._forward_cached(x[rows], offsets[rows], frame)
+        frame = caches[-1][-1]
+        del caches  # else this slice's caches stay alive through the next slice's forward
+        probs[rows] = softmax(logits)
     return probs
 
 
@@ -500,9 +523,7 @@ def nudge_biases_off_kinks(net: PatchNet, x: np.ndarray) -> None:
                         break
                 else:
                     raise RuntimeError("could not move pre-activations off the ReLU kink")
-        h, _ = conv.forward(h)
-        if activation == "relu":
-            h = np.maximum(h, 0.0)
+        h, _ = conv.forward(h, relu=activation == "relu")
 
 
 def gradcheck_case(spec: NetworkSpec, seed: int = 0) -> tuple[PatchNet, tuple[np.ndarray, ...]]:

@@ -32,6 +32,11 @@ The whole-sample baseline as its own path: blackbox_train trains the network
 on the z-normalized samples themselves, with no patching. bench's one-window
 patch run must train the same parameters bit for bit.
 
+The one-width evaluation: one_width_patch_predictions cuts every slot of the
+layout at its widest crop and forwards them as one array, as
+PatchXBundle.patch_predictions did before it cropped each config at its own
+width. The two must agree up to rounding.
+
 The per-factor boundary probe: boundary_probe_loop runs one explain_sample
 per factor on its own perturbed copy of the sample and stacks their one-row
 record tables. boundary_probe, which scores every factor in one dataset, must
@@ -54,7 +59,9 @@ from patchx.neuralnet import (
     LOG_CLAMP, GradientCheckEntry, GradientCheckReport, NetworkSpec, PatchNet, TrainSpec, batch_cross_entropy,
     softmax,
 )
-from patchx.patching import ConfigError, PatchConfig, _check_configs, enumerate_patches, patch_spans
+from patchx.patching import (
+    ConfigError, PatchConfig, _check_configs, build_patch_arrays, enumerate_patches, patch_spans,
+)
 
 
 @dataclass
@@ -366,3 +373,12 @@ def boundary_probe_loop(
                            np.concatenate([t.softmax for t in tables]))
     return BoundaryProbeResult(sample.id, position, np.array(factors, dtype=np.float64), np.array(truths),
                                np.array(predictions), records)
+
+
+def one_width_patch_predictions(bundle: PatchXBundle, dataset: Dataset) -> np.ndarray:
+    """PatchXBundle.patch_predictions with every slot cut at the layout's widest crop."""
+    values = dataset.values_array()
+    if bundle.norm_stats:
+        values = znormalize(values, bundle.norm_stats)
+    x, _, offsets = build_patch_arrays(values, dataset.labels_array(), bundle.patch_configs, bundle.network.halo)
+    return neuralnet.forward_all(bundle.network, x, offsets).reshape(len(dataset), -1, bundle.class_count)

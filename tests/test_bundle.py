@@ -11,9 +11,11 @@ from patchx.bundle import BundleError, MAGIC, PatchXBundle, decode_bundle, load_
 from patchx.data import Dataset, NormStats, TimeSeriesSample
 from patchx.explain import mislabel_report
 from patchx.metadata import PresenceMatrix
-from patchx.neuralnet import DimensionError, NetworkSpec, build_network
-from patchx.patching import PatchConfig
+from patchx.neuralnet import EVAL_BATCH, Conv1d, DimensionError, NetworkSpec, build_network
+from patchx.patching import PatchConfig, build_patch_arrays, patch_spans
 from patchx.shallow import ForestSpec, ShallowSpec, TreeArrays, TrivialSpec, fit, predict_all
+
+from oracles import one_width_patch_predictions
 
 
 def make_vectors(seed=0, n=30):
@@ -330,29 +332,54 @@ def test_specs_round_trip_with_every_option(tmp_path):
                                           "attach": False, "notemp": True}
 
 
+def _fuzz_fixtures(tmp_path):
+    """(kind, bytes, length of the prefix and JSON header) of each shallow kind's bundle."""
+    path = tmp_path / "model.pchx"
+    for kind in ("svm", "forest", "trivial"):
+        save_bundle(make_bundle(kind), path)
+        raw = path.read_bytes()
+        yield kind, raw, 15 + struct.unpack("<Q", raw[7:15])[0]
+
+
+def _decodes_or_raises_bundle_error(mutant: bytearray, matrix, where: str) -> None:
+    """The mutant decodes to a bundle that scores every row to a class, or raises BundleError."""
+    try:
+        labels = predict_all(decode_bundle(bytes(mutant), "model.pchx").shallow_model, matrix)
+    except BundleError:
+        return
+    except Exception as err:
+        pytest.fail(f"{where}: {type(err).__name__}: {err}")
+    assert labels.shape == (len(matrix),) and np.all((labels >= 0) & (labels < 2)), where
+
+
 def test_bundle_byte_mutations_load_or_raise_bundle_error(tmp_path):
     """Seeded single-byte mutations of each shallow kind's bundle: half
     anywhere in the file, half in the prefix and JSON header, where a change
     can alter the structure. A mutant that decodes scores every row to a class."""
-    path = tmp_path / "model.pchx"
     matrix = make_vectors()
-    for kind in ("svm", "forest", "trivial"):
-        save_bundle(make_bundle(kind), path)
-        raw = path.read_bytes()
-        (header_len,) = struct.unpack("<Q", raw[7:15])
+    for kind, raw, structure in _fuzz_fixtures(tmp_path):
         rng = random.Random(5)
         for trial in range(600):
             mutant = bytearray(raw)
-            position = rng.randrange(len(raw) if trial % 2 else 15 + header_len)
+            position = rng.randrange(len(raw) if trial % 2 else structure)
             mutant[position] = rng.randrange(256)
-            where = f"{kind}: byte {position} set to {mutant[position]}"
-            try:
-                labels = predict_all(decode_bundle(bytes(mutant), path).shallow_model, matrix)
-            except BundleError:
-                continue
-            except Exception as err:
-                pytest.fail(f"{where}: {type(err).__name__}: {err}")
-            assert labels.shape == (len(matrix),) and np.all((labels >= 0) & (labels < 2)), where
+            _decodes_or_raises_bundle_error(mutant, matrix, f"{kind}: byte {position} set to {mutant[position]}")
+
+
+def test_every_header_byte_mutation_loads_or_raises_bundle_error(tmp_path):
+    """Every byte of each fixture's prefix and JSON header set in turn to a
+    NUL, a space, a quote, the digits 0 and 9, 0xFF and itself with its low
+    bit flipped."""
+    matrix = make_vectors()
+    sizes = {}
+    for kind, raw, structure in _fuzz_fixtures(tmp_path):
+        sizes[kind] = structure
+        for position in range(structure):
+            for value in {0x00, ord(" "), ord('"'), ord("0"), ord("9"), 0xFF, raw[position] ^ 1} - {raw[position]}:
+                mutant = bytearray(raw)
+                mutant[position] = value
+                _decodes_or_raises_bundle_error(mutant, matrix, f"{kind}: byte {position} set to {value}")
+    assert sizes == {"svm": 905, "forest": 1115, "trivial": 788}
 
 
 def test_dataset_class_count_must_match_bundle():
@@ -362,3 +389,91 @@ def test_dataset_class_count_must_match_bundle():
         bundle.patch_predictions(dataset)
     with pytest.raises(DimensionError, match="3 classes, the bundle 2"):
         mislabel_report(bundle, dataset)
+
+
+# -- evaluation cropped per config -----------------------------------------------
+
+LENGTH = 23
+FLAGS = [(False, False), (True, False), (False, True), (True, True)]
+FLAG_IDS = ["plain", "attach", "notemp", "attach-notemp"]
+
+
+def crop_bundle(attach, notemp, kernel, activation, whole=False, stats=True, seed=0):
+    """A bundle of 2 data channels and two conv blocks with drawn biases (so the
+    empty frame is not zero). The windows of 4:6 and 7:9 start at step 0 and
+    end at the last step, truncated there; whole adds a window that covers the
+    frame. No shallow model: these tests stop at the patch softmax."""
+    spec = NetworkSpec(2 + attach, LENGTH, 3, conv_blocks=((5, kernel, activation), (4, kernel, activation)),
+                       seed=seed)
+    network = build_network(spec)
+    rng = np.random.default_rng(seed)
+    for conv in network.convs:
+        conv.b[...] = rng.normal(scale=0.5, size=conv.b.shape)
+    tokens = [(4, 6), (7, 9)] + ([(LENGTH, LENGTH)] if whole else [])
+    configs = [PatchConfig(stride, size, attach=attach, notemp=notemp) for stride, size in tokens]
+    norm = NormStats(mean=rng.normal(size=2), std=np.abs(rng.normal(size=2)) + 0.5) if stats else None
+    return PatchXBundle(network, configs, norm, None)
+
+
+def crop_dataset(n, seed=0):
+    rng = np.random.default_rng(seed)
+    return Dataset([TimeSeriesSample(id=i, values=rng.normal(size=(2, LENGTH)), label=i % 3) for i in range(n)],
+                   class_count=3)
+
+
+class TestPatchPredictionsPerConfig:
+    """patch_predictions, each config cut at its own width, against the
+    one-width oracle that cuts every slot at the layout's widest crop."""
+
+    @staticmethod
+    def check(bundle, dataset):
+        got, want = bundle.patch_predictions(dataset), one_width_patch_predictions(bundle, dataset)
+        assert got.shape == want.shape == (len(dataset), len(patch_spans(LENGTH, bundle.patch_configs)), 3)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("attach, notemp", FLAGS, ids=FLAG_IDS)
+    @pytest.mark.parametrize("activation", ["relu", "linear"])
+    @pytest.mark.parametrize("kernel", [1, 2, 3, 5])
+    def test_matches_one_width(self, attach, notemp, kernel, activation):
+        bundle = crop_bundle(attach, notemp, kernel, activation, seed=kernel)
+        halo = bundle.network.halo
+        widths = [build_patch_arrays(np.zeros((1, 2, LENGTH)), np.zeros(1, np.int64), [c], halo)[0].shape[2]
+                  for c in bundle.patch_configs]
+        assert widths[0] < widths[1] < LENGTH  # each config has its own crop width
+        self.check(bundle, crop_dataset(3, seed=kernel))
+
+    @pytest.mark.parametrize("attach, notemp", FLAGS, ids=FLAG_IDS)
+    def test_whole_frame_config(self, attach, notemp):
+        """A config whose crop is the whole frame, beside two that crop."""
+        self.check(crop_bundle(attach, notemp, 3, "relu", whole=True, stats=False), crop_dataset(3))
+
+    @pytest.mark.parametrize("n", [1, 2 * EVAL_BATCH // 6 + 5])
+    def test_one_sample_and_several_slices(self, n):
+        """n = 1, and n large enough that each group spans several EVAL_BATCH slices."""
+        bundle = crop_bundle(True, False, 5, "relu", seed=2)
+        self.check(bundle, crop_dataset(n, seed=n))
+
+    @staticmethod
+    def empty_frame_passes(monkeypatch, bundle, dataset) -> int:
+        """How many convolutions patch_predictions runs on the all-zero frame, per layer."""
+        forward, passes = Conv1d.forward, []
+
+        def counting(conv, x, **kwargs):
+            if conv is bundle.network.convs[0] and x.shape[::2] == (1, LENGTH) and not x.any():
+                passes.append(x)
+            return forward(conv, x, **kwargs)
+
+        monkeypatch.setattr(Conv1d, "forward", counting)
+        bundle.patch_predictions(dataset)
+        monkeypatch.undo()
+        return len(passes)
+
+    @pytest.mark.parametrize("n", [1, 2 * EVAL_BATCH // 6 + 5])
+    def test_one_empty_frame_pass_per_call(self, monkeypatch, n):
+        bundle = crop_bundle(True, False, 3, "relu", seed=3)
+        assert self.empty_frame_passes(monkeypatch, bundle, crop_dataset(n)) == 1
+
+    def test_whole_frames_take_no_empty_frame_pass(self, monkeypatch):
+        bundle = crop_bundle(True, False, 3, "relu", whole=True, seed=3)
+        bundle.patch_configs = bundle.patch_configs[2:]  # the whole-frame window alone
+        assert self.empty_frame_passes(monkeypatch, bundle, crop_dataset(2)) == 0

@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -19,7 +20,7 @@ from patchx.metadata import extract_all
 from patchx.neuralnet import DimensionError, NetworkSpec, TrainSpec
 from patchx.patching import PatchConfig, enumerate_patches
 from patchx.pipeline import run_pipeline
-from patchx.shallow import predict_all
+from patchx.shallow import ForestSpec, ShallowSpec, TrivialSpec, fit, predict_all
 
 from oracles import boundary_probe_loop
 
@@ -298,6 +299,32 @@ class TestMislabelReport:
             assert report.records.spans.tolist() == records.spans.tolist()
             assert report.records.predicted_class[i].tolist() == records.predicted_class[0].tolist()
             np.testing.assert_allclose(report.records.softmax[i], records.softmax[0], rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("shallow", [ShallowSpec(kind="svm"), ShallowSpec(kind="forest", forest=ForestSpec(10)),
+                                         ShallowSpec(kind="trivial", trivial=TrivialSpec("occurrence"))],
+                             ids=["svm", "forest", "trivial"])
+    def test_scores_the_shallow_model_once(self, small_bundle, anomaly_splits, monkeypatch, shallow):
+        """One decision_scores call gives the labels and the margins that
+        predict_all and decision_scores give when run separately."""
+        train, _, test = anomaly_splits
+        bundle = replace(small_bundle, shallow_model=fit(shallow, small_bundle.vectors(train)))
+        model, calls = bundle.shallow_model, []
+        score = type(model).decision_scores
+        monkeypatch.setattr(type(model), "decision_scores", lambda self, m: calls.append(m) or score(self, m))
+        report = mislabel_report(bundle, test)
+        assert len(calls) == 1
+        monkeypatch.undo()
+        matrix = bundle.vectors(test)
+        preds = predict_all(model, matrix)
+        ranked = np.sort(model.decision_scores(matrix), axis=1)
+        margins = ranked[:, -1] - ranked[:, -2]
+        wrong = np.flatnonzero(preds != matrix.labels)
+        wrong = wrong[np.lexsort((matrix.sample_ids[wrong], margins[wrong]))]
+        assert len(report) == len(wrong) > 0
+        np.testing.assert_array_equal(report.predicted_labels, preds[wrong])
+        np.testing.assert_array_equal(report.true_labels, matrix.labels[wrong])
+        np.testing.assert_array_equal(report.margins, margins[wrong])
+        np.testing.assert_array_equal(report.records.sample_ids, matrix.sample_ids[wrong])
 
     def test_sorted_by_margin(self, small_pipeline, anomaly_splits):
         report = mislabel_report(small_pipeline.bundle, anomaly_splits[2])

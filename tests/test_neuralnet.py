@@ -6,6 +6,7 @@ import pytest
 
 from patchx.data import TimeSeriesSample
 from patchx.neuralnet import (
+    EVAL_BATCH,
     ROW_BLOCK,
     Adam,
     Conv1d,
@@ -188,6 +189,32 @@ class TestShiftedGemmConv:
         ref_dframe = ref_dframe[:, :, conv.pad_left : conv.pad_left + frame.shape[2]]
         for name, a, b in (("dframe", dframe, ref_dframe), ("dw", dw, ref_dw), ("db", db, ref_db)):
             np.testing.assert_allclose(a, b, rtol=0, atol=1e-10, err_msg=name)
+
+    @pytest.mark.parametrize("kernel", [1, 2, 3, 4, 5])
+    def test_relu_is_the_maximum_of_the_linear_output(self, kernel):
+        """The ReLU taken in the row-block loop equals np.maximum of the linear
+        output bit for bit, over several row blocks and with edges."""
+        rng = np.random.default_rng(kernel)
+        conv = Conv1d(3, 6, kernel, rng)
+        conv.b[...] = rng.normal(size=6)
+        x = rng.normal(size=(160, 3, 20))
+        edges = rng.normal(size=(160, kernel - 1, 3))
+        assert len(x) * (20 + kernel - 1) > 2 * ROW_BLOCK
+        for kwargs in ({}, {"edges": edges}):
+            linear, flat = conv.forward(x, **kwargs)
+            rectified, relu_flat = conv.forward(x, relu=True, **kwargs)
+            assert (linear < 0).any()
+            np.testing.assert_array_equal(rectified, np.maximum(linear, 0.0))
+            np.testing.assert_array_equal(relu_flat, flat)
+
+    @pytest.mark.parametrize("kernel", [1, 2, 3, 4, 5])
+    def test_edge_rows_are_the_pad_rows(self, kernel):
+        conv = Conv1d(2, 2, kernel, np.random.default_rng(0))
+        for length in (1, 2, 7, 24, 50):
+            want = np.r_[: conv.pad_left, conv.pad_left + length : length + kernel - 1]
+            got = conv.edge_rows(length)
+            assert got.dtype == want.dtype
+            np.testing.assert_array_equal(got, want)
 
     def test_output_is_channels_last_view(self):
         conv = Conv1d(3, 4, 3, np.random.default_rng(0))
@@ -388,6 +415,26 @@ class TestCropOracle:
         batched = forward_all(net, x, offsets)
         alone = np.concatenate([forward_all(net, x[r : r + 1], offsets[r : r + 1]) for r in range(len(x))])
         np.testing.assert_allclose(alone, batched, rtol=0, atol=1e-12)
+
+    def test_slices_share_one_empty_frame(self, monkeypatch):
+        """forward_all runs the all-zero frame once however many EVAL_BATCH
+        slices it takes, and gives the softmax of the slices run one by one."""
+        net = crop_net(3, 23, 3, "relu", 2, seed=5)
+        x, _, offsets, _ = patch_rows(True, False, net.halo)
+        x, offsets = np.concatenate([x] * 60), np.concatenate([offsets] * 60)
+        assert len(x) > 2 * EVAL_BATCH
+        want = np.concatenate([forward_all(net, x[lo : lo + EVAL_BATCH], offsets[lo : lo + EVAL_BATCH])
+                               for lo in range(0, len(x), EVAL_BATCH)])
+        forward, frames = Conv1d.forward, []
+
+        def counting(conv, h, **kwargs):
+            if conv is net.convs[0] and h.shape[::2] == (1, 23) and not h.any():
+                frames.append(h)
+            return forward(conv, h, **kwargs)
+
+        monkeypatch.setattr(Conv1d, "forward", counting)
+        np.testing.assert_array_equal(forward_all(net, x, offsets), want)
+        assert len(frames) == 1
 
     @pytest.mark.parametrize("attach, notemp", FLAGS, ids=FLAG_IDS)
     @pytest.mark.parametrize("kernel", [2, 3])

@@ -64,16 +64,21 @@ def test_conv_spans_count_flop_of_logical_shapes():
 
 def test_patching_spans_read_the_cropped_tensor(small_bundle, anomaly_splits):
     """patching.patches and patching.tensor_mb read the tensor that
-    build_patch_arrays returns first: n * P crops of the layout's width W."""
+    build_patch_arrays returns first. Evaluation cuts one group per config,
+    so there is one span per config: n * P_c crops of that config's width W_c,
+    and the rows add up to n * P."""
     spans, tracer, _ = load_tracer()
-    test, net = anomaly_splits[2], small_bundle.network
+    test, net, configs = anomaly_splits[2], small_bundle.network, small_bundle.patch_configs
     with tracer.group():
         small_bundle.patch_predictions(test)
-    (meta,) = [s[spans.META] for s in tracer.groups[-1] if s[spans.NAME] == "patching.build_patch_arrays"]
-    windows = [(start, end) for _, _, start, end in patch_spans(test.length, small_bundle.patch_configs)]
+    metas = [s[spans.META] for s in tracer.groups[-1] if s[spans.NAME] == "patching.build_patch_arrays"]
+    assert len(metas) == len(configs)
     before, after = sum(conv.pad_right for conv in net.convs), sum(conv.pad_left for conv in net.convs)
-    width = max(min(end + after, test.length) - max(start - before, 0) for start, end in windows)
-    assert width < test.length
-    rows = len(test) * len(windows)
-    assert meta["rows"] == rows
-    assert meta["bytes"] == rows * net.spec.input_channels * width * 8
+    for meta, config in zip(metas, configs):
+        windows = [(start, end) for _, _, start, end in patch_spans(test.length, [config])]
+        width = max(min(end + after, test.length) - max(start - before, 0) for start, end in windows)
+        assert width < test.length
+        rows = len(test) * len(windows)
+        assert meta["rows"] == rows
+        assert meta["bytes"] == rows * net.spec.input_channels * width * 8
+    assert sum(meta["rows"] for meta in metas) == len(test) * len(patch_spans(test.length, configs))
