@@ -19,9 +19,10 @@ Runs in-process, from the checkout's own src/:
 Prints one `<sha256 prefix>  <path>` line per output file, paths relative to
 OUT_DIR, and then each run's `test_accuracy` and `val_patch_accuracy`, so that
 a change to the training arithmetic shows its drift beside the hashes. Last
-come the bench's `test_accuracy` values, of the blackbox and of each variant:
-values, not a hash, because `bench_report.json` holds timings. The gradient
-check's summary lines close the output.
+come the bench's blackbox run and each variant: its `test_accuracy` and a
+sha256 prefix of its `metrics` dict (sorted-key JSON). `bench_report.json`
+itself is not hashed, because it holds timings. The gradient check's summary
+lines close the output.
 `resolved_config.ini` holds the data directory, so compare two checkouts with
 the same OUT_DIR. Timings and manifests are not listed: they carry wall-clock
 values.
@@ -99,10 +100,12 @@ def main(argv: list[str]) -> int:
         print(f"{run}: test_accuracy {metrics['test_accuracy']!r}, "
               f"val_patch_accuracy {metrics['val_patch_accuracy']!r}")
     report = json.loads((out / "bench" / "bench_report.json").read_text(encoding="utf-8"))
-    print(f"bench blackbox: test_accuracy {report['blackbox']['metrics']['test_accuracy']!r}")
-    for cell in report["cells"]:
-        for variant, entry in cell["variants"].items():
-            print(f"bench {cell['configs']} {variant}: test_accuracy {entry['metrics']['test_accuracy']!r}")
+    entries = [("blackbox", report["blackbox"])]
+    entries += [(f"{cell['configs']} {variant}", entry)
+                for cell in report["cells"] for variant, entry in cell["variants"].items()]
+    for name, entry in entries:
+        digest = hashlib.sha256(json.dumps(entry["metrics"], sort_keys=True).encode("utf-8")).hexdigest()[:12]
+        print(f"bench {name}: test_accuracy {entry['metrics']['test_accuracy']!r}, metrics {digest}")
     print(call("gradcheck", "--seed", "0"), end="")
     return 0
 

@@ -41,7 +41,7 @@ import numpy as np
 from .data import Dataset, NormStats, TimeSeriesSample, znormalize
 from .metadata import PresenceMatrix, extract_all
 from .neuralnet import DimensionError, NetworkSpec, PatchNet, build_network, forward_all
-from .patching import PatchConfig, _check_configs, build_patch_arrays, patch_spans
+from .patching import PatchConfig, _check_configs, build_patch_arrays, check_fits, patch_spans
 from .shallow import ForestModel, SvmModel, TreeArrays, TrivialModel, predict_all
 
 MAGIC = b"PCHX1"
@@ -89,11 +89,10 @@ class PatchXBundle:
         values = dataset.values_array()
         if self.norm_stats:
             values = znormalize(values, self.norm_stats)
-        labels, net, frame, blocks = dataset.labels_array(), self.network, None, []
+        labels, net, blocks = dataset.labels_array(), self.network, []
+        frame = net.empty_frame()
         for config in self.patch_configs:  # a contiguous slot range each, cropped at its own width
             x, _, offsets = build_patch_arrays(values, labels, [config], net.halo)
-            if frame is None and x.shape[2] < spec.input_length:
-                frame = net.empty_frame()
             blocks.append(forward_all(net, x, offsets, frame).reshape(len(dataset), -1, self.class_count))
         return np.concatenate(blocks, axis=1)
 
@@ -227,7 +226,7 @@ def decode_bundle(raw: bytes, origin: str | Path) -> PatchXBundle:
         )
     try:
         header = json.loads(raw[_PREFIX : _PREFIX + header_len].decode("utf-8"))
-    except ValueError as err:  # UnicodeDecodeError and JSONDecodeError
+    except (ValueError, RecursionError) as err:  # UnicodeDecodeError, JSONDecodeError, deep nesting
         raise BundleError(f"{origin}: corrupt header ({err})") from None
     try:
         return _decode(raw, header, _PREFIX + header_len, origin)
@@ -280,7 +279,8 @@ def _check_parts(spec: NetworkSpec, configs: list[PatchConfig], stats: NormStats
     stats per input channel, and a shallow model that scores the bundle's
     presence layout to the network's classes."""
     _check_configs(configs)  # a ConfigError if there are none or they disagree on attach
-    patch_spans(spec.input_length, configs)  # a ConfigError if a patch is longer than the input
+    for config in configs:
+        check_fits(config, spec.input_length)
     channels = spec.input_channels - (1 if configs[0].attach else 0)
     if stats is not None and stats.mean.shape != (channels,):
         raise ValueError(f"norm stats are {stats.mean.shape}, the network takes {channels} data channels")

@@ -170,8 +170,8 @@ def load_config(path: str | None) -> configparser.ConfigParser:
         return config
     if not Path(path).exists():
         raise ConfigError(f"config file {path} does not exist")
-    try:
-        config.read(path, encoding="utf-8")
+    try:  # an OSError, such as a directory's, reaches main and names the path
+        config.read_string(Path(path).read_text(encoding="utf-8"), source=path)
         for section in config.sections():
             if section not in {o.section for o in OPTIONS}:
                 raise ConfigError(f"{path}: unknown config section [{section}]")

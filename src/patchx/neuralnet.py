@@ -6,18 +6,19 @@ Activations keep the logical shape (batch, channels, length) over channels-last
 memory; a convolution is one shifted GEMM per kernel tap. A batch is (x, y,
 offsets): each row of x is a crop at its offset, which build_patch_arrays cuts
 from the patch layout (each window widened by the network's halo); whole
-frames are crops of width W = L at offset 0. Training batches mix patch
-configs and so take the layout's widest crop; evaluation forwards each config
-at its own. Outside its crop a frame is zero, so every activation there is
-that of the all-zero input (the empty frame), which one batch-1 pass computes:
-once per training step, and once per evaluation, shared by forward_all's
-slices and by the callers that pass it in. A ReLU is taken inside the
-convolution's row-block loop, while the block is in cache. All math is
-float64 numpy, so serial runs are bit-reproducible and the analytic gradients
-can be checked against central finite differences. Parameters and gradients share one flat layout:
-every layer's weights and biases view the parameter vector, and backward writes
-each layer's gradients to the same place in one gradient vector, so the
-optimizer steps one array with another.
+frames are crops of width W = L at offset 0, with nothing outside them.
+Training batches mix patch configs and so take the layout's widest crop;
+evaluation forwards each config at its own. Outside its crop a frame is zero,
+so every activation there is that of the all-zero input (the empty frame),
+which one batch-1 pass computes and every forward reads: once per training
+step, and once per evaluation, shared by forward_all's slices and by the
+callers that pass it in. A ReLU is taken inside the convolution's row-block
+loop, while the block is in cache. All math is float64 numpy, so serial runs
+are bit-reproducible and the analytic gradients can be checked against
+central finite differences. Parameters and gradients share one flat layout:
+every layer's weights and biases view the parameter vector, and backward
+writes each layer's gradients to the same place in one gradient vector, so
+the optimizer steps one array with another.
 """
 
 from __future__ import annotations
@@ -259,28 +260,21 @@ class PatchNet:
 
     def empty_frame(self) -> tuple[list, np.ndarray]:
         """(caches, last activation) of one forward of the all-zero input: the
-        activations that a crop narrower than the frame has outside itself."""
+        activations that every crop has outside itself."""
         return self._convolve(np.zeros((1, self.spec.input_channels, self.spec.input_length)))
 
-    def _forward_cached(self, x: np.ndarray, offsets: np.ndarray, frame: tuple | None = None
-                        ) -> tuple[np.ndarray, list]:
+    def _forward_cached(self, x: np.ndarray, offsets: np.ndarray, frame: tuple) -> tuple[np.ndarray, list]:
         """Logits and the caches for backward of each row's crop at its offset.
-        Crops narrower than the frame read the empty frame outside them: frame
-        is empty_frame() of the current parameters, computed here when not
-        given. The last cache holds the frame used, None for whole frames."""
+        frame is empty_frame() of the current parameters, and every crop reads
+        it outside itself; a whole frame reads only its zero pad rows and, in
+        the pooled sum, nothing. The last cache holds the frame."""
         self._check_input(x, offsets)
         width, length = x.shape[2], self.spec.input_length
-        outside = None
-        if width < length:
-            frame = frame or self.empty_frame()
-            steps = np.arange(length)
-            outside = ((steps < offsets[:, None]) | (steps >= offsets[:, None] + width)).astype(float)
-        else:
-            frame = None
-        caches, h = self._convolve(x, offsets, frame and frame[0])
+        steps = np.arange(length)
+        outside = ((steps < offsets[:, None]) | (steps >= offsets[:, None] + width)).astype(float)
+        caches, h = self._convolve(x, offsets, frame[0])
         pooled = h.sum(axis=2)
-        if frame:  # the empty frame's activations outside each crop
-            pooled += outside @ frame[1][0].T
+        pooled += outside @ frame[1][0].T  # the empty frame's activations outside each crop
         pooled /= length
         logits = self.dense.forward(pooled)
         caches.append((h.shape, pooled, offsets, outside, frame))
@@ -292,36 +286,29 @@ class PatchNet:
         layer's pad rows) goes back through one backward of the empty frame."""
         grad = np.empty_like(self.flat_params)
         parts = self.views(grad)
-        (batch, channels, width), pooled, offsets, outside, frame = caches[-1]
-        empty = frame[0] if frame else None
+        (batch, channels, width), pooled, offsets, outside, (empty, _) = caches[-1]
         dpooled, parts["dense.w"][...], parts["dense.b"][...] = self.dense.backward(dlogits, pooled)
         length = self.spec.input_length
         dpooled /= length
         dh = np.broadcast_to(dpooled[:, None, :], (batch, width, channels)).transpose(0, 2, 1)
-        if empty is not None:
-            d0 = (outside.T @ dpooled).T[None]  # (1, channels, length) over channels-last memory
+        d0 = (outside.T @ dpooled).T[None]  # (1, channels, length) over channels-last memory
         for i in range(len(self.convs) - 1, -1, -1):
             conv = self.convs[i]
             in_shape, flat, post = caches[i]
+            shape0, flat0, post0 = empty[i]
             if self.activations[i] == "relu":
                 dh = dh * (post > 0)
+                d0 = d0 * (post0 > 0)
             dframe, dw, db = conv.backward(dh, flat, in_shape, input_grad=i > 0)
-            if empty is not None:
-                shape0, flat0, post0 = empty[i]
-                if self.activations[i] == "relu":
-                    d0 = d0 * (post0 > 0)
-                dframe0, dw0, db0 = conv.backward(d0, flat0, shape0, input_grad=i > 0)
-                dw += dw0
-                db += db0
-            parts[f"conv{i}.w"][...] = dw
-            parts[f"conv{i}.b"][...] = db
+            dframe0, dw0, db0 = conv.backward(d0, flat0, shape0, input_grad=i > 0)
+            parts[f"conv{i}.w"][...] = dw + dw0
+            parts[f"conv{i}.b"][...] = db + db0
             if i == 0:  # nothing reads the input gradient
                 break
             dh = dframe[:, :, conv.pad_left : conv.pad_left + width]
-            if empty is not None:  # the crop's pad rows were read from the empty frame
-                rows = conv.edge_rows(width)
-                np.add.at(dframe0[0].T, offsets[:, None] + rows, dframe[:, :, rows].transpose(0, 2, 1))
-                d0 = dframe0[:, :, conv.pad_left : conv.pad_left + length]
+            rows = conv.edge_rows(width)  # the crop's pad rows were read from the empty frame
+            np.add.at(dframe0[0].T, offsets[:, None] + rows, dframe[:, :, rows].transpose(0, 2, 1))
+            d0 = dframe0[:, :, conv.pad_left : conv.pad_left + length]
         return grad
 
 
@@ -342,12 +329,13 @@ def forward_all(net: PatchNet, x: np.ndarray, offsets: np.ndarray, frame: tuple 
     """Softmax of every row of x, each a crop at its offset, shape
     (len(x), class_count); the one forward path, in EVAL_BATCH slices. The
     slices share one empty frame: frame (net.empty_frame()) when the caller
-    has it, else the first slice's."""
+    has it, else one computed here."""
+    if frame is None:
+        frame = net.empty_frame()
     probs = np.empty((len(x), net.spec.class_count))
     for lo in range(0, len(x), EVAL_BATCH):
         rows = slice(lo, lo + EVAL_BATCH)
         logits, caches = net._forward_cached(x[rows], offsets[rows], frame)
-        frame = caches[-1][-1]
         del caches  # else this slice's caches stay alive through the next slice's forward
         probs[rows] = softmax(logits)
     return probs
@@ -364,7 +352,7 @@ def _loss_and_gradients(net: PatchNet, batch) -> tuple[float, np.ndarray]:
     x, y, offsets = batch
     if len(y) == 0:
         raise ValueError("backward requires a non-empty batch")
-    logits, caches = net._forward_cached(x, offsets)
+    logits, caches = net._forward_cached(x, offsets, net.empty_frame())
     dlogits = softmax(logits)
     loss = batch_cross_entropy(dlogits, y)
     dlogits[np.arange(len(y)), y] -= 1.0

@@ -47,11 +47,16 @@ class PatchConfig:
             )
 
 
+def check_fits(config: PatchConfig, sample_length: int) -> None:
+    """A ConfigError if the config's patches are longer than the sample."""
+    if config.length > sample_length:
+        raise ConfigError(f"patch length {config.length} exceeds sample length {sample_length}")
+
+
 def enumerate_patches(sample_length: int, config: PatchConfig) -> list[tuple[int, int, int]]:
     """All (p, start, end) with p*stride < sample_length, in p order; end is
     truncated at the sample boundary."""
-    if config.length > sample_length:
-        raise ConfigError(f"patch length {config.length} exceeds sample length {sample_length}")
+    check_fits(config, sample_length)
     out = []
     p = 0
     while p * config.stride < sample_length:

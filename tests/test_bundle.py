@@ -7,6 +7,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
+from patchx import bundle as bundle_module, patching
 from patchx.bundle import BundleError, MAGIC, PatchXBundle, decode_bundle, load_bundle, save_bundle
 from patchx.data import Dataset, NormStats, TimeSeriesSample
 from patchx.explain import mislabel_report
@@ -188,6 +189,13 @@ def _with_header(raw, header):
     return raw[:7] + struct.pack("<Q", len(text)) + text + raw[15 + header_len :]
 
 
+def _deep_nesting(raw):
+    """raw with a header of JSON arrays nested far past the recursion limit."""
+    (header_len,) = struct.unpack("<Q", raw[7:15])
+    text = b"[" * 100_000 + b"]" * 100_000
+    return raw[:7] + struct.pack("<Q", len(text)) + text + raw[15 + header_len :]
+
+
 def _edit_header(edit):
     """A corruption that rewrites the parsed JSON header in place."""
     def corrupt(raw):
@@ -212,6 +220,7 @@ def _array(name, **entry):
     (_truncate_header, "header length .* exceeds"),
     (_bogus_header_length, "corrupt header"),
     (_short_header_length, "corrupt header"),
+    (_deep_nesting, "corrupt header"),
     (lambda raw: raw[:10], "truncated before the header length"),
     (_edit_header(lambda h: h.pop("network")), "lack the key 'network'"),
     (_edit_header(lambda h: h.pop("arrays")), "lack the key 'arrays'"),
@@ -228,7 +237,7 @@ def _array(name, **entry):
     (_edit_header(lambda h: h["network"].update(input_length=12)), "exceeds sample length 12"),
     (_edit_header(lambda h: h["patch_configs"][1].update(attach=False)), "agree on the attach flag"),
 ], ids=["truncated-payload", "truncated-header", "bogus-header-length", "short-header-length",
-        "truncated-prefix", "no-network-key", "no-arrays-key", "f4-dtype", "list-header",
+        "deep-nesting", "truncated-prefix", "no-network-key", "no-arrays-key", "f4-dtype", "list-header",
         "int-arrays", "text-shape", "negative-shape", "unknown-patch-key", "int-conv-blocks",
         "text-class-count", "null-shallow", "spec-disagrees-with-parameters",
         "patch-longer-than-input", "configs-disagree-on-attach"])
@@ -238,6 +247,24 @@ def test_corrupt_bundle_raises_bundle_error(tmp_path, corrupt, cause):
     path.write_bytes(corrupt(path.read_bytes()))
     with pytest.raises(BundleError, match=cause):
         load_bundle(path)
+
+
+def test_decoding_enumerates_no_patches(tmp_path, monkeypatch):
+    """Whether each config fits the input is read off its length: decoding
+    builds no patch layout, whose size grows with the header's input_length."""
+    path = tmp_path / "model.pchx"
+    save_bundle(make_bundle(), path)
+    raw = path.read_bytes()
+
+    def refuse(*args):
+        raise AssertionError("decoding enumerated the patch layout")
+
+    monkeypatch.setattr(patching, "enumerate_patches", refuse)  # patch_spans calls it
+    monkeypatch.setattr(bundle_module, "patch_spans", refuse)
+    assert decode_bundle(raw, path).network.spec.input_length == make_bundle().network.spec.input_length
+    too_long = _edit_header(lambda h: h["network"].update(input_length=12))(raw)
+    with pytest.raises(BundleError, match="patch length .* exceeds sample length 12"):
+        decode_bundle(too_long, path)
 
 
 def _edit_arrays(edit):
@@ -473,7 +500,10 @@ class TestPatchPredictionsPerConfig:
         bundle = crop_bundle(True, False, 3, "relu", seed=3)
         assert self.empty_frame_passes(monkeypatch, bundle, crop_dataset(n)) == 1
 
-    def test_whole_frames_take_no_empty_frame_pass(self, monkeypatch):
+    def test_whole_frame_configs_take_the_one_pass(self, monkeypatch):
+        """A whole-frame config reads the same empty frame as the configs that
+        crop, alone or beside them."""
         bundle = crop_bundle(True, False, 3, "relu", whole=True, seed=3)
+        assert self.empty_frame_passes(monkeypatch, bundle, crop_dataset(2)) == 1
         bundle.patch_configs = bundle.patch_configs[2:]  # the whole-frame window alone
-        assert self.empty_frame_passes(monkeypatch, bundle, crop_dataset(2)) == 0
+        assert self.empty_frame_passes(monkeypatch, bundle, crop_dataset(2)) == 1

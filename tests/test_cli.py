@@ -222,6 +222,15 @@ class TestConfigChecks:
         assert re.search(message, capsys.readouterr().err)
         assert not (tmp_path / "out").exists()
 
+    def test_directory_config_rejected_before_run_dir(self, tmp_path, capsys):
+        """A --config path that cannot be read as a file stops the run with the
+        path named, rather than leaving the defaults in force."""
+        code = run_cli("run", "--config", str(tmp_path), "--out", str(tmp_path / "out"), *FAST)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and str(tmp_path) in err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("command", ["generate", "run", "bench"])
     def test_bad_int_rejected_by_every_command(self, tmp_path, capsys, command):
         config = tmp_path / "bad.ini"

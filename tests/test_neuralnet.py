@@ -82,7 +82,7 @@ class TestForward:
         net = build_network(TINY)
         x = np.zeros((2, 2, 10))  # crops of width 10 in 12-step frames: offsets in [0, 2]
         with pytest.raises(DimensionError, match=r"one integer offset in \[0, 2\] per row"):
-            net._forward_cached(x, offsets)
+            net._forward_cached(x, offsets, net.empty_frame())
         forward_all(net, x, np.array([0, 2]))
 
     def test_single_patch_forward(self):
@@ -301,7 +301,7 @@ class TestGradientVector:
     def test_backward_is_views_of_one_vector(self):
         net = build_network(TINY)
         x, y = random_batch(TINY, n=5, seed=3)
-        logits, caches = net._forward_cached(x, zero_offsets(x))
+        logits, caches = net._forward_cached(x, zero_offsets(x), net.empty_frame())
         grad = net.backward_from_logits(softmax(logits), caches)
         assert grad.dtype == np.float64 and grad.shape == (net.flat_params.size,)
         grads = backward(net, (x, y, zero_offsets(x)))
@@ -418,7 +418,8 @@ class TestCropOracle:
 
     def test_slices_share_one_empty_frame(self, monkeypatch):
         """forward_all runs the all-zero frame once however many EVAL_BATCH
-        slices it takes, and gives the softmax of the slices run one by one."""
+        slices it takes, whether it computes that frame or the caller gives
+        it, and gives the softmax of the slices run one by one."""
         net = crop_net(3, 23, 3, "relu", 2, seed=5)
         x, _, offsets, _ = patch_rows(True, False, net.halo)
         x, offsets = np.concatenate([x] * 60), np.concatenate([offsets] * 60)
@@ -435,6 +436,8 @@ class TestCropOracle:
         monkeypatch.setattr(Conv1d, "forward", counting)
         np.testing.assert_array_equal(forward_all(net, x, offsets), want)
         assert len(frames) == 1
+        np.testing.assert_array_equal(forward_all(net, x, offsets, net.empty_frame()), want)
+        assert len(frames) == 2  # the caller's pass, and none in forward_all
 
     @pytest.mark.parametrize("attach, notemp", FLAGS, ids=FLAG_IDS)
     @pytest.mark.parametrize("kernel", [2, 3])

@@ -42,7 +42,9 @@ def test_tracer_installs_and_removes_every_hook():
 
 def test_conv_spans_count_flop_of_logical_shapes():
     """The tracer reads (batch, channels, length) shapes off Conv1d's arguments
-    to count flop; an array of another layout would miscount neuralnet.gflop."""
+    to count flop; an array of another layout would miscount neuralnet.gflop.
+    Each pass runs on the batch and on the batch-1 empty frame, so each span
+    name sums the flop of batch + 1 rows."""
     spans, tracer, labels = load_tracer()
     (small, first), (large, second) = sorted(labels.items())
     batch, channels, length = 5, 4, 12  # length differs from every channel count
@@ -52,10 +54,13 @@ def test_conv_spans_count_flop_of_logical_shapes():
     x, y = rng.normal(size=(batch, channels, length)), np.array([0, 1, 0, 1, 1])
     with tracer.group():
         backward(net, (x, y, zero_offsets(x)))
-    flop = {s[spans.NAME]: s[spans.META]["flop"] for s in tracer.groups[-1]
-            if s[spans.NAME].startswith("neuralnet.conv")}
-    per_pass = {first: batch * length * small * channels * 3,
-                second: batch * length * large * small * 2}
+    flop = {}
+    for s in tracer.groups[-1]:
+        if s[spans.NAME].startswith("neuralnet.conv"):
+            flop[s[spans.NAME]] = flop.get(s[spans.NAME], 0) + s[spans.META]["flop"]
+    rows = batch + 1
+    per_pass = {first: rows * length * small * channels * 3,
+                second: rows * length * large * small * 2}
     assert flop == {
         **{f"neuralnet.{label}.eval_fwd": 2 * n for label, n in per_pass.items()},
         **{f"neuralnet.{label}.bwd": 4 * n for label, n in per_pass.items()},
