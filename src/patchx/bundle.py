@@ -41,7 +41,7 @@ import numpy as np
 from .data import Dataset, NormStats, TimeSeriesSample, znormalize
 from .metadata import PresenceMatrix, extract_all
 from .neuralnet import DimensionError, NetworkSpec, PatchNet, build_network, forward_all
-from .patching import PatchConfig, _check_configs, build_patch_arrays, check_fits, patch_spans
+from .patching import PatchConfig, _check_configs, build_patch_arrays, check_fits, patch_spans, value_table
 from .shallow import ForestModel, SvmModel, TreeArrays, TrivialModel, predict_all
 
 MAGIC = b"PCHX1"
@@ -71,8 +71,8 @@ class PatchXBundle:
         slot k is patch patch_spans(length, patch_configs)[k] of sample i.
 
         Each config's patches are cut and forwarded as one group, at the
-        widest crop of that config alone, and the groups share one pass of
-        the empty frame."""
+        widest crop of that config alone, and the groups share one value
+        table and one pass of the empty frame."""
         spec = self.network.spec
         channels = spec.input_channels - (1 if self.patch_configs[0].attach else 0)
         if not dataset.samples:
@@ -90,9 +90,9 @@ class PatchXBundle:
         if self.norm_stats:
             values = znormalize(values, self.norm_stats)
         labels, net, blocks = dataset.labels_array(), self.network, []
-        frame = net.empty_frame()
+        table, frame = value_table(values, self.patch_configs[0].attach), net.empty_frame()
         for config in self.patch_configs:  # a contiguous slot range each, cropped at its own width
-            x, _, offsets = build_patch_arrays(values, labels, [config], net.halo)
+            x, _, offsets = build_patch_arrays(table, labels, [config], net.halo)
             blocks.append(forward_all(net, x, offsets, frame).reshape(len(dataset), -1, self.class_count))
         return np.concatenate(blocks, axis=1)
 

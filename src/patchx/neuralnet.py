@@ -13,12 +13,16 @@ so every activation there is that of the all-zero input (the empty frame),
 which one batch-1 pass computes and every forward reads: once per training
 step, and once per evaluation, shared by forward_all's slices and by the
 callers that pass it in. A ReLU is taken inside the convolution's row-block
-loop, while the block is in cache. All math is float64 numpy, so serial runs
-are bit-reproducible and the analytic gradients can be checked against
-central finite differences. Parameters and gradients share one flat layout:
-every layer's weights and biases view the parameter vector, and backward
-writes each layer's gradients to the same place in one gradient vector, so
-the optimizer steps one array with another.
+loop, while the block is in cache. x is an array or patching.Crops, which
+train cuts one batch at a time and forward_all one EVAL_BATCH slice at a time.
+Each of the two makes one Scratch when it starts: the crop buffer and every
+conv's frame, output and gradient arrays, in one allocation, reused at each
+step and dropped when the call returns. All math is float64 numpy, so
+serial runs are bit-reproducible and the analytic gradients can be checked
+against central finite differences. Parameters and gradients share one flat
+layout: every layer's weights and biases view the parameter vector, and
+backward writes each layer's gradients to the same place in one gradient
+vector, so the optimizer steps one array with another.
 """
 
 from __future__ import annotations
@@ -27,6 +31,8 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
+
+from .patching import Crops
 
 LOG_CLAMP = 1e-12
 EVAL_BATCH = 1024
@@ -87,6 +93,29 @@ class TrainSpec:
             raise ValueError("early_stopping_patience must be in [0, epochs)")
 
 
+class Scratch:
+    """Arrays that one loop reuses from step to step: sizes maps each key to
+    the most entries a step asks of it. All are parts of one allocation,
+    made once, and each step views its key's part in the shape it needs. The
+    loop's call holds it and drops it on return, so no buffer outlives the
+    call and none goes back to the allocator mid-loop. One allocation, not
+    one per key: glibc's malloc keeps a freed block that large for the next
+    loop, where separate buffers went back to the system and were faulted
+    in again by every call."""
+
+    def __init__(self, sizes: dict):
+        arena, self.buffers = np.empty(sum(sizes.values())), {}
+        for key, size in sizes.items():
+            self.buffers[key], arena = arena[:size], arena[size:]
+
+    def empty(self, key, shape: tuple[int, ...]) -> np.ndarray:
+        return self.buffers[key][: math.prod(shape)].reshape(shape)
+
+
+def _empty(scratch: Scratch | None, key, shape: tuple[int, ...]) -> np.ndarray:
+    return np.empty(shape) if scratch is None else scratch.empty(key, shape)
+
+
 class Conv1d:
     """Same-padded 1-D convolution as one shifted GEMM per kernel tap (kn2row).
 
@@ -105,7 +134,8 @@ class Conv1d:
         self.pad_right = kernel - 1 - self.pad_left
 
     def forward(
-        self, x: np.ndarray, *, edges: np.ndarray | None = None, relu: bool = False
+        self, x: np.ndarray, *, edges: np.ndarray | None = None, relu: bool = False,
+        scratch: Scratch | None = None,
     ) -> tuple[np.ndarray, np.ndarray]:
         """x: (batch, in_channels, length) -> (out, flat); out is a transposed
         view of channels-last memory, flat the padded input kept for backprop.
@@ -113,16 +143,21 @@ class Conv1d:
         The frame's pad rows are zeros, or, when x is a crop of a longer input,
         edges: (batch, pad_left + pad_right, in_channels) values that the input
         holds around the crop (rows edge_rows(length) of the frame). With relu,
-        out is max(pre-activation, 0), taken per row block while it is in cache."""
+        out is max(pre-activation, 0), taken per row block while it is in cache.
+        The frame and the output live in scratch's buffers when it is given."""
         batch, in_channels, length = x.shape
         framed = length + self.kernel - 1
-        xp = np.zeros((batch, framed, in_channels))
+        if scratch is None:
+            xp = np.zeros((batch, framed, in_channels))
+        else:
+            xp = scratch.empty((self, "frame"), (batch, framed, in_channels))
+            xp[:, : self.pad_left] = xp[:, self.pad_left + length :] = 0.0
         xp[:, self.pad_left : self.pad_left + length] = x.transpose(0, 2, 1)
         if edges is not None:
             xp[:, self.edge_rows(length)] = edges
         flat = xp.reshape(-1, in_channels)
         taps = self.w.transpose(2, 1, 0).copy()  # (kernel, in, out)
-        acc = np.empty((len(flat), len(self.b)))
+        acc = _empty(scratch, (self, "acc"), (len(flat), len(self.b)))
         for lo, hi in _row_blocks(len(flat) - self.kernel + 1):
             block = acc[lo:hi]
             np.matmul(flat[lo:hi], taps[0], out=block)
@@ -134,26 +169,40 @@ class Conv1d:
         return acc.reshape(batch, framed, -1)[:, :length].transpose(0, 2, 1), flat
 
     def backward(
-        self, dout: np.ndarray, flat: np.ndarray, in_shape: tuple[int, int, int], *, input_grad: bool = True
+        self, dout: np.ndarray, flat: np.ndarray, in_shape: tuple[int, int, int], *, input_grad: bool = True,
+        scratch: Scratch | None = None,
     ) -> tuple[np.ndarray | None, np.ndarray, np.ndarray]:
         """(dframe, dw, db): dframe is the gradient of the whole padded input
         frame, (batch, in_channels, length + kernel - 1) over channels-last
-        memory, or None when input_grad is false."""
+        memory, or None when input_grad is false. The output and input
+        gradients live in scratch's buffers when it is given."""
         batch, in_channels, length = in_shape
         framed = length + self.kernel - 1
-        g = np.zeros((batch, framed, len(self.b)))  # frame rows past `length` hold no output
+        g = _empty(scratch, (self, "dout"), (batch, framed, len(self.b)))
         g[:, :length] = dout.transpose(0, 2, 1)
+        g[:, length:] = 0.0  # frame rows past `length` hold no output
         g = g.reshape(-1, len(self.b))[: len(flat) - self.kernel + 1]
         dw = np.stack([g.T @ flat[j : j + len(g)] for j in range(self.kernel)], axis=2)
         db = np.ones(len(g)) @ g  # a GEMV; g.sum(axis=0) loops over narrow rows
         if not input_grad:
             return None, dw, db
         taps = self.w.transpose(2, 0, 1).copy()  # (kernel, out, in)
-        dxp = np.zeros_like(flat)
+        dxp = _empty(scratch, (self, "dframe"), flat.shape)
+        dxp[...] = 0.0
         for lo, hi in _row_blocks(len(g)):
             for j in range(self.kernel):
                 dxp[lo + j : hi + j] += g[lo:hi] @ taps[j]
         return dxp.reshape(batch, framed, in_channels).transpose(0, 2, 1), dw, db
+
+    def buffer_sizes(self, batch: int, length: int, backward: bool) -> dict:
+        """The entries each scratch buffer of forward (and of backward) takes
+        at most for inputs of up to batch rows of this length."""
+        out_channels, in_channels, _ = self.w.shape
+        rows = batch * (length + self.kernel - 1)
+        sizes = {(self, "frame"): rows * in_channels, (self, "acc"): rows * out_channels}
+        if backward:
+            sizes |= {(self, "dout"): rows * out_channels, (self, "dframe"): rows * in_channels}
+        return sizes
 
     def edge_rows(self, length: int) -> np.ndarray:
         """The pad rows of the frame of a length-long input, left then right."""
@@ -231,6 +280,14 @@ class PatchNet:
         """(before, after): the steps around a window that its content reaches through the conv stack."""
         return sum(conv.pad_right for conv in self.convs), sum(conv.pad_left for conv in self.convs)
 
+    def scratch(self, batch: int, width: int, *, backward: bool = False) -> Scratch:
+        """The buffers of a loop over batches of at most batch crops of this
+        width: the crops, and those of each conv."""
+        sizes = {"crops": batch * width * self.spec.input_channels}
+        for conv in self.convs:
+            sizes |= conv.buffer_sizes(batch, width, backward)
+        return Scratch(sizes)
+
     # -- forward / backward ------------------------------------------------
 
     def _check_input(self, x: np.ndarray, offsets: np.ndarray) -> None:
@@ -243,8 +300,8 @@ class PatchNet:
                 and 0 <= offsets.min(initial=0) <= offsets.max(initial=0) <= room):
             raise DimensionError(f"crops of width {x.shape[2]} need one integer offset in [0, {room}] per row")
 
-    def _convolve(self, h: np.ndarray, offsets: np.ndarray | None = None,
-                  empty: list | None = None) -> tuple[list, np.ndarray]:
+    def _convolve(self, h: np.ndarray, offsets: np.ndarray | None = None, empty: list | None = None,
+                  *, scratch: Scratch | None = None) -> tuple[list, np.ndarray]:
         """The conv blocks on h; returns (caches, last activation). With the
         empty frame's caches, h is a crop at offsets, and the pad rows of each
         layer's frame read the empty frame's activations at their positions."""
@@ -253,7 +310,8 @@ class PatchNet:
             edges = None  # layer 0's empty frame is zero
             if empty is not None and i > 0:
                 edges = empty[i][1][offsets[:, None] + conv.edge_rows(h.shape[2])]
-            out, flat = conv.forward(h, edges=edges, relu=activation == "relu")  # post > 0 iff pre > 0
+            relu = activation == "relu"  # post > 0 iff pre > 0
+            out, flat = conv.forward(h, edges=edges, relu=relu, scratch=scratch)
             caches.append((h.shape, flat, out))
             h = out
         return caches, h
@@ -263,16 +321,18 @@ class PatchNet:
         activations that every crop has outside itself."""
         return self._convolve(np.zeros((1, self.spec.input_channels, self.spec.input_length)))
 
-    def _forward_cached(self, x: np.ndarray, offsets: np.ndarray, frame: tuple) -> tuple[np.ndarray, list]:
+    def _forward_cached(self, x: np.ndarray, offsets: np.ndarray, frame: tuple,
+                        *, scratch: Scratch | None = None) -> tuple[np.ndarray, list]:
         """Logits and the caches for backward of each row's crop at its offset.
         frame is empty_frame() of the current parameters, and every crop reads
         it outside itself; a whole frame reads only its zero pad rows and, in
-        the pooled sum, nothing. The last cache holds the frame."""
+        the pooled sum, nothing. The last cache holds the frame. The caches
+        view scratch's buffers when it is given, until its next use."""
         self._check_input(x, offsets)
         width, length = x.shape[2], self.spec.input_length
         steps = np.arange(length)
         outside = ((steps < offsets[:, None]) | (steps >= offsets[:, None] + width)).astype(float)
-        caches, h = self._convolve(x, offsets, frame[0])
+        caches, h = self._convolve(x, offsets, frame[0], scratch=scratch)
         pooled = h.sum(axis=2)
         pooled += outside @ frame[1][0].T  # the empty frame's activations outside each crop
         pooled /= length
@@ -280,7 +340,8 @@ class PatchNet:
         caches.append((h.shape, pooled, offsets, outside, frame))
         return logits, caches
 
-    def backward_from_logits(self, dlogits: np.ndarray, caches: list) -> np.ndarray:
+    def backward_from_logits(self, dlogits: np.ndarray, caches: list,
+                             *, scratch: Scratch | None = None) -> np.ndarray:
         """The parameter gradients, one vector laid out like flat_params. What
         the crops read from the empty frame (the pooling remainder and every
         layer's pad rows) goes back through one backward of the empty frame."""
@@ -299,7 +360,7 @@ class PatchNet:
             if self.activations[i] == "relu":
                 dh = dh * (post > 0)
                 d0 = d0 * (post0 > 0)
-            dframe, dw, db = conv.backward(dh, flat, in_shape, input_grad=i > 0)
+            dframe, dw, db = conv.backward(dh, flat, in_shape, input_grad=i > 0, scratch=scratch)
             dframe0, dw0, db0 = conv.backward(d0, flat0, shape0, input_grad=i > 0)
             parts[f"conv{i}.w"][...] = dw + dw0
             parts[f"conv{i}.b"][...] = db + db0
@@ -325,17 +386,29 @@ def softmax(logits: np.ndarray) -> np.ndarray:
 # -- spec operations -------------------------------------------------------
 
 
-def forward_all(net: PatchNet, x: np.ndarray, offsets: np.ndarray, frame: tuple | None = None) -> np.ndarray:
+def _cut(x: np.ndarray | Crops, rows: np.ndarray | slice, scratch: Scratch) -> np.ndarray:
+    """x[rows]; crops are cut into scratch's crop buffer."""
+    if not isinstance(x, Crops):
+        return x[rows]
+    if isinstance(rows, slice):
+        rows = np.arange(*rows.indices(len(x)))
+    return x.cut(rows, out=scratch.empty("crops", (len(rows), x.shape[2], x.shape[1])))
+
+
+def forward_all(net: PatchNet, x: np.ndarray | Crops, offsets: np.ndarray, frame: tuple | None = None) -> np.ndarray:
     """Softmax of every row of x, each a crop at its offset, shape
     (len(x), class_count); the one forward path, in EVAL_BATCH slices. The
     slices share one empty frame: frame (net.empty_frame()) when the caller
-    has it, else one computed here."""
+    has it, else one computed here. Crops are cut one slice at a time, and
+    the slices reuse one set of buffers."""
+    net._check_input(x, offsets)  # before the first cut, which assumes the spec's channels
     if frame is None:
         frame = net.empty_frame()
+    scratch = net.scratch(min(len(x), EVAL_BATCH), x.shape[2])
     probs = np.empty((len(x), net.spec.class_count))
     for lo in range(0, len(x), EVAL_BATCH):
         rows = slice(lo, lo + EVAL_BATCH)
-        logits, caches = net._forward_cached(x[rows], offsets[rows], frame)
+        logits, caches = net._forward_cached(_cut(x, rows, scratch), offsets[rows], frame, scratch=scratch)
         del caches  # else this slice's caches stay alive through the next slice's forward
         probs[rows] = softmax(logits)
     return probs
@@ -346,18 +419,18 @@ def batch_cross_entropy(probs: np.ndarray, labels: np.ndarray) -> float:
     return float(-np.log(picked).mean())
 
 
-def _loss_and_gradients(net: PatchNet, batch) -> tuple[float, np.ndarray]:
+def _loss_and_gradients(net: PatchNet, batch, *, scratch: Scratch | None = None) -> tuple[float, np.ndarray]:
     """The mean cross-entropy of batch (x, y, offsets) and its gradient, laid
     out like flat_params."""
     x, y, offsets = batch
     if len(y) == 0:
         raise ValueError("backward requires a non-empty batch")
-    logits, caches = net._forward_cached(x, offsets, net.empty_frame())
+    logits, caches = net._forward_cached(x, offsets, net.empty_frame(), scratch=scratch)
     dlogits = softmax(logits)
     loss = batch_cross_entropy(dlogits, y)
     dlogits[np.arange(len(y)), y] -= 1.0
     dlogits /= len(y)
-    return loss, net.backward_from_logits(dlogits, caches)
+    return loss, net.backward_from_logits(dlogits, caches, scratch=scratch)
 
 
 def accuracy(net: PatchNet, patches) -> float:
@@ -418,7 +491,8 @@ class TrainLog:
 def train(net: PatchNet, train_patches, val_patches, spec: TrainSpec) -> TrainLog:
     """Mini-batch training of the mean patch cross-entropy; restores the
     parameters of the epoch with best validation accuracy. train_patches and
-    val_patches are (x, y, offsets), as build_patch_arrays returns them.
+    val_patches are (x, y, offsets), as build_patch_arrays returns them;
+    crops are cut one batch at a time, and the steps reuse one set of buffers.
 
     Serial and deterministic for a fixed spec.seed: the only randomness is the
     per-epoch shuffle drawn from one seeded generator.
@@ -429,13 +503,15 @@ def train(net: PatchNet, train_patches, val_patches, spec: TrainSpec) -> TrainLo
     optimizer = (Adam if spec.optimizer == "adam" else SgdMomentum)(net.flat_params.size, spec.learning_rate)
     log = TrainLog()
     best_params = net.flat_params.copy()
-    n = len(train_patches[1])
+    x, y, offsets = train_patches
+    net._check_input(x, offsets)  # before the first cut, which assumes the spec's channels
+    scratch = net.scratch(min(len(y), spec.batch_size), x.shape[2], backward=True)
     for epoch in range(spec.epochs):
-        order = rng.permutation(n)
+        order = rng.permutation(len(y))
         batch_losses: list[float] = []
-        for lo in range(0, n, spec.batch_size):
+        for lo in range(0, len(y), spec.batch_size):
             idx = order[lo : lo + spec.batch_size]
-            loss, grad = _loss_and_gradients(net, [a[idx] for a in train_patches])
+            loss, grad = _loss_and_gradients(net, (_cut(x, idx, scratch), y[idx], offsets[idx]), scratch=scratch)
             if not math.isfinite(loss):  # before its gradient reaches the parameters
                 raise TrainingError(
                     f"training loss diverged at epoch {epoch}, batch {lo // spec.batch_size}"

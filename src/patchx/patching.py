@@ -14,10 +14,17 @@ is enumerated and the final window is truncated at the sample boundary.
 All samples of a dataset share one patch layout, the patch_spans table: slot
 k of every sample is the patch (config_index, p, start, end) = spans[k], and
 a patch row is addressed by its position, (sample row, slot).
+
+No patch tensor is built. build_patch_arrays holds the samples as one value
+table, a row per step (and a zero row per sample), and the layout as a
+(P, W) slot table of the table rows each crop column reads. Its Crops cut any
+rows, a training batch or an evaluation slice, with one take from the table,
+so patching memory grows with the samples, not with patches times crop width.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -86,12 +93,73 @@ def _check_configs(configs: list[PatchConfig]) -> None:
         )
 
 
-def build_patch_arrays(
-    values: np.ndarray, labels: np.ndarray, configs: list[PatchConfig], halo: tuple[int, int]
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Every patch of the stacked samples values (n, channels, length), cut to its crop.
+@dataclass(frozen=True)
+class ValueTable:
+    """The steps of n stacked samples as rows of one array, length + 1 rows
+    a sample: row i * (length + 1) is zeros, and row i * (length + 1) + 1 + t
+    is step t of sample i, its channels and, under attach, the mask's 1."""
 
-    Returns (patches, patch_labels, offsets). Row i * P + k of patches, shape
+    rows: np.ndarray  # (n * (length + 1), channels [+1 if attach])
+    n: int
+    length: int
+    attach: bool
+
+
+def value_table(values: np.ndarray, attach: bool) -> ValueTable:
+    """The value table of the stacked samples values (n, channels, length)."""
+    n, channels, length = values.shape
+    rows = np.zeros((n, length + 1, channels + int(attach)))
+    rows[:, 1:, :channels] = values.transpose(0, 2, 1)
+    if attach:
+        rows[:, 1:, -1] = 1.0
+    return ValueTable(rows.reshape(n * (length + 1), -1), n, length, attach)
+
+
+class Crops:
+    """The (n * P, channels [+1 if attach], W) patch crops of a value table,
+    cut on demand; only the table and a (P, W) slot table are held.
+
+    slots[k, c] is 1 + the step that column c of slot k's crop reads, or 0
+    (the zero row) outside the slot's window; row i * P + k, slot k of
+    sample i, reads table rows slots[k] + i * (length + 1). Indexing by an
+    index array or a slice cuts those rows with one take from the table."""
+
+    ndim = 3
+
+    def __init__(self, table: ValueTable, slots: np.ndarray):
+        self.table, self.slots = table, slots
+        self.shape = (table.n * len(slots), table.rows.shape[1], slots.shape[1])
+
+    def __len__(self) -> int:
+        return self.shape[0]
+
+    @property
+    def nbytes(self) -> int:
+        return self.table.rows.nbytes
+
+    def __getitem__(self, rows: np.ndarray | slice) -> np.ndarray:
+        return self.cut(rows)
+
+    def cut(self, rows: np.ndarray | slice, out: np.ndarray | None = None) -> np.ndarray:
+        """Rows (an index array or a slice) as (len(rows), channels, W) over
+        channels-last memory. With out, (len(rows), W, channels), the cut is
+        written there unchecked, so the rows must lie in [0, len(self));
+        without it, a row past the end raises IndexError."""
+        rows = np.arange(*rows.indices(len(self))) if isinstance(rows, slice) else np.asarray(rows)
+        sample, slot = np.divmod(rows, len(self.slots))
+        index = self.slots[slot]
+        index += (sample * (self.table.length + 1))[:, None]
+        mode = "raise" if out is None else "clip"  # "clip" lets take write to out without a temporary
+        return self.table.rows.take(index, axis=0, out=out, mode=mode).transpose(0, 2, 1)
+
+
+def build_patch_arrays(
+    values: np.ndarray | ValueTable, labels: np.ndarray, configs: list[PatchConfig], halo: tuple[int, int]
+) -> tuple[Crops, np.ndarray, np.ndarray]:
+    """Every patch of the stacked samples values (n, channels, length), or of
+    their value table, as crops.
+
+    Returns (crops, patch_labels, offsets). Row i * P + k of crops, shape
     (n * P, channels [+1 if attach], W) with P = len(patch_spans(length,
     configs)), is slot k of sample row i: steps [offset, offset + W) of its
     frame. That crop is the slot's window (at step 0 under notemp) widened by
@@ -99,16 +167,30 @@ def build_patch_arrays(
     widest crop, W. patch_labels repeats each of the (n,) labels P times.
     """
     _check_configs(configs)
-    n, channels, length = values.shape
-    spans = patch_spans(length, configs)
-    windows = np.array([(0, end - start) if configs[ci].notemp else (start, end) for ci, _, start, end in spans])
-    lo = np.maximum(windows[:, 0] - halo[0], 0)
-    width = int(np.max(np.minimum(windows[:, 1] + halo[1], length) - lo))
-    offsets = np.minimum(lo, length - width)
     attach = configs[0].attach
-    patches = np.zeros((n, len(spans), channels + int(attach), width))
-    for slot, ((_, _, start, end), (a, b)) in enumerate(zip(spans, windows - offsets[:, None])):
-        patches[:, slot, :channels, a:b] = values[:, :, start:end]
-        if attach:
-            patches[:, slot, -1, a:b] = 1.0
-    return patches.reshape(n * len(spans), -1, width), np.repeat(labels, len(spans)), np.tile(offsets, n)
+    table = values if isinstance(values, ValueTable) else value_table(values, attach)
+    if table.attach != attach:
+        raise ConfigError("the value table's attach flag differs from the configs'")
+    slots, offsets = _crop_layout(table.length, tuple(configs), tuple(halo))
+    return Crops(table, slots), np.repeat(labels, len(slots)), np.tile(offsets, table.n)
+
+
+@functools.lru_cache(maxsize=64)
+def _crop_layout(
+    length: int, configs: tuple[PatchConfig, ...], halo: tuple[int, int]
+) -> tuple[np.ndarray, np.ndarray]:
+    """The (P, W) slot table and the (P,) crop offsets of the patch layout,
+    read-only; a pure function of its arguments, kept per layout because
+    every evaluation call asks for the same few."""
+    spans = np.array(patch_spans(length, list(configs)))
+    start, end = spans[:, 2:3], spans[:, 3:]
+    shift = start * np.array([c.notemp for c in configs])[spans[:, :1]]  # a notemp window starts at 0
+    a, b = start - shift, end - shift  # each window in its frame
+    lo = np.maximum(a - halo[0], 0)
+    width = int(np.max(np.minimum(b + halo[1], length) - lo))
+    offsets = np.minimum(lo, length - width)
+    steps = offsets + np.arange(width)  # the frame step of each crop column
+    slots = np.where((a <= steps) & (steps < b), 1 + shift + steps, 0)
+    offsets = offsets[:, 0]
+    slots.flags.writeable = offsets.flags.writeable = False
+    return slots, offsets

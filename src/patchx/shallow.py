@@ -125,14 +125,14 @@ def sgd_hinge(
     for epoch in range(epochs):
         lr = learning_rate / (1.0 + 0.01 * epoch)
         order = rng.permutation(n)
+        shuffled, shuffled_signs = features[order], signs[order]  # one gather an epoch; batches are views
         for lo in range(0, n, batch):
-            idx = order[lo : lo + batch]
-            xb = features[idx]
-            sb = signs[idx]
+            xb = shuffled[lo : lo + batch]
+            sb = shuffled_signs[lo : lo + batch]
             scores = xb @ w.T + b
             violating = (sb * scores < 1.0).astype(np.float64) * sb
-            w -= lr * (lam * w / n - violating.T @ xb / len(idx))
-            b += lr * violating.sum(axis=0) / len(idx)
+            w -= lr * (lam * w / n - violating.T @ xb / len(xb))
+            b += lr * violating.sum(axis=0) / len(xb)
     return w, b
 
 

@@ -5,10 +5,17 @@ build_patch_dataset enumerates them in the order samples -> configs -> patch
 index. full_frame_patch_arrays writes the same patches into one full-length
 array. build_patch_arrays, the one patch builder the pipeline runs, cuts each
 patch already cropped; re-expanded at its offset by expand_crops, every crop
-must equal them bit for bit. forward and patch_cross_entropy evaluate the
-network on a single whole patch. backward gives the network's gradient by
-parameter name, and zero_offsets the offsets of whole frames (crops of width
-L at 0).
+must equal them bit for bit.
+
+The crop tensor: patch_tensor writes every crop into one (n * P, C', W)
+tensor, one slot at a time, as build_patch_arrays did before it cut crops on
+demand from a value table. The cut crops must equal it bit for bit, training
+on them must train the same parameters, and patch_predictions must equal
+per_config_patch_predictions, which forwards each config's tensor.
+
+forward and patch_cross_entropy evaluate the network on a single whole patch.
+backward gives the network's gradient by parameter name, and zero_offsets the
+offsets of whole frames (crops of width L at 0).
 
 The content crop: content_crop finds each row's crop by scanning full frames
 for their nonzero steps, as the network did before the layout gave the crop.
@@ -145,6 +152,27 @@ def full_frame_patch_arrays(
         if attach:
             patches[:, slot, -1, lo:hi] = 1.0
     return patches.reshape(n * len(spans), -1, length), np.repeat(labels, len(spans))
+
+
+def patch_tensor(
+    values: np.ndarray, labels: np.ndarray, configs: list[PatchConfig], halo: tuple[int, int]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """build_patch_arrays as one (n * P, channels [+1 if attach], W) tensor,
+    written one slot at a time: (patches, patch_labels, offsets)."""
+    _check_configs(configs)
+    n, channels, length = values.shape
+    spans = patch_spans(length, configs)
+    windows = np.array([(0, end - start) if configs[ci].notemp else (start, end) for ci, _, start, end in spans])
+    lo = np.maximum(windows[:, 0] - halo[0], 0)
+    width = int(np.max(np.minimum(windows[:, 1] + halo[1], length) - lo))
+    offsets = np.minimum(lo, length - width)
+    attach = configs[0].attach
+    patches = np.zeros((n, len(spans), channels + int(attach), width))
+    for slot, ((_, _, start, end), (a, b)) in enumerate(zip(spans, windows - offsets[:, None])):
+        patches[:, slot, :channels, a:b] = values[:, :, start:end]
+        if attach:
+            patches[:, slot, -1, a:b] = 1.0
+    return patches.reshape(n * len(spans), -1, width), np.repeat(labels, len(spans)), np.tile(offsets, n)
 
 
 def expand_crops(crops: np.ndarray, offsets: np.ndarray, length: int) -> np.ndarray:
@@ -382,3 +410,16 @@ def one_width_patch_predictions(bundle: PatchXBundle, dataset: Dataset) -> np.nd
         values = znormalize(values, bundle.norm_stats)
     x, _, offsets = build_patch_arrays(values, dataset.labels_array(), bundle.patch_configs, bundle.network.halo)
     return neuralnet.forward_all(bundle.network, x, offsets).reshape(len(dataset), -1, bundle.class_count)
+
+
+def per_config_patch_predictions(bundle: PatchXBundle, dataset: Dataset) -> np.ndarray:
+    """PatchXBundle.patch_predictions with each config's crops built as one
+    tensor by patch_tensor."""
+    values = dataset.values_array()
+    if bundle.norm_stats:
+        values = znormalize(values, bundle.norm_stats)
+    net, frame, blocks = bundle.network, bundle.network.empty_frame(), []
+    for config in bundle.patch_configs:
+        x, _, offsets = patch_tensor(values, dataset.labels_array(), [config], net.halo)
+        blocks.append(neuralnet.forward_all(net, x, offsets, frame).reshape(len(dataset), -1, bundle.class_count))
+    return np.concatenate(blocks, axis=1)

@@ -16,7 +16,7 @@ from patchx.neuralnet import EVAL_BATCH, Conv1d, DimensionError, NetworkSpec, bu
 from patchx.patching import PatchConfig, build_patch_arrays, patch_spans
 from patchx.shallow import ForestSpec, ShallowSpec, TreeArrays, TrivialSpec, fit, predict_all
 
-from oracles import one_width_patch_predictions
+from oracles import one_width_patch_predictions, per_config_patch_predictions
 
 
 def make_vectors(seed=0, n=30):
@@ -457,6 +457,8 @@ class TestPatchPredictionsPerConfig:
         got, want = bundle.patch_predictions(dataset), one_width_patch_predictions(bundle, dataset)
         assert got.shape == want.shape == (len(dataset), len(patch_spans(LENGTH, bundle.patch_configs)), 3)
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+        # crops cut from one shared value table, against each config's tensor
+        np.testing.assert_array_equal(got, per_config_patch_predictions(bundle, dataset))
 
     @pytest.mark.parametrize("attach, notemp", FLAGS, ids=FLAG_IDS)
     @pytest.mark.parametrize("activation", ["relu", "linear"])

@@ -15,6 +15,7 @@ from patchx.neuralnet import (
     NetworkSpec,
     TrainingError,
     TrainSpec,
+    _loss_and_gradients,
     accuracy,
     build_network,
     forward_all,
@@ -29,8 +30,8 @@ from patchx.patching import PatchConfig, build_patch_arrays
 
 from oracles import (
     NamedAdam, NamedSgdMomentum, backward, content_crop, expand_crops, forward, full_frame_gradients,
-    full_frame_patch_arrays, full_frame_softmax, named_gradient_check, patch_cross_entropy, transform,
-    zero_offsets,
+    full_frame_patch_arrays, full_frame_softmax, named_gradient_check, patch_cross_entropy, patch_tensor,
+    transform, zero_offsets,
 )
 
 TINY = NetworkSpec(
@@ -273,8 +274,8 @@ class TestBackward:
         net, batch = gradcheck_case(TINY, seed=4)
         original = net.backward_from_logits
 
-        def corrupted(dlogits, caches):
-            grad = original(dlogits, caches)
+        def corrupted(dlogits, caches, **kwargs):
+            grad = original(dlogits, caches, **kwargs)
             net.views(grad)["dense.w"] *= -1
             return grad
 
@@ -337,7 +338,8 @@ FLAG_IDS = ["plain", "attach", "notemp", "attach-notemp"]
 
 def patch_rows(attach, notemp, halo, length=23, whole=False):
     """build_patch_arrays crops (x, y, offsets) of five samples, 2 data
-    channels, and the oracle's full frames of the same patches. The windows
+    channels, with x cut in full, and the oracle's full frames of the same
+    patches. The windows
     of 4:6 and 7:9 start at step 0 and end at the last step, truncated there;
     sample 1 is all zero, so its patches are empty without attach. whole adds
     a window that covers the frame."""
@@ -347,7 +349,8 @@ def patch_rows(attach, notemp, halo, length=23, whole=False):
     tokens = [(4, 6), (7, 9)] + ([(length, length)] if whole else [])
     configs = [PatchConfig(stride, size, attach=attach, notemp=notemp) for stride, size in tokens]
     labels = np.arange(5) % 3
-    x, y, offsets = build_patch_arrays(values, labels, configs, halo)
+    crops, y, offsets = build_patch_arrays(values, labels, configs, halo)
+    x = crops[:]
     frames = full_frame_patch_arrays(values, labels, configs)[0]
     np.testing.assert_array_equal(expand_crops(x, offsets, length), frames)
     return x, y, offsets, frames
@@ -449,6 +452,121 @@ class TestCropOracle:
         assert x.shape[2] < frames.shape[2]
         report = gradient_check(net, (x[rows], y[rows], offsets[rows]))
         assert report.passed, report.summary()
+
+
+class TestCropsAgainstTheTensor:
+    """The network on crops cut per batch and per slice from the value table,
+    against the same network on the oracle's slot-loop tensor: bit for bit."""
+
+    @staticmethod
+    def splits(attach, notemp, n_train=40, n_val=30, length=23):
+        rng = np.random.default_rng(int(attach) * 2 + int(notemp))
+        configs = [PatchConfig(stride, size, attach=attach, notemp=notemp) for stride, size in ((4, 6), (7, 9))]
+        splits = []
+        for n in (n_train, n_val):
+            values = rng.normal(size=(n, 2, length))
+            labels = (values.max(axis=(1, 2)) > 2.2).astype(np.int64)
+            splits.append((values, labels))
+        return configs, splits
+
+    @pytest.mark.parametrize("attach, notemp", FLAGS, ids=FLAG_IDS)
+    @pytest.mark.parametrize("optimizer", ["adam", "sgd-momentum"])
+    def test_train_on_crops_equals_train_on_the_tensor(self, attach, notemp, optimizer):
+        configs, splits = self.splits(attach, notemp)
+        spec = NetworkSpec(2 + attach, 23, 2, conv_blocks=((4, 3, "relu"), (5, 2, "relu")), seed=3)
+        train_spec = TrainSpec(epochs=3, batch_size=16, learning_rate=5e-3, optimizer=optimizer,
+                               early_stopping_patience=0, seed=5)
+        nets, logs = [], []
+        for build in (build_patch_arrays, patch_tensor):
+            net = build_network(spec)
+            patches = [build(values, labels, configs, net.halo) for values, labels in splits]
+            logs.append(train(net, *patches, train_spec))
+            nets.append(net)
+        crops_log, tensor_log = logs
+        assert crops_log.train_loss == tensor_log.train_loss
+        assert crops_log.val_accuracy == tensor_log.val_accuracy
+        assert crops_log.best_epoch == tensor_log.best_epoch
+        np.testing.assert_array_equal(nets[0].flat_params, nets[1].flat_params)
+
+    @pytest.mark.parametrize("attach, notemp", FLAGS, ids=FLAG_IDS)
+    def test_forward_all_over_several_slices(self, attach, notemp):
+        configs, splits = self.splits(attach, notemp, n_train=2 * EVAL_BATCH // 10 + 7)  # 10 slots a sample
+        net = crop_net(2 + attach, 23, 3, "relu", 2, seed=2)
+        values, labels = splits[0]
+        crops, _, offsets = build_patch_arrays(values, labels, configs, net.halo)
+        tensor = patch_tensor(values, labels, configs, net.halo)[0]
+        assert len(crops) > 2 * EVAL_BATCH
+        np.testing.assert_array_equal(forward_all(net, crops, offsets), forward_all(net, tensor, offsets))
+
+
+class TestScratchAgainstFreshArrays:
+    """train and forward_all reuse one Scratch across batches and slices;
+    the same steps on freshly allocated arrays must give the same bits, with
+    partial last batches, kernels 2 and 3, and relu and linear layers."""
+
+    BLOCKS = [((4, 2, "relu"), (5, 3, "linear")), ((4, 3, "linear"), (5, 2, "relu"))]
+    BLOCK_IDS = ["k2relu-k3linear", "k3linear-k2relu"]
+
+    @staticmethod
+    def net_and_crops(blocks, n, seed):
+        rng = np.random.default_rng(seed)
+        configs = [PatchConfig(4, 6, attach=True), PatchConfig(7, 9, attach=True)]
+        values = rng.normal(size=(n, 2, 23))
+        labels = rng.integers(0, 3, n)
+        net = build_network(NetworkSpec(3, 23, 3, conv_blocks=blocks, seed=seed))
+        for conv in net.convs:  # biases too, so the empty frame is not zero
+            conv.b[...] = rng.normal(scale=0.5, size=conv.b.shape)
+        return net, build_patch_arrays(values, labels, configs, net.halo)
+
+    @pytest.mark.parametrize("blocks", BLOCKS, ids=BLOCK_IDS)
+    def test_train_equals_a_loop_without_scratch(self, blocks):
+        net, patches = self.net_and_crops(blocks, n=7, seed=4)  # 70 rows: batches of 16, the last of 6
+        _, val = self.net_and_crops(blocks, n=5, seed=6)
+        spec = TrainSpec(epochs=3, batch_size=16, learning_rate=5e-3, early_stopping_patience=0, seed=8)
+        reference = build_network(net.spec)
+        reference.flat_params[...] = net.flat_params
+        log = train(net, patches, val, spec)
+
+        crops, y, offsets = patches
+        rng = np.random.default_rng(spec.seed)
+        optimizer = Adam(reference.flat_params.size, spec.learning_rate)
+        losses, accuracies, params = [], [], []
+        for _ in range(spec.epochs):
+            order = rng.permutation(len(y))
+            batch_losses = []
+            for lo in range(0, len(y), spec.batch_size):
+                idx = order[lo : lo + spec.batch_size]
+                loss, grad = _loss_and_gradients(reference, (crops[idx], y[idx], offsets[idx]))
+                batch_losses.append(loss)
+                optimizer.step(reference.flat_params, grad)
+            losses.append(math.fsum(batch_losses) / len(batch_losses))
+            logits, _ = reference._forward_cached(val[0][:], val[2], reference.empty_frame())
+            accuracies.append(float((np.argmax(softmax(logits), axis=1) == val[1]).mean()))
+            params.append(reference.flat_params.copy())
+        assert log.train_loss == losses
+        assert log.val_accuracy == accuracies
+        np.testing.assert_array_equal(net.flat_params, params[log.best_epoch])
+
+    @pytest.mark.parametrize("blocks", BLOCKS, ids=BLOCK_IDS)
+    @pytest.mark.parametrize("cut", ["crops", "tensor"])
+    def test_forward_all_equals_slices_without_scratch(self, blocks, cut):
+        net, (crops, _, offsets) = self.net_and_crops(blocks, n=2 * EVAL_BATCH // 10 + 3, seed=5)
+        x = crops if cut == "crops" else crops[:]
+        assert 2 * EVAL_BATCH < len(x) < 3 * EVAL_BATCH
+        frame = net.empty_frame()
+        expected = [softmax(net._forward_cached(x[lo : lo + EVAL_BATCH], offsets[lo : lo + EVAL_BATCH], frame)[0])
+                    for lo in range(0, len(x), EVAL_BATCH)]
+        np.testing.assert_array_equal(forward_all(net, x, offsets), np.concatenate(expected))
+
+    def test_crops_with_other_channels_raise_dimension_error(self):
+        """Crops of 3 channels given to a 2-channel network fail before the
+        first cut, with the shapes, in train and in forward_all."""
+        net, patches = self.net_and_crops(self.BLOCKS[0], n=2 * EVAL_BATCH // 10 + 3, seed=5)
+        narrow = build_network(replace(net.spec, input_channels=2))
+        with pytest.raises(DimensionError, match=r"expected input \(batch, 2, width <= 23\)"):
+            train(narrow, patches, patches, TrainSpec(epochs=1, batch_size=16, early_stopping_patience=0, seed=0))
+        with pytest.raises(DimensionError, match=r"expected input \(batch, 2, width <= 23\)"):
+            forward_all(narrow, patches[0], patches[2])
 
 
 def make_constant_patches(n, value, label, channels=1, length=16):

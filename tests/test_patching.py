@@ -9,9 +9,12 @@ from patchx.patching import (
     build_patch_arrays,
     enumerate_patches,
     patch_spans,
+    value_table,
 )
 
-from oracles import build_patch_dataset, content_crop, expand_crops, full_frame_patch_arrays, transform
+from oracles import (
+    build_patch_dataset, content_crop, expand_crops, full_frame_patch_arrays, patch_tensor, transform,
+)
 
 
 def brute_force_spans(sample_length, stride, length):
@@ -207,7 +210,7 @@ class TestInvariants:
             configs = [PatchConfig(4, 9, **flags), PatchConfig(8, 16, **flags)]
             patches = build_patch_dataset(ds, configs)
             crops, labels, offsets = build_patch_arrays(ds.values_array(), ds.labels_array(), configs, (1, 2))
-            values = expand_crops(crops, offsets, ds.length)
+            values = expand_crops(crops[:], offsets, ds.length)
             assert len(patches) == len(values)
             spans = patch_spans(ds.length, configs)
             for i, patch in enumerate(patches):
@@ -239,7 +242,7 @@ class TestLayoutCrop:
         frames, frame_labels = full_frame_patch_arrays(values, np.arange(4) % 2, configs)
         width = crops.shape[2]
         assert (width == length) == whole and offsets.min() >= 0 and offsets.max() <= length - width
-        np.testing.assert_array_equal(expand_crops(crops, offsets, length), frames)
+        np.testing.assert_array_equal(expand_crops(crops[:], offsets, length), frames)
         np.testing.assert_array_equal(labels, frame_labels)
         if attach:
             found, found_width = content_crop(frames, halo)
@@ -248,3 +251,109 @@ class TestLayoutCrop:
         for row in np.flatnonzero(frames.any(axis=(1, 2))):
             found, found_width = content_crop(frames[row : row + 1], halo)
             assert offsets[row] <= found[0] and found[0] + found_width <= offsets[row] + width
+
+
+FLAGS = [(False, False), (True, False), (False, True), (True, True)]
+FLAG_IDS = ["plain", "attach", "notemp", "attach-notemp"]
+
+
+def same_bits(a, b):
+    """Equal shapes and equal float64 bit patterns, sign bits of zeros included."""
+    return a.shape == b.shape and np.array_equal(np.ascontiguousarray(a).view(np.uint64),
+                                                 np.ascontiguousarray(b).view(np.uint64))
+
+
+class TestCrops:
+    """The crops cut from the value table against the oracle's slot-loop
+    tensor (patch_tensor), bit for bit."""
+
+    LENGTH = 23
+
+    def case(self, attach, notemp, n, whole=False, seed=0):
+        rng = np.random.default_rng(seed)
+        values = rng.normal(size=(n, 2, self.LENGTH))
+        values[0, 0, ::3] = -0.0  # sign bits the cut must keep
+        if n > 1:
+            values[1] = 0.0
+        tokens = [(4, 6), (7, 9)] + ([(self.LENGTH, self.LENGTH)] if whole else [])  # last windows truncated
+        configs = [PatchConfig(stride, size, attach=attach, notemp=notemp) for stride, size in tokens]
+        labels = np.arange(n) % 3
+        return values, labels, configs
+
+    @pytest.mark.parametrize("attach, notemp", FLAGS, ids=FLAG_IDS)
+    @pytest.mark.parametrize("n", [1, 5])
+    @pytest.mark.parametrize("whole", [False, True], ids=["windows", "whole-frame-window"])
+    @pytest.mark.parametrize("halo", [(0, 0), (2, 1), (1, 2)])
+    def test_cut_equals_the_tensor(self, attach, notemp, n, whole, halo):
+        values, labels, configs = self.case(attach, notemp, n, whole, seed=n)
+        crops, got_labels, got_offsets = build_patch_arrays(values, labels, configs, halo)
+        tensor, want_labels, want_offsets = patch_tensor(values, labels, configs, halo)
+        assert crops.shape == tensor.shape and len(crops) == len(tensor)
+        np.testing.assert_array_equal(got_labels, want_labels)
+        np.testing.assert_array_equal(got_offsets, want_offsets)
+        assert same_bits(crops[:], tensor)
+        rng = np.random.default_rng(n)
+        P = len(patch_spans(self.LENGTH, configs))
+        for rows in (rng.permutation(len(tensor)), np.arange(P - 2, min(P + 3, len(tensor))),
+                     np.array([len(tensor) - 1, 0, len(tensor) - 1]), np.array([], dtype=np.int64)):
+            assert same_bits(crops[rows], tensor[rows])  # index arrays across sample boundaries
+        for rows in (slice(P - 1, P + 2), slice(1, None, 4), slice(None, None, -1), slice(5, 3)):
+            assert same_bits(crops[rows], tensor[rows])
+
+    @pytest.mark.parametrize("attach, notemp", FLAGS, ids=FLAG_IDS)
+    def test_cut_into_a_buffer(self, attach, notemp):
+        """With out, the cut fills it and returns its transposed view."""
+        values, labels, configs = self.case(attach, notemp, 5)
+        crops = build_patch_arrays(values, labels, configs, (2, 1))[0]
+        tensor = patch_tensor(values, labels, configs, (2, 1))[0]
+        rows = np.array([3, 17, 2, 29])
+        out = np.full((len(rows), crops.shape[2], crops.shape[1]), np.nan)
+        got = crops.cut(rows, out=out)
+        assert np.shares_memory(got, out) and same_bits(got, tensor[rows])
+
+    def test_shared_value_table(self):
+        """Crops of one value table, cut per config, equal crops built from
+        the values; the table holds n * (L + 1) rows, one zero row a sample."""
+        values, labels, configs = self.case(True, False, 5)
+        table = value_table(values, attach=True)
+        assert table.rows.shape == (5 * (self.LENGTH + 1), 3)
+        assert not table.rows[:: self.LENGTH + 1].any()
+        for config in configs:
+            shared = build_patch_arrays(table, labels, [config], (2, 1))
+            own = build_patch_arrays(values, labels, [config], (2, 1))
+            assert shared[0].table is table and shared[0].nbytes == table.rows.nbytes
+            assert same_bits(shared[0][:], own[0][:])
+            for a, b in zip(shared[1:], own[1:]):
+                np.testing.assert_array_equal(a, b)
+
+    def test_one_read_only_layout_per_call_shape(self):
+        """Calls with the same length, configs and halo share one slot table,
+        which no caller can write; other values get their own."""
+        values, labels, configs = self.case(True, False, 2)
+        first, _, offsets = build_patch_arrays(values, labels, configs, (1, 1))
+        again = build_patch_arrays(values[:1], labels[:1], list(configs), [1, 1])[0]
+        assert again.slots is first.slots
+        with pytest.raises(ValueError, match="read-only"):
+            first.slots[0, 0] = 5
+        offsets[0] = 7  # the offsets returned are the caller's own
+        assert build_patch_arrays(values, labels, configs, (1, 1))[2][0] != 7
+        assert build_patch_arrays(values, labels, configs, (2, 1))[0].slots is not first.slots
+
+    def test_table_attach_must_match_the_configs(self):
+        values, labels, configs = self.case(True, False, 2)
+        with pytest.raises(ConfigError, match="attach"):
+            build_patch_arrays(value_table(values, attach=False), labels, configs, (1, 1))
+
+    def test_rows_past_the_end_raise(self):
+        values, labels, configs = self.case(True, False, 2)
+        crops = build_patch_arrays(values, labels, configs, (1, 1))[0]
+        with pytest.raises(IndexError):
+            crops[np.array([0, len(crops)])]
+
+    def test_holds_the_table_not_the_tensor(self):
+        """nbytes is the value table's: (L + 1) * C' floats a sample, where the
+        tensor takes P * C' * W."""
+        values, labels, configs = self.case(True, False, 5)
+        crops = build_patch_arrays(values, labels, configs, (2, 1))[0]
+        assert crops.nbytes == 5 * (self.LENGTH + 1) * 3 * 8
+        assert crops.nbytes < patch_tensor(values, labels, configs, (2, 1))[0].nbytes / 4

@@ -8,7 +8,8 @@ from pathlib import Path
 import numpy as np
 
 from patchx import neuralnet
-from patchx.patching import patch_spans
+from patchx.data import znormalize
+from patchx.patching import build_patch_arrays, patch_spans
 
 from oracles import backward, zero_offsets
 
@@ -68,9 +69,10 @@ def test_conv_spans_count_flop_of_logical_shapes():
 
 
 def test_patching_spans_read_the_cropped_tensor(small_bundle, anomaly_splits):
-    """patching.patches and patching.tensor_mb read the tensor that
-    build_patch_arrays returns first. Evaluation cuts one group per config,
-    so there is one span per config: n * P_c crops of that config's width W_c,
+    """patching.patches and patching.tensor_mb read the crops that
+    build_patch_arrays returns first: their row count and the bytes they
+    hold (their value table's). Evaluation cuts one group per config, so
+    there is one span per config: n * P_c crops of that config's width W_c,
     and the rows add up to n * P."""
     spans, tracer, _ = load_tracer()
     test, net, configs = anomaly_splits[2], small_bundle.network, small_bundle.patch_configs
@@ -79,11 +81,14 @@ def test_patching_spans_read_the_cropped_tensor(small_bundle, anomaly_splits):
     metas = [s[spans.META] for s in tracer.groups[-1] if s[spans.NAME] == "patching.build_patch_arrays"]
     assert len(metas) == len(configs)
     before, after = sum(conv.pad_right for conv in net.convs), sum(conv.pad_left for conv in net.convs)
+    values = znormalize(test.values_array(), small_bundle.norm_stats)
     for meta, config in zip(metas, configs):
         windows = [(start, end) for _, _, start, end in patch_spans(test.length, [config])]
         width = max(min(end + after, test.length) - max(start - before, 0) for start, end in windows)
         assert width < test.length
         rows = len(test) * len(windows)
+        crops = build_patch_arrays(values, test.labels_array(), [config], net.halo)[0]
+        assert crops.shape == (rows, net.spec.input_channels, width)
         assert meta["rows"] == rows
-        assert meta["bytes"] == rows * net.spec.input_channels * width * 8
+        assert meta["bytes"] == crops.nbytes
     assert sum(meta["rows"] for meta in metas) == len(test) * len(patch_spans(test.length, configs))
