@@ -299,6 +299,19 @@ def write_json(payload: dict, path: str | Path) -> None:
         f.write("\n")
 
 
+def run_environment() -> dict:
+    """What a run's timings depend on beyond its inputs: the numpy version,
+    the BLAS numpy was built with, and the thread counts this process was
+    given (None where unset). timing.json holds it; metrics.json, which
+    must not vary from host to host, does not."""
+    blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
+    return {
+        "numpy": np.__version__,
+        "blas": {"name": blas.get("name"), "version": blas.get("version")},
+        "threads": {var: os.environ.get(var) for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS")},
+    }
+
+
 def write_manifest(run_dir: Path, command: str) -> None:
     files = sorted(p.name for p in run_dir.iterdir() if p.name != "manifest.json")
     write_json(
@@ -350,7 +363,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         write_resolved_config(config, run_dir / "resolved_config.ini")
         save_bundle(result.bundle, run_dir / "bundle.pchx")
         write_json(result.metrics, run_dir / "metrics.json")
-        write_json(result.timing, run_dir / "timing.json")
+        write_json({**result.timing, "environment": run_environment()}, run_dir / "timing.json")
         with (run_dir / "metrics.csv").open("w", encoding="utf-8") as f:
             f.write("variant,test_accuracy\n")
             f.write(f"cnn+{result.metrics['shallow_kind']},{result.metrics.get('test_accuracy', '')!r}\n")

@@ -26,6 +26,13 @@ The full-frame network: full_frame_forward and full_frame_backward run every
 convolution over the whole length of each patch, zero background included.
 The cropped network of PatchNet must equal them up to rounding.
 
+The row-block loop with broadcast operands: row_block_conv_forward is
+Conv1d.forward as it was before every elementwise operand of its row-block
+loop was a full block: it adds the bias as a broadcast (C,) row, takes the
+ReLU against the scalar 0.0, and allocates a new product for every tap of
+every block. The same operations run in the same order per element, so
+Conv1d.forward must equal it bit for bit, sign bits of zeros included.
+
 The per-name optimizers: NamedAdam and NamedSgdMomentum keep one moment array
 per named parameter and step each in turn. The flat optimizers that train
 steps one parameter vector with must equal them bit for bit.
@@ -63,8 +70,8 @@ from patchx.data import (
 )
 from patchx.explain import BoundaryProbeResult, PatchRecords, explain_sample
 from patchx.neuralnet import (
-    LOG_CLAMP, GradientCheckEntry, GradientCheckReport, NetworkSpec, PatchNet, TrainSpec, batch_cross_entropy,
-    softmax,
+    LOG_CLAMP, ROW_BLOCK, Conv1d, GradientCheckEntry, GradientCheckReport, NetworkSpec, PatchNet, TrainSpec,
+    batch_cross_entropy, softmax,
 )
 from patchx.patching import (
     ConfigError, PatchConfig, _check_configs, build_patch_arrays, enumerate_patches, patch_spans,
@@ -274,6 +281,33 @@ def full_frame_backward(net: PatchNet, dlogits: np.ndarray, caches: list) -> dic
         dframe, grads[f"conv{i}.w"], grads[f"conv{i}.b"] = conv.backward(dh, flat, in_shape)
         dh = dframe[:, :, conv.pad_left : conv.pad_left + length]
     return grads
+
+
+def row_block_conv_forward(conv: Conv1d, x: np.ndarray, edges: np.ndarray | None = None,
+                           relu: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """Conv1d.forward(x, edges=edges, relu=relu) with no scratch, its loop
+    reading a broadcast bias row and a scalar zero and making a new product
+    per tap."""
+    batch, in_channels, length = x.shape
+    framed = length + conv.kernel - 1
+    xp = np.zeros((batch, framed, in_channels))
+    xp[:, conv.pad_left : conv.pad_left + length] = x.transpose(0, 2, 1)
+    if edges is not None:
+        xp[:, conv.edge_rows(length)] = edges
+    flat = xp.reshape(-1, in_channels)
+    taps = conv.w.transpose(2, 1, 0).copy()
+    acc = np.empty((len(flat), len(conv.b)))
+    rows = len(flat) - conv.kernel + 1
+    for lo in range(0, rows, ROW_BLOCK):
+        hi = min(lo + ROW_BLOCK, rows)
+        block = acc[lo:hi]
+        np.matmul(flat[lo:hi], taps[0], out=block)
+        for j in range(1, conv.kernel):
+            block += flat[lo + j : hi + j] @ taps[j]
+        block += conv.b
+        if relu:
+            np.maximum(block, 0.0, out=block)
+    return acc.reshape(batch, framed, -1)[:, :length].transpose(0, 2, 1), flat
 
 
 def full_frame_softmax(net: PatchNet, x: np.ndarray) -> np.ndarray:

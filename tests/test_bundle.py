@@ -12,7 +12,7 @@ from patchx.bundle import BundleError, MAGIC, PatchXBundle, decode_bundle, load_
 from patchx.data import Dataset, NormStats, TimeSeriesSample
 from patchx.explain import mislabel_report
 from patchx.metadata import PresenceMatrix
-from patchx.neuralnet import EVAL_BATCH, Conv1d, DimensionError, NetworkSpec, build_network
+from patchx.neuralnet import EVAL_BATCH, Conv1d, DimensionError, NetworkSpec, PatchNet, build_network
 from patchx.patching import PatchConfig, build_patch_arrays, patch_spans
 from patchx.shallow import ForestSpec, ShallowSpec, TreeArrays, TrivialSpec, fit, predict_all
 
@@ -501,6 +501,22 @@ class TestPatchPredictionsPerConfig:
     def test_one_empty_frame_pass_per_call(self, monkeypatch, n):
         bundle = crop_bundle(True, False, 3, "relu", seed=3)
         assert self.empty_frame_passes(monkeypatch, bundle, crop_dataset(n)) == 1
+
+    @pytest.mark.parametrize("n", [1, 2 * EVAL_BATCH // 6 + 5])
+    def test_one_scratch_per_call(self, monkeypatch, n):
+        """The config groups share one Scratch, made for the largest group's
+        slice (at most EVAL_BATCH crops) and the widest crop."""
+        bundle = crop_bundle(True, False, 3, "relu", seed=3)
+        dataset = crop_dataset(n)
+        want = bundle.patch_predictions(dataset)
+        halo, labels = bundle.network.halo, dataset.labels_array()
+        groups = [build_patch_arrays(dataset.values_array(), labels, [c], halo)[0] for c in bundle.patch_configs]
+        made, make = [], PatchNet.scratch
+        monkeypatch.setattr(PatchNet, "scratch",
+                            lambda net, *args, **kwargs: made.append(args) or make(net, *args, **kwargs))
+        np.testing.assert_array_equal(bundle.patch_predictions(dataset), want)
+        assert made == [(min(max(len(x) for x in groups), EVAL_BATCH), max(x.shape[2] for x in groups))]
+        assert (len(groups[0]) > EVAL_BATCH) is (n > 1)
 
     def test_whole_frame_configs_take_the_one_pass(self, monkeypatch):
         """A whole-frame config reads the same empty frame as the configs that

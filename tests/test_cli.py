@@ -93,6 +93,26 @@ class TestRun:
         manifest = json.loads((run_dir / "manifest.json").read_text())
         assert "bundle.pchx" in manifest["files"]
 
+    def test_timing_records_the_environment(self, tmp_path, monkeypatch):
+        """timing.json names numpy, its BLAS and the thread counts the process
+        saw; metrics.json holds none of it, so its bytes do not move with them."""
+        runs = {"one": ("1", None), "two": ("2", "3")}
+        for name, (omp, openblas) in runs.items():
+            monkeypatch.setenv("OMP_NUM_THREADS", omp)
+            if openblas is None:
+                monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+            else:
+                monkeypatch.setenv("OPENBLAS_NUM_THREADS", openblas)
+            assert run_cli("run", "--out", str(tmp_path), "--run-name", name, *FAST) == 0
+            environment = json.loads((tmp_path / name / "timing.json").read_text())["environment"]
+            assert environment["numpy"] == np.__version__
+            assert set(environment["blas"]) == {"name", "version"}
+            assert isinstance(environment["blas"]["name"], str)
+            assert environment["threads"] == {"OMP_NUM_THREADS": omp, "OPENBLAS_NUM_THREADS": openblas}
+            metrics = (tmp_path / name / "metrics.json").read_text()
+            assert "environment" not in metrics and "numpy" not in metrics and "THREADS" not in metrics
+        assert (tmp_path / "one" / "metrics.json").read_bytes() == (tmp_path / "two" / "metrics.json").read_bytes()
+
     def test_serial_determinism(self, tmp_path):
         run_cli("run", "--out", str(tmp_path), "--run-name", "a", *FAST)
         run_cli("run", "--out", str(tmp_path), "--run-name", "b", *FAST)

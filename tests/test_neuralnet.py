@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -13,6 +14,8 @@ from patchx.neuralnet import (
     Dense,
     DimensionError,
     NetworkSpec,
+    PatchNet,
+    Scratch,
     TrainingError,
     TrainSpec,
     _loss_and_gradients,
@@ -31,7 +34,7 @@ from patchx.patching import PatchConfig, build_patch_arrays
 from oracles import (
     NamedAdam, NamedSgdMomentum, backward, content_crop, expand_crops, forward, full_frame_gradients,
     full_frame_patch_arrays, full_frame_softmax, named_gradient_check, patch_cross_entropy, patch_tensor,
-    transform, zero_offsets,
+    row_block_conv_forward, transform, zero_offsets,
 )
 
 TINY = NetworkSpec(
@@ -222,6 +225,113 @@ class TestShiftedGemmConv:
         out, _ = conv.forward(np.zeros((2, 3, 7)))
         assert out.shape == (2, 4, 7)
         assert out.strides[1] == out.itemsize  # channels are adjacent in memory
+
+
+def assert_same_floats(got, want):
+    """Equal values (NaN where NaN) and equal sign bits, so -0.0 != 0.0."""
+    np.testing.assert_array_equal(got, want)
+    np.testing.assert_array_equal(np.signbit(got), np.signbit(want))
+
+
+class TestFullOperandLoop:
+    """Conv1d.forward, whose row-block loop reads a bias block, a zero block
+    and a product buffer, against the loop that broadcast the bias, compared
+    the ReLU with a scalar and allocated each product: bit for bit."""
+
+    # (batch, length): rows below one block, exactly ROW_BLOCK rows, and
+    # several blocks with a partial last one
+    SHAPES = {"below": (3, 20), "one-block": (1, ROW_BLOCK), "several": (90, 37)}
+
+    @staticmethod
+    def case(kernel, batch, length, seed):
+        """A conv and an input whose first sample is zero, so that biases of
+        0.0 and -0.0 make pre-activations of exactly 0.0; its second and
+        third samples hold a NaN and an inf, and its fourth is -0.0."""
+        rng = np.random.default_rng(seed)
+        conv = Conv1d(3, 6, kernel, rng)
+        conv.b[...] = rng.normal(size=6)
+        conv.b[:2] = 0.0, -0.0
+        x = rng.normal(size=(batch, length, 3)).transpose(0, 2, 1)
+        x[0] = 0.0
+        if batch > 3:
+            x[1, 0, length // 2], x[2, 1, length // 3] = np.nan, -np.inf
+            x[3] = -0.0
+        edges = rng.normal(size=(batch, kernel - 1, 3))
+        edges[0] = 0.0
+        return conv, x, edges
+
+    @pytest.mark.parametrize("with_scratch", [False, True], ids=["fresh", "scratch"])
+    @pytest.mark.parametrize("with_edges", [False, True], ids=["zero-pad", "edges"])
+    @pytest.mark.parametrize("relu", [False, True], ids=["linear", "relu"])
+    @pytest.mark.parametrize("shape", SHAPES.values(), ids=SHAPES.keys())
+    @pytest.mark.parametrize("kernel", [1, 2, 3, 4, 5])
+    def test_equals_the_broadcast_loop(self, kernel, shape, relu, with_edges, with_scratch):
+        batch, length = shape
+        conv, x, edges = self.case(kernel, batch, length, seed=kernel * 100 + batch)
+        rows = batch * (length + kernel - 1) - kernel + 1
+        assert (rows < ROW_BLOCK, rows == ROW_BLOCK, rows > 2 * ROW_BLOCK and rows % ROW_BLOCK != 0) \
+            == tuple(shape == s for s in self.SHAPES.values())
+        kwargs = {"edges": edges} if with_edges else {}
+        scratch = Scratch(conv.buffer_sizes(batch, length, backward=False)) if with_scratch else None
+        with np.errstate(invalid="ignore"):  # inf times zero
+            got, flat = conv.forward(x, relu=relu, scratch=scratch, **kwargs)
+            want, want_flat = row_block_conv_forward(conv, x, relu=relu, **kwargs)
+            linear, _ = row_block_conv_forward(conv, x, **kwargs)
+        assert (linear[0, :2] == 0).all()
+        if batch > 3:
+            assert np.isnan(want).any() and np.isinf(want).any()
+        assert_same_floats(got, want)
+        assert_same_floats(flat, want_flat)
+
+    @pytest.mark.parametrize("kernel", [1, 3])
+    def test_a_reused_scratch_carries_nothing_between_calls(self, kernel):
+        """A second call on a smaller batch, after the biases changed, fills
+        its own bias block and reads a zero block that is still zero."""
+        conv, x, edges = self.case(kernel, 90, 37, seed=kernel)
+        scratch = Scratch(conv.buffer_sizes(90, 37, backward=False))
+        with np.errstate(invalid="ignore"):  # inf times zero
+            conv.forward(x, edges=edges, relu=True, scratch=scratch)
+            conv.b[...] = np.random.default_rng(kernel).normal(size=6)
+            got, _ = conv.forward(x[:5, :, :30], edges=edges[:5], relu=True, scratch=scratch)
+            want, _ = row_block_conv_forward(conv, x[:5, :, :30], edges[:5], relu=True)
+        assert_same_floats(got, want)
+        assert not scratch.buffers["zeros"].any()
+
+    def test_loop_allocates_nothing_with_a_scratch(self):
+        """With a scratch, a forward over four row blocks allocates less than
+        one block's product, which the broadcast loop allocated per tap."""
+        rng = np.random.default_rng(0)
+        conv = Conv1d(16, 32, 3, rng)
+        x = rng.normal(size=(128, 24, 16)).transpose(0, 2, 1)
+        scratch = Scratch(conv.buffer_sizes(128, 24, backward=False))
+        conv.forward(x, relu=True, scratch=scratch)
+        tracemalloc.start()
+        try:
+            conv.forward(x, relu=True, scratch=scratch)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert 128 * 26 > 3 * ROW_BLOCK
+        assert peak < ROW_BLOCK * 32 * 8
+
+    @pytest.mark.parametrize("blocks, rate", [(((4, 3, "relu"),), 1e12), (((4, 3, "linear"), (3, 2, "relu")), 1e30)],
+                             ids=["relu", "linear-relu"])
+    def test_divergence_raises_as_with_the_broadcast_loop(self, monkeypatch, blocks, rate):
+        """A diverging run meets its non-finite loss at the same batch
+        whichever loop convolves."""
+        x, y, offsets = TestTrain().separable_toy()
+        spec = NetworkSpec(1, 16, 2, conv_blocks=blocks, seed=0)
+        tspec = TrainSpec(epochs=10, batch_size=16, learning_rate=rate, optimizer="sgd-momentum",
+                          early_stopping_patience=9, seed=0)
+        messages = []
+        for oracle in (False, True):
+            if oracle:
+                monkeypatch.setattr(Conv1d, "forward", lambda conv, h, *, edges=None, relu=False, scratch=None:
+                                    row_block_conv_forward(conv, h, edges, relu))
+            with np.errstate(all="ignore"), pytest.raises(TrainingError) as err:
+                train(build_network(spec), (x, y, offsets), (x, y, offsets), tspec)
+            messages.append(str(err.value))
+        assert messages[0] == messages[1]
 
 
 class TestCrossEntropy:
@@ -558,6 +668,18 @@ class TestScratchAgainstFreshArrays:
                     for lo in range(0, len(x), EVAL_BATCH)]
         np.testing.assert_array_equal(forward_all(net, x, offsets), np.concatenate(expected))
 
+    @pytest.mark.parametrize("blocks", BLOCKS, ids=BLOCK_IDS)
+    def test_forward_all_reads_the_callers_scratch(self, monkeypatch, blocks):
+        """Given a Scratch, even one made for more and wider crops, forward_all
+        makes none and gives the same bits."""
+        net, (crops, _, offsets) = self.net_and_crops(blocks, n=2 * EVAL_BATCH // 10 + 3, seed=5)
+        want = forward_all(net, crops, offsets)
+        scratch = net.scratch(EVAL_BATCH + 5, net.spec.input_length)
+        made, make = [], PatchNet.scratch
+        monkeypatch.setattr(PatchNet, "scratch", lambda *args, **kwargs: made.append(args) or make(*args, **kwargs))
+        np.testing.assert_array_equal(forward_all(net, crops, offsets, scratch=scratch), want)
+        assert made == []
+
     def test_crops_with_other_channels_raise_dimension_error(self):
         """Crops of 3 channels given to a 2-channel network fail before the
         first cut, with the shapes, in train and in forward_all."""
@@ -567,6 +689,59 @@ class TestScratchAgainstFreshArrays:
             train(narrow, patches, patches, TrainSpec(epochs=1, batch_size=16, early_stopping_patience=0, seed=0))
         with pytest.raises(DimensionError, match=r"expected input \(batch, 2, width <= 23\)"):
             forward_all(narrow, patches[0], patches[2])
+
+
+class TestScratchSizes:
+    """PatchNet.scratch(batch, width, backward=...) holds every buffer that a
+    forward (and a backward) of up to batch crops of that width asks for,
+    and no conv makes an array of its own once the Scratch is built."""
+
+    SPEC = NetworkSpec(3, 40, 3, conv_blocks=((5, 2, "relu"), (4, 3, "linear"), (6, 1, "relu")), seed=2)
+
+    @pytest.mark.parametrize("backward", [False, True], ids=["forward", "backward"])
+    @pytest.mark.parametrize("batch", [1, 7, 3 * ROW_BLOCK // 20], ids=["one", "partial-block", "several-blocks"])
+    def test_holds_every_buffer_asked_for(self, monkeypatch, batch, backward):
+        net = build_network(self.SPEC)
+        rng = np.random.default_rng(batch)
+        for conv in net.convs:
+            conv.b[...] = rng.normal(scale=0.5, size=conv.b.shape)
+        values, labels = rng.normal(size=(batch, 2, 40)), rng.integers(0, 3, batch)
+        crops, _, offsets = build_patch_arrays(values, labels, [PatchConfig(40, 16, attach=True)], net.halo)
+        crops, offsets = crops[np.arange(batch)], offsets[:batch]  # one crop per sample
+        width = crops.shape[2]
+        assert batch * (width + 1) > ROW_BLOCK or batch < 10
+        frame = net.empty_frame()  # runs without a scratch, before the counting starts
+        scratch = net.scratch(batch, width, backward=backward)
+        asked, made, inside = [], [], []
+        for name in ("empty", "zeros"):
+            def recording(self, key, shape, method=getattr(Scratch, name)):
+                asked.append((key, math.prod(shape)))
+                return method(self, key, shape)
+            monkeypatch.setattr(Scratch, name, recording)
+        for name in ("forward", "backward"):  # the empty frame's backward runs without a scratch
+            def marked(conv, *args, scratch=None, method=getattr(Conv1d, name), **kwargs):
+                inside.append(scratch is not None)
+                try:
+                    return method(conv, *args, scratch=scratch, **kwargs)
+                finally:
+                    inside.pop()
+            monkeypatch.setattr(Conv1d, name, marked)
+        empty = np.empty
+        monkeypatch.setattr(np, "empty", lambda *args, **kwargs: (
+            made.append(args) if inside and inside[-1] else None) or empty(*args, **kwargs))
+        logits, caches = net._forward_cached(crops, offsets, frame, scratch=scratch)
+        if backward:
+            net.backward_from_logits(softmax(logits), caches, scratch=scratch)
+        monkeypatch.undo()
+        assert made == []
+        assert {key for key, _ in asked} <= set(scratch.buffers)
+        for key, entries in asked:
+            assert entries <= len(scratch.buffers[key]), key
+        want = {(conv, name) for conv in net.convs for name in ("frame", "acc") + (("dout",) if backward else ())}
+        if backward:  # the first layer's input gradient is not computed
+            want |= {(conv, "dframe") for conv in net.convs[1:]}
+        assert {key for key, _ in asked if not isinstance(key, str)} == want
+        assert {key for key, _ in asked if isinstance(key, str)} == {"bias", "product", "zeros"}
 
 
 def make_constant_patches(n, value, label, channels=1, length=16):
