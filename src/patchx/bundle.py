@@ -40,7 +40,7 @@ import numpy as np
 
 from .data import Dataset, NormStats, TimeSeriesSample, znormalize
 from .metadata import PresenceMatrix, extract_all
-from .neuralnet import EVAL_BATCH, DimensionError, NetworkSpec, PatchNet, build_network, forward_all
+from .neuralnet import DimensionError, NetworkSpec, PatchNet, build_network, forward_all
 from .patching import PatchConfig, _check_configs, build_patch_arrays, check_fits, patch_spans, value_table
 from .shallow import ForestModel, SvmModel, TreeArrays, TrivialModel, predict_all
 
@@ -73,7 +73,7 @@ class PatchXBundle:
         Each config's patches are cut and forwarded as one group, at the
         widest crop of that config alone, and the groups share one value
         table, one pass of the empty frame and one set of buffers, sized for
-        the largest group's slice and the widest crop."""
+        the largest group and the widest crop."""
         spec = self.network.spec
         channels = spec.input_channels - (1 if self.patch_configs[0].attach else 0)
         if not dataset.samples:
@@ -90,15 +90,13 @@ class PatchXBundle:
         values = dataset.values_array()
         if self.norm_stats:
             values = znormalize(values, self.norm_stats)
-        labels, net, blocks = dataset.labels_array(), self.network, []
+        labels, net = dataset.labels_array(), self.network
         table, frame = value_table(values, self.patch_configs[0].attach), net.empty_frame()
         # a contiguous slot range per config, cropped at its own width
         groups = [build_patch_arrays(table, labels, [config], net.halo) for config in self.patch_configs]
-        scratch = net.scratch(min(max(len(x) for x, _, _ in groups), EVAL_BATCH),
-                              max(x.shape[2] for x, _, _ in groups))
-        for x, _, offsets in groups:
-            blocks.append(forward_all(net, x, offsets, frame, scratch).reshape(len(dataset), -1, self.class_count))
-        return np.concatenate(blocks, axis=1)
+        scratch = net.scratch(max(len(x) for x, _, _ in groups), max(x.shape[2] for x, _, _ in groups))
+        return np.concatenate([forward_all(net, x, offsets, frame, scratch).reshape(len(dataset), -1, self.class_count)
+                               for x, _, offsets in groups], axis=1)
 
     def presence(self, dataset: Dataset, softmaxes: np.ndarray) -> PresenceMatrix:
         """The class-presence matrix of the dataset's patch_predictions."""

@@ -15,25 +15,24 @@ step, and once per evaluation, shared by forward_all's slices and by the
 callers that pass it in. A ReLU is taken inside the convolution's row-block
 loop, while the block is in cache. Every elementwise operation of that loop
 reads an operand of the block's full shape, and the loop allocates nothing:
-a bias block filled once per call, a zero block zeroed once per Scratch, and
-one product buffer that taps 1 to k-1 multiply into. numpy's ufuncs run
-several times slower on a broadcast row or a scalar than on a full block: on
-a (1024, 32) block (numpy 2.4.6, one AMD EPYC core) the bias add took 9.0 us
-with a (C,) row against 3.0 us with a full block (filled in 4.9 us once per
-call), and the ReLU 13.1 us against the scalar 0.0 against 3.1 us against a
-zero block. The operations and their order per element are unchanged, so
-the results are bit-identical. x is an array or patching.Crops, which train
-cuts one batch at a time and forward_all one EVAL_BATCH slice at a time.
-Each of the two makes one Scratch when it starts, or forward_all takes its
-caller's: the crop buffer and every conv's frame, output and gradient
-arrays and the convs' shared bias, zero and product blocks, in one
-allocation, reused at each step and dropped when the call returns. All math
-is float64 numpy, so
-serial runs are bit-reproducible and the analytic gradients can be checked
-against central finite differences. Parameters and gradients share one flat
-layout: every layer's weights and biases view the parameter vector, and
-backward writes each layer's gradients to the same place in one gradient
-vector, so the optimizer steps one array with another.
+a bias block filled once per call, the layer's read-only zero block, made
+when the layer is built, and one product buffer that taps 1 to k-1 multiply
+into. numpy's ufuncs run several times slower on a broadcast row or a scalar
+than on a full block (README step 2 has the timings); the results are those
+of the broadcast loop, bit for bit. x is an array or patching.Crops, which
+train cuts one batch at a time and forward_all one EVAL_BATCH slice at a
+time. Each entry point (forward_all, train, gradient_check) checks its
+input's shape and offsets once, before the first cut. train and
+forward_all each make one Scratch when they start, or
+forward_all takes its caller's: the writable per-call buffers (the crop
+buffer, every conv's frame, output and gradient arrays, and the convs'
+shared bias and product blocks) in one allocation, reused at each step and
+dropped when the call returns. All math is float64 numpy, so serial runs are
+bit-reproducible and the analytic gradients can be checked against central
+finite differences. Parameters and gradients share one flat layout: every
+layer's weights and biases view the parameter vector, and backward writes
+each layer's gradients to the same place in one gradient vector, so the
+optimizer steps one array with another.
 """
 
 from __future__ import annotations
@@ -73,15 +72,17 @@ class NetworkSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if not (self.input_channels >= 1 and self.input_length >= 1):
-            raise ValueError("input dimensions must be positive")
-        if not (self.class_count >= 2):
-            raise ValueError(f"class_count must be >= 2, got {self.class_count}")
+        if not all(type(d) is int and d >= 1 for d in (self.input_channels, self.input_length)):  # no bools
+            raise ValueError(f"input dimensions must be positive integers, got {(self.input_channels, self.input_length)}")
+        if not (type(self.class_count) is int and self.class_count >= 2):
+            raise ValueError(f"class_count must be an integer >= 2, got {self.class_count!r}")
+        if type(self.seed) is not int:
+            raise ValueError(f"seed must be an integer, got {self.seed!r}")
         for filters, kernel, activation in self.conv_blocks:
-            if not (filters >= 1):
-                raise ValueError(f"filter count must be >= 1, got {filters}")
-            if not (1 <= kernel <= self.input_length):
-                raise ValueError(f"kernel size {kernel} outside [1, {self.input_length}]")
+            if not (type(filters) is int and filters >= 1):
+                raise ValueError(f"filter count must be an integer >= 1, got {filters!r}")
+            if not (type(kernel) is int and 1 <= kernel <= self.input_length):
+                raise ValueError(f"kernel size {kernel!r} outside [1, {self.input_length}] or not an integer")
             if activation not in ("relu", "linear"):
                 raise ValueError(f"unknown activation {activation!r}")
 
@@ -105,31 +106,22 @@ class TrainSpec:
 
 
 class Scratch:
-    """Arrays that one loop reuses from step to step: sizes maps each key to
-    the most entries a step asks of it. All are parts of one allocation,
-    made once, and each step views its key's part in the shape it needs. The
-    loop's call holds it and drops it on return, so no buffer outlives the
-    call and none goes back to the allocator mid-loop. One allocation, not
-    one per key: glibc's malloc keeps a freed block that large for the next
-    loop, where separate buffers went back to the system and were faulted
-    in again by every call."""
+    """The writable arrays that one call's loop reuses from step to step (a
+    constant, such as a conv's zero block, is the layer's): sizes maps each
+    key to the most entries a step asks of it. All are parts of one
+    allocation, made once, and each step views its key's part in the shape
+    it needs. The call drops it on return, so no buffer outlives the call and
+    none goes back to the allocator mid-loop. One allocation, not one per
+    key: glibc's malloc keeps a freed block that large for the next loop,
+    where separate buffers were faulted in again by every call."""
 
     def __init__(self, sizes: dict):
-        arena, self.buffers, self.zeroed, start = np.empty(sum(sizes.values())), {}, {}, 0
+        arena, self.buffers, start = np.empty(sum(sizes.values())), {}, 0
         for key, size in sizes.items():
             self.buffers[key], start = arena[start : start + size], start + size
 
     def empty(self, key, shape: tuple[int, ...]) -> np.ndarray:
         return self.buffers[key][: math.prod(shape)].reshape(shape)
-
-    def zeros(self, key, shape: tuple[int, ...]) -> np.ndarray:
-        """empty(key, shape), all zeros: callers only read it, so each entry
-        is zeroed once, the first time a call asks for it."""
-        entries, done = math.prod(shape), self.zeroed.get(key, 0)
-        if entries > done:
-            self.buffers[key][done:entries] = 0.0
-            self.zeroed[key] = entries
-        return self.empty(key, shape)
 
 
 def _empty(scratch: Scratch | None, key, shape: tuple[int, ...]) -> np.ndarray:
@@ -143,12 +135,15 @@ class Conv1d:
     memory. The zero-padded input is one flat (batch * (length + kernel - 1),
     in_channels) matrix; tap j multiplies its rows [j, j + rows - kernel + 1),
     and a result row that straddles two samples lands in padding and is dropped.
+    zeros is the ReLU's read-only (ROW_BLOCK, out_channels) zero block.
     """
 
     def __init__(self, in_channels: int, out_channels: int, kernel: int, rng: np.random.Generator):
         bound = 1.0 / math.sqrt(in_channels * kernel)
         self.w = rng.uniform(-bound, bound, size=(out_channels, in_channels, kernel))
         self.b = np.zeros(out_channels)
+        self.zeros = np.zeros((ROW_BLOCK, out_channels))
+        self.zeros.flags.writeable = False
         self.kernel = kernel
         self.pad_left = (kernel - 1) // 2
         self.pad_right = kernel - 1 - self.pad_left
@@ -179,13 +174,13 @@ class Conv1d:
         taps = self.w.transpose(2, 1, 0).copy()  # (kernel, in, out)
         rows, out_channels = len(flat) - self.kernel + 1, len(self.b)
         block_shape = (min(ROW_BLOCK, max(rows, 0)), out_channels)  # an empty batch has rows < 0
+        zeros = self.zeros[: block_shape[0]]
         if scratch is None:
             acc = np.empty((len(flat), out_channels))
-            bias, product, zeros = np.empty(block_shape), np.empty(block_shape), np.zeros(block_shape)
+            bias, product = np.empty(block_shape), np.empty(block_shape)
         else:
             acc = scratch.empty((self, "acc"), (len(flat), out_channels))
             bias, product = scratch.empty("bias", block_shape), scratch.empty("product", block_shape)
-            zeros = scratch.zeros("zeros", block_shape)
         bias[...] = self.b
         for lo, hi in _row_blocks(rows):
             block = acc[lo:hi]
@@ -228,14 +223,14 @@ class Conv1d:
 
     def buffer_sizes(self, batch: int, length: int, backward: bool) -> dict:
         """The entries each scratch buffer of forward (and of backward) takes
-        at most for inputs of up to batch rows of this length. The bias,
-        product and zero blocks are keyed by name alone: each conv uses them
-        only inside its forward, so the convs of a network share them."""
+        at most for inputs of up to batch rows of this length. The bias and
+        product blocks are keyed by name alone: each conv uses them only
+        inside its forward, so the convs of a network share them."""
         out_channels, in_channels, _ = self.w.shape
         rows = batch * (length + self.kernel - 1)
         block = min(ROW_BLOCK, max(rows - self.kernel + 1, 0)) * out_channels
         sizes = {(self, "frame"): rows * in_channels, (self, "acc"): rows * out_channels,
-                 "bias": block, "product": block, "zeros": block}
+                 "bias": block, "product": block}
         if backward:
             sizes |= {(self, "dout"): rows * out_channels, (self, "dframe"): rows * in_channels}
         return sizes
@@ -318,7 +313,9 @@ class PatchNet:
 
     def scratch(self, batch: int, width: int, *, backward: bool = False) -> Scratch:
         """The buffers of a loop over batches of at most batch crops of this
-        width: the crops, and those of each conv."""
+        width: the crops, and those of each conv; forward-only, at most
+        EVAL_BATCH crops, the most that a forward_all slice takes."""
+        batch = batch if backward else min(batch, EVAL_BATCH)
         sizes = {"crops": batch * width * self.spec.input_channels}
         for conv in self.convs:  # the convs run one after another and share their block buffers
             for key, size in conv.buffer_sizes(batch, width, backward).items():
@@ -364,8 +361,8 @@ class PatchNet:
         frame is empty_frame() of the current parameters, and every crop reads
         it outside itself; a whole frame reads only its zero pad rows and, in
         the pooled sum, nothing. The last cache holds the frame. The caches
-        view scratch's buffers when it is given, until its next use."""
-        self._check_input(x, offsets)
+        view scratch's buffers when it is given, until its next use. Its
+        callers have checked x and offsets (_check_input)."""
         width, length = x.shape[2], self.spec.input_length
         steps = np.arange(length)
         outside = ((steps < offsets[:, None]) | (steps >= offsets[:, None] + width)).astype(float)
@@ -439,13 +436,12 @@ def forward_all(net: PatchNet, x: np.ndarray | Crops, offsets: np.ndarray, frame
     slices share one empty frame: frame (net.empty_frame()) when the caller
     has it, else one computed here. Crops are cut one slice at a time, and
     the slices reuse one set of buffers: scratch when the caller gives one
-    made for at least min(len(x), EVAL_BATCH) crops at least this wide, else
-    one made here."""
-    net._check_input(x, offsets)  # before the first cut, which assumes the spec's channels
+    from net.scratch for at least len(x) crops this wide, else one made here."""
+    net._check_input(x, offsets)  # once, before the first cut, which assumes the spec's channels
     if frame is None:
         frame = net.empty_frame()
     if scratch is None:
-        scratch = net.scratch(min(len(x), EVAL_BATCH), x.shape[2])
+        scratch = net.scratch(len(x), x.shape[2])
     probs = np.empty((len(x), net.spec.class_count))
     for lo in range(0, len(x), EVAL_BATCH):
         rows = slice(lo, lo + EVAL_BATCH)
@@ -538,8 +534,9 @@ def train(net: PatchNet, train_patches, val_patches, spec: TrainSpec) -> TrainLo
     Serial and deterministic for a fixed spec.seed: the only randomness is the
     per-epoch shuffle drawn from one seeded generator.
     """
-    if len(val_patches[1]) == 0:
-        raise ValueError("validation patches must be non-empty")
+    for name, (_, y, _) in (("training", train_patches), ("validation", val_patches)):
+        if len(y) == 0:
+            raise ValueError(f"{name} patches must be non-empty")
     rng = np.random.default_rng(spec.seed)
     optimizer = (Adam if spec.optimizer == "adam" else SgdMomentum)(net.flat_params.size, spec.learning_rate)
     log = TrainLog()
@@ -652,6 +649,7 @@ def gradient_check(net: PatchNet, batch, tolerance: float = 1e-3) -> GradientChe
     see gradcheck_case.
     """
     x, y, offsets = batch
+    net._check_input(x, offsets)
     analytic = _loss_and_gradients(net, batch)[1]
     flat = net.flat_params
     numeric = np.empty_like(flat)

@@ -43,10 +43,12 @@ class PatchConfig:
     notemp: bool = False
 
     def __post_init__(self) -> None:
-        if not (self.stride >= 1):
-            raise ConfigError(f"stride must be >= 1, got {self.stride}")
-        if not (self.length >= 1):
-            raise ConfigError(f"patch length must be >= 1, got {self.length}")
+        if not (type(self.stride) is int and self.stride >= 1):  # a bool or a float is no stride
+            raise ConfigError(f"stride must be >= 1 and an integer, got {self.stride!r}")
+        if not (type(self.length) is int and self.length >= 1):
+            raise ConfigError(f"patch length must be >= 1 and an integer, got {self.length!r}")
+        if not all(type(flag) is bool for flag in (self.zero, self.attach, self.notemp)):
+            raise ConfigError(f"zero, attach and notemp must be bools, got {(self.zero, self.attach, self.notemp)}")
         if not self.zero:
             raise ConfigError(
                 "zero=False is rejected: zeroing the data outside the patch is "
@@ -112,7 +114,7 @@ def value_table(values: np.ndarray, attach: bool) -> ValueTable:
     rows[:, 1:, :channels] = values.transpose(0, 2, 1)
     if attach:
         rows[:, 1:, -1] = 1.0
-    return ValueTable(rows.reshape(n * (length + 1), -1), n, length, attach)
+    return ValueTable(rows.reshape(n * (length + 1), channels + int(attach)), n, length, attach)
 
 
 class Crops:

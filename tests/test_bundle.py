@@ -12,7 +12,7 @@ from patchx.bundle import BundleError, MAGIC, PatchXBundle, decode_bundle, load_
 from patchx.data import Dataset, NormStats, TimeSeriesSample
 from patchx.explain import mislabel_report
 from patchx.metadata import PresenceMatrix
-from patchx.neuralnet import EVAL_BATCH, Conv1d, DimensionError, NetworkSpec, PatchNet, build_network
+from patchx.neuralnet import EVAL_BATCH, Conv1d, DimensionError, NetworkSpec, PatchNet, TrainSpec, build_network, train
 from patchx.patching import PatchConfig, build_patch_arrays, patch_spans
 from patchx.shallow import ForestSpec, ShallowSpec, TreeArrays, TrivialSpec, fit, predict_all
 
@@ -236,11 +236,18 @@ def _array(name, **entry):
     (_edit_header(lambda h: h["network"].update(input_channels=5)), "parameter conv0.w: shape"),
     (_edit_header(lambda h: h["network"].update(input_length=12)), "exceeds sample length 12"),
     (_edit_header(lambda h: h["patch_configs"][1].update(attach=False)), "agree on the attach flag"),
+    (_edit_header(lambda h: h["patch_configs"][0].update(stride=2.5)), "malformed header: stride"),
+    (_edit_header(lambda h: h["patch_configs"][0].update(length=4.5)), "malformed header: patch length"),
+    (_edit_header(lambda h: h["patch_configs"][0].update(notemp="yes")), "malformed header: zero, attach and notemp"),
+    (_edit_header(lambda h: [c.update(attach="yes") for c in h["patch_configs"]]),
+     "malformed header: zero, attach and notemp"),
+    (_edit_header(lambda h: h["network"].update(input_length=50.0)), "malformed header: input dimensions"),
 ], ids=["truncated-payload", "truncated-header", "bogus-header-length", "short-header-length",
         "deep-nesting", "truncated-prefix", "no-network-key", "no-arrays-key", "f4-dtype", "list-header",
         "int-arrays", "text-shape", "negative-shape", "unknown-patch-key", "int-conv-blocks",
         "text-class-count", "null-shallow", "spec-disagrees-with-parameters",
-        "patch-longer-than-input", "configs-disagree-on-attach"])
+        "patch-longer-than-input", "configs-disagree-on-attach", "float-stride", "float-patch-length",
+        "text-notemp", "text-attach", "float-input-length"])
 def test_corrupt_bundle_raises_bundle_error(tmp_path, corrupt, cause):
     path = tmp_path / "model.pchx"
     save_bundle(make_bundle(), path)
@@ -513,10 +520,34 @@ class TestPatchPredictionsPerConfig:
         groups = [build_patch_arrays(dataset.values_array(), labels, [c], halo)[0] for c in bundle.patch_configs]
         made, make = [], PatchNet.scratch
         monkeypatch.setattr(PatchNet, "scratch",
-                            lambda net, *args, **kwargs: made.append(args) or make(net, *args, **kwargs))
+                            lambda net, *args, **kwargs: made.append(make(net, *args, **kwargs)) or made[-1])
         np.testing.assert_array_equal(bundle.patch_predictions(dataset), want)
-        assert made == [(min(max(len(x) for x in groups), EVAL_BATCH), max(x.shape[2] for x in groups))]
+        monkeypatch.undo()
+        sized = make(bundle.network, min(max(len(x) for x in groups), EVAL_BATCH), max(x.shape[2] for x in groups))
+        assert len(made) == 1
+        assert {key: len(part) for key, part in made[0].buffers.items()} == \
+            {key: len(part) for key, part in sized.buffers.items()}
         assert (len(groups[0]) > EVAL_BATCH) is (n > 1)
+
+    def test_one_input_check_per_config_group(self, monkeypatch):
+        """A one-sample call checks each group's crops once, in forward_all,
+        and not again per slice."""
+        bundle = crop_bundle(True, False, 3, "relu", seed=3)
+        checked, check = [], PatchNet._check_input
+        monkeypatch.setattr(PatchNet, "_check_input", lambda net, *args: checked.append(args) or check(net, *args))
+        bundle.patch_predictions(crop_dataset(1))
+        assert len(checked) == len(bundle.patch_configs) == 2
+
+    def test_zero_blocks_stay_zero(self):
+        """Training and evaluation only read each conv's zero block."""
+        bundle = crop_bundle(True, False, 3, "relu", seed=3)
+        dataset = crop_dataset(40)
+        patches = build_patch_arrays(dataset.values_array(), dataset.labels_array(), bundle.patch_configs,
+                                     bundle.network.halo)
+        train(bundle.network, patches, patches, TrainSpec(epochs=2, batch_size=32, early_stopping_patience=0))
+        bundle.patch_predictions(crop_dataset(3))
+        for conv in bundle.network.convs:
+            assert not conv.zeros.any() and not conv.zeros.flags.writeable
 
     def test_whole_frame_configs_take_the_one_pass(self, monkeypatch):
         """A whole-frame config reads the same empty frame as the configs that

@@ -83,11 +83,17 @@ class TestForward:
         None, np.array([0, 1, 2]), np.array([0.0, 1.0]), np.array([-1, 0]), np.array([0, 3]),
     ], ids=["missing", "one-per-row-not", "not-integer", "below-0", "past-length-minus-width"])
     def test_crop_needs_one_offset_per_row_inside_the_frame(self, offsets):
+        """Each entry point (forward_all, train, gradient_check) checks the
+        offsets before its first forward."""
         net = build_network(TINY)
-        x = np.zeros((2, 2, 10))  # crops of width 10 in 12-step frames: offsets in [0, 2]
-        with pytest.raises(DimensionError, match=r"one integer offset in \[0, 2\] per row"):
-            net._forward_cached(x, offsets, net.empty_frame())
-        forward_all(net, x, np.array([0, 2]))
+        x, y = np.zeros((2, 2, 10)), np.zeros(2, dtype=np.int64)  # crops of width 10 in 12-step frames
+        good = (x, y, np.array([0, 2]))  # offsets in [0, 2]
+        spec = TrainSpec(epochs=1, batch_size=2, early_stopping_patience=0, seed=0)
+        for call in (lambda: forward_all(net, x, offsets), lambda: train(net, (x, y, offsets), good, spec),
+                     lambda: gradient_check(net, (x, y, offsets))):
+            with pytest.raises(DimensionError, match=r"one integer offset in \[0, 2\] per row"):
+                call()
+        forward_all(net, x, good[2])
 
     def test_single_patch_forward(self):
         net = build_network(TINY)
@@ -295,7 +301,7 @@ class TestFullOperandLoop:
             got, _ = conv.forward(x[:5, :, :30], edges=edges[:5], relu=True, scratch=scratch)
             want, _ = row_block_conv_forward(conv, x[:5, :, :30], edges[:5], relu=True)
         assert_same_floats(got, want)
-        assert not scratch.buffers["zeros"].any()
+        assert not conv.zeros.any()
 
     def test_loop_allocates_nothing_with_a_scratch(self):
         """With a scratch, a forward over four row blocks allocates less than
@@ -713,11 +719,10 @@ class TestScratchSizes:
         frame = net.empty_frame()  # runs without a scratch, before the counting starts
         scratch = net.scratch(batch, width, backward=backward)
         asked, made, inside = [], [], []
-        for name in ("empty", "zeros"):
-            def recording(self, key, shape, method=getattr(Scratch, name)):
-                asked.append((key, math.prod(shape)))
-                return method(self, key, shape)
-            monkeypatch.setattr(Scratch, name, recording)
+        def recording(self, key, shape, method=Scratch.empty):
+            asked.append((key, math.prod(shape)))
+            return method(self, key, shape)
+        monkeypatch.setattr(Scratch, "empty", recording)
         for name in ("forward", "backward"):  # the empty frame's backward runs without a scratch
             def marked(conv, *args, scratch=None, method=getattr(Conv1d, name), **kwargs):
                 inside.append(scratch is not None)
@@ -726,9 +731,9 @@ class TestScratchSizes:
                 finally:
                     inside.pop()
             monkeypatch.setattr(Conv1d, name, marked)
-        empty = np.empty
-        monkeypatch.setattr(np, "empty", lambda *args, **kwargs: (
-            made.append(args) if inside and inside[-1] else None) or empty(*args, **kwargs))
+        for name in ("empty", "zeros"):  # the zero block is the layer's, made when it was built
+            monkeypatch.setattr(np, name, lambda *args, method=getattr(np, name), **kwargs: (
+                made.append(args) if inside and inside[-1] else None) or method(*args, **kwargs))
         logits, caches = net._forward_cached(crops, offsets, frame, scratch=scratch)
         if backward:
             net.backward_from_logits(softmax(logits), caches, scratch=scratch)
@@ -741,7 +746,65 @@ class TestScratchSizes:
         if backward:  # the first layer's input gradient is not computed
             want |= {(conv, "dframe") for conv in net.convs[1:]}
         assert {key for key, _ in asked if not isinstance(key, str)} == want
-        assert {key for key, _ in asked if isinstance(key, str)} == {"bias", "product", "zeros"}
+        assert {key for key, _ in asked if isinstance(key, str)} == {"bias", "product"}
+
+
+class TestOneSetUpPerCall:
+    """Set-up that a call's loops would repeat is done once: each conv's zero
+    block is made when the conv is built and only read, each entry point
+    checks its input once, and a forward-only Scratch holds at most
+    EVAL_BATCH crops, the most that forward_all's slices take."""
+
+    SPEC = TestScratchSizes.SPEC
+    BLOCKS = TestScratchAgainstFreshArrays.BLOCKS[0]
+
+    def test_zero_blocks_are_read_only(self):
+        for conv in build_network(self.SPEC).convs:
+            assert conv.zeros.shape == (ROW_BLOCK, conv.w.shape[0]) and not conv.zeros.any()
+            with pytest.raises(ValueError, match="read-only"):
+                conv.zeros[0, 0] = 1.0
+
+    @pytest.mark.parametrize("backward", [False, True], ids=["forward", "backward"])
+    def test_no_scratch_holds_a_zero_block(self, backward):
+        buffers = build_network(self.SPEC).scratch(7, 20, backward=backward).buffers
+        assert "zeros" not in {key if isinstance(key, str) else key[1] for key in buffers}
+        assert not hasattr(Scratch, "zeros")
+
+    @staticmethod
+    def checked_inputs(monkeypatch) -> list:
+        """The x of every _check_input call from here on."""
+        checked, check = [], PatchNet._check_input
+        monkeypatch.setattr(PatchNet, "_check_input",
+                            lambda net, x, offsets: checked.append(x) or check(net, x, offsets))
+        return checked
+
+    def test_forward_all_checks_once_over_three_slices(self, monkeypatch):
+        net, (crops, _, offsets) = TestScratchAgainstFreshArrays.net_and_crops(self.BLOCKS, 2 * EVAL_BATCH // 10 + 3, 5)
+        assert 2 * EVAL_BATCH < len(crops) < 3 * EVAL_BATCH
+        checked = self.checked_inputs(monkeypatch)
+        forward_all(net, crops, offsets)
+        assert len(checked) == 1 and checked[0] is crops
+
+    def test_train_checks_its_rows_once_and_validation_once_per_epoch(self, monkeypatch):
+        net, patches = TestScratchAgainstFreshArrays.net_and_crops(self.BLOCKS, n=7, seed=4)  # 70 rows, 5 steps
+        _, val = TestScratchAgainstFreshArrays.net_and_crops(self.BLOCKS, n=5, seed=6)
+        checked = self.checked_inputs(monkeypatch)
+        log = train(net, patches, val, TrainSpec(epochs=3, batch_size=16, early_stopping_patience=0, seed=8))
+        assert log.epochs_run == 3
+        assert [x is patches[0] for x in checked] == [True, False, False, False]
+        assert all(x is val[0] for x in checked[1:])
+
+    def test_a_forward_only_scratch_holds_at_most_eval_batch_crops(self):
+        net = build_network(self.SPEC)
+
+        def sizes(batch, backward=False):
+            return {key: len(part) for key, part in net.scratch(batch, 16, backward=backward).buffers.items()}
+
+        assert sizes(5 * EVAL_BATCH) == sizes(EVAL_BATCH)
+        assert sizes(5 * EVAL_BATCH)["crops"] == EVAL_BATCH * 16 * self.SPEC.input_channels
+        big, small = sizes(5 * EVAL_BATCH, backward=True), sizes(EVAL_BATCH, backward=True)
+        assert big.keys() == small.keys()
+        assert all(big[key] == 5 * small[key] for key in big if key not in ("bias", "product"))
 
 
 def make_constant_patches(n, value, label, channels=1, length=16):
@@ -805,6 +868,13 @@ class TestTrain:
         net = build_network(NetworkSpec(1, 16, 2, conv_blocks=(), seed=0))
         with pytest.raises(ValueError):
             train(net, toy, (np.zeros((0, 1, 16)), np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)),
+                  TrainSpec(epochs=2, early_stopping_patience=1))
+
+    def test_empty_training_rejected(self):
+        toy = self.separable_toy()
+        net = build_network(NetworkSpec(1, 16, 2, conv_blocks=(), seed=0))
+        with pytest.raises(ValueError, match="training patches must be non-empty"):
+            train(net, (np.zeros((0, 1, 16)), np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)), toy,
                   TrainSpec(epochs=2, early_stopping_patience=1))
 
     def test_sgd_momentum_also_learns(self):
@@ -906,3 +976,13 @@ class TestNetworkSpecValidation:
     def test_unknown_activation(self):
         with pytest.raises(ValueError, match="activation"):
             NetworkSpec(1, 8, 2, conv_blocks=((4, 3, "gelu"),))
+
+    @pytest.mark.parametrize("field, value", [
+        ("input_channels", 2.0), ("input_length", 8.0), ("input_length", True), ("class_count", 2.0),
+        ("class_count", "2"), ("seed", 1.5), ("seed", False), ("conv_blocks", ((4.0, 3, "relu"),)),
+        ("conv_blocks", ((4, 3.0, "relu"),)), ("conv_blocks", ((True, 3, "relu"),)),
+    ])
+    def test_integer_fields_reject_floats_and_bools(self, field, value):
+        spec = NetworkSpec(1, 8, 2, conv_blocks=((4, 3, "relu"),))
+        with pytest.raises(ValueError, match="integer"):
+            replace(spec, **{field: value})

@@ -80,3 +80,45 @@ def test_reads_the_result_line_and_explain_p50(tmp_path):
     (bench / "run.py").write_text(f"print({json.dumps(json.dumps(result))})\n")
     with pytest.raises(RuntimeError, match="1 of 3 operations failed"):
         pairs.run_once(tmp_path, "infer", 4, 1.5)
+
+
+@pytest.mark.parametrize("shift, bound, verdict", [
+    (0.0, 0.25, "within bound"),
+    (0.2, 0.25, "within bound"),  # worse by 0.2, under 0.25 x 1.2
+    (0.5, 0.25, "worse"),
+    (0.05, 0.1, "unresolved"),  # the parent's IQR, 0.2, is wider than 0.1 x 1.2
+    (-0.1, 0.1, "unresolved"),  # better in the median, but not every change run beats every parent run
+    (-0.5, 0.1, "within bound"),  # every change run beats every parent run
+], ids=["equal", "worse-within", "worse-past", "wide-parent", "better-inside-spread", "better-than-all"])
+def test_no_regression_verdict(shift, bound, verdict):
+    assert pairs.summarize(PARENT, [p + shift for p in PARENT], "lower", bound)["verdict"] == verdict
+
+
+def test_verdict_follows_the_direction_and_needs_a_bound():
+    lower = [p - 0.5 for p in PARENT]
+    assert pairs.summarize(PARENT, lower, "higher", 0.25)["verdict"] == "worse"
+    assert pairs.summarize(PARENT, lower, "lower", 0.25)["verdict"] == "within bound"
+    assert pairs.summarize(PARENT, lower, "lower")["verdict"] is None
+
+
+def fake_checkout(root, op_s):
+    """A checkout whose benchmark prints one fixed result line."""
+    (root / "perfbench").mkdir(parents=True)
+    (root / "BENCHMARK.json").write_text(json.dumps({"end_to_end": [
+        {"name": "op_s", "better": "lower", "bound": 0.25},
+        {"name": "test_accuracy", "better": "higher", "bound": 0.15}]}))
+    result = {"attempted": 3, "failed": 0,
+              "metrics": {"op_s": {"value": op_s}, "test_accuracy": {"value": 0.9}}}
+    (root / "perfbench" / "run.py").write_text(f"print({json.dumps(json.dumps(result))})\n")
+    return root
+
+
+@pytest.mark.parametrize("claim", [[], ["--claim", "op_s"]], ids=["no-claim", "claim"])
+def test_main_prints_a_verdict_per_metric_and_the_claim_only_when_asked(tmp_path, monkeypatch, capsys, claim):
+    parent, change = fake_checkout(tmp_path / "parent", 1.0), fake_checkout(tmp_path / "change", 2.0)
+    monkeypatch.setattr("sys.argv", ["pairs.py", str(parent), str(change), "--workload", "infer", "--seed", "1",
+                                     "--pairs", "2", *claim])
+    assert pairs.main() == 0
+    out = capsys.readouterr().out
+    assert "op_s             worse" in out and "test_accuracy    within bound" in out
+    assert ("claim on op_s: does not hold" in out) is bool(claim)

@@ -84,6 +84,17 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             PatchConfig(5, 0)
 
+    @pytest.mark.parametrize("fields, cause", [
+        ({"stride": 2.5}, "stride"), ({"stride": True}, "stride"), ({"length": 4.0}, "patch length"),
+        ({"length": False}, "patch length"), ({"notemp": "yes"}, "bools"), ({"attach": 1}, "bools"),
+        ({"zero": 1.0}, "bools"),
+    ])
+    def test_wrong_types_rejected(self, fields, cause):
+        """A stride or length that is a float or a bool, or a flag that is
+        not a bool, fails when the config is built."""
+        with pytest.raises(ConfigError, match=cause):
+            PatchConfig(**{"stride": 5, "length": 10} | fields)
+
 
 class TestTransform:
     def test_whole_sample_identity(self):
@@ -310,6 +321,15 @@ class TestCrops:
         out = np.full((len(rows), crops.shape[2], crops.shape[1]), np.nan)
         got = crops.cut(rows, out=out)
         assert np.shares_memory(got, out) and same_bits(got, tensor[rows])
+
+    @pytest.mark.parametrize("attach", [False, True])
+    def test_zero_samples_give_zero_crops(self, attach):
+        configs = [PatchConfig(4, 6, attach=attach), PatchConfig(7, 9, attach=attach)]
+        assert value_table(np.zeros((0, 2, self.LENGTH)), attach).rows.shape == (0, 2 + attach)
+        crops, labels, offsets = build_patch_arrays(np.zeros((0, 2, self.LENGTH)), np.zeros(0, np.int64),
+                                                    configs, (2, 1))
+        assert len(crops) == len(labels) == len(offsets) == 0 and crops.shape[1] == 2 + attach
+        assert crops[np.arange(0)].shape == (0, 2 + attach, crops.shape[2])
 
     def test_shared_value_table(self):
         """Crops of one value table, cut per config, equal crops built from
