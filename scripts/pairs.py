@@ -4,11 +4,13 @@
         [--seconds 40] [--claim op_s]
 
 PARENT_DIR and CHANGE_DIR are the roots of two checkouts. Each run is that
-checkout's own `perfbench/run.py --workload W --seed N --seconds S --trace 0`,
-run from its root in a fresh process, one at a time; the side that runs first
-alternates from pair to pair (the parent first in pair 1). Every end-to-end
-metric of the run's result line is read, and `explain_sample` p50 where the
-run prints it.
+checkout's own `perfbench/run.py --workload W --seed N+i --seconds S --trace 0`
+in pair i+1, so both sides of a pair share a seed and the pairs span seeds N
+to N+pairs-1: the spread between seeds lands in each side's quartiles rather
+than one seed deciding the verdict. Runs start from the checkout's root in a
+fresh process, one at a time; the side that runs first alternates from pair
+to pair (the parent first in pair 1). Every end-to-end metric of the run's
+result line is read, and `explain_sample` p50 where the run prints it.
 
 Prints each pair's metrics, then for each metric each side's median and
 quartiles and the pairs each side won (a tie counts for neither side), in the
@@ -109,7 +111,8 @@ def main() -> int:
     parser.add_argument("parent", type=Path)
     parser.add_argument("change", type=Path)
     parser.add_argument("--workload", required=True, choices=("train", "infer"))
-    parser.add_argument("--seed", type=int, required=True)
+    parser.add_argument("--seed", type=int, required=True,
+                        help="the first pair's seed; pair i runs seed + i - 1 on both sides")
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seconds", type=float, default=40.0)
     parser.add_argument("--claim", help="the metric whose gain is claimed, if any")
@@ -122,14 +125,15 @@ def main() -> int:
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
         for side in order:
             try:
-                runs[side].append(run_once(getattr(args, side), args.workload, args.seed, args.seconds))
+                runs[side].append(run_once(getattr(args, side), args.workload, args.seed + i, args.seconds))
             except RuntimeError as err:
                 print(f"pair {i + 1}, {side}: {err}", file=sys.stderr)
                 return 1
         cells = "  ".join(f"{name} {runs['parent'][-1][name]:.6g}/{value:.6g}"
                           for name, value in runs["change"][-1].items())
-        print(f"pair {i + 1:>2} ({order[0]} first)  parent/change  {cells}", flush=True)
-    print(f"{args.workload}, seed {args.seed}, {args.pairs} pairs, {args.seconds:g} s per run")
+        print(f"pair {i + 1:>2} (seed {args.seed + i}, {order[0]} first)  parent/change  {cells}", flush=True)
+    print(f"{args.workload}, seeds {args.seed}-{args.seed + args.pairs - 1}, {args.pairs} pairs, "
+          f"{args.seconds:g} s per run")
     summaries = {name: summarize([r[name] for r in runs["parent"]], [r[name] for r in runs["change"]],
                                  *declared.get(name, ("lower", None)))
                  for name in runs["change"][0]}

@@ -24,8 +24,9 @@ also carries an older second copy of that layout loads the same.
 
 Round-trips are bitwise faithful: every numeric parameter travels through the
 binary payload, never through JSON. A file that is cut short, whose lengths
-disagree with its manifest, or whose header lacks a key or has a value of the
-wrong type, shape or state is rejected with a BundleError naming the cause.
+disagree with its manifest, whose header lacks a key or has a value of the
+wrong type, shape or state, or whose float arrays hold a NaN or an infinity
+is rejected with a BundleError naming the cause.
 """
 
 from __future__ import annotations
@@ -70,10 +71,9 @@ class PatchXBundle:
         """Softmax of every patch, shape (n_samples, P, class_count): row i,
         slot k is patch patch_spans(length, patch_configs)[k] of sample i.
 
-        Each config's patches are cut and forwarded as one group, at the
-        widest crop of that config alone, and the groups share one value
-        table, one pass of the empty frame and one set of buffers, sized for
-        the largest group and the widest crop."""
+        Each config's patches are cut as one group, at the widest crop of
+        that config alone, from one value table, and all the groups go to one
+        forward_all call, which owns the empty frame and the buffers."""
         spec = self.network.spec
         channels = spec.input_channels - (1 if self.patch_configs[0].attach else 0)
         if not dataset.samples:
@@ -91,12 +91,11 @@ class PatchXBundle:
         if self.norm_stats:
             values = znormalize(values, self.norm_stats)
         labels, net = dataset.labels_array(), self.network
-        table, frame = value_table(values, self.patch_configs[0].attach), net.empty_frame()
+        table = value_table(values, self.patch_configs[0].attach)
         # a contiguous slot range per config, cropped at its own width
         groups = [build_patch_arrays(table, labels, [config], net.halo) for config in self.patch_configs]
-        scratch = net.scratch(max(len(x) for x, _, _ in groups), max(x.shape[2] for x, _, _ in groups))
-        return np.concatenate([forward_all(net, x, offsets, frame, scratch).reshape(len(dataset), -1, self.class_count)
-                               for x, _, offsets in groups], axis=1)
+        probs = forward_all(net, [(x, offsets) for x, _, offsets in groups])
+        return np.concatenate([p.reshape(len(dataset), -1, self.class_count) for p in probs], axis=1)
 
     def presence(self, dataset: Dataset, softmaxes: np.ndarray) -> PresenceMatrix:
         """The class-presence matrix of the dataset's patch_predictions."""
@@ -272,6 +271,9 @@ def _decode(raw: bytes, header: dict, offset: int, origin: str | Path) -> PatchX
     if kind not in _SHALLOW_KINDS:
         raise ValueError(f"unknown shallow kind {kind!r}")
     shallow = _restore(_SHALLOW_KINDS[kind], f"{kind}_", meta, arrays)
+    for name, array in arrays.items():  # after the parts' own checks, which name their cause
+        if array.dtype.kind == "f" and not np.isfinite(array).all():
+            raise BundleError(f"{origin}: array {name!r} holds a NaN or an infinity")
     _check_parts(spec, configs, stats, shallow)
     return PatchXBundle(network, configs, stats, shallow)
 

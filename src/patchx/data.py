@@ -222,7 +222,9 @@ def check_splits(splits: dict[str, Dataset | None]) -> None:
 
 def save_dataset(dataset: Dataset, path: str | Path) -> None:
     """Write the comma-separated layout: a `channels,length,class_count` header,
-    then one sample per row (channel-major values followed by the label)."""
+    then one sample per row (channel-major values followed by the label).
+    An empty dataset raises SplitError before the file is opened."""
+    check_splits({dataset.split: dataset})  # decode_dataset rejects a file without samples
     path = Path(path)
     with path.open("w", encoding="utf-8") as f:
         f.write(",".join(str(v) for v in (dataset.channels, dataset.length, dataset.class_count)))

@@ -8,28 +8,27 @@ offsets): each row of x is a crop at its offset, which build_patch_arrays cuts
 from the patch layout (each window widened by the network's halo); whole
 frames are crops of width W = L at offset 0, with nothing outside them.
 Training batches mix patch configs and so take the layout's widest crop;
-evaluation forwards each config at its own. Outside its crop a frame is zero,
-so every activation there is that of the all-zero input (the empty frame),
-which one batch-1 pass computes and every forward reads: once per training
-step, and once per evaluation, shared by forward_all's slices and by the
-callers that pass it in. A ReLU is taken inside the convolution's row-block
-loop, while the block is in cache. Every elementwise operation of that loop
-reads an operand of the block's full shape, and the loop allocates nothing:
-a bias block filled once per call, the layer's read-only zero block, made
-when the layer is built, and one product buffer that taps 1 to k-1 multiply
-into. numpy's ufuncs run several times slower on a broadcast row or a scalar
-than on a full block (README step 2 has the timings); the results are those
-of the broadcast loop, bit for bit. x is an array or patching.Crops, which
-train cuts one batch at a time and forward_all one EVAL_BATCH slice at a
-time. Each entry point (forward_all, train, gradient_check) checks its
-input's shape and offsets once, before the first cut. train and
-forward_all each make one Scratch when they start, or
-forward_all takes its caller's: the writable per-call buffers (the crop
-buffer, every conv's frame, output and gradient arrays, and the convs'
-shared bias and product blocks) in one allocation, reused at each step and
-dropped when the call returns. All math is float64 numpy, so serial runs are
-bit-reproducible and the analytic gradients can be checked against central
-finite differences. Parameters and gradients share one flat layout: every
+evaluation forwards each config at its own, as one group of a forward_all
+call. Outside its crop a frame is zero, so every activation there is that of
+the all-zero input (the empty frame), which one batch-1 pass computes and
+every forward reads: once per training step, and once per forward_all call,
+shared by every slice of its groups. A ReLU is taken inside the
+convolution's row-block loop, while the block is in cache. Every elementwise
+operation of that loop reads an operand of the block's full shape, and the
+loop allocates nothing: a bias block filled once per call, the layer's
+read-only zero block, made when the layer is built, and one product buffer
+that taps 1 to k-1 multiply into. numpy's ufuncs run several times slower on
+a broadcast row or a scalar than on a full block (README step 2 has the
+timings); the results are those of the broadcast loop, bit for bit. x is an
+array or patching.Crops, which train cuts one batch at a time and
+forward_all one EVAL_BATCH slice at a time. Each entry point (forward_all,
+train, gradient_check) checks its input's shape and offsets once, before the
+first cut. train and forward_all each make one Scratch when they start:
+the writable per-call buffers (the crop buffer, every conv's frame, output
+and gradient arrays, and the convs' shared bias and product blocks) in one
+allocation, reused at each step and dropped when the call returns. All math
+is float64 numpy, so serial runs are bit-reproducible and the analytic
+gradients can be checked against central finite differences. Parameters and gradients share one flat layout: every
 layer's weights and biases view the parameter vector, and backward writes
 each layer's gradients to the same place in one gradient vector, so the
 optimizer steps one array with another.
@@ -159,14 +158,12 @@ class Conv1d:
         edges: (batch, pad_left + pad_right, in_channels) values that the input
         holds around the crop (rows edge_rows(length) of the frame). With relu,
         out is max(pre-activation, 0), taken per row block while it is in cache.
-        The frame and the output live in scratch's buffers when it is given."""
+        Every buffer (the frame, the output, the bias and product blocks) is
+        scratch's when it is given, else a fresh np.empty, as in backward."""
         batch, in_channels, length = x.shape
         framed = length + self.kernel - 1
-        if scratch is None:
-            xp = np.zeros((batch, framed, in_channels))
-        else:
-            xp = scratch.empty((self, "frame"), (batch, framed, in_channels))
-            xp[:, : self.pad_left] = xp[:, self.pad_left + length :] = 0.0
+        xp = _empty(scratch, (self, "frame"), (batch, framed, in_channels))
+        xp[:, : self.pad_left] = xp[:, self.pad_left + length :] = 0.0
         xp[:, self.pad_left : self.pad_left + length] = x.transpose(0, 2, 1)
         if edges is not None:
             xp[:, self.edge_rows(length)] = edges
@@ -175,12 +172,8 @@ class Conv1d:
         rows, out_channels = len(flat) - self.kernel + 1, len(self.b)
         block_shape = (min(ROW_BLOCK, max(rows, 0)), out_channels)  # an empty batch has rows < 0
         zeros = self.zeros[: block_shape[0]]
-        if scratch is None:
-            acc = np.empty((len(flat), out_channels))
-            bias, product = np.empty(block_shape), np.empty(block_shape)
-        else:
-            acc = scratch.empty((self, "acc"), (len(flat), out_channels))
-            bias, product = scratch.empty("bias", block_shape), scratch.empty("product", block_shape)
+        acc = _empty(scratch, (self, "acc"), (len(flat), out_channels))
+        bias, product = _empty(scratch, "bias", block_shape), _empty(scratch, "product", block_shape)
         bias[...] = self.b
         for lo, hi in _row_blocks(rows):
             block = acc[lo:hi]
@@ -313,9 +306,7 @@ class PatchNet:
 
     def scratch(self, batch: int, width: int, *, backward: bool = False) -> Scratch:
         """The buffers of a loop over batches of at most batch crops of this
-        width: the crops, and those of each conv; forward-only, at most
-        EVAL_BATCH crops, the most that a forward_all slice takes."""
-        batch = batch if backward else min(batch, EVAL_BATCH)
+        width: the crops, and those of each conv."""
         sizes = {"crops": batch * width * self.spec.input_channels}
         for conv in self.convs:  # the convs run one after another and share their block buffers
             for key, size in conv.buffer_sizes(batch, width, backward).items():
@@ -429,26 +420,29 @@ def _cut(x: np.ndarray | Crops, rows: np.ndarray | slice, scratch: Scratch) -> n
     return x.cut(rows, out=scratch.empty("crops", (len(rows), x.shape[2], x.shape[1])))
 
 
-def forward_all(net: PatchNet, x: np.ndarray | Crops, offsets: np.ndarray, frame: tuple | None = None,
-                scratch: Scratch | None = None) -> np.ndarray:
-    """Softmax of every row of x, each a crop at its offset, shape
-    (len(x), class_count); the one forward path, in EVAL_BATCH slices. The
-    slices share one empty frame: frame (net.empty_frame()) when the caller
-    has it, else one computed here. Crops are cut one slice at a time, and
-    the slices reuse one set of buffers: scratch when the caller gives one
-    from net.scratch for at least len(x) crops this wide, else one made here."""
-    net._check_input(x, offsets)  # once, before the first cut, which assumes the spec's channels
-    if frame is None:
-        frame = net.empty_frame()
-    if scratch is None:
-        scratch = net.scratch(len(x), x.shape[2])
-    probs = np.empty((len(x), net.spec.class_count))
-    for lo in range(0, len(x), EVAL_BATCH):
-        rows = slice(lo, lo + EVAL_BATCH)
-        logits, caches = net._forward_cached(_cut(x, rows, scratch), offsets[rows], frame, scratch=scratch)
-        del caches  # else this slice's caches stay alive through the next slice's forward
-        probs[rows] = softmax(logits)
-    return probs
+def forward_all(net: PatchNet, groups: list[tuple[np.ndarray | Crops, np.ndarray]]) -> list[np.ndarray]:
+    """The softmax of every row of each (x, offsets) group of one evaluation,
+    each row a crop at its offset: one (len(x), class_count) array per group.
+    The one forward path, in EVAL_BATCH slices. The call owns its set-up: it
+    checks each group's input once, computes one empty frame of the current
+    parameters and makes one Scratch, sized for the largest slice (at most
+    EVAL_BATCH crops) and the widest crop; every slice of every group reads
+    them, and crops are cut one slice at a time."""
+    for x, offsets in groups:
+        net._check_input(x, offsets)  # once, before the first cut, which assumes the spec's channels
+    frame = net.empty_frame()
+    scratch = net.scratch(min(max((len(x) for x, _ in groups), default=0), EVAL_BATCH),
+                          max((x.shape[2] for x, _ in groups), default=0))
+    results = []
+    for x, offsets in groups:
+        probs = np.empty((len(x), net.spec.class_count))
+        for lo in range(0, len(x), EVAL_BATCH):
+            rows = slice(lo, lo + EVAL_BATCH)
+            logits, caches = net._forward_cached(_cut(x, rows, scratch), offsets[rows], frame, scratch=scratch)
+            del caches  # else this slice's caches stay alive through the next slice's forward
+            probs[rows] = softmax(logits)
+        results.append(probs)
+    return results
 
 
 def batch_cross_entropy(probs: np.ndarray, labels: np.ndarray) -> float:
@@ -473,7 +467,7 @@ def _loss_and_gradients(net: PatchNet, batch, *, scratch: Scratch | None = None)
 def accuracy(net: PatchNet, patches) -> float:
     """Share of the rows of (x, y, offsets) whose argmax class is their label."""
     x, y, offsets = patches
-    return float((np.argmax(forward_all(net, x, offsets), axis=1) == y).mean())
+    return float((np.argmax(forward_all(net, [(x, offsets)])[0], axis=1) == y).mean())
 
 
 # -- optimizers ------------------------------------------------------------
@@ -657,9 +651,9 @@ def gradient_check(net: PatchNet, batch, tolerance: float = 1e-3) -> GradientChe
         original = flat[i]
         h = GRADCHECK_STEP * max(1.0, abs(original))
         flat[i] = original + h
-        plus = batch_cross_entropy(forward_all(net, x, offsets), y)
+        plus = batch_cross_entropy(forward_all(net, [(x, offsets)])[0], y)
         flat[i] = original - h
-        minus = batch_cross_entropy(forward_all(net, x, offsets), y)
+        minus = batch_cross_entropy(forward_all(net, [(x, offsets)])[0], y)
         flat[i] = original
         numeric[i] = (plus - minus) / (2 * h)
     rel = np.abs(analytic - numeric) / np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), 1e-8)

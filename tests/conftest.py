@@ -1,3 +1,11 @@
+import os
+
+# One BLAS thread unless the caller exports another count. Set before numpy
+# loads: with a thread per core the suite slows several-fold once another
+# process holds a core.
+for _name in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_name, "1")
+
 import pytest
 
 from patchx.data import AnomalyGenSpec, generate_anomaly

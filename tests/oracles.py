@@ -213,7 +213,7 @@ def zero_offsets(x: np.ndarray) -> np.ndarray:
 
 def forward(net: PatchNet, values: np.ndarray) -> np.ndarray:
     """Softmax prediction for a single whole patch array, shape (class_count,)."""
-    return neuralnet.forward_all(net, values[None], zero_offsets(values[None]))[0]
+    return neuralnet.forward_all(net, [(values[None], zero_offsets(values[None]))])[0][0]
 
 
 def backward(net: PatchNet, batch) -> dict[str, np.ndarray]:
@@ -372,7 +372,7 @@ def named_gradient_check(net: PatchNet, batch, tolerance: float = 1e-3,
     analytic = backward(net, batch)
 
     def loss() -> float:
-        probs = neuralnet.forward_all(net, x, offsets)
+        probs = neuralnet.forward_all(net, [(x, offsets)])[0]
         return batch_cross_entropy(probs, y)
 
     entries = []
@@ -443,7 +443,7 @@ def one_width_patch_predictions(bundle: PatchXBundle, dataset: Dataset) -> np.nd
     if bundle.norm_stats:
         values = znormalize(values, bundle.norm_stats)
     x, _, offsets = build_patch_arrays(values, dataset.labels_array(), bundle.patch_configs, bundle.network.halo)
-    return neuralnet.forward_all(bundle.network, x, offsets).reshape(len(dataset), -1, bundle.class_count)
+    return neuralnet.forward_all(bundle.network, [(x, offsets)])[0].reshape(len(dataset), -1, bundle.class_count)
 
 
 def per_config_patch_predictions(bundle: PatchXBundle, dataset: Dataset) -> np.ndarray:
@@ -452,8 +452,9 @@ def per_config_patch_predictions(bundle: PatchXBundle, dataset: Dataset) -> np.n
     values = dataset.values_array()
     if bundle.norm_stats:
         values = znormalize(values, bundle.norm_stats)
-    net, frame, blocks = bundle.network, bundle.network.empty_frame(), []
+    net, groups = bundle.network, []
     for config in bundle.patch_configs:
         x, _, offsets = patch_tensor(values, dataset.labels_array(), [config], net.halo)
-        blocks.append(neuralnet.forward_all(net, x, offsets, frame).reshape(len(dataset), -1, bundle.class_count))
-    return np.concatenate(blocks, axis=1)
+        groups.append((x, offsets))
+    return np.concatenate([probs.reshape(len(dataset), -1, bundle.class_count)
+                           for probs in neuralnet.forward_all(net, groups)], axis=1)

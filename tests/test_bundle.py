@@ -1,6 +1,7 @@
 import json
 import math
 import random
+import re
 import struct
 from dataclasses import fields
 
@@ -334,6 +335,25 @@ def test_corrupt_state_raises_bundle_error(tmp_path, kind, corrupt, cause):
     path.write_bytes(corrupt(path.read_bytes()))
     with pytest.raises(BundleError, match="malformed header: .*" + cause):
         load_bundle(path)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("kind", ["svm", "forest"])
+def test_non_finite_float_raises_bundle_error(tmp_path, kind, value):
+    """One NaN or infinity in any float array fails at load: the stds at their
+    own check, every other array (network weights, norm mean, svm weights and
+    biases, forest thresholds) at the payload's, which names it."""
+    path = tmp_path / "model.pchx"
+    save_bundle(make_bundle(kind), path)
+    raw = path.read_bytes()
+    (header_len,) = struct.unpack("<Q", raw[7:15])
+    names = [e["name"] for e in json.loads(raw[15 : 15 + header_len])["arrays"] if e["dtype"] == "<f8"]
+    assert {"net/conv0.w", "net/dense.b", "norm_mean", "norm_std"} <= set(names)
+    assert ({"svm_weights", "svm_biases"} if kind == "svm" else {"forest_threshold"}) <= set(names)
+    for name in names:
+        cause = "finite positive std" if name.endswith("std") else f"array '{name}' holds a NaN or an infinity"
+        with pytest.raises(BundleError, match=re.escape(cause)):
+            decode_bundle(_edit_arrays(lambda arrays: arrays[name].flat.__setitem__(0, value))(raw), path)
 
 
 def test_bundle_without_normalization(tmp_path):

@@ -8,6 +8,7 @@ from patchx.data import (
     Dataset,
     NormStats,
     ParseError,
+    SplitError,
     TimeSeriesSample,
     anomaly_label,
     decode_dataset,
@@ -140,6 +141,13 @@ class TestLoadDataset:
         for a, b in zip(ds.samples, loaded.samples):
             np.testing.assert_array_equal(a.values, b.values)
             assert a.label == b.label
+
+    def test_saving_an_empty_dataset_raises_split_error(self, tmp_path):
+        """As check_splits does, naming the split, and before any file is written."""
+        path = tmp_path / "empty.csv"
+        with pytest.raises(SplitError, match="split 'val' is empty"):
+            save_dataset(Dataset([], class_count=2, split="val"), path)
+        assert not path.exists()
 
 
 class TestGenerateAnomaly:

@@ -1,3 +1,4 @@
+import inspect
 import math
 import tracemalloc
 from dataclasses import replace
@@ -5,6 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from patchx import neuralnet
 from patchx.data import TimeSeriesSample
 from patchx.neuralnet import (
     EVAL_BATCH,
@@ -54,7 +56,7 @@ class TestForward:
     def test_softmax_sums_to_one(self):
         net = build_network(TINY)
         x, _ = random_batch(TINY, n=20)
-        probs = forward_all(net, x, zero_offsets(x))
+        probs = forward_all(net, [(x, zero_offsets(x))])[0]
         assert np.all(probs > 0) and np.all(probs < 1)
         np.testing.assert_allclose(probs.sum(axis=1), 1.0, atol=1e-6)
 
@@ -63,21 +65,21 @@ class TestForward:
         net.dense.w[...] = 0.0
         net.dense.b[...] = 0.0
         x, _ = random_batch(TINY, n=4)
-        np.testing.assert_allclose(forward_all(net, x, zero_offsets(x)), 1.0 / 3.0)
+        np.testing.assert_allclose(forward_all(net, [(x, zero_offsets(x))])[0], 1.0 / 3.0)
 
     def test_identical_patches_identical_outputs(self):
         net = build_network(TINY)
         x, _ = random_batch(TINY, n=1)
-        a = forward_all(net, x.copy(), zero_offsets(x))
-        b = forward_all(net, x.copy(), zero_offsets(x))
+        a = forward_all(net, [(x.copy(), zero_offsets(x))])[0]
+        b = forward_all(net, [(x.copy(), zero_offsets(x))])[0]
         np.testing.assert_array_equal(a, b)
 
     def test_shape_mismatch_rejected(self):
         net = build_network(TINY)
         with pytest.raises(DimensionError):
-            forward_all(net, np.zeros((2, 3, 12)), np.zeros(2, dtype=np.int64))
+            forward_all(net, [(np.zeros((2, 3, 12)), np.zeros(2, dtype=np.int64))])
         with pytest.raises(DimensionError):
-            forward_all(net, np.zeros((2, 2, 13)), np.zeros(2, dtype=np.int64))
+            forward_all(net, [(np.zeros((2, 2, 13)), np.zeros(2, dtype=np.int64))])
 
     @pytest.mark.parametrize("offsets", [
         None, np.array([0, 1, 2]), np.array([0.0, 1.0]), np.array([-1, 0]), np.array([0, 3]),
@@ -89,18 +91,18 @@ class TestForward:
         x, y = np.zeros((2, 2, 10)), np.zeros(2, dtype=np.int64)  # crops of width 10 in 12-step frames
         good = (x, y, np.array([0, 2]))  # offsets in [0, 2]
         spec = TrainSpec(epochs=1, batch_size=2, early_stopping_patience=0, seed=0)
-        for call in (lambda: forward_all(net, x, offsets), lambda: train(net, (x, y, offsets), good, spec),
+        for call in (lambda: forward_all(net, [(x, offsets)]), lambda: train(net, (x, y, offsets), good, spec),
                      lambda: gradient_check(net, (x, y, offsets))):
             with pytest.raises(DimensionError, match=r"one integer offset in \[0, 2\] per row"):
                 call()
-        forward_all(net, x, good[2])
+        forward_all(net, [(x, good[2])])
 
     def test_single_patch_forward(self):
         net = build_network(TINY)
         x, _ = random_batch(TINY, n=1)
         probs = forward(net, x[0])
         assert probs.shape == (3,)
-        np.testing.assert_array_equal(probs, forward_all(net, x, zero_offsets(x))[0])
+        np.testing.assert_array_equal(probs, forward_all(net, [(x, zero_offsets(x))])[0][0])
 
 
 def im2col_forward(conv, x):
@@ -271,9 +273,21 @@ class TestFullOperandLoop:
     @pytest.mark.parametrize("relu", [False, True], ids=["linear", "relu"])
     @pytest.mark.parametrize("shape", SHAPES.values(), ids=SHAPES.keys())
     @pytest.mark.parametrize("kernel", [1, 2, 3, 4, 5])
-    def test_equals_the_broadcast_loop(self, kernel, shape, relu, with_edges, with_scratch):
+    def test_equals_the_broadcast_loop(self, monkeypatch, kernel, shape, relu, with_edges, with_scratch):
+        """With a scratch or without, every buffer (frame, output, bias and
+        product) comes from _empty, here handed out full of NaN, so the loop
+        fills each, the frame's pad rows included."""
         batch, length = shape
         conv, x, edges = self.case(kernel, batch, length, seed=kernel * 100 + batch)
+        keys, empty = [], neuralnet._empty
+
+        def poisoned(scratch, key, shape):
+            keys.append(key)
+            buffer = empty(scratch, key, shape)
+            buffer.fill(np.nan)
+            return buffer
+
+        monkeypatch.setattr(neuralnet, "_empty", poisoned)
         rows = batch * (length + kernel - 1) - kernel + 1
         assert (rows < ROW_BLOCK, rows == ROW_BLOCK, rows > 2 * ROW_BLOCK and rows % ROW_BLOCK != 0) \
             == tuple(shape == s for s in self.SHAPES.values())
@@ -283,6 +297,7 @@ class TestFullOperandLoop:
             got, flat = conv.forward(x, relu=relu, scratch=scratch, **kwargs)
             want, want_flat = row_block_conv_forward(conv, x, relu=relu, **kwargs)
             linear, _ = row_block_conv_forward(conv, x, **kwargs)
+        assert keys == [(conv, "frame"), (conv, "acc"), "bias", "product"]
         assert (linear[0, :2] == 0).all()
         if batch > 3:
             assert np.isnan(want).any() and np.isinf(want).any()
@@ -490,7 +505,7 @@ class TestCropOracle:
     """The network on layout crops against the full-frame oracle, to 1e-10 absolute."""
 
     def check(self, net, x, y, offsets, frames):
-        np.testing.assert_allclose(forward_all(net, x, offsets), full_frame_softmax(net, frames),
+        np.testing.assert_allclose(forward_all(net, [(x, offsets)])[0], full_frame_softmax(net, frames),
                                    rtol=0, atol=1e-10)
         got, want = backward(net, (x, y, offsets)), full_frame_gradients(net, frames, y)
         assert got.keys() == want.keys()
@@ -523,7 +538,7 @@ class TestCropOracle:
         net = crop_net(2 + attach, 23, 3, "relu", 2, seed=6)
         x, y, offsets, frames = patch_rows(attach, notemp, net.halo, whole=True)
         assert x.shape == frames.shape and not offsets.any()
-        np.testing.assert_array_equal(forward_all(net, x, offsets), full_frame_softmax(net, frames))
+        np.testing.assert_array_equal(forward_all(net, [(x, offsets)])[0], full_frame_softmax(net, frames))
         got, want = backward(net, (x, y, offsets)), full_frame_gradients(net, frames, y)
         for name in want:
             np.testing.assert_array_equal(got[name], want[name], err_msg=name)
@@ -531,19 +546,19 @@ class TestCropOracle:
     def test_row_depends_on_its_batch_only_by_rounding(self):
         net = crop_net(3, 23, 5, "relu", 2, seed=8)
         x, _, offsets, _ = patch_rows(True, False, net.halo)
-        batched = forward_all(net, x, offsets)
-        alone = np.concatenate([forward_all(net, x[r : r + 1], offsets[r : r + 1]) for r in range(len(x))])
+        batched = forward_all(net, [(x, offsets)])[0]
+        alone = np.concatenate(forward_all(net, [(x[r : r + 1], offsets[r : r + 1]) for r in range(len(x))]))
         np.testing.assert_allclose(alone, batched, rtol=0, atol=1e-12)
 
     def test_slices_share_one_empty_frame(self, monkeypatch):
         """forward_all runs the all-zero frame once however many EVAL_BATCH
-        slices it takes, whether it computes that frame or the caller gives
-        it, and gives the softmax of the slices run one by one."""
+        slices and groups it takes, and gives the softmax of the slices run
+        one by one."""
         net = crop_net(3, 23, 3, "relu", 2, seed=5)
         x, _, offsets, _ = patch_rows(True, False, net.halo)
         x, offsets = np.concatenate([x] * 60), np.concatenate([offsets] * 60)
         assert len(x) > 2 * EVAL_BATCH
-        want = np.concatenate([forward_all(net, x[lo : lo + EVAL_BATCH], offsets[lo : lo + EVAL_BATCH])
+        want = np.concatenate([forward_all(net, [(x[lo : lo + EVAL_BATCH], offsets[lo : lo + EVAL_BATCH])])[0]
                                for lo in range(0, len(x), EVAL_BATCH)])
         forward, frames = Conv1d.forward, []
 
@@ -553,10 +568,13 @@ class TestCropOracle:
             return forward(conv, h, **kwargs)
 
         monkeypatch.setattr(Conv1d, "forward", counting)
-        np.testing.assert_array_equal(forward_all(net, x, offsets), want)
+        np.testing.assert_array_equal(forward_all(net, [(x, offsets)])[0], want)
         assert len(frames) == 1
-        np.testing.assert_array_equal(forward_all(net, x, offsets, net.empty_frame()), want)
-        assert len(frames) == 2  # the caller's pass, and none in forward_all
+        first, whole, again = forward_all(net, [(x[:EVAL_BATCH], offsets[:EVAL_BATCH]), (x, offsets), (x, offsets)])
+        assert len(frames) == 2  # one more pass for three groups
+        np.testing.assert_array_equal(first, want[:EVAL_BATCH])
+        np.testing.assert_array_equal(whole, want)
+        np.testing.assert_array_equal(again, want)
 
     @pytest.mark.parametrize("attach, notemp", FLAGS, ids=FLAG_IDS)
     @pytest.mark.parametrize("kernel", [2, 3])
@@ -612,7 +630,8 @@ class TestCropsAgainstTheTensor:
         crops, _, offsets = build_patch_arrays(values, labels, configs, net.halo)
         tensor = patch_tensor(values, labels, configs, net.halo)[0]
         assert len(crops) > 2 * EVAL_BATCH
-        np.testing.assert_array_equal(forward_all(net, crops, offsets), forward_all(net, tensor, offsets))
+        got, want = forward_all(net, [(crops, offsets), (tensor, offsets)])
+        np.testing.assert_array_equal(got, want)
 
 
 class TestScratchAgainstFreshArrays:
@@ -672,19 +691,7 @@ class TestScratchAgainstFreshArrays:
         frame = net.empty_frame()
         expected = [softmax(net._forward_cached(x[lo : lo + EVAL_BATCH], offsets[lo : lo + EVAL_BATCH], frame)[0])
                     for lo in range(0, len(x), EVAL_BATCH)]
-        np.testing.assert_array_equal(forward_all(net, x, offsets), np.concatenate(expected))
-
-    @pytest.mark.parametrize("blocks", BLOCKS, ids=BLOCK_IDS)
-    def test_forward_all_reads_the_callers_scratch(self, monkeypatch, blocks):
-        """Given a Scratch, even one made for more and wider crops, forward_all
-        makes none and gives the same bits."""
-        net, (crops, _, offsets) = self.net_and_crops(blocks, n=2 * EVAL_BATCH // 10 + 3, seed=5)
-        want = forward_all(net, crops, offsets)
-        scratch = net.scratch(EVAL_BATCH + 5, net.spec.input_length)
-        made, make = [], PatchNet.scratch
-        monkeypatch.setattr(PatchNet, "scratch", lambda *args, **kwargs: made.append(args) or make(*args, **kwargs))
-        np.testing.assert_array_equal(forward_all(net, crops, offsets, scratch=scratch), want)
-        assert made == []
+        np.testing.assert_array_equal(forward_all(net, [(x, offsets)])[0], np.concatenate(expected))
 
     def test_crops_with_other_channels_raise_dimension_error(self):
         """Crops of 3 channels given to a 2-channel network fail before the
@@ -694,7 +701,7 @@ class TestScratchAgainstFreshArrays:
         with pytest.raises(DimensionError, match=r"expected input \(batch, 2, width <= 23\)"):
             train(narrow, patches, patches, TrainSpec(epochs=1, batch_size=16, early_stopping_patience=0, seed=0))
         with pytest.raises(DimensionError, match=r"expected input \(batch, 2, width <= 23\)"):
-            forward_all(narrow, patches[0], patches[2])
+            forward_all(narrow, [(patches[0], patches[2])])
 
 
 class TestScratchSizes:
@@ -752,8 +759,9 @@ class TestScratchSizes:
 class TestOneSetUpPerCall:
     """Set-up that a call's loops would repeat is done once: each conv's zero
     block is made when the conv is built and only read, each entry point
-    checks its input once, and a forward-only Scratch holds at most
-    EVAL_BATCH crops, the most that forward_all's slices take."""
+    checks its input once, and one forward_all call computes one empty frame
+    and makes one Scratch for all its groups, of at most EVAL_BATCH crops,
+    the most that its slices take."""
 
     SPEC = TestScratchSizes.SPEC
     BLOCKS = TestScratchAgainstFreshArrays.BLOCKS[0]
@@ -782,7 +790,7 @@ class TestOneSetUpPerCall:
         net, (crops, _, offsets) = TestScratchAgainstFreshArrays.net_and_crops(self.BLOCKS, 2 * EVAL_BATCH // 10 + 3, 5)
         assert 2 * EVAL_BATCH < len(crops) < 3 * EVAL_BATCH
         checked = self.checked_inputs(monkeypatch)
-        forward_all(net, crops, offsets)
+        forward_all(net, [(crops, offsets)])
         assert len(checked) == 1 and checked[0] is crops
 
     def test_train_checks_its_rows_once_and_validation_once_per_epoch(self, monkeypatch):
@@ -794,17 +802,57 @@ class TestOneSetUpPerCall:
         assert [x is patches[0] for x in checked] == [True, False, False, False]
         assert all(x is val[0] for x in checked[1:])
 
-    def test_a_forward_only_scratch_holds_at_most_eval_batch_crops(self):
+    @staticmethod
+    def made_scratches(monkeypatch) -> list:
+        """Every Scratch that PatchNet.scratch makes from here on."""
+        made, make = [], PatchNet.scratch
+        monkeypatch.setattr(PatchNet, "scratch", lambda *args, **kwargs: made.append(make(*args, **kwargs)) or made[-1])
+        return made
+
+    @staticmethod
+    def sizes(scratch: Scratch) -> dict:
+        return {key: len(part) for key, part in scratch.buffers.items()}
+
+    def test_a_forward_only_scratch_holds_at_most_eval_batch_crops(self, monkeypatch):
         net = build_network(self.SPEC)
-
-        def sizes(batch, backward=False):
-            return {key: len(part) for key, part in net.scratch(batch, 16, backward=backward).buffers.items()}
-
-        assert sizes(5 * EVAL_BATCH) == sizes(EVAL_BATCH)
-        assert sizes(5 * EVAL_BATCH)["crops"] == EVAL_BATCH * 16 * self.SPEC.input_channels
-        big, small = sizes(5 * EVAL_BATCH, backward=True), sizes(EVAL_BATCH, backward=True)
+        made = self.made_scratches(monkeypatch)
+        forward_all(net, [(np.zeros((5 * EVAL_BATCH, 3, 16)), np.zeros(5 * EVAL_BATCH, dtype=np.int64))])
+        monkeypatch.undo()
+        assert len(made) == 1
+        assert self.sizes(made[0]) == self.sizes(net.scratch(EVAL_BATCH, 16))
+        assert self.sizes(made[0])["crops"] == EVAL_BATCH * 16 * self.SPEC.input_channels
+        big, small = (self.sizes(net.scratch(n, 16, backward=True)) for n in (5 * EVAL_BATCH, EVAL_BATCH))
         assert big.keys() == small.keys()
         assert all(big[key] == 5 * small[key] for key in big if key not in ("bias", "product"))
+
+    def test_one_call_sets_up_once_over_its_groups(self, monkeypatch):
+        """Two groups of different widths and sizes, one over EVAL_BATCH rows,
+        give in one call the bits that each gives alone, from one empty frame
+        and one Scratch, sized for the largest slice and the widest crop."""
+        rng = np.random.default_rng(9)
+        net = build_network(NetworkSpec(3, 23, 3, conv_blocks=self.BLOCKS, seed=9))
+        for conv in net.convs:  # biases too, so the empty frame is not zero
+            conv.b[...] = rng.normal(scale=0.5, size=conv.b.shape)
+        groups = []
+        for n, config in ((EVAL_BATCH // 5 + 3, PatchConfig(4, 6, attach=True)), (7, PatchConfig(7, 9, attach=True))):
+            crops, _, offsets = build_patch_arrays(rng.normal(size=(n, 2, 23)), np.zeros(n, np.int64), [config], net.halo)
+            groups.append((crops, offsets))
+        (long, narrow), (short, wide) = ((len(x), x.shape[2]) for x, _ in groups)
+        assert long > EVAL_BATCH > short and wide > narrow  # the largest group is not the widest
+        alone = [forward_all(net, [group])[0] for group in groups]
+        frames, empty_frame = [], PatchNet.empty_frame
+        monkeypatch.setattr(PatchNet, "empty_frame", lambda net: frames.append(net) or empty_frame(net))
+        made = self.made_scratches(monkeypatch)
+        together = forward_all(net, groups)
+        monkeypatch.undo()
+        assert len(together) == 2
+        for got, want in zip(together, alone):
+            np.testing.assert_array_equal(got, want)
+        assert len(frames) == 1 and len(made) == 1
+        assert self.sizes(made[0]) == self.sizes(net.scratch(EVAL_BATCH, wide))
+
+    def test_forward_all_takes_no_frame_or_scratch(self):
+        assert list(inspect.signature(forward_all).parameters) == ["net", "groups"]
 
 
 def make_constant_patches(n, value, label, channels=1, length=16):

@@ -102,23 +102,32 @@ def test_verdict_follows_the_direction_and_needs_a_bound():
 
 
 def fake_checkout(root, op_s):
-    """A checkout whose benchmark prints one fixed result line."""
+    """A checkout whose benchmark prints one fixed result line and appends
+    the seed it was given to seeds.txt."""
     (root / "perfbench").mkdir(parents=True)
     (root / "BENCHMARK.json").write_text(json.dumps({"end_to_end": [
         {"name": "op_s", "better": "lower", "bound": 0.25},
         {"name": "test_accuracy", "better": "higher", "bound": 0.15}]}))
     result = {"attempted": 3, "failed": 0,
               "metrics": {"op_s": {"value": op_s}, "test_accuracy": {"value": 0.9}}}
-    (root / "perfbench" / "run.py").write_text(f"print({json.dumps(json.dumps(result))})\n")
+    (root / "perfbench" / "run.py").write_text(
+        "import sys\n"
+        "open('seeds.txt', 'a').write(sys.argv[sys.argv.index('--seed') + 1] + '\\n')\n"
+        f"print({json.dumps(json.dumps(result))})\n"
+    )
     return root
 
 
 @pytest.mark.parametrize("claim", [[], ["--claim", "op_s"]], ids=["no-claim", "claim"])
 def test_main_prints_a_verdict_per_metric_and_the_claim_only_when_asked(tmp_path, monkeypatch, capsys, claim):
+    """Pair i runs seed --seed + i on both sides, and the header prints the range."""
     parent, change = fake_checkout(tmp_path / "parent", 1.0), fake_checkout(tmp_path / "change", 2.0)
-    monkeypatch.setattr("sys.argv", ["pairs.py", str(parent), str(change), "--workload", "infer", "--seed", "1",
-                                     "--pairs", "2", *claim])
+    monkeypatch.setattr("sys.argv", ["pairs.py", str(parent), str(change), "--workload", "infer", "--seed", "7",
+                                     "--pairs", "3", *claim])
     assert pairs.main() == 0
+    for root in (parent, change):
+        assert (root / "seeds.txt").read_text().split() == ["7", "8", "9"]
     out = capsys.readouterr().out
+    assert "infer, seeds 7-9, 3 pairs" in out
     assert "op_s             worse" in out and "test_accuracy    within bound" in out
     assert ("claim on op_s: does not hold" in out) is bool(claim)
