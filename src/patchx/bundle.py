@@ -73,7 +73,8 @@ class PatchXBundle:
 
         Each config's patches are cut as one group, at the widest crop of
         that config alone, from one value table, and all the groups go to one
-        forward_all call, which owns the empty frame and the buffers."""
+        forward_all call, which owns the buffers and reads the network's
+        kept empty frame."""
         spec = self.network.spec
         channels = spec.input_channels - (1 if self.patch_configs[0].attach else 0)
         if not dataset.samples:

@@ -2,33 +2,40 @@
 
 Architecture: a stack of same-padded Conv1d+ReLU blocks, global average
 pooling over time, and a dense layer producing class logits; softmax on top.
-Activations keep the logical shape (batch, channels, length) over channels-last
-memory; a convolution is one shifted GEMM per kernel tap. A batch is (x, y,
-offsets): each row of x is a crop at its offset, which build_patch_arrays cuts
-from the patch layout (each window widened by the network's halo); whole
-frames are crops of width W = L at offset 0, with nothing outside them.
-Training batches mix patch configs and so take the layout's widest crop;
-evaluation forwards each config at its own, as one group of a forward_all
-call. Outside its crop a frame is zero, so every activation there is that of
-the all-zero input (the empty frame), which one batch-1 pass computes and
-every forward reads: once per training step, and once per forward_all call,
-shared by every slice of its groups. A ReLU is taken inside the
-convolution's row-block loop, while the block is in cache. Every elementwise
-operation of that loop reads an operand of the block's full shape, and the
-loop allocates nothing: a bias block filled once per call, the layer's
-read-only zero block, made when the layer is built, and one product buffer
-that taps 1 to k-1 multiply into. numpy's ufuncs run several times slower on
-a broadcast row or a scalar than on a full block (README step 2 has the
-timings); the results are those of the broadcast loop, bit for bit. x is an
-array or patching.Crops, which train cuts one batch at a time and
-forward_all one EVAL_BATCH slice at a time. Each entry point (forward_all,
-train, gradient_check) checks its input's shape and offsets once, before the
-first cut. train and forward_all each make one Scratch when they start:
-the writable per-call buffers (the crop buffer, every conv's frame, output
-and gradient arrays, and the convs' shared bias and product blocks) in one
-allocation, reused at each step and dropped when the call returns. All math
-is float64 numpy, so serial runs are bit-reproducible and the analytic
-gradients can be checked against central finite differences. Parameters and gradients share one flat layout: every
+Activations keep the logical shape (batch, channels, length) over time-major
+memory, (length, batch, channels) C-contiguous, as do their gradients; a
+convolution is one shifted GEMM per kernel tap, on rows shifted by whole
+steps of the batch, so no output row straddles two crops. Each conv writes
+its output straight into the inside of the next conv's frame, and crops are
+cut straight into the first conv's, so layers chain without copies; only
+pad rows are written apart. Pooling sums the last activation's contiguous
+(batch, channels) rows in step order. A batch is (x, y, offsets): each row
+of x is a crop at its offset, which build_patch_arrays cuts from the patch
+layout (each window widened by the network's halo); whole frames are crops
+of width W = L at offset 0, with nothing outside them. Training batches mix
+patch configs and so take the layout's widest crop; evaluation forwards each
+config at its own, as one group of a forward_all call. Outside its crop a
+frame is zero, so every activation there is that of the all-zero input (the
+empty frame), which one batch-1 pass computes and every forward reads: once
+per training step, and in evaluation once per parameter state, kept on the
+network (PatchNet.kept_frame) and shared by every slice of every group. A
+ReLU is taken inside the convolution's row-block loop, while the block is in
+cache. Every elementwise operation of that loop reads an operand of the
+block's full shape, and the loop allocates nothing: a bias block filled once
+per call, the layer's read-only zero block, made when the layer is built,
+and one product buffer that taps 1 to k-1 multiply into. numpy's ufuncs run
+several times slower on a broadcast row or a scalar than on a full block
+(README step 2 has the timings); the results are those of the broadcast
+loop, bit for bit. x is an array or patching.Crops, which train cuts one
+batch at a time and forward_all one EVAL_BATCH slice at a time. Each entry
+point (forward_all, train, gradient_check) checks its input's shape and
+offsets once, before the first cut. train and forward_all each make one
+Scratch when they start: the writable per-call buffers (every conv's frame,
+the last conv's output, the gradient arrays, and the convs' shared bias and
+product blocks) in one allocation, reused at each step and dropped when the
+call returns. All math is float64 numpy, so serial runs are
+bit-reproducible and the analytic gradients can be checked against central
+finite differences. Parameters and gradients share one flat layout: every
 layer's weights and biases view the parameter vector, and backward writes
 each layer's gradients to the same place in one gradient vector, so the
 optimizer steps one array with another.
@@ -96,8 +103,14 @@ class TrainSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if not (self.epochs >= 1 and self.batch_size >= 1 and self.learning_rate > 0):
-            raise ValueError("epochs, batch_size and learning_rate must be positive")
+        for name in ("epochs", "batch_size", "early_stopping_patience", "seed"):
+            if type(getattr(self, name)) is not int:  # a bool or a float is no count
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
+        if not (self.epochs >= 1 and self.batch_size >= 1):
+            raise ValueError(f"epochs and batch_size must be positive, got {(self.epochs, self.batch_size)}")
+        rate = self.learning_rate
+        if isinstance(rate, bool) or not (isinstance(rate, (int, float)) and math.isfinite(rate) and rate > 0):
+            raise ValueError(f"learning_rate must be positive and finite, got {rate!r}")
         if self.optimizer not in OPTIMIZERS:
             raise ValueError(f"unknown optimizer {self.optimizer!r}; choose from {OPTIMIZERS}")
         if not (0 <= self.early_stopping_patience < self.epochs):
@@ -130,11 +143,13 @@ def _empty(scratch: Scratch | None, key, shape: tuple[int, ...]) -> np.ndarray:
 class Conv1d:
     """Same-padded 1-D convolution as one shifted GEMM per kernel tap (kn2row).
 
-    Arrays keep the logical shape (batch, channels, length) over channels-last
-    memory. The zero-padded input is one flat (batch * (length + kernel - 1),
-    in_channels) matrix; tap j multiplies its rows [j, j + rows - kernel + 1),
-    and a result row that straddles two samples lands in padding and is dropped.
-    zeros is the ReLU's read-only (ROW_BLOCK, out_channels) zero block.
+    Arrays keep the logical shape (batch, channels, length) over time-major
+    memory: (length, batch, channels), C-contiguous. The zero-padded input is
+    one (length + kernel - 1, batch, in_channels) frame, read as a flat
+    matrix of in_channels columns; tap j multiplies its rows [j * batch,
+    (j + length) * batch), so the layer computes exactly length * batch
+    output rows and none straddles two samples. zeros is the ReLU's
+    read-only (ROW_BLOCK, out_channels) zero block.
     """
 
     def __init__(self, in_channels: int, out_channels: int, kernel: int, rng: np.random.Generator):
@@ -148,31 +163,40 @@ class Conv1d:
         self.pad_right = kernel - 1 - self.pad_left
 
     def forward(
-        self, x: np.ndarray, *, edges: np.ndarray | None = None, relu: bool = False,
-        scratch: Scratch | None = None,
+        self, x: np.ndarray, *, frame: np.ndarray | None = None, out: np.ndarray | None = None,
+        edges: np.ndarray | None = None, relu: bool = False, scratch: Scratch | None = None,
     ) -> tuple[np.ndarray, np.ndarray]:
         """x: (batch, in_channels, length) -> (out, flat); out is a transposed
-        view of channels-last memory, flat the padded input kept for backprop.
+        view of time-major memory, flat the padded input frame kept for
+        backprop, ((length + kernel - 1) * batch, in_channels).
 
-        The frame's pad rows are zeros, or, when x is a crop of a longer input,
-        edges: (batch, pad_left + pad_right, in_channels) values that the input
-        holds around the crop (rows edge_rows(length) of the frame). With relu,
-        out is max(pre-activation, 0), taken per row block while it is in cache.
-        Every buffer (the frame, the output, the bias and product blocks) is
-        scratch's when it is given, else a fresh np.empty, as in backward."""
+        x is padded in frame, by default self.frame(batch, length, scratch);
+        an x that already views the frame's inside, as the previous conv's out
+        or a cut of crops leaves it, is not copied (numpy skips an assignment
+        of an array to itself). The pad rows are zeros, or, when x is a crop
+        of a longer input, edges: (pad_left + pad_right, batch, in_channels)
+        values that the input holds around the crop (rows edge_rows(length)).
+        The output goes to out, a (length, batch, out_channels) array such as
+        the next conv's frame inside, or else to scratch's buffer or a new
+        one. With relu, out is max(pre-activation, 0), taken per row block
+        while it is in cache. The bias and product blocks are scratch's when
+        it is given, else new, as the frame gradient in backward."""
         batch, in_channels, length = x.shape
-        framed = length + self.kernel - 1
-        xp = _empty(scratch, (self, "frame"), (batch, framed, in_channels))
-        xp[:, : self.pad_left] = xp[:, self.pad_left + length :] = 0.0
-        xp[:, self.pad_left : self.pad_left + length] = x.transpose(0, 2, 1)
-        if edges is not None:
-            xp[:, self.edge_rows(length)] = edges
-        flat = xp.reshape(-1, in_channels)
+        if frame is None:
+            frame = self.frame(batch, length, scratch)
+        self.inside(frame)[...] = x.transpose(2, 0, 1)
+        if edges is None:
+            frame[: self.pad_left] = frame[self.pad_left + length :] = 0.0
+        else:
+            frame[self.edge_rows(length)] = edges
+        flat = frame.reshape(-1, in_channels)
         taps = self.w.transpose(2, 1, 0).copy()  # (kernel, in, out)
-        rows, out_channels = len(flat) - self.kernel + 1, len(self.b)
-        block_shape = (min(ROW_BLOCK, max(rows, 0)), out_channels)  # an empty batch has rows < 0
+        rows, out_channels = length * batch, len(self.b)
+        if out is None:
+            out = _empty(scratch, (self, "out"), (length, batch, out_channels))
+        acc = out.reshape(rows, out_channels)
+        block_shape = (min(ROW_BLOCK, rows), out_channels)
         zeros = self.zeros[: block_shape[0]]
-        acc = _empty(scratch, (self, "acc"), (len(flat), out_channels))
         bias, product = _empty(scratch, "bias", block_shape), _empty(scratch, "product", block_shape)
         bias[...] = self.b
         for lo, hi in _row_blocks(rows):
@@ -181,28 +205,25 @@ class Conv1d:
                 bias, product, zeros = bias[: hi - lo], product[: hi - lo], zeros[: hi - lo]
             np.matmul(flat[lo:hi], taps[0], out=block)
             for j in range(1, self.kernel):
-                np.matmul(flat[lo + j : hi + j], taps[j], out=product)
+                np.matmul(flat[lo + j * batch : hi + j * batch], taps[j], out=product)
                 block += product
             block += bias
             if relu:
                 np.maximum(block, zeros, out=block)
-        return acc.reshape(batch, framed, -1)[:, :length].transpose(0, 2, 1), flat
+        return out.transpose(1, 2, 0), flat
 
     def backward(
         self, dout: np.ndarray, flat: np.ndarray, in_shape: tuple[int, int, int], *, input_grad: bool = True,
         scratch: Scratch | None = None,
     ) -> tuple[np.ndarray | None, np.ndarray, np.ndarray]:
         """(dframe, dw, db): dframe is the gradient of the whole padded input
-        frame, (batch, in_channels, length + kernel - 1) over channels-last
-        memory, or None when input_grad is false. The output and input
-        gradients live in scratch's buffers when it is given."""
+        frame, (batch, in_channels, length + kernel - 1) over time-major
+        memory, or None when input_grad is false. dout is read where it lies
+        when it views time-major memory, as every gradient the network passes
+        does; dframe lives in scratch's buffer when it is given."""
         batch, in_channels, length = in_shape
-        framed = length + self.kernel - 1
-        g = _empty(scratch, (self, "dout"), (batch, framed, len(self.b)))
-        g[:, :length] = dout.transpose(0, 2, 1)
-        g[:, length:] = 0.0  # frame rows past `length` hold no output
-        g = g.reshape(-1, len(self.b))[: len(flat) - self.kernel + 1]
-        dw = np.stack([g.T @ flat[j : j + len(g)] for j in range(self.kernel)], axis=2)
+        g = dout.transpose(2, 0, 1).reshape(-1, len(self.b))  # a copy only for another layout
+        dw = np.stack([g.T @ flat[j * batch : j * batch + len(g)] for j in range(self.kernel)], axis=2)
         db = np.ones(len(g)) @ g  # a GEMV; g.sum(axis=0) loops over narrow rows
         if not input_grad:
             return None, dw, db
@@ -211,8 +232,17 @@ class Conv1d:
         dxp[...] = 0.0
         for lo, hi in _row_blocks(len(g)):
             for j in range(self.kernel):
-                dxp[lo + j : hi + j] += g[lo:hi] @ taps[j]
-        return dxp.reshape(batch, framed, in_channels).transpose(0, 2, 1), dw, db
+                dxp[lo + j * batch : hi + j * batch] += g[lo:hi] @ taps[j]
+        return dxp.reshape(length + self.kernel - 1, batch, in_channels).transpose(1, 2, 0), dw, db
+
+    def frame(self, batch: int, length: int, scratch: Scratch | None = None) -> np.ndarray:
+        """The (length + kernel - 1, batch, in_channels) array that forward
+        pads a length-long input in: scratch's when it is given, else new."""
+        return _empty(scratch, (self, "frame"), (length + self.kernel - 1, batch, self.w.shape[1]))
+
+    def inside(self, frame: np.ndarray) -> np.ndarray:
+        """The rows of a frame (or of its gradient) between its pad rows."""
+        return frame[self.pad_left : len(frame) - self.pad_right]
 
     def buffer_sizes(self, batch: int, length: int, backward: bool) -> dict:
         """The entries each scratch buffer of forward (and of backward) takes
@@ -220,12 +250,12 @@ class Conv1d:
         product blocks are keyed by name alone: each conv uses them only
         inside its forward, so the convs of a network share them."""
         out_channels, in_channels, _ = self.w.shape
-        rows = batch * (length + self.kernel - 1)
-        block = min(ROW_BLOCK, max(rows - self.kernel + 1, 0)) * out_channels
-        sizes = {(self, "frame"): rows * in_channels, (self, "acc"): rows * out_channels,
+        framed = batch * (length + self.kernel - 1)
+        block = min(ROW_BLOCK, batch * length) * out_channels
+        sizes = {(self, "frame"): framed * in_channels, (self, "out"): batch * length * out_channels,
                  "bias": block, "product": block}
         if backward:
-            sizes |= {(self, "dout"): rows * out_channels, (self, "dframe"): rows * in_channels}
+            sizes[(self, "dframe")] = framed * in_channels
         return sizes
 
     def edge_rows(self, length: int) -> np.ndarray:
@@ -274,6 +304,7 @@ class PatchNet:
         views = iter(self.views(self.flat_params).values())
         for layer in (*self.convs, self.dense):
             layer.w, layer.b = next(views), next(views)
+        self._kept = None  # (parameter bytes, empty frame): see kept_frame
 
     # -- parameter access -------------------------------------------------
 
@@ -306,11 +337,21 @@ class PatchNet:
 
     def scratch(self, batch: int, width: int, *, backward: bool = False) -> Scratch:
         """The buffers of a loop over batches of at most batch crops of this
-        width: the crops, and those of each conv."""
-        sizes = {"crops": batch * width * self.spec.input_channels}
-        for conv in self.convs:  # the convs run one after another and share their block buffers
-            for key, size in conv.buffer_sizes(batch, width, backward).items():
+        width: each conv's frame (crops are cut into the first), the last
+        conv's output (every other conv writes into the next one's frame),
+        and in training each frame gradient that is read (not the first
+        conv's) and the last activation's gradient."""
+        sizes = {}
+        for i, conv in enumerate(self.convs):
+            parts = conv.buffer_sizes(batch, width, backward)
+            if conv is not self.convs[-1]:
+                del parts[(conv, "out")]
+            if backward and i == 0:
+                del parts[(conv, "dframe")]
+            for key, size in parts.items():  # the convs run one after another and share their block buffers
                 sizes[key] = max(sizes.get(key, 0), size)
+        if backward and self.convs:
+            sizes["dout"] = batch * width * self.convs[-1].w.shape[0]
         return Scratch(sizes)
 
     # -- forward / backward ------------------------------------------------
@@ -327,24 +368,40 @@ class PatchNet:
 
     def _convolve(self, h: np.ndarray, offsets: np.ndarray | None = None, empty: list | None = None,
                   *, scratch: Scratch | None = None) -> tuple[list, np.ndarray]:
-        """The conv blocks on h; returns (caches, last activation). With the
-        empty frame's caches, h is a crop at offsets, and the pad rows of each
+        """The conv blocks on h; returns (caches, last activation). Each conv
+        writes its output into the next conv's frame, and h is copied into
+        the first conv's frame unless it lies there already. With the empty
+        frame's caches, h is a crop at offsets, and the pad rows of each
         layer's frame read the empty frame's activations at their positions."""
         caches = []
+        batch, _, width = h.shape
+        frames = [conv.frame(batch, width, scratch) for conv in self.convs]
         for i, (conv, activation) in enumerate(zip(self.convs, self.activations)):
             edges = None  # layer 0's empty frame is zero
             if empty is not None and i > 0:
-                edges = empty[i][1][offsets[:, None] + conv.edge_rows(h.shape[2])]
+                edges = empty[i][1][conv.edge_rows(width)[:, None] + offsets]
+            out = self.convs[i + 1].inside(frames[i + 1]) if i + 1 < len(frames) else None
             relu = activation == "relu"  # post > 0 iff pre > 0
-            out, flat = conv.forward(h, edges=edges, relu=relu, scratch=scratch)
-            caches.append((h.shape, flat, out))
-            h = out
+            post, flat = conv.forward(h, frame=frames[i], out=out, edges=edges, relu=relu, scratch=scratch)
+            caches.append((h.shape, flat, post))
+            h = post
         return caches, h
 
     def empty_frame(self) -> tuple[list, np.ndarray]:
         """(caches, last activation) of one forward of the all-zero input: the
         activations that every crop has outside itself."""
         return self._convolve(np.zeros((1, self.spec.input_channels, self.spec.input_length)))
+
+    def kept_frame(self) -> tuple[list, np.ndarray]:
+        """empty_frame() of the current parameters, kept between calls. It is
+        computed again only when flat_params differ, bit for bit, from the
+        copy taken when it was computed, so every in-place write (set_state,
+        an optimizer step, train's restore, gradient_check's perturbations)
+        drops it without telling the network."""
+        params = self.flat_params.tobytes()
+        if self._kept is None or self._kept[0] != params:
+            self._kept = (params, self.empty_frame())
+        return self._kept[1]
 
     def _forward_cached(self, x: np.ndarray, offsets: np.ndarray, frame: tuple,
                         *, scratch: Scratch | None = None) -> tuple[np.ndarray, list]:
@@ -358,7 +415,7 @@ class PatchNet:
         steps = np.arange(length)
         outside = ((steps < offsets[:, None]) | (steps >= offsets[:, None] + width)).astype(float)
         caches, h = self._convolve(x, offsets, frame[0], scratch=scratch)
-        pooled = h.sum(axis=2)
+        pooled = h.transpose(2, 0, 1).sum(axis=0)  # (batch, channels) rows added in step order
         pooled += outside @ frame[1][0].T  # the empty frame's activations outside each crop
         pooled /= length
         logits = self.dense.forward(pooled)
@@ -369,32 +426,37 @@ class PatchNet:
                              *, scratch: Scratch | None = None) -> np.ndarray:
         """The parameter gradients, one vector laid out like flat_params. What
         the crops read from the empty frame (the pooling remainder and every
-        layer's pad rows) goes back through one backward of the empty frame."""
+        layer's pad rows) goes back through one backward of the empty frame.
+        Activation gradients are time-major, as the activations: a layer's
+        ReLU masks its gradient where the layer above left it."""
         grad = np.empty_like(self.flat_params)
         parts = self.views(grad)
         (batch, channels, width), pooled, offsets, outside, (empty, _) = caches[-1]
         dpooled, parts["dense.w"][...], parts["dense.b"][...] = self.dense.backward(dlogits, pooled)
         length = self.spec.input_length
         dpooled /= length
-        dh = np.broadcast_to(dpooled[:, None, :], (batch, width, channels)).transpose(0, 2, 1)
-        d0 = (outside.T @ dpooled).T[None]  # (1, channels, length) over channels-last memory
-        for i in range(len(self.convs) - 1, -1, -1):
+        dh = np.broadcast_to(dpooled, (width, batch, channels))
+        d0 = (outside.T @ dpooled)[:, None]  # (length, 1, channels): the empty frame's
+        top = len(self.convs) - 1
+        for i in range(top, -1, -1):
             conv = self.convs[i]
             in_shape, flat, post = caches[i]
             shape0, flat0, post0 = empty[i]
             if self.activations[i] == "relu":
-                dh = dh * (post > 0)
-                d0 = d0 * (post0 > 0)
-            dframe, dw, db = conv.backward(dh, flat, in_shape, input_grad=i > 0, scratch=scratch)
-            dframe0, dw0, db0 = conv.backward(d0, flat0, shape0, input_grad=i > 0)
+                mask_out = _empty(scratch, "dout", dh.shape) if i == top else dh
+                dh = np.multiply(dh, post.transpose(2, 0, 1) > 0, out=mask_out)
+                d0 = d0 * (post0.transpose(2, 0, 1) > 0)
+            dframe, dw, db = conv.backward(dh.transpose(1, 2, 0), flat, in_shape, input_grad=i > 0,
+                                           scratch=scratch)
+            dframe0, dw0, db0 = conv.backward(d0.transpose(1, 2, 0), flat0, shape0, input_grad=i > 0)
             parts[f"conv{i}.w"][...] = dw + dw0
             parts[f"conv{i}.b"][...] = db + db0
             if i == 0:  # nothing reads the input gradient
                 break
-            dh = dframe[:, :, conv.pad_left : conv.pad_left + width]
+            dframe, dframe0 = dframe.transpose(2, 0, 1), dframe0.transpose(2, 0, 1)
+            dh, d0 = conv.inside(dframe), conv.inside(dframe0)
             rows = conv.edge_rows(width)  # the crop's pad rows were read from the empty frame
-            np.add.at(dframe0[0].T, offsets[:, None] + rows, dframe[:, :, rows].transpose(0, 2, 1))
-            d0 = dframe0[:, :, conv.pad_left : conv.pad_left + length]
+            np.add.at(dframe0[:, 0], offsets[:, None] + rows, dframe[rows].transpose(1, 0, 2))
         return grad
 
 
@@ -411,26 +473,28 @@ def softmax(logits: np.ndarray) -> np.ndarray:
 # -- spec operations -------------------------------------------------------
 
 
-def _cut(x: np.ndarray | Crops, rows: np.ndarray | slice, scratch: Scratch) -> np.ndarray:
-    """x[rows]; crops are cut into scratch's crop buffer."""
-    if not isinstance(x, Crops):
+def _cut(net: PatchNet, x: np.ndarray | Crops, rows: np.ndarray | slice, scratch: Scratch) -> np.ndarray:
+    """x[rows]; crops are cut straight into the inside of the first conv's frame."""
+    if not isinstance(x, Crops) or not net.convs:
         return x[rows]
     if isinstance(rows, slice):
         rows = np.arange(*rows.indices(len(x)))
-    return x.cut(rows, out=scratch.empty("crops", (len(rows), x.shape[2], x.shape[1])))
+    first = net.convs[0]
+    return x.cut(rows, out=first.inside(first.frame(len(rows), x.shape[2], scratch)))
 
 
 def forward_all(net: PatchNet, groups: list[tuple[np.ndarray | Crops, np.ndarray]]) -> list[np.ndarray]:
     """The softmax of every row of each (x, offsets) group of one evaluation,
     each row a crop at its offset: one (len(x), class_count) array per group.
     The one forward path, in EVAL_BATCH slices. The call owns its set-up: it
-    checks each group's input once, computes one empty frame of the current
-    parameters and makes one Scratch, sized for the largest slice (at most
-    EVAL_BATCH crops) and the widest crop; every slice of every group reads
-    them, and crops are cut one slice at a time."""
+    checks each group's input once, reads the network's kept empty frame
+    (computed again only after the parameters change) and makes one Scratch,
+    sized for the largest slice (at most EVAL_BATCH crops) and the widest
+    crop; every slice of every group reads them, and crops are cut one slice
+    at a time."""
     for x, offsets in groups:
         net._check_input(x, offsets)  # once, before the first cut, which assumes the spec's channels
-    frame = net.empty_frame()
+    frame = net.kept_frame()
     scratch = net.scratch(min(max((len(x) for x, _ in groups), default=0), EVAL_BATCH),
                           max((x.shape[2] for x, _ in groups), default=0))
     results = []
@@ -438,7 +502,7 @@ def forward_all(net: PatchNet, groups: list[tuple[np.ndarray | Crops, np.ndarray
         probs = np.empty((len(x), net.spec.class_count))
         for lo in range(0, len(x), EVAL_BATCH):
             rows = slice(lo, lo + EVAL_BATCH)
-            logits, caches = net._forward_cached(_cut(x, rows, scratch), offsets[rows], frame, scratch=scratch)
+            logits, caches = net._forward_cached(_cut(net, x, rows, scratch), offsets[rows], frame, scratch=scratch)
             del caches  # else this slice's caches stay alive through the next slice's forward
             probs[rows] = softmax(logits)
         results.append(probs)
@@ -543,7 +607,7 @@ def train(net: PatchNet, train_patches, val_patches, spec: TrainSpec) -> TrainLo
         batch_losses: list[float] = []
         for lo in range(0, len(y), spec.batch_size):
             idx = order[lo : lo + spec.batch_size]
-            loss, grad = _loss_and_gradients(net, (_cut(x, idx, scratch), y[idx], offsets[idx]), scratch=scratch)
+            loss, grad = _loss_and_gradients(net, (_cut(net, x, idx, scratch), y[idx], offsets[idx]), scratch=scratch)
             if not math.isfinite(loss):  # before its gradient reaches the parameters
                 raise TrainingError(
                     f"training loss diverged at epoch {epoch}, batch {lo // spec.batch_size}"

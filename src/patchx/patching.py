@@ -144,15 +144,16 @@ class Crops:
 
     def cut(self, rows: np.ndarray | slice, out: np.ndarray | None = None) -> np.ndarray:
         """Rows (an index array or a slice) as (len(rows), channels, W) over
-        channels-last memory. With out, (len(rows), W, channels), the cut is
+        time-major memory, (W, len(rows), channels). With out, an array of
+        that memory shape, such as the inside of a conv's frame, the cut is
         written there unchecked, so the rows must lie in [0, len(self));
         without it, a row past the end raises IndexError."""
         rows = np.arange(*rows.indices(len(self))) if isinstance(rows, slice) else np.asarray(rows)
         sample, slot = np.divmod(rows, len(self.slots))
-        index = self.slots[slot]
-        index += (sample * (self.table.length + 1))[:, None]
+        index = self.slots.T[:, slot]  # (W, len(rows)): column c of each row's crop
+        index += sample * (self.table.length + 1)
         mode = "raise" if out is None else "clip"  # "clip" lets take write to out without a temporary
-        return self.table.rows.take(index, axis=0, out=out, mode=mode).transpose(0, 2, 1)
+        return self.table.rows.take(index, axis=0, out=out, mode=mode).transpose(1, 2, 0)
 
 
 def build_patch_arrays(

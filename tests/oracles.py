@@ -33,6 +33,18 @@ ReLU against the scalar 0.0, and allocates a new product for every tap of
 every block. The same operations run in the same order per element, so
 Conv1d.forward must equal it bit for bit, sign bits of zeros included.
 
+The crop-major network: crop_major_conv_forward and crop_major_conv_backward
+are Conv1d as it was over channels-last memory, each crop's padded frame
+after the previous one's, so that k - 1 result rows a crop straddle two
+crops and are dropped; crop_major_forward_cached and
+crop_major_backward_from_logits are PatchNet's over such frames, each layer
+copying its input into a frame of its own and pooling over the strided step
+axis. The time-major network runs the same operations per element in the
+same order, so evaluation (crop_major_softmax) must equal it bit for bit;
+its gradients sum the batch rows in another order and match
+crop_major_loss_and_gradients to rounding. crop_major_scratch_entries is the
+size of a forward-only Scratch over those frames.
+
 The per-name optimizers: NamedAdam and NamedSgdMomentum keep one moment array
 per named parameter and step each in turn. The flat optimizers that train
 steps one parameter vector with must equal them bit for bit.
@@ -70,7 +82,7 @@ from patchx.data import (
 )
 from patchx.explain import BoundaryProbeResult, PatchRecords, explain_sample
 from patchx.neuralnet import (
-    LOG_CLAMP, ROW_BLOCK, Conv1d, GradientCheckEntry, GradientCheckReport, NetworkSpec, PatchNet, TrainSpec,
+    EVAL_BATCH, LOG_CLAMP, ROW_BLOCK, Conv1d, GradientCheckEntry, GradientCheckReport, NetworkSpec, PatchNet, TrainSpec,
     batch_cross_entropy, softmax,
 )
 from patchx.patching import (
@@ -284,30 +296,188 @@ def full_frame_backward(net: PatchNet, dlogits: np.ndarray, caches: list) -> dic
 
 
 def row_block_conv_forward(conv: Conv1d, x: np.ndarray, edges: np.ndarray | None = None,
-                           relu: bool = False) -> tuple[np.ndarray, np.ndarray]:
-    """Conv1d.forward(x, edges=edges, relu=relu) with no scratch, its loop
-    reading a broadcast bias row and a scalar zero and making a new product
-    per tap."""
+                           relu: bool = False, out: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Conv1d.forward(x, edges=edges, relu=relu, out=out) with no scratch,
+    its loop reading a broadcast bias row and a scalar zero and making a new
+    product per tap."""
+    batch, in_channels, length = x.shape
+    xp = np.zeros((length + conv.kernel - 1, batch, in_channels))
+    xp[conv.pad_left : conv.pad_left + length] = x.transpose(2, 0, 1)
+    if edges is not None:
+        xp[conv.edge_rows(length)] = edges
+    flat = xp.reshape(-1, in_channels)
+    taps = conv.w.transpose(2, 1, 0).copy()
+    if out is None:
+        out = np.empty((length, batch, len(conv.b)))
+    acc = out.reshape(length * batch, -1)
+    for lo in range(0, len(acc), ROW_BLOCK):
+        hi = min(lo + ROW_BLOCK, len(acc))
+        block = acc[lo:hi]
+        np.matmul(flat[lo:hi], taps[0], out=block)
+        for j in range(1, conv.kernel):
+            block += flat[lo + j * batch : hi + j * batch] @ taps[j]
+        block += conv.b
+        if relu:
+            np.maximum(block, 0.0, out=block)
+    return out.transpose(1, 2, 0), flat
+
+
+def crop_major_conv_forward(conv: Conv1d, x: np.ndarray, edges: np.ndarray | None = None,
+                            relu: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """Conv1d.forward over channels-last memory, with no scratch: the padded
+    input is one flat (batch * (length + kernel - 1), in_channels) matrix,
+    one crop's frame after another; tap j multiplies its rows [j, j + rows -
+    kernel + 1), and the kernel - 1 result rows a crop that straddle two crops
+    land in padding and are dropped. edges is (batch, pad rows, in_channels)."""
     batch, in_channels, length = x.shape
     framed = length + conv.kernel - 1
-    xp = np.zeros((batch, framed, in_channels))
+    xp = np.empty((batch, framed, in_channels))
+    xp[:, : conv.pad_left] = xp[:, conv.pad_left + length :] = 0.0
     xp[:, conv.pad_left : conv.pad_left + length] = x.transpose(0, 2, 1)
     if edges is not None:
         xp[:, conv.edge_rows(length)] = edges
     flat = xp.reshape(-1, in_channels)
     taps = conv.w.transpose(2, 1, 0).copy()
-    acc = np.empty((len(flat), len(conv.b)))
-    rows = len(flat) - conv.kernel + 1
+    rows, out_channels = len(flat) - conv.kernel + 1, len(conv.b)
+    block_shape = (min(ROW_BLOCK, max(rows, 0)), out_channels)
+    zeros = conv.zeros[: block_shape[0]]
+    acc = np.empty((len(flat), out_channels))
+    bias, product = np.empty(block_shape), np.empty(block_shape)
+    bias[...] = conv.b
     for lo in range(0, rows, ROW_BLOCK):
         hi = min(lo + ROW_BLOCK, rows)
         block = acc[lo:hi]
+        if hi - lo < len(bias):
+            bias, product, zeros = bias[: hi - lo], product[: hi - lo], zeros[: hi - lo]
         np.matmul(flat[lo:hi], taps[0], out=block)
         for j in range(1, conv.kernel):
-            block += flat[lo + j : hi + j] @ taps[j]
-        block += conv.b
+            np.matmul(flat[lo + j : hi + j], taps[j], out=product)
+            block += product
+        block += bias
         if relu:
-            np.maximum(block, 0.0, out=block)
+            np.maximum(block, zeros, out=block)
     return acc.reshape(batch, framed, -1)[:, :length].transpose(0, 2, 1), flat
+
+
+def crop_major_conv_backward(conv: Conv1d, dout: np.ndarray, flat: np.ndarray, in_shape: tuple[int, int, int],
+                             input_grad: bool = True) -> tuple[np.ndarray | None, np.ndarray, np.ndarray]:
+    """Conv1d.backward of crop_major_conv_forward: dframe is (batch,
+    in_channels, length + kernel - 1) over channels-last memory."""
+    batch, in_channels, length = in_shape
+    framed = length + conv.kernel - 1
+    g = np.empty((batch, framed, len(conv.b)))
+    g[:, :length] = dout.transpose(0, 2, 1)
+    g[:, length:] = 0.0
+    g = g.reshape(-1, len(conv.b))[: len(flat) - conv.kernel + 1]
+    dw = np.stack([g.T @ flat[j : j + len(g)] for j in range(conv.kernel)], axis=2)
+    db = np.ones(len(g)) @ g
+    if not input_grad:
+        return None, dw, db
+    taps = conv.w.transpose(2, 0, 1).copy()
+    dxp = np.zeros(flat.shape)
+    for lo in range(0, len(g), ROW_BLOCK):
+        hi = min(lo + ROW_BLOCK, len(g))
+        for j in range(conv.kernel):
+            dxp[lo + j : hi + j] += g[lo:hi] @ taps[j]
+    return dxp.reshape(batch, framed, in_channels).transpose(0, 2, 1), dw, db
+
+
+def crop_major_convolve(net: PatchNet, h: np.ndarray, offsets: np.ndarray | None = None,
+                        empty: list | None = None) -> tuple[list, np.ndarray]:
+    """PatchNet._convolve over crop_major_conv_forward: each layer copies the
+    previous layer's output into a frame of its own."""
+    caches = []
+    for i, (conv, activation) in enumerate(zip(net.convs, net.activations)):
+        edges = None
+        if empty is not None and i > 0:
+            edges = empty[i][1][offsets[:, None] + conv.edge_rows(h.shape[2])]
+        out, flat = crop_major_conv_forward(conv, h, edges, relu=activation == "relu")
+        caches.append((h.shape, flat, out))
+        h = out
+    return caches, h
+
+
+def crop_major_empty_frame(net: PatchNet) -> tuple[list, np.ndarray]:
+    return crop_major_convolve(net, np.zeros((1, net.spec.input_channels, net.spec.input_length)))
+
+
+def crop_major_forward_cached(net: PatchNet, x: np.ndarray, offsets: np.ndarray,
+                              frame: tuple) -> tuple[np.ndarray, list]:
+    """PatchNet._forward_cached over crop-major frames; it pools over the
+    strided step axis of the last activation."""
+    width, length = x.shape[2], net.spec.input_length
+    steps = np.arange(length)
+    outside = ((steps < offsets[:, None]) | (steps >= offsets[:, None] + width)).astype(float)
+    caches, h = crop_major_convolve(net, x, offsets, frame[0])
+    pooled = h.sum(axis=2)
+    pooled += outside @ frame[1][0].T
+    pooled /= length
+    caches.append((h.shape, pooled, offsets, outside, frame))
+    return net.dense.forward(pooled), caches
+
+
+def crop_major_backward_from_logits(net: PatchNet, dlogits: np.ndarray, caches: list) -> np.ndarray:
+    """PatchNet.backward_from_logits over crop-major frames."""
+    grad = np.empty_like(net.flat_params)
+    parts = net.views(grad)
+    (batch, channels, width), pooled, offsets, outside, (empty, _) = caches[-1]
+    dpooled, parts["dense.w"][...], parts["dense.b"][...] = net.dense.backward(dlogits, pooled)
+    length = net.spec.input_length
+    dpooled /= length
+    dh = np.broadcast_to(dpooled[:, None, :], (batch, width, channels)).transpose(0, 2, 1)
+    d0 = (outside.T @ dpooled).T[None]
+    for i in range(len(net.convs) - 1, -1, -1):
+        conv = net.convs[i]
+        in_shape, flat, post = caches[i]
+        shape0, flat0, post0 = empty[i]
+        if net.activations[i] == "relu":
+            dh = dh * (post > 0)
+            d0 = d0 * (post0 > 0)
+        dframe, dw, db = crop_major_conv_backward(conv, dh, flat, in_shape, input_grad=i > 0)
+        dframe0, dw0, db0 = crop_major_conv_backward(conv, d0, flat0, shape0, input_grad=i > 0)
+        parts[f"conv{i}.w"][...] = dw + dw0
+        parts[f"conv{i}.b"][...] = db + db0
+        if i == 0:
+            break
+        dh = dframe[:, :, conv.pad_left : conv.pad_left + width]
+        rows = conv.edge_rows(width)
+        np.add.at(dframe0[0].T, offsets[:, None] + rows, dframe[:, :, rows].transpose(0, 2, 1))
+        d0 = dframe0[:, :, conv.pad_left : conv.pad_left + length]
+    return grad
+
+
+def crop_major_softmax(net: PatchNet, x: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """forward_all(net, [(x, offsets)])[0] over crop-major frames, in the same
+    EVAL_BATCH slices."""
+    frame = crop_major_empty_frame(net)
+    return np.concatenate([
+        softmax(crop_major_forward_cached(net, x[lo : lo + EVAL_BATCH], offsets[lo : lo + EVAL_BATCH], frame)[0])
+        for lo in range(0, len(x), EVAL_BATCH)])
+
+
+def crop_major_loss_and_gradients(net: PatchNet, batch) -> tuple[float, np.ndarray]:
+    """neuralnet._loss_and_gradients over crop-major frames."""
+    x, y, offsets = batch
+    logits, caches = crop_major_forward_cached(net, x, offsets, crop_major_empty_frame(net))
+    dlogits = softmax(logits)
+    loss = batch_cross_entropy(dlogits, y)
+    dlogits[np.arange(len(y)), y] -= 1.0
+    dlogits /= len(y)
+    return loss, crop_major_backward_from_logits(net, dlogits, caches)
+
+
+def crop_major_scratch_entries(net: PatchNet, batch: int, width: int) -> int:
+    """The entries of a forward-only PatchNet.scratch(batch, width) over
+    crop-major frames: a crop buffer, and each conv's frame and output of
+    batch * (width + kernel - 1) rows, beside the shared bias and product
+    blocks."""
+    entries, block = batch * width * net.spec.input_channels, 0
+    for conv in net.convs:
+        out_channels, in_channels, _ = conv.w.shape
+        rows = batch * (width + conv.kernel - 1)
+        entries += rows * (in_channels + out_channels)
+        block = max(block, min(ROW_BLOCK, max(rows - conv.kernel + 1, 0)) * out_channels)
+    return entries + 2 * block
 
 
 def full_frame_softmax(net: PatchNet, x: np.ndarray) -> np.ndarray:

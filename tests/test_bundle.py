@@ -575,4 +575,5 @@ class TestPatchPredictionsPerConfig:
         bundle = crop_bundle(True, False, 3, "relu", whole=True, seed=3)
         assert self.empty_frame_passes(monkeypatch, bundle, crop_dataset(2)) == 1
         bundle.patch_configs = bundle.patch_configs[2:]  # the whole-frame window alone
+        bundle.network.convs[0].b[0] += 0.25  # else the network's kept frame serves the call
         assert self.empty_frame_passes(monkeypatch, bundle, crop_dataset(2)) == 1

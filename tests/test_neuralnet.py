@@ -34,9 +34,9 @@ from patchx.neuralnet import (
 from patchx.patching import PatchConfig, build_patch_arrays
 
 from oracles import (
-    NamedAdam, NamedSgdMomentum, backward, content_crop, expand_crops, forward, full_frame_gradients,
-    full_frame_patch_arrays, full_frame_softmax, named_gradient_check, patch_cross_entropy, patch_tensor,
-    row_block_conv_forward, transform, zero_offsets,
+    NamedAdam, NamedSgdMomentum, backward, content_crop, crop_major_loss_and_gradients, crop_major_scratch_entries,
+    crop_major_softmax, expand_crops, forward, full_frame_gradients, full_frame_patch_arrays, full_frame_softmax,
+    named_gradient_check, patch_cross_entropy, patch_tensor, row_block_conv_forward, transform, zero_offsets,
 )
 
 TINY = NetworkSpec(
@@ -140,18 +140,20 @@ class TestShiftedGemmConv:
     # kernels as long as the input
     SHAPES = [(1, 20), (2, 20), (3, 20), (4, 20), (5, 20), (1, 1), (4, 4), (5, 5)]
 
-    @staticmethod
-    def inputs(rng, batch, in_channels, length, channels_last):
-        if channels_last:
-            return rng.normal(size=(batch, length, in_channels)).transpose(0, 2, 1)
-        return rng.normal(size=(batch, in_channels, length))
+    # memory orders of a logical (batch, channels, length) array
+    LAYOUTS = {"channels-first": (0, 1, 2), "channels-last": (0, 2, 1), "time-major": (2, 0, 1)}
 
-    def check(self, kernel, length, in_channels, batch, channels_last, seed):
+    @classmethod
+    def inputs(cls, rng, batch, in_channels, length, layout):
+        order = cls.LAYOUTS[layout]
+        return rng.normal(size=tuple((batch, in_channels, length)[a] for a in order)).transpose(np.argsort(order))
+
+    def check(self, kernel, length, in_channels, batch, layout, seed):
         rng = np.random.default_rng(seed)
         conv = Conv1d(in_channels, 6, kernel, rng)
         conv.b[...] = rng.normal(size=6)
-        x = self.inputs(rng, batch, in_channels, length, channels_last)
-        dout = self.inputs(rng, batch, 6, length, channels_last)
+        x = self.inputs(rng, batch, in_channels, length, layout)
+        dout = self.inputs(rng, batch, 6, length, layout)
         out, flat = conv.forward(x)
         ref_out, cols = im2col_forward(conv, x)
         assert out.shape == ref_out.shape == (batch, 6, length)
@@ -166,19 +168,19 @@ class TestShiftedGemmConv:
         np.testing.assert_array_equal(dw, got[1])
         np.testing.assert_array_equal(db, got[2])
 
-    @pytest.mark.parametrize("channels_last", [False, True], ids=["channels-first", "channels-last"])
+    @pytest.mark.parametrize("layout", LAYOUTS)
     @pytest.mark.parametrize("kernel,length", SHAPES)
-    def test_matches_im2col(self, kernel, length, channels_last):
+    def test_matches_im2col(self, kernel, length, layout):
         for in_channels in (1, 4, 16):
             for batch in (1, 15, 64):
-                self.check(kernel, length, in_channels, batch, channels_last,
+                self.check(kernel, length, in_channels, batch, layout,
                            seed=kernel * 1000 + length * 10 + in_channels + batch)
 
     def test_many_row_blocks(self):
-        # 1024 patches of 52 frame rows: row blocks end inside samples, and
-        # the last block is partial
-        assert ROW_BLOCK % 52 and (1024 * 52 - 4) % ROW_BLOCK
-        self.check(5, 48, 16, 1024, True, seed=3)
+        # 1000 crops of 48 steps: row blocks end inside a step's rows, taps
+        # shift rows across blocks, and the last block is partial
+        assert ROW_BLOCK % 1000 and (1000 * 48) % ROW_BLOCK
+        self.check(5, 48, 16, 1000, "time-major", seed=3)
 
     @pytest.mark.parametrize("kernel", [1, 2, 3, 4, 5])
     def test_edges_fill_the_pad_rows(self, kernel):
@@ -190,7 +192,7 @@ class TestShiftedGemmConv:
         frame = rng.normal(size=(5, 3, 9 + kernel - 1))
         rows = conv.edge_rows(9)
         inside = np.setdiff1d(np.arange(frame.shape[2]), rows)
-        out, flat = conv.forward(frame[:, :, inside], edges=frame[:, :, rows].transpose(0, 2, 1))
+        out, flat = conv.forward(frame[:, :, inside], edges=frame[:, :, rows].transpose(2, 0, 1))
         ref_out, cols = im2col_forward(conv, frame)
         np.testing.assert_allclose(out, ref_out[:, :, inside], rtol=0, atol=1e-10)
         dout = rng.normal(size=out.shape)
@@ -210,8 +212,8 @@ class TestShiftedGemmConv:
         conv = Conv1d(3, 6, kernel, rng)
         conv.b[...] = rng.normal(size=6)
         x = rng.normal(size=(160, 3, 20))
-        edges = rng.normal(size=(160, kernel - 1, 3))
-        assert len(x) * (20 + kernel - 1) > 2 * ROW_BLOCK
+        edges = rng.normal(size=(kernel - 1, 160, 3))
+        assert len(x) * 20 > 2 * ROW_BLOCK
         for kwargs in ({}, {"edges": edges}):
             linear, flat = conv.forward(x, **kwargs)
             rectified, relu_flat = conv.forward(x, relu=True, **kwargs)
@@ -228,11 +230,26 @@ class TestShiftedGemmConv:
             assert got.dtype == want.dtype
             np.testing.assert_array_equal(got, want)
 
-    def test_output_is_channels_last_view(self):
+    def test_output_and_frame_are_time_major(self):
         conv = Conv1d(3, 4, 3, np.random.default_rng(0))
-        out, _ = conv.forward(np.zeros((2, 3, 7)))
+        out, flat = conv.forward(np.zeros((2, 3, 7)))
         assert out.shape == (2, 4, 7)
-        assert out.strides[1] == out.itemsize  # channels are adjacent in memory
+        assert out.transpose(2, 0, 1).flags.c_contiguous  # memory (length, batch, channels)
+        assert flat.shape == ((7 + 2) * 2, 3) and flat.flags.c_contiguous
+
+    def test_an_input_in_its_frame_is_not_copied(self):
+        """x that views the inside of the frame it is given, as the previous
+        conv's output does, is read where it lies: the forward equals one on a
+        copy of x, and the frame it keeps for backward is x's memory."""
+        rng = np.random.default_rng(1)
+        conv = Conv1d(3, 4, 3, rng)
+        frame = conv.frame(5, 9)
+        x = conv.inside(frame).transpose(1, 2, 0)
+        x[...] = rng.normal(size=x.shape)
+        want, _ = conv.forward(x.copy())
+        got, flat = conv.forward(x, frame=frame)
+        np.testing.assert_array_equal(got, want)
+        assert np.shares_memory(flat, x) and np.shares_memory(flat, frame)
 
 
 def assert_same_floats(got, want):
@@ -264,8 +281,8 @@ class TestFullOperandLoop:
         if batch > 3:
             x[1, 0, length // 2], x[2, 1, length // 3] = np.nan, -np.inf
             x[3] = -0.0
-        edges = rng.normal(size=(batch, kernel - 1, 3))
-        edges[0] = 0.0
+        edges = rng.normal(size=(batch, kernel - 1, 3)).transpose(1, 0, 2)  # (pad rows, batch, channels)
+        edges[:, 0] = 0.0
         return conv, x, edges
 
     @pytest.mark.parametrize("with_scratch", [False, True], ids=["fresh", "scratch"])
@@ -288,7 +305,7 @@ class TestFullOperandLoop:
             return buffer
 
         monkeypatch.setattr(neuralnet, "_empty", poisoned)
-        rows = batch * (length + kernel - 1) - kernel + 1
+        rows = batch * length
         assert (rows < ROW_BLOCK, rows == ROW_BLOCK, rows > 2 * ROW_BLOCK and rows % ROW_BLOCK != 0) \
             == tuple(shape == s for s in self.SHAPES.values())
         kwargs = {"edges": edges} if with_edges else {}
@@ -297,7 +314,7 @@ class TestFullOperandLoop:
             got, flat = conv.forward(x, relu=relu, scratch=scratch, **kwargs)
             want, want_flat = row_block_conv_forward(conv, x, relu=relu, **kwargs)
             linear, _ = row_block_conv_forward(conv, x, **kwargs)
-        assert keys == [(conv, "frame"), (conv, "acc"), "bias", "product"]
+        assert keys == [(conv, "frame"), (conv, "out"), "bias", "product"]
         assert (linear[0, :2] == 0).all()
         if batch > 3:
             assert np.isnan(want).any() and np.isinf(want).any()
@@ -313,8 +330,8 @@ class TestFullOperandLoop:
         with np.errstate(invalid="ignore"):  # inf times zero
             conv.forward(x, edges=edges, relu=True, scratch=scratch)
             conv.b[...] = np.random.default_rng(kernel).normal(size=6)
-            got, _ = conv.forward(x[:5, :, :30], edges=edges[:5], relu=True, scratch=scratch)
-            want, _ = row_block_conv_forward(conv, x[:5, :, :30], edges[:5], relu=True)
+            got, _ = conv.forward(x[:5, :, :30], edges=edges[:, :5], relu=True, scratch=scratch)
+            want, _ = row_block_conv_forward(conv, x[:5, :, :30], edges[:, :5], relu=True)
         assert_same_floats(got, want)
         assert not conv.zeros.any()
 
@@ -323,8 +340,8 @@ class TestFullOperandLoop:
         one block's product, which the broadcast loop allocated per tap."""
         rng = np.random.default_rng(0)
         conv = Conv1d(16, 32, 3, rng)
-        x = rng.normal(size=(128, 24, 16)).transpose(0, 2, 1)
-        scratch = Scratch(conv.buffer_sizes(128, 24, backward=False))
+        x = rng.normal(size=(160, 24, 16)).transpose(0, 2, 1)
+        scratch = Scratch(conv.buffer_sizes(160, 24, backward=False))
         conv.forward(x, relu=True, scratch=scratch)
         tracemalloc.start()
         try:
@@ -332,7 +349,7 @@ class TestFullOperandLoop:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert 128 * 26 > 3 * ROW_BLOCK
+        assert 160 * 24 > 3 * ROW_BLOCK
         assert peak < ROW_BLOCK * 32 * 8
 
     @pytest.mark.parametrize("blocks, rate", [(((4, 3, "relu"),), 1e12), (((4, 3, "linear"), (3, 2, "relu")), 1e30)],
@@ -347,8 +364,8 @@ class TestFullOperandLoop:
         messages = []
         for oracle in (False, True):
             if oracle:
-                monkeypatch.setattr(Conv1d, "forward", lambda conv, h, *, edges=None, relu=False, scratch=None:
-                                    row_block_conv_forward(conv, h, edges, relu))
+                monkeypatch.setattr(Conv1d, "forward", lambda conv, h, *, frame=None, out=None, edges=None,
+                                    relu=False, scratch=None: row_block_conv_forward(conv, h, edges, relu, out))
             with np.errstate(all="ignore"), pytest.raises(TrainingError) as err:
                 train(build_network(spec), (x, y, offsets), (x, y, offsets), tspec)
             messages.append(str(err.value))
@@ -551,15 +568,14 @@ class TestCropOracle:
         np.testing.assert_allclose(alone, batched, rtol=0, atol=1e-12)
 
     def test_slices_share_one_empty_frame(self, monkeypatch):
-        """forward_all runs the all-zero frame once however many EVAL_BATCH
-        slices and groups it takes, and gives the softmax of the slices run
-        one by one."""
+        """forward_all runs the all-zero frame at most once however many
+        EVAL_BATCH slices and groups it takes, and not at all while the
+        parameters it was computed from are unchanged, and gives the softmax
+        of the slices run one by one."""
         net = crop_net(3, 23, 3, "relu", 2, seed=5)
         x, _, offsets, _ = patch_rows(True, False, net.halo)
         x, offsets = np.concatenate([x] * 60), np.concatenate([offsets] * 60)
         assert len(x) > 2 * EVAL_BATCH
-        want = np.concatenate([forward_all(net, [(x[lo : lo + EVAL_BATCH], offsets[lo : lo + EVAL_BATCH])])[0]
-                               for lo in range(0, len(x), EVAL_BATCH)])
         forward, frames = Conv1d.forward, []
 
         def counting(conv, h, **kwargs):
@@ -568,8 +584,13 @@ class TestCropOracle:
             return forward(conv, h, **kwargs)
 
         monkeypatch.setattr(Conv1d, "forward", counting)
+        want = np.concatenate([forward_all(net, [(x[lo : lo + EVAL_BATCH], offsets[lo : lo + EVAL_BATCH])])[0]
+                               for lo in range(0, len(x), EVAL_BATCH)])
         np.testing.assert_array_equal(forward_all(net, [(x, offsets)])[0], want)
-        assert len(frames) == 1
+        assert len(frames) == 1  # four calls, one parameter state
+        np.testing.assert_array_equal(want, crop_major_softmax(net, x, offsets))
+        net.convs[1].b[0] += 0.25
+        want = crop_major_softmax(net, x, offsets)
         first, whole, again = forward_all(net, [(x[:EVAL_BATCH], offsets[:EVAL_BATCH]), (x, offsets), (x, offsets)])
         assert len(frames) == 2  # one more pass for three groups
         np.testing.assert_array_equal(first, want[:EVAL_BATCH])
@@ -586,6 +607,130 @@ class TestCropOracle:
         assert x.shape[2] < frames.shape[2]
         report = gradient_check(net, (x[rows], y[rows], offsets[rows]))
         assert report.passed, report.summary()
+
+
+class TestTimeMajorAgainstCropMajor:
+    """The network over time-major frames against the crop-major oracle:
+    evaluation bit for bit, training gradients to 1e-12 relative, and a
+    forward-only Scratch with no output buffer for a conv that writes into
+    the next one's frame."""
+
+    BLOCKS = {"relu": lambda k: ((5, k, "relu"), (4, k, "relu")),
+              "linear": lambda k: ((5, k, "linear"), (4, k, "linear")),
+              "linear-relu": lambda k: ((5, k, "linear"), (4, k, "relu"))}
+
+    @classmethod
+    def net(cls, channels, kernel, blocks, seed):
+        net = build_network(NetworkSpec(channels, 23, 3, conv_blocks=cls.BLOCKS[blocks](kernel), seed=seed))
+        rng = np.random.default_rng(seed)
+        for conv in net.convs:  # biases too, so the empty frame is not zero
+            conv.b[...] = rng.normal(scale=0.5, size=conv.b.shape)
+        return net
+
+    @pytest.mark.parametrize("attach, notemp", FLAGS, ids=FLAG_IDS)
+    @pytest.mark.parametrize("blocks", BLOCKS)
+    @pytest.mark.parametrize("kernel", [1, 2, 3, 4, 5])
+    def test_eval_softmax_equals_the_oracle(self, attach, notemp, blocks, kernel):
+        """Windows at both frame edges and a whole-frame window, repeated past
+        EVAL_BATCH rows, so that a group takes two slices."""
+        net = self.net(2 + attach, kernel, blocks, seed=kernel)
+        x, _, offsets, _ = patch_rows(attach, notemp, net.halo, whole=True)
+        assert offsets.min() == 0 and (notemp or (offsets + x.shape[2]).max() == 23)
+        x, offsets = np.concatenate([x] * 20), np.concatenate([offsets] * 20)
+        assert len(x) > EVAL_BATCH
+        np.testing.assert_array_equal(forward_all(net, [(x, offsets)])[0], crop_major_softmax(net, x, offsets))
+        whole = self.net(2 + attach, kernel, blocks, seed=kernel + 5)  # a layout of whole frames alone
+        frames = full_frame_patch_arrays(np.random.default_rng(kernel).normal(size=(3, 2, 23)), np.zeros(3),
+                                         [PatchConfig(23, 23, attach=attach, notemp=notemp)])[0]
+        np.testing.assert_array_equal(forward_all(whole, [(frames, zero_offsets(frames))])[0],
+                                      crop_major_softmax(whole, frames, zero_offsets(frames)))
+
+    @pytest.mark.parametrize("attach, notemp", FLAGS, ids=FLAG_IDS)
+    @pytest.mark.parametrize("blocks", BLOCKS)
+    @pytest.mark.parametrize("kernel", [1, 2, 3, 4, 5])
+    def test_gradients_match_the_oracle(self, attach, notemp, blocks, kernel):
+        """A batch of 110 rows (over ROW_BLOCK frame rows) through a training
+        Scratch, and a batch of 7 without one: the same loss, and gradients
+        within 1e-12 of the largest, as the batch rows sum in time-major order."""
+        net = self.net(2 + attach, kernel, blocks, seed=10 + kernel)
+        x, y, offsets, _ = patch_rows(attach, notemp, net.halo, whole=True)
+        x, y, offsets = np.concatenate([x] * 2), np.concatenate([y] * 2), np.concatenate([offsets] * 2)
+        assert len(x) * x.shape[2] > ROW_BLOCK
+        for rows, scratch in ((slice(None), net.scratch(len(x), x.shape[2], backward=True)), (slice(3, 10), None)):
+            batch = (x[rows], y[rows], offsets[rows])
+            loss, grad = _loss_and_gradients(net, batch, scratch=scratch)
+            want_loss, want = crop_major_loss_and_gradients(net, batch)
+            assert loss == want_loss
+            assert np.abs(grad - want).max() <= 1e-12 * np.abs(want).max()
+
+    def test_no_output_buffer_for_a_conv_that_writes_into_the_next_frame(self):
+        """At (EVAL_BATCH, 24), the acceptance network's forward-only Scratch
+        is smaller than the crop-major one by at least conv0's output buffer
+        there, batch * (24 + kernel - 1) rows of its filters."""
+        net = build_network(NetworkSpec(2, 50, 2, conv_blocks=((16, 3, "relu"), (32, 3, "relu")), seed=0))
+        scratch = net.scratch(EVAL_BATCH, 24)
+        assert (net.convs[0], "out") not in scratch.buffers and (net.convs[1], "out") in scratch.buffers
+        entries = sum(len(part) for part in scratch.buffers.values())
+        assert entries <= crop_major_scratch_entries(net, EVAL_BATCH, 24) - EVAL_BATCH * (24 + 2) * 16
+
+
+class TestKeptFrame:
+    """forward_all keeps the empty frame of the parameters it was computed
+    from, and computes it again after any write to them."""
+
+    @staticmethod
+    def case():
+        net = TestTimeMajorAgainstCropMajor.net(3, 3, "relu", seed=3)
+        x, _, offsets, _ = patch_rows(True, False, net.halo)
+        return net, x, offsets
+
+    @staticmethod
+    def counted(monkeypatch) -> list:
+        frames, empty_frame = [], PatchNet.empty_frame
+        monkeypatch.setattr(PatchNet, "empty_frame", lambda net: frames.append(net) or empty_frame(net))
+        return frames
+
+    def test_an_unchanged_network_computes_one_frame(self, monkeypatch):
+        net, x, offsets = self.case()
+        frames = self.counted(monkeypatch)
+        first, again = forward_all(net, [(x, offsets)])[0], forward_all(net, [(x, offsets)])[0]
+        assert len(frames) == 1
+        np.testing.assert_array_equal(first, again)
+
+    @staticmethod
+    def writes(net, x, y, offsets):
+        """Each kind of in-place write to the parameters, by name."""
+        other = build_network(net.spec)
+        adam, sgd = Adam(net.flat_params.size, 0.05), SgdMomentum(net.flat_params.size, 0.05)
+        gradient = lambda: _loss_and_gradients(net, (x, y, offsets))[1]
+        spec = TrainSpec(epochs=2, batch_size=16, learning_rate=0.05, early_stopping_patience=0, seed=0)
+        return {
+            "set_state": lambda: net.set_state(dict(other.parameters())),
+            "adam": lambda: adam.step(net.flat_params, gradient()),
+            "sgd-momentum": lambda: sgd.step(net.flat_params, gradient()),
+            "train": lambda: train(net, (x, y, offsets), (x, y, offsets), spec),
+            "gradcheck-perturbation": lambda: net.flat_params.__setitem__(7, net.flat_params[7] + 1e-3),
+            "one-element": lambda: net.convs[1].b.__setitem__(2, 0.75),
+            "zero-sign": lambda: net.dense.b.__setitem__(0, -0.0),
+        }
+
+    @pytest.mark.parametrize("write", ["set_state", "adam", "sgd-momentum", "train", "gradcheck-perturbation",
+                                       "one-element", "zero-sign"])
+    def test_a_write_gives_the_softmax_of_the_new_parameters(self, monkeypatch, write):
+        net, x, offsets = self.case()
+        y = np.arange(len(x)) % 3
+        net.dense.b[0] = 0.0
+        forward_all(net, [(x, offsets)])
+        before = net.flat_params.tobytes()
+        self.writes(net, x, y, offsets)[write]()
+        assert net.flat_params.tobytes() != before
+        frames = self.counted(monkeypatch)  # training steps compute frames of their own
+        got = forward_all(net, [(x, offsets)])[0]
+        assert len(frames) == 1
+        fresh = build_network(net.spec)
+        fresh.flat_params[...] = net.flat_params
+        np.testing.assert_array_equal(got, forward_all(fresh, [(x, offsets)])[0])
+        np.testing.assert_array_equal(got, crop_major_softmax(net, x, offsets))
 
 
 class TestCropsAgainstTheTensor:
@@ -749,11 +894,12 @@ class TestScratchSizes:
         assert {key for key, _ in asked} <= set(scratch.buffers)
         for key, entries in asked:
             assert entries <= len(scratch.buffers[key]), key
-        want = {(conv, name) for conv in net.convs for name in ("frame", "acc") + (("dout",) if backward else ())}
+        # each conv writes into the next one's frame, so only the last has an output buffer
+        want = {(conv, "frame") for conv in net.convs} | {(net.convs[-1], "out")}
         if backward:  # the first layer's input gradient is not computed
             want |= {(conv, "dframe") for conv in net.convs[1:]}
         assert {key for key, _ in asked if not isinstance(key, str)} == want
-        assert {key for key, _ in asked if isinstance(key, str)} == {"bias", "product"}
+        assert {key for key, _ in asked if isinstance(key, str)} == {"bias", "product"} | ({"dout"} if backward else set())
 
 
 class TestOneSetUpPerCall:
@@ -820,7 +966,8 @@ class TestOneSetUpPerCall:
         monkeypatch.undo()
         assert len(made) == 1
         assert self.sizes(made[0]) == self.sizes(net.scratch(EVAL_BATCH, 16))
-        assert self.sizes(made[0])["crops"] == EVAL_BATCH * 16 * self.SPEC.input_channels
+        first = net.convs[0]  # crops are cut into the inside of its frame
+        assert self.sizes(made[0])[(first, "frame")] == EVAL_BATCH * (16 + first.kernel - 1) * self.SPEC.input_channels
         big, small = (self.sizes(net.scratch(n, 16, backward=True)) for n in (5 * EVAL_BATCH, EVAL_BATCH))
         assert big.keys() == small.keys()
         assert all(big[key] == 5 * small[key] for key in big if key not in ("bias", "product"))
@@ -839,16 +986,19 @@ class TestOneSetUpPerCall:
             groups.append((crops, offsets))
         (long, narrow), (short, wide) = ((len(x), x.shape[2]) for x, _ in groups)
         assert long > EVAL_BATCH > short and wide > narrow  # the largest group is not the widest
-        alone = [forward_all(net, [group])[0] for group in groups]
         frames, empty_frame = [], PatchNet.empty_frame
         monkeypatch.setattr(PatchNet, "empty_frame", lambda net: frames.append(net) or empty_frame(net))
+        alone = [forward_all(net, [group])[0] for group in groups]
+        assert len(frames) == 1  # the first call's frame, kept for the unchanged parameters
+        net.dense.b[0] += 0.5
+        alone = [forward_all(net, [group])[0] for group in groups]
         made = self.made_scratches(monkeypatch)
         together = forward_all(net, groups)
         monkeypatch.undo()
         assert len(together) == 2
         for got, want in zip(together, alone):
             np.testing.assert_array_equal(got, want)
-        assert len(frames) == 1 and len(made) == 1
+        assert len(frames) == 2 and len(made) == 1
         assert self.sizes(made[0]) == self.sizes(net.scratch(EVAL_BATCH, wide))
 
     def test_forward_all_takes_no_frame_or_scratch(self):
@@ -996,6 +1146,19 @@ class TestTrainSpecValidation:
     def test_nan_learning_rate(self):
         with pytest.raises(ValueError, match="must be positive"):
             TrainSpec(learning_rate=float("nan"))
+
+    @pytest.mark.parametrize("field, value", [
+        ("epochs", 2.5), ("epochs", True), ("batch_size", 1.5), ("batch_size", True),
+        ("early_stopping_patience", 1.0), ("early_stopping_patience", False), ("seed", 1.5), ("seed", True),
+        ("learning_rate", float("inf")), ("learning_rate", -float("inf")), ("learning_rate", float("nan")),
+        ("learning_rate", 0.0), ("learning_rate", True), ("learning_rate", "0.1"),
+    ])
+    def test_each_field_rejects_a_bad_value_by_name(self, field, value):
+        """Counts are integers and not bools, and the learning rate is a finite
+        positive number; each ValueError names its field, where epochs=2.5
+        once read as a patience error and batch_size=1.5 failed in numpy."""
+        with pytest.raises(ValueError, match=f"^{field} must be"):
+            TrainSpec(**{field: value})
 
 
 class TestMaskedRegionInsensitivity:

@@ -318,7 +318,7 @@ class TestCrops:
         crops = build_patch_arrays(values, labels, configs, (2, 1))[0]
         tensor = patch_tensor(values, labels, configs, (2, 1))[0]
         rows = np.array([3, 17, 2, 29])
-        out = np.full((len(rows), crops.shape[2], crops.shape[1]), np.nan)
+        out = np.full((crops.shape[2], len(rows), crops.shape[1]), np.nan)  # time-major
         got = crops.cut(rows, out=out)
         assert np.shares_memory(got, out) and same_bits(got, tensor[rows])
 
