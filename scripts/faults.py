@@ -7,11 +7,13 @@ Both run with one BLAS thread, on the anomaly generator (3 channels, 50
 steps), configs 5:10,10:20 with the mask channel, conv blocks 16/32 of kernel
 3 and a standardized SVM: the benchmark's shapes.
 
-train runs one `run_pipeline` in this fresh process, at 3500/1500/1000
-samples, 2 epochs without early stopping. The stage functions are wrapped
-from outside, at the names their callers look up, so the script runs
-unchanged against any checkout that has them. A stage called inside another
-is counted in the outer one only.
+train draws 3500/1500/1000 samples, writes them with `save_dataset` to a
+temporary directory and reads them back with `load_dataset` (the load
+stage). It then runs one `run_pipeline` on what was read, in this fresh
+process, 2 epochs without early stopping, as `patchx run --source files`
+does. The stage functions are wrapped from outside, at the names their
+callers look up, so the script runs unchanged against any checkout that has
+them. A stage called inside another is counted in the outer one only.
 
 infer trains a one-epoch bundle on 1000/300 samples in a child process and
 saves it to a temporary directory. This process then draws the 2,000 test
@@ -42,7 +44,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 import patchx.pipeline  # noqa: E402
 from patchx.bundle import PatchXBundle, load_bundle, save_bundle  # noqa: E402
-from patchx.data import AnomalyGenSpec, generate_anomaly  # noqa: E402
+from patchx.data import AnomalyGenSpec, generate_anomaly, load_dataset, save_dataset  # noqa: E402
 from patchx.neuralnet import NetworkSpec, TrainSpec  # noqa: E402
 from patchx.patching import PatchConfig  # noqa: E402
 from patchx.shallow import ShallowSpec, SvmSpec  # noqa: E402
@@ -95,8 +97,20 @@ def print_table(rows: list[tuple[str, float, int, float]]) -> None:
         print(f"{stage:<16} {seconds:>8.3f} {faults:>13} {rss:>11.1f}")
 
 
+def read_back(seed: int) -> tuple[list, tuple[str, float, int, float]]:
+    """The drawn splits written and read back, and the load stage's row."""
+    names = ("train", "val", "test")
+    with tempfile.TemporaryDirectory() as tmp:
+        for dataset in generate_anomaly(AnomalyGenSpec(3500, 1500, 1000, seed=seed)):
+            save_dataset(dataset, Path(tmp) / f"{dataset.split}.csv")
+        t0, faults0, _ = usage()
+        splits = [load_dataset(Path(tmp) / f"{name}.csv", split=name) for name in names]
+        t1, faults1, rss = usage()
+    return splits, ("load", t1 - t0, faults1 - faults0, rss)
+
+
 def run_train(seed: int) -> None:
-    train, val, test = generate_anomaly(AnomalyGenSpec(3500, 1500, 1000, seed=seed))
+    (train, val, test), load = read_back(seed)
     train_spec = TrainSpec(epochs=2, early_stopping_patience=0, seed=0)
     totals: dict = {}
     active: list = []
@@ -108,7 +122,8 @@ def run_train(seed: int) -> None:
     whole, faults, rss = usage()
     print(f"before run_pipeline: max RSS {rss0:.1f} MB")
     stages = dict.fromkeys(stage for stage, _, _ in STAGES)
-    print_table([(stage, *totals[stage]) for stage in stages] + [("run_pipeline", whole - t0, faults - faults0, rss)])
+    print_table([load] + [(stage, *totals[stage]) for stage in stages]
+                + [("run_pipeline", whole - t0, faults - faults0, rss)])
     print(f"test_accuracy {result.metrics['test_accuracy']!r}")
 
 

@@ -223,8 +223,11 @@ def check_splits(splits: dict[str, Dataset | None]) -> None:
 def save_dataset(dataset: Dataset, path: str | Path) -> None:
     """Write the comma-separated layout: a `channels,length,class_count` header,
     then one sample per row (channel-major values followed by the label).
-    An empty dataset raises SplitError before the file is opened."""
+    What decode_dataset would reject raises before the file is opened: an
+    empty dataset SplitError, and a sample of another shape, a NaN or an
+    infinity, or a label out of range a ValueError naming the sample."""
     check_splits({dataset.split: dataset})  # decode_dataset rejects a file without samples
+    dataset.validate()
     path = Path(path)
     with path.open("w", encoding="utf-8") as f:
         f.write(",".join(str(v) for v in (dataset.channels, dataset.length, dataset.class_count)))
@@ -245,11 +248,18 @@ def load_dataset(path: str | Path, split: str = "train") -> Dataset:
 def decode_dataset(raw: bytes, origin: str | Path, split: str = "train") -> Dataset:
     """Parse the bytes of a comma-separated dataset file, read as UTF-8 text
     with universal newlines; errors that concern the whole file name origin.
+    Blank lines are skipped, the first line is the header, and each field is
+    read as Python's float() and int() read it.
 
-    Raises ParseError naming the 1-based data row on any malformed content,
-    and for a file without samples. The row scan checks everything that
-    Dataset.validate does: the field count fixes each sample's shape, values
-    are finite, labels are in range, and ids are row numbers.
+    One numpy pass reads the data rows into one table, and each sample's
+    values view its row. When that pass cannot read the rows, or the table
+    fails a check, the row scan reads them instead and decides: it raises
+    ParseError naming the 1-based data row of the first malformed one (a
+    file without samples names origin), or returns its own dataset for the
+    spellings that only float() and int() accept, such as 1_0. Both check
+    everything that Dataset.validate does: the field count fixes each
+    sample's shape, values are finite, labels are in range, and ids are row
+    numbers.
     """
     try:
         lines = [line.rstrip("\n") for line in io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8")]
@@ -267,9 +277,45 @@ def decode_dataset(raw: bytes, origin: str | Path, split: str = "train") -> Data
         raise ParseError(f"non-integer header field in {lines[0]!r}") from None
     if channels < 1 or length < 1 or class_count < 2:
         raise ParseError(f"header {lines[0]!r} needs channels >= 1, length >= 1, class_count >= 2")
+    rows = lines[1:]
+    if not rows:
+        raise ParseError(f"{origin} has a header but no samples")
+    table = _read_table(rows, channels * length + 1, class_count)
+    if table is None:
+        return _scan_rows(rows, channels, length, class_count, split)
+    values = table[:, :-1].reshape(len(rows), channels, length)  # a view: each row's values are contiguous
+    labels = table[:, -1].astype(np.int64).tolist()
+    samples = [TimeSeriesSample(id=i, values=v, label=label) for i, (v, label) in enumerate(zip(values, labels))]
+    return Dataset(samples=samples, class_count=class_count, split=split)
+
+
+def _read_table(rows: list[str], fields: int, class_count: int) -> np.ndarray | None:
+    """The rows as one (len(rows), fields) float64 table, labels last, read
+    in one np.loadtxt pass with the label column through int(); None when
+    that pass cannot read them or the table fails a check the row scan makes.
+    A first row of another field count is left to the row scan before the
+    pass, since the header's count may be too large for a column index.
+    Labels travel as float64, exact only up to 2**53, so a larger class
+    count is left to it too."""
+    if rows[0].count(",") + 1 != fields or class_count > 2**53:
+        return None
+    try:
+        table = np.loadtxt(rows, delimiter=",", comments=None, ndmin=2, converters={fields - 1: int})
+    except ValueError:
+        return None
+    labels = table[:, -1]
+    if (table.shape != (len(rows), fields) or not np.isfinite(table[:, :-1]).all()
+            or not ((labels >= 0) & (labels < class_count)).all()):
+        return None
+    return table
+
+
+def _scan_rows(rows: list[str], channels: int, length: int, class_count: int, split: str) -> Dataset:
+    """The data rows read one field at a time; raises ParseError naming the
+    first malformed row."""
     expected = channels * length + 1
     samples = []
-    for row_no, line in enumerate(lines[1:], start=1):
+    for row_no, line in enumerate(rows, start=1):
         fields = line.split(",")
         if len(fields) != expected:
             raise ParseError(
@@ -293,8 +339,6 @@ def decode_dataset(raw: bytes, origin: str | Path, split: str = "train") -> Data
         samples.append(
             TimeSeriesSample(id=row_no - 1, values=values.reshape(channels, length), label=label)
         )
-    if not samples:
-        raise ParseError(f"{origin} has a header but no samples")
     return Dataset(samples=samples, class_count=class_count, split=split)
 
 

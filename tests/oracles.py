@@ -67,18 +67,26 @@ The per-factor boundary probe: boundary_probe_loop runs one explain_sample
 per factor on its own perturbed copy of the sample and stacks their one-row
 record tables. boundary_probe, which scores every factor in one dataset, must
 give the same factors, labels and records.
+
+The row scan: row_scan_decode is decode_dataset as it was before one numpy
+pass read the table: every field through float() or int(), one row at a
+time, the first malformed row raising ParseError. decode_dataset must return
+the same ids, labels and value bits, or raise ParseError with the same
+message, for every input.
 """
 
 from __future__ import annotations
 
+import io
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
 from patchx import neuralnet
 from patchx.bundle import PatchXBundle
 from patchx.data import (
-    DEFAULT_SIGMA_MULTIPLIER, Dataset, TimeSeriesSample, anomaly_label, normalization_stats, znormalize,
+    DEFAULT_SIGMA_MULTIPLIER, Dataset, ParseError, TimeSeriesSample, anomaly_label, normalization_stats, znormalize,
 )
 from patchx.explain import BoundaryProbeResult, PatchRecords, explain_sample
 from patchx.neuralnet import (
@@ -628,3 +636,59 @@ def per_config_patch_predictions(bundle: PatchXBundle, dataset: Dataset) -> np.n
         groups.append((x, offsets))
     return np.concatenate([probs.reshape(len(dataset), -1, bundle.class_count)
                            for probs in neuralnet.forward_all(net, groups)], axis=1)
+
+
+def row_scan_decode(raw: bytes, origin: str | Path, split: str = "train") -> Dataset:
+    try:
+        lines = [line.rstrip("\n") for line in io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8")]
+    except UnicodeDecodeError as err:
+        raise ParseError(f"{origin} is not UTF-8 text ({err.reason})") from None
+    lines = [line for line in lines if line.strip()]
+    if not lines:
+        raise ParseError(f"{origin} is empty")
+    header = lines[0].split(",")
+    if len(header) != 3:
+        raise ParseError("header must be 'channels,length,class_count'")
+    try:
+        channels, length, class_count = (int(v) for v in header)
+    except ValueError:
+        raise ParseError(f"non-integer header field in {lines[0]!r}") from None
+    if channels < 1 or length < 1 or class_count < 2:
+        raise ParseError(f"header {lines[0]!r} needs channels >= 1, length >= 1, class_count >= 2")
+    expected = channels * length + 1
+    samples = []
+    for row_no, line in enumerate(lines[1:], start=1):
+        fields = line.split(",")
+        if len(fields) != expected:
+            raise ParseError(
+                f"inconsistent length: expected {expected} fields "
+                f"({channels}x{length} values + label), got {len(fields)}",
+                row=row_no,
+            )
+        try:
+            values = np.array([float(v) for v in fields[:-1]], dtype=np.float64)
+        except ValueError:
+            bad = next(v for v in fields[:-1] if not _is_number(v))
+            raise ParseError(f"non-numeric value {bad!r}", row=row_no) from None
+        if not np.all(np.isfinite(values)):
+            raise ParseError("values contain NaN or Inf", row=row_no)
+        try:
+            label = int(fields[-1])
+        except ValueError:
+            raise ParseError(f"non-integer label {fields[-1]!r}", row=row_no) from None
+        if not (0 <= label < class_count):
+            raise ParseError(f"label {label} outside [0, {class_count})", row=row_no)
+        samples.append(
+            TimeSeriesSample(id=row_no - 1, values=values.reshape(channels, length), label=label)
+        )
+    if not samples:
+        raise ParseError(f"{origin} has a header but no samples")
+    return Dataset(samples=samples, class_count=class_count, split=split)
+
+
+def _is_number(text: str) -> bool:
+    try:
+        float(text)
+        return True
+    except ValueError:
+        return False

@@ -3,6 +3,8 @@ import random
 import numpy as np
 import pytest
 
+from oracles import row_scan_decode
+from patchx import data
 from patchx.data import (
     AnomalyGenSpec,
     Dataset,
@@ -24,6 +26,60 @@ def write_lines(tmp_path, lines, name="data.csv"):
     path = tmp_path / name
     path.write_text("\n".join(lines) + "\n")
     return path
+
+
+def assert_decodes_as_row_scan(raw: bytes, origin="memory") -> None:
+    """decode_dataset returns the row scan's ids, int labels and value bits,
+    or raises its ParseError with the same message."""
+    try:
+        want = row_scan_decode(raw, origin)
+    except ParseError as err:
+        with pytest.raises(ParseError) as got:
+            decode_dataset(raw, origin)
+        assert (str(got.value), got.value.row) == (str(err), err.row)
+        return
+    got = decode_dataset(raw, origin)
+    assert (got.class_count, got.split, got.ids()) == (want.class_count, want.split, want.ids())
+    assert [(type(s.label), s.label) for s in got.samples] == [(type(s.label), s.label) for s in want.samples]
+    assert got.values_array().shape == want.values_array().shape
+    assert got.values_array().tobytes() == want.values_array().tobytes()
+
+
+def fixed_point_file(values: np.ndarray, labels: np.ndarray) -> bytes:
+    """The benchmark's layout: four decimals, "-" or a space before each value."""
+    channels, length = values.shape[1:]
+    rows = ["".join(f"{v: .4f}," for v in row.reshape(-1)) + str(label) for row, label in zip(values, labels)]
+    return "\n".join([f"{channels},{length},2", *rows, ""]).encode()
+
+
+# Inputs on which the numpy pass and the row scan could part ways.
+CRAFTED = {
+    "comment-line": b"1,2,2\n# note\n1.0,2.0,0\n",
+    "hash-in-value": b"1,2,2\n1.0,#2.0,0\n",
+    "whitespace-only-lines": b"1,2,2\n   \n1.0,2.0,0\n\t \n3.0,4.0,1\n",
+    "lone-cr": b"1,2,2\r1.0,2.0,0\r3.0,4.0,1",
+    "utf8-bom-header": b"\xef\xbb\xbf1,2,2\n1.0,2.0,0\n",
+    "underscore-value": b"1,2,2\n1_0,2.0,0\n3.0,4.0,1\n",
+    "arabic-indic-value": "1,2,2\n\u0661.5,2.0,0\n".encode(),
+    "arabic-indic-label": "1,2,2\n1.5,2.0,\u0661\n".encode(),
+    "plus-label": b"1,2,2\n1.0,2.0,+1\n",
+    "minus-zero-label": b"1,2,2\n1.0,2.0,-0\n",
+    "float-label": b"1,2,2\n1.0,2.0,0\n1.0,2.0,1.0\n",
+    "nan-value": b"1,2,2\n1.0,2.0,0\nnan,2.0,1\n",
+    "inf-value": b"1,2,2\n1.0,-inf,0\n",
+    "overflowing-value": b"1,2,2\n1e999,2.0,0\n",
+    "empty-field": b"1,2,2\n1.0,,0\n",
+    "trailing-comma": b"1,2,2\n1.0,2.0,0,\n",
+    "header-dims-overflow": b"99999999999999999999,99999999999999999999,2\n1.0,2.0,0\n",
+    "one-row": b"1,2,2\n1.0,2.0,1\n",
+    "spaced-fields": b"1,2,2\n 1.0 ,\t-2.5, 1 \n",
+    "non-ascii-spaces": "1,2,2\n\u00a01.0\u00a0,2.0\u2003,0\n".encode(),
+    "label-beyond-float-precision": b"1,2,9007199254740995\n1.0,2.0,9007199254740993\n",
+    "label-out-of-range": b"1,2,2\n1.0,2.0,0\n1.0,2.0,2\n",
+    "negative-label": b"1,2,2\n1.0,2.0,-1\n",
+    "ragged-rows": b"1,2,2\n1.0,2.0,0\n1.0,0\n",
+    "nul-byte": b"1,2,2\n1.0,2.0\x00,0\n",
+}
 
 
 class TestLoadDataset:
@@ -86,7 +142,7 @@ class TestLoadDataset:
             load_dataset(path)
 
     def test_byte_mutations_load_or_raise_parse_error(self, tmp_path):
-        """Seeded single-byte mutations of a small saved dataset."""
+        """Seeded single-byte mutations of a small saved dataset decode as the row scan does."""
         rng = np.random.default_rng(0)
         samples = [TimeSeriesSample(i, rng.normal(size=(2, 4)), i % 2) for i in range(6)]
         path = tmp_path / "data.csv"
@@ -98,11 +154,37 @@ class TestLoadDataset:
             position = mutations.randrange(len(raw))
             mutant[position] = mutations.randrange(256)
             try:
-                decode_dataset(bytes(mutant), path).validate()  # what the row scan lets through is a valid dataset
-            except ParseError:
-                pass
+                assert_decodes_as_row_scan(bytes(mutant), path)
             except Exception as err:
                 pytest.fail(f"byte {position} set to {mutant[position]}: {type(err).__name__}: {err}")
+
+    @pytest.mark.parametrize("raw", CRAFTED.values(), ids=CRAFTED.keys())
+    def test_crafted_inputs_decode_as_the_row_scan_does(self, raw):
+        assert_decodes_as_row_scan(raw)
+
+    def test_well_formed_files_skip_the_row_scan(self, tmp_path, monkeypatch):
+        """The benchmark's fixed-point layout and save_dataset's repr floats
+        are read by the numpy pass alone, into one table."""
+        rng = np.random.default_rng(4)
+        values, labels = rng.normal(size=(30, 3, 7)) * 5, rng.integers(0, 2, size=30)
+        fixed = fixed_point_file(values, labels)
+        path = tmp_path / "saved.csv"
+        save_dataset(Dataset([TimeSeriesSample(i, v, int(y)) for i, (v, y) in enumerate(zip(values, labels))],
+                             class_count=2), path)
+        saved = path.read_bytes()
+        wants = [row_scan_decode(raw, "memory") for raw in (fixed, saved)]
+
+        def scan(*args):
+            raise AssertionError("a well-formed file went through the row scan")
+
+        monkeypatch.setattr(data, "_scan_rows", scan)
+        for raw, want in zip((fixed, saved), wants):
+            got = decode_dataset(raw, "memory")
+            assert got.labels_array().tolist() == want.labels_array().tolist() == labels.tolist()
+            assert got.values_array().tobytes() == want.values_array().tobytes()
+            assert all(s.values.base is got.samples[0].values.base for s in got.samples)
+        with pytest.raises(AssertionError, match="row scan"):  # what the numpy pass cannot read goes there
+            decode_dataset(b"1,2,2\n1_0,2.0,0\n", "memory")
 
     def test_decoder_keeps_universal_newlines_and_names_its_origin(self):
         raw = b"1,2,2\r1.0,2.0,0\r\n3.0,4.0,1\n"
@@ -111,7 +193,7 @@ class TestLoadDataset:
             decode_dataset(b"1,2,2\n\xff", "memory")
 
     def test_rows_are_scanned_once(self, tmp_path, monkeypatch):
-        """The row scan makes the checks; no validate walk follows it."""
+        """The numpy pass (or the row scan) makes the checks; no validate walk follows it."""
         path = write_lines(tmp_path, ["1,2,2", "1.0,2.0,0", "3.0,4.0,1"])
 
         def walk(dataset):
@@ -147,6 +229,19 @@ class TestLoadDataset:
         path = tmp_path / "empty.csv"
         with pytest.raises(SplitError, match="split 'val' is empty"):
             save_dataset(Dataset([], class_count=2, split="val"), path)
+        assert not path.exists()
+
+    @pytest.mark.parametrize("values, labels, match", [
+        ([[[1.0, np.nan]], [[3.0, 4.0]]], [0, 1], "sample 0: values contain NaN"),
+        ([[[1.0, 2.0]], [[3.0, 4.0]]], [0, 5], r"sample 1: label 5 outside \[0, 2\)"),
+        ([[[1.0, 2.0]], [[3.0, 4.0, 5.0]]], [0, 1], r"sample 1: shape \(1, 3\) differs"),
+    ], ids=["nan", "label-out-of-range", "two-shapes"])
+    def test_saving_an_invalid_dataset_raises_before_writing(self, tmp_path, values, labels, match):
+        """What the loader would reject is not written: validate names the sample."""
+        samples = [TimeSeriesSample(i, np.asarray(v), y) for i, (v, y) in enumerate(zip(values, labels))]
+        path = tmp_path / "bad.csv"
+        with pytest.raises(ValueError, match=match):
+            save_dataset(Dataset(samples, class_count=2), path)
         assert not path.exists()
 
 
