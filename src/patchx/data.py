@@ -79,8 +79,9 @@ class Dataset:
     def ids(self) -> list[int]:
         return [s.id for s in self.samples]
 
-    def validate(self) -> None:
-        """Check the dataset invariants; raises ValueError on the first violation."""
+    def validate(self, unique_ids: bool = True) -> None:
+        """Check the dataset invariants; raises ValueError on the first violation.
+        unique_ids=False skips the check that no two samples share an id."""
         if self.class_count < 2:
             raise ValueError(f"class_count must be >= 2, got {self.class_count}")
         if not self.samples:
@@ -98,7 +99,7 @@ class Dataset:
                 )
             if not np.all(np.isfinite(s.values)):
                 raise ValueError(f"sample {s.id}: values contain NaN or Inf")
-            if s.id in seen_ids:
+            if unique_ids and s.id in seen_ids:
                 raise ValueError(f"duplicate sample id {s.id} in split {self.split!r}")
             seen_ids.add(s.id)
 
@@ -225,9 +226,10 @@ def save_dataset(dataset: Dataset, path: str | Path) -> None:
     then one sample per row (channel-major values followed by the label).
     What decode_dataset would reject raises before the file is opened: an
     empty dataset SplitError, and a sample of another shape, a NaN or an
-    infinity, or a label out of range a ValueError naming the sample."""
+    infinity, or a label out of range a ValueError naming the sample. Ids
+    may repeat, since the loader numbers the rows."""
     check_splits({dataset.split: dataset})  # decode_dataset rejects a file without samples
-    dataset.validate()
+    dataset.validate(unique_ids=False)
     path = Path(path)
     with path.open("w", encoding="utf-8") as f:
         f.write(",".join(str(v) for v in (dataset.channels, dataset.length, dataset.class_count)))

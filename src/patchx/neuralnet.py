@@ -18,16 +18,12 @@ config at its own, as one group of a forward_all call. Outside its crop a
 frame is zero, so every activation there is that of the all-zero input (the
 empty frame), which one batch-1 pass computes and every forward reads: once
 per training step, and in evaluation once per parameter state, kept on the
-network (PatchNet.kept_frame) and shared by every slice of every group.
-The pooled sum takes the empty frame's last activation outside each crop
-from a per-offset background: one outside-mask row per offset 0..L - W
-times that activation, one small GEMM per slice, indexed by each crop's
-offset; backward gathers the same mask rows by offset. A ReLU is taken
-inside the convolution's row-block loop, while the block is in cache.
-Every elementwise operation of that loop reads an operand of the block's
-full shape, and the loop allocates nothing: a bias block filled once per
-call, the layer's read-only zero block, made when the layer is built, and
-one product buffer that taps 1 to k-1 multiply into. numpy's ufuncs run
+network (PatchNet.kept_frame) and shared by every slice of every group. A
+ReLU is taken inside the convolution's row-block loop, while the block is in
+cache. Every elementwise operation of that loop reads an operand of the
+block's full shape, and the loop allocates nothing: a bias block filled once
+per call, the layer's read-only zero block, made when the layer is built,
+and one product buffer that taps 1 to k-1 multiply into. numpy's ufuncs run
 several times slower on a broadcast row or a scalar than on a full block
 (README step 2 has the timings); the results are those of the broadcast
 loop, bit for bit. x is an array or patching.Crops, which train cuts one
@@ -412,16 +408,15 @@ class PatchNet:
         """Logits and the caches for backward of each row's crop at its offset.
         frame is empty_frame() of the current parameters, and every crop reads
         it outside itself; a whole frame reads only its zero pad rows and, in
-        the pooled sum, nothing. The last cache holds the frame and the
-        outside mask of each offset, (L - W + 1, L). The caches view
-        scratch's buffers when it is given, until its next use. Its callers
-        have checked x and offsets (_check_input)."""
+        the pooled sum, nothing. The last cache holds the frame. The caches
+        view scratch's buffers when it is given, until its next use. Its
+        callers have checked x and offsets (_check_input)."""
         width, length = x.shape[2], self.spec.input_length
-        steps, starts = np.arange(length), np.arange(length - width + 1)[:, None]
-        outside = ((steps < starts) | (steps >= starts + width)).astype(float)  # one mask row per offset
+        steps = np.arange(length)
+        outside = ((steps < offsets[:, None]) | (steps >= offsets[:, None] + width)).astype(float)
         caches, h = self._convolve(x, offsets, frame[0], scratch=scratch)
         pooled = h.transpose(2, 0, 1).sum(axis=0)  # (batch, channels) rows added in step order
-        pooled += (outside @ frame[1][0].T)[offsets]  # the empty frame's activations outside each crop
+        pooled += outside @ frame[1][0].T  # the empty frame's activations outside each crop
         pooled /= length
         logits = self.dense.forward(pooled)
         caches.append((h.shape, pooled, offsets, outside, frame))
@@ -441,7 +436,7 @@ class PatchNet:
         length = self.spec.input_length
         dpooled /= length
         dh = np.broadcast_to(dpooled, (width, batch, channels))
-        d0 = (outside[offsets].T @ dpooled)[:, None]  # (length, 1, channels): the empty frame's
+        d0 = (outside.T @ dpooled)[:, None]  # (length, 1, channels): the empty frame's
         top = len(self.convs) - 1
         for i in range(top, -1, -1):
             conv = self.convs[i]

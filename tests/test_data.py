@@ -244,6 +244,15 @@ class TestLoadDataset:
             save_dataset(Dataset(samples, class_count=2), path)
         assert not path.exists()
 
+    def test_saving_repeated_ids_round_trips_with_row_ids(self, tmp_path):
+        """Ids are not written, so repeats are no reason to refuse a dataset."""
+        samples = [TimeSeriesSample(7, np.full((1, 2), float(i)), i % 2) for i in range(3)]
+        path = tmp_path / "repeats.csv"
+        save_dataset(Dataset(samples, class_count=2), path)
+        loaded = load_dataset(path)
+        assert loaded.ids() == [0, 1, 2]
+        assert loaded.values_array().tobytes() == Dataset(samples, class_count=2).values_array().tobytes()
+
 
 class TestGenerateAnomaly:
     def test_deterministic_for_seed(self):
