@@ -223,17 +223,22 @@ class Conv1d:
         does; dframe lives in scratch's buffer when it is given."""
         batch, in_channels, length = in_shape
         g = dout.transpose(2, 0, 1).reshape(-1, len(self.b))  # a copy only for another layout
-        dw = np.stack([g.T @ flat[j * batch : j * batch + len(g)] for j in range(self.kernel)], axis=2)
+        dw = _empty(scratch, "dw", (self.kernel, *self.w.shape[:2]))  # (kernel, out, in), one GEMM a tap
+        for j in range(self.kernel):
+            np.matmul(g.T, flat[j * batch : j * batch + len(g)], out=dw[j])
         db = np.ones(len(g)) @ g  # a GEMV; g.sum(axis=0) loops over narrow rows
         if not input_grad:
-            return None, dw, db
+            return None, dw.transpose(1, 2, 0), db
         taps = self.w.transpose(2, 0, 1).copy()  # (kernel, out, in)
         dxp = _empty(scratch, (self, "dframe"), flat.shape)
         dxp[...] = 0.0
+        product = _empty(scratch, "product", (min(ROW_BLOCK, len(g)), in_channels))
         for lo, hi in _row_blocks(len(g)):
+            block = product[: hi - lo]
             for j in range(self.kernel):
-                dxp[lo + j * batch : hi + j * batch] += g[lo:hi] @ taps[j]
-        return dxp.reshape(length + self.kernel - 1, batch, in_channels).transpose(1, 2, 0), dw, db
+                np.matmul(g[lo:hi], taps[j], out=block)
+                dxp[lo + j * batch : hi + j * batch] += block
+        return dxp.reshape(length + self.kernel - 1, batch, in_channels).transpose(1, 2, 0), dw.transpose(1, 2, 0), db
 
     def frame(self, batch: int, length: int, scratch: Scratch | None = None) -> np.ndarray:
         """The (length + kernel - 1, batch, in_channels) array that forward
@@ -254,8 +259,10 @@ class Conv1d:
         block = min(ROW_BLOCK, batch * length) * out_channels
         sizes = {(self, "frame"): framed * in_channels, (self, "out"): batch * length * out_channels,
                  "bias": block, "product": block}
-        if backward:
+        if backward:  # the product block holds an input-gradient product too, and dw one GEMM a tap
             sizes[(self, "dframe")] = framed * in_channels
+            sizes["product"] = min(ROW_BLOCK, batch * length) * max(out_channels, in_channels)
+            sizes["dw"] = self.w.size
         return sizes
 
     def edge_rows(self, length: int) -> np.ndarray:
@@ -545,17 +552,25 @@ class Adam:
         self.t = 0
         self.m = np.zeros(size)
         self.v = np.zeros(size)
+        self.a, self.b = np.empty(size), np.empty(size)  # each step's temporaries
 
     def step(self, params: np.ndarray, grad: np.ndarray) -> None:
-        """Updates params in place from its gradient grad, both flat."""
+        """Updates params in place from its gradient grad, both flat: m and v
+        take the usual moment updates, and params -= lr * m_hat / (sqrt(v_hat)
+        + eps), each operation in that order, in the two step buffers."""
         self.t += 1
+        a, b = self.a, self.b
         self.m *= ADAM_BETA1
-        self.m += (1 - ADAM_BETA1) * grad
+        self.m += np.multiply(grad, 1 - ADAM_BETA1, out=a)
         self.v *= ADAM_BETA2
-        self.v += (1 - ADAM_BETA2) * grad * grad
-        m_hat = self.m / (1 - ADAM_BETA1 ** self.t)
-        v_hat = self.v / (1 - ADAM_BETA2 ** self.t)
-        params -= self.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+        np.multiply(grad, 1 - ADAM_BETA2, out=a)
+        self.v += np.multiply(a, grad, out=a)
+        np.divide(self.m, 1 - ADAM_BETA1 ** self.t, out=a)  # m_hat
+        a *= self.lr
+        np.divide(self.v, 1 - ADAM_BETA2 ** self.t, out=b)  # v_hat
+        np.sqrt(b, out=b)
+        b += ADAM_EPS
+        params -= np.divide(a, b, out=a)
 
 
 class SgdMomentum:

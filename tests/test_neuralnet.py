@@ -899,7 +899,7 @@ class TestScratchSizes:
         if backward:  # the first layer's input gradient is not computed
             want |= {(conv, "dframe") for conv in net.convs[1:]}
         assert {key for key, _ in asked if not isinstance(key, str)} == want
-        assert {key for key, _ in asked if isinstance(key, str)} == {"bias", "product"} | ({"dout"} if backward else set())
+        assert {key for key, _ in asked if isinstance(key, str)} == {"bias", "product"} | ({"dout", "dw"} if backward else set())
 
 
 class TestOneSetUpPerCall:
@@ -970,7 +970,7 @@ class TestOneSetUpPerCall:
         assert self.sizes(made[0])[(first, "frame")] == EVAL_BATCH * (16 + first.kernel - 1) * self.SPEC.input_channels
         big, small = (self.sizes(net.scratch(n, 16, backward=True)) for n in (5 * EVAL_BATCH, EVAL_BATCH))
         assert big.keys() == small.keys()
-        assert all(big[key] == 5 * small[key] for key in big if key not in ("bias", "product"))
+        assert all(big[key] == 5 * small[key] for key in big if key not in ("bias", "product", "dw"))
 
     def test_one_call_sets_up_once_over_its_groups(self, monkeypatch):
         """Two groups of different widths and sizes, one over EVAL_BATCH rows,
