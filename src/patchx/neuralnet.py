@@ -16,11 +16,19 @@ of width W = L at offset 0, with nothing outside them. Training batches mix
 patch configs and so take the layout's widest crop; evaluation forwards each
 config at its own, as one group of a forward_all call. Outside its crop a
 frame is zero, so every activation there is that of the all-zero input (the
-empty frame), which one batch-1 pass computes and every forward reads: once
-per training step, and in evaluation once per parameter state, kept on the
-network (PatchNet.kept_frame) and shared by every slice of every group. A
-ReLU is taken inside the convolution's row-block loop, while the block is in
-cache. Every elementwise operation of that loop reads an operand of the
+empty frame). Each layer's activation of it is the same at every step
+farther than the halo from both frame ends, so an all-zero input of
+frame_width = min(L, before + after + 1) steps or more holds all its values,
+each step read at its column (_columns, the identity at width L). A training
+step cuts one such crop of the batch's width after its crops (the layout
+cuts every crop that wide at least) and runs one forward and one backward
+over all of them: each layer's pad rows read that last row's activations,
+and what the crops read outside themselves goes back into its gradient.
+Whole frames read nothing outside themselves and train without it.
+Evaluation reads a frame_width-wide empty frame computed once per parameter
+state, kept on the network (PatchNet.kept_frame) and shared by every slice
+of every group. A ReLU is taken inside the convolution's row-block loop,
+while the block is in cache. Every elementwise operation of that loop reads an operand of the
 block's full shape, and the loop allocates nothing: a bias block filled once
 per call, the layer's read-only zero block, made when the layer is built,
 and one product buffer that taps 1 to k-1 multiply into. numpy's ufuncs run
@@ -43,6 +51,7 @@ optimizer steps one array with another.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field, replace
 
@@ -271,6 +280,26 @@ class Conv1d:
         return np.concatenate((np.arange(self.pad_left), np.arange(right, right + self.pad_right)))
 
 
+@functools.lru_cache(maxsize=256)
+def _columns(length: int, halo: tuple[int, int], width: int, left: int = 0, right: int = 0) -> np.ndarray:
+    """The row of a width-wide all-zero input that holds each row of a
+    length-long all-zero frame padded by left and right, in every layer, for
+    a network of this halo (before, after) and width >= min(length, before
+    + after + 1); read-only. Of the length-long frame, the first after
+    steps see its start through the conv stack and the last before steps
+    its end: step p reads column p below width - before, the column as far
+    from the end from length - before on, and column after, where every
+    layer's activation is that of the interior, in between. The pad steps
+    read the row's own zero pad rows. So the map is the identity when
+    width = length."""
+    before, after = halo
+    steps = np.arange(-left, length + right)
+    columns = np.where(steps < width - before, steps, np.where(steps >= length - before, steps - (length - width), after))
+    columns += left
+    columns.flags.writeable = False
+    return columns
+
+
 def _row_blocks(rows: int) -> list[tuple[int, int]]:
     """[lo, hi) ranges of at most ROW_BLOCK rows, so that the shifted GEMMs of
     one block accumulate in cache."""
@@ -342,12 +371,21 @@ class PatchNet:
         """(before, after): the steps around a window that its content reaches through the conv stack."""
         return sum(conv.pad_right for conv in self.convs), sum(conv.pad_left for conv in self.convs)
 
+    @property
+    def frame_width(self) -> int:
+        """min(length, before + after + 1): the narrowest all-zero input whose
+        activations hold every value of the length-long empty frame's, each
+        row read through _columns."""
+        return min(self.spec.input_length, sum(self.halo) + 1)
+
     def scratch(self, batch: int, width: int, *, backward: bool = False) -> Scratch:
         """The buffers of a loop over batches of at most batch crops of this
         width: each conv's frame (crops are cut into the first), the last
         conv's output (every other conv writes into the next one's frame),
         and in training each frame gradient that is read (not the first
-        conv's) and the last activation's gradient."""
+        conv's) and the last activation's gradient. A training batch carries
+        one more row, the all-zero crop, so its buffers hold batch + 1."""
+        batch += backward
         sizes = {}
         for i, conv in enumerate(self.convs):
             parts = conv.buffer_sizes(batch, width, backward)
@@ -373,20 +411,30 @@ class PatchNet:
                 and 0 <= offsets.min(initial=0) <= offsets.max(initial=0) <= room):
             raise DimensionError(f"crops of width {x.shape[2]} need one integer offset in [0, {room}] per row")
 
-    def _convolve(self, h: np.ndarray, offsets: np.ndarray | None = None, empty: list | None = None,
+    def _convolve(self, h: np.ndarray, offsets: np.ndarray | None = None, frame: tuple | None = None,
                   *, scratch: Scratch | None = None) -> tuple[list, np.ndarray]:
         """The conv blocks on h; returns (caches, last activation). Each conv
         writes its output into the next conv's frame, and h is copied into
-        the first conv's frame unless it lies there already. With the empty
-        frame's caches, h is a crop at offsets, and the pad rows of each
-        layer's frame read the empty frame's activations at their positions."""
+        the first conv's frame unless it lies there already. With offsets,
+        the rows of h are crops at offsets, and the pad rows of each layer's
+        frame read the empty frame's activations at their steps, through
+        _columns: from frame, the kept empty frame, or without it from the
+        all-zero crop that follows them as the last row of h, whose own pad
+        rows stay zero."""
         caches = []
         batch, _, width = h.shape
         frames = [conv.frame(batch, width, scratch) for conv in self.convs]
         for i, (conv, activation) in enumerate(zip(self.convs, self.activations)):
             edges = None  # layer 0's empty frame is zero
-            if empty is not None and i > 0:
-                edges = empty[i][1][conv.edge_rows(width)[:, None] + offsets]
+            if offsets is not None and i > 0:
+                rows = conv.edge_rows(width)
+                column = frames[i][:, -1] if frame is None else frame[0][i][1]  # (its width + kernel - 1, in)
+                index = _columns(self.spec.input_length, self.halo, len(column) - conv.kernel + 1,
+                                 conv.pad_left, conv.pad_right)[rows[:, None] + offsets]
+                if frame is None:
+                    column[rows] = 0.0
+                    index = np.concatenate((index, rows[:, None]), axis=1)
+                edges = column[index]
             out = self.convs[i + 1].inside(frames[i + 1]) if i + 1 < len(frames) else None
             relu = activation == "relu"  # post > 0 iff pre > 0
             post, flat = conv.forward(h, frame=frames[i], out=out, edges=edges, relu=relu, scratch=scratch)
@@ -395,9 +443,10 @@ class PatchNet:
         return caches, h
 
     def empty_frame(self) -> tuple[list, np.ndarray]:
-        """(caches, last activation) of one forward of the all-zero input: the
-        activations that every crop has outside itself."""
-        return self._convolve(np.zeros((1, self.spec.input_channels, self.spec.input_length)))
+        """(caches, last activation) of one forward of the all-zero input of
+        width frame_width: through _columns, the activations that every crop
+        has outside itself."""
+        return self._convolve(np.zeros((1, self.spec.input_channels, self.frame_width)))
 
     def kept_frame(self) -> tuple[list, np.ndarray]:
         """empty_frame() of the current parameters, kept between calls. It is
@@ -410,60 +459,71 @@ class PatchNet:
             self._kept = (params, self.empty_frame())
         return self._kept[1]
 
-    def _forward_cached(self, x: np.ndarray, offsets: np.ndarray, frame: tuple,
+    def _forward_cached(self, x: np.ndarray, offsets: np.ndarray, frame: tuple | None = None,
                         *, scratch: Scratch | None = None) -> tuple[np.ndarray, list]:
-        """Logits and the caches for backward of each row's crop at its offset.
-        frame is empty_frame() of the current parameters, and every crop reads
-        it outside itself; a whole frame reads only its zero pad rows and, in
-        the pooled sum, nothing. The last cache holds the frame. The caches
-        view scratch's buffers when it is given, until its next use. Its
-        callers have checked x and offsets (_check_input)."""
-        width, length = x.shape[2], self.spec.input_length
-        steps = np.arange(length)
-        outside = ((steps < offsets[:, None]) | (steps >= offsets[:, None] + width)).astype(float)
-        caches, h = self._convolve(x, offsets, frame[0], scratch=scratch)
-        pooled = h.transpose(2, 0, 1).sum(axis=0)  # (batch, channels) rows added in step order
-        pooled += outside @ frame[1][0].T  # the empty frame's activations outside each crop
+        """Logits and the caches for backward of each crop at its offset.
+        Every crop reads the empty frame outside itself: frame, the kept
+        frame (kept_frame()), or, in training, an all-zero crop of the same
+        width that follows the len(offsets) crops as the last row of x. A
+        whole frame reads only its zero pad rows and, in the pooled sum,
+        nothing, so training cuts no such crop beside whole frames. The
+        caches view scratch's buffers when it is given, until its next use.
+        Its callers have checked x and offsets (_check_input)."""
+        crops, width, length = len(offsets), x.shape[2], self.spec.input_length
+        reads = frame is not None or len(x) > crops  # else whole frames in training
+        caches, h = self._convolve(x, offsets if reads else None, frame, scratch=scratch)
+        last = h.transpose(2, 0, 1)  # (width, rows, channels), time-major
+        pooled = last[:, :crops].sum(axis=0)  # (crops, channels) rows added in step order
+        outside = None
+        if reads:
+            steps = np.arange(length)
+            outside = ((steps < offsets[:, None]) | (steps >= offsets[:, None] + width)).astype(float)
+            empty = last[:, crops] if frame is None else frame[1][0].T  # the empty frame's, (its width, channels)
+            pooled += outside @ empty[_columns(length, self.halo, len(empty))]  # its activations outside each crop
         pooled /= length
         logits = self.dense.forward(pooled)
-        caches.append((h.shape, pooled, offsets, outside, frame))
+        caches.append((h.shape, pooled, offsets, outside))
         return logits, caches
 
     def backward_from_logits(self, dlogits: np.ndarray, caches: list,
                              *, scratch: Scratch | None = None) -> np.ndarray:
-        """The parameter gradients, one vector laid out like flat_params. What
-        the crops read from the empty frame (the pooling remainder and every
-        layer's pad rows) goes back through one backward of the empty frame.
-        Activation gradients are time-major, as the activations: a layer's
-        ReLU masks its gradient where the layer above left it."""
+        """The parameter gradients of a training forward, one vector laid out
+        like flat_params. The crops and the all-zero crop after them go back
+        together, in one backward per layer: what the crops read from the
+        empty frame (the pooled remainder and every layer's pad rows) is
+        added to that last row's gradient through _columns, each step at its
+        column. Activation gradients are time-major, as the activations: a
+        layer's ReLU masks its gradient where the layer above left it."""
         grad = np.empty_like(self.flat_params)
         parts = self.views(grad)
-        (batch, channels, width), pooled, offsets, outside, (empty, _) = caches[-1]
+        (batch, channels, width), pooled, offsets, outside = caches[-1]
         dpooled, parts["dense.w"][...], parts["dense.b"][...] = self.dense.backward(dlogits, pooled)
-        length = self.spec.input_length
+        if not self.convs:
+            return grad
+        crops, length, (before, after) = len(offsets), self.spec.input_length, self.halo
         dpooled /= length
-        dh = np.broadcast_to(dpooled, (width, batch, channels))
-        d0 = (outside.T @ dpooled)[:, None]  # (length, 1, channels): the empty frame's
-        top = len(self.convs) - 1
-        for i in range(top, -1, -1):
+        dh = _empty(scratch, "dout", (width, batch, channels))
+        dh[:, :crops] = dpooled
+        if batch > crops:  # the all-zero crop's gradient
+            empty, d0 = dh[:, crops], outside.T @ dpooled  # the empty frame's, (length, channels)
+            lo, hi = width - before, length - before  # steps [lo, hi) read column after
+            empty[:lo], empty[lo:] = d0[:lo], d0[hi:]
+            empty[after] += d0[lo:hi].sum(axis=0)
+        for i in range(len(self.convs) - 1, -1, -1):
             conv = self.convs[i]
             in_shape, flat, post = caches[i]
-            shape0, flat0, post0 = empty[i]
             if self.activations[i] == "relu":
-                mask_out = _empty(scratch, "dout", dh.shape) if i == top else dh
-                dh = np.multiply(dh, post.transpose(2, 0, 1) > 0, out=mask_out)
-                d0 = d0 * (post0.transpose(2, 0, 1) > 0)
-            dframe, dw, db = conv.backward(dh.transpose(1, 2, 0), flat, in_shape, input_grad=i > 0,
-                                           scratch=scratch)
-            dframe0, dw0, db0 = conv.backward(d0.transpose(1, 2, 0), flat0, shape0, input_grad=i > 0)
-            parts[f"conv{i}.w"][...] = dw + dw0
-            parts[f"conv{i}.b"][...] = db + db0
+                np.multiply(dh, post.transpose(2, 0, 1) > 0, out=dh)
+            dframe, parts[f"conv{i}.w"][...], parts[f"conv{i}.b"][...] = conv.backward(
+                dh.transpose(1, 2, 0), flat, in_shape, input_grad=i > 0, scratch=scratch)
             if i == 0:  # nothing reads the input gradient
                 break
-            dframe, dframe0 = dframe.transpose(2, 0, 1), dframe0.transpose(2, 0, 1)
-            dh, d0 = conv.inside(dframe), conv.inside(dframe0)
-            rows = conv.edge_rows(width)  # the crop's pad rows were read from the empty frame
-            np.add.at(dframe0[:, 0], offsets[:, None] + rows, dframe[rows].transpose(1, 0, 2))
+            dframe = dframe.transpose(2, 0, 1)
+            if batch > crops:  # the crops' pad rows were read from the last row
+                rows = conv.edge_rows(width)
+                columns = _columns(length, self.halo, width, conv.pad_left, conv.pad_right)
+                np.add.at(dframe[:, crops], columns[offsets[:, None] + rows], dframe[rows, :crops].transpose(1, 0, 2))
+            dh = conv.inside(dframe)
         return grad
 
 
@@ -480,14 +540,24 @@ def softmax(logits: np.ndarray) -> np.ndarray:
 # -- spec operations -------------------------------------------------------
 
 
-def _cut(net: PatchNet, x: np.ndarray | Crops, rows: np.ndarray | slice, scratch: Scratch) -> np.ndarray:
-    """x[rows]; crops are cut straight into the inside of the first conv's frame."""
-    if not isinstance(x, Crops) or not net.convs:
-        return x[rows]
+def _cut(net: PatchNet, x: np.ndarray | Crops, rows: np.ndarray | slice, scratch: Scratch | None,
+         *, zero_row: bool = False) -> np.ndarray:
+    """x[rows]; crops are cut straight into the inside of the first conv's
+    frame. With zero_row, an all-zero crop follows them as one more row: a
+    cut of crops reads the value table's zero row, and an array's rows are
+    written into that frame beside it."""
+    if not (net.convs and (isinstance(x, Crops) or zero_row)):
+        h = x[rows]
+        return np.concatenate((h, np.zeros_like(h[:1]))) if zero_row else h
     if isinstance(rows, slice):
         rows = np.arange(*rows.indices(len(x)))
     first = net.convs[0]
-    return x.cut(rows, out=first.inside(first.frame(len(rows), x.shape[2], scratch)))
+    inside = first.inside(first.frame(len(rows) + zero_row, x.shape[2], scratch))
+    if isinstance(x, Crops):
+        return x.cut(rows, out=inside, zero_row=zero_row)
+    inside[:, :-1] = x[rows].transpose(2, 0, 1)
+    inside[:, -1] = 0.0
+    return inside.transpose(1, 2, 0)
 
 
 def forward_all(net: PatchNet, groups: list[tuple[np.ndarray | Crops, np.ndarray]]) -> list[np.ndarray]:
@@ -521,13 +591,23 @@ def batch_cross_entropy(probs: np.ndarray, labels: np.ndarray) -> float:
     return float(-np.log(picked).mean())
 
 
-def _loss_and_gradients(net: PatchNet, batch, *, scratch: Scratch | None = None) -> tuple[float, np.ndarray]:
-    """The mean cross-entropy of batch (x, y, offsets) and its gradient, laid
-    out like flat_params."""
+def _loss_and_gradients(net: PatchNet, batch, *, rows: np.ndarray | slice = slice(None),
+                        scratch: Scratch | None = None) -> tuple[float, np.ndarray]:
+    """The mean cross-entropy of the rows of batch (x, y, offsets), all by
+    default, and its gradient, laid out like flat_params. The rows are cut
+    with an all-zero crop of their width after them, the empty frame that
+    they read outside themselves, and the step runs one forward and one
+    backward over all of them. That crop holds every value of the empty
+    frame only if it is frame_width wide or more, as build_patch_arrays
+    cuts every crop; its callers have checked x and offsets."""
     x, y, offsets = batch
+    y, offsets = y[rows], offsets[rows]
     if len(y) == 0:
         raise ValueError("backward requires a non-empty batch")
-    logits, caches = net._forward_cached(x, offsets, net.empty_frame(), scratch=scratch)
+    if x.shape[2] < net.frame_width:
+        raise DimensionError(f"training crops must be at least {net.frame_width} steps wide, got {x.shape[2]}")
+    zero_row = x.shape[2] < net.spec.input_length  # whole frames read nothing outside themselves
+    logits, caches = net._forward_cached(_cut(net, x, rows, scratch, zero_row=zero_row), offsets, scratch=scratch)
     dlogits = softmax(logits)
     loss = batch_cross_entropy(dlogits, y)
     dlogits[np.arange(len(y)), y] -= 1.0
@@ -535,10 +615,17 @@ def _loss_and_gradients(net: PatchNet, batch, *, scratch: Scratch | None = None)
     return loss, net.backward_from_logits(dlogits, caches, scratch=scratch)
 
 
+def _groups(patches) -> list:
+    """patches, (x, y, offsets) or a sequence of such groups, as a list of groups."""
+    return [patches] if hasattr(patches[0], "shape") else list(patches)
+
+
 def accuracy(net: PatchNet, patches) -> float:
-    """Share of the rows of (x, y, offsets) whose argmax class is their label."""
-    x, y, offsets = patches
-    return float((np.argmax(forward_all(net, [(x, offsets)])[0], axis=1) == y).mean())
+    """Share of the rows of (x, y, offsets), or of a sequence of such groups
+    forwarded in one forward_all call, whose argmax class is their label."""
+    groups = _groups(patches)
+    probs = forward_all(net, [(x, offsets) for x, _, offsets in groups])
+    return float(np.concatenate([np.argmax(p, axis=1) == y for p, (_, y, _) in zip(probs, groups)]).mean())
 
 
 # -- optimizers ------------------------------------------------------------
@@ -600,15 +687,16 @@ class TrainLog:
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def train(net: PatchNet, train_patches, val_patches, spec: TrainSpec) -> TrainLog:
     """Mini-batch training of the mean patch cross-entropy; restores the
-    parameters of the epoch with best validation accuracy. train_patches and
-    val_patches are (x, y, offsets), as build_patch_arrays returns them;
-    crops are cut one batch at a time, and the steps reuse one set of buffers.
+    parameters of the epoch with best validation accuracy. train_patches is
+    (x, y, offsets), as build_patch_arrays returns it, and val_patches one
+    such group or a sequence of them (see accuracy); crops are cut one batch at
+    a time, and the steps reuse one set of buffers.
 
     Serial and deterministic for a fixed spec.seed: the only randomness is the
     per-epoch shuffle drawn from one seeded generator.
     """
-    for name, (_, y, _) in (("training", train_patches), ("validation", val_patches)):
-        if len(y) == 0:
+    for name, patches in (("training", train_patches), ("validation", val_patches)):
+        if not sum(len(y) for _, y, _ in _groups(patches)):
             raise ValueError(f"{name} patches must be non-empty")
     rng = np.random.default_rng(spec.seed)
     optimizer = (Adam if spec.optimizer == "adam" else SgdMomentum)(net.flat_params.size, spec.learning_rate)
@@ -622,7 +710,7 @@ def train(net: PatchNet, train_patches, val_patches, spec: TrainSpec) -> TrainLo
         batch_losses: list[float] = []
         for lo in range(0, len(y), spec.batch_size):
             idx = order[lo : lo + spec.batch_size]
-            loss, grad = _loss_and_gradients(net, (_cut(net, x, idx, scratch), y[idx], offsets[idx]), scratch=scratch)
+            loss, grad = _loss_and_gradients(net, train_patches, rows=idx, scratch=scratch)
             if not math.isfinite(loss):  # before its gradient reaches the parameters
                 raise TrainingError(
                     f"training loss diverged at epoch {epoch}, batch {lo // spec.batch_size}"

@@ -142,16 +142,19 @@ class Crops:
     def __getitem__(self, rows: np.ndarray | slice) -> np.ndarray:
         return self.cut(rows)
 
-    def cut(self, rows: np.ndarray | slice, out: np.ndarray | None = None) -> np.ndarray:
+    def cut(self, rows: np.ndarray | slice, out: np.ndarray | None = None, *, zero_row: bool = False) -> np.ndarray:
         """Rows (an index array or a slice) as (len(rows), channels, W) over
-        time-major memory, (W, len(rows), channels). With out, an array of
-        that memory shape, such as the inside of a conv's frame, the cut is
-        written there unchecked, so the rows must lie in [0, len(self));
-        without it, a row past the end raises IndexError."""
+        time-major memory, (W, len(rows), channels); with zero_row, one more
+        row follows them, an all-zero crop, which reads the table's zero row
+        0. With out, an array of that memory shape, such as the inside of a
+        conv's frame, the cut is written there unchecked, so the rows must
+        lie in [0, len(self)); without it, a row past the end raises
+        IndexError."""
         rows = np.arange(*rows.indices(len(self))) if isinstance(rows, slice) else np.asarray(rows)
         sample, slot = np.divmod(rows, len(self.slots))
-        index = self.slots.T[:, slot]  # (W, len(rows)): column c of each row's crop
-        index += sample * (self.table.length + 1)
+        index = np.zeros((self.shape[2], len(rows) + zero_row), self.slots.dtype)
+        # column c of each row's crop
+        np.add(self.slots.T[:, slot], sample * (self.table.length + 1), out=index[:, : len(rows)])
         mode = "raise" if out is None else "clip"  # "clip" lets take write to out without a temporary
         return self.table.rows.take(index, axis=0, out=out, mode=mode).transpose(1, 2, 0)
 
@@ -190,7 +193,8 @@ def _crop_layout(
     shift = start * np.array([c.notemp for c in configs])[spans[:, :1]]  # a notemp window starts at 0
     a, b = start - shift, end - shift  # each window in its frame
     lo = np.maximum(a - halo[0], 0)
-    width = int(np.max(np.minimum(b + halo[1], length) - lo))
+    # at least min(length, before + after + 1): an all-zero crop that wide holds every value of the empty frame
+    width = max(int(np.max(np.minimum(b + halo[1], length) - lo)), min(length, halo[0] + halo[1] + 1))
     offsets = np.minimum(lo, length - width)
     steps = offsets + np.arange(width)  # the frame step of each crop column
     slots = np.where((a <= steps) & (steps < b), 1 + shift + steps, 0)

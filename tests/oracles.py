@@ -45,6 +45,16 @@ its gradients sum the batch rows in another order and match
 crop_major_loss_and_gradients to rounding. crop_major_scratch_entries is the
 size of a forward-only Scratch over those frames.
 
+The long-frame training step: long_frame_loss_and_gradients is
+neuralnet._loss_and_gradients as it was before a training batch carried the
+all-zero crop as one more row. It forwards the crops and, apart, the
+length-long empty frame as a batch of one, each layer's pad rows reading
+that frame at their steps; backward runs each conv on both and adds their
+weight gradients, the pooled remainder and the crops' pad-row gradients
+going back through the empty frame's own pass. The loss must equal
+_loss_and_gradients' bit for bit (the forward reads the same values), and
+the gradients must match to rounding.
+
 The per-name optimizers: NamedAdam and NamedSgdMomentum keep one moment array
 per named parameter and step each in turn. The flat optimizers that train
 steps one parameter vector with must equal them bit for bit.
@@ -191,7 +201,7 @@ def patch_tensor(
     spans = patch_spans(length, configs)
     windows = np.array([(0, end - start) if configs[ci].notemp else (start, end) for ci, _, start, end in spans])
     lo = np.maximum(windows[:, 0] - halo[0], 0)
-    width = int(np.max(np.minimum(windows[:, 1] + halo[1], length) - lo))
+    width = max(int(np.max(np.minimum(windows[:, 1] + halo[1], length) - lo)), min(length, sum(halo) + 1))
     offsets = np.minimum(lo, length - width)
     attach = configs[0].attach
     patches = np.zeros((n, len(spans), channels + int(attach), width))
@@ -472,6 +482,65 @@ def crop_major_loss_and_gradients(net: PatchNet, batch) -> tuple[float, np.ndarr
     dlogits[np.arange(len(y)), y] -= 1.0
     dlogits /= len(y)
     return loss, crop_major_backward_from_logits(net, dlogits, caches)
+
+
+def long_frame_convolve(net: PatchNet, h: np.ndarray, offsets: np.ndarray | None = None,
+                        empty: list | None = None) -> tuple[list, np.ndarray]:
+    """The conv blocks on h, each in a frame of its own; with the caches of
+    the length-long empty frame, h holds crops at offsets and each layer's
+    pad rows read that frame's activations at their steps."""
+    caches = []
+    for i, (conv, activation) in enumerate(zip(net.convs, net.activations)):
+        edges = None
+        if empty is not None and i > 0:
+            edges = empty[i][1][conv.edge_rows(h.shape[2])[:, None] + offsets]
+        post, flat = conv.forward(h, edges=edges, relu=activation == "relu")
+        caches.append((h.shape, flat, post))
+        h = post
+    return caches, h
+
+
+def long_frame_loss_and_gradients(net: PatchNet, batch) -> tuple[float, np.ndarray]:
+    """neuralnet._loss_and_gradients with a batch-1 pass of the length-long
+    empty frame beside the crops, forward and backward."""
+    x, y, offsets = batch
+    (batch_size, _, width), length = x.shape, net.spec.input_length
+    empty, frame = long_frame_convolve(net, np.zeros((1, net.spec.input_channels, length)))
+    steps = np.arange(length)
+    outside = ((steps < offsets[:, None]) | (steps >= offsets[:, None] + width)).astype(float)
+    caches, h = long_frame_convolve(net, x, offsets, empty)
+    pooled = h.transpose(2, 0, 1).sum(axis=0)
+    pooled += outside @ frame[0].T
+    pooled /= length
+    dlogits = softmax(net.dense.forward(pooled))
+    loss = batch_cross_entropy(dlogits, y)
+    dlogits[np.arange(len(y)), y] -= 1.0
+    dlogits /= len(y)
+
+    grad = np.empty_like(net.flat_params)
+    parts = net.views(grad)
+    dpooled, parts["dense.w"][...], parts["dense.b"][...] = net.dense.backward(dlogits, pooled)
+    dpooled /= length
+    dh = np.broadcast_to(dpooled, (width, batch_size, dpooled.shape[1]))
+    d0 = (outside.T @ dpooled)[:, None]  # (length, 1, channels): the empty frame's
+    for i in range(len(net.convs) - 1, -1, -1):
+        conv = net.convs[i]
+        in_shape, flat, post = caches[i]
+        shape0, flat0, post0 = empty[i]
+        if net.activations[i] == "relu":
+            dh = dh * (post.transpose(2, 0, 1) > 0)
+            d0 = d0 * (post0.transpose(2, 0, 1) > 0)
+        dframe, dw, db = conv.backward(dh.transpose(1, 2, 0), flat, in_shape, input_grad=i > 0)
+        dframe0, dw0, db0 = conv.backward(d0.transpose(1, 2, 0), flat0, shape0, input_grad=i > 0)
+        parts[f"conv{i}.w"][...] = dw + dw0
+        parts[f"conv{i}.b"][...] = db + db0
+        if i == 0:
+            break
+        dframe, dframe0 = dframe.transpose(2, 0, 1), dframe0.transpose(2, 0, 1)
+        dh, d0 = conv.inside(dframe), conv.inside(dframe0)
+        rows = conv.edge_rows(width)  # the crops' pad rows were read from the empty frame
+        np.add.at(dframe0[:, 0], offsets[:, None] + rows, dframe[rows].transpose(1, 0, 2))
+    return loss, grad
 
 
 def crop_major_scratch_entries(net: PatchNet, batch: int, width: int) -> int:

@@ -511,11 +511,12 @@ class TestPatchPredictionsPerConfig:
 
     @staticmethod
     def empty_frame_passes(monkeypatch, bundle, dataset) -> int:
-        """How many convolutions patch_predictions runs on the all-zero frame, per layer."""
+        """How many convolutions patch_predictions runs on the all-zero frame
+        (frame_width steps wide), per layer."""
         forward, passes = Conv1d.forward, []
 
         def counting(conv, x, **kwargs):
-            if conv is bundle.network.convs[0] and x.shape[::2] == (1, LENGTH) and not x.any():
+            if conv is bundle.network.convs[0] and x.shape[::2] == (1, bundle.network.frame_width) and not x.any():
                 passes.append(x)
             return forward(conv, x, **kwargs)
 
@@ -577,3 +578,13 @@ class TestPatchPredictionsPerConfig:
         bundle.patch_configs = bundle.patch_configs[2:]  # the whole-frame window alone
         bundle.network.convs[0].b[0] += 0.25  # else the network's kept frame serves the call
         assert self.empty_frame_passes(monkeypatch, bundle, crop_dataset(2)) == 1
+
+    def test_validation_is_the_bundles_evaluation(self, monkeypatch, small_pipeline, anomaly_splits):
+        """run_pipeline validates one group a config, each at its own crop
+        width, as patch_predictions evaluates: the best validation accuracy
+        is, bit for bit, the share of the val split's patches whose
+        patch_predictions argmax is their sample's label."""
+        val = anomaly_splits[1]
+        probs = small_pipeline.bundle.patch_predictions(val)
+        hits = np.argmax(probs, axis=2) == val.labels_array()[:, None]
+        assert small_pipeline.train_log.best_val_accuracy == float(hits.mean())

@@ -36,7 +36,8 @@ from patchx.patching import PatchConfig, build_patch_arrays
 from oracles import (
     NamedAdam, NamedSgdMomentum, backward, content_crop, crop_major_loss_and_gradients, crop_major_scratch_entries,
     crop_major_softmax, expand_crops, forward, full_frame_gradients, full_frame_patch_arrays, full_frame_softmax,
-    named_gradient_check, patch_cross_entropy, patch_tensor, row_block_conv_forward, transform, zero_offsets,
+    long_frame_loss_and_gradients, named_gradient_check, patch_cross_entropy, patch_tensor, row_block_conv_forward,
+    transform, zero_offsets,
 )
 
 TINY = NetworkSpec(
@@ -571,7 +572,7 @@ class TestCropOracle:
         """forward_all runs the all-zero frame at most once however many
         EVAL_BATCH slices and groups it takes, and not at all while the
         parameters it was computed from are unchanged, and gives the softmax
-        of the slices run one by one."""
+        of the slices run one by one. That frame is frame_width wide."""
         net = crop_net(3, 23, 3, "relu", 2, seed=5)
         x, _, offsets, _ = patch_rows(True, False, net.halo)
         x, offsets = np.concatenate([x] * 60), np.concatenate([offsets] * 60)
@@ -579,7 +580,7 @@ class TestCropOracle:
         forward, frames = Conv1d.forward, []
 
         def counting(conv, h, **kwargs):
-            if conv is net.convs[0] and h.shape[::2] == (1, 23) and not h.any():
+            if conv is net.convs[0] and h.shape[::2] == (1, net.frame_width) and not h.any():
                 frames.append(h)
             return forward(conv, h, **kwargs)
 
@@ -672,6 +673,131 @@ class TestTimeMajorAgainstCropMajor:
         assert (net.convs[0], "out") not in scratch.buffers and (net.convs[1], "out") in scratch.buffers
         entries = sum(len(part) for part in scratch.buffers.values())
         assert entries <= crop_major_scratch_entries(net, EVAL_BATCH, 24) - EVAL_BATCH * (24 + 2) * 16
+
+
+class TestZeroRowAgainstTheLongFrame:
+    """A training step cuts an all-zero crop of the batch's width after its
+    crops and runs one forward and one backward over all of them; the
+    long-frame oracle forwards and back-propagates the length-long empty
+    frame apart. The loss is the same bit for bit, and the gradients are
+    within 1e-12 of the largest."""
+
+    BLOCKS = {"relu": lambda k: ((5, k, "relu"), (4, k, "relu")),
+              "linear": lambda k: ((5, k, "linear"), (4, k, "linear")),
+              "three-layers": lambda k: ((5, k, "relu"), (4, k, "linear"), (3, k, "relu"))}
+
+    @staticmethod
+    def net(channels, length, blocks, seed):
+        net = build_network(NetworkSpec(channels, length, 3, conv_blocks=blocks, seed=seed))
+        rng = np.random.default_rng(seed)
+        for conv in net.convs:  # biases too, so the empty frame is not zero
+            conv.b[...] = rng.normal(scale=0.5, size=conv.b.shape)
+        return net
+
+    @staticmethod
+    def check(net, batch, scratch=None):
+        loss, grad = _loss_and_gradients(net, batch, scratch=scratch)
+        want_loss, want = long_frame_loss_and_gradients(net, batch)
+        assert loss == want_loss
+        assert np.abs(grad - want).max() <= 1e-12 * np.abs(want).max()
+
+    @pytest.mark.parametrize("attach, notemp", FLAGS, ids=FLAG_IDS)
+    @pytest.mark.parametrize("blocks", BLOCKS)
+    @pytest.mark.parametrize("kernel", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("whole", [False, True], ids=["windows", "whole-frames"])
+    def test_gradients_match_the_long_frame(self, attach, notemp, blocks, kernel, whole):
+        """Windows at both frame edges, alone or beside a whole-frame window
+        (then every crop is a whole frame): 7 rows without a Scratch, and the
+        rows repeated past ROW_BLOCK frame rows through a training Scratch."""
+        net = self.net(2 + attach, 23, self.BLOCKS[blocks](kernel), seed=20 + kernel)
+        x, y, offsets, _ = patch_rows(attach, notemp, net.halo, whole=whole)
+        assert offsets.min() == 0 and (notemp or (offsets + x.shape[2]).max() == 23)
+        assert (x.shape[2] == 23) == whole
+        self.check(net, (x[3:10], y[3:10], offsets[3:10]))
+        x, y, offsets = (np.concatenate([a] * 4) for a in (x, y, offsets))
+        assert (len(x) + 1) * x.shape[2] > ROW_BLOCK
+        self.check(net, (x, y, offsets), net.scratch(len(x), x.shape[2], backward=True))
+
+    @pytest.mark.parametrize("length, config, blocks", [
+        (50, PatchConfig(50, 1), ((4, 3, "relu"), (5, 3, "relu"))),
+        (30, PatchConfig(30, 2), ((4, 5, "relu"), (5, 5, "relu"), (3, 5, "relu"))),
+    ], ids=["two-kernel-3", "three-kernel-5"])
+    def test_minimum_width_crops(self, length, config, blocks):
+        """Layouts whose one window, widened by the halo, would be narrower
+        than frame_width (3 of 5 and 8 of 13 steps): the crops are cut that
+        wide, their gradients match the oracle, and train's epoch losses
+        equal those of a loop of oracle steps to rounding."""
+        net = self.net(2, length, blocks, seed=length)
+        rng = np.random.default_rng(length)
+        values, labels = rng.normal(size=(12, 1, length)), rng.integers(0, 3, 12)
+        patches = build_patch_arrays(values, labels, [config], net.halo)
+        crops, y, offsets = patches
+        assert crops.shape[2] == net.frame_width == sum(net.halo) + 1 and not offsets.any()
+        self.check(net, (crops[:], y, offsets))
+        spec = TrainSpec(epochs=2, batch_size=5, learning_rate=1e-2, early_stopping_patience=0, seed=3)
+        reference = build_network(net.spec)
+        reference.flat_params[...] = net.flat_params
+        log = train(net, patches, patches, spec)
+        order, optimizer, losses = np.random.default_rng(spec.seed), Adam(reference.flat_params.size, 1e-2), []
+        for _ in range(spec.epochs):
+            shuffled, batch_losses = order.permutation(len(y)), []
+            for lo in range(0, len(y), spec.batch_size):
+                idx = shuffled[lo : lo + spec.batch_size]
+                loss, grad = long_frame_loss_and_gradients(reference, (crops[idx], y[idx], offsets[idx]))
+                batch_losses.append(loss)
+                optimizer.step(reference.flat_params, grad)
+            losses.append(math.fsum(batch_losses) / len(batch_losses))
+        np.testing.assert_allclose(log.train_loss, losses, rtol=1e-12)
+
+    def test_crops_narrower_than_the_frame_width_do_not_train(self):
+        net = self.net(2, 50, self.BLOCKS["relu"](3), seed=1)
+        x, y, offsets = np.ones((3, 2, 4)), np.zeros(3, np.int64), np.array([0, 20, 46])
+        spec = TrainSpec(epochs=1, batch_size=2, early_stopping_patience=0, seed=0)
+        for call in (lambda: _loss_and_gradients(net, (x, y, offsets)), lambda: train(net, (x, y, offsets),
+                                                                                      (x, y, offsets), spec)):
+            with pytest.raises(DimensionError, match="at least 5 steps wide, got 4"):
+                call()
+
+    def test_a_step_makes_one_pass_per_layer_and_runs_no_empty_frame(self, monkeypatch):
+        """A 2-layer step makes 4 Conv1d calls, each over the crops and the
+        all-zero crop; train makes no batch-1 conv call but the 2 of each
+        validation pass's kept frame."""
+        net = crop_net(3, 23, 3, "relu", 2, seed=4)
+        x, y, offsets, _ = patch_rows(True, False, net.halo)
+        assert x.shape[2] < 23
+        calls, frames = [], []
+        for name in ("forward", "backward"):
+            def counting(conv, h, *args, method=getattr(Conv1d, name), name=name, **kwargs):
+                calls.append((name, len(h) if name == "forward" else args[1][0]))
+                return method(conv, h, *args, **kwargs)
+            monkeypatch.setattr(Conv1d, name, counting)
+        empty_frame = PatchNet.empty_frame
+        monkeypatch.setattr(PatchNet, "empty_frame", lambda net: frames.append(net) or empty_frame(net))
+        _loss_and_gradients(net, (x, y, offsets))
+        assert calls == [("forward", len(x) + 1)] * 2 + [("backward", len(x) + 1)] * 2 and not frames
+        calls.clear()
+        spec = TrainSpec(epochs=2, batch_size=16, early_stopping_patience=0, seed=0)
+        train(net, (x, y, offsets), (x[:7], y[:7], offsets[:7]), spec)
+        steps = 2 * math.ceil(len(x) / 16)
+        assert [rows for _, rows in calls].count(1) == 2 * 2 and len(frames) == 2
+        assert len(calls) == 4 * steps + 2 * 2 * 2  # per validation pass, both layers on the kept frame and one slice
+
+
+class TestValidationGroups:
+    def test_accuracy_over_config_groups(self):
+        """accuracy over one group a config, each at its own crop width, is
+        the share of all their rows whose argmax is their label, from one
+        forward_all call; a sequence of one group is that group."""
+        net = crop_net(3, 23, 3, "relu", 2, seed=7)
+        rng = np.random.default_rng(7)
+        values, labels = rng.normal(size=(9, 2, 23)), rng.integers(0, 3, 9)
+        configs = [PatchConfig(4, 6, attach=True), PatchConfig(7, 9, attach=True)]
+        groups = [build_patch_arrays(values, labels, [config], net.halo) for config in configs]
+        assert groups[0][0].shape[2] < groups[1][0].shape[2]
+        probs = forward_all(net, [(x, offsets) for x, _, offsets in groups])
+        hits = np.concatenate([np.argmax(p, axis=1) == y for p, (_, y, _) in zip(probs, groups)])
+        assert accuracy(net, groups) == hits.sum() / len(hits)
+        assert accuracy(net, groups[1:]) == accuracy(net, groups[1]) == hits[len(groups[0][1]):].mean()
 
 
 class TestKeptFrame:
@@ -851,8 +977,8 @@ class TestScratchAgainstFreshArrays:
 
 class TestScratchSizes:
     """PatchNet.scratch(batch, width, backward=...) holds every buffer that a
-    forward (and a backward) of up to batch crops of that width asks for,
-    and no conv makes an array of its own once the Scratch is built."""
+    forward (or a training step) of up to batch crops of that width asks
+    for, and no conv makes an array of its own once the Scratch is built."""
 
     SPEC = NetworkSpec(3, 40, 3, conv_blocks=((5, 2, "relu"), (4, 3, "linear"), (6, 1, "relu")), seed=2)
 
@@ -868,14 +994,14 @@ class TestScratchSizes:
         crops, offsets = crops[np.arange(batch)], offsets[:batch]  # one crop per sample
         width = crops.shape[2]
         assert batch * (width + 1) > ROW_BLOCK or batch < 10
-        frame = net.empty_frame()  # runs without a scratch, before the counting starts
+        frame = net.empty_frame()  # evaluation's kept frame runs without a scratch, before the counting starts
         scratch = net.scratch(batch, width, backward=backward)
         asked, made, inside = [], [], []
         def recording(self, key, shape, method=Scratch.empty):
             asked.append((key, math.prod(shape)))
             return method(self, key, shape)
         monkeypatch.setattr(Scratch, "empty", recording)
-        for name in ("forward", "backward"):  # the empty frame's backward runs without a scratch
+        for name in ("forward", "backward"):
             def marked(conv, *args, scratch=None, method=getattr(Conv1d, name), **kwargs):
                 inside.append(scratch is not None)
                 try:
@@ -886,9 +1012,10 @@ class TestScratchSizes:
         for name in ("empty", "zeros"):  # the zero block is the layer's, made when it was built
             monkeypatch.setattr(np, name, lambda *args, method=getattr(np, name), **kwargs: (
                 made.append(args) if inside and inside[-1] else None) or method(*args, **kwargs))
-        logits, caches = net._forward_cached(crops, offsets, frame, scratch=scratch)
-        if backward:
-            net.backward_from_logits(softmax(logits), caches, scratch=scratch)
+        if backward:  # one training step: the crops and the all-zero crop after them
+            _loss_and_gradients(net, (crops, labels, offsets), scratch=scratch)
+        else:
+            net._forward_cached(crops, offsets, frame, scratch=scratch)
         monkeypatch.undo()
         assert made == []
         assert {key for key, _ in asked} <= set(scratch.buffers)
@@ -970,7 +1097,9 @@ class TestOneSetUpPerCall:
         assert self.sizes(made[0])[(first, "frame")] == EVAL_BATCH * (16 + first.kernel - 1) * self.SPEC.input_channels
         big, small = (self.sizes(net.scratch(n, 16, backward=True)) for n in (5 * EVAL_BATCH, EVAL_BATCH))
         assert big.keys() == small.keys()
-        assert all(big[key] == 5 * small[key] for key in big if key not in ("bias", "product", "dw"))
+        # a training batch of n crops carries the all-zero crop as row n + 1
+        assert all(big[key] * (EVAL_BATCH + 1) == small[key] * (5 * EVAL_BATCH + 1)
+                   for key in big if key not in ("bias", "product", "dw"))
 
     def test_one_call_sets_up_once_over_its_groups(self, monkeypatch):
         """Two groups of different widths and sizes, one over EVAL_BATCH rows,

@@ -322,6 +322,36 @@ class TestCrops:
         got = crops.cut(rows, out=out)
         assert np.shares_memory(got, out) and same_bits(got, tensor[rows])
 
+    @pytest.mark.parametrize("attach, notemp", FLAGS, ids=FLAG_IDS)
+    def test_cut_with_a_zero_row(self, attach, notemp):
+        """With zero_row, an all-zero crop (+0.0 bits, the table's zero row)
+        follows the rows, with out or without it."""
+        values, labels, configs = self.case(attach, notemp, 5)
+        crops = build_patch_arrays(values, labels, configs, (2, 1))[0]
+        tensor = patch_tensor(values, labels, configs, (2, 1))[0]
+        rows = np.array([3, 17, 2, 29])
+        out = np.full((crops.shape[2], len(rows) + 1, crops.shape[1]), np.nan)
+        got = crops.cut(rows, out=out, zero_row=True)
+        assert np.shares_memory(got, out) and same_bits(got[:-1], tensor[rows])
+        assert same_bits(got[-1], np.zeros(crops.shape[1:]))
+        assert same_bits(crops.cut(rows, zero_row=True), got)
+
+    @pytest.mark.parametrize("length, config, halo, width", [
+        (50, PatchConfig(50, 1), (2, 2), 5), (30, PatchConfig(30, 2), (6, 6), 13), (4, PatchConfig(4, 1), (2, 2), 4),
+    ], ids=["one-step-window", "two-step-window", "short-frame"])
+    def test_crops_are_at_least_the_empty_frame_width(self, length, config, halo, width):
+        """Each crop is at least min(length, before + after + 1) wide, where
+        the windows widened by the halo are narrower (3 of 5, 8 of 13 and 3
+        of 4 steps): an all-zero crop that wide holds every value of the
+        empty frame. The crops still hold their full frames."""
+        values = np.random.default_rng(length).normal(size=(3, 2, length))
+        labels = np.arange(3)
+        crops, _, offsets = build_patch_arrays(values, labels, [config], halo)
+        assert crops.shape[2] == width
+        np.testing.assert_array_equal(expand_crops(crops[:], offsets, length),
+                                      full_frame_patch_arrays(values, labels, [config])[0])
+        assert same_bits(crops[:], patch_tensor(values, labels, [config], halo)[0])
+
     @pytest.mark.parametrize("attach", [False, True])
     def test_zero_samples_give_zero_crops(self, attach):
         configs = [PatchConfig(4, 6, attach=attach), PatchConfig(7, 9, attach=attach)]

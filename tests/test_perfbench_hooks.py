@@ -44,8 +44,8 @@ def test_tracer_installs_and_removes_every_hook():
 def test_conv_spans_count_flop_of_logical_shapes():
     """The tracer reads (batch, channels, length) shapes off Conv1d's arguments
     to count flop; an array of another layout would miscount neuralnet.gflop.
-    Each pass runs on the batch and on the batch-1 empty frame, so each span
-    name sums the flop of batch + 1 rows."""
+    The rows are whole frames, which read nothing outside themselves, so a
+    training step runs each pass on the batch alone."""
     spans, tracer, labels = load_tracer()
     (small, first), (large, second) = sorted(labels.items())
     batch, channels, length = 5, 4, 12  # length differs from every channel count
@@ -59,7 +59,7 @@ def test_conv_spans_count_flop_of_logical_shapes():
     for s in tracer.groups[-1]:
         if s[spans.NAME].startswith("neuralnet.conv"):
             flop[s[spans.NAME]] = flop.get(s[spans.NAME], 0) + s[spans.META]["flop"]
-    rows = batch + 1
+    rows = batch
     per_pass = {first: rows * length * small * channels * 3,
                 second: rows * length * large * small * 2}
     assert flop == {
