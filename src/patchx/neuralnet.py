@@ -57,7 +57,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .patching import Crops
+from .patching import Crops, least_width
 
 LOG_CLAMP = 1e-12
 EVAL_BATCH = 1024
@@ -373,10 +373,10 @@ class PatchNet:
 
     @property
     def frame_width(self) -> int:
-        """min(length, before + after + 1): the narrowest all-zero input whose
-        activations hold every value of the length-long empty frame's, each
-        row read through _columns."""
-        return min(self.spec.input_length, sum(self.halo) + 1)
+        """The width of the empty frame that evaluation keeps and the least
+        width of a training crop (patching.least_width), each row read
+        through _columns."""
+        return least_width(self.spec.input_length, self.halo)
 
     def scratch(self, batch: int, width: int, *, backward: bool = False) -> Scratch:
         """The buffers of a loop over batches of at most batch crops of this

@@ -85,6 +85,13 @@ def patch_spans(sample_length: int, configs: list[PatchConfig]) -> list[tuple[in
     ]
 
 
+def least_width(length: int, halo: tuple[int, int]) -> int:
+    """min(length, before + after + 1): the narrowest all-zero input whose
+    activations, through a conv stack of this halo, hold every value of the
+    length-long empty frame's; every crop is cut at least this wide."""
+    return min(length, halo[0] + halo[1] + 1)
+
+
 def _check_configs(configs: list[PatchConfig]) -> None:
     if not configs:
         raise ConfigError("at least one patch config is required")
@@ -193,8 +200,7 @@ def _crop_layout(
     shift = start * np.array([c.notemp for c in configs])[spans[:, :1]]  # a notemp window starts at 0
     a, b = start - shift, end - shift  # each window in its frame
     lo = np.maximum(a - halo[0], 0)
-    # at least min(length, before + after + 1): an all-zero crop that wide holds every value of the empty frame
-    width = max(int(np.max(np.minimum(b + halo[1], length) - lo)), min(length, halo[0] + halo[1] + 1))
+    width = max(int(np.max(np.minimum(b + halo[1], length) - lo)), least_width(length, halo))
     offsets = np.minimum(lo, length - width)
     steps = offsets + np.arange(width)  # the frame step of each crop column
     slots = np.where((a <= steps) & (steps < b), 1 + shift + steps, 0)
