@@ -25,9 +25,9 @@ cuts every crop that wide at least) and runs one forward and one backward
 over all of them: each layer's pad rows read that last row's activations,
 and what the crops read outside themselves goes back into its gradient.
 Whole frames read nothing outside themselves and train without it.
-Evaluation reads a frame_width-wide empty frame computed once per parameter
-state, kept on the network (PatchNet.kept_frame) and shared by every slice
-of every group. A ReLU is taken inside the convolution's row-block loop,
+Evaluation runs the frame_width-wide all-zero input once per parameter
+state, reads its values out at all L steps through _columns, and keeps them
+on the network (PatchNet.kept_frame), shared by every slice of every group. A ReLU is taken inside the convolution's row-block loop,
 while the block is in cache. Every elementwise operation of that loop reads an operand of the
 block's full shape, and the loop allocates nothing: a bias block filled once
 per call, the layer's read-only zero block, made when the layer is built,
@@ -417,10 +417,10 @@ class PatchNet:
         writes its output into the next conv's frame, and h is copied into
         the first conv's frame unless it lies there already. With offsets,
         the rows of h are crops at offsets, and the pad rows of each layer's
-        frame read the empty frame's activations at their steps, through
-        _columns: from frame, the kept empty frame, or without it from the
-        all-zero crop that follows them as the last row of h, whose own pad
-        rows stay zero."""
+        frame read the empty frame's activations at their steps: from frame
+        (empty_frame()), or without it from the all-zero crop that follows
+        them as the last row of h, through _columns, whose own pad rows stay
+        zero."""
         caches = []
         batch, _, width = h.shape
         frames = [conv.frame(batch, width, scratch) for conv in self.convs]
@@ -428,12 +428,14 @@ class PatchNet:
             edges = None  # layer 0's empty frame is zero
             if offsets is not None and i > 0:
                 rows = conv.edge_rows(width)
-                column = frames[i][:, -1] if frame is None else frame[0][i][1]  # (its width + kernel - 1, in)
-                index = _columns(self.spec.input_length, self.halo, len(column) - conv.kernel + 1,
-                                 conv.pad_left, conv.pad_right)[rows[:, None] + offsets]
+                index = rows[:, None] + offsets  # rows of the length-long frame
                 if frame is None:
+                    column = frames[i][:, -1]  # (width + kernel - 1, in_channels)
                     column[rows] = 0.0
-                    index = np.concatenate((index, rows[:, None]), axis=1)
+                    columns = _columns(self.spec.input_length, self.halo, width, conv.pad_left, conv.pad_right)
+                    index = np.concatenate((columns[index], rows[:, None]), axis=1)
+                else:
+                    column = frame[0][i]
                 edges = column[index]
             out = self.convs[i + 1].inside(frames[i + 1]) if i + 1 < len(frames) else None
             relu = activation == "relu"  # post > 0 iff pre > 0
@@ -443,10 +445,16 @@ class PatchNet:
         return caches, h
 
     def empty_frame(self) -> tuple[list, np.ndarray]:
-        """(caches, last activation) of one forward of the all-zero input of
-        width frame_width: through _columns, the activations that every crop
-        has outside itself."""
-        return self._convolve(np.zeros((1, self.spec.input_channels, self.frame_width)))
+        """The activations that every crop has outside itself, those of the
+        length-long all-zero input: each conv's padded input frame, (length
+        + kernel - 1, in_channels), and the last activation, (length,
+        channels). One forward of a frame_width-wide all-zero input computes
+        them, and each step is read at its column (_columns)."""
+        length, width = self.spec.input_length, self.frame_width
+        caches, h = self._convolve(np.zeros((1, self.spec.input_channels, width)))
+        inputs = [flat[_columns(length, self.halo, width, conv.pad_left, conv.pad_right)]
+                  for conv, (_, flat, _) in zip(self.convs, caches)]
+        return inputs, h.transpose(2, 0, 1)[:, 0][_columns(length, self.halo, width)]
 
     def kept_frame(self) -> tuple[list, np.ndarray]:
         """empty_frame() of the current parameters, kept between calls. It is
@@ -478,8 +486,8 @@ class PatchNet:
         if reads:
             steps = np.arange(length)
             outside = ((steps < offsets[:, None]) | (steps >= offsets[:, None] + width)).astype(float)
-            empty = last[:, crops] if frame is None else frame[1][0].T  # the empty frame's, (its width, channels)
-            pooled += outside @ empty[_columns(length, self.halo, len(empty))]  # its activations outside each crop
+            empty = frame[1] if frame is not None else last[:, crops][_columns(length, self.halo, width)]
+            pooled += outside @ empty  # the empty frame's activations outside each crop
         pooled /= length
         logits = self.dense.forward(pooled)
         caches.append((h.shape, pooled, offsets, outside))

@@ -159,9 +159,10 @@ class Crops:
         IndexError."""
         rows = np.arange(*rows.indices(len(self))) if isinstance(rows, slice) else np.asarray(rows)
         sample, slot = np.divmod(rows, len(self.slots))
-        index = np.zeros((self.shape[2], len(rows) + zero_row), self.slots.dtype)
-        # column c of each row's crop
-        np.add(self.slots.T[:, slot], sample * (self.table.length + 1), out=index[:, : len(rows)])
+        index = self.slots.T[:, slot]  # (W, len(rows)): column c of each row's crop
+        index += sample * (self.table.length + 1)
+        if zero_row:  # table row 0, sample 0's zero row
+            index = np.concatenate((index, np.zeros_like(index[:, :1])), axis=1)
         mode = "raise" if out is None else "clip"  # "clip" lets take write to out without a temporary
         return self.table.rows.take(index, axis=0, out=out, mode=mode).transpose(1, 2, 0)
 

@@ -579,7 +579,7 @@ class TestPatchPredictionsPerConfig:
         bundle.network.convs[0].b[0] += 0.25  # else the network's kept frame serves the call
         assert self.empty_frame_passes(monkeypatch, bundle, crop_dataset(2)) == 1
 
-    def test_validation_is_the_bundles_evaluation(self, monkeypatch, small_pipeline, anomaly_splits):
+    def test_validation_is_the_bundles_evaluation(self, small_pipeline, anomaly_splits):
         """run_pipeline validates one group a config, each at its own crop
         width, as patch_predictions evaluates: the best validation accuracy
         is, bit for bit, the share of the val split's patches whose
