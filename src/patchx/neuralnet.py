@@ -27,8 +27,9 @@ and what the crops read outside themselves goes back into its gradient.
 Whole frames read nothing outside themselves and train without it.
 Evaluation runs the frame_width-wide all-zero input once per parameter
 state, reads its values out at all L steps through _columns, and keeps them
-on the network (PatchNet.kept_frame), shared by every slice of every group. A ReLU is taken inside the convolution's row-block loop,
-while the block is in cache. Every elementwise operation of that loop reads an operand of the
+on the network (PatchNet.kept_frame), shared by every slice of every group.
+A ReLU is taken inside the convolution's row-block loop, while the block is
+in cache. Every elementwise operation of that loop reads an operand of the
 block's full shape, and the loop allocates nothing: a bias block filled once
 per call, the layer's read-only zero block, made when the layer is built,
 and one product buffer that taps 1 to k-1 multiply into. numpy's ufuncs run
@@ -294,7 +295,8 @@ def _columns(length: int, halo: tuple[int, int], width: int, left: int = 0, righ
     width = length."""
     before, after = halo
     steps = np.arange(-left, length + right)
-    columns = np.where(steps < width - before, steps, np.where(steps >= length - before, steps - (length - width), after))
+    ends = np.where(steps < width - before, steps, steps - (length - width))
+    columns = np.where((steps < width - before) | (steps >= length - before), ends, after)
     columns += left
     columns.flags.writeable = False
     return columns
