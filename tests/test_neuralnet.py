@@ -738,9 +738,9 @@ class TestZeroRowAgainstTheLongFrame:
         reference = build_network(net.spec)
         reference.flat_params[...] = net.flat_params
         log = train(net, patches, patches, spec)
-        order, optimizer, losses = np.random.default_rng(spec.seed), Adam(reference.flat_params.size, 1e-2), []
+        rng, optimizer, losses = np.random.default_rng(spec.seed), Adam(reference.flat_params.size, 1e-2), []
         for _ in range(spec.epochs):
-            shuffled, batch_losses = order.permutation(len(y)), []
+            shuffled, batch_losses = rng.permutation(len(y)), []
             for lo in range(0, len(y), spec.batch_size):
                 idx = shuffled[lo : lo + spec.batch_size]
                 loss, grad = long_frame_loss_and_gradients(reference, (crops[idx], y[idx], offsets[idx]))
