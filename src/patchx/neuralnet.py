@@ -19,26 +19,25 @@ frame is zero, so every activation there is that of the all-zero input (the
 empty frame). Each layer's activation of it is the same at every step
 farther than the halo from both frame ends, so an all-zero input of
 frame_width = min(L, before + after + 1) steps or more holds all its values,
-each step read at its column (_columns, the identity at width L). A training
-step cuts one such crop of the batch's width after its crops (the layout
-cuts every crop that wide at least) and runs one forward and one backward
-over all of them: each layer's pad rows read that last row's activations,
-and what the crops read outside themselves goes back into its gradient.
-Whole frames read nothing outside themselves and train without it.
-Evaluation runs the frame_width-wide all-zero input once per parameter
-state, reads its values out at all L steps through _columns, and keeps them
-on the network (PatchNet.kept_frame), shared by every slice of every group.
-A ReLU is taken inside the convolution's row-block loop, while the block is
-in cache. Every elementwise operation of that loop reads an operand of the
-block's full shape, and the loop allocates nothing: a bias block filled once
-per call, the layer's read-only zero block, made when the layer is built,
-and one product buffer that taps 1 to k-1 multiply into. numpy's ufuncs run
-several times slower on a broadcast row or a scalar than on a full block
-(README step 2 has the timings); the results are those of the broadcast
-loop, bit for bit. x is an array or patching.Crops, which train cuts one
-batch at a time and forward_all one EVAL_BATCH slice at a time. Each entry
-point (forward_all, train, gradient_check) checks its input's shape and
-offsets once, before the first cut. train and forward_all each make one
+each step read at its column (_columns, the identity at width L); every
+entry point rejects narrower crops, and the layout cuts none. A training
+batch and an evaluation slice of crops narrower than L are cut alike, with
+one such crop of their width after them, and run one forward over all of
+them: each layer's pad rows read that last row's activations, and in
+training what the crops read outside themselves goes back into its
+gradient in the same backward. Whole frames read nothing outside themselves
+and carry no such row. A ReLU is taken inside the convolution's row-block
+loop, while the block is in cache. Every elementwise operation of that loop
+reads an operand of the block's full shape, and the loop allocates nothing:
+a bias block filled once per call, the layer's read-only zero block, made
+when the layer is built, and one product buffer that taps 1 to k-1
+multiply into. numpy's ufuncs run several times slower on a broadcast row
+or a scalar than on a full block (README step 2 has the timings); the
+results are those of the broadcast loop, bit for bit. x is an array or
+patching.Crops, which train cuts one batch at a time and forward_all one
+EVAL_BATCH slice at a time. Each entry point (forward_all, train,
+gradient_check) checks its input's shape, width and offsets once, before
+the first cut. train and forward_all each make one
 Scratch when they start: the writable per-call buffers (every conv's frame,
 the last conv's output, the gradient arrays, and the convs' shared bias and
 product blocks) in one allocation, reused at each step and dropped when the
@@ -335,6 +334,9 @@ class PatchNet:
             self.activations.append(activation)
             channels = filters
         self.dense = Dense(channels, spec.class_count, rng)
+        # (before, after): the steps around a window that its content reaches through the conv stack;
+        # each forward reads it per layer, so it is summed once here
+        self.halo = (sum(conv.pad_right for conv in self.convs), sum(conv.pad_left for conv in self.convs))
         # the layers' initial draws, in parameters() order; then each w and b views its part
         params = self.parameters()
         self._shapes = [(name, p.shape) for name, p in params]
@@ -342,7 +344,6 @@ class PatchNet:
         views = iter(self.views(self.flat_params).values())
         for layer in (*self.convs, self.dense):
             layer.w, layer.b = next(views), next(views)
-        self._kept = None  # (parameter bytes, empty frame): see kept_frame
 
     # -- parameter access -------------------------------------------------
 
@@ -369,15 +370,10 @@ class PatchNet:
             p[...] = src
 
     @property
-    def halo(self) -> tuple[int, int]:
-        """(before, after): the steps around a window that its content reaches through the conv stack."""
-        return sum(conv.pad_right for conv in self.convs), sum(conv.pad_left for conv in self.convs)
-
-    @property
     def frame_width(self) -> int:
-        """The width of the empty frame that evaluation keeps and the least
-        width of a training crop (patching.least_width), each row read
-        through _columns."""
+        """The least width of a crop (patching.least_width): the all-zero
+        crop after crops that wide holds every value of the empty frame,
+        each step read through _columns."""
         return least_width(self.spec.input_length, self.halo)
 
     def scratch(self, batch: int, width: int, *, backward: bool = False) -> Scratch:
@@ -385,9 +381,10 @@ class PatchNet:
         width: each conv's frame (crops are cut into the first), the last
         conv's output (every other conv writes into the next one's frame),
         and in training each frame gradient that is read (not the first
-        conv's) and the last activation's gradient. A training batch carries
-        one more row, the all-zero crop, so its buffers hold batch + 1."""
-        batch += backward
+        conv's) and the last activation's gradient. Crops narrower than the
+        frame carry one more row, the all-zero crop, so the buffers hold
+        batch + 1."""
+        batch += 1
         sizes = {}
         for i, conv in enumerate(self.convs):
             parts = conv.buffer_sizes(batch, width, backward)
@@ -404,25 +401,27 @@ class PatchNet:
     # -- forward / backward ------------------------------------------------
 
     def _check_input(self, x: np.ndarray, offsets: np.ndarray) -> None:
-        """x holds crops of one width, with one integer offset in [0, length - width] per row."""
+        """x holds crops of one width, at least frame_width, with one integer
+        offset in [0, length - width] per row."""
         channels, length = self.spec.input_channels, self.spec.input_length
         if x.ndim != 3 or x.shape[1] != channels or not 1 <= x.shape[2] <= length:
             raise DimensionError(f"expected input (batch, {channels}, width <= {length}), got {x.shape}")
+        if x.shape[2] < self.frame_width:  # the all-zero crop after them would miss values of the empty frame
+            raise DimensionError(f"crops must be at least {self.frame_width} steps wide, got {x.shape[2]}")
         room = length - x.shape[2]
         if not (isinstance(offsets, np.ndarray) and offsets.shape == (len(x),) and offsets.dtype.kind in "iu"
                 and 0 <= offsets.min(initial=0) <= offsets.max(initial=0) <= room):
             raise DimensionError(f"crops of width {x.shape[2]} need one integer offset in [0, {room}] per row")
 
-    def _convolve(self, h: np.ndarray, offsets: np.ndarray | None = None, frame: tuple | None = None,
+    def _convolve(self, h: np.ndarray, offsets: np.ndarray | None = None,
                   *, scratch: Scratch | None = None) -> tuple[list, np.ndarray]:
         """The conv blocks on h; returns (caches, last activation). Each conv
         writes its output into the next conv's frame, and h is copied into
         the first conv's frame unless it lies there already. With offsets,
-        the rows of h are crops at offsets, and the pad rows of each layer's
-        frame read the empty frame's activations at their steps: from frame
-        (empty_frame()), or without it from the all-zero crop that follows
-        them as the last row of h, through _columns, whose own pad rows stay
-        zero."""
+        the rows of h are crops at offsets and the all-zero crop after them,
+        the last row of h, and the pad rows of each layer's frame read the
+        empty frame's activations at their steps from that last row, through
+        _columns; its own pad rows stay zero."""
         caches = []
         batch, _, width = h.shape
         frames = [conv.frame(batch, width, scratch) for conv in self.convs]
@@ -430,15 +429,10 @@ class PatchNet:
             edges = None  # layer 0's empty frame is zero
             if offsets is not None and i > 0:
                 rows = conv.edge_rows(width)
-                index = rows[:, None] + offsets  # rows of the length-long frame
-                if frame is None:
-                    column = frames[i][:, -1]  # (width + kernel - 1, in_channels)
-                    column[rows] = 0.0
-                    columns = _columns(self.spec.input_length, self.halo, width, conv.pad_left, conv.pad_right)
-                    index = np.concatenate((columns[index], rows[:, None]), axis=1)
-                else:
-                    column = frame[0][i]
-                edges = column[index]
+                column = frames[i][:, -1]  # (width + kernel - 1, in_channels)
+                column[rows] = 0.0
+                columns = _columns(self.spec.input_length, self.halo, width, conv.pad_left, conv.pad_right)
+                edges = column[np.concatenate((columns[rows[:, None] + offsets], rows[:, None]), axis=1)]
             out = self.convs[i + 1].inside(frames[i + 1]) if i + 1 < len(frames) else None
             relu = activation == "relu"  # post > 0 iff pre > 0
             post, flat = conv.forward(h, frame=frames[i], out=out, edges=edges, relu=relu, scratch=scratch)
@@ -446,49 +440,26 @@ class PatchNet:
             h = post
         return caches, h
 
-    def empty_frame(self) -> tuple[list, np.ndarray]:
-        """The activations that every crop has outside itself, those of the
-        length-long all-zero input: each conv's padded input frame, (length
-        + kernel - 1, in_channels), and the last activation, (length,
-        channels). One forward of a frame_width-wide all-zero input computes
-        them, and each step is read at its column (_columns)."""
-        length, width = self.spec.input_length, self.frame_width
-        caches, h = self._convolve(np.zeros((1, self.spec.input_channels, width)))
-        inputs = [flat[_columns(length, self.halo, width, conv.pad_left, conv.pad_right)]
-                  for conv, (_, flat, _) in zip(self.convs, caches)]
-        return inputs, h.transpose(2, 0, 1)[:, 0][_columns(length, self.halo, width)]
-
-    def kept_frame(self) -> tuple[list, np.ndarray]:
-        """empty_frame() of the current parameters, kept between calls. It is
-        computed again only when flat_params differ, bit for bit, from the
-        copy taken when it was computed, so every in-place write (set_state,
-        an optimizer step, train's restore, gradient_check's perturbations)
-        drops it without telling the network."""
-        params = self.flat_params.tobytes()
-        if self._kept is None or self._kept[0] != params:
-            self._kept = (params, self.empty_frame())
-        return self._kept[1]
-
-    def _forward_cached(self, x: np.ndarray, offsets: np.ndarray, frame: tuple | None = None,
+    def _forward_cached(self, x: np.ndarray | Crops, offsets: np.ndarray, rows: np.ndarray | slice = slice(None),
                         *, scratch: Scratch | None = None) -> tuple[np.ndarray, list]:
-        """Logits and the caches for backward of each crop at its offset.
-        Every crop reads the empty frame outside itself: frame, the kept
-        frame (kept_frame()), or, in training, an all-zero crop of the same
-        width that follows the len(offsets) crops as the last row of x. A
-        whole frame reads only its zero pad rows and, in the pooled sum,
-        nothing, so training cuts no such crop beside whole frames. The
-        caches view scratch's buffers when it is given, until its next use.
-        Its callers have checked x and offsets (_check_input)."""
+        """Logits and the caches for backward of the rows of x (all by
+        default), each a crop at its offset. Each crop reads the empty frame
+        outside itself from the all-zero crop that _cut puts after crops
+        narrower than the frame. A whole frame reads only its zero pad rows
+        and, in the pooled sum, nothing, so no such crop follows whole
+        frames. The caches view scratch's buffers when it is given, until
+        its next use. Its callers have checked x and offsets (_check_input)."""
+        h, offsets = _cut(self, x, rows, scratch), offsets[rows]
         crops, width, length = len(offsets), x.shape[2], self.spec.input_length
-        reads = frame is not None or len(x) > crops  # else whole frames in training
-        caches, h = self._convolve(x, offsets if reads else None, frame, scratch=scratch)
+        reads = len(h) > crops  # the all-zero crop follows the crops
+        caches, h = self._convolve(h, offsets if reads else None, scratch=scratch)
         last = h.transpose(2, 0, 1)  # (width, rows, channels), time-major
         pooled = last[:, :crops].sum(axis=0)  # (crops, channels) rows added in step order
         outside = None
         if reads:
             steps = np.arange(length)
             outside = ((steps < offsets[:, None]) | (steps >= offsets[:, None] + width)).astype(float)
-            empty = frame[1] if frame is not None else last[:, crops][_columns(length, self.halo, width)]
+            empty = last[:, crops][_columns(length, self.halo, width)]
             pooled += outside @ empty  # the empty frame's activations outside each crop
         pooled /= length
         logits = self.dense.forward(pooled)
@@ -497,13 +468,14 @@ class PatchNet:
 
     def backward_from_logits(self, dlogits: np.ndarray, caches: list,
                              *, scratch: Scratch | None = None) -> np.ndarray:
-        """The parameter gradients of a training forward, one vector laid out
-        like flat_params. The crops and the all-zero crop after them go back
-        together, in one backward per layer: what the crops read from the
-        empty frame (the pooled remainder and every layer's pad rows) is
-        added to that last row's gradient through _columns, each step at its
-        column. Activation gradients are time-major, as the activations: a
-        layer's ReLU masks its gradient where the layer above left it."""
+        """The parameter gradients of a forward (_forward_cached), one vector
+        laid out like flat_params. The crops and the all-zero crop after
+        them go back together, in one backward per layer: what the crops
+        read from the empty frame (the pooled remainder and every layer's
+        pad rows) is added to that last row's gradient through _columns,
+        each step at its column. Activation gradients are time-major, as the
+        activations: a layer's ReLU masks its gradient where the layer above
+        left it."""
         grad = np.empty_like(self.flat_params)
         parts = self.views(grad)
         (batch, channels, width), pooled, offsets, outside = caches[-1]
@@ -550,12 +522,13 @@ def softmax(logits: np.ndarray) -> np.ndarray:
 # -- spec operations -------------------------------------------------------
 
 
-def _cut(net: PatchNet, x: np.ndarray | Crops, rows: np.ndarray | slice, scratch: Scratch | None,
-         *, zero_row: bool = False) -> np.ndarray:
-    """x[rows]; crops are cut straight into the inside of the first conv's
-    frame. With zero_row, an all-zero crop follows them as one more row: a
-    cut of crops reads the value table's zero row, and an array's rows are
-    written into that frame beside it."""
+def _cut(net: PatchNet, x: np.ndarray | Crops, rows: np.ndarray | slice, scratch: Scratch | None) -> np.ndarray:
+    """x[rows], and after crops narrower than the frame an all-zero crop of
+    their width as one more row; crops are cut straight into the inside of
+    the first conv's frame. A cut of Crops reads the all-zero crop from the
+    value table's zero row, and an array's rows are written into that frame
+    beside it."""
+    zero_row = x.shape[2] < net.spec.input_length  # whole frames read nothing outside themselves
     if not (net.convs and (isinstance(x, Crops) or zero_row)):
         h = x[rows]
         return np.concatenate((h, np.zeros_like(h[:1]))) if zero_row else h
@@ -573,23 +546,23 @@ def _cut(net: PatchNet, x: np.ndarray | Crops, rows: np.ndarray | slice, scratch
 def forward_all(net: PatchNet, groups: list[tuple[np.ndarray | Crops, np.ndarray]]) -> list[np.ndarray]:
     """The softmax of every row of each (x, offsets) group of one evaluation,
     each row a crop at its offset: one (len(x), class_count) array per group.
-    The one forward path, in EVAL_BATCH slices. The call owns its set-up: it
-    checks each group's input once, reads the network's kept empty frame
-    (computed again only after the parameters change) and makes one Scratch,
-    sized for the largest slice (at most EVAL_BATCH crops) and the widest
-    crop; every slice of every group reads them, and crops are cut one slice
-    at a time."""
+    The one forward path, in slices of EVAL_BATCH rows, cut as a training
+    batch is: a slice of crops narrower than the frame is EVAL_BATCH - 1 of
+    them and the all-zero crop after them. The call owns its set-up: it
+    checks each group's input once and makes one Scratch, sized for the
+    largest slice and the widest crop; every slice of every group reads it,
+    and crops are cut one slice at a time."""
     for x, offsets in groups:
         net._check_input(x, offsets)  # once, before the first cut, which assumes the spec's channels
-    frame = net.kept_frame()
-    scratch = net.scratch(min(max((len(x) for x, _ in groups), default=0), EVAL_BATCH),
+    scratch = net.scratch(min(max((len(x) for x, _ in groups), default=0), EVAL_BATCH - 1),
                           max((x.shape[2] for x, _ in groups), default=0))
     results = []
     for x, offsets in groups:
         probs = np.empty((len(x), net.spec.class_count))
-        for lo in range(0, len(x), EVAL_BATCH):
-            rows = slice(lo, lo + EVAL_BATCH)
-            logits, caches = net._forward_cached(_cut(net, x, rows, scratch), offsets[rows], frame, scratch=scratch)
+        step = EVAL_BATCH - (x.shape[2] < net.spec.input_length)  # the all-zero crop is a slice's last row
+        for lo in range(0, len(x), step):
+            rows = slice(lo, lo + step)
+            logits, caches = net._forward_cached(x, offsets, rows, scratch=scratch)
             del caches  # else this slice's caches stay alive through the next slice's forward
             probs[rows] = softmax(logits)
         results.append(probs)
@@ -604,20 +577,15 @@ def batch_cross_entropy(probs: np.ndarray, labels: np.ndarray) -> float:
 def _loss_and_gradients(net: PatchNet, batch, *, rows: np.ndarray | slice = slice(None),
                         scratch: Scratch | None = None) -> tuple[float, np.ndarray]:
     """The mean cross-entropy of the rows of batch (x, y, offsets), all by
-    default, and its gradient, laid out like flat_params. The rows are cut
-    with an all-zero crop of their width after them, the empty frame that
-    they read outside themselves, and the step runs one forward and one
-    backward over all of them. That crop holds every value of the empty
-    frame only if it is frame_width wide or more, as build_patch_arrays
-    cuts every crop; its callers have checked x and offsets."""
+    default, and its gradient, laid out like flat_params: one forward of the
+    rows, cut as an evaluation slice is, and one backward over them and the
+    all-zero crop after crops narrower than the frame. Its callers have
+    checked x and offsets (_check_input)."""
     x, y, offsets = batch
-    y, offsets = y[rows], offsets[rows]
+    y = y[rows]
     if len(y) == 0:
         raise ValueError("backward requires a non-empty batch")
-    if x.shape[2] < net.frame_width:
-        raise DimensionError(f"training crops must be at least {net.frame_width} steps wide, got {x.shape[2]}")
-    zero_row = x.shape[2] < net.spec.input_length  # whole frames read nothing outside themselves
-    logits, caches = net._forward_cached(_cut(net, x, rows, scratch, zero_row=zero_row), offsets, scratch=scratch)
+    logits, caches = net._forward_cached(x, offsets, rows, scratch=scratch)
     dlogits = softmax(logits)
     loss = batch_cross_entropy(dlogits, y)
     dlogits[np.arange(len(y)), y] -= 1.0

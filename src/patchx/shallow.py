@@ -100,6 +100,8 @@ class ShallowSpec:
 # -- linear SVM --------------------------------------------------------------
 
 
+# A diverging fit overflows; fit's finite check alone reports it.
+@np.errstate(over="ignore", invalid="ignore")
 def sgd_hinge(
     features: np.ndarray,
     signs: np.ndarray,
@@ -381,6 +383,9 @@ def fit(spec: ShallowSpec, train_vectors: PresenceMatrix) -> ShallowModel:
         w, b = sgd_hinge(
             features, signs, spec.svm.c_reg, spec.svm.epochs, spec.svm.learning_rate, spec.svm.seed
         )
+        _require(np.isfinite(w).all() and np.isfinite(b).all(),
+                 f"svm training diverged: its weights or biases are not finite "
+                 f"(learning_rate={spec.svm.learning_rate!r}, c_reg={spec.svm.c_reg!r})")
         return SvmModel(w, b, class_count, spec.collapse, spec.normalize, feature_mean=mean, feature_std=std)
     seeds = np.random.SeedSequence(spec.forest.seed).spawn(spec.forest.trees)
     trees = []

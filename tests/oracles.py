@@ -465,8 +465,8 @@ def crop_major_backward_from_logits(net: PatchNet, dlogits: np.ndarray, caches: 
 
 
 def crop_major_softmax(net: PatchNet, x: np.ndarray, offsets: np.ndarray) -> np.ndarray:
-    """forward_all(net, [(x, offsets)])[0] over crop-major frames, in the same
-    EVAL_BATCH slices."""
+    """forward_all(net, [(x, offsets)])[0] over crop-major frames, in slices
+    of EVAL_BATCH crops."""
     frame = crop_major_empty_frame(net)
     return np.concatenate([
         softmax(crop_major_forward_cached(net, x[lo : lo + EVAL_BATCH], offsets[lo : lo + EVAL_BATCH], frame)[0])

@@ -510,30 +510,51 @@ class TestPatchPredictionsPerConfig:
         self.check(bundle, crop_dataset(n, seed=n))
 
     @staticmethod
-    def empty_frame_passes(monkeypatch, bundle, dataset) -> int:
-        """How many convolutions patch_predictions runs on the all-zero frame
-        (frame_width steps wide), per layer."""
-        forward, passes = Conv1d.forward, []
+    def first_conv_calls(monkeypatch, bundle, dataset) -> list:
+        """(rows, width, whether the last row is all zero) of each first-conv
+        call that patch_predictions makes."""
+        forward, calls = Conv1d.forward, []
 
         def counting(conv, x, **kwargs):
-            if conv is bundle.network.convs[0] and x.shape[::2] == (1, bundle.network.frame_width) and not x.any():
-                passes.append(x)
+            if conv is bundle.network.convs[0]:
+                calls.append((len(x), x.shape[2], not x[-1].any()))
             return forward(conv, x, **kwargs)
 
         monkeypatch.setattr(Conv1d, "forward", counting)
         bundle.patch_predictions(dataset)
         monkeypatch.undo()
-        return len(passes)
+        return calls
+
+    @staticmethod
+    def slices(bundle, dataset) -> list:
+        """first_conv_calls as forward_all should make them, one a slice of
+        each config group: a slice of crops narrower than the frame is at
+        most EVAL_BATCH - 1 of them and the all-zero crop after them; a slice
+        of whole frames is at most EVAL_BATCH of them and no more."""
+        calls = []
+        for config in bundle.patch_configs:
+            x = build_patch_arrays(dataset.values_array(), dataset.labels_array(), [config], bundle.network.halo)[0]
+            crops = x.shape[2] < LENGTH
+            step = EVAL_BATCH - crops
+            calls += [(min(step, len(x) - lo) + crops, x.shape[2], crops) for lo in range(0, len(x), step)]
+        return calls
 
     @pytest.mark.parametrize("n", [1, 2 * EVAL_BATCH // 6 + 5])
-    def test_one_empty_frame_pass_per_call(self, monkeypatch, n):
+    def test_one_conv_pass_per_slice_and_none_on_the_empty_frame(self, monkeypatch, n):
+        """Each slice carries the all-zero crop that its crops read outside
+        themselves; no batch-1 pass computes the empty frame apart."""
         bundle = crop_bundle(True, False, 3, "relu", seed=3)
-        assert self.empty_frame_passes(monkeypatch, bundle, crop_dataset(n)) == 1
+        dataset = crop_dataset(n)
+        calls = self.first_conv_calls(monkeypatch, bundle, dataset)
+        assert calls == self.slices(bundle, dataset)
+        assert all(rows > 1 for rows, _, _ in calls)
+        assert (calls[0][0] == EVAL_BATCH) is (n > 1)  # a full slice is EVAL_BATCH rows
 
     @pytest.mark.parametrize("n", [1, 2 * EVAL_BATCH // 6 + 5])
     def test_one_scratch_per_call(self, monkeypatch, n):
         """The config groups share one Scratch, made for the largest group's
-        slice (at most EVAL_BATCH crops) and the widest crop."""
+        slice (at most EVAL_BATCH - 1 crops and the all-zero crop) and the
+        widest crop."""
         bundle = crop_bundle(True, False, 3, "relu", seed=3)
         dataset = crop_dataset(n)
         want = bundle.patch_predictions(dataset)
@@ -544,7 +565,7 @@ class TestPatchPredictionsPerConfig:
                             lambda net, *args, **kwargs: made.append(make(net, *args, **kwargs)) or made[-1])
         np.testing.assert_array_equal(bundle.patch_predictions(dataset), want)
         monkeypatch.undo()
-        sized = make(bundle.network, min(max(len(x) for x in groups), EVAL_BATCH), max(x.shape[2] for x in groups))
+        sized = make(bundle.network, min(max(len(x) for x in groups), EVAL_BATCH - 1), max(x.shape[2] for x in groups))
         assert len(made) == 1
         assert {key: len(part) for key, part in made[0].buffers.items()} == \
             {key: len(part) for key, part in sized.buffers.items()}
@@ -570,14 +591,15 @@ class TestPatchPredictionsPerConfig:
         for conv in bundle.network.convs:
             assert not conv.zeros.any() and not conv.zeros.flags.writeable
 
-    def test_whole_frame_configs_take_the_one_pass(self, monkeypatch):
-        """A whole-frame config reads the same empty frame as the configs that
-        crop, alone or beside them."""
+    def test_whole_frame_configs_carry_no_all_zero_crop(self, monkeypatch):
+        """A whole-frame config reads nothing outside its frames, so its
+        slices carry no all-zero crop, beside the configs that crop or alone."""
         bundle = crop_bundle(True, False, 3, "relu", whole=True, seed=3)
-        assert self.empty_frame_passes(monkeypatch, bundle, crop_dataset(2)) == 1
+        dataset = crop_dataset(2)
+        calls = self.first_conv_calls(monkeypatch, bundle, dataset)
+        assert calls == self.slices(bundle, dataset) and calls[-1] == (2, LENGTH, False)
         bundle.patch_configs = bundle.patch_configs[2:]  # the whole-frame window alone
-        bundle.network.convs[0].b[0] += 0.25  # else the network's kept frame serves the call
-        assert self.empty_frame_passes(monkeypatch, bundle, crop_dataset(2)) == 1
+        assert self.first_conv_calls(monkeypatch, bundle, dataset) == [(2, LENGTH, False)]
 
     def test_validation_is_the_bundles_evaluation(self, small_pipeline, anomaly_splits):
         """run_pipeline validates one group a config, each at its own crop

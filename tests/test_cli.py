@@ -206,6 +206,22 @@ class TestRun:
         assert [str(w.message) for w in caught] == []
         assert not (tmp_path / "out").exists()
 
+    def test_diverging_svm_leaves_no_directory(self, tmp_path, capfd):
+        """An infinite SVM learning rate gives non-finite weights. The run
+        stops in stage 'pipeline' with one stderr line and writes no bundle
+        that load_bundle would reject."""
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = run_cli("run", "--out", str(tmp_path / "out"), "--run-name", "d", *FAST,
+                           "--svm-learning-rate", "inf")
+        assert code == 1
+        out, err = capfd.readouterr()
+        assert err.splitlines() == ["run aborted during stage 'pipeline': svm training diverged: its weights or "
+                                    "biases are not finite (learning_rate=inf, c_reg=1.0)"]
+        assert "test accuracy" not in out
+        assert [str(w.message) for w in caught] == []
+        assert not (tmp_path / "out").exists()
+
     def test_zero_false_rejected(self, tmp_path, capsys):
         code = run_cli("run", "--out", str(tmp_path), "--run-name", "nozero",
                        "--zero", "false", *FAST)

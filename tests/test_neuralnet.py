@@ -451,7 +451,7 @@ class TestGradientVector:
     def test_backward_is_views_of_one_vector(self):
         net = build_network(TINY)
         x, y = random_batch(TINY, n=5, seed=3)
-        logits, caches = net._forward_cached(x, zero_offsets(x), net.empty_frame())
+        logits, caches = net._forward_cached(x, zero_offsets(x))
         grad = net.backward_from_logits(softmax(logits), caches)
         assert grad.dtype == np.float64 and grad.shape == (net.flat_params.size,)
         grads = backward(net, (x, y, zero_offsets(x)))
@@ -568,35 +568,37 @@ class TestCropOracle:
         alone = np.concatenate(forward_all(net, [(x[r : r + 1], offsets[r : r + 1]) for r in range(len(x))]))
         np.testing.assert_allclose(alone, batched, rtol=0, atol=1e-12)
 
-    def test_slices_share_one_empty_frame(self, monkeypatch):
-        """forward_all runs the all-zero frame at most once however many
-        EVAL_BATCH slices and groups it takes, and not at all while the
-        parameters it was computed from are unchanged, and gives the softmax
-        of the slices run one by one. That frame is frame_width wide."""
+    def test_every_slice_carries_the_all_zero_crop(self, monkeypatch):
+        """forward_all cuts each slice as at most EVAL_BATCH - 1 crops and the
+        all-zero crop after them, so a full slice is EVAL_BATCH rows, and runs
+        no batch-1 pass of the empty frame. It gives the softmax of the slices
+        run one by one, and after a write to the parameters that of the new
+        ones."""
         net = crop_net(3, 23, 3, "relu", 2, seed=5)
         x, _, offsets, _ = patch_rows(True, False, net.halo)
         x, offsets = np.concatenate([x] * 60), np.concatenate([offsets] * 60)
         assert len(x) > 2 * EVAL_BATCH
-        forward, frames = Conv1d.forward, []
+        forward, calls = Conv1d.forward, []
 
         def counting(conv, h, **kwargs):
-            if conv is net.convs[0] and h.shape[::2] == (1, net.frame_width) and not h.any():
-                frames.append(h)
+            if conv is net.convs[0]:
+                calls.append((len(h), not h[-1].any()))
             return forward(conv, h, **kwargs)
 
         monkeypatch.setattr(Conv1d, "forward", counting)
-        want = np.concatenate([forward_all(net, [(x[lo : lo + EVAL_BATCH], offsets[lo : lo + EVAL_BATCH])])[0]
-                               for lo in range(0, len(x), EVAL_BATCH)])
-        np.testing.assert_array_equal(forward_all(net, [(x, offsets)])[0], want)
-        assert len(frames) == 1  # four calls, one parameter state
+        step = EVAL_BATCH - 1
+        got = forward_all(net, [(x, offsets)])[0]
+        assert calls == [(min(step, len(x) - lo) + 1, True) for lo in range(0, len(x), step)]
+        assert calls[0] == (EVAL_BATCH, True) and len(calls) == 3
+        want = np.concatenate([forward_all(net, [(x[lo : lo + step], offsets[lo : lo + step])])[0]
+                               for lo in range(0, len(x), step)])
+        np.testing.assert_array_equal(got, want)
         np.testing.assert_array_equal(want, crop_major_softmax(net, x, offsets))
         net.convs[1].b[0] += 0.25
         want = crop_major_softmax(net, x, offsets)
-        first, whole, again = forward_all(net, [(x[:EVAL_BATCH], offsets[:EVAL_BATCH]), (x, offsets), (x, offsets)])
-        assert len(frames) == 2  # one more pass for three groups
-        np.testing.assert_array_equal(first, want[:EVAL_BATCH])
+        first, whole = forward_all(net, [(x[:step], offsets[:step]), (x, offsets)])
+        np.testing.assert_array_equal(first, want[:step])
         np.testing.assert_array_equal(whole, want)
-        np.testing.assert_array_equal(again, want)
 
     @pytest.mark.parametrize("attach, notemp", FLAGS, ids=FLAG_IDS)
     @pytest.mark.parametrize("kernel", [2, 3])
@@ -718,6 +720,28 @@ class TestZeroRowAgainstTheLongFrame:
         assert (len(x) + 1) * x.shape[2] > ROW_BLOCK
         self.check(net, (x, y, offsets), net.scratch(len(x), x.shape[2], backward=True))
 
+    @pytest.mark.parametrize("whole", [False, True], ids=["windows", "whole-frames"])
+    def test_the_evaluation_forward_gives_the_training_gradient(self, monkeypatch, whole):
+        """backward_from_logits on the caches of the forward that forward_all
+        runs gives _loss_and_gradients' gradient of the same rows, bit for
+        bit: evaluation cuts its rows as training does, the all-zero crop
+        after crops and none after whole frames."""
+        net = self.net(3, 23, self.BLOCKS["three-layers"](3), seed=9)
+        x, y, offsets, _ = patch_rows(True, False, net.halo, whole=whole)
+        assert (x.shape[2] == 23) == whole and len(x) < EVAL_BATCH
+        forwards, forward = [], PatchNet._forward_cached
+        monkeypatch.setattr(PatchNet, "_forward_cached",
+                            lambda *args, **kwargs: forwards.append(forward(*args, **kwargs)) or forwards[-1])
+        forward_all(net, [(x, offsets)])
+        monkeypatch.undo()
+        ((logits, caches),) = forwards
+        assert caches[-1][0][0] == len(x) + (not whole)
+        dlogits = softmax(logits)
+        dlogits[np.arange(len(y)), y] -= 1.0
+        dlogits /= len(y)
+        grad = net.backward_from_logits(dlogits, caches)
+        assert grad.tobytes() == _loss_and_gradients(net, (x, y, offsets))[1].tobytes()
+
     @pytest.mark.parametrize("length, config, blocks", [
         (50, PatchConfig(50, 1), ((4, 3, "relu"), (5, 3, "relu"))),
         (30, PatchConfig(30, 2), ((4, 5, "relu"), (5, 5, "relu"), (3, 5, "relu"))),
@@ -749,38 +773,45 @@ class TestZeroRowAgainstTheLongFrame:
             losses.append(math.fsum(batch_losses) / len(batch_losses))
         np.testing.assert_allclose(log.train_loss, losses, rtol=1e-12)
 
-    def test_crops_narrower_than_the_frame_width_do_not_train(self):
+    @pytest.mark.parametrize("width", [1, 4])
+    def test_crops_narrower_than_the_frame_width_are_rejected(self, monkeypatch, width):
+        """train, forward_all and gradient_check each reject crops narrower
+        than frame_width = 5 with the width, once, before the first cut."""
         net = self.net(2, 50, self.BLOCKS["relu"](3), seed=1)
-        x, y, offsets = np.ones((3, 2, 4)), np.zeros(3, np.int64), np.array([0, 20, 46])
+        x, y, offsets = np.ones((3, 2, width)), np.zeros(3, np.int64), np.array([0, 20, 50 - width])
         spec = TrainSpec(epochs=1, batch_size=2, early_stopping_patience=0, seed=0)
-        for call in (lambda: _loss_and_gradients(net, (x, y, offsets)), lambda: train(net, (x, y, offsets),
-                                                                                      (x, y, offsets), spec)):
-            with pytest.raises(DimensionError, match="at least 5 steps wide, got 4"):
+        checked, check, cuts = [], PatchNet._check_input, []
+        monkeypatch.setattr(PatchNet, "_check_input", lambda net, *args: checked.append(args) or check(net, *args))
+        monkeypatch.setattr(neuralnet, "_cut", lambda *args: cuts.append(args))
+        for call in (lambda: train(net, (x, y, offsets), (x, y, offsets), spec),
+                     lambda: forward_all(net, [(x, offsets)]), lambda: gradient_check(net, (x, y, offsets))):
+            checked.clear()
+            with pytest.raises(DimensionError, match=f"at least 5 steps wide, got {width}"):
                 call()
+            assert len(checked) == 1 and not cuts
 
     def test_a_step_makes_one_pass_per_layer_and_runs_no_empty_frame(self, monkeypatch):
         """A 2-layer step makes 4 Conv1d calls, each over the crops and the
-        all-zero crop; train makes no batch-1 conv call but the 2 of each
-        validation pass's kept frame."""
+        all-zero crop, and each validation pass one forward per layer over
+        its slice and that crop: train makes no batch-1 conv call."""
         net = crop_net(3, 23, 3, "relu", 2, seed=4)
         x, y, offsets, _ = patch_rows(True, False, net.halo)
         assert x.shape[2] < 23
-        calls, frames = [], []
+        calls = []
         for name in ("forward", "backward"):
             def counting(conv, h, *args, method=getattr(Conv1d, name), name=name, **kwargs):
                 calls.append((name, len(h) if name == "forward" else args[1][0]))
                 return method(conv, h, *args, **kwargs)
             monkeypatch.setattr(Conv1d, name, counting)
-        empty_frame = PatchNet.empty_frame
-        monkeypatch.setattr(PatchNet, "empty_frame", lambda net: frames.append(net) or empty_frame(net))
         _loss_and_gradients(net, (x, y, offsets))
-        assert calls == [("forward", len(x) + 1)] * 2 + [("backward", len(x) + 1)] * 2 and not frames
+        assert calls == [("forward", len(x) + 1)] * 2 + [("backward", len(x) + 1)] * 2
         calls.clear()
         spec = TrainSpec(epochs=2, batch_size=16, early_stopping_patience=0, seed=0)
         train(net, (x, y, offsets), (x[:7], y[:7], offsets[:7]), spec)
         steps = 2 * math.ceil(len(x) / 16)
-        assert [rows for _, rows in calls].count(1) == 2 * 2 and len(frames) == 2
-        assert len(calls) == 4 * steps + 2 * 2 * 2  # per validation pass, both layers on the kept frame and one slice
+        assert [rows for _, rows in calls].count(1) == 0
+        assert len(calls) == 4 * steps + 2 * 2  # per validation pass, both layers on one slice
+        assert calls[-1] == ("forward", 7 + 1)
 
 
 class TestValidationGroups:
@@ -798,65 +829,6 @@ class TestValidationGroups:
         hits = np.concatenate([np.argmax(p, axis=1) == y for p, (_, y, _) in zip(probs, groups)])
         assert accuracy(net, groups) == hits.sum() / len(hits)
         assert accuracy(net, groups[1:]) == accuracy(net, groups[1]) == hits[len(groups[0][1]):].mean()
-
-
-class TestKeptFrame:
-    """forward_all keeps the empty frame of the parameters it was computed
-    from, and computes it again after any write to them."""
-
-    @staticmethod
-    def case():
-        net = TestTimeMajorAgainstCropMajor.net(3, 3, "relu", seed=3)
-        x, _, offsets, _ = patch_rows(True, False, net.halo)
-        return net, x, offsets
-
-    @staticmethod
-    def counted(monkeypatch) -> list:
-        frames, empty_frame = [], PatchNet.empty_frame
-        monkeypatch.setattr(PatchNet, "empty_frame", lambda net: frames.append(net) or empty_frame(net))
-        return frames
-
-    def test_an_unchanged_network_computes_one_frame(self, monkeypatch):
-        net, x, offsets = self.case()
-        frames = self.counted(monkeypatch)
-        first, again = forward_all(net, [(x, offsets)])[0], forward_all(net, [(x, offsets)])[0]
-        assert len(frames) == 1
-        np.testing.assert_array_equal(first, again)
-
-    @staticmethod
-    def writes(net, x, y, offsets):
-        """Each kind of in-place write to the parameters, by name."""
-        other = build_network(net.spec)
-        adam, sgd = Adam(net.flat_params.size, 0.05), SgdMomentum(net.flat_params.size, 0.05)
-        gradient = lambda: _loss_and_gradients(net, (x, y, offsets))[1]
-        spec = TrainSpec(epochs=2, batch_size=16, learning_rate=0.05, early_stopping_patience=0, seed=0)
-        return {
-            "set_state": lambda: net.set_state(dict(other.parameters())),
-            "adam": lambda: adam.step(net.flat_params, gradient()),
-            "sgd-momentum": lambda: sgd.step(net.flat_params, gradient()),
-            "train": lambda: train(net, (x, y, offsets), (x, y, offsets), spec),
-            "gradcheck-perturbation": lambda: net.flat_params.__setitem__(7, net.flat_params[7] + 1e-3),
-            "one-element": lambda: net.convs[1].b.__setitem__(2, 0.75),
-            "zero-sign": lambda: net.dense.b.__setitem__(0, -0.0),
-        }
-
-    @pytest.mark.parametrize("write", ["set_state", "adam", "sgd-momentum", "train", "gradcheck-perturbation",
-                                       "one-element", "zero-sign"])
-    def test_a_write_gives_the_softmax_of_the_new_parameters(self, monkeypatch, write):
-        net, x, offsets = self.case()
-        y = np.arange(len(x)) % 3
-        net.dense.b[0] = 0.0
-        forward_all(net, [(x, offsets)])
-        before = net.flat_params.tobytes()
-        self.writes(net, x, y, offsets)[write]()
-        assert net.flat_params.tobytes() != before
-        frames = self.counted(monkeypatch)  # training steps compute frames of their own
-        got = forward_all(net, [(x, offsets)])[0]
-        assert len(frames) == 1
-        fresh = build_network(net.spec)
-        fresh.flat_params[...] = net.flat_params
-        np.testing.assert_array_equal(got, forward_all(fresh, [(x, offsets)])[0])
-        np.testing.assert_array_equal(got, crop_major_softmax(net, x, offsets))
 
 
 class TestCropsAgainstTheTensor:
@@ -946,7 +918,7 @@ class TestScratchAgainstFreshArrays:
                 batch_losses.append(loss)
                 optimizer.step(reference.flat_params, grad)
             losses.append(math.fsum(batch_losses) / len(batch_losses))
-            logits, _ = reference._forward_cached(val[0][:], val[2], reference.empty_frame())
+            logits, _ = reference._forward_cached(val[0][:], val[2])
             accuracies.append(float((np.argmax(softmax(logits), axis=1) == val[1]).mean()))
             params.append(reference.flat_params.copy())
         assert log.train_loss == losses
@@ -959,9 +931,9 @@ class TestScratchAgainstFreshArrays:
         net, (crops, _, offsets) = self.net_and_crops(blocks, n=2 * EVAL_BATCH // 10 + 3, seed=5)
         x = crops if cut == "crops" else crops[:]
         assert 2 * EVAL_BATCH < len(x) < 3 * EVAL_BATCH
-        frame = net.empty_frame()
-        expected = [softmax(net._forward_cached(x[lo : lo + EVAL_BATCH], offsets[lo : lo + EVAL_BATCH], frame)[0])
-                    for lo in range(0, len(x), EVAL_BATCH)]
+        step = EVAL_BATCH - 1  # and the all-zero crop
+        expected = [softmax(net._forward_cached(x[lo : lo + step], offsets[lo : lo + step])[0])
+                    for lo in range(0, len(x), step)]
         np.testing.assert_array_equal(forward_all(net, [(x, offsets)])[0], np.concatenate(expected))
 
     def test_crops_with_other_channels_raise_dimension_error(self):
@@ -994,7 +966,6 @@ class TestScratchSizes:
         crops, offsets = crops[np.arange(batch)], offsets[:batch]  # one crop per sample
         width = crops.shape[2]
         assert batch * (width + 1) > ROW_BLOCK or batch < 10
-        frame = net.empty_frame()  # evaluation's kept frame runs without a scratch, before the counting starts
         scratch = net.scratch(batch, width, backward=backward)
         asked, made, inside = [], [], []
         def recording(self, key, shape, method=Scratch.empty):
@@ -1014,8 +985,8 @@ class TestScratchSizes:
                 made.append(args) if inside and inside[-1] else None) or method(*args, **kwargs))
         if backward:  # one training step: the crops and the all-zero crop after them
             _loss_and_gradients(net, (crops, labels, offsets), scratch=scratch)
-        else:
-            net._forward_cached(crops, offsets, frame, scratch=scratch)
+        else:  # one evaluation slice of the same rows
+            net._forward_cached(crops, offsets, scratch=scratch)
         monkeypatch.undo()
         assert made == []
         assert {key for key, _ in asked} <= set(scratch.buffers)
@@ -1032,9 +1003,9 @@ class TestScratchSizes:
 class TestOneSetUpPerCall:
     """Set-up that a call's loops would repeat is done once: each conv's zero
     block is made when the conv is built and only read, each entry point
-    checks its input once, and one forward_all call computes one empty frame
-    and makes one Scratch for all its groups, of at most EVAL_BATCH crops,
-    the most that its slices take."""
+    checks its input once, and one forward_all call makes one Scratch for
+    all its groups, of at most EVAL_BATCH rows, the most that its slices
+    take."""
 
     SPEC = TestScratchSizes.SPEC
     BLOCKS = TestScratchAgainstFreshArrays.BLOCKS[0]
@@ -1086,13 +1057,14 @@ class TestOneSetUpPerCall:
     def sizes(scratch: Scratch) -> dict:
         return {key: len(part) for key, part in scratch.buffers.items()}
 
-    def test_a_forward_only_scratch_holds_at_most_eval_batch_crops(self, monkeypatch):
+    def test_a_forward_only_scratch_holds_at_most_eval_batch_rows(self, monkeypatch):
+        """EVAL_BATCH - 1 crops and the all-zero crop after them, or EVAL_BATCH whole frames."""
         net = build_network(self.SPEC)
         made = self.made_scratches(monkeypatch)
         forward_all(net, [(np.zeros((5 * EVAL_BATCH, 3, 16)), np.zeros(5 * EVAL_BATCH, dtype=np.int64))])
         monkeypatch.undo()
         assert len(made) == 1
-        assert self.sizes(made[0]) == self.sizes(net.scratch(EVAL_BATCH, 16))
+        assert self.sizes(made[0]) == self.sizes(net.scratch(EVAL_BATCH - 1, 16))
         first = net.convs[0]  # crops are cut into the inside of its frame
         assert self.sizes(made[0])[(first, "frame")] == EVAL_BATCH * (16 + first.kernel - 1) * self.SPEC.input_channels
         big, small = (self.sizes(net.scratch(n, 16, backward=True)) for n in (5 * EVAL_BATCH, EVAL_BATCH))
@@ -1100,11 +1072,16 @@ class TestOneSetUpPerCall:
         # a training batch of n crops carries the all-zero crop as row n + 1
         assert all(big[key] * (EVAL_BATCH + 1) == small[key] * (5 * EVAL_BATCH + 1)
                    for key in big if key not in ("bias", "product", "dw"))
+        length = self.SPEC.input_length  # so do EVAL_BATCH - 1 crops, and EVAL_BATCH whole frames fit beside them
+        made = self.made_scratches(monkeypatch)
+        forward_all(net, [(np.zeros((5 * EVAL_BATCH, 3, length)), np.zeros(5 * EVAL_BATCH, dtype=np.int64))])
+        monkeypatch.undo()
+        assert self.sizes(made[0])[(first, "frame")] == EVAL_BATCH * (length + first.kernel - 1) * 3
 
     def test_one_call_sets_up_once_over_its_groups(self, monkeypatch):
         """Two groups of different widths and sizes, one over EVAL_BATCH rows,
-        give in one call the bits that each gives alone, from one empty frame
-        and one Scratch, sized for the largest slice and the widest crop."""
+        give in one call the bits that each gives alone, from one Scratch,
+        sized for the largest slice and the widest crop."""
         rng = np.random.default_rng(9)
         net = build_network(NetworkSpec(3, 23, 3, conv_blocks=self.BLOCKS, seed=9))
         for conv in net.convs:  # biases too, so the empty frame is not zero
@@ -1115,11 +1092,6 @@ class TestOneSetUpPerCall:
             groups.append((crops, offsets))
         (long, narrow), (short, wide) = ((len(x), x.shape[2]) for x, _ in groups)
         assert long > EVAL_BATCH > short and wide > narrow  # the largest group is not the widest
-        frames, empty_frame = [], PatchNet.empty_frame
-        monkeypatch.setattr(PatchNet, "empty_frame", lambda net: frames.append(net) or empty_frame(net))
-        alone = [forward_all(net, [group])[0] for group in groups]
-        assert len(frames) == 1  # the first call's frame, kept for the unchanged parameters
-        net.dense.b[0] += 0.5
         alone = [forward_all(net, [group])[0] for group in groups]
         made = self.made_scratches(monkeypatch)
         together = forward_all(net, groups)
@@ -1127,8 +1099,8 @@ class TestOneSetUpPerCall:
         assert len(together) == 2
         for got, want in zip(together, alone):
             np.testing.assert_array_equal(got, want)
-        assert len(frames) == 2 and len(made) == 1
-        assert self.sizes(made[0]) == self.sizes(net.scratch(EVAL_BATCH, wide))
+        assert len(made) == 1
+        assert self.sizes(made[0]) == self.sizes(net.scratch(EVAL_BATCH - 1, wide))
 
     def test_forward_all_takes_no_frame_or_scratch(self):
         assert list(inspect.signature(forward_all).parameters) == ["net", "groups"]

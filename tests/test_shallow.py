@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -100,6 +102,17 @@ class TestFit:
     def test_nan_svm_parameter_rejected(self, name):
         with pytest.raises(ValueError, match="must be positive"):
             SvmSpec(**{name: float("nan")})
+
+    @pytest.mark.parametrize("setting", [{"learning_rate": float("inf")}, {"learning_rate": 1e300},
+                                         {"c_reg": 1e-320}], ids=["rate-inf", "rate-1e300", "c-reg-1e-320"])
+    def test_diverged_svm_raises(self, setting):
+        """Settings that SvmSpec accepts but that drive the weights past float
+        range: fit names the divergence, without a numpy warning, and returns
+        no model."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="svm training diverged: its weights or biases are not finite"):
+                fit(ShallowSpec(kind="svm", svm=SvmSpec(**setting)), separable_vectors())
 
 
 class TestPredict:
