@@ -42,7 +42,7 @@ import numpy as np
 from .data import Dataset, NormStats, TimeSeriesSample, znormalize
 from .metadata import PresenceMatrix, extract_all
 from .neuralnet import DimensionError, NetworkSpec, PatchNet, build_network, forward_all
-from .patching import PatchConfig, _check_configs, build_patch_arrays, check_fits, patch_spans, value_table
+from .patching import Crops, PatchConfig, _check_configs, build_patch_arrays, check_fits, patch_spans, value_table
 from .shallow import ForestModel, SvmModel, TreeArrays, TrivialModel, predict_all
 
 MAGIC = b"PCHX1"
@@ -67,13 +67,10 @@ class PatchXBundle:
 
     # -- inference ---------------------------------------------------------
 
-    def patch_predictions(self, dataset: Dataset) -> np.ndarray:
-        """Softmax of every patch, shape (n_samples, P, class_count): row i,
-        slot k is patch patch_spans(length, patch_configs)[k] of sample i.
-
-        Each config's patches are cut as one group, at the widest crop of
-        that config alone, from one value table, and all the groups go to one
-        forward_all call, which owns the buffers."""
+    def patch_groups(self, dataset: Dataset) -> list[tuple[Crops, np.ndarray, np.ndarray]]:
+        """Every patch of the dataset as one (crops, patch_labels, offsets)
+        group a config, in config order: each cut at its config's own widest
+        crop, from one value table of the z-normalized samples."""
         spec = self.network.spec
         channels = spec.input_channels - (1 if self.patch_configs[0].attach else 0)
         if not dataset.samples:
@@ -90,11 +87,14 @@ class PatchXBundle:
         values = dataset.values_array()
         if self.norm_stats:
             values = znormalize(values, self.norm_stats)
-        labels, net = dataset.labels_array(), self.network
-        table = value_table(values, self.patch_configs[0].attach)
-        # a contiguous slot range per config, cropped at its own width
-        groups = [build_patch_arrays(table, labels, [config], net.halo) for config in self.patch_configs]
-        probs = forward_all(net, [(x, offsets) for x, _, offsets in groups])
+        table, labels = value_table(values, self.patch_configs[0].attach), dataset.labels_array()
+        return [build_patch_arrays(table, labels, [config], self.network.halo) for config in self.patch_configs]
+
+    def patch_predictions(self, dataset: Dataset) -> np.ndarray:
+        """Softmax of every patch, shape (n_samples, P, class_count): row i,
+        slot k is patch patch_spans(length, patch_configs)[k] of sample i;
+        one forward_all call, which owns the buffers, runs all patch_groups."""
+        probs = forward_all(self.network, [(x, offsets) for x, _, offsets in self.patch_groups(dataset)])
         return np.concatenate([p.reshape(len(dataset), -1, self.class_count) for p in probs], axis=1)
 
     def presence(self, dataset: Dataset, softmaxes: np.ndarray) -> PresenceMatrix:

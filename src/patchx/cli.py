@@ -50,6 +50,14 @@ def _bool(text: str) -> bool:
     raise ValueError(f"not a boolean: {text!r}")
 
 
+def _seed(text: str) -> int:
+    """An integer >= 0, as numpy's generators take."""
+    value = int(text)
+    if value < 0:
+        raise ValueError(f"negative seed {value}")
+    return value
+
+
 def _ints(text: str) -> list[int]:
     return [int(v) for v in text.split(",") if v.strip()]
 
@@ -85,7 +93,7 @@ def _factors(text: str) -> list[float]:
 
 class Option(NamedTuple):
     """One config key: its INI section and name, its flag, its INI default,
-    and its type (int, float, str, _bool or _ints) or tuple of choices."""
+    and its type (int, float, str, _bool, _seed or _ints) or tuple of choices."""
 
     section: str
     key: str
@@ -110,7 +118,7 @@ OPTIONS = (
     Option("data", "peak_max", "--peak-max", "10.0", float),
     Option("data", "sigma_multiplier", "--sigma-multiplier", str(DEFAULT_SIGMA_MULTIPLIER), float),
     Option("data", "normalize", "--normalize", "true", _bool),
-    Option("data", "seed", "--seed", "0", int, "run seed (overrides config and PATCHX_SEED)"),
+    Option("data", "seed", "--seed", "0", _seed, "run seed (overrides config and PATCHX_SEED)"),
     Option("patching", "configs", "--patches", "5:10,10:20", str,
            "patch configs as stride:length tokens, e.g. 5:10,10:20"),
     Option("patching", "zero", "--zero", "true", _bool,
@@ -138,7 +146,7 @@ OPTIONS = (
     Option("shallow", "normalize_features", "--normalize-features", "false", _bool),
 )
 _BY_KEY = {(o.section, o.key): o for o in OPTIONS}
-_EXPECTED = {int: "an integer", float: "a number", _bool: "a boolean",
+_EXPECTED = {int: "an integer", float: "a number", _bool: "a boolean", _seed: "an integer >= 0",
              _ints: "a comma-separated list of integers"}
 
 
@@ -257,7 +265,8 @@ def build_specs(config: configparser.ConfigParser):
 
 def load_run_datasets(config: configparser.ConfigParser) -> tuple[Dataset, Dataset, Dataset]:
     """The train, val and test splits; read ones that are empty or differ from
-    train's shape raise SplitError (generated ones always agree)."""
+    train's shape raise SplitError (generated ones always agree), and
+    generated ones that overflow to a NaN or an infinity a ConfigError."""
     v = _values(config)
     if v["source"] == "files":
         if not v["dir"]:
@@ -266,14 +275,13 @@ def load_run_datasets(config: configparser.ConfigParser) -> tuple[Dataset, Datas
         splits = tuple(load_dataset(directory / f"{s}.csv", split=s) for s in ("train", "val", "test"))
         check_splits(dict(zip(("train", "val", "test"), splits)))
         return splits
-    with _spec_checks():
-        spec = AnomalyGenSpec(
+    with _spec_checks(), np.errstate(over="ignore", invalid="ignore"):  # the splits' own check reports it
+        return generate_anomaly(AnomalyGenSpec(
             train_count=v["train_count"], val_count=v["val_count"], test_count=v["test_count"],
             length=v["length"], channels=v["channels"], noise_sigma=v["noise_sigma"],
             peak_amplitude_range=(v["peak_min"], v["peak_max"]),
             sigma_multiplier=v["sigma_multiplier"], seed=v["seed"],
-        )
-    return generate_anomaly(spec)
+        ))
 
 
 def make_run_dir(out: str, name: str | None) -> Path:
@@ -551,9 +559,10 @@ def cmd_gradcheck(args: argparse.Namespace) -> int:
         "dense-softmax": NetworkSpec(3, 12, 3, conv_blocks=(), seed=0),
         "composite": NetworkSpec(2, 16, 3, conv_blocks=((4, 3, "relu"), (5, 3, "relu")), seed=0),
     }
+    seed = _seed(_checked(_BY_KEY["data", "seed"], args.seed, "--seed"))
     failed = False
     for name, spec in cases.items():
-        net, batch = gradcheck_case(spec, seed=args.seed)
+        net, batch = gradcheck_case(spec, seed=seed)
         report = gradient_check(net, batch, tolerance=args.tolerance)
         print(f"[{name}] {report.summary()}")
         failed |= not report.passed
@@ -622,7 +631,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_hist.set_defaults(func=cmd_histogram)
 
     p_grad = sub.add_parser("gradcheck", help="verify analytic gradients against finite differences")
-    p_grad.add_argument("--seed", type=int, default=0)
+    p_grad.add_argument("--seed", default="0", help="an integer >= 0, checked as [data] seed is")
     p_grad.add_argument("--tolerance", type=_positive, default=1e-3)
     p_grad.set_defaults(func=cmd_gradcheck)
 

@@ -13,20 +13,22 @@ pad rows are written apart. Pooling sums the last activation's contiguous
 of x is a crop at its offset, which build_patch_arrays cuts from the patch
 layout (each window widened by the network's halo); whole frames are crops
 of width W = L at offset 0, with nothing outside them. Training batches mix
-patch configs and so take the layout's widest crop; evaluation forwards each
-config at its own, as one group of a forward_all call. Outside its crop a
-frame is zero, so every activation there is that of the all-zero input (the
-empty frame). Each layer's activation of it is the same at every step
-farther than the halo from both frame ends, so an all-zero input of
-frame_width = min(L, before + after + 1) steps or more holds all its values,
-each step read at its column (_columns, the identity at width L); every
-entry point rejects narrower crops, and the layout cuts none. A training
-batch and an evaluation slice of crops narrower than L are cut alike, with
-one such crop of their width after them, and run one forward over all of
-them: each layer's pad rows read that last row's activations, and in
-training what the crops read outside themselves goes back into its
-gradient in the same backward. Whole frames read nothing outside themselves
-and carry no such row. A ReLU is taken inside the convolution's row-block
+patch configs and so take the layout's widest crop; evaluation, validation
+included, forwards each config at its own, as one group of a forward_all
+call (PatchXBundle.patch_groups cuts them). Outside its crop a frame is
+zero, so every activation there is that of the all-zero input (the empty
+frame). Each layer's activation of it is the same at every step farther
+than the halo from both frame ends, so an all-zero input of
+patching.least_width = min(L, before + after + 1) steps or more holds all
+its values, each step read at its column (_columns, the identity at width
+L); every entry point rejects narrower crops (_check_input), and the layout
+cuts none. A training batch and an evaluation slice of crops narrower than
+L are cut alike, with one such crop of their width after them, and run one
+forward over all of them: each layer's pad rows read that last row's
+activations, and in training what the crops read outside themselves goes
+back into its gradient in the same backward, through the reads each layer's
+forward kept in its cache. Whole frames read nothing outside themselves and
+carry no such row. A ReLU is taken inside the convolution's row-block
 loop, while the block is in cache. Every elementwise operation of that loop
 reads an operand of the block's full shape, and the loop allocates nothing:
 a bias block filled once per call, the layer's read-only zero block, made
@@ -369,13 +371,6 @@ class PatchNet:
                 raise DimensionError(f"parameter {name}: shape {src.shape} != {p.shape}")
             p[...] = src
 
-    @property
-    def frame_width(self) -> int:
-        """The least width of a crop (patching.least_width): the all-zero
-        crop after crops that wide holds every value of the empty frame,
-        each step read through _columns."""
-        return least_width(self.spec.input_length, self.halo)
-
     def scratch(self, batch: int, width: int, *, backward: bool = False) -> Scratch:
         """The buffers of a loop over batches of at most batch crops of this
         width: each conv's frame (crops are cut into the first), the last
@@ -401,13 +396,14 @@ class PatchNet:
     # -- forward / backward ------------------------------------------------
 
     def _check_input(self, x: np.ndarray, offsets: np.ndarray) -> None:
-        """x holds crops of one width, at least frame_width, with one integer
-        offset in [0, length - width] per row."""
+        """x holds crops of one width, at least patching.least_width, with one
+        integer offset in [0, length - width] per row."""
         channels, length = self.spec.input_channels, self.spec.input_length
         if x.ndim != 3 or x.shape[1] != channels or not 1 <= x.shape[2] <= length:
             raise DimensionError(f"expected input (batch, {channels}, width <= {length}), got {x.shape}")
-        if x.shape[2] < self.frame_width:  # the all-zero crop after them would miss values of the empty frame
-            raise DimensionError(f"crops must be at least {self.frame_width} steps wide, got {x.shape[2]}")
+        least = least_width(length, self.halo)
+        if x.shape[2] < least:  # the all-zero crop after them would miss values of the empty frame
+            raise DimensionError(f"crops must be at least {least} steps wide, got {x.shape[2]}")
         room = length - x.shape[2]
         if not (isinstance(offsets, np.ndarray) and offsets.shape == (len(x),) and offsets.dtype.kind in "iu"
                 and 0 <= offsets.min(initial=0) <= offsets.max(initial=0) <= room):
@@ -421,22 +417,24 @@ class PatchNet:
         the rows of h are crops at offsets and the all-zero crop after them,
         the last row of h, and the pad rows of each layer's frame read the
         empty frame's activations at their steps from that last row, through
-        _columns; its own pad rows stay zero."""
+        _columns; its own pad rows stay zero. Each cache ends with those
+        reads for backward, (pad rows, (crops, pad rows) columns), or None."""
         caches = []
         batch, _, width = h.shape
         frames = [conv.frame(batch, width, scratch) for conv in self.convs]
         for i, (conv, activation) in enumerate(zip(self.convs, self.activations)):
-            edges = None  # layer 0's empty frame is zero
+            edges = reads = None  # layer 0's empty frame is zero
             if offsets is not None and i > 0:
                 rows = conv.edge_rows(width)
                 column = frames[i][:, -1]  # (width + kernel - 1, in_channels)
                 column[rows] = 0.0
                 columns = _columns(self.spec.input_length, self.halo, width, conv.pad_left, conv.pad_right)
-                edges = column[np.concatenate((columns[rows[:, None] + offsets], rows[:, None]), axis=1)]
+                reads = rows, columns[offsets[:, None] + rows]
+                edges = column[np.concatenate((reads[1].T, rows[:, None]), axis=1)]
             out = self.convs[i + 1].inside(frames[i + 1]) if i + 1 < len(frames) else None
             relu = activation == "relu"  # post > 0 iff pre > 0
             post, flat = conv.forward(h, frame=frames[i], out=out, edges=edges, relu=relu, scratch=scratch)
-            caches.append((h.shape, flat, post))
+            caches.append((h.shape, flat, post, reads))
             h = post
         return caches, h
 
@@ -472,10 +470,11 @@ class PatchNet:
         laid out like flat_params. The crops and the all-zero crop after
         them go back together, in one backward per layer: what the crops
         read from the empty frame (the pooled remainder and every layer's
-        pad rows) is added to that last row's gradient through _columns,
-        each step at its column. Activation gradients are time-major, as the
-        activations: a layer's ReLU masks its gradient where the layer above
-        left it."""
+        pad rows) is added to that last row's gradient where the forward
+        read it, as the caches keep it (outside, each layer's reads; None
+        when there is no such row). Activation gradients are time-major, as
+        the activations: a layer's ReLU masks its gradient where the layer
+        above left it."""
         grad = np.empty_like(self.flat_params)
         parts = self.views(grad)
         (batch, channels, width), pooled, offsets, outside = caches[-1]
@@ -486,14 +485,14 @@ class PatchNet:
         dpooled /= length
         dh = _empty(scratch, "dout", (width, batch, channels))
         dh[:, :crops] = dpooled
-        if batch > crops:  # the all-zero crop's gradient
+        if outside is not None:  # the all-zero crop's gradient
             empty, d0 = dh[:, crops], outside.T @ dpooled  # the empty frame's, (length, channels)
             lo, hi = width - before, length - before  # steps [lo, hi) read column after
             empty[:lo], empty[lo:] = d0[:lo], d0[hi:]
             empty[after] += d0[lo:hi].sum(axis=0)
         for i in range(len(self.convs) - 1, -1, -1):
             conv = self.convs[i]
-            in_shape, flat, post = caches[i]
+            in_shape, flat, post, reads = caches[i]
             if self.activations[i] == "relu":
                 np.multiply(dh, post.transpose(2, 0, 1) > 0, out=dh)
             dframe, parts[f"conv{i}.w"][...], parts[f"conv{i}.b"][...] = conv.backward(
@@ -501,10 +500,9 @@ class PatchNet:
             if i == 0:  # nothing reads the input gradient
                 break
             dframe = dframe.transpose(2, 0, 1)
-            if batch > crops:  # the crops' pad rows were read from the last row
-                rows = conv.edge_rows(width)
-                columns = _columns(length, self.halo, width, conv.pad_left, conv.pad_right)
-                np.add.at(dframe[:, crops], columns[offsets[:, None] + rows], dframe[rows, :crops].transpose(1, 0, 2))
+            if reads is not None:  # the crops' pad rows were read from the last row
+                rows, columns = reads
+                np.add.at(dframe[:, crops], columns, dframe[rows, :crops].transpose(1, 0, 2))
             dh = conv.inside(dframe)
         return grad
 

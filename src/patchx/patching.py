@@ -130,8 +130,10 @@ class Crops:
 
     slots[k, c] is 1 + the step that column c of slot k's crop reads, or 0
     (the zero row) outside the slot's window; row i * P + k, slot k of
-    sample i, reads table rows slots[k] + i * (length + 1). Indexing by an
-    index array or a slice cuts those rows with one take from the table."""
+    sample i, reads table rows slots[k] + i * (length + 1). Indexing by a
+    1-D integer array or a slice cuts those rows with one take from the
+    table; any other index, such as an integer or a boolean mask, is a
+    TypeError, and so is iteration."""
 
     ndim = 3
 
@@ -150,14 +152,18 @@ class Crops:
         return self.cut(rows)
 
     def cut(self, rows: np.ndarray | slice, out: np.ndarray | None = None, *, zero_row: bool = False) -> np.ndarray:
-        """Rows (an index array or a slice) as (len(rows), channels, W) over
-        time-major memory, (W, len(rows), channels); with zero_row, one more
-        row follows them, an all-zero crop, which reads the table's zero row
-        0. With out, an array of that memory shape, such as the inside of a
-        conv's frame, the cut is written there unchecked, so the rows must
+        """Rows (a 1-D integer array or a slice) as (len(rows), channels, W)
+        over time-major memory, (W, len(rows), channels); with zero_row, one
+        more row follows them, an all-zero crop, which reads the table's zero
+        row 0. With out, an array of that memory shape, such as the inside of
+        a conv's frame, the cut is written there unchecked, so the rows must
         lie in [0, len(self)); without it, a row past the end raises
         IndexError."""
-        rows = np.arange(*rows.indices(len(self))) if isinstance(rows, slice) else np.asarray(rows)
+        if isinstance(rows, slice):
+            rows = np.arange(*rows.indices(len(self)))
+        elif not (isinstance(rows, np.ndarray) and rows.ndim == 1 and rows.dtype.kind in "iu"):
+            kind = f"{getattr(rows, 'dtype', type(rows).__name__)} of shape {np.shape(rows)}"
+            raise TypeError(f"crops take a slice or a 1-D integer array as index, got {kind}")
         sample, slot = np.divmod(rows, len(self.slots))
         index = self.slots.T[:, slot]  # (W, len(rows)): column c of each row's crop
         index += sample * (self.table.length + 1)

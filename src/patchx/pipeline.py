@@ -15,7 +15,7 @@ from .bundle import PatchXBundle
 from .data import Dataset, check_splits, normalization_stats, znormalize
 from .metadata import PresenceMatrix
 from .neuralnet import NetworkSpec, TrainLog, TrainSpec, build_network
-from .patching import PatchConfig, build_patch_arrays, value_table
+from .patching import PatchConfig, build_patch_arrays
 from .shallow import ShallowSpec, evaluate, fit
 
 
@@ -95,21 +95,19 @@ def run_pipeline(
     network = build_network(net_spec)
     t0 = time.perf_counter()
     stats = normalization_stats(train) if normalize else None
-    values = [ds.values_array() for ds in (train, val)]
+    bundle = PatchXBundle(network=network, patch_configs=list(configs), norm_stats=stats, shallow_model=None)
+    values = train.values_array()
     if stats:
-        values = [znormalize(v, stats) for v in values]
-    train_patches = build_patch_arrays(values[0], train.labels_array(), configs, network.halo)
-    # validation runs as the bundle's patch_predictions: one group a config, at its own crop width
-    table = value_table(values[1], configs[0].attach)
-    val_patches = [build_patch_arrays(table, val.labels_array(), [config], network.halo) for config in configs]
-    del values  # the splits' value tables hold what training reads
+        values = znormalize(values, stats)
+    train_patches = build_patch_arrays(values, train.labels_array(), configs, network.halo)
+    del values  # the value table holds what training reads
+    val_patches = bundle.patch_groups(val)  # validation is the bundle's evaluation
     timing = {"patching_seconds": time.perf_counter() - t0}
 
     t0 = time.perf_counter()
     log = neuralnet.train(network, train_patches, val_patches, train_spec)
     timing["network_train_seconds"] = time.perf_counter() - t0
 
-    bundle = PatchXBundle(network=network, patch_configs=list(configs), norm_stats=stats, shallow_model=None)
     t0 = time.perf_counter()
     train_vectors = bundle.vectors(train)
     timing["train_vectors_seconds"] = time.perf_counter() - t0

@@ -311,6 +311,48 @@ class TestConfigChecks:
         assert "PATCHX_SEED: [data] seed = 'abc' is not an integer" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("command, entry", [
+        ("run", "flag"), ("generate", "flag"), ("bench", "flag"), ("run", "env"), ("run", "file"),
+        ("run", "files-source"), ("gradcheck", "flag"),
+    ], ids=["run-flag", "generate-flag", "bench-flag", "run-env", "run-file", "run-files-source",
+            "gradcheck-flag"])
+    def test_negative_seed_rejected_where_it_enters(self, tmp_path, capsys, monkeypatch, command, entry):
+        """A seed of -1 once reached numpy's default_rng and ended in its
+        traceback, after the data were loaded under --source files. Every
+        entry point now stops with one line naming the seed, and no output."""
+        monkeypatch.delenv("PATCHX_SEED", raising=False)
+        out = tmp_path / "out"
+        argv = [command] if command == "gradcheck" else [command, "--out", str(out), *FAST[:-2]]
+        if entry == "env":
+            monkeypatch.setenv("PATCHX_SEED", "-1")
+        elif entry == "file":
+            (tmp_path / "seed.ini").write_text("[data]\nseed = -1\n")
+            argv += ["--config", str(tmp_path / "seed.ini")]
+        else:
+            argv += ["--seed", "-1"]
+        if entry == "files-source":
+            assert run_cli("generate", "--out", str(tmp_path / "data"), *FAST) == 0
+            capsys.readouterr()
+            argv += ["--source", "files", "--data-dir", str(tmp_path / "data")]
+        assert run_cli(*argv) == 2
+        captured = capsys.readouterr()
+        assert not captured.out and captured.err.count("\n") == 1
+        assert "seed = '-1' is not an integer >= 0" in captured.err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["generate", "run", "bench"])
+    def test_generator_overflow_stops_before_any_output(self, tmp_path, capsys, command):
+        """A noise sigma near the float maximum draws infinite values: numpy
+        warned five times and the splits' own check ended in a traceback."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no RuntimeWarning of the draw escapes
+            code = run_cli(command, "--out", str(tmp_path / "out"), *FAST, "--noise-sigma", "1e308")
+        assert code == 2
+        captured = capsys.readouterr()
+        assert not captured.out and captured.err.count("\n") == 1
+        assert "values contain NaN or Inf" in captured.err
+        assert not (tmp_path / "out").exists()
+
     def test_percent_in_file_is_a_literal(self, tmp_path, capsys):
         config = tmp_path / "pct.ini"
         config.write_text("[data]\nseed = 1%\n")

@@ -31,7 +31,7 @@ from patchx.neuralnet import (
     softmax,
     train,
 )
-from patchx.patching import PatchConfig, build_patch_arrays
+from patchx.patching import PatchConfig, build_patch_arrays, least_width
 
 from oracles import (
     NamedAdam, NamedSgdMomentum, backward, content_crop, crop_major_loss_and_gradients, crop_major_scratch_entries,
@@ -748,7 +748,7 @@ class TestZeroRowAgainstTheLongFrame:
     ], ids=["two-kernel-3", "three-kernel-5"])
     def test_minimum_width_crops(self, length, config, blocks):
         """Layouts whose one window, widened by the halo, would be narrower
-        than frame_width (3 of 5 and 8 of 13 steps): the crops are cut that
+        than least_width (3 of 5 and 8 of 13 steps): the crops are cut that
         wide, their gradients match the oracle, and train's epoch losses
         equal those of a loop of oracle steps to rounding."""
         net = self.net(2, length, blocks, seed=length)
@@ -756,7 +756,7 @@ class TestZeroRowAgainstTheLongFrame:
         values, labels = rng.normal(size=(12, 1, length)), rng.integers(0, 3, 12)
         patches = build_patch_arrays(values, labels, [config], net.halo)
         crops, y, offsets = patches
-        assert crops.shape[2] == net.frame_width == sum(net.halo) + 1 and not offsets.any()
+        assert crops.shape[2] == least_width(length, net.halo) == sum(net.halo) + 1 and not offsets.any()
         self.check(net, (crops[:], y, offsets))
         spec = TrainSpec(epochs=2, batch_size=5, learning_rate=1e-2, early_stopping_patience=0, seed=3)
         reference = build_network(net.spec)

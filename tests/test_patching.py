@@ -400,6 +400,21 @@ class TestCrops:
         with pytest.raises(IndexError):
             crops[np.array([0, len(crops)])]
 
+    @pytest.mark.parametrize("cut", [
+        lambda crops: crops[np.isin(np.arange(len(crops)), [5, 17])],
+        lambda crops: crops[5],
+        lambda crops: crops[np.array([[5], [17]])],
+        list,
+    ], ids=["mask", "integer", "2-D", "iteration"])
+    def test_any_other_index_is_a_type_error(self, cut):
+        """A boolean mask once cut rows 0 and 1 (20 crops, where the tensor
+        gives 2), and an integer or iteration met the read-only slot table."""
+        values, labels, configs = self.case(True, False, 2)
+        crops = build_patch_arrays(values, labels, configs, (1, 1))[0]
+        assert len(crops) == 20
+        with pytest.raises(TypeError, match="a slice or a 1-D integer array"):
+            cut(crops)
+
     def test_holds_the_table_not_the_tensor(self):
         """nbytes is the value table's: (L + 1) * C' floats a sample, where the
         tensor takes P * C' * W."""

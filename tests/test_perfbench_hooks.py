@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 
-from patchx import neuralnet
+from patchx import cli, neuralnet
 from patchx.data import znormalize
 from patchx.patching import build_patch_arrays, patch_spans
 
@@ -92,3 +92,31 @@ def test_patching_spans_read_the_cropped_tensor(small_bundle, anomaly_splits):
         assert meta["rows"] == rows
         assert meta["bytes"] == crops.nbytes
     assert sum(meta["rows"] for meta in metas) == len(test) * len(patch_spans(test.length, configs))
+
+
+def test_a_traced_run_times_every_pipeline_stage(tmp_path, capsys):
+    """One small `patchx run` traced through patchx.cli.main, as the train
+    workload runs it: every stage of run_pipeline and the validation passes
+    read a time, and patching.patches counts every patch cut, P a sample of
+    each split and of train once more, for its vectors. Validation is cut
+    inside the bundle, so a move of that cut must not zero a metric."""
+    spans, tracer, _ = load_tracer()
+    sys.path.insert(0, str(PERFBENCH))
+    try:
+        from workloads import LENGTH, PATCHES, run_argv
+    finally:
+        sys.path.remove(str(PERFBENCH))
+    n_train, n_val, n_test = 60, 30, 40
+    data = tmp_path / "data"
+    assert cli.main(["generate", "--out", str(data), "--train-count", str(n_train), "--val-count", str(n_val),
+                     "--test-count", str(n_test), "--length", str(LENGTH), "--seed", "1"]) == 0
+    with tracer.group():
+        assert cli.main(run_argv(data, tmp_path / "runs", "traced", epochs=1)) == 0
+    capsys.readouterr()
+    metrics = {name: entry["value"] for name, entry in spans.layer_metrics(tracer, "train", 0.0).items()}
+    for name in ("pipeline.patching_s", "pipeline.network_train_s", "pipeline.train_vectors_s",
+                 "pipeline.shallow_fit_s", "pipeline.test_inference_s", "data.znormalize_s",
+                 "neuralnet.val_eval_s"):
+        assert metrics[name] > 0, name
+    patches = len(patch_spans(LENGTH, cli.parse_patch_tokens(PATCHES, True, False)))
+    assert metrics["patching.patches"] == patches * (2 * n_train + n_val + n_test)
