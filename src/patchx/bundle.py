@@ -54,7 +54,7 @@ class BundleError(ValueError):
     pass
 
 
-@dataclass
+@dataclass(frozen=True)
 class PatchXBundle:
     network: PatchNet
     patch_configs: list[PatchConfig]

@@ -150,7 +150,9 @@ def anomaly_label(values: np.ndarray, sigma_multiplier: float = DEFAULT_SIGMA_MU
 def generate_anomaly(spec: AnomalyGenSpec) -> tuple[Dataset, Dataset, Dataset]:
     """Generate (train, val, test) datasets; deterministic for a fixed seed.
 
-    Peaked samples carry meta = {peak_channel, peak_step, peak_value}.
+    Peaked samples carry meta = {peak_channel, peak_step, peak_value}. A
+    split that fails its check, such as one drawn to an infinity, raises a
+    ValueError naming the split and the noise and peak settings.
     """
     rng = np.random.default_rng(spec.seed)
     splits = []
@@ -172,7 +174,11 @@ def generate_anomaly(spec: AnomalyGenSpec) -> tuple[Dataset, Dataset, Dataset]:
             label = anomaly_label(values, spec.sigma_multiplier)
             samples.append(TimeSeriesSample(id=i, values=values, label=label, meta=meta))
         ds = Dataset(samples=samples, class_count=2, split=split_name)
-        ds.validate()
+        try:
+            ds.validate()
+        except ValueError as err:
+            raise ValueError(f"split {split_name!r}: {err} (drawn with noise_sigma={spec.noise_sigma}, "
+                             f"peak_amplitude_range={spec.peak_amplitude_range})") from None
         splits.append(ds)
     return splits[0], splits[1], splits[2]
 

@@ -3,6 +3,9 @@
 run_pipeline executes the four processing steps on prepared datasets and
 returns the trained bundle together with deterministic metrics and wall-clock
 timings (kept apart so metrics files stay bit-identical across reruns).
+refit_shallow swaps the shallow model of such a result; both take that step
+through _fit_shallow, which scores the result's cached test vectors when it
+carries them and runs inference over the test split (if any) otherwise.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from .bundle import PatchXBundle
 from .data import Dataset, check_splits, normalization_stats, znormalize
 from .metadata import PresenceMatrix
 from .neuralnet import NetworkSpec, TrainLog, TrainSpec, build_network
-from .patching import PatchConfig, build_patch_arrays
+from .patching import PatchConfig, _check_configs, build_patch_arrays
 from .shallow import ShallowSpec, evaluate, fit
 
 
@@ -26,7 +29,8 @@ def default_network_spec(
     conv_blocks: tuple = NetworkSpec.conv_blocks,
 ) -> NetworkSpec:
     """A network sized for the dataset's patches, with the attach channel when
-    the configs add one."""
+    the configs add one; configs that patching rejects raise its ConfigError."""
+    _check_configs(configs)
     channels = dataset.channels + (1 if configs[0].attach else 0)
     return NetworkSpec(
         input_channels=channels,
@@ -47,32 +51,31 @@ class PipelineResult:
     test_vectors: PresenceMatrix | None
 
 
-def _fit_shallow(
-    bundle: PatchXBundle,
-    shallow_spec: ShallowSpec,
-    train_vectors: PresenceMatrix,
-    test: Dataset | None,
-    test_vectors: PresenceMatrix | None,
-    metrics: dict,
-    timing: dict,
-) -> PresenceMatrix | None:
-    """Fit the bundle's shallow model, then score it on the train vectors and on
-    the test split (its cached vectors, or else one inference pass); records
-    into metrics and timing, and returns the test vectors."""
+# the stages a run's train_seconds sums; a refit's counts its own shallow fit
+TRAIN_STAGES = ("patching_seconds", "network_train_seconds", "train_vectors_seconds", "shallow_fit_seconds")
+
+
+def _fit_shallow(result: PipelineResult, shallow_spec: ShallowSpec, test: Dataset | None) -> PipelineResult:
+    """The result with a shallow model fitted on its train vectors, scored on
+    them and on the test split: its cached test vectors, or else one inference
+    pass over test. The given result is left unchanged."""
+    metrics, timing = dict(result.metrics), dict(result.timing)
     t0 = time.perf_counter()
-    bundle.shallow_model = fit(shallow_spec, train_vectors)
+    bundle = replace(result.bundle, shallow_model=fit(shallow_spec, result.train_vectors))
     timing["shallow_fit_seconds"] = time.perf_counter() - t0
     metrics["shallow_kind"] = shallow_spec.kind
-    metrics["train_accuracy"] = evaluate(bundle.shallow_model, train_vectors).accuracy
+    metrics["train_accuracy"] = evaluate(bundle.shallow_model, result.train_vectors).accuracy
+    test_vectors = result.test_vectors
     if test is not None and test_vectors is None:
         t0 = time.perf_counter()
         _, test_vectors = bundle.predict_dataset(test)
         timing["inference_seconds"] = time.perf_counter() - t0
     if test_vectors is not None:
-        result = evaluate(bundle.shallow_model, test_vectors)
-        metrics["test_accuracy"] = result.accuracy
-        metrics["test_confusion"] = result.confusion.tolist()
-    return test_vectors
+        scored = evaluate(bundle.shallow_model, test_vectors)
+        metrics["test_accuracy"] = scored.accuracy
+        metrics["test_confusion"] = scored.confusion.tolist()
+    timing["train_seconds"] = sum(timing[k] for k in TRAIN_STAGES)
+    return replace(result, bundle=bundle, metrics=metrics, timing=timing, test_vectors=test_vectors)
 
 
 def run_pipeline(
@@ -123,29 +126,12 @@ def run_pipeline(
         "val_patch_accuracy": log.best_val_accuracy,
         "train_loss_curve": log.train_loss,
     }
-    test_vectors = _fit_shallow(bundle, shallow_spec, train_vectors, test, None, metrics, timing)
-    timing["train_seconds"] = sum(
-        timing[k] for k in ("patching_seconds", "network_train_seconds",
-                            "train_vectors_seconds", "shallow_fit_seconds")
-    )
-    return PipelineResult(
-        bundle=bundle,
-        train_log=log,
-        metrics=metrics,
-        timing=timing,
-        train_vectors=train_vectors,
-        test_vectors=test_vectors,
-    )
+    result = PipelineResult(bundle=bundle, train_log=log, metrics=metrics, timing=timing,
+                            train_vectors=train_vectors, test_vectors=None)
+    return _fit_shallow(result, shallow_spec, test)
 
 
-def refit_shallow(
-    result: PipelineResult, shallow_spec: ShallowSpec, test: Dataset | None = None
-) -> PipelineResult:
-    """Swap the sample-level classifier on top of an already trained network."""
-    bundle = replace(result.bundle, shallow_model=None)
-    metrics = dict(result.metrics)
-    timing = dict(result.timing)
-    test_vectors = _fit_shallow(
-        bundle, shallow_spec, result.train_vectors, test, result.test_vectors, metrics, timing
-    )
-    return replace(result, bundle=bundle, metrics=metrics, timing=timing, test_vectors=test_vectors)
+def refit_shallow(result: PipelineResult, shallow_spec: ShallowSpec, test: Dataset | None = None) -> PipelineResult:
+    """Swap the sample-level classifier on top of an already trained network;
+    test is not read when the result already carries test vectors."""
+    return _fit_shallow(result, shallow_spec, test)

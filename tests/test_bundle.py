@@ -3,7 +3,7 @@ import math
 import random
 import re
 import struct
-from dataclasses import fields
+from dataclasses import FrozenInstanceError, fields, replace
 
 import numpy as np
 import pytest
@@ -356,6 +356,14 @@ def test_non_finite_float_raises_bundle_error(tmp_path, kind, value):
             decode_bundle(_edit_arrays(lambda arrays: arrays[name].flat.__setitem__(0, value))(raw), path)
 
 
+def test_a_built_bundle_is_never_reassigned():
+    """A bundle with another part is a new bundle (dataclasses.replace)."""
+    bundle = make_bundle()
+    for field in fields(bundle):
+        with pytest.raises(FrozenInstanceError):
+            setattr(bundle, field.name, None)
+
+
 def test_bundle_without_normalization(tmp_path):
     for kind in ("svm", "forest", "trivial"):
         path = tmp_path / f"{kind}.pchx"
@@ -371,8 +379,7 @@ def test_specs_round_trip_with_every_option(tmp_path):
     header records each spec and config as its dataclass fields."""
     spec = NetworkSpec(3, 50, 2, conv_blocks=((4, 3, "linear"), (6, 5, "relu")), seed=9)
     configs = [PatchConfig(5, 10, attach=False, notemp=True), PatchConfig(10, 20, attach=False)]
-    bundle = make_bundle()
-    bundle.network, bundle.patch_configs = build_network(spec), configs
+    bundle = replace(make_bundle(), network=build_network(spec), patch_configs=configs)
     path = tmp_path / "model.pchx"
     save_bundle(bundle, path)
     loaded = load_bundle(path)
@@ -598,7 +605,7 @@ class TestPatchPredictionsPerConfig:
         dataset = crop_dataset(2)
         calls = self.first_conv_calls(monkeypatch, bundle, dataset)
         assert calls == self.slices(bundle, dataset) and calls[-1] == (2, LENGTH, False)
-        bundle.patch_configs = bundle.patch_configs[2:]  # the whole-frame window alone
+        bundle = replace(bundle, patch_configs=bundle.patch_configs[2:])  # the whole-frame window alone
         assert self.first_conv_calls(monkeypatch, bundle, dataset) == [(2, LENGTH, False)]
 
     def test_validation_is_the_bundles_evaluation(self, small_pipeline, anomaly_splits):

@@ -343,7 +343,8 @@ class TestConfigChecks:
     @pytest.mark.parametrize("command", ["generate", "run", "bench"])
     def test_generator_overflow_stops_before_any_output(self, tmp_path, capsys, command):
         """A noise sigma near the float maximum draws infinite values: numpy
-        warned five times and the splits' own check ended in a traceback."""
+        warned five times and the splits' own check ended in a traceback.
+        The one line names the split and the generator settings that drew it."""
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # no RuntimeWarning of the draw escapes
             code = run_cli(command, "--out", str(tmp_path / "out"), *FAST, "--noise-sigma", "1e308")
@@ -351,6 +352,8 @@ class TestConfigChecks:
         captured = capsys.readouterr()
         assert not captured.out and captured.err.count("\n") == 1
         assert "values contain NaN or Inf" in captured.err
+        assert "split 'train'" in captured.err and "noise_sigma=1e+308" in captured.err
+        assert "peak_amplitude_range" in captured.err
         assert not (tmp_path / "out").exists()
 
     def test_percent_in_file_is_a_literal(self, tmp_path, capsys):

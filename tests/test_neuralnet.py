@@ -774,9 +774,10 @@ class TestZeroRowAgainstTheLongFrame:
         np.testing.assert_allclose(log.train_loss, losses, rtol=1e-12)
 
     @pytest.mark.parametrize("width", [1, 4])
-    def test_crops_narrower_than_the_frame_width_are_rejected(self, monkeypatch, width):
+    def test_crops_narrower_than_the_least_width_are_rejected(self, monkeypatch, width):
         """train, forward_all and gradient_check each reject crops narrower
-        than frame_width = 5 with the width, once, before the first cut."""
+        than least_width(50, net.halo) = 5 with the width, once, before the
+        first cut."""
         net = self.net(2, 50, self.BLOCKS["relu"](3), seed=1)
         x, y, offsets = np.ones((3, 2, width)), np.zeros(3, np.int64), np.array([0, 20, 50 - width])
         spec = TrainSpec(epochs=1, batch_size=2, early_stopping_patience=0, seed=0)

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 
-from patchx import cli, neuralnet
+from patchx import cli, neuralnet, pipeline
 from patchx.data import znormalize
 from patchx.patching import build_patch_arrays, patch_spans
 
@@ -120,3 +120,21 @@ def test_a_traced_run_times_every_pipeline_stage(tmp_path, capsys):
         assert metrics[name] > 0, name
     patches = len(patch_spans(LENGTH, cli.parse_patch_tokens(PATCHES, True, False)))
     assert metrics["patching.patches"] == patches * (2 * n_train + n_val + n_test)
+
+
+def test_traced_refits_time_every_shallow_fit(small_pipeline, anomaly_splits):
+    """The infer workload's start refits svm, forest and trivial on one
+    result's cached vectors: each fit reads a time through the tracer's
+    wrapped pipeline.fit."""
+    spans, tracer, _ = load_tracer()
+    sys.path.insert(0, str(PERFBENCH))
+    try:
+        from workloads import REFIT_SPECS
+    finally:
+        sys.path.remove(str(PERFBENCH))
+    with tracer.group():
+        for spec in REFIT_SPECS.values():
+            pipeline.refit_shallow(small_pipeline, spec, anomaly_splits[2])
+    metrics = {name: entry["value"] for name, entry in spans.layer_metrics(tracer, "infer", 0.0).items()}
+    for name in ("shallow.svm_fit_s", "shallow.forest_fit_s", "shallow.trivial_fit_s"):
+        assert metrics[name] > 0, name
