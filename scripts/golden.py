@@ -17,8 +17,10 @@ Runs in-process, from the checkout's own src/:
 * `patchx gradcheck --seed 0`.
 
 Prints one `<sha256 prefix>  <path>` line per output file, paths relative to
-OUT_DIR, and then each run's `test_accuracy` and `val_patch_accuracy`, so that
-a change to the training arithmetic shows its drift beside the hashes. Last
+OUT_DIR, the generated `data/{train,val,test}.csv` first, so that the
+generator is checked on its own. Then come each run's `test_accuracy` and
+`val_patch_accuracy`, so that a change to the training arithmetic shows its
+drift beside the hashes. Last
 come the bench's blackbox run and each variant: its `test_accuracy` and a
 sha256 prefix of its `metrics` dict (sorted-key JSON). `bench_report.json`
 itself is not hashed, because it holds timings. The gradient check's summary
@@ -90,7 +92,8 @@ def main(argv: list[str]) -> int:
     for i, path in enumerate(probes):
         call("probe", "--bundle", bundle, "--data", test, "--sample-id", str(i), "--out", str(path))
 
-    paths = [runs / run / name for run in RUNS for name in RUN_FILES]
+    paths = [data / f"{split}.csv" for split in ("train", "val", "test")]
+    paths += [runs / run / name for run in RUNS for name in RUN_FILES]
     paths += sorted((out / "explain").iterdir()) + [out / "mislabels" / "mislabel_report.json",
                                                      out / "histogram.json", *probes]
     for path in paths:

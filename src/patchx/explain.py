@@ -222,7 +222,7 @@ def boundary_probe(
         sample_id=sample.id,
         position=position,
         factors=factors,
-        ground_truth=np.array([anomaly_label(values, sigma_multiplier) for values in perturbed]),
+        ground_truth=anomaly_label(perturbed, sigma_multiplier),
         predictions=predict_all(bundle.shallow_model, bundle.presence(dataset, softmaxes)),
         records=_records(bundle, np.full(len(factors), sample.id), sample.length, softmaxes),
     )

@@ -78,6 +78,13 @@ per factor on its own perturbed copy of the sample and stacks their one-row
 record tables. boundary_probe, which scores every factor in one dataset, must
 give the same factors, labels and records.
 
+The per-sample generator: generate_anomaly_loop is data.generate_anomaly as
+it was before each split was drawn into one array: every sample its own
+array, labelled on its own by anomaly_label_one, the label rule written for
+one (channels, length) sample. The draws are the same, in the same order, so
+values, labels, ids and meta must equal the generator's bit for bit, and
+anomaly_label over a stack must equal anomaly_label_one row by row.
+
 The row scan: row_scan_decode is decode_dataset as it was before one numpy
 pass read the table: every field through float() or int(), one row at a
 time, the first malformed row raising ParseError. decode_dataset must return
@@ -96,7 +103,7 @@ import numpy as np
 from patchx import neuralnet
 from patchx.bundle import PatchXBundle
 from patchx.data import (
-    DEFAULT_SIGMA_MULTIPLIER, Dataset, ParseError, TimeSeriesSample, anomaly_label, normalization_stats, znormalize,
+    DEFAULT_SIGMA_MULTIPLIER, AnomalyGenSpec, Dataset, ParseError, TimeSeriesSample, normalization_stats, znormalize,
 )
 from patchx.explain import BoundaryProbeResult, PatchRecords, explain_sample
 from patchx.neuralnet import (
@@ -676,12 +683,39 @@ def boundary_probe_loop(
         perturbed = TimeSeriesSample(id=sample.id, values=values, label=sample.label)
         records, prediction = explain_sample(bundle, perturbed)
         tables.append(records)
-        truths.append(anomaly_label(values, sigma_multiplier))
+        truths.append(anomaly_label_one(values, sigma_multiplier))
         predictions.append(prediction)
     records = PatchRecords(np.concatenate([t.sample_ids for t in tables]), tables[0].spans,
                            np.concatenate([t.softmax for t in tables]))
     return BoundaryProbeResult(sample.id, position, np.array(factors, dtype=np.float64), np.array(truths),
                                np.array(predictions), records)
+
+
+def anomaly_label_one(values: np.ndarray, sigma_multiplier: float = DEFAULT_SIGMA_MULTIPLIER) -> int:
+    """The anomaly label rule of one (channels, length) sample."""
+    mean = values.mean(axis=1, keepdims=True)
+    std = values.std(axis=1, keepdims=True)
+    return int(np.any(values > mean + sigma_multiplier * std))
+
+
+def generate_anomaly_loop(spec: AnomalyGenSpec) -> tuple[Dataset, Dataset, Dataset]:
+    """data.generate_anomaly, one array and one label call per sample."""
+    rng = np.random.default_rng(spec.seed)
+    splits = []
+    for split_name, count in (("train", spec.train_count), ("val", spec.val_count), ("test", spec.test_count)):
+        samples = []
+        for i in range(count):
+            values = rng.normal(0.0, spec.noise_sigma, size=(spec.channels, spec.length))
+            meta = None
+            if rng.random() < 0.5:
+                channel = int(rng.integers(0, spec.channels))
+                step = int(rng.integers(2, spec.length - 1))
+                amplitude = float(rng.uniform(*spec.peak_amplitude_range))
+                values[channel, step] = amplitude
+                meta = {"peak_channel": channel, "peak_step": step, "peak_value": amplitude}
+            samples.append(TimeSeriesSample(i, values, anomaly_label_one(values, spec.sigma_multiplier), meta))
+        splits.append(Dataset(samples=samples, class_count=2, split=split_name))
+    return splits[0], splits[1], splits[2]
 
 
 def one_width_patch_predictions(bundle: PatchXBundle, dataset: Dataset) -> np.ndarray:

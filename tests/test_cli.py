@@ -113,6 +113,23 @@ class TestRun:
             assert "environment" not in metrics and "numpy" not in metrics and "THREADS" not in metrics
         assert (tmp_path / "one" / "metrics.json").read_bytes() == (tmp_path / "two" / "metrics.json").read_bytes()
 
+    def test_timing_records_the_data_stage(self, tmp_path):
+        """timing.json times generating or loading the splits as data_seconds,
+        outside train_seconds; metrics.json holds no such key, so a run that
+        generates its splits and one that reads them from files write the
+        same bytes."""
+        data_dir = tmp_path / "data"
+        assert run_cli("generate", "--out", str(data_dir), *FAST) == 0
+        sources = {"generate": [], "files": ["--source", "files", "--data-dir", str(data_dir)]}
+        for name, flags in sources.items():
+            assert run_cli("run", "--out", str(tmp_path), "--run-name", name, *FAST, *flags) == 0
+            timing = json.loads((tmp_path / name / "timing.json").read_text())
+            assert timing["data_seconds"] > 0
+            stages = ("patching_seconds", "network_train_seconds", "train_vectors_seconds", "shallow_fit_seconds")
+            assert timing["train_seconds"] == pytest.approx(sum(timing[k] for k in stages))
+            assert "data_seconds" not in (tmp_path / name / "metrics.json").read_text()
+        assert (tmp_path / "generate" / "metrics.json").read_bytes() == (tmp_path / "files" / "metrics.json").read_bytes()
+
     def test_serial_determinism(self, tmp_path):
         run_cli("run", "--out", str(tmp_path), "--run-name", "a", *FAST)
         run_cli("run", "--out", str(tmp_path), "--run-name", "b", *FAST)
@@ -341,20 +358,59 @@ class TestConfigChecks:
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["generate", "run", "bench"])
-    def test_generator_overflow_stops_before_any_output(self, tmp_path, capsys, command):
+    @pytest.mark.parametrize("flags, setting", [
+        (["--noise-sigma", "1e308"], "noise_sigma=1e+308"),
+        (["--noise-sigma", "1e200"], "noise_sigma=1e+200"),
+        (["--peak-min", "1e307", "--peak-max", "1.7e308"], "peak_amplitude_range=(1e+307, 1.7e+308)"),
+    ], ids=["infinite-values", "overflowing-std", "overflowing-peaks"])
+    def test_generator_overflow_stops_before_any_output(self, tmp_path, capsys, command, flags, setting):
         """A noise sigma near the float maximum draws infinite values: numpy
         warned five times and the splits' own check ended in a traceback.
-        The one line names the split and the generator settings that drew it."""
+        Finite values whose std overflows went on to abort the pipeline
+        after numpy's warnings. The one line names the split and the
+        generator settings that drew it."""
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # no RuntimeWarning of the draw escapes
-            code = run_cli(command, "--out", str(tmp_path / "out"), *FAST, "--noise-sigma", "1e308")
+            code = run_cli(command, "--out", str(tmp_path / "out"), *FAST, *flags)
         assert code == 2
         captured = capsys.readouterr()
         assert not captured.out and captured.err.count("\n") == 1
         assert "values contain NaN or Inf" in captured.err
-        assert "split 'train'" in captured.err and "noise_sigma=1e+308" in captured.err
-        assert "peak_amplitude_range" in captured.err
+        assert "split 'train'" in captured.err and setting in captured.err
+        assert "noise_sigma" in captured.err and "peak_amplitude_range" in captured.err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["generate", "run", "bench"])
+    @pytest.mark.parametrize("flag, value, named", [
+        ("--epochs", "1.5", "[train] epochs = '1.5' is not an integer"),
+        ("--learning-rate", "abc", "[train] learning_rate = 'abc' is not a number"),
+        ("--shallow", "svmm", "[shallow] kind = 'svmm' is not one of svm, forest, trivial"),
+    ], ids=["float-epochs", "text-learning-rate", "unknown-shallow"])
+    def test_bad_flag_is_checked_as_a_file_value(self, tmp_path, capsys, command, flag, value, named):
+        """argparse once checked typed and choice flags itself and printed its
+        usage; every flag is now text that _checked reads as it reads the file."""
+        code = run_cli(command, "--out", str(tmp_path / "out"), *FAST, flag, value)
+        assert code == 2
+        captured = capsys.readouterr()
+        assert not captured.out and captured.err.count("\n") == 1
+        assert captured.err == f"patchx {command}: {flag}: {named}\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_flag_and_file_spellings_resolve_alike(self, tmp_path, monkeypatch):
+        """A flag is written to resolved_config.ini as spelled, as a file value is."""
+        monkeypatch.delenv("PATCHX_SEED", raising=False)
+        ini = tmp_path / "spelled.ini"
+        ini.write_text("[train]\nlearning_rate = 1e-3\nepochs = 007\n")
+        resolved = []
+        for extra in (["--learning-rate", "1e-3", "--epochs", "007"], ["--config", str(ini)]):
+            args = build_parser().parse_args(["run", "--out", str(tmp_path), *extra])
+            config = load_config(args.config)
+            apply_overrides(config, args)
+            path = tmp_path / f"resolved{len(resolved)}.ini"
+            write_resolved_config(config, path)
+            resolved.append(path.read_text())
+        assert resolved[0] == resolved[1]
+        assert "learning_rate = 1e-3" in resolved[0] and "epochs = 007" in resolved[0]
 
     def test_percent_in_file_is_a_literal(self, tmp_path, capsys):
         config = tmp_path / "pct.ini"

@@ -1,9 +1,10 @@
 import random
+import warnings
 
 import numpy as np
 import pytest
 
-from oracles import row_scan_decode
+from oracles import anomaly_label_one, generate_anomaly_loop, row_scan_decode
 from patchx import data
 from patchx.data import (
     AnomalyGenSpec,
@@ -311,6 +312,47 @@ class TestGenerateAnomaly:
         with pytest.raises(ValueError, match=f"{name} must be > 0"):
             AnomalyGenSpec(**{name: float("nan")})
 
+    @pytest.mark.parametrize("seed", [0, 7, 11])
+    @pytest.mark.parametrize("channels, length", [(1, 5), (1, 50), (3, 5), (3, 50)])
+    @pytest.mark.parametrize("peaks", [(5.0, 10.0), (100.0, 120.0)])
+    def test_equals_the_per_sample_generator(self, seed, channels, length, peaks):
+        """Drawing each split into one array and labelling it in one call keeps
+        the per-sample generator's values, labels, ids and meta bit for bit."""
+        spec = AnomalyGenSpec(train_count=40, val_count=15, test_count=15, length=length, channels=channels,
+                              peak_amplitude_range=peaks, seed=seed)
+        for got, want in zip(generate_anomaly(spec), generate_anomaly_loop(spec)):
+            assert (got.split, got.class_count, got.ids()) == (want.split, want.class_count, want.ids())
+            assert got.values_array().tobytes() == want.values_array().tobytes()
+            assert [(type(s.label), s.label) for s in got.samples] == [(int, s.label) for s in want.samples]
+            assert [s.meta for s in got.samples] == [s.meta for s in want.samples]
+
+    def test_samples_view_one_array_per_split(self):
+        for ds in generate_anomaly(AnomalyGenSpec(train_count=20, val_count=5, test_count=5, seed=1)):
+            stack = ds.samples[0].values.base
+            assert stack.shape == (len(ds), ds.channels, ds.length)
+            assert all(s.values.base is stack for s in ds.samples)
+
+    @pytest.mark.parametrize("settings", [
+        {"noise_sigma": 1e308},
+        {"noise_sigma": 1e200},
+        {"peak_amplitude_range": (1e307, 1.7e308)},
+        {"peak_amplitude_range": (1.3e154, 1.3e154)},
+    ], ids=["infinite-values", "overflowing-sample-std", "overflowing-peak-std", "overflowing-split-std"])
+    def test_overflow_raises_one_value_error_without_warnings(self, settings):
+        """Values drawn to an infinity, or finite values whose channel std
+        overflows, in one sample or only over the split, stop the generator
+        with one ValueError naming the split and the settings, and numpy
+        warns of nothing."""
+        spec = AnomalyGenSpec(train_count=40, val_count=10, test_count=10, seed=3, **settings)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError) as err:
+                generate_anomaly(spec)
+        message = str(err.value)
+        assert message.startswith("split 'train': values contain NaN or Inf")
+        assert f"noise_sigma={spec.noise_sigma}" in message
+        assert f"peak_amplitude_range={spec.peak_amplitude_range}" in message
+
 
 class TestZnormalize:
     def make(self, values):
@@ -357,14 +399,6 @@ class TestZnormalize:
 
 
 class TestDatasetValidation:
-    def test_duplicate_ids(self):
-        samples = [
-            TimeSeriesSample(id=0, values=np.zeros((1, 3)), label=0),
-            TimeSeriesSample(id=0, values=np.zeros((1, 3)), label=1),
-        ]
-        with pytest.raises(ValueError, match="duplicate"):
-            Dataset(samples=samples, class_count=2).validate()
-
     def test_shape_mismatch(self):
         samples = [
             TimeSeriesSample(id=0, values=np.zeros((1, 3)), label=0),
@@ -376,3 +410,16 @@ class TestDatasetValidation:
 
 def test_anomaly_label_constant_channel_is_normal():
     assert anomaly_label(np.full((2, 10), 3.0)) == 0
+
+
+@pytest.mark.parametrize("shape", [(3, 20), (7, 3, 20), (2, 5, 1, 24)])
+def test_anomaly_label_of_a_stack_equals_the_per_sample_rule(shape):
+    rng = np.random.default_rng(4)
+    values = rng.normal(size=shape)
+    flat = values.reshape(-1, *shape[-2:])
+    flat[::2, 0, rng.integers(0, shape[-1])] = 50.0  # every other sample peaked
+    flat[1::3, -1] = 1.5  # some constant channels
+    labels = anomaly_label(values)
+    assert labels.shape == shape[:-2] and labels.dtype == np.int64
+    assert labels.reshape(-1).tolist() == [anomaly_label_one(row) for row in flat]
+    assert labels.size == 1 or 0 < labels.sum() < labels.size  # a stack holds both labels
