@@ -16,18 +16,23 @@ Runs in-process, from the checkout's own src/:
 * `patchx bench --grid 5:10` on the same data with the same training flags;
 * `patchx gradcheck --seed 0`.
 
-Prints one `<sha256 prefix>  <path>` line per output file, paths relative to
-OUT_DIR, the generated `data/{train,val,test}.csv` first, so that the
-generator is checked on its own. Then come each run's `test_accuracy` and
+The commands run from inside OUT_DIR, with relative paths, so no output
+depends on where OUT_DIR lies. Prints two lines naming numpy's version and
+its BLAS (golden bytes hold for one numpy and one BLAS), then one
+`<sha256 prefix>  <path>` line per output file, paths relative to OUT_DIR,
+the generated `data/{train,val,test}.csv` first, so that the generator is
+checked on its own. Then come each run's `test_accuracy` and
 `val_patch_accuracy`, so that a change to the training arithmetic shows its
 drift beside the hashes. Last
 come the bench's blackbox run and each variant: its `test_accuracy` and a
 sha256 prefix of its `metrics` dict (sorted-key JSON). `bench_report.json`
 itself is not hashed, because it holds timings. The gradient check's summary
 lines close the output.
-`resolved_config.ini` holds the data directory, so compare two checkouts with
-the same OUT_DIR. Timings and manifests are not listed: they carry wall-clock
-values.
+Timings and manifests are not listed: they carry wall-clock values.
+tests/golden.txt holds this output, and tests/test_golden.py compares a fresh
+run with it; a change that moves golden output rewrites it in the same commit:
+
+    python3 scripts/golden.py OUT_DIR > tests/golden.txt
 """
 
 from __future__ import annotations
@@ -48,7 +53,7 @@ from pathlib import Path  # noqa: E402
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from patchx.cli import main as patchx  # noqa: E402
+from patchx.cli import main as patchx, run_environment  # noqa: E402
 
 RUN_FILES = ("metrics.json", "vectors_train.csv", "vectors_test.csv", "bundle.pchx",
              "resolved_config.ini")
@@ -74,8 +79,12 @@ def main(argv: list[str]) -> int:
     if len(argv) != 1:
         print(__doc__.strip().splitlines()[2], file=sys.stderr)
         return 2
+    env = run_environment()
+    print(f"# numpy {env['numpy']}\n# blas {env['blas']['name']} {env['blas']['version']}")
     out = Path(argv[0])
-    data, runs = out / "data", out / "runs"
+    out.mkdir(parents=True, exist_ok=True)
+    os.chdir(out)  # resolved_config.ini records --data-dir as given
+    out, data, runs = Path("."), Path("data"), Path("runs")
     call("generate", "--out", str(data), "--train-count", "1000", "--val-count", "300",
          "--test-count", "400", "--seed", "7")
     training = ("--source", "files", "--data-dir", str(data), "--epochs", "2", "--patience", "0",
@@ -97,7 +106,7 @@ def main(argv: list[str]) -> int:
     paths += sorted((out / "explain").iterdir()) + [out / "mislabels" / "mislabel_report.json",
                                                      out / "histogram.json", *probes]
     for path in paths:
-        print(f"{hashlib.sha256(path.read_bytes()).hexdigest()[:12]}  {path.relative_to(out)}")
+        print(f"{hashlib.sha256(path.read_bytes()).hexdigest()[:12]}  {path.as_posix()}")
     for run in RUNS:
         metrics = json.loads((runs / run / "metrics.json").read_text(encoding="utf-8"))
         print(f"{run}: test_accuracy {metrics['test_accuracy']!r}, "

@@ -41,7 +41,7 @@ import numpy as np
 
 from .data import Dataset, NormStats, TimeSeriesSample, znormalize
 from .metadata import PresenceMatrix, extract_all
-from .neuralnet import DimensionError, NetworkSpec, PatchNet, build_network, forward_all
+from .neuralnet import DimensionError, NetworkSpec, PatchNet, build_network, forward_all, parameter_shapes
 from .patching import Crops, PatchConfig, _check_configs, build_patch_arrays, check_fits, patch_spans, value_table
 from .shallow import ForestModel, SvmModel, TreeArrays, TrivialModel, predict_all
 
@@ -262,8 +262,11 @@ def _decode(raw: bytes, header: dict, offset: int, origin: str | Path) -> PatchX
 
     net = header["network"]
     spec = NetworkSpec(**{**net, "conv_blocks": tuple(map(tuple, net["conv_blocks"]))})
+    for name, shape in parameter_shapes(spec):  # before a network of that size is built
+        if (found := arrays[f"net/{name}"].shape) != shape:
+            raise DimensionError(f"parameter {name}: shape {found} != {shape}")
     network = build_network(spec)
-    network.set_state({name: arrays[f"net/{name}"] for name, _ in network.parameters()})
+    np.concatenate([arrays[f"net/{name}"].ravel() for name, _ in network.parameters()], out=network.flat_params)
     configs = [PatchConfig(**c) for c in header["patch_configs"]]
     stats = _restore(NormStats, "norm_", {}, arrays) if header["normalized"] else None
     meta = dict(header["shallow"])
@@ -292,5 +295,5 @@ def _check_parts(spec: NetworkSpec, configs: list[PatchConfig], stats: NormStats
         raise ValueError(f"the shallow model has {shallow.class_count} classes, the network {spec.class_count}")
     k, c = len(configs), spec.class_count
     empty = PresenceMatrix(np.zeros(1, np.int64), np.zeros(1, np.int64), np.zeros((1, k, c)),
-                           np.zeros((1, k, c), np.int64), np.ones((1, k), np.int64))
+                           np.zeros((1, k, c), np.int64))
     shallow.decision_scores(empty)  # a ValueError on any other feature layout

@@ -28,17 +28,17 @@ class PresenceMatrix:
     labels: np.ndarray  # (n,) int64
     blocks: np.ndarray  # (n, n_configs, class_count) summed winning confidences
     counts: np.ndarray  # (n, n_configs, class_count) number of argmax wins
-    patch_counts: np.ndarray  # (n, n_configs) patches per config and sample
 
     def __len__(self) -> int:
         return len(self.sample_ids)
 
     def features(self, collapse: bool = False, normalize: bool = False) -> np.ndarray:
         """(n, d) feature rows: the blocks flattened, optionally divided by the
-        patch count of their config and/or summed over configs."""
+        patch count of their config (its wins summed over classes, as every
+        patch wins one class) and/or summed over configs."""
         blocks = self.blocks
         if normalize:
-            blocks = blocks / np.maximum(self.patch_counts[:, :, None], 1)
+            blocks = blocks / np.maximum(self.counts.sum(axis=2, keepdims=True), 1)
         if collapse:
             blocks = blocks.sum(axis=1, keepdims=True)
         return blocks.reshape(len(blocks), -1)
@@ -81,7 +81,6 @@ def extract_all(
         labels=np.asarray(labels, dtype=np.int64),
         blocks=blocks,
         counts=counts,
-        patch_counts=np.tile(np.bincount(slot_configs, minlength=n_configs), (n, 1)),
     )
 
 

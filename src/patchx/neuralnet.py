@@ -1,14 +1,15 @@
 """From-scratch 1-D convolutional patch classifier.
 
-Architecture: a stack of same-padded Conv1d+ReLU blocks, global average
-pooling over time, and a dense layer producing class logits; softmax on top.
+Architecture: a stack of same-padded Conv1d+ReLU blocks (a NetworkSpec
+names no other activation), global average pooling over time, and a dense
+layer producing class logits; softmax on top.
 Activations keep the logical shape (batch, channels, length) over time-major
 memory, (length, batch, channels) C-contiguous, as do their gradients; a
 convolution is one shifted GEMM per kernel tap, on rows shifted by whole
 steps of the batch, so no output row straddles two crops. Each conv writes
 its output straight into the inside of the next conv's frame, and crops are
-cut straight into the first conv's, so layers chain without copies; only
-pad rows are written apart. Pooling sums the last activation's contiguous
+cut straight into the first conv's (an array input is copied there), so
+layers chain without copies; only pad rows are written apart. Pooling sums the last activation's contiguous
 (batch, channels) rows in step order. A batch is (x, y, offsets): each row
 of x is a crop at its offset, which build_patch_arrays cuts from the patch
 layout (each window widened by the network's halo); whole frames are crops
@@ -45,10 +46,11 @@ the last conv's output, the gradient arrays, and the convs' shared bias and
 product blocks) in one allocation, reused at each step and dropped when the
 call returns. All math is float64 numpy, so serial runs are
 bit-reproducible and the analytic gradients can be checked against central
-finite differences. Parameters and gradients share one flat layout: every
-layer's weights and biases view the parameter vector, and backward writes
-each layer's gradients to the same place in one gradient vector, so the
-optimizer steps one array with another.
+finite differences. Parameters and gradients share one flat layout, which
+parameter_shapes(spec) states: the network allocates its parameter vector
+from it and draws each weight in place, every layer's weights and biases
+view that vector, and backward writes each layer's gradients to the same
+place in one gradient vector, so the optimizer steps one array with another.
 """
 
 from __future__ import annotations
@@ -100,8 +102,8 @@ class NetworkSpec:
                 raise ValueError(f"filter count must be an integer >= 1, got {filters!r}")
             if not (type(kernel) is int and 1 <= kernel <= self.input_length):
                 raise ValueError(f"kernel size {kernel!r} outside [1, {self.input_length}] or not an integer")
-            if activation not in ("relu", "linear"):
-                raise ValueError(f"unknown activation {activation!r}")
+            if activation != "relu":
+                raise ValueError(f"every conv block is a relu block, got activation {activation!r}")
 
 
 @dataclass(frozen=True)
@@ -159,17 +161,17 @@ class Conv1d:
     one (length + kernel - 1, batch, in_channels) frame, read as a flat
     matrix of in_channels columns; tap j multiplies its rows [j * batch,
     (j + length) * batch), so the layer computes exactly length * batch
-    output rows and none straddles two samples. zeros is the ReLU's
-    read-only (ROW_BLOCK, out_channels) zero block.
+    output rows and none straddles two samples. w (out_channels,
+    in_channels, kernel) and b (out_channels,) are the layer's parameters,
+    views of the network's flat_params; zeros is the ReLU's read-only
+    (ROW_BLOCK, out_channels) zero block.
     """
 
-    def __init__(self, in_channels: int, out_channels: int, kernel: int, rng: np.random.Generator):
-        bound = 1.0 / math.sqrt(in_channels * kernel)
-        self.w = rng.uniform(-bound, bound, size=(out_channels, in_channels, kernel))
-        self.b = np.zeros(out_channels)
-        self.zeros = np.zeros((ROW_BLOCK, out_channels))
+    def __init__(self, w: np.ndarray, b: np.ndarray):
+        self.w, self.b = w, b
+        self.zeros = np.zeros((ROW_BLOCK, len(b)))
         self.zeros.flags.writeable = False
-        self.kernel = kernel
+        self.kernel = kernel = w.shape[2]
         self.pad_left = (kernel - 1) // 2
         self.pad_right = kernel - 1 - self.pad_left
 
@@ -310,10 +312,11 @@ def _row_blocks(rows: int) -> list[tuple[int, int]]:
 
 
 class Dense:
-    def __init__(self, in_features: int, out_features: int, rng: np.random.Generator):
-        bound = 1.0 / math.sqrt(in_features)
-        self.w = rng.uniform(-bound, bound, size=(out_features, in_features))
-        self.b = np.zeros(out_features)
+    """Logits of pooled features: w (classes, features) and b (classes,) are
+    views of the network's flat_params."""
+
+    def __init__(self, w: np.ndarray, b: np.ndarray):
+        self.w, self.b = w, b
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         return x @ self.w.T + self.b
@@ -322,37 +325,40 @@ class Dense:
         return dout @ self.w, dout.T @ x, dout.sum(axis=0)
 
 
+def parameter_shapes(spec: NetworkSpec) -> list[tuple[str, tuple[int, ...]]]:
+    """(name, shape) of every parameter of the spec's network, in the order
+    of its flat layout: each conv's w (filters, in_channels, kernel) and b
+    (filters,), then the dense layer's w (classes, features) and b."""
+    shapes, channels = [], spec.input_channels
+    for i, (filters, kernel, _) in enumerate(spec.conv_blocks):
+        shapes += [(f"conv{i}.w", (filters, channels, kernel)), (f"conv{i}.b", (filters,))]
+        channels = filters
+    return shapes + [("dense.w", (spec.class_count, channels)), ("dense.b", (spec.class_count,))]
+
+
 class PatchNet:
     """The patch classification network; build with build_network()."""
 
     def __init__(self, spec: NetworkSpec):
         self.spec = spec
-        rng = np.random.default_rng(spec.seed)
-        self.convs: list[Conv1d] = []
-        channels = spec.input_channels
-        self.activations: list[str] = []
-        for filters, kernel, activation in spec.conv_blocks:
-            self.convs.append(Conv1d(channels, filters, kernel, rng))
-            self.activations.append(activation)
-            channels = filters
-        self.dense = Dense(channels, spec.class_count, rng)
+        self._shapes = parameter_shapes(spec)
+        self.flat_params = np.zeros(sum(math.prod(shape) for _, shape in self._shapes))
+        params, rng = self.views(self.flat_params), np.random.default_rng(spec.seed)
+        for name, p in params.items():  # biases start at zero; weights are drawn in layout order
+            if name.endswith(".w"):
+                bound = 1.0 / math.sqrt(math.prod(p.shape[1:]))  # U(+-1/sqrt(fan-in))
+                p[...] = rng.uniform(-bound, bound, size=p.shape)
+        self.convs = [Conv1d(params[f"conv{i}.w"], params[f"conv{i}.b"]) for i in range(len(spec.conv_blocks))]
+        self.dense = Dense(params["dense.w"], params["dense.b"])
         # (before, after): the steps around a window that its content reaches through the conv stack;
         # each forward reads it per layer, so it is summed once here
         self.halo = (sum(conv.pad_right for conv in self.convs), sum(conv.pad_left for conv in self.convs))
-        # the layers' initial draws, in parameters() order; then each w and b views its part
-        params = self.parameters()
-        self._shapes = [(name, p.shape) for name, p in params]
-        self.flat_params = np.concatenate([p.ravel() for _, p in params])
-        views = iter(self.views(self.flat_params).values())
-        for layer in (*self.convs, self.dense):
-            layer.w, layer.b = next(views), next(views)
 
     # -- parameter access -------------------------------------------------
 
     def parameters(self) -> list[tuple[str, np.ndarray]]:
         """(name, array) of every parameter; each array is a view of flat_params."""
-        layers = [(f"conv{i}", conv) for i, conv in enumerate(self.convs)] + [("dense", self.dense)]
-        return [(f"{name}.{attr}", getattr(layer, attr)) for name, layer in layers for attr in ("w", "b")]
+        return list(self.views(self.flat_params).items())
 
     def views(self, flat: np.ndarray) -> dict[str, np.ndarray]:
         """Name -> shaped view of each parameter's part of flat, a vector laid
@@ -363,13 +369,6 @@ class PatchNet:
             parts[name] = flat[offset : offset + size].reshape(shape)
             offset += size
         return parts
-
-    def set_state(self, state: dict[str, np.ndarray]) -> None:
-        for name, p in self.parameters():
-            src = state[name]
-            if src.shape != p.shape:
-                raise DimensionError(f"parameter {name}: shape {src.shape} != {p.shape}")
-            p[...] = src
 
     def scratch(self, batch: int, width: int, *, backward: bool = False) -> Scratch:
         """The buffers of a loop over batches of at most batch crops of this
@@ -422,7 +421,7 @@ class PatchNet:
         caches = []
         batch, _, width = h.shape
         frames = [conv.frame(batch, width, scratch) for conv in self.convs]
-        for i, (conv, activation) in enumerate(zip(self.convs, self.activations)):
+        for i, conv in enumerate(self.convs):
             edges = reads = None  # layer 0's empty frame is zero
             if offsets is not None and i > 0:
                 rows = conv.edge_rows(width)
@@ -432,8 +431,7 @@ class PatchNet:
                 reads = rows, columns[offsets[:, None] + rows]
                 edges = column[np.concatenate((reads[1].T, rows[:, None]), axis=1)]
             out = self.convs[i + 1].inside(frames[i + 1]) if i + 1 < len(frames) else None
-            relu = activation == "relu"  # post > 0 iff pre > 0
-            post, flat = conv.forward(h, frame=frames[i], out=out, edges=edges, relu=relu, scratch=scratch)
+            post, flat = conv.forward(h, frame=frames[i], out=out, edges=edges, relu=True, scratch=scratch)
             caches.append((h.shape, flat, post, reads))
             h = post
         return caches, h
@@ -493,8 +491,7 @@ class PatchNet:
         for i in range(len(self.convs) - 1, -1, -1):
             conv = self.convs[i]
             in_shape, flat, post, reads = caches[i]
-            if self.activations[i] == "relu":
-                np.multiply(dh, post.transpose(2, 0, 1) > 0, out=dh)
+            np.multiply(dh, post.transpose(2, 0, 1) > 0, out=dh)  # post > 0 iff pre > 0
             dframe, parts[f"conv{i}.w"][...], parts[f"conv{i}.b"][...] = conv.backward(
                 dh.transpose(1, 2, 0), flat, in_shape, input_grad=i > 0, scratch=scratch)
             if i == 0:  # nothing reads the input gradient
@@ -522,23 +519,18 @@ def softmax(logits: np.ndarray) -> np.ndarray:
 
 def _cut(net: PatchNet, x: np.ndarray | Crops, rows: np.ndarray | slice, scratch: Scratch | None) -> np.ndarray:
     """x[rows], and after crops narrower than the frame an all-zero crop of
-    their width as one more row; crops are cut straight into the inside of
-    the first conv's frame. A cut of Crops reads the all-zero crop from the
-    value table's zero row, and an array's rows are written into that frame
-    beside it."""
+    their width as one more row. Crops are cut straight into the inside of
+    the first conv's frame, the all-zero crop read from the value table's
+    zero row; an array's rows are indexed, and the first conv copies them
+    into its frame."""
     zero_row = x.shape[2] < net.spec.input_length  # whole frames read nothing outside themselves
-    if not (net.convs and (isinstance(x, Crops) or zero_row)):
+    if not (net.convs and isinstance(x, Crops)):
         h = x[rows]
         return np.concatenate((h, np.zeros_like(h[:1]))) if zero_row else h
     if isinstance(rows, slice):
         rows = np.arange(*rows.indices(len(x)))
     first = net.convs[0]
-    inside = first.inside(first.frame(len(rows) + zero_row, x.shape[2], scratch))
-    if isinstance(x, Crops):
-        return x.cut(rows, out=inside, zero_row=zero_row)
-    inside[:, :-1] = x[rows].transpose(2, 0, 1)
-    inside[:, -1] = 0.0
-    return inside.transpose(1, 2, 0)
+    return x.cut(rows, out=first.inside(first.frame(len(rows) + zero_row, x.shape[2], scratch)), zero_row=zero_row)
 
 
 def forward_all(net: PatchNet, groups: list[tuple[np.ndarray | Crops, np.ndarray]]) -> list[np.ndarray]:
@@ -748,21 +740,20 @@ def nudge_biases_off_kinks(net: PatchNet, x: np.ndarray) -> None:
     to make the loss differentiable in a +-h neighborhood for every parameter.
     """
     h = x
-    for conv, activation in zip(net.convs, net.activations):
-        if activation == "relu":
-            pre, _ = conv.forward(h)
-            for f in range(pre.shape[1]):
-                vals = pre[:, f, :].ravel()
-                if np.abs(vals).min() >= KINK_MARGIN:
-                    continue
-                for k in range(1, 801):
-                    delta = KINK_MARGIN * ((k + 1) // 2) * (1 if k % 2 else -1)
-                    if np.abs(vals + delta).min() >= KINK_MARGIN:
-                        conv.b[f] += delta
-                        break
-                else:
-                    raise RuntimeError("could not move pre-activations off the ReLU kink")
-        h, _ = conv.forward(h, relu=activation == "relu")
+    for conv in net.convs:
+        pre, _ = conv.forward(h)
+        for f in range(pre.shape[1]):
+            vals = pre[:, f, :].ravel()
+            if np.abs(vals).min() >= KINK_MARGIN:
+                continue
+            for k in range(1, 801):
+                delta = KINK_MARGIN * ((k + 1) // 2) * (1 if k % 2 else -1)
+                if np.abs(vals + delta).min() >= KINK_MARGIN:
+                    conv.b[f] += delta
+                    break
+            else:
+                raise RuntimeError("could not move pre-activations off the ReLU kink")
+        h, _ = conv.forward(h, relu=True)
 
 
 def gradcheck_case(spec: NetworkSpec, seed: int = 0) -> tuple[PatchNet, tuple[np.ndarray, ...]]:

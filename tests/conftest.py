@@ -9,12 +9,27 @@ for _name in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
 import pytest
 
 from patchx.data import AnomalyGenSpec, generate_anomaly
-from patchx.neuralnet import NetworkSpec, TrainSpec
+from patchx.neuralnet import NetworkSpec, PatchNet, TrainSpec, parameter_shapes
 from patchx.patching import PatchConfig
 from patchx.pipeline import run_pipeline
 from patchx.shallow import ShallowSpec, SvmSpec
 
 SMALL_NET = ((8, 3, "relu"), (16, 3, "relu"))
+
+
+@pytest.fixture(scope="session", autouse=True)
+def layouts_are_parameter_shapes():
+    """Every network the suite builds lays its parameters out as
+    neuralnet.parameter_shapes states for its spec."""
+    init = PatchNet.__init__
+
+    def checked(net, spec):
+        init(net, spec)
+        assert parameter_shapes(spec) == [(name, p.shape) for name, p in net.parameters()], spec
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(PatchNet, "__init__", checked)
+        yield
 
 
 @pytest.fixture(scope="session")

@@ -270,32 +270,29 @@ def patch_cross_entropy(prediction: np.ndarray, label: int) -> float:
 
 def extract_loop(
     softmaxes: np.ndarray, slot_configs, class_count: int, n_configs: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Presence blocks, win counts and patch counts of (n, P, class_count)
-    softmaxes, one patch at a time: samples in row order, slots in order,
-    argmax ties to the lowest class."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """Presence blocks and win counts of (n, P, class_count) softmaxes, one
+    patch at a time: samples in row order, slots in order, argmax ties to the
+    lowest class."""
     n = len(softmaxes)
     blocks = np.zeros((n, n_configs, class_count))
     counts = np.zeros((n, n_configs, class_count), dtype=np.int64)
-    patch_counts = np.zeros((n, n_configs), dtype=np.int64)
     for i in range(n):
         for k, ci in enumerate(slot_configs):
             row = softmaxes[i, k]
             winner = min(np.flatnonzero(row == row.max()))
             blocks[i, ci, winner] += row[winner]
             counts[i, ci, winner] += 1
-            patch_counts[i, ci] += 1
-    return blocks, counts, patch_counts
+    return blocks, counts
 
 
 def full_frame_forward(net: PatchNet, x: np.ndarray) -> tuple[np.ndarray, list]:
     """Logits and caches of the conv stack run over every time step of x."""
     caches = []
     h = x
-    for conv, activation in zip(net.convs, net.activations):
+    for conv in net.convs:
         out, flat = conv.forward(h)
-        if activation == "relu":
-            out = np.maximum(out, 0.0)
+        out = np.maximum(out, 0.0)
         caches.append((h.shape, flat, out))
         h = out
     pooled = h.mean(axis=2)
@@ -313,8 +310,7 @@ def full_frame_backward(net: PatchNet, dlogits: np.ndarray, caches: list) -> dic
     for i in range(len(net.convs) - 1, -1, -1):
         conv = net.convs[i]
         in_shape, flat, post = caches[i]
-        if net.activations[i] == "relu":
-            dh = dh * (post > 0)
+        dh = dh * (post > 0)
         dframe, grads[f"conv{i}.w"], grads[f"conv{i}.b"] = conv.backward(dh, flat, in_shape)
         dh = dframe[:, :, conv.pad_left : conv.pad_left + length]
     return grads
@@ -412,11 +408,11 @@ def crop_major_convolve(net: PatchNet, h: np.ndarray, offsets: np.ndarray | None
     """PatchNet._convolve over crop_major_conv_forward: each layer copies the
     previous layer's output into a frame of its own."""
     caches = []
-    for i, (conv, activation) in enumerate(zip(net.convs, net.activations)):
+    for i, conv in enumerate(net.convs):
         edges = None
         if empty is not None and i > 0:
             edges = empty[i][1][offsets[:, None] + conv.edge_rows(h.shape[2])]
-        out, flat = crop_major_conv_forward(conv, h, edges, relu=activation == "relu")
+        out, flat = crop_major_conv_forward(conv, h, edges, relu=True)
         caches.append((h.shape, flat, out))
         h = out
     return caches, h
@@ -455,9 +451,8 @@ def crop_major_backward_from_logits(net: PatchNet, dlogits: np.ndarray, caches: 
         conv = net.convs[i]
         in_shape, flat, post = caches[i]
         shape0, flat0, post0 = empty[i]
-        if net.activations[i] == "relu":
-            dh = dh * (post > 0)
-            d0 = d0 * (post0 > 0)
+        dh = dh * (post > 0)
+        d0 = d0 * (post0 > 0)
         dframe, dw, db = crop_major_conv_backward(conv, dh, flat, in_shape, input_grad=i > 0)
         dframe0, dw0, db0 = crop_major_conv_backward(conv, d0, flat0, shape0, input_grad=i > 0)
         parts[f"conv{i}.w"][...] = dw + dw0
@@ -497,11 +492,11 @@ def long_frame_convolve(net: PatchNet, h: np.ndarray, offsets: np.ndarray | None
     the length-long empty frame, h holds crops at offsets and each layer's
     pad rows read that frame's activations at their steps."""
     caches = []
-    for i, (conv, activation) in enumerate(zip(net.convs, net.activations)):
+    for i, conv in enumerate(net.convs):
         edges = None
         if empty is not None and i > 0:
             edges = empty[i][1][conv.edge_rows(h.shape[2])[:, None] + offsets]
-        post, flat = conv.forward(h, edges=edges, relu=activation == "relu")
+        post, flat = conv.forward(h, edges=edges, relu=True)
         caches.append((h.shape, flat, post))
         h = post
     return caches, h
@@ -534,9 +529,8 @@ def long_frame_loss_and_gradients(net: PatchNet, batch) -> tuple[float, np.ndarr
         conv = net.convs[i]
         in_shape, flat, post = caches[i]
         shape0, flat0, post0 = empty[i]
-        if net.activations[i] == "relu":
-            dh = dh * (post.transpose(2, 0, 1) > 0)
-            d0 = d0 * (post0.transpose(2, 0, 1) > 0)
+        dh = dh * (post.transpose(2, 0, 1) > 0)
+        d0 = d0 * (post0.transpose(2, 0, 1) > 0)
         dframe, dw, db = conv.backward(dh.transpose(1, 2, 0), flat, in_shape, input_grad=i > 0)
         dframe0, dw0, db0 = conv.backward(d0.transpose(1, 2, 0), flat0, shape0, input_grad=i > 0)
         parts[f"conv{i}.w"][...] = dw + dw0

@@ -103,7 +103,7 @@ class TestExplainSample:
         _, prediction = explain_sample(small_bundle, sample)
         assert label == prediction
         assert matrix.sample_ids.tolist() == [sample.id]
-        assert matrix.patch_counts.tolist() == [[10, 5]]
+        assert matrix.counts.sum(axis=2).tolist() == [[10, 5]]  # every patch wins one class of its config
 
     def test_adjacent_shared_id_gets_two_rows(self, small_bundle, anomaly_splits):
         # rows are addressed by position, so a repeated id never merges two samples
@@ -119,7 +119,6 @@ class TestExplainSample:
             assert preds[row] == label
             np.testing.assert_allclose(matrix.blocks[row], own.blocks[0], rtol=0, atol=1e-12)
             np.testing.assert_array_equal(matrix.counts[row], own.counts[0])
-            np.testing.assert_array_equal(matrix.patch_counts[row], own.patch_counts[0])
 
 
 class TestInputChecks:

@@ -26,24 +26,23 @@ def extract(sample_id, predictions, class_count, n_configs, label=-1):
     )
     assert len(matrix) == 1
     assert matrix.sample_ids.tolist() == [sample_id] and matrix.labels.tolist() == [label]
-    return matrix.blocks[0], matrix.counts[0], matrix.patch_counts[0]
+    return matrix.blocks[0], matrix.counts[0]
 
 
 class TestExtract:
     def test_single_patch(self):
-        blocks, counts, _ = extract(0, [(0, np.array([0.7, 0.3]))], class_count=2, n_configs=1)
+        blocks, counts = extract(0, [(0, np.array([0.7, 0.3]))], class_count=2, n_configs=1)
         np.testing.assert_allclose(blocks, [[0.7, 0.0]])
         assert counts.tolist() == [[1, 0]]
 
     def test_three_patches(self):
         preds = [(0, p) for p in softmaxes([0.9, 0.1], [0.6, 0.4], [0.2, 0.8])]
-        blocks, counts, patch_counts = extract(5, preds, class_count=2, n_configs=1)
+        blocks, counts = extract(5, preds, class_count=2, n_configs=1)
         np.testing.assert_allclose(blocks, [[1.5, 0.8]])
         assert counts.tolist() == [[2, 1]]
-        assert patch_counts.tolist() == [3]
 
     def test_tie_goes_to_lowest_class(self):
-        blocks, _, _ = extract(0, [(0, np.array([0.5, 0.5]))], class_count=2, n_configs=1)
+        blocks, _ = extract(0, [(0, np.array([0.5, 0.5]))], class_count=2, n_configs=1)
         np.testing.assert_allclose(blocks, [[0.5, 0.0]])
 
     def test_empty_rejected(self):
@@ -56,7 +55,7 @@ class TestExtract:
 
     def test_block_locality(self):
         preds = [(0, np.array([0.9, 0.1])), (1, np.array([0.2, 0.8]))]
-        blocks, _, _ = extract(0, preds, class_count=2, n_configs=2)
+        blocks, _ = extract(0, preds, class_count=2, n_configs=2)
         np.testing.assert_allclose(blocks, [[0.9, 0.0], [0.0, 0.8]])
 
     def test_permutation_invariance(self):
@@ -65,24 +64,25 @@ class TestExtract:
         for _ in range(30):
             p = rng.dirichlet(np.ones(3))
             preds.append((int(rng.integers(0, 2)), p))
-        a_blocks, a_counts, _ = extract(0, preds, class_count=3, n_configs=2)
+        a_blocks, a_counts = extract(0, preds, class_count=3, n_configs=2)
         order = rng.permutation(len(preds))
-        b_blocks, b_counts, _ = extract(0, [preds[i] for i in order], class_count=3, n_configs=2)
+        b_blocks, b_counts = extract(0, [preds[i] for i in order], class_count=3, n_configs=2)
         np.testing.assert_allclose(a_blocks, b_blocks, atol=1e-12)
         np.testing.assert_array_equal(a_counts, b_counts)
 
     def test_mass_conservation(self):
         rng = np.random.default_rng(7)
         preds = [(int(rng.integers(0, 3)), rng.dirichlet(np.ones(4))) for _ in range(50)]
-        blocks, _, _ = extract(0, preds, class_count=4, n_configs=3)
+        blocks, _ = extract(0, preds, class_count=4, n_configs=3)
         total_max = sum(float(np.max(p)) for _, p in preds)
         assert blocks.sum() == pytest.approx(total_max, abs=1e-9)
 
     def test_entries_bounded_by_patch_count(self):
         rng = np.random.default_rng(9)
         preds = [(0, rng.dirichlet(np.ones(2))) for _ in range(20)]
-        blocks, _, patch_counts = extract(0, preds, class_count=2, n_configs=1)
-        assert np.all(blocks <= patch_counts[:, None])
+        blocks, counts = extract(0, preds, class_count=2, n_configs=1)
+        assert counts.sum() == 20  # every patch wins one class
+        assert np.all(blocks <= 20)
         assert np.all(blocks >= 0)
 
     def test_matches_independent_resummation(self):
@@ -94,7 +94,7 @@ class TestExtract:
                 (int(rng.integers(0, n_configs)), rng.dirichlet(np.ones(class_count)))
                 for _ in range(int(rng.integers(1, 40)))
             ]
-            blocks, _, _ = extract(0, preds, class_count=class_count, n_configs=n_configs)
+            blocks, _ = extract(0, preds, class_count=class_count, n_configs=n_configs)
             expected = np.zeros((n_configs, class_count))
             for k, p in preds:
                 c = min(np.flatnonzero(p == p.max()))  # lowest-index tie break
@@ -116,11 +116,11 @@ class TestExtractAll:
         slot_configs = rng.integers(0, 2, 7)
         matrix = extract_all(probs, slot_configs, np.arange(5), np.arange(5) % 2, 2, 2)
         assert matrix.sample_ids.tolist() == list(range(5))
-        blocks, counts, _ = extract_loop(probs, slot_configs, 2, 2)
+        blocks, counts = extract_loop(probs, slot_configs, 2, 2)
         np.testing.assert_array_equal(matrix.blocks, blocks)  # bit for bit
         np.testing.assert_array_equal(matrix.counts, counts)
-        own = slot_configs.tolist()
-        assert matrix.patch_counts.tolist() == [[own.count(0), own.count(1)]] * 5
+        own = slot_configs.tolist()  # every patch wins one class of its config
+        assert matrix.counts.sum(axis=2).tolist() == [[own.count(0), own.count(1)]] * 5
         assert matrix.labels.tolist() == [0, 1, 0, 1, 0]
 
     @pytest.mark.parametrize("length, tokens", [
@@ -139,10 +139,9 @@ class TestExtractAll:
             ids = rng.permutation(9)
             matrix = extract_all(probs, slot_configs, ids, ids % class_count,
                                  class_count, len(configs))
-            blocks, counts, patch_counts = extract_loop(probs, slot_configs, class_count, len(configs))
+            blocks, counts = extract_loop(probs, slot_configs, class_count, len(configs))
             assert matrix.blocks.tobytes() == blocks.tobytes()  # bit for bit
             np.testing.assert_array_equal(matrix.counts, counts)
-            np.testing.assert_array_equal(matrix.patch_counts, patch_counts)
             assert matrix.sample_ids.tolist() == ids.tolist()
 
     def test_empty_rejected(self):
@@ -164,8 +163,7 @@ class TestFeatureVariants:
             sample_ids=np.array([0]),
             labels=np.array([1]),
             blocks=np.array([[[2.0, 1.0], [0.5, 1.5]]]),
-            counts=np.array([[[3, 1], [1, 2]]]),
-            patch_counts=np.array([[4, 3]]),
+            counts=np.array([[[3, 1], [1, 2]]]),  # 4 and 3 patches
         )
 
     def test_collapse_sums_blocks(self):
@@ -187,7 +185,6 @@ def test_save_vectors_round_trips_text(tmp_path):
         labels=np.arange(3) % 2,
         blocks=np.tile([[[1.25, 0.5]]], (3, 1, 1)),
         counts=np.tile([[[2, 1]]], (3, 1, 1)),
-        patch_counts=np.full((3, 1), 3),
     )
     path = tmp_path / "vectors.csv"
     save_vectors(vectors, path)

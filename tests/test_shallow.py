@@ -32,7 +32,6 @@ def vector(blocks, counts=None, label=0, sample_id=0):
         labels=np.array([label]),
         blocks=blocks[None],
         counts=np.atleast_2d(np.asarray(counts, dtype=np.int64))[None],
-        patch_counts=np.maximum(blocks.sum(axis=1), 1).astype(np.int64)[None],
     )
 
 
@@ -286,7 +285,7 @@ class TestInvariants:
         blocks = rng.dirichlet(np.ones(3), size=(150, 2)) * rng.integers(1, 9, size=(150, 2, 1))
         matrix = PresenceMatrix(
             sample_ids=np.arange(150), labels=np.arange(150) % 3, blocks=blocks,
-            counts=rng.integers(0, 6, size=(150, 2, 3)), patch_counts=np.full((150, 2), 8),
+            counts=rng.integers(0, 6, size=(150, 2, 3)),
         )
         model = fit(spec, matrix)
         batch = model.decision_scores(matrix)
