@@ -483,13 +483,14 @@ FLAGS = [(False, False), (True, False), (False, True), (True, True)]
 FLAG_IDS = ["plain", "attach", "notemp", "attach-notemp"]
 
 
-def crop_bundle(attach, notemp, kernel, whole=False, stats=True, seed=0):
-    """A bundle of 2 data channels and two conv blocks with drawn biases (so the
-    empty frame is not zero). The windows of 4:6 and 7:9 start at step 0 and
-    end at the last step, truncated there; whole adds a window that covers the
-    frame. No shallow model: these tests stop at the patch softmax."""
-    spec = NetworkSpec(2 + attach, LENGTH, 3, conv_blocks=((5, kernel, "relu"), (4, kernel, "relu")),
-                       seed=seed)
+def crop_bundle(attach, notemp, kernel, whole=False, stats=True, seed=0, depth=2):
+    """A bundle of 2 data channels and depth (one to three) conv blocks with
+    drawn biases (so the empty frame is not zero). The windows of 4:6 and 7:9
+    start at step 0 and end at the last step, truncated there; whole adds a
+    window that covers the frame. No shallow model: these tests stop at the
+    patch softmax."""
+    blocks = ((5, kernel, "relu"), (4, kernel, "relu"), (3, kernel, "relu"))[:depth]
+    spec = NetworkSpec(2 + attach, LENGTH, 3, conv_blocks=blocks, seed=seed)
     network = build_network(spec)
     rng = np.random.default_rng(seed)
     for conv in network.convs:
@@ -519,9 +520,10 @@ class TestPatchPredictionsPerConfig:
         np.testing.assert_array_equal(got, per_config_patch_predictions(bundle, dataset))
 
     @pytest.mark.parametrize("attach, notemp", FLAGS, ids=FLAG_IDS)
+    @pytest.mark.parametrize("depth", [1, 2, 3], ids=["one-block", "two-blocks", "three-blocks"])
     @pytest.mark.parametrize("kernel", [1, 2, 3, 5])
-    def test_matches_one_width(self, attach, notemp, kernel):
-        bundle = crop_bundle(attach, notemp, kernel, seed=kernel)
+    def test_matches_one_width(self, attach, notemp, kernel, depth):
+        bundle = crop_bundle(attach, notemp, kernel, seed=kernel, depth=depth)
         halo = bundle.network.halo
         widths = [build_patch_arrays(np.zeros((1, 2, LENGTH)), np.zeros(1, np.int64), [c], halo)[0].shape[2]
                   for c in bundle.patch_configs]

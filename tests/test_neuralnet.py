@@ -511,8 +511,9 @@ def patch_rows(attach, notemp, halo, length=23, whole=False):
 
 
 def crop_net(channels, length, kernel, depth, seed):
-    """A network whose biases are drawn too, so the empty frame is not zero."""
-    blocks = ((5, kernel, "relu"), (4, kernel, "relu"))[:depth]
+    """A network of depth (one to three) conv blocks whose biases are drawn
+    too, so the empty frame is not zero."""
+    blocks = ((5, kernel, "relu"), (4, kernel, "relu"), (3, kernel, "relu"))[:depth]
     net = build_network(NetworkSpec(channels, length, 3, conv_blocks=blocks, seed=seed))
     rng = np.random.default_rng(seed)
     for conv in net.convs:
@@ -520,7 +521,7 @@ def crop_net(channels, length, kernel, depth, seed):
     return net
 
 
-NETS = [(kernel, depth) for kernel in (1, 2, 3, 5) for depth in (1, 2)]
+NETS = [(kernel, depth) for kernel in (1, 2, 3, 4, 5) for depth in (1, 2, 3)]
 
 
 class TestCropOracle:
@@ -622,30 +623,34 @@ class TestTimeMajorAgainstCropMajor:
     forward-only Scratch with no output buffer for a conv that writes into
     the next one's frame."""
 
+    DEPTHS, DEPTH_IDS = [1, 2, 3], ["one-block", "two-blocks", "three-blocks"]
+
     @pytest.mark.parametrize("attach, notemp", FLAGS, ids=FLAG_IDS)
+    @pytest.mark.parametrize("depth", DEPTHS, ids=DEPTH_IDS)
     @pytest.mark.parametrize("kernel", [1, 2, 3, 4, 5])
-    def test_eval_softmax_equals_the_oracle(self, attach, notemp, kernel):
+    def test_eval_softmax_equals_the_oracle(self, attach, notemp, depth, kernel):
         """Windows at both frame edges and a whole-frame window, repeated past
         EVAL_BATCH rows, so that a group takes two slices."""
-        net = crop_net(2 + attach, 23, kernel, 2, seed=kernel)
+        net = crop_net(2 + attach, 23, kernel, depth, seed=kernel)
         x, _, offsets, _ = patch_rows(attach, notemp, net.halo, whole=True)
         assert offsets.min() == 0 and (notemp or (offsets + x.shape[2]).max() == 23)
         x, offsets = np.concatenate([x] * 20), np.concatenate([offsets] * 20)
         assert len(x) > EVAL_BATCH
         np.testing.assert_array_equal(forward_all(net, [(x, offsets)])[0], crop_major_softmax(net, x, offsets))
-        whole = crop_net(2 + attach, 23, kernel, 2, seed=kernel + 5)  # a layout of whole frames alone
+        whole = crop_net(2 + attach, 23, kernel, depth, seed=kernel + 5)  # a layout of whole frames alone
         frames = full_frame_patch_arrays(np.random.default_rng(kernel).normal(size=(3, 2, 23)), np.zeros(3),
                                          [PatchConfig(23, 23, attach=attach, notemp=notemp)])[0]
         np.testing.assert_array_equal(forward_all(whole, [(frames, zero_offsets(frames))])[0],
                                       crop_major_softmax(whole, frames, zero_offsets(frames)))
 
     @pytest.mark.parametrize("attach, notemp", FLAGS, ids=FLAG_IDS)
+    @pytest.mark.parametrize("depth", DEPTHS, ids=DEPTH_IDS)
     @pytest.mark.parametrize("kernel", [1, 2, 3, 4, 5])
-    def test_gradients_match_the_oracle(self, attach, notemp, kernel):
+    def test_gradients_match_the_oracle(self, attach, notemp, depth, kernel):
         """A batch of 110 rows (over ROW_BLOCK frame rows) through a training
         Scratch, and a batch of 7 without one: the same loss, and gradients
         within 1e-12 of the largest, as the batch rows sum in time-major order."""
-        net = crop_net(2 + attach, 23, kernel, 2, seed=10 + kernel)
+        net = crop_net(2 + attach, 23, kernel, depth, seed=10 + kernel)
         x, y, offsets, _ = patch_rows(attach, notemp, net.halo, whole=True)
         x, y, offsets = np.concatenate([x] * 2), np.concatenate([y] * 2), np.concatenate([offsets] * 2)
         assert len(x) * x.shape[2] > ROW_BLOCK
@@ -674,7 +679,8 @@ class TestZeroRowAgainstTheLongFrame:
     frame apart. The loss is the same bit for bit, and the gradients are
     within 1e-12 of the largest."""
 
-    BLOCKS = {"relu": lambda k: ((5, k, "relu"), (4, k, "relu")),
+    BLOCKS = {"one-layer": lambda k: ((5, k, "relu"),),
+              "relu": lambda k: ((5, k, "relu"), (4, k, "relu")),
               "three-layers": lambda k: ((5, k, "relu"), (4, k, "relu"), (3, k, "relu"))}
 
     @staticmethod
