@@ -9,7 +9,9 @@ Runs in-process, from the checkout's own src/:
   --standardize true` with `--shallow svm`, `forest` and `trivial`, as
   `svm-collapse` with `--shallow svm --collapse true --normalize-features true`,
   and as `svm-notemp` with `--shallow svm --attach false --notemp true`: with
-  no mask channel, a patch's nonzero steps can span less than its crop;
+  no mask channel, a patch's nonzero steps can span less than its crop,
+  and as `whole-frame` with `--shallow svm --patches 50:50`: one patch per
+  sample, a crop as wide as the frame;
 * on the svm run, `patchx explain` for sample ids 0-4, `explain --mislabels`,
   `histogram --per-class`, and `probe` of test ids 0 and 1 at the default
   position and factors;
@@ -63,6 +65,7 @@ RUNS = {
     "trivial": ("--shallow", "trivial"),
     "svm-collapse": ("--shallow", "svm", "--collapse", "true", "--normalize-features", "true"),
     "svm-notemp": ("--shallow", "svm", "--attach", "false", "--notemp", "true"),
+    "whole-frame": ("--shallow", "svm", "--patches", "50:50"),
 }
 
 
