@@ -23,19 +23,20 @@ than the halo from both frame ends, so an all-zero input of
 patching.least_width = min(L, before + after + 1) steps or more holds all
 its values, each step read at its column (_columns, the identity at width
 L); every entry point rejects narrower crops (_check_input), and the layout
-cuts none. A training batch and an evaluation slice of crops narrower than
-L are cut alike, with one such crop of their width after them, and run one
-forward over all of them: each layer's pad rows read that last row's
-activations, and in training what the crops read outside themselves goes
-back into its gradient in the same backward, through the reads each layer's
-forward kept in its cache. Whole frames read nothing outside themselves and
-carry no such row. A ReLU is taken inside the convolution's row-block
-loop, while the block is in cache. Every elementwise operation of that loop
-reads an operand of the block's full shape, and the loop allocates nothing:
-a bias block filled once per call, the layer's read-only zero block, made
-when the layer is built, and one product buffer that taps 1 to k-1
-multiply into. numpy's ufuncs run several times slower on a broadcast row
-or a scalar than on a full block (README step 2 has the timings); the
+cuts none. A training batch and an evaluation slice are cut alike, with
+one such crop of their width after them, and run one forward over all of
+them: each layer's pad rows read that last row's activations, and in
+training what the crops read outside themselves goes back into its gradient
+in the same backward, through the reads each layer's forward kept in its
+cache. Whole frames carry that row too, though they read only zeros from
+it: its own pad rows, and no step outside themselves in the pooled sum.
+A ReLU is taken inside the convolution's row-block loop, while the block
+is in cache. Every elementwise operation of that loop reads an operand of
+the block's full shape, and the loop allocates nothing: a bias block
+filled once per call, the layer's read-only zero block, made when the
+layer is built, and one product buffer that taps 1 to k-1 multiply into.
+numpy's ufuncs run several times slower on a broadcast row or a scalar
+than on a full block (README step 2 has the timings); the
 results are those of the broadcast loop, bit for bit. x is an array or
 patching.Crops, which train cuts one batch at a time and forward_all one
 EVAL_BATCH slice at a time. Each entry point (forward_all, train,
@@ -375,9 +376,8 @@ class PatchNet:
         width: each conv's frame (crops are cut into the first), the last
         conv's output (every other conv writes into the next one's frame),
         and in training each frame gradient that is read (not the first
-        conv's) and the last activation's gradient. Crops narrower than the
-        frame carry one more row, the all-zero crop, so the buffers hold
-        batch + 1."""
+        conv's) and the last activation's gradient. Every batch carries one
+        more row, the all-zero crop, so the buffers hold batch + 1."""
         batch += 1
         sizes = {}
         for i, conv in enumerate(self.convs):
@@ -408,22 +408,22 @@ class PatchNet:
                 and 0 <= offsets.min(initial=0) <= offsets.max(initial=0) <= room):
             raise DimensionError(f"crops of width {x.shape[2]} need one integer offset in [0, {room}] per row")
 
-    def _convolve(self, h: np.ndarray, offsets: np.ndarray | None = None,
+    def _convolve(self, h: np.ndarray, offsets: np.ndarray,
                   *, scratch: Scratch | None = None) -> tuple[list, np.ndarray]:
         """The conv blocks on h; returns (caches, last activation). Each conv
         writes its output into the next conv's frame, and h is copied into
-        the first conv's frame unless it lies there already. With offsets,
-        the rows of h are crops at offsets and the all-zero crop after them,
-        the last row of h, and the pad rows of each layer's frame read the
-        empty frame's activations at their steps from that last row, through
-        _columns; its own pad rows stay zero. Each cache ends with those
-        reads for backward, (pad rows, (crops, pad rows) columns), or None."""
+        the first conv's frame unless it lies there already. The rows of h
+        are crops at offsets and the all-zero crop after them, the last row
+        of h, and the pad rows of each layer's frame read the empty frame's
+        activations at their steps from that last row, through _columns; its
+        own pad rows stay zero. Each cache ends with those reads for
+        backward, (pad rows, (crops, pad rows) columns), None at layer 0."""
         caches = []
         batch, _, width = h.shape
         frames = [conv.frame(batch, width, scratch) for conv in self.convs]
         for i, conv in enumerate(self.convs):
             edges = reads = None  # layer 0's empty frame is zero
-            if offsets is not None and i > 0:
+            if i > 0:
                 rows = conv.edge_rows(width)
                 column = frames[i][:, -1]  # (width + kernel - 1, in_channels)
                 column[rows] = 0.0
@@ -440,23 +440,18 @@ class PatchNet:
                         *, scratch: Scratch | None = None) -> tuple[np.ndarray, list]:
         """Logits and the caches for backward of the rows of x (all by
         default), each a crop at its offset. Each crop reads the empty frame
-        outside itself from the all-zero crop that _cut puts after crops
-        narrower than the frame. A whole frame reads only its zero pad rows
-        and, in the pooled sum, nothing, so no such crop follows whole
-        frames. The caches view scratch's buffers when it is given, until
-        its next use. Its callers have checked x and offsets (_check_input)."""
+        outside itself from the all-zero crop that _cut puts after the
+        crops. The caches view scratch's buffers when it is given, until its
+        next use. Its callers have checked x and offsets (_check_input)."""
         h, offsets = _cut(self, x, rows, scratch), offsets[rows]
         crops, width, length = len(offsets), x.shape[2], self.spec.input_length
-        reads = len(h) > crops  # the all-zero crop follows the crops
-        caches, h = self._convolve(h, offsets if reads else None, scratch=scratch)
+        caches, h = self._convolve(h, offsets, scratch=scratch)
         last = h.transpose(2, 0, 1)  # (width, rows, channels), time-major
         pooled = last[:, :crops].sum(axis=0)  # (crops, channels) rows added in step order
-        outside = None
-        if reads:
-            steps = np.arange(length)
-            outside = ((steps < offsets[:, None]) | (steps >= offsets[:, None] + width)).astype(float)
-            empty = last[:, crops][_columns(length, self.halo, width)]
-            pooled += outside @ empty  # the empty frame's activations outside each crop
+        steps = np.arange(length)
+        outside = ((steps < offsets[:, None]) | (steps >= offsets[:, None] + width)).astype(float)
+        empty = last[:, crops][_columns(length, self.halo, width)]
+        pooled += outside @ empty  # the empty frame's activations outside each crop
         pooled /= length
         logits = self.dense.forward(pooled)
         caches.append((h.shape, pooled, offsets, outside))
@@ -469,10 +464,9 @@ class PatchNet:
         them go back together, in one backward per layer: what the crops
         read from the empty frame (the pooled remainder and every layer's
         pad rows) is added to that last row's gradient where the forward
-        read it, as the caches keep it (outside, each layer's reads; None
-        when there is no such row). Activation gradients are time-major, as
-        the activations: a layer's ReLU masks its gradient where the layer
-        above left it."""
+        read it, as the caches keep it (outside, each layer's reads).
+        Activation gradients are time-major, as the activations: a layer's
+        ReLU masks its gradient where the layer above left it."""
         grad = np.empty_like(self.flat_params)
         parts = self.views(grad)
         (batch, channels, width), pooled, offsets, outside = caches[-1]
@@ -483,11 +477,11 @@ class PatchNet:
         dpooled /= length
         dh = _empty(scratch, "dout", (width, batch, channels))
         dh[:, :crops] = dpooled
-        if outside is not None:  # the all-zero crop's gradient
-            empty, d0 = dh[:, crops], outside.T @ dpooled  # the empty frame's, (length, channels)
-            lo, hi = width - before, length - before  # steps [lo, hi) read column after
-            empty[:lo], empty[lo:] = d0[:lo], d0[hi:]
-            empty[after] += d0[lo:hi].sum(axis=0)
+        # the all-zero crop's gradient, from the empty frame's, d0 (length, channels)
+        empty, d0 = dh[:, crops], outside.T @ dpooled
+        lo, hi = width - before, length - before  # steps [lo, hi) read column after
+        empty[:lo], empty[lo:] = d0[:lo], d0[hi:]
+        empty[after] += d0[lo:hi].sum(axis=0)
         for i in range(len(self.convs) - 1, -1, -1):
             conv = self.convs[i]
             in_shape, flat, post, reads = caches[i]
@@ -497,9 +491,8 @@ class PatchNet:
             if i == 0:  # nothing reads the input gradient
                 break
             dframe = dframe.transpose(2, 0, 1)
-            if reads is not None:  # the crops' pad rows were read from the last row
-                rows, columns = reads
-                np.add.at(dframe[:, crops], columns, dframe[rows, :crops].transpose(1, 0, 2))
+            rows, columns = reads  # the crops' pad rows were read from the last row
+            np.add.at(dframe[:, crops], columns, dframe[rows, :crops].transpose(1, 0, 2))
             dh = conv.inside(dframe)
         return grad
 
@@ -518,30 +511,29 @@ def softmax(logits: np.ndarray) -> np.ndarray:
 
 
 def _cut(net: PatchNet, x: np.ndarray | Crops, rows: np.ndarray | slice, scratch: Scratch | None) -> np.ndarray:
-    """x[rows], and after crops narrower than the frame an all-zero crop of
-    their width as one more row. Crops are cut straight into the inside of
+    """x[rows], and after them an all-zero crop of their width as one more
+    row, whole frames included. Crops are cut straight into the inside of
     the first conv's frame, the all-zero crop read from the value table's
     zero row; an array's rows are indexed, and the first conv copies them
     into its frame."""
-    zero_row = x.shape[2] < net.spec.input_length  # whole frames read nothing outside themselves
     if not (net.convs and isinstance(x, Crops)):
         h = x[rows]
-        return np.concatenate((h, np.zeros_like(h[:1]))) if zero_row else h
+        return np.concatenate((h, np.zeros((1, *h.shape[1:]))))
     if isinstance(rows, slice):
         rows = np.arange(*rows.indices(len(x)))
     first = net.convs[0]
-    return x.cut(rows, out=first.inside(first.frame(len(rows) + zero_row, x.shape[2], scratch)), zero_row=zero_row)
+    return x.cut(rows, out=first.inside(first.frame(len(rows) + 1, x.shape[2], scratch)), zero_row=True)
 
 
 def forward_all(net: PatchNet, groups: list[tuple[np.ndarray | Crops, np.ndarray]]) -> list[np.ndarray]:
     """The softmax of every row of each (x, offsets) group of one evaluation,
     each row a crop at its offset: one (len(x), class_count) array per group.
     The one forward path, in slices of EVAL_BATCH rows, cut as a training
-    batch is: a slice of crops narrower than the frame is EVAL_BATCH - 1 of
-    them and the all-zero crop after them. The call owns its set-up: it
-    checks each group's input once and makes one Scratch, sized for the
-    largest slice and the widest crop; every slice of every group reads it,
-    and crops are cut one slice at a time."""
+    batch is: a slice is EVAL_BATCH - 1 crops and the all-zero crop after
+    them. The call owns its set-up: it checks each group's input once and
+    makes one Scratch, sized for the largest slice and the widest crop;
+    every slice of every group reads it, and crops are cut one slice at a
+    time."""
     for x, offsets in groups:
         net._check_input(x, offsets)  # once, before the first cut, which assumes the spec's channels
     scratch = net.scratch(min(max((len(x) for x, _ in groups), default=0), EVAL_BATCH - 1),
@@ -549,9 +541,8 @@ def forward_all(net: PatchNet, groups: list[tuple[np.ndarray | Crops, np.ndarray
     results = []
     for x, offsets in groups:
         probs = np.empty((len(x), net.spec.class_count))
-        step = EVAL_BATCH - (x.shape[2] < net.spec.input_length)  # the all-zero crop is a slice's last row
-        for lo in range(0, len(x), step):
-            rows = slice(lo, lo + step)
+        for lo in range(0, len(x), EVAL_BATCH - 1):  # the all-zero crop is a slice's last row
+            rows = slice(lo, lo + EVAL_BATCH - 1)
             logits, caches = net._forward_cached(x, offsets, rows, scratch=scratch)
             del caches  # else this slice's caches stay alive through the next slice's forward
             probs[rows] = softmax(logits)
@@ -569,8 +560,8 @@ def _loss_and_gradients(net: PatchNet, batch, *, rows: np.ndarray | slice = slic
     """The mean cross-entropy of the rows of batch (x, y, offsets), all by
     default, and its gradient, laid out like flat_params: one forward of the
     rows, cut as an evaluation slice is, and one backward over them and the
-    all-zero crop after crops narrower than the frame. Its callers have
-    checked x and offsets (_check_input)."""
+    all-zero crop after them. Its callers have checked x and offsets
+    (_check_input)."""
     x, y, offsets = batch
     y = y[rows]
     if len(y) == 0:

@@ -560,15 +560,13 @@ class TestPatchPredictionsPerConfig:
     @staticmethod
     def slices(bundle, dataset) -> list:
         """first_conv_calls as forward_all should make them, one a slice of
-        each config group: a slice of crops narrower than the frame is at
-        most EVAL_BATCH - 1 of them and the all-zero crop after them; a slice
-        of whole frames is at most EVAL_BATCH of them and no more."""
+        each config group: a slice is at most EVAL_BATCH - 1 crops, whole
+        frames included, and the all-zero crop after them."""
         calls = []
         for config in bundle.patch_configs:
             x = build_patch_arrays(dataset.values_array(), dataset.labels_array(), [config], bundle.network.halo)[0]
-            crops = x.shape[2] < LENGTH
-            step = EVAL_BATCH - crops
-            calls += [(min(step, len(x) - lo) + crops, x.shape[2], crops) for lo in range(0, len(x), step)]
+            step = EVAL_BATCH - 1
+            calls += [(min(step, len(x) - lo) + 1, x.shape[2], True) for lo in range(0, len(x), step)]
         return calls
 
     @pytest.mark.parametrize("n", [1, 2 * EVAL_BATCH // 6 + 5])
@@ -623,15 +621,16 @@ class TestPatchPredictionsPerConfig:
         for conv in bundle.network.convs:
             assert not conv.zeros.any() and not conv.zeros.flags.writeable
 
-    def test_whole_frame_configs_carry_no_all_zero_crop(self, monkeypatch):
-        """A whole-frame config reads nothing outside its frames, so its
-        slices carry no all-zero crop, beside the configs that crop or alone."""
+    def test_whole_frame_configs_carry_the_all_zero_crop(self, monkeypatch):
+        """A whole-frame config reads nothing outside its frames, yet its
+        slices carry the all-zero crop as every slice does, beside the
+        configs that crop or alone."""
         bundle = crop_bundle(True, False, 3, whole=True, seed=3)
         dataset = crop_dataset(2)
         calls = self.first_conv_calls(monkeypatch, bundle, dataset)
-        assert calls == self.slices(bundle, dataset) and calls[-1] == (2, LENGTH, False)
+        assert calls == self.slices(bundle, dataset) and calls[-1] == (3, LENGTH, True)
         bundle = replace(bundle, patch_configs=bundle.patch_configs[2:])  # the whole-frame window alone
-        assert self.first_conv_calls(monkeypatch, bundle, dataset) == [(2, LENGTH, False)]
+        assert self.first_conv_calls(monkeypatch, bundle, dataset) == [(3, LENGTH, True)]
 
     def test_validation_is_the_bundles_evaluation(self, small_pipeline, anomaly_splits):
         """run_pipeline validates one group a config, each at its own crop
