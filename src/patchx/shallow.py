@@ -40,6 +40,15 @@ def _require(ok, message: str) -> None:
         raise ValueError(message)
 
 
+def _require_count(name: str, value, least: int = 1) -> None:
+    _require(type(value) is int and value >= least, f"{name} must be >= {least} and an integer, got {value!r}")  # no bools
+
+
+def _require_rate(name: str, value) -> None:
+    _require(type(value) in (int, float) and math.isfinite(value) and value > 0,
+             f"{name} must be positive and finite, got {value!r}")
+
+
 def _check_mode(mode: str) -> None:
     _require(mode in TRIVIAL_MODES, f"unknown trivial mode {mode!r}; choose from {TRIVIAL_MODES}")
 
@@ -53,8 +62,11 @@ class SvmSpec:
     standardize: bool = False
 
     def __post_init__(self) -> None:
-        _require(self.c_reg > 0 and self.epochs >= 1 and self.learning_rate > 0,
-                 "svm c_reg, epochs and learning_rate must be positive")
+        _require_rate("c_reg", self.c_reg)
+        _require_count("epochs", self.epochs)
+        _require_rate("learning_rate", self.learning_rate)
+        _require_count("seed", self.seed, least=0)
+        _require(type(self.standardize) is bool, f"standardize must be a bool, got {self.standardize!r}")
 
 
 @dataclass(frozen=True)
@@ -66,8 +78,11 @@ class ForestSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        _require(self.trees >= 1 and self.min_leaf >= 1, "forest trees and min_leaf must be positive")
-        _require(self.max_depth is None or self.max_depth >= 1, "max_depth must be >= 1 or None")
+        _require_count("trees", self.trees)
+        if self.max_depth is not None:
+            _require_count("max_depth", self.max_depth)
+        _require_count("min_leaf", self.min_leaf)
+        _require_count("seed", self.seed, least=0)
         _require(self.feature_subsample in FEATURE_SUBSAMPLES,
                  f"unknown feature_subsample {self.feature_subsample!r}")
 

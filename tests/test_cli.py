@@ -224,17 +224,17 @@ class TestRun:
         assert not (tmp_path / "out").exists()
 
     def test_diverging_svm_leaves_no_directory(self, tmp_path, capfd):
-        """An infinite SVM learning rate gives non-finite weights. The run
+        """An SVM learning rate of 1e300 gives non-finite weights. The run
         stops in stage 'pipeline' with one stderr line and writes no bundle
         that load_bundle would reject."""
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             code = run_cli("run", "--out", str(tmp_path / "out"), "--run-name", "d", *FAST,
-                           "--svm-learning-rate", "inf")
+                           "--svm-learning-rate", "1e300")
         assert code == 1
         out, err = capfd.readouterr()
         assert err.splitlines() == ["run aborted during stage 'pipeline': svm training diverged: its weights or "
-                                    "biases are not finite (learning_rate=inf, c_reg=1.0)"]
+                                    "biases are not finite (learning_rate=1e+300, c_reg=1.0)"]
         assert "test accuracy" not in out
         assert [str(w.message) for w in caught] == []
         assert not (tmp_path / "out").exists()
@@ -304,13 +304,15 @@ class TestConfigChecks:
         (["run", "--peak-max", "inf"], r"bad peak_amplitude_range \(5.0, inf\)"),
         (["run", "--sigma-multiplier", "inf"], "sigma_multiplier must be > 0 and finite"),
         (["bench", "--kernel", "0"], r"kernel size 0 outside \[1, 50\]"),
-        (["bench", "--trees", "0"], "trees and min_leaf must be positive"),
+        (["bench", "--trees", "0"], "trees must be >= 1 and an integer, got 0"),
         (["run", "--max-depth", "-3"], "max_depth must be >= 1"),
         (["bench", "--max-depth", "-3"], "max_depth must be >= 1"),
+        (["run", "--svm-learning-rate", "inf"], "learning_rate must be positive and finite, got inf"),
+        (["run", "--c-reg", "inf"], "c_reg must be positive and finite, got inf"),
     ], ids=["run-epochs-0", "run-patience-past-epochs", "run-kernel-99", "run-nan-learning-rate",
             "run-nan-c-reg", "run-nan-sigma-multiplier", "run-inf-noise-sigma", "run-inf-peak-max",
             "run-inf-sigma-multiplier", "bench-kernel-0", "bench-trees-0",
-            "run-negative-max-depth", "bench-negative-max-depth"])
+            "run-negative-max-depth", "bench-negative-max-depth", "run-inf-svm-learning-rate", "run-inf-c-reg"])
     def test_bad_spec_value_stops_before_any_output(self, tmp_path, capsys, argv, message):
         """A value that parses but that its spec rejects stops the command with
         one line, before any training and before any run directory."""

@@ -102,8 +102,30 @@ class TestFit:
         with pytest.raises(ValueError, match="must be positive"):
             SvmSpec(**{name: float("nan")})
 
-    @pytest.mark.parametrize("setting", [{"learning_rate": float("inf")}, {"learning_rate": 1e300},
-                                         {"c_reg": 1e-320}], ids=["rate-inf", "rate-1e300", "c-reg-1e-320"])
+    @pytest.mark.parametrize("spec, field", [
+        (lambda: SvmSpec(learning_rate=float("inf")), "learning_rate must be positive and finite, got inf"),
+        (lambda: SvmSpec(c_reg=float("inf")), "c_reg must be positive and finite, got inf"),
+        (lambda: SvmSpec(c_reg=True), "c_reg must be positive and finite, got True"),
+        (lambda: SvmSpec(epochs=2.5), "epochs must be >= 1 and an integer, got 2.5"),
+        (lambda: SvmSpec(epochs=True), "epochs must be >= 1 and an integer, got True"),
+        (lambda: SvmSpec(seed=-1), "seed must be >= 0 and an integer, got -1"),
+        (lambda: SvmSpec(standardize=1), "standardize must be a bool, got 1"),
+        (lambda: ForestSpec(trees=2.5), "trees must be >= 1 and an integer, got 2.5"),
+        (lambda: ForestSpec(min_leaf=1.5), r"min_leaf must be >= 1 and an integer, got 1.5"),
+        (lambda: ForestSpec(max_depth=2.0), r"max_depth must be >= 1 and an integer, got 2.0"),
+        (lambda: ForestSpec(seed=0.0), r"seed must be >= 0 and an integer, got 0.0"),
+    ], ids=["svm-rate-inf", "svm-c-reg-inf", "svm-c-reg-bool", "svm-epochs-float", "svm-epochs-bool",
+            "svm-seed-negative", "svm-standardize-int", "forest-trees-float", "forest-min-leaf-float",
+            "forest-max-depth-float", "forest-seed-float"])
+    def test_spec_fields_checked_as_train_spec_does(self, spec, field):
+        """Counts are integers and no bools, rates positive and finite: a
+        field that fit would trip on, or that would train to no end, stops at
+        the spec."""
+        with pytest.raises(ValueError, match=f"^{field}$"):
+            spec()
+
+    @pytest.mark.parametrize("setting", [{"learning_rate": 1e300}, {"c_reg": 1e-320}],
+                             ids=["rate-1e300", "c-reg-1e-320"])
     def test_diverged_svm_raises(self, setting):
         """Settings that SvmSpec accepts but that drive the weights past float
         range: fit names the divergence, without a numpy warning, and returns
