@@ -36,8 +36,8 @@ the block's full shape, and the loop allocates nothing: a bias block
 filled once per call, the layer's read-only zero block, made when the
 layer is built, and one product buffer that taps 1 to k-1 multiply into.
 numpy's ufuncs run several times slower on a broadcast row or a scalar
-than on a full block (README step 2 has the timings); the
-results are those of the broadcast loop, bit for bit. x is an array or
+than on a full block (README step 2 has the timings); the results are
+those of the broadcast loop, bit for bit. x is an array or
 patching.Crops, which train cuts one batch at a time and forward_all one
 EVAL_BATCH slice at a time. Each entry point (forward_all, train,
 gradient_check) checks its input's shape, width and offsets once, before
@@ -574,15 +574,9 @@ def _loss_and_gradients(net: PatchNet, batch, *, rows: np.ndarray | slice = slic
     return loss, net.backward_from_logits(dlogits, caches, scratch=scratch)
 
 
-def _groups(patches) -> list:
-    """patches, (x, y, offsets) or a sequence of such groups, as a list of groups."""
-    return [patches] if hasattr(patches[0], "shape") else list(patches)
-
-
-def accuracy(net: PatchNet, patches) -> float:
-    """Share of the rows of (x, y, offsets), or of a sequence of such groups
-    forwarded in one forward_all call, whose argmax class is their label."""
-    groups = _groups(patches)
+def accuracy(net: PatchNet, groups: list) -> float:
+    """Share of the rows of the (x, y, offsets) groups, forwarded in one
+    forward_all call, whose argmax class is their label."""
     probs = forward_all(net, [(x, offsets) for x, _, offsets in groups])
     return float(np.concatenate([np.argmax(p, axis=1) == y for p, (_, y, _) in zip(probs, groups)]).mean())
 
@@ -647,15 +641,15 @@ class TrainLog:
 def train(net: PatchNet, train_patches, val_patches, spec: TrainSpec) -> TrainLog:
     """Mini-batch training of the mean patch cross-entropy; restores the
     parameters of the epoch with best validation accuracy. train_patches is
-    (x, y, offsets), as build_patch_arrays returns it, and val_patches one
-    such group or a sequence of them (see accuracy); crops are cut one batch at
-    a time, and the steps reuse one set of buffers.
+    (x, y, offsets), as build_patch_arrays returns it, and val_patches a list
+    of such groups (see accuracy); crops are cut one batch at a time, and the
+    steps reuse one set of buffers.
 
     Serial and deterministic for a fixed spec.seed: the only randomness is the
     per-epoch shuffle drawn from one seeded generator.
     """
-    for name, patches in (("training", train_patches), ("validation", val_patches)):
-        if not sum(len(y) for _, y, _ in _groups(patches)):
+    for name, groups in (("training", [train_patches]), ("validation", val_patches)):
+        if not sum(len(y) for _, y, _ in groups):
             raise ValueError(f"{name} patches must be non-empty")
     rng = np.random.default_rng(spec.seed)
     optimizer = (Adam if spec.optimizer == "adam" else SgdMomentum)(net.flat_params.size, spec.learning_rate)

@@ -660,8 +660,8 @@ def blackbox_train(
     pack = lambda ds: (znormalize(ds.values_array(), stats) if stats else ds.values_array(), ds.labels_array(),
                        np.zeros(len(ds), dtype=np.int64))
     network = neuralnet.build_network(net_spec)
-    log = neuralnet.train(network, pack(train), pack(val), train_spec)
-    return network, log.best_val_accuracy, neuralnet.accuracy(network, pack(test))
+    log = neuralnet.train(network, pack(train), [pack(val)], train_spec)
+    return network, log.best_val_accuracy, neuralnet.accuracy(network, [pack(test)])
 
 
 def boundary_probe_loop(

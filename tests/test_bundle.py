@@ -616,7 +616,7 @@ class TestPatchPredictionsPerConfig:
         dataset = crop_dataset(40)
         patches = build_patch_arrays(dataset.values_array(), dataset.labels_array(), bundle.patch_configs,
                                      bundle.network.halo)
-        train(bundle.network, patches, patches, TrainSpec(epochs=2, batch_size=32, early_stopping_patience=0))
+        train(bundle.network, patches, [patches], TrainSpec(epochs=2, batch_size=32, early_stopping_patience=0))
         bundle.patch_predictions(crop_dataset(3))
         for conv in bundle.network.convs:
             assert not conv.zeros.any() and not conv.zeros.flags.writeable

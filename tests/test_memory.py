@@ -28,7 +28,7 @@ def traced_peak(n: int, configs: list[PatchConfig], val) -> tuple[int, int]:
     try:
         train_patches = build_patch_arrays(values, labels, configs, net.halo)
         val_patches = build_patch_arrays(*val, configs, net.halo)
-        train(net, train_patches, val_patches, spec)
+        train(net, train_patches, [val_patches], spec)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -97,7 +97,7 @@ class TestForward:
         x, y = np.zeros((2, 2, 10)), np.zeros(2, dtype=np.int64)  # crops of width 10 in 12-step frames
         good = (x, y, np.array([0, 2]))  # offsets in [0, 2]
         spec = TrainSpec(epochs=1, batch_size=2, early_stopping_patience=0, seed=0)
-        for call in (lambda: forward_all(net, [(x, offsets)]), lambda: train(net, (x, y, offsets), good, spec),
+        for call in (lambda: forward_all(net, [(x, offsets)]), lambda: train(net, (x, y, offsets), [good], spec),
                      lambda: gradient_check(net, (x, y, offsets))):
             with pytest.raises(DimensionError, match=r"one integer offset in \[0, 2\] per row"):
                 call()
@@ -373,7 +373,7 @@ class TestFullOperandLoop:
                 monkeypatch.setattr(Conv1d, "forward", lambda conv, h, *, frame=None, out=None, edges=None,
                                     relu=False, scratch=None: row_block_conv_forward(conv, h, edges, relu, out))
             with np.errstate(all="ignore"), pytest.raises(TrainingError) as err:
-                train(build_network(spec), (x, y, offsets), (x, y, offsets), tspec)
+                train(build_network(spec), (x, y, offsets), [(x, y, offsets)], tspec)
             messages.append(str(err.value))
         assert messages[0] == messages[1]
 
@@ -760,7 +760,7 @@ class TestZeroRowAgainstTheLongFrame:
         spec = TrainSpec(epochs=2, batch_size=5, learning_rate=1e-2, early_stopping_patience=0, seed=3)
         reference = build_network(net.spec)
         reference.flat_params[...] = net.flat_params
-        log = train(net, patches, patches, spec)
+        log = train(net, patches, [patches], spec)
         rng, optimizer, losses = np.random.default_rng(spec.seed), Adam(reference.flat_params.size, 1e-2), []
         for _ in range(spec.epochs):
             shuffled, batch_losses = rng.permutation(len(y)), []
@@ -783,7 +783,7 @@ class TestZeroRowAgainstTheLongFrame:
         checked, check, cuts = [], PatchNet._check_input, []
         monkeypatch.setattr(PatchNet, "_check_input", lambda net, *args: checked.append(args) or check(net, *args))
         monkeypatch.setattr(neuralnet, "_cut", lambda *args: cuts.append(args))
-        for call in (lambda: train(net, (x, y, offsets), (x, y, offsets), spec),
+        for call in (lambda: train(net, (x, y, offsets), [(x, y, offsets)], spec),
                      lambda: forward_all(net, [(x, offsets)]), lambda: gradient_check(net, (x, y, offsets))):
             checked.clear()
             with pytest.raises(DimensionError, match=f"at least 5 steps wide, got {width}"):
@@ -807,7 +807,7 @@ class TestZeroRowAgainstTheLongFrame:
         assert calls == [("forward", len(x) + 1)] * 2 + [("backward", len(x) + 1)] * 2
         calls.clear()
         spec = TrainSpec(epochs=2, batch_size=16, early_stopping_patience=0, seed=0)
-        train(net, (x, y, offsets), (x[:7], y[:7], offsets[:7]), spec)
+        train(net, (x, y, offsets), [(x[:7], y[:7], offsets[:7])], spec)
         steps = 2 * math.ceil(len(x) / 16)
         assert [rows for _, rows in calls].count(1) == 0
         assert len(calls) == 4 * steps + 2 * 2  # per validation pass, both layers on one slice
@@ -858,7 +858,7 @@ class TestValidationGroups:
     def test_accuracy_over_config_groups(self):
         """accuracy over one group a config, each at its own crop width, is
         the share of all their rows whose argmax is their label, from one
-        forward_all call; a sequence of one group is that group."""
+        forward_all call."""
         net = crop_net(3, 23, 3, 2, seed=7)
         rng = np.random.default_rng(7)
         values, labels = rng.normal(size=(9, 2, 23)), rng.integers(0, 3, 9)
@@ -868,7 +868,7 @@ class TestValidationGroups:
         probs = forward_all(net, [(x, offsets) for x, _, offsets in groups])
         hits = np.concatenate([np.argmax(p, axis=1) == y for p, (_, y, _) in zip(probs, groups)])
         assert accuracy(net, groups) == hits.sum() / len(hits)
-        assert accuracy(net, groups[1:]) == accuracy(net, groups[1]) == hits[len(groups[0][1]):].mean()
+        assert accuracy(net, groups[1:]) == hits[len(groups[0][1]):].mean()
 
 
 class TestCropsAgainstTheTensor:
@@ -897,7 +897,7 @@ class TestCropsAgainstTheTensor:
         for build in (build_patch_arrays, patch_tensor):
             net = build_network(spec)
             patches = [build(values, labels, configs, net.halo) for values, labels in splits]
-            logs.append(train(net, *patches, train_spec))
+            logs.append(train(net, patches[0], patches[1:], train_spec))
             nets.append(net)
         crops_log, tensor_log = logs
         assert crops_log.train_loss == tensor_log.train_loss
@@ -943,7 +943,7 @@ class TestScratchAgainstFreshArrays:
         spec = TrainSpec(epochs=3, batch_size=16, learning_rate=5e-3, early_stopping_patience=0, seed=8)
         reference = build_network(net.spec)
         reference.flat_params[...] = net.flat_params
-        log = train(net, patches, val, spec)
+        log = train(net, patches, [val], spec)
 
         crops, y, offsets = patches
         rng = np.random.default_rng(spec.seed)
@@ -982,7 +982,7 @@ class TestScratchAgainstFreshArrays:
         net, patches = self.net_and_crops(self.BLOCKS[0], n=2 * EVAL_BATCH // 10 + 3, seed=5)
         narrow = build_network(replace(net.spec, input_channels=2))
         with pytest.raises(DimensionError, match=r"expected input \(batch, 2, width <= 23\)"):
-            train(narrow, patches, patches, TrainSpec(epochs=1, batch_size=16, early_stopping_patience=0, seed=0))
+            train(narrow, patches, [patches], TrainSpec(epochs=1, batch_size=16, early_stopping_patience=0, seed=0))
         with pytest.raises(DimensionError, match=r"expected input \(batch, 2, width <= 23\)"):
             forward_all(narrow, [(patches[0], patches[2])])
 
@@ -1081,7 +1081,7 @@ class TestOneSetUpPerCall:
         net, patches = TestScratchAgainstFreshArrays.net_and_crops(self.BLOCKS, n=7, seed=4)  # 70 rows, 5 steps
         _, val = TestScratchAgainstFreshArrays.net_and_crops(self.BLOCKS, n=5, seed=6)
         checked = self.checked_inputs(monkeypatch)
-        log = train(net, patches, val, TrainSpec(epochs=3, batch_size=16, early_stopping_patience=0, seed=8))
+        log = train(net, patches, [val], TrainSpec(epochs=3, batch_size=16, early_stopping_patience=0, seed=8))
         assert log.epochs_run == 3
         assert [x is patches[0] for x in checked] == [True, False, False, False]
         assert all(x is val[0] for x in checked[1:])
@@ -1164,10 +1164,10 @@ class TestTrain:
         toy = self.separable_toy()
         spec = NetworkSpec(1, 16, 2, conv_blocks=((4, 3, "relu"),), seed=0)
         net = build_network(spec)
-        log = train(net, toy, toy, TrainSpec(epochs=20, batch_size=16,
+        log = train(net, toy, [toy], TrainSpec(epochs=20, batch_size=16,
                                                    learning_rate=0.01, early_stopping_patience=19, seed=0))
         assert log.best_val_accuracy == 1.0
-        assert accuracy(net, toy) == 1.0
+        assert accuracy(net, [toy]) == 1.0
 
     def test_deterministic_serial_runs(self):
         toy = self.separable_toy()
@@ -1175,9 +1175,9 @@ class TestTrain:
         tspec = TrainSpec(epochs=4, batch_size=16, learning_rate=0.01,
                           early_stopping_patience=3, seed=3)
         net_a = build_network(spec)
-        train(net_a, toy, toy, tspec)
+        train(net_a, toy, [toy], tspec)
         net_b = build_network(spec)
-        train(net_b, toy, toy, tspec)
+        train(net_b, toy, [toy], tspec)
         for (name_a, p_a), (_, p_b) in zip(net_a.parameters(), net_b.parameters()):
             np.testing.assert_array_equal(p_a, p_b, err_msg=name_a)
 
@@ -1186,7 +1186,7 @@ class TestTrain:
         spec = NetworkSpec(1, 16, 2, conv_blocks=((4, 3, "relu"),), seed=0)
         net = build_network(spec)
         with np.errstate(all="ignore"), pytest.raises(TrainingError, match="epoch") as err:
-            train(net, toy, toy,
+            train(net, toy, [toy],
                   TrainSpec(epochs=10, batch_size=16, learning_rate=1e12,
                             optimizer="sgd-momentum", early_stopping_patience=9, seed=0))
         assert err.match(r"batch [0-4]$")  # 80 patches make batches 0-4 of 16
@@ -1195,7 +1195,7 @@ class TestTrain:
         toy = self.separable_toy()
         spec = NetworkSpec(1, 16, 2, conv_blocks=((4, 3, "relu"),), seed=0)
         net = build_network(spec)
-        log = train(net, toy, toy,
+        log = train(net, toy, [toy],
                     TrainSpec(epochs=30, batch_size=16, learning_rate=0.01,
                               early_stopping_patience=2, seed=0))
         # validation accuracy saturates at 1.0 quickly, so patience must fire
@@ -1206,20 +1206,20 @@ class TestTrain:
         toy = self.separable_toy()
         net = build_network(NetworkSpec(1, 16, 2, conv_blocks=(), seed=0))
         with pytest.raises(ValueError):
-            train(net, toy, (np.zeros((0, 1, 16)), np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)),
+            train(net, toy, [(np.zeros((0, 1, 16)), np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64))],
                   TrainSpec(epochs=2, early_stopping_patience=1))
 
     def test_empty_training_rejected(self):
         toy = self.separable_toy()
         net = build_network(NetworkSpec(1, 16, 2, conv_blocks=(), seed=0))
         with pytest.raises(ValueError, match="training patches must be non-empty"):
-            train(net, (np.zeros((0, 1, 16)), np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)), toy,
+            train(net, (np.zeros((0, 1, 16)), np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)), [toy],
                   TrainSpec(epochs=2, early_stopping_patience=1))
 
     def test_sgd_momentum_also_learns(self):
         toy = self.separable_toy()
         net = build_network(NetworkSpec(1, 16, 2, conv_blocks=((4, 3, "relu"),), seed=1))
-        log = train(net, toy, toy,
+        log = train(net, toy, [toy],
                     TrainSpec(epochs=20, batch_size=16, learning_rate=0.01,
                               optimizer="sgd-momentum", early_stopping_patience=19, seed=1))
         assert log.best_val_accuracy == 1.0
@@ -1274,9 +1274,9 @@ class TestFlatParameters:
         tspec = TrainSpec(epochs=6, batch_size=16, learning_rate=0.05, early_stopping_patience=0, seed=0)
         net, stopped = build_network(spec), build_network(spec)
         evens, odds = [a[::2] for a in toy], [a[1::2] for a in toy]
-        log = train(net, evens, odds, tspec)
+        log = train(net, evens, [odds], tspec)
         assert log.best_epoch < log.epochs_run - 1  # the restore replaces later parameters
-        train(stopped, evens, odds, replace(tspec, epochs=log.best_epoch + 1))
+        train(stopped, evens, [odds], replace(tspec, epochs=log.best_epoch + 1))
         assert net.flat_params.tobytes() == stopped.flat_params.tobytes()
         assert_views_flat_params(net)
 
