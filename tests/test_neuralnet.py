@@ -1098,7 +1098,7 @@ class TestOneSetUpPerCall:
         return {key: len(part) for key, part in scratch.buffers.items()}
 
     def test_a_forward_only_scratch_holds_at_most_eval_batch_rows(self, monkeypatch):
-        """EVAL_BATCH - 1 crops and the all-zero crop after them, or EVAL_BATCH whole frames."""
+        """EVAL_BATCH - 1 crops and the all-zero crop after them, whole frames as any crops."""
         net = build_network(self.SPEC)
         made = self.made_scratches(monkeypatch)
         forward_all(net, [(np.zeros((5 * EVAL_BATCH, 3, 16)), np.zeros(5 * EVAL_BATCH, dtype=np.int64))])
@@ -1112,7 +1112,7 @@ class TestOneSetUpPerCall:
         # a training batch of n crops carries the all-zero crop as row n + 1
         assert all(big[key] * (EVAL_BATCH + 1) == small[key] * (5 * EVAL_BATCH + 1)
                    for key in big if key not in ("bias", "product", "dw"))
-        length = self.SPEC.input_length  # so do EVAL_BATCH - 1 crops, and EVAL_BATCH whole frames fit beside them
+        length = self.SPEC.input_length  # a slice of whole frames is EVAL_BATCH - 1 of them and the all-zero crop
         made = self.made_scratches(monkeypatch)
         forward_all(net, [(np.zeros((5 * EVAL_BATCH, 3, length)), np.zeros(5 * EVAL_BATCH, dtype=np.int64))])
         monkeypatch.undo()
