@@ -42,7 +42,9 @@ import numpy as np
 from .data import Dataset, NormStats, TimeSeriesSample, znormalize
 from .metadata import PresenceMatrix, extract_all
 from .neuralnet import DimensionError, NetworkSpec, PatchNet, build_network, forward_all, parameter_shapes
-from .patching import Crops, PatchConfig, _check_configs, build_patch_arrays, check_fits, patch_spans, value_table
+from .patching import (
+    Crops, PatchConfig, _check_configs, build_patch_arrays, check_fits, patch_spans, require_choice, value_table,
+)
 from .shallow import ForestModel, SvmModel, TreeArrays, TrivialModel, predict_all
 
 MAGIC = b"PCHX1"
@@ -271,8 +273,7 @@ def _decode(raw: bytes, header: dict, offset: int, origin: str | Path) -> PatchX
     stats = _restore(NormStats, "norm_", {}, arrays) if header["normalized"] else None
     meta = dict(header["shallow"])
     kind = meta.pop("kind")
-    if kind not in _SHALLOW_KINDS:
-        raise ValueError(f"unknown shallow kind {kind!r}")
+    require_choice("shallow kind", kind, tuple(_SHALLOW_KINDS))
     shallow = _restore(_SHALLOW_KINDS[kind], f"{kind}_", meta, arrays)
     for name, array in arrays.items():  # after the parts' own checks, which name their cause
         if array.dtype.kind == "f" and not np.isfinite(array).all():

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import configparser
-import contextlib
 import json
 import os
 import sys
@@ -230,43 +229,33 @@ def _values(config: configparser.ConfigParser) -> dict:
             else o.kind(config.get(o.section, o.key)) for o in OPTIONS}
 
 
-@contextlib.contextmanager
-def _spec_checks():
-    """Re-raises the ValueError of a spec's own checks as a ConfigError."""
-    try:
-        yield
-    except ValueError as err:
-        raise ConfigError(str(err)) from None
-
-
 def build_specs(config: configparser.ConfigParser):
     """The patch configs, conv blocks, train and shallow specs of a config; a
     value that a spec rejects raises ConfigError."""
     v = _values(config)
-    with _spec_checks():
-        patch_configs = parse_patch_tokens(v["configs"], v["attach"], v["notemp"], zero=v["zero"])
-        train_spec = TrainSpec(
-            epochs=v["epochs"], batch_size=v["batch_size"], learning_rate=v["learning_rate"],
-            optimizer=v["optimizer"], early_stopping_patience=v["patience"], seed=v["seed"],
-        )
-        shallow_spec = ShallowSpec(
-            kind=v["kind"],
-            svm=SvmSpec(c_reg=v["c_reg"], epochs=v["svm_epochs"], learning_rate=v["svm_learning_rate"],
-                        seed=v["seed"], standardize=v["standardize"]),
-            forest=ForestSpec(trees=v["trees"], max_depth=v["max_depth"] or None,
-                              min_leaf=v["min_leaf"], feature_subsample=v["feature_subsample"],
-                              seed=v["seed"]),
-            trivial=TrivialSpec(mode=v["trivial_mode"]),
-            collapse=v["collapse"], normalize=v["normalize_features"],
-        )
+    patch_configs = parse_patch_tokens(v["configs"], v["attach"], v["notemp"], zero=v["zero"])
+    train_spec = TrainSpec(
+        epochs=v["epochs"], batch_size=v["batch_size"], learning_rate=v["learning_rate"],
+        optimizer=v["optimizer"], early_stopping_patience=v["patience"], seed=v["seed"],
+    )
+    shallow_spec = ShallowSpec(
+        kind=v["kind"],
+        svm=SvmSpec(c_reg=v["c_reg"], epochs=v["svm_epochs"], learning_rate=v["svm_learning_rate"],
+                    seed=v["seed"], standardize=v["standardize"]),
+        forest=ForestSpec(trees=v["trees"], max_depth=v["max_depth"] or None,
+                          min_leaf=v["min_leaf"], feature_subsample=v["feature_subsample"],
+                          seed=v["seed"]),
+        trivial=TrivialSpec(mode=v["trivial_mode"]),
+        collapse=v["collapse"], normalize=v["normalize_features"],
+    )
     conv_blocks = tuple((f, v["kernel"], "relu") for f in v["filters"])
     return patch_configs, conv_blocks, train_spec, shallow_spec
 
 
 def load_run_datasets(config: configparser.ConfigParser) -> tuple[Dataset, Dataset, Dataset]:
     """The train, val and test splits; read ones that are empty or differ from
-    train's shape raise SplitError (generated ones always agree), and
-    generated ones whose values or std overflow a ConfigError."""
+    train's shape raise SplitError (generated ones always agree), and so do
+    generated ones whose values or std overflow."""
     v = _values(config)
     if v["source"] == "files":
         if not v["dir"]:
@@ -275,13 +264,12 @@ def load_run_datasets(config: configparser.ConfigParser) -> tuple[Dataset, Datas
         splits = tuple(load_dataset(directory / f"{s}.csv", split=s) for s in ("train", "val", "test"))
         check_splits(dict(zip(("train", "val", "test"), splits)))
         return splits
-    with _spec_checks():
-        return generate_anomaly(AnomalyGenSpec(
-            train_count=v["train_count"], val_count=v["val_count"], test_count=v["test_count"],
-            length=v["length"], channels=v["channels"], noise_sigma=v["noise_sigma"],
-            peak_amplitude_range=(v["peak_min"], v["peak_max"]),
-            sigma_multiplier=v["sigma_multiplier"], seed=v["seed"],
-        ))
+    return generate_anomaly(AnomalyGenSpec(
+        train_count=v["train_count"], val_count=v["val_count"], test_count=v["test_count"],
+        length=v["length"], channels=v["channels"], noise_sigma=v["noise_sigma"],
+        peak_amplitude_range=(v["peak_min"], v["peak_max"]),
+        sigma_multiplier=v["sigma_multiplier"], seed=v["seed"],
+    ))
 
 
 def make_run_dir(out: str, name: str | None) -> Path:
@@ -358,9 +346,8 @@ def cmd_run(args: argparse.Namespace) -> int:
     train, val, test = load_run_datasets(config)
     data_seconds = time.perf_counter() - t0
     v = _values(config)
-    with _spec_checks():
-        patch_spans(train.length, patch_configs)
-        net_spec = default_network_spec(train, patch_configs, seed=v["seed"], conv_blocks=conv_blocks)
+    patch_spans(train.length, patch_configs)
+    net_spec = default_network_spec(train, patch_configs, seed=v["seed"], conv_blocks=conv_blocks)
     stage = "pipeline"
     try:
         result = run_pipeline(
@@ -402,8 +389,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
     train, val, test = load_run_datasets(config)
     v = _values(config)
     whole = [PatchConfig(stride=train.length, length=train.length, attach=False)]  # one window: the sample
-    with _spec_checks():
-        blackbox_spec = default_network_spec(train, whole, seed=v["seed"], conv_blocks=conv_blocks)
+    blackbox_spec = default_network_spec(train, whole, seed=v["seed"], conv_blocks=conv_blocks)
 
     cells = []
     for token in args.grid.split("|"):

@@ -15,6 +15,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .patching import ConfigError, require_count, require_rate
+
 DEFAULT_SIGMA_MULTIPLIER = 4.0
 
 
@@ -27,7 +29,8 @@ class ParseError(ValueError):
 
 
 class SplitError(ValueError):
-    """Raised for a split that is empty or whose shape differs from train's."""
+    """Raised for a split that is empty, whose shape differs from train's, or
+    whose generated values overflow."""
 
 
 @dataclass
@@ -120,19 +123,15 @@ class AnomalyGenSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if not (min(self.train_count, self.val_count, self.test_count) > 0):
-            raise ValueError("split counts must be positive")
-        if not (self.length >= 5):
-            raise ValueError(f"length must be >= 5, got {self.length}")
-        if not (self.channels >= 1):
-            raise ValueError("channels must be >= 1")
-        if not (0 < self.noise_sigma < np.inf):
-            raise ValueError(f"noise_sigma must be > 0 and finite, got {self.noise_sigma}")
+        for name in ("train_count", "val_count", "test_count", "channels"):
+            require_count(name, getattr(self, name))
+        require_count("length", self.length, least=5)
+        require_rate("noise_sigma", self.noise_sigma)
         lo, hi = self.peak_amplitude_range
         if not (0 < lo <= hi < np.inf):
-            raise ValueError(f"bad peak_amplitude_range {self.peak_amplitude_range}: need 0 < min <= max, finite")
-        if not (0 < self.sigma_multiplier < np.inf):
-            raise ValueError(f"sigma_multiplier must be > 0 and finite, got {self.sigma_multiplier}")
+            raise ConfigError(f"bad peak_amplitude_range {self.peak_amplitude_range}: need 0 < min <= max, finite")
+        require_rate("sigma_multiplier", self.sigma_multiplier)
+        require_count("seed", self.seed, least=0)
 
 
 def anomaly_label(values: np.ndarray, sigma_multiplier: float = DEFAULT_SIGMA_MULTIPLIER) -> np.ndarray:
@@ -152,7 +151,7 @@ def generate_anomaly(spec: AnomalyGenSpec) -> tuple[Dataset, Dataset, Dataset]:
     array whose rows the samples view, and labelled in one call. Peaked
     samples carry meta = {peak_channel, peak_step, peak_value}. A split whose
     values, per-sample channel std (the label rule's) or split channel std
-    (normalization_stats') is not finite raises a ValueError naming the split
+    (normalization_stats') is not finite raises a SplitError naming the split
     and the noise and peak settings.
     """
     rng = np.random.default_rng(spec.seed)
@@ -172,7 +171,7 @@ def generate_anomaly(spec: AnomalyGenSpec) -> tuple[Dataset, Dataset, Dataset]:
             metas.append(meta)
         if not (np.isfinite(values).all() and np.isfinite(values.std(axis=-1)).all()
                 and np.isfinite(values.std(axis=(0, 2))).all()):
-            raise ValueError(f"split {split_name!r}: values contain NaN or Inf or overflow their std (drawn with "
+            raise SplitError(f"split {split_name!r}: values contain NaN or Inf or overflow their std (drawn with "
                              f"noise_sigma={spec.noise_sigma}, peak_amplitude_range={spec.peak_amplitude_range})")
         labels = anomaly_label(values, spec.sigma_multiplier).tolist()
         samples = [TimeSeriesSample(id=i, values=v, label=label, meta=meta)

@@ -62,7 +62,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .patching import Crops, least_width
+from .patching import ConfigError, Crops, least_width, require_choice, require_count, require_rate
 
 LOG_CLAMP = 1e-12
 EVAL_BATCH = 1024
@@ -92,19 +92,17 @@ class NetworkSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if not all(type(d) is int and d >= 1 for d in (self.input_channels, self.input_length)):  # no bools
-            raise ValueError(f"input dimensions must be positive integers, got {(self.input_channels, self.input_length)}")
-        if not (type(self.class_count) is int and self.class_count >= 2):
-            raise ValueError(f"class_count must be an integer >= 2, got {self.class_count!r}")
-        if type(self.seed) is not int:
-            raise ValueError(f"seed must be an integer, got {self.seed!r}")
-        for filters, kernel, activation in self.conv_blocks:
-            if not (type(filters) is int and filters >= 1):
-                raise ValueError(f"filter count must be an integer >= 1, got {filters!r}")
-            if not (type(kernel) is int and 1 <= kernel <= self.input_length):
-                raise ValueError(f"kernel size {kernel!r} outside [1, {self.input_length}] or not an integer")
+        require_count("input_channels", self.input_channels)
+        require_count("input_length", self.input_length)
+        require_count("class_count", self.class_count, least=2)
+        require_count("seed", self.seed, least=0)
+        for i, (filters, kernel, activation) in enumerate(self.conv_blocks):
+            require_count(f"conv_blocks[{i}] filters", filters)
+            require_count(f"conv_blocks[{i}] kernel", kernel)
+            if kernel > self.input_length:
+                raise ConfigError(f"kernel size {kernel} outside [1, {self.input_length}]")
             if activation != "relu":
-                raise ValueError(f"every conv block is a relu block, got activation {activation!r}")
+                raise ConfigError(f"every conv block is a relu block, got activation {activation!r}")
 
 
 @dataclass(frozen=True)
@@ -117,18 +115,14 @@ class TrainSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        for name in ("epochs", "batch_size", "early_stopping_patience", "seed"):
-            if type(getattr(self, name)) is not int:  # a bool or a float is no count
-                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
-        if not (self.epochs >= 1 and self.batch_size >= 1):
-            raise ValueError(f"epochs and batch_size must be positive, got {(self.epochs, self.batch_size)}")
-        rate = self.learning_rate
-        if isinstance(rate, bool) or not (isinstance(rate, (int, float)) and math.isfinite(rate) and rate > 0):
-            raise ValueError(f"learning_rate must be positive and finite, got {rate!r}")
-        if self.optimizer not in OPTIMIZERS:
-            raise ValueError(f"unknown optimizer {self.optimizer!r}; choose from {OPTIMIZERS}")
-        if not (0 <= self.early_stopping_patience < self.epochs):
-            raise ValueError("early_stopping_patience must be in [0, epochs)")
+        require_count("epochs", self.epochs)
+        require_count("batch_size", self.batch_size)
+        require_rate("learning_rate", self.learning_rate)
+        require_choice("optimizer", self.optimizer, OPTIMIZERS)
+        require_count("early_stopping_patience", self.early_stopping_patience, least=0)
+        require_count("seed", self.seed, least=0)
+        if self.early_stopping_patience >= self.epochs:
+            raise ConfigError("early_stopping_patience must be in [0, epochs)")
 
 
 class Scratch:

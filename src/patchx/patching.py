@@ -25,13 +25,38 @@ so patching memory grows with the samples, not with patches times crop width.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 
 class ConfigError(ValueError):
-    pass
+    """A config or spec value that its rule rejects. Every spec checks its
+    counts, rates, choices and flags with the four require_ checks below,
+    each of which raises one naming the field and its value."""
+
+
+def require_count(name: str, value, least: int = 1) -> None:
+    """value is an int (a bool or a float is no count) >= least."""
+    if not (type(value) is int and value >= least):
+        raise ConfigError(f"{name} must be >= {least} and an integer, got {value!r}")
+
+
+def require_rate(name: str, value) -> None:
+    """value is an int or a float (numpy's float64 too, no bool), finite and > 0."""
+    if isinstance(value, bool) or not (isinstance(value, (int, float)) and math.isfinite(value) and value > 0):
+        raise ConfigError(f"{name} must be positive and finite, got {value!r}")
+
+
+def require_choice(name: str, value, choices: tuple[str, ...]) -> None:
+    if value not in choices:
+        raise ConfigError(f"unknown {name} {value!r}; choose from {choices}")
+
+
+def require_bool(name: str, value) -> None:
+    if type(value) is not bool:
+        raise ConfigError(f"{name} must be a bool, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -43,12 +68,10 @@ class PatchConfig:
     notemp: bool = False
 
     def __post_init__(self) -> None:
-        if not (type(self.stride) is int and self.stride >= 1):  # a bool or a float is no stride
-            raise ConfigError(f"stride must be >= 1 and an integer, got {self.stride!r}")
-        if not (type(self.length) is int and self.length >= 1):
-            raise ConfigError(f"patch length must be >= 1 and an integer, got {self.length!r}")
-        if not all(type(flag) is bool for flag in (self.zero, self.attach, self.notemp)):
-            raise ConfigError(f"zero, attach and notemp must be bools, got {(self.zero, self.attach, self.notemp)}")
+        require_count("stride", self.stride)
+        require_count("patch length", self.length)
+        for name in ("zero", "attach", "notemp"):
+            require_bool(name, getattr(self, name))
         if not self.zero:
             raise ConfigError(
                 "zero=False is rejected: zeroing the data outside the patch is "

@@ -28,6 +28,7 @@ from dataclasses import InitVar, dataclass, field
 import numpy as np
 
 from .metadata import PresenceMatrix
+from .patching import require_bool, require_choice, require_count, require_rate
 
 KINDS = ("svm", "forest", "trivial")
 FEATURE_SUBSAMPLES = ("sqrt", "all")
@@ -40,19 +41,6 @@ def _require(ok, message: str) -> None:
         raise ValueError(message)
 
 
-def _require_count(name: str, value, least: int = 1) -> None:
-    _require(type(value) is int and value >= least, f"{name} must be >= {least} and an integer, got {value!r}")  # no bools
-
-
-def _require_rate(name: str, value) -> None:
-    _require(type(value) in (int, float) and math.isfinite(value) and value > 0,
-             f"{name} must be positive and finite, got {value!r}")
-
-
-def _check_mode(mode: str) -> None:
-    _require(mode in TRIVIAL_MODES, f"unknown trivial mode {mode!r}; choose from {TRIVIAL_MODES}")
-
-
 @dataclass(frozen=True)
 class SvmSpec:
     c_reg: float = 1.0
@@ -62,11 +50,11 @@ class SvmSpec:
     standardize: bool = False
 
     def __post_init__(self) -> None:
-        _require_rate("c_reg", self.c_reg)
-        _require_count("epochs", self.epochs)
-        _require_rate("learning_rate", self.learning_rate)
-        _require_count("seed", self.seed, least=0)
-        _require(type(self.standardize) is bool, f"standardize must be a bool, got {self.standardize!r}")
+        require_rate("c_reg", self.c_reg)
+        require_count("epochs", self.epochs)
+        require_rate("learning_rate", self.learning_rate)
+        require_count("seed", self.seed, least=0)
+        require_bool("standardize", self.standardize)
 
 
 @dataclass(frozen=True)
@@ -78,13 +66,12 @@ class ForestSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        _require_count("trees", self.trees)
+        require_count("trees", self.trees)
         if self.max_depth is not None:
-            _require_count("max_depth", self.max_depth)
-        _require_count("min_leaf", self.min_leaf)
-        _require_count("seed", self.seed, least=0)
-        _require(self.feature_subsample in FEATURE_SUBSAMPLES,
-                 f"unknown feature_subsample {self.feature_subsample!r}")
+            require_count("max_depth", self.max_depth)
+        require_count("min_leaf", self.min_leaf)
+        require_choice("feature_subsample", self.feature_subsample, FEATURE_SUBSAMPLES)
+        require_count("seed", self.seed, least=0)
 
 
 @dataclass(frozen=True)
@@ -92,7 +79,7 @@ class TrivialSpec:
     mode: str = "logodds"
 
     def __post_init__(self) -> None:
-        _check_mode(self.mode)
+        require_choice("trivial mode", self.mode, TRIVIAL_MODES)
 
 
 @dataclass(frozen=True)
@@ -109,7 +96,9 @@ class ShallowSpec:
     normalize: bool = False
 
     def __post_init__(self) -> None:
-        _require(self.kind in KINDS, f"unknown shallow kind {self.kind!r}; choose from {KINDS}")
+        require_choice("shallow kind", self.kind, KINDS)
+        require_bool("collapse", self.collapse)
+        require_bool("normalize", self.normalize)
 
 
 # -- linear SVM --------------------------------------------------------------
@@ -352,7 +341,7 @@ class TrivialModel:
     kind = "trivial"
 
     def __post_init__(self) -> None:
-        _check_mode(self.mode)
+        require_choice("trivial mode", self.mode, TRIVIAL_MODES)
 
     def decision_scores(self, matrix: PresenceMatrix) -> np.ndarray:
         _require(matrix.blocks.shape[1:] == (self.n_configs, self.class_count),

@@ -239,10 +239,12 @@ def _array(name, **entry):
     (_edit_header(lambda h: h["patch_configs"][1].update(attach=False)), "agree on the attach flag"),
     (_edit_header(lambda h: h["patch_configs"][0].update(stride=2.5)), "malformed header: stride"),
     (_edit_header(lambda h: h["patch_configs"][0].update(length=4.5)), "malformed header: patch length"),
-    (_edit_header(lambda h: h["patch_configs"][0].update(notemp="yes")), "malformed header: zero, attach and notemp"),
+    (_edit_header(lambda h: h["patch_configs"][0].update(notemp="yes")),
+     "malformed header: notemp must be a bool, got 'yes'"),
     (_edit_header(lambda h: [c.update(attach="yes") for c in h["patch_configs"]]),
-     "malformed header: zero, attach and notemp"),
-    (_edit_header(lambda h: h["network"].update(input_length=50.0)), "malformed header: input dimensions"),
+     "malformed header: attach must be a bool, got 'yes'"),
+    (_edit_header(lambda h: h["network"].update(input_length=50.0)),
+     "malformed header: input_length must be >= 1 and an integer, got 50.0"),
 ], ids=["truncated-payload", "truncated-header", "bogus-header-length", "short-header-length",
         "deep-nesting", "truncated-prefix", "no-network-key", "no-arrays-key", "f4-dtype", "list-header",
         "int-arrays", "text-shape", "negative-shape", "unknown-patch-key", "int-conv-blocks",

@@ -294,16 +294,16 @@ class TestConfigChecks:
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("argv, message", [
-        (["run", "--epochs", "0"], "must be positive"),
+        (["run", "--epochs", "0"], "epochs must be >= 1 and an integer, got 0"),
         (["run", "--patience", "3", "--epochs", "1"], r"early_stopping_patience must be in \[0, epochs\)"),
         (["run", "--kernel", "99"], r"kernel size 99 outside \[1, 50\]"),
         (["run", "--learning-rate", "nan"], "must be positive"),
         (["run", "--c-reg", "nan"], "must be positive"),
-        (["run", "--sigma-multiplier", "nan"], "sigma_multiplier must be > 0"),
-        (["run", "--noise-sigma", "inf"], "noise_sigma must be > 0 and finite"),
+        (["run", "--sigma-multiplier", "nan"], "sigma_multiplier must be positive and finite, got nan"),
+        (["run", "--noise-sigma", "inf"], "noise_sigma must be positive and finite, got inf"),
         (["run", "--peak-max", "inf"], r"bad peak_amplitude_range \(5.0, inf\)"),
-        (["run", "--sigma-multiplier", "inf"], "sigma_multiplier must be > 0 and finite"),
-        (["bench", "--kernel", "0"], r"kernel size 0 outside \[1, 50\]"),
+        (["run", "--sigma-multiplier", "inf"], "sigma_multiplier must be positive and finite, got inf"),
+        (["bench", "--kernel", "0"], r"conv_blocks\[0\] kernel must be >= 1 and an integer, got 0"),
         (["bench", "--trees", "0"], "trees must be >= 1 and an integer, got 0"),
         (["run", "--max-depth", "-3"], "max_depth must be >= 1"),
         (["bench", "--max-depth", "-3"], "max_depth must be >= 1"),

@@ -304,12 +304,12 @@ class TestGenerateAnomaly:
     def test_degenerate_spec_rejected(self):
         with pytest.raises(ValueError, match="noise_sigma"):
             generate_anomaly(AnomalyGenSpec(noise_sigma=0.0))
-        with pytest.raises(ValueError, match="counts"):
+        with pytest.raises(ValueError, match="train_count must be >= 1 and an integer, got 0"):
             generate_anomaly(AnomalyGenSpec(train_count=0))
 
     @pytest.mark.parametrize("name", ["noise_sigma", "sigma_multiplier"])
     def test_nan_spec_rejected(self, name):
-        with pytest.raises(ValueError, match=f"{name} must be > 0"):
+        with pytest.raises(ValueError, match=f"{name} must be positive and finite, got nan"):
             AnomalyGenSpec(**{name: float("nan")})
 
     @pytest.mark.parametrize("seed", [0, 7, 11])

@@ -86,8 +86,8 @@ class TestConfigValidation:
 
     @pytest.mark.parametrize("fields, cause", [
         ({"stride": 2.5}, "stride"), ({"stride": True}, "stride"), ({"length": 4.0}, "patch length"),
-        ({"length": False}, "patch length"), ({"notemp": "yes"}, "bools"), ({"attach": 1}, "bools"),
-        ({"zero": 1.0}, "bools"),
+        ({"length": False}, "patch length"), ({"notemp": "yes"}, "notemp must be a bool, got 'yes'"),
+        ({"attach": 1}, "attach must be a bool, got 1"), ({"zero": 1.0}, "zero must be a bool, got 1.0"),
     ])
     def test_wrong_types_rejected(self, fields, cause):
         """A stride or length that is a float or a bool, or a flag that is
