@@ -37,7 +37,7 @@ from .neuralnet import (
 from .patching import ConfigError, PatchConfig, patch_spans
 from .pipeline import default_network_spec, refit_shallow, run_pipeline
 from .shallow import (
-    FEATURE_SUBSAMPLES, KINDS, TRIVIAL_MODES, ForestSpec, ShallowSpec, SvmSpec, TrivialSpec,
+    FEATURE_SUBSAMPLES, KINDS, TRIVIAL_MODES, ForestSpec, ShallowSpec, SvmSpec, TrivialSpec, check_train_classes,
 )
 
 
@@ -348,6 +348,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     v = _values(config)
     patch_spans(train.length, patch_configs)
     net_spec = default_network_spec(train, patch_configs, seed=v["seed"], conv_blocks=conv_blocks)
+    check_train_classes(shallow_spec, train.labels_array())  # a SplitError exits 2, unlike the stage's errors
     stage = "pipeline"
     try:
         result = run_pipeline(

@@ -10,6 +10,7 @@ be recomputed from the raw values.
 from __future__ import annotations
 
 import io
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -109,7 +110,10 @@ class AnomalyGenSpec:
 
     Half of the samples receive a single-point peak in one random channel at a
     uniform position in [2, length-2]; the label is then derived from the
-    mean + k*std rule regardless of whether a peak was injected.
+    mean + k*std rule regardless of whether a peak was injected. No z-score
+    among length values exceeds sqrt(length - 1) (Samuelson's inequality),
+    so a sigma_multiplier k at or above it, which would label every sample
+    0, is rejected.
     """
 
     train_count: int = 3500
@@ -132,6 +136,10 @@ class AnomalyGenSpec:
             raise ConfigError(f"bad peak_amplitude_range {self.peak_amplitude_range}: need 0 < min <= max, finite")
         require_rate("sigma_multiplier", self.sigma_multiplier)
         require_count("seed", self.seed, least=0)
+        bound = math.sqrt(self.length - 1)  # the largest z-score among length values (Samuelson)
+        if self.sigma_multiplier >= bound:
+            raise ConfigError(f"sigma_multiplier {self.sigma_multiplier} >= sqrt(length - 1) = {bound:.6g} for "
+                              f"length {self.length}: no point can exceed mean + k*std, so every label would be 0")
 
 
 def anomaly_label(values: np.ndarray, sigma_multiplier: float = DEFAULT_SIGMA_MULTIPLIER) -> np.ndarray:

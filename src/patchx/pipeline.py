@@ -19,7 +19,7 @@ from .data import Dataset, check_splits, normalization_stats, znormalize
 from .metadata import PresenceMatrix
 from .neuralnet import NetworkSpec, TrainLog, TrainSpec, build_network
 from .patching import PatchConfig, _check_configs, build_patch_arrays
-from .shallow import ShallowSpec, evaluate, fit
+from .shallow import ShallowSpec, check_train_classes, evaluate, fit
 
 
 def default_network_spec(
@@ -92,6 +92,7 @@ def run_pipeline(
     check_splits({"train": train, "val": val, "test": test})
     train_spec = train_spec or TrainSpec()
     shallow_spec = shallow_spec or ShallowSpec()
+    check_train_classes(shallow_spec, train.labels_array())
     if net_spec is None:
         net_spec = default_network_spec(train, configs, seed=train_spec.seed)
 

@@ -27,6 +27,7 @@ from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
+from .data import SplitError
 from .metadata import PresenceMatrix
 from .patching import require_bool, require_choice, require_count, require_rate
 
@@ -366,14 +367,22 @@ ShallowModel = SvmModel | ForestModel | TrivialModel
 # -- spec operations -----------------------------------------------------------
 
 
+def check_train_classes(spec: ShallowSpec, labels: np.ndarray) -> None:
+    """A SplitError unless the train split's labels hold two classes or
+    more, which an svm and a forest need; trivial voting fits nothing."""
+    classes = np.unique(labels)
+    if spec.kind != "trivial" and len(classes) < 2:
+        raise SplitError(f"split 'train' holds the single class {classes.tolist()}; "
+                         f"shallow kind {spec.kind!r} needs at least 2")
+
+
 def fit(spec: ShallowSpec, train_vectors: PresenceMatrix) -> ShallowModel:
     """Train the configured classifier on a class-presence matrix."""
     if not len(train_vectors):
         raise ValueError("no training vectors")
     _, n_configs, class_count = train_vectors.blocks.shape
     labels = train_vectors.labels
-    if spec.kind != "trivial" and len(np.unique(labels)) < 2:
-        raise ValueError("training vectors contain a single class; need at least 2")
+    check_train_classes(spec, labels)
     if spec.kind == "trivial":
         return TrivialModel(mode=spec.trivial.mode, class_count=class_count, n_configs=n_configs)
     features = train_vectors.features(collapse=spec.collapse, normalize=spec.normalize)

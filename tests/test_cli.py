@@ -185,7 +185,7 @@ class TestRun:
 
     @pytest.mark.parametrize("files, argv, message", [
         (True, ["--patches", "60:60"], "patch length 60 exceeds sample length 50"),
-        (False, ["--length", "8"], "patch length 10 exceeds sample length 8"),
+        (False, ["--length", "8", "--sigma-multiplier", "2"], "patch length 10 exceeds sample length 8"),
     ], ids=["patch-60-on-50-step-files", "default-patches-on-8-steps"])
     def test_patch_longer_than_the_samples_stops_before_the_run_dir(self, tmp_path, capsys, files, argv, message):
         source = []
@@ -555,6 +555,45 @@ class TestSplitChecks:
         assert code == 2
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and re.search(message, err)
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("shallow", ["svm", "forest"])
+    def test_single_class_train_split_stops_before_training(self, tmp_path, capsys, monkeypatch, shallow):
+        """A train split of one class ran every epoch before the shallow fit
+        failed, and run exited 1. It now stops with exit 2 before any
+        training, naming the split, and makes no run directory."""
+        data_dir = tmp_path / "data"
+        assert run_cli("generate", "--out", str(data_dir), *FAST) == 0
+        train = load_dataset(data_dir / "train.csv")
+        for sample in train.samples:
+            sample.label = 0
+        save_dataset(train, data_dir / "train.csv")
+        monkeypatch.setattr(pipeline.neuralnet, "train", lambda *a, **k: pytest.fail("the network was trained"))
+        capsys.readouterr()
+        code = run_cli("run", "--out", str(tmp_path / "out"), "--source", "files", "--data-dir", str(data_dir),
+                       "--shallow", shallow, *FAST[6:])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert not captured.out and captured.err.count("\n") == 1
+        assert f"split 'train' holds the single class [0]; shallow kind {shallow!r} needs at least 2" in captured.err
+        assert not (tmp_path / "out").exists()
+
+    def test_run_pipeline_checks_the_train_classes_before_building_the_network(self, anomaly_splits, monkeypatch):
+        train, val, test = anomaly_splits
+        one_class = Dataset([s for s in train.samples if s.label == 0], class_count=2, split="train")
+        monkeypatch.setattr(pipeline, "build_network", lambda *a: pytest.fail("the network was built"))
+        with pytest.raises(SplitError, match="split 'train' holds the single class"):
+            pipeline.run_pipeline(one_class, val, test, [PatchConfig(5, 10)])
+
+    @pytest.mark.parametrize("command", ["generate", "run", "bench"])
+    def test_sigma_multiplier_past_the_z_score_bound_stops_at_configure(self, tmp_path, capsys, command):
+        """No z-score among 17 values exceeds sqrt(16) = 4, so the default
+        multiplier 4.0 labelled every generated sample 0."""
+        code = run_cli(command, "--out", str(tmp_path / "out"), *FAST, "--length", "17", "--patches", "5:10")
+        assert code == 2
+        captured = capsys.readouterr()
+        assert not captured.out and captured.err.count("\n") == 1
+        assert "sigma_multiplier 4.0 >= sqrt(length - 1) = 4 for length 17" in captured.err
         assert not (tmp_path / "out").exists()
 
     def test_run_pipeline_names_an_empty_split(self, anomaly_splits):

@@ -5,12 +5,15 @@ import pytest
 
 from dataclasses import fields, replace
 
+from patchx.data import SplitError
 from patchx.metadata import PresenceMatrix, extract_all
 from patchx.shallow import (
+    KINDS,
     ForestSpec,
     ShallowSpec,
     SvmSpec,
     TrivialSpec,
+    check_train_classes,
     evaluate,
     fit,
     predict_all,
@@ -90,6 +93,22 @@ class TestFit:
         vectors = stack([vector([[1.0, 0.0]], label=0, sample_id=i) for i in range(5)])
         with pytest.raises(ValueError, match="single class"):
             fit(ShallowSpec(kind="svm"), vectors)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_one_two_class_rule_for_fit_and_the_early_check(self, kind):
+        """fit and the check a run makes before training state one rule: an
+        svm or a forest needs two train classes, trivial voting fits one."""
+        vectors = stack([vector([[1.0, 0.0]], label=1, sample_id=i) for i in range(5)])
+        spec = ShallowSpec(kind=kind)
+        if kind == "trivial":
+            check_train_classes(spec, vectors.labels)
+            assert fit(spec, vectors).kind == "trivial"
+            return
+        message = f"split 'train' holds the single class \\[1\\]; shallow kind '{kind}' needs at least 2"
+        with pytest.raises(SplitError, match=message):
+            check_train_classes(spec, vectors.labels)
+        with pytest.raises(SplitError, match=message):
+            fit(spec, vectors)
 
     def test_spec_validation(self):
         with pytest.raises(ValueError):
